@@ -6,6 +6,13 @@ are always 0..6 internally; ``label_offset`` records how the frame is
 displayed (1 for the standard frame labelled 1..7, 0 for the Cayley frame
 labelled 0..6).
 
+The table is stored once, as a 7x7 grid of ordered-pair slots, and three
+loops read it: the cross product u x v, the cross-operator rows
+a_ij = sum_k eps_ijk v_k, and the contraction p(m)_i = sum_jk eps_ijk m_jk.
+They accept int or Fraction coordinates, so callers that scale a common
+denominator out can run them over the integers.  No other module knows the
+table layout.
+
 A :class:`G2Frame` bundles the table with the induced 3-form phi and its
 dual 4-form star_phi.  star_phi is constructed by combinatorial Hodge
 duality from phi; the orientation sign is chosen so that the contraction
@@ -23,23 +30,25 @@ sign flip when a frame is forced onto the wrong orientation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import permutations, product
 from random import Random
 
 from .forms import KForm, hodge
-from .linalg import DIM, Vec7
+from .linalg import DIM, UNIT, Vec7
 
 
 @dataclass(frozen=True)
 class CrossTable:
-    """Antisymmetric 3-index table with entries in {-1, 0, +1}."""
+    """Antisymmetric 3-index table with entries in {-1, 0, +1}, stored as a
+    7x7 grid of ordered-pair slots: slot (i, j) holds the (k, eps_ijk) with
+    nonzero eps_ijk."""
 
     base_triples: tuple[tuple[int, int, int, int], ...]  # (i<j<k, sign)
     label_offset: int = 0
 
     def __post_init__(self):
         seen = set()
+        grid = [[[] for _ in range(DIM)] for _ in range(DIM)]
         for i, j, k, s in self.base_triples:
             if not (0 <= i < j < k < DIM):
                 raise ValueError(f"triple {(i, j, k)} must be strictly increasing in 0..6")
@@ -48,56 +57,73 @@ class CrossTable:
             if (i, j, k) in seen:
                 raise ValueError(f"duplicate triple {(i, j, k)}")
             seen.add((i, j, k))
-        lookup = {(i, j, k): s for i, j, k, s in self.base_triples}
-        object.__setattr__(self, "_lookup", lookup)
-        # 42 ordered nonzero slots, grouped by first index and by ordered pair
-        by_first: list[list[tuple[int, int, int]]] = [[] for _ in range(DIM)]
-        by_pair: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        ordered = []
-        for (i, j, k), s in lookup.items():
-            for perm in permutations((i, j, k)):
-                _, sign = _perm_sign(perm, (i, j, k))
-                ordered.append((perm[0], perm[1], perm[2], s * sign))
-                by_first[perm[0]].append((perm[1], perm[2], s * sign))
-                by_pair.setdefault((perm[0], perm[1]), []).append((perm[2], s * sign))
-        object.__setattr__(self, "_ordered", tuple(sorted(ordered)))
-        object.__setattr__(self, "_by_first", tuple(tuple(sorted(x)) for x in by_first))
+            # cyclic permutations keep the sign, transpositions flip it
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                grid[a][b].append((c, s))
+                grid[b][a].append((c, -s))
         object.__setattr__(
-            self, "_by_pair", {k: tuple(sorted(v)) for k, v in by_pair.items()}
+            self, "_grid", tuple(tuple(tuple(sorted(slot)) for slot in row) for row in grid)
         )
 
     def eps(self, i: int, j: int, k: int) -> int:
-        key, sign = _sort3(i, j, k)
-        if sign == 0:
-            return 0
-        return self._lookup.get(key, 0) * sign
-
-    def nonzero_ordered(self) -> tuple[tuple[int, int, int, int], ...]:
-        """All ordered (i, j, k, eps_ijk) with nonzero eps; 42 for a valid table."""
-        return self._ordered
-
-    def slices_for(self, i: int) -> tuple[tuple[int, int, int], ...]:
-        """Nonzero (j, k, eps_ijk) for fixed first index i."""
-        return self._by_first[i]
+        for c, s in self._grid[i][j]:
+            if c == k:
+                return s
+        return 0
 
     def pair_slots(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
         """Nonzero (k, eps_ijk) for the ordered pair (i, j); for a valid
         cross-product table this has exactly one entry when i != j."""
-        return self._by_pair.get((i, j), ())
+        return self._grid[i][j]
+
+    def nonzero_ordered(self) -> tuple[tuple[int, int, int, int], ...]:
+        """All ordered (i, j, k, eps_ijk) with nonzero eps; 42 for a valid table."""
+        return tuple(
+            (i, j, k, s)
+            for i, row in enumerate(self._grid)
+            for j, slot in enumerate(row)
+            for k, s in slot
+        )
 
     def display_triples(self) -> tuple[tuple[int, int, int, int], ...]:
         off = self.label_offset
         return tuple((i + off, j + off, k + off, s) for i, j, k, s in sorted(self.base_triples))
 
+    # The three table loops.  Coordinates may be ints or Fractions; zero
+    # coordinates are skipped, so crosses with basis vectors stay cheap.
 
-def _perm_sign(perm, sorted_key) -> tuple[tuple[int, ...], int]:
-    sign = 1
-    p = list(perm)
-    for a in range(len(p)):
-        for b in range(a + 1, len(p)):
-            if p[a] > p[b]:
-                sign = -sign
-    return tuple(sorted_key), sign
+    def cross(self, u, v) -> list:
+        """Coordinates of u x v: (u x v)_k = sum_ij eps_ijk u_i v_j."""
+        out = [0] * DIM
+        for row, ui in zip(self._grid, u):
+            if ui:
+                for slot, vj in zip(row, v):
+                    if vj:
+                        for k, s in slot:
+                            out[k] += s * ui * vj
+        return out
+
+    def cross_rows(self, v) -> list[list]:
+        """Rows of the cross operator of v: a_ij = sum_k eps_ijk v_k."""
+        rows = [[0] * DIM for _ in range(DIM)]
+        for row, out in zip(self._grid, rows):
+            for j, slot in enumerate(row):
+                for k, s in slot:
+                    vk = v[k]
+                    if vk:
+                        out[j] += s * vk
+        return rows
+
+    def contract(self, m) -> list:
+        """The contraction p(m)_i = sum_jk eps_ijk m_jk of a 7x7 grid m."""
+        out = [0] * DIM
+        for i, row in enumerate(self._grid):
+            for slot, mj in zip(row, m):
+                for k, s in slot:
+                    x = mj[k]
+                    if x:
+                        out[i] += s * x
+        return out
 
 
 def _sort3(i: int, j: int, k: int) -> tuple[tuple[int, int, int], int]:
@@ -179,26 +205,13 @@ def build_cayley_frame() -> G2Frame:
 
 def basis_cross(table: CrossTable, i: int, j: int) -> Vec7:
     """e_i x e_j from the table."""
-    coords = [Fraction(0)] * DIM
-    for jj, k, s in table.slices_for(i):
-        if jj == j:
-            coords[k] = Fraction(s)
-    return Vec7(tuple(coords))
+    return Vec7(tuple(table.cross(UNIT[i], UNIT[j])))
 
 
 def cross(u: Vec7, v: Vec7, frame: G2Frame | CrossTable) -> Vec7:
     """Cross product u x v induced by the frame's table."""
     table = frame.table if isinstance(frame, G2Frame) else frame
-    coords = [Fraction(0)] * DIM
-    for i, j, k, s in table.nonzero_ordered():
-        ui = u[i]
-        if ui == 0:
-            continue
-        vj = v[j]
-        if vj == 0:
-            continue
-        coords[k] += s * ui * vj
-    return Vec7(tuple(coords))
+    return Vec7(tuple(table.cross(u, v)))
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +313,15 @@ def validate_cross_axioms(frame: G2Frame, seed: int = 0, trials: int = 200) -> C
         if failures:
             break
 
+    from .sampling import rand_vec
+
     rng = Random(seed)
     random_cases = 0
     if not failures:
         for t in range(trials):
-            u = _random_vec(rng)
-            v = _random_vec(rng)
-            w = _random_vec(rng)
+            u = rand_vec(rng)
+            v = rand_vec(rng)
+            w = rand_vec(rng)
             check_triple(u, v, w, f"seeded trial {t}")
             random_cases += 1
             if failures:
@@ -330,9 +345,10 @@ def star_phi_pairing_check(frame: G2Frame) -> CheckReport:
     both_zero = 0
     total = 0
     first_bad = None
+    products = {(i, j): basis_cross(table, i, j) for i, j in permutations(range(DIM), 2)}
     for quad in permutations(range(DIM), 4):
         i, j, k, l = quad
-        pairing = basis_cross(table, i, j).dot(basis_cross(table, k, l))
+        pairing = products[i, j].dot(products[k, l])
         value = frame.star_phi.coeff(quad)
         total += 1
         if value == pairing == 0:
@@ -363,6 +379,3 @@ def star_phi_pairing_check(frame: G2Frame) -> CheckReport:
         notes=notes,
     )
 
-
-def _random_vec(rng: Random) -> Vec7:
-    return Vec7(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(DIM)))

@@ -12,24 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .frames import CheckReport, G2Frame
-from .linalg import DIM, Mat7, int_matmul, integer_rows
+from .linalg import DIM, UNIT, Mat7, int_matmul, integer_columns, integer_rows
 from .so7 import decompose_endo
-
-
-def _int_columns(t: Mat7) -> tuple[list[list[int]], int]:
-    rows, d = integer_rows(t)
-    return [[rows[i][j] for i in range(DIM)] for j in range(DIM)], d
-
-
-def _int_cross(table, u: list[int], v: list[int]) -> list[int]:
-    out = [0] * DIM
-    for i, j, k, s in table.nonzero_ordered():
-        ui = u[i]
-        if ui:
-            vj = v[j]
-            if vj:
-                out[k] += s * ui * vj
-    return out
 
 
 def char_poly(t: Mat7) -> tuple[Fraction, ...]:
@@ -46,7 +30,8 @@ def char_poly(t: Mat7) -> tuple[Fraction, ...]:
         shifted = [[m[i][j] - (c[-1] if i == j else 0) for j in range(DIM)] for i in range(DIM)]
         m = int_matmul(n_rows, shifted)
         tr = sum(m[i][i] for i in range(DIM))
-        assert tr % k == 0
+        if tr % k:
+            raise ArithmeticError(f"Faddeev-LeVerrier trace {tr} is not divisible by {k}")
         c.append(tr // k)
     # det(tI - N) = t^7 - c_1 t^6 - ... - c_7 for the integer matrix N = d T,
     # so det(T - tI) = -t^7 + sum_k (c_k / d^k) t^{7-k}
@@ -71,48 +56,37 @@ def sigma2(t: Mat7) -> Fraction:
     return Fraction(tr * tr - tr2, 2 * d * d)
 
 
-def _int_cross_basis(table, v: list[int], j: int) -> list[int]:
-    """v x e_j for an integer coordinate vector v."""
-    out = [0] * DIM
-    for a in range(DIM):
-        va = v[a]
-        if va:
-            for k, s in table.pair_slots(a, j):
-                out[k] += s * va
-    return out
-
-
 def i0(t: Mat7, frame: G2Frame) -> Fraction:
     """sum_ij <T(e_i) x T(e_j), e_i x e_j>."""
     table = frame.table
-    cols, d = _int_columns(t)
+    cols, d = integer_columns(t)
     total = 0
     for i in range(DIM):
         for j in range(i + 1, DIM):
-            cij = _int_cross(table, cols[i], cols[j])
-            total += 2 * sum(s * cij[k] for k, s in table.pair_slots(i, j))
+            # <c, e_i x e_j> = (e_j x c)_i
+            cij = table.cross(cols[i], cols[j])
+            total += 2 * table.cross(UNIT[j], cij)[i]
     return Fraction(total, d * d)
 
 
 def i1(t: Mat7, frame: G2Frame) -> Fraction:
     """sum_ij <T(e_i) x e_i, T(e_j) x e_j> = |sum_i T(e_i) x e_i|^2."""
     table = frame.table
-    cols, d = _int_columns(t)
+    cols, d = integer_columns(t)
     acc = [0] * DIM
     for i in range(DIM):
-        ci = _int_cross_basis(table, cols[i], i)
-        for k in range(DIM):
-            acc[k] += ci[k]
+        # e_i x T(e_i) = -T(e_i) x e_i; the sign drops out of the square
+        for k, x in enumerate(table.cross(UNIT[i], cols[i])):
+            acc[k] += x
     return Fraction(sum(x * x for x in acc), d * d)
 
 
 def i2(t: Mat7, frame: G2Frame) -> Fraction:
     """sum_ij <T(e_i) x e_j, T(e_j) x e_i>."""
     table = frame.table
-    cols, d = _int_columns(t)
-    crossed = [
-        [_int_cross_basis(table, cols[i], j) for j in range(DIM)] for i in range(DIM)
-    ]
+    cols, d = integer_columns(t)
+    # e_j x T(e_i) = -T(e_i) x e_j; the signs cancel in each product
+    crossed = [[table.cross(UNIT[j], cols[i]) for j in range(DIM)] for i in range(DIM)]
     total = 0
     for i in range(DIM):
         total += sum(x * x for x in crossed[i][i])

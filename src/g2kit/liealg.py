@@ -43,7 +43,7 @@ from .forms import (
     wedge,
 )
 from .frames import G2Frame, build_cayley_frame
-from .linalg import DIM, Mat7, Vec7, as_fraction, commutator, solve
+from .linalg import DIM, UNIT, Mat7, Vec7, as_fraction, commutator, int_matmul, integer_columns, solve
 from .so7 import cross_operator, g2_basis
 from .torsion import torsion_energies
 
@@ -272,24 +272,16 @@ def g2perp_scalar_curvature(r: CurvatureTensor, frame: G2Frame) -> Fraction:
     first Bianchi identity holds.
 
     The projection of R(e_i,e_j) is the cross operator of
-    p(R(e_i,e_j)) / 6, so the summand is the eps-contraction
-    (1/6) sum_k eps_ijk sum_bc eps_kbc R_ijcb, evaluated componentwise.
+    p(R(e_i,e_j)) / 6, so the summand is (1/6) <e_i x e_j, p(R(e_i,e_j))>,
+    evaluated componentwise from the operator entries M[b][c] = R_ijcb.
     """
     table = frame.table
-    ordered = table.nonzero_ordered()
     total = Fraction(0)
     for i in range(DIM):
         for j in range(DIM):
-            comp = r.components[i][j]
-            for k, s1 in table.pair_slots(i, j):
-                # p(R(e_i, e_j))_k with the operator entries M[b][c] = R_ijcb
-                pk = Fraction(0)
-                for a, b, c, s2 in ordered:
-                    if a == k:
-                        val = comp[c][b]
-                        if val:
-                            pk += s2 * val
-                total += s1 * pk
+            p = table.contract(tuple(zip(*r.components[i][j])))
+            # <e_i x e_j, p> = (e_j x p)_i
+            total += table.cross(UNIT[j], p)[i]
     return total / 6
 
 
@@ -301,35 +293,19 @@ def alt_scalar_curvature(t: Mat7, frame: G2Frame) -> Fraction:
     i0 double sum; the denominator of T is scaled out so the commutators
     run over the integers.
     """
-    from .linalg import int_matmul, integer_rows
-
     table = frame.table
-    rows, d = integer_rows(t)
-    cols = [[rows[i][j] for i in range(DIM)] for j in range(DIM)]
-
-    def cross_op_int(v: list[int]) -> list[list[int]]:
-        out = [[0] * DIM for _ in range(DIM)]
-        for p in range(DIM):
-            for q in range(DIM):
-                for k, s in table.pair_slots(p, q):
-                    if v[k]:
-                        out[p][q] += s * v[k]
-        return out
-
-    slices = [cross_op_int(cols[i]) for i in range(DIM)]
+    cols, d = integer_columns(t)
+    slices = [table.cross_rows(cols[i]) for i in range(DIM)]
     total = 0
     for i in range(DIM):
         for j in range(i + 1, DIM):
             ab = int_matmul(slices[i], slices[j])
             ba = int_matmul(slices[j], slices[i])
             comm = [[ab[p][q] - ba[p][q] for q in range(DIM)] for p in range(DIM)]
-            w = [0] * DIM
-            for a, b, c, s in table.nonzero_ordered():
-                val = comm[b][c]
-                if val:
-                    w[a] += s * val
-            # ordered pairs (i, j) and (j, i) contribute equally
-            total += 2 * sum(s * w[k] for k, s in table.pair_slots(i, j))
+            w = table.contract(comm)
+            # ordered pairs (i, j) and (j, i) contribute equally;
+            # <w, e_i x e_j> = (e_j x w)_i
+            total += 2 * table.cross(UNIT[j], w)[i]
     return Fraction(total, 6 * d * d)
 
 

@@ -16,6 +16,9 @@ from itertools import combinations
 
 DIM = 7
 
+# integer coordinates of the basis vectors e_0..e_6
+UNIT = tuple(tuple(int(i == j) for j in range(DIM)) for i in range(DIM))
+
 Rational = Fraction
 
 
@@ -198,6 +201,12 @@ def integer_rows(m: Mat7) -> tuple[list[list[int]], int]:
         for x in row:
             d = lcm(d, x.denominator)
     return [[int(x * d) for x in row] for row in m.entries], d
+
+
+def integer_columns(m: Mat7) -> tuple[list[tuple[int, ...]], int]:
+    """(columns of d * M as integer tuples, d), as in :func:`integer_rows`."""
+    rows, d = integer_rows(m)
+    return list(zip(*rows)), d
 
 
 def int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:

@@ -94,7 +94,8 @@ def rand_orthogonal(rng: Random) -> Mat7:
     for j in range(DIM):
         rhs = [b.entries[i][j] for i in range(DIM)]
         sol = solve(rows, rhs)
-        assert sol is not None
+        if sol is None:
+            raise ValueError("Cayley transform failed: I + S is singular")
         cols.append(Vec7(tuple(sol)))
     return Mat7.from_columns(cols)
 

@@ -13,6 +13,7 @@ Parsing accepts JSON numbers as well: integers directly, floats through
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .forms import KForm
@@ -27,13 +28,19 @@ def rational_str(x: Fraction) -> str:
 
 
 def parse_rational(value) -> Fraction:
+    """Parse a rational; zero denominators and non-finite floats raise ValueError."""
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     if isinstance(value, bool):
         raise TypeError("booleans are not rationals")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"{value} is not a finite rational")
         return Fraction(value)
     raise TypeError(f"cannot parse rational from {type(value).__name__}: {value!r}")
 
@@ -113,13 +120,20 @@ def algebra_from_json(data):
         raise ValueError("only dimension 7 is supported")
     entries = {}
     for b in data.get("brackets", []):
-        i, j = int(b["i"]), int(b["j"])
-        coeffs = {int(k): parse_rational(v) for k, v in b.get("coeffs", {}).items()}
+        i, j = _index(b["i"]), _index(b["j"])
+        coeffs = {_index(k): parse_rational(v) for k, v in b.get("coeffs", {}).items()}
         key = (i, j)
         acc = entries.setdefault(key, {})
         for k, v in coeffs.items():
             acc[k] = acc.get(k, Fraction(0)) + v
     return MetricLieAlgebra.from_nonzero(entries)
+
+
+def _index(value) -> int:
+    i = int(value)
+    if not 0 <= i < DIM:
+        raise ValueError(f"index {value!r} is outside 0..{DIM - 1}")
+    return i
 
 
 def canonical_json(obj) -> str:

@@ -41,12 +41,7 @@ def _as_matrix(a) -> Mat7:
 
 def cross_operator(v: Vec7, frame: G2Frame) -> SkewMat:
     """The skew operator u -> u x v; entries a_ij = sum_k eps_ijk v_k."""
-    table = frame.table
-    rows = [[Fraction(0)] * DIM for _ in range(DIM)]
-    for i, j, k, s in table.nonzero_ordered():
-        if v[k] != 0:
-            rows[i][j] += s * v[k]
-    return SkewMat(Mat7.from_rows(rows))
+    return SkewMat(Mat7.from_rows(frame.table.cross_rows(v)))
 
 
 def skew_to_vector(a, frame: G2Frame) -> Vec7:
@@ -55,12 +50,7 @@ def skew_to_vector(a, frame: G2Frame) -> Vec7:
     Accepts a SkewMat or a plain Mat7; the eps contraction only sees the
     skew part of the argument.
     """
-    m = _as_matrix(a)
-    table = frame.table
-    coords = [Fraction(0)] * DIM
-    for i, j, k, s in table.nonzero_ordered():
-        coords[i] += s * m.entries[j][k]
-    return Vec7(tuple(coords))
+    return Vec7(tuple(frame.table.contract(_as_matrix(a).entries)))
 
 
 def split_so7(a, frame: G2Frame) -> tuple[SkewMat, Vec7]:
@@ -137,15 +127,12 @@ def skew_basis_indices() -> list[tuple[int, int]]:
 
 def p_matrix(table: CrossTable) -> list[list[Fraction]]:
     """Matrix of the eps contraction on so(7) in the E_ij - E_ji basis (7 x 21)."""
-    pairs = skew_basis_indices()
     cols = []
-    for (i, j) in pairs:
-        coords = [Fraction(0)] * DIM
-        for a in range(DIM):
-            # contribution of a_ij = 1, a_ji = -1
-            coords[a] += table.eps(a, i, j) - table.eps(a, j, i)
-        cols.append(coords)
-    return [[cols[c][r] for c in range(len(pairs))] for r in range(DIM)]
+    for i, j in skew_basis_indices():
+        m = [[0] * DIM for _ in range(DIM)]
+        m[i][j], m[j][i] = 1, -1
+        cols.append(table.contract(m))
+    return [[Fraction(col[r]) for col in cols] for r in range(DIM)]
 
 
 @lru_cache(maxsize=None)

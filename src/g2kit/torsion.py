@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .frames import G2Frame, CheckReport, cross
 from .invariants import i0, sigma2
-from .linalg import DIM, Mat7, Vec7
+from .linalg import DIM, UNIT, Mat7, Vec7, integer_columns
 from .so7 import EndoSplit, decompose_endo
 
 # Scaling note attached to reports whenever a structure with nonzero vector
@@ -72,22 +72,9 @@ def torsion_energies(t: Mat7, frame: G2Frame) -> tuple[Fraction, Fraction, Fract
 
     The combination |chi|^2 + |xi_alt|^2 - |xi_sym|^2 equals i1(T) - i2(T).
     """
-    from .linalg import integer_rows
-
     table = frame.table
-    rows, d = integer_rows(t)
-    cols = [[rows[i][j] for i in range(DIM)] for j in range(DIM)]
-
-    def basis_cross_int(j: int, v: list[int]) -> list[int]:
-        out = [0] * DIM
-        for a in range(DIM):
-            va = v[a]
-            if va:
-                for k, s in table.pair_slots(j, a):
-                    out[k] += s * va
-        return out
-
-    xi = [[basis_cross_int(j, cols[i]) for j in range(DIM)] for i in range(DIM)]
+    cols, d = integer_columns(t)
+    xi = [[table.cross(UNIT[j], cols[i]) for j in range(DIM)] for i in range(DIM)]
     chi = [sum(xi[i][i][k] for i in range(DIM)) for k in range(DIM)]
     chi_sq = Fraction(sum(x * x for x in chi), d * d)
     alt_int = 0

@@ -77,12 +77,24 @@ def test_classify_parse_error_reports_line_and_column(tmp_path, capsys):
     assert "line" in err and "column" in err
 
 
-def test_classify_non_rational_entry_rejected(tmp_path, capsys):
+def assert_one_line_usage_error(code, capsys):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ["x+1", "1/0", float("inf")],
+    ids=["non-rational", "zero-denominator", "infinity"],
+)
+def test_classify_non_rational_entry_rejected(tmp_path, capsys, entry):
     path = tmp_path / "bad.json"
     rows = [["0"] * 7 for _ in range(7)]
-    rows[0][0] = "x+1"
-    path.write_text(json.dumps({"matrix": rows}))
-    assert main(["classify", "--input", str(path)]) == 2
+    rows[0][0] = entry
+    path.write_text(json.dumps({"matrix": rows}))  # inf is written as Infinity
+    assert_one_line_usage_error(main(["classify", "--input", str(path)]), capsys)
 
 
 def test_nilmanifold_report(capsys):
@@ -117,6 +129,23 @@ def test_nilmanifold_custom_algebra_input(tmp_path, capsys):
     assert out["checks"]["tau_flags_match_classification"] is True
     assert "connection_reference_diff" not in out
     assert Fraction(out["scalar_curvature"]) == Fraction(-1, 2)
+
+
+@pytest.mark.parametrize(
+    "bracket",
+    [
+        {"i": 0, "j": 9, "coeffs": {"2": "1"}},
+        {"i": -1, "j": 1, "coeffs": {"2": "1"}},
+        {"i": 0, "j": 1, "coeffs": {"7": "1"}},
+        {"i": 0, "j": 1, "coeffs": {"2": "1/0"}},
+        {"i": 0, "j": 1, "coeffs": {"2": float("inf")}},
+    ],
+    ids=["bracket-index-9", "bracket-index-minus-1", "coeff-index-7", "zero-denominator", "infinity"],
+)
+def test_nilmanifold_malformed_algebra_rejected(tmp_path, capsys, bracket):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dim": 7, "brackets": [bracket]}))
+    assert_one_line_usage_error(main(["nilmanifold", "--input", str(path)]), capsys)
 
 
 def test_nilmanifold_rejects_non_jacobi_input(tmp_path, capsys):
