@@ -19,6 +19,7 @@ from g2kit import (
     heisenberg_model,
     i0,
     koszul,
+    nabla_form,
     scalar_curvature,
     sigma2,
     torsion_forms,
@@ -41,7 +42,7 @@ print("nonzero R_ijji values:", {v: values.count(v) for v in sorted(set(values))
 print("scalar curvature s =", s)
 print("g2-perp scalar curvature equals s/3:", g2perp_scalar_curvature(r, frame) == s / 3)
 
-geo = geometry_torsion_report(mla, frame)
+geo = geometry_torsion_report(nabla_form(conn, frame.phi), frame)
 t = geo.torsion
 print("\ntorsion endomorphism from nabla(phi) matches the tabulated T:", t == t_table)
 print("r-map convention that reproduces it:", geo.matched_convention)
@@ -55,6 +56,6 @@ print("balance: -(3/2) i0 + 6 sigma2 =", lhs, " and s/6 =", s / 6, "->", lhs == 
 tf = torsion_forms(mla, frame)
 print("\ntorsion forms: vanishing =", sorted(tf.vanishing()),
       " tau2 =", tf.tau2.terms())
-rep = bryant_scalar_check(mla, frame)
+rep = bryant_scalar_check(mla, frame, s, tf)
 print("scalar-curvature formula from the torsion forms reconciles under:",
       rep.reconciling, " with |tau2|^2 =", rep.forms.norms_sq("form")["tau2_sq"])

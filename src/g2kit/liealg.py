@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .forms import (
     FORM,
@@ -43,7 +44,7 @@ from .forms import (
     wedge,
 )
 from .frames import G2Frame, build_cayley_frame
-from .linalg import DIM, UNIT, Mat7, Vec7, as_fraction, commutator, int_matmul, integer_columns, solve
+from .linalg import DIM, UNIT, LinearSystem, Mat7, Vec7, as_fraction, int_matmul, integer_columns, nullspace
 from .so7 import cross_operator, g2_basis
 from .torsion import torsion_energies
 
@@ -232,19 +233,34 @@ class CurvatureTensor:
 
 
 def curvature(conn: ConnectionTable, mla: MetricLieAlgebra) -> CurvatureTensor:
-    """R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z."""
-    ops = [conn.operator(i) for i in range(DIM)]
+    """R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z.
+
+    The connection coefficients and structure constants are scaled to one
+    common denominator d, so with D_i = d nabla_{e_i} the operator
+    d^2 R(e_i, e_j) = [D_i, D_j] - sum_m (d c^m_ij) D_m runs over the
+    integers; each component is divided back exactly at the end.
+    """
+    d = lcm(*(x.denominator for grid in (conn.gamma, mla.brackets) for row in grid for v in row for x in v))
+
+    def scaled(x: Fraction) -> int:
+        return x.numerator * (d // x.denominator)
+
+    # ops[i][l][k] = d Gamma^l_ik: row l, column k of D_i
+    ops = [[[scaled(conn.gamma[i][k][l]) for k in range(DIM)] for l in range(DIM)] for i in range(DIM)]
+    prods = [[int_matmul(a, b) for b in ops] for a in ops]
+    dd = d * d
+    zero = Fraction(0)
     comps = []
     for i in range(DIM):
         row = []
         for j in range(DIM):
-            op = commutator(ops[i], ops[j])
-            cij = mla.brackets[i][j]
-            for m in range(DIM):
-                if cij[m] != 0:
-                    op = op - ops[m].scale(cij[m])
-            # op column k, row l equals R_ijkl
-            row.append(tuple(tuple(op.entries[l][k] for l in range(DIM)) for k in range(DIM)))
+            op = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(prods[i][j], prods[j][i])]
+            for m, c in enumerate(mla.brackets[i][j]):
+                if c:
+                    c = scaled(c)
+                    op = [[x - c * y for x, y in zip(r1, r2)] for r1, r2 in zip(op, ops[m])]
+            # R_ijkl is row l, column k of R(e_i, e_j)
+            row.append(tuple(tuple(Fraction(x, dd) if x else zero for x in col) for col in zip(*op)))
         comps.append(tuple(row))
     return CurvatureTensor(tuple(comps))
 
@@ -432,31 +448,29 @@ def _form_coords(a: KForm, degree: int) -> list[Fraction]:
 
 
 @lru_cache(maxsize=None)
-def _cross_action_rows(table, orientation) -> tuple[tuple[Fraction, ...], ...]:
-    """Rows of the 35x7 matrix of v -> (cross operator of v) * phi."""
+def _cross_action_system(table, orientation) -> LinearSystem:
+    """The 35x7 system of v -> (cross operator of v) * phi, reduced once per frame."""
     frame = G2Frame.from_table(table, orientation)
-    cols = []
-    for k in range(DIM):
-        action = derivation_action(cross_operator(Vec7.basis(k), frame).mat, frame.phi)
-        cols.append(_form_coords(action, 3))
-    return tuple(tuple(cols[c][r] for c in range(DIM)) for r in range(35))
+    cols = [
+        _form_coords(derivation_action(cross_operator(Vec7.basis(k), frame).mat, frame.phi), 3)
+        for k in range(DIM)
+    ]
+    return LinearSystem(list(zip(*cols)))
 
 
-def torsion_endo_from_geometry(mla: MetricLieAlgebra, frame: G2Frame) -> Mat7:
-    """Recover T with nabla_{e_i} phi = (cross operator of T(e_i)) * phi.
+def torsion_endo_from_geometry(nphi: tuple[KForm, ...], frame: G2Frame) -> Mat7:
+    """Recover T with nabla_{e_i} phi = (cross operator of T(e_i)) * phi
+    from the covariant derivatives nphi = nabla_form(conn, frame.phi).
 
-    Each slice is an exact overdetermined linear solve; for a metric
-    connection the system is consistent with zero residual, and the
-    resulting T reproduces the tabulated endomorphism of the built-in
-    nilmanifold model.
+    Each slice is an exact overdetermined linear solve against one system
+    per frame; for a metric connection the system is consistent with zero
+    residual, and the resulting T reproduces the tabulated endomorphism of
+    the built-in nilmanifold model.
     """
-    conn = koszul(mla)
-    nphi = nabla_form(conn, frame.phi)
-    rows = [list(r) for r in _cross_action_rows(frame.table, frame.orientation)]
+    system = _cross_action_system(frame.table, frame.orientation)
     cols = []
     for i in range(DIM):
-        rhs = _form_coords(nphi[i], 3)
-        sol = solve(rows, rhs)
+        sol = system.solve(_form_coords(nphi[i], 3))
         if sol is None:
             raise TorsionSolveError(
                 f"slice {i}: nabla_phi does not lie in the cross-operator orbit of phi"
@@ -477,15 +491,9 @@ def r_map(nphi: tuple[KForm, ...], frame: G2Frame, convention: str = FORM) -> Ma
     r = (1/2)(e^01 - e^46) of the built-in nilmanifold model.
     """
     star = -frame.star_phi
+    duals = [interior(Vec7.basis(y), star) for y in range(DIM)]
     quarter = Fraction(1, 4)
-    rows = []
-    for x in range(DIM):
-        row = []
-        for y in range(DIM):
-            val = quarter * form_inner(nphi[x], interior(Vec7.basis(y), star), convention)
-            row.append(val)
-        rows.append(tuple(row))
-    return Mat7(tuple(rows))
+    return Mat7(tuple(tuple(quarter * form_inner(a, b, convention) for b in duals) for a in nphi))
 
 
 @dataclass(frozen=True)
@@ -504,12 +512,11 @@ class GeometryTorsionReport:
         }
 
 
-def geometry_torsion_report(mla: MetricLieAlgebra, frame: G2Frame) -> GeometryTorsionReport:
-    """Solve for T and record which pairing convention lets the r route
-    reproduce it via T(X) = (1/3) sum_i r(X, e_i) e_i."""
-    t = torsion_endo_from_geometry(mla, frame)
-    conn = koszul(mla)
-    nphi = nabla_form(conn, frame.phi)
+def geometry_torsion_report(nphi: tuple[KForm, ...], frame: G2Frame) -> GeometryTorsionReport:
+    """Solve for T from nphi = nabla_form(conn, frame.phi) and record which
+    pairing convention lets the r route reproduce it via
+    T(X) = (1/3) sum_i r(X, e_i) e_i."""
+    t = torsion_endo_from_geometry(nphi, frame)
     matched = None
     r_form = r_map(nphi, frame, FORM)
     for convention in (FORM, "tensor"):
@@ -546,13 +553,32 @@ def _lambda3_27_forms(table, orientation) -> tuple[KForm, ...]:
     # gamma ^ star_phi = 0 (1 equation in Lambda^7)
     target = tuple(range(DIM))
     rows.append([wedge(KForm.monomial(key), frame.star_phi).coeff(target) for key in keys3])
-    from .linalg import nullspace
-
     basis = nullspace(rows)
     out = []
     for coeffs in basis:
         out.append(KForm(3, {key: c for key, c in zip(keys3, coeffs) if c != 0}))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _lambda4_system(table, orientation) -> LinearSystem:
+    """Lambda^4 against {star_phi} + {e^i ^ phi} + {star(27-part basis)}:
+    35 equations in 35 unknowns, reduced once per frame."""
+    frame = G2Frame.from_table(table, orientation)
+    cols = [_form_coords(frame.star_phi, 4)]
+    cols += [_form_coords(wedge(KForm.monomial((i,)), frame.phi), 4) for i in range(DIM)]
+    cols += [_form_coords(hodge(gamma, orientation), 4) for gamma in _lambda3_27_forms(table, orientation)]
+    return LinearSystem(list(zip(*cols)))
+
+
+@lru_cache(maxsize=None)
+def _lambda5_system(table, orientation) -> LinearSystem:
+    """Lambda^5 against {e^i ^ star_phi} + {(14-part basis) ^ phi}:
+    21 equations in 21 unknowns, reduced once per frame."""
+    frame = G2Frame.from_table(table, orientation)
+    cols = [_form_coords(wedge(KForm.monomial((i,)), frame.star_phi), 5) for i in range(DIM)]
+    cols += [_form_coords(wedge(beta, frame.phi), 5) for beta in _lambda2_14_forms(table)]
+    return LinearSystem(list(zip(*cols)))
 
 
 @dataclass(frozen=True)
@@ -618,13 +644,7 @@ def torsion_forms(mla: MetricLieAlgebra, frame: G2Frame, convention: str = FORM)
     beta_basis = _lambda2_14_forms(frame.table)
 
     # system 1: Lambda^4, 35 unknowns
-    cols4: list[list[Fraction]] = [_form_coords(frame.star_phi, 4)]
-    for i in range(DIM):
-        cols4.append(_form_coords(wedge(KForm.monomial((i,)), frame.phi), 4))
-    for gamma in gamma_basis:
-        cols4.append(_form_coords(hodge(gamma, frame.orientation), 4))
-    rows4 = [[cols4[c][r] for c in range(len(cols4))] for r in range(35)]
-    sol4 = solve(rows4, _form_coords(dphi, 4))
+    sol4 = _lambda4_system(frame.table, frame.orientation).solve(_form_coords(dphi, 4))
     if sol4 is None:
         raise TorsionSolveError("d phi is not compatible with the 1+7+27 split")
 
@@ -636,13 +656,7 @@ def torsion_forms(mla: MetricLieAlgebra, frame: G2Frame, convention: str = FORM)
             tau3 = tau3 + gamma.scale(sol4[8 + a])
 
     # system 2: Lambda^5, 21 unknowns
-    cols5: list[list[Fraction]] = []
-    for i in range(DIM):
-        cols5.append(_form_coords(wedge(KForm.monomial((i,)), frame.star_phi), 5))
-    for beta in beta_basis:
-        cols5.append(_form_coords(wedge(beta, frame.phi), 5))
-    rows5 = [[cols5[c][r] for c in range(len(cols5))] for r in range(21)]
-    sol5 = solve(rows5, _form_coords(dstar, 5))
+    sol5 = _lambda5_system(frame.table, frame.orientation).solve(_form_coords(dstar, 5))
     if sol5 is None:
         raise TorsionSolveError("d star_phi is not compatible with the 7+14 split")
 
@@ -680,12 +694,14 @@ class BryantScalarReport:
         }
 
 
-def bryant_scalar_check(mla: MetricLieAlgebra, frame: G2Frame) -> BryantScalarReport:
+def bryant_scalar_check(
+    mla: MetricLieAlgebra, frame: G2Frame, s: Fraction, tf: TorsionForms
+) -> BryantScalarReport:
     """Compare s = 12 delta tau1 + (21/8) tau0^2 + 30 |tau1|^2
-    - (1/2)|tau2|^2 - (1/2)|tau3|^2 with the Koszul/curvature scalar under
-    each norm convention and report which convention gives exact equality."""
-    s = scalar_curvature(curvature(koszul(mla), mla))
-    tf = torsion_forms(mla, frame)
+    - (1/2)|tau2|^2 - (1/2)|tau3|^2 under each norm convention with the
+    scalar curvature s of the Koszul/curvature route, where tf is
+    torsion_forms(mla, frame), and report which convention gives exact
+    equality.  The two sides come from independent routes."""
     dt1 = codifferential(mla, tf.tau1, frame.orientation).coeff(())
     rhs = []
     matches = []

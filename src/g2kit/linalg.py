@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from operator import mul
 
 DIM = 7
 
@@ -192,15 +194,19 @@ def integer_rows(m: Mat7) -> tuple[list[list[int]], int]:
     """(d * M as integer rows, d) for the smallest common denominator d.
 
     Hot loops over matrices scale out the denominator once and work with
-    plain integers; results are divided back exactly at the end.
+    plain integers; results are divided back exactly at the end.  Each
+    entry scales as numerator * (d // denominator), so no Fraction is
+    multiplied.
     """
-    from math import lcm
+    d = lcm(*(x.denominator for row in m.entries for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in m.entries], d
 
-    d = 1
-    for row in m.entries:
-        for x in row:
-            d = lcm(d, x.denominator)
-    return [[int(x * d) for x in row] for row in m.entries], d
+
+def integer_vector(xs) -> tuple[list[int], int]:
+    """(d * x as integers, d) for the smallest common denominator d of x."""
+    xs = [as_fraction(x) for x in xs]
+    d = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (d // x.denominator) for x in xs], d
 
 
 def integer_columns(m: Mat7) -> tuple[list[tuple[int, ...]], int]:
@@ -210,14 +216,8 @@ def integer_columns(m: Mat7) -> tuple[list[tuple[int, ...]], int]:
 
 
 def int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(DIM)) for j in range(DIM)]
-        for i in range(DIM)
-    ]
-
-
-def commutator(a: Mat7, b: Mat7) -> Mat7:
-    return a @ b - b @ a
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 # ---------------------------------------------------------------------------
@@ -273,21 +273,40 @@ def nullspace(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     return basis
 
 
-def solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """One exact solution of A x = b, or None when inconsistent.
+class LinearSystem:
+    """A x = b for one fixed A and many right-hand sides b.
 
-    Free variables are set to zero; for the square nonsingular systems used
-    in this package the solution is unique.
+    [A | I] is reduced once with :func:`rref`.  The rows with a pivot in A
+    carry the transform E (E A = rref(A)), the others span the left null
+    space of A; both are kept as integer rows.  :meth:`solve` then costs one
+    integer matrix-vector product plus a consistency check, and returns
+    exactly what reducing [A | b] would give.  (Reducing past the A columns
+    changes the E rows only by left-null rows, which vanish on every
+    consistent b.)
     """
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    ncols = len(rows[0]) if rows else 0
-    reduced, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = reduced[r][ncols]
-    return x
+
+    def __init__(self, rows: list[list[Fraction]]):
+        nrows = len(rows)
+        self.ncols = ncols = len(rows[0])
+        reduced, pivots = rref([list(r) + [Fraction(int(i == k)) for k in range(nrows)] for i, r in enumerate(rows)])
+        r = sum(1 for c in pivots if c < ncols)
+        self.pivots = tuple(pivots[:r])
+        self._transform = tuple(integer_vector(row[ncols:]) for row in reduced[:r])
+        self._left_null = tuple(integer_vector(row[ncols:])[0] for row in reduced[r:])
+
+    def solve(self, rhs) -> list[Fraction] | None:
+        """One exact solution of A x = b, or None when inconsistent.
+
+        Free variables are set to zero; for the square nonsingular systems
+        used in this package the solution is unique.
+        """
+        b, db = integer_vector(rhs)
+        if any(sum(map(mul, row, b)) for row in self._left_null):
+            return None
+        x = [Fraction(0)] * self.ncols
+        for pc, (row, d) in zip(self.pivots, self._transform):
+            x[pc] = Fraction(sum(map(mul, row, b)), d * db)
+        return x
 
 
 def det(rows: list[list[Fraction]]) -> Fraction:

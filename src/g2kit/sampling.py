@@ -12,7 +12,7 @@ from random import Random
 
 from .frames import G2Frame
 from .liealg import MetricLieAlgebra
-from .linalg import DIM, Mat7, Vec7, solve
+from .linalg import DIM, LinearSystem, Mat7, Vec7
 from .so7 import g2_basis
 
 
@@ -85,15 +85,15 @@ def rand_vector_free(rng: Random, frame: G2Frame) -> Mat7:
 
 def rand_orthogonal(rng: Random) -> Mat7:
     """Rational special orthogonal matrix via the Cayley transform
-    (I - S)(I + S)^{-1} of a random skew S; I + S is always invertible."""
+    (I - S)(I + S)^{-1} of a random skew S; I + S is always invertible.
+
+    The 7 columns solve one system (I + S) x = (I - S) e_j, reduced once."""
     s = rand_skew(rng)
-    a = Mat7.identity() + s
+    system = LinearSystem((Mat7.identity() + s).entries)
     b = Mat7.identity() - s
-    rows = [list(r) for r in a.entries]
     cols = []
     for j in range(DIM):
-        rhs = [b.entries[i][j] for i in range(DIM)]
-        sol = solve(rows, rhs)
+        sol = system.solve(b.column(j))
         if sol is None:
             raise ValueError("Cayley transform failed: I + S is singular")
         cols.append(Vec7(tuple(sol)))

@@ -61,9 +61,13 @@ def mat_to_json(m: Mat7) -> list[list[str]]:
 
 def mat_from_json(data) -> Mat7:
     if isinstance(data, dict):
-        data = data.get("matrix", data)
-    if len(data) != DIM or any(len(row) != DIM for row in data):
-        raise ValueError(f"matrix needs a {DIM}x{DIM} grid")
+        data = data.get("matrix")
+    if not (
+        isinstance(data, list)
+        and len(data) == DIM
+        and all(isinstance(row, list) and len(row) == DIM for row in data)
+    ):
+        raise ValueError(f"matrix needs a {DIM}x{DIM} grid of lists")
     return Mat7(tuple(tuple(parse_rational(x) for x in row) for row in data))
 
 
@@ -114,14 +118,19 @@ def algebra_to_json(mla) -> dict:
 
 
 def algebra_from_json(data):
+    """Parse the algebra schema.  Objects and lists must have the schema's
+    JSON types; indices and dim are integers, given as JSON integers or as
+    integer strings (coefficient keys are always strings)."""
     from .liealg import MetricLieAlgebra
 
-    if int(data.get("dim", DIM)) != DIM:
+    data = _typed(data, dict, "an algebra")
+    if _integer(data.get("dim", DIM)) != DIM:
         raise ValueError("only dimension 7 is supported")
     entries = {}
-    for b in data.get("brackets", []):
+    for b in _typed(data.get("brackets", []), list, "brackets"):
+        b = _typed(b, dict, "a bracket")
         i, j = _index(b["i"]), _index(b["j"])
-        coeffs = {_index(k): parse_rational(v) for k, v in b.get("coeffs", {}).items()}
+        coeffs = {_index(k): parse_rational(v) for k, v in _typed(b.get("coeffs", {}), dict, "coeffs").items()}
         key = (i, j)
         acc = entries.setdefault(key, {})
         for k, v in coeffs.items():
@@ -129,8 +138,24 @@ def algebra_from_json(data):
     return MetricLieAlgebra.from_nonzero(entries)
 
 
+def _typed(value, kind: type, what: str):
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be a JSON {'object' if kind is dict else 'list'}, got {value!r}")
+    return value
+
+
+def _integer(value) -> int:
+    """A JSON integer, an integral float or an integer string; bools and
+    fractional numbers are rejected rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ValueError(f"expected an integer, got {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _index(value) -> int:
-    i = int(value)
+    i = _integer(value)
     if not 0 <= i < DIM:
         raise ValueError(f"index {value!r} is outside 0..{DIM - 1}")
     return i

@@ -37,6 +37,7 @@ from g2kit.liealg import (
     geometry_torsion_report,
     heisenberg_model,
     koszul,
+    nabla_form,
     nearly_parallel_torsion_check,
     scalar_curvature,
     torsion_forms,
@@ -158,7 +159,7 @@ def test_criterion_06_heisenberg_numbers():
     assert list(coeffs) == expected
     assert curvature_integrand(t_ref, frame) == Fraction(-1, 6) == s / 6
     assert g2perp_scalar_curvature(r, frame) == Fraction(-1, 3) == s / 3
-    assert geometry_torsion_report(mla, frame).torsion == t_ref
+    assert geometry_torsion_report(nabla_form(conn, frame.phi), frame).torsion == t_ref
     assert sorted(classify(t_ref, frame).flags) == ["X2"]
     assert predicted_scalar_curvature(t_ref, frame) == -1
     report(6, "nilmanifold model reproduces s=-1, sigma2=1/18, i0=1/3, charpoly, -1/6 balance, pure X2")
@@ -231,7 +232,7 @@ def test_criterion_11_bryant_heisenberg():
     # zero residuals in both defining equations
     assert ce_differential(mla, frame.phi).is_zero()
     assert wedge(tf.tau1, frame.star_phi).scale(4) + wedge(tf.tau2, frame.phi) == ce_differential(mla, frame.star_phi)
-    rep = bryant_scalar_check(mla, frame)
+    rep = bryant_scalar_check(mla, frame, scalar_curvature(curvature(koszul(mla), mla)), tf)
     assert rep.scalar == -1
     assert rep.reconciling == (FORM,)  # exactly one convention, and it is named
     assert form_norm_sq(tf.tau2, FORM) == 2

@@ -131,21 +131,99 @@ def test_nilmanifold_custom_algebra_input(tmp_path, capsys):
     assert Fraction(out["scalar_curvature"]) == Fraction(-1, 2)
 
 
+def one_bracket(**bracket):
+    return {"dim": 7, "brackets": [{"i": 0, "j": 1, "coeffs": {"2": "1"}, **bracket}]}
+
+
 @pytest.mark.parametrize(
-    "bracket",
+    "doc",
     [
-        {"i": 0, "j": 9, "coeffs": {"2": "1"}},
-        {"i": -1, "j": 1, "coeffs": {"2": "1"}},
-        {"i": 0, "j": 1, "coeffs": {"7": "1"}},
-        {"i": 0, "j": 1, "coeffs": {"2": "1/0"}},
-        {"i": 0, "j": 1, "coeffs": {"2": float("inf")}},
+        one_bracket(j=9),
+        one_bracket(i=-1),
+        one_bracket(coeffs={"7": "1"}),
+        one_bracket(coeffs={"2": "1/0"}),
+        one_bracket(coeffs={"2": float("inf")}),
+        [],
+        one_bracket(coeffs=["x"]),
+        one_bracket(j=1.9),
+        {"dim": 7.5, "brackets": []},
+        one_bracket(i=True, j=2),
     ],
-    ids=["bracket-index-9", "bracket-index-minus-1", "coeff-index-7", "zero-denominator", "infinity"],
+    ids=[
+        "bracket-index-9",
+        "bracket-index-minus-1",
+        "coeff-index-7",
+        "zero-denominator",
+        "infinity",
+        "top-level-array",
+        "coeffs-array",
+        "fractional-index",
+        "fractional-dim",
+        "bool-index",
+    ],
 )
-def test_nilmanifold_malformed_algebra_rejected(tmp_path, capsys, bracket):
+def test_nilmanifold_malformed_algebra_rejected(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"dim": 7, "brackets": [bracket]}))
+    path.write_text(json.dumps(doc))
     assert_one_line_usage_error(main(["nilmanifold", "--input", str(path)]), capsys)
+
+
+@pytest.mark.parametrize(
+    "command, content",
+    [
+        ("classify", b"\xff\xfe"),
+        ("nilmanifold", b"\xff\xfe"),
+        ("classify", b"[" + b"1" * 5000 + b"]"),
+        ("nilmanifold", b"[" + b"1" * 5000 + b"]"),
+        ("classify", json.dumps({"matrix": ["1234567"] * 7}).encode()),
+    ],
+    ids=[
+        "classify-invalid-utf8",
+        "nilmanifold-invalid-utf8",
+        "classify-int-past-digit-limit",
+        "nilmanifold-int-past-digit-limit",
+        "classify-rows-as-strings",
+    ],
+)
+def test_unusable_input_file_rejected(tmp_path, capsys, command, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert_one_line_usage_error(main([command, "--input", str(path)]), capsys)
+
+
+def test_nilmanifold_does_each_computation_once(tmp_path, monkeypatch):
+    import g2kit.cli
+    import g2kit.liealg
+    from g2kit.liealg import MetricLieAlgebra
+
+    counts = {}
+
+    def count(owners, name):
+        original = getattr(owners[0], name)
+        counts[name] = 0
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        for owner in owners:
+            monkeypatch.setattr(owner, name, counted)
+
+    for name in ("koszul", "curvature", "torsion_forms"):
+        count([g2kit.liealg, g2kit.cli], name)
+    count([MetricLieAlgebra], "jacobi_defect")
+
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(one_bracket()))
+    for cfg in (
+        RunConfig(command="nilmanifold", fmt="json"),
+        RunConfig(command="nilmanifold", input_path=str(path), frame="cayley", fmt="json"),
+    ):
+        for name in counts:
+            counts[name] = 0
+        code, _ = run(cfg)
+        assert code == 0
+        assert counts == {"koszul": 1, "curvature": 1, "torsion_forms": 1, "jacobi_defect": 1}
 
 
 def test_nilmanifold_rejects_non_jacobi_input(tmp_path, capsys):

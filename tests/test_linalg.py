@@ -5,6 +5,7 @@ import pytest
 
 from g2kit.linalg import (
     DIM,
+    LinearSystem,
     Mat7,
     Vec7,
     det,
@@ -14,9 +15,9 @@ from g2kit.linalg import (
     nullspace,
     principal_minor_sum,
     rank,
-    solve,
+    rref,
 )
-from g2kit.sampling import rand_mat, rand_vec
+from g2kit.sampling import rand_fraction, rand_mat, rand_vec
 
 
 def test_vec_arithmetic():
@@ -96,10 +97,56 @@ def test_rref_rank_nullspace():
 
 def test_solve_consistent_and_inconsistent():
     rows = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]]
-    sol = solve(rows, [Fraction(3), Fraction(1)])
+    sol = LinearSystem(rows).solve([Fraction(3), Fraction(1)])
     assert sol == [Fraction(2), Fraction(1)]
     rows_bad = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]
-    assert solve(rows_bad, [Fraction(1), Fraction(3)]) is None
+    assert LinearSystem(rows_bad).solve([Fraction(1), Fraction(3)]) is None
+
+
+def reference_solve(rows, rhs):
+    """Reduce [A | b] once per right-hand side and read x off the pivots."""
+    ncols = len(rows[0])
+    reduced, pivots = rref([list(r) + [b] for r, b in zip(rows, rhs)])
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = reduced[r][ncols]
+    return x
+
+
+def seeded_system(shape: str) -> list[list[Fraction]]:
+    rng = Random(sum(map(ord, shape)))
+    if shape == "square":
+        return [[rand_fraction(rng) for _ in range(DIM)] for _ in range(DIM)]
+    if shape == "overdetermined-35":
+        return [[rand_fraction(rng) for _ in range(DIM)] for _ in range(35)]
+    # rank 4: twelve combinations of four random rows, nine columns, one zero row
+    base = [[rand_fraction(rng) for _ in range(9)] for _ in range(4)]
+    rows = []
+    for _ in range(11):
+        coeffs = [rand_fraction(rng, 3, 2) for _ in base]
+        rows.append([sum((c * b[k] for c, b in zip(coeffs, base)), Fraction(0)) for k in range(9)])
+    return rows + [[Fraction(0)] * 9]
+
+
+@pytest.mark.parametrize("shape", ["square", "overdetermined-35", "rank-deficient"])
+def test_linear_system_matches_reference_solve(shape):
+    rows = seeded_system(shape)
+    system = LinearSystem(rows)
+    rng = Random(5)
+    inconsistent = 0
+    for _ in range(5):
+        x0 = [rand_fraction(rng) for _ in rows[0]]
+        image = [sum((a * x for a, x in zip(row, x0)), Fraction(0)) for row in rows]
+        arbitrary = [rand_fraction(rng) for _ in rows]
+        for rhs in (image, arbitrary, [Fraction(0)] * len(rows)):
+            expected = reference_solve(rows, rhs)
+            assert system.solve(rhs) == expected
+            inconsistent += expected is None
+        assert system.solve(image) is not None
+    # random right-hand sides are inconsistent unless A has full row rank
+    assert (inconsistent > 0) == (shape != "square")
 
 
 def test_det_matches_minor_expansion():
