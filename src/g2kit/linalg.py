@@ -203,8 +203,8 @@ def integer_rows(m: Mat7) -> tuple[list[list[int]], int]:
 
 
 def integer_vector(xs) -> tuple[list[int], int]:
-    """(d * x as integers, d) for the smallest common denominator d of x."""
-    xs = [as_fraction(x) for x in xs]
+    """(d * x as integers, d) for the smallest common denominator d of the
+    int or Fraction entries x."""
     d = lcm(*(x.denominator for x in xs))
     return [x.numerator * (d // x.denominator) for x in xs], d
 
