@@ -54,6 +54,7 @@ from .sampling import (
     rand_vector_free,
 )
 from .serialize import (
+    DigitLimitError,
     canonical_json,
     endo_split_to_json,
     form_to_json,
@@ -67,8 +68,7 @@ from .torsion import (
     VECTOR_CLASS_SCALING_NOTE,
     characteristic_vector,
     classify,
-    curvature_integrand,
-    predicted_scalar_curvature,
+    integrand_from,
     torsion_energies,
 )
 
@@ -247,21 +247,23 @@ def cmd_classify(cfg: RunConfig) -> tuple[int, dict]:
 
     frame = FRAMES[cfg.frame]()
     cls = classify(t, frame)
-    chi = characteristic_vector(t, frame)
+    inv = invariant_report(t, frame)
+    integrand = integrand_from(inv.i0, inv.sigma2)
     notes = []
     predicted = None
     if "X4" in cls.flags:
         notes.append(VECTOR_CLASS_SCALING_NOTE)
     else:
-        predicted = rational_str(predicted_scalar_curvature(t, frame))
+        # no vector class: the predicted scalar curvature is 6 * integrand
+        predicted = rational_str(6 * integrand)
     report = {
         "command": "classify",
         "config": cfg.to_dict(),
         "flags": sorted(cls.flags),
         "split": endo_split_to_json(cls.split),
-        "invariants": invariant_report(t, frame).to_dict(),
-        "chi": vec_to_json(chi),
-        "integrand": rational_str(curvature_integrand(t, frame)),
+        "invariants": inv.to_dict(),
+        "chi": vec_to_json(characteristic_vector(t, frame)),
+        "integrand": rational_str(integrand),
         "predicted_scalar": predicted,
         "notes": notes,
     }
@@ -301,9 +303,9 @@ def cmd_nilmanifold(cfg: RunConfig) -> tuple[int, dict]:
     geo = geometry_torsion_report(nabla_form(conn, frame.phi), frame)
     t = geo.torsion
     inv = invariant_report(t, frame)
-    integrand = curvature_integrand(t, frame)
+    integrand = integrand_from(inv.i0, inv.sigma2)
     cls = classify(t, frame)
-    div = divergence_balance(t, r, frame)
+    div = divergence_balance(t, s_perp, frame)
     tf = torsion_forms(mla, frame)
     bryant = bryant_scalar_check(mla, frame, s, tf)
 
@@ -536,6 +538,9 @@ def main(argv=None) -> int:
         code, text = run(cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except DigitLimitError as exc:
+        print(f"error: cannot render the report: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(text)
     return code

@@ -31,10 +31,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import permutations, product
+from operator import mul
 from random import Random
 
 from .forms import KForm, hodge
-from .linalg import DIM, UNIT, Vec7
+from .linalg import DIM, UNIT, Vec7, integer_vector
+
+
+def _dot(a, b):
+    """Dot product of two coordinate sequences (int or Fraction)."""
+    return sum(map(mul, a, b))
 
 
 @dataclass(frozen=True)
@@ -170,7 +176,7 @@ def _detect_orientation(table: CrossTable, plus_dual: KForm) -> int:
     """
     votes = 0
     for (i, j, k, l), coeff in plus_dual.terms():
-        pairing = basis_cross(table, i, j).dot(basis_cross(table, k, l))
+        pairing = _dot(table.cross(UNIT[i], UNIT[j]), table.cross(UNIT[k], UNIT[l]))
         if pairing == coeff:
             votes += 1
         elif pairing == -coeff:
@@ -245,17 +251,22 @@ def check_epsilon_identities(frame: G2Frame) -> CheckReport:
     7^4 tuples (j, k, p, q), with eps_jkpq read off star_phi.
     """
     table = frame.table
+    eps = [[[table.eps(i, j, k) for k in range(DIM)] for j in range(DIM)] for i in range(DIM)]
+    # star_phi on every ordered index tuple of its monomials; 0 elsewhere
+    star = {
+        quad: frame.star_phi.coeff(quad) for key, _ in frame.star_phi.terms() for quad in permutations(key)
+    }
     failures = []
     checked = 0
     for k in range(DIM):
         for l in range(DIM):
-            total = sum(table.eps(i, j, k) * table.eps(i, j, l) for i in range(DIM) for j in range(DIM))
+            total = sum(eps[i][j][k] * eps[i][j][l] for i in range(DIM) for j in range(DIM))
             checked += 1
             if total != (6 if k == l else 0):
                 failures.append(f"contraction over two indices fails at (k,l)=({k},{l}): {total}")
     for j, k, p, q in product(range(DIM), repeat=4):
-        lhs = sum(table.eps(i, j, k) * table.eps(i, p, q) for i in range(DIM))
-        rhs = frame.star_phi.coeff((j, k, p, q)) + (j == p) * (k == q) - (j == q) * (k == p)
+        lhs = sum(eps[i][j][k] * eps[i][p][q] for i in range(DIM))
+        rhs = star.get((j, k, p, q), 0) + (j == p) * (k == q) - (j == q) * (k == p)
         checked += 1
         if lhs != rhs:
             failures.append(f"contraction over one index fails at (j,k,p,q)=({j},{k},{p},{q}): {lhs} != {rhs}")
@@ -274,6 +285,28 @@ def count_table_entries(table: CrossTable) -> tuple[int, int]:
     return len(table.base_triples), len(table.nonzero_ordered())
 
 
+def _triple_failure(table: CrossTable, u, v, w) -> str | None:
+    """The first of rule1..rule3 that fails on (u, v, w), or None.
+
+    Coordinates are integers here: every rule is homogeneous in u, in v and
+    in w separately, so scaling each vector by its own denominator is exact.
+    """
+    vw = table.cross(v, w)
+    if _dot(table.cross(u, v), w) != _dot(u, vw):
+        return "rule1"
+    uw = table.cross(u, w)
+    u_w = _dot(u, w)
+    u_u = _dot(u, u)
+    if table.cross(u, uw) != [u_w * a - u_u * c for a, c in zip(u, w)]:
+        return "rule2"
+    v_w = _dot(v, w)
+    u_v2 = 2 * _dot(u, v)
+    rhs3 = [u_w * b + v_w * a - u_v2 * c - x for x, a, b, c in zip(table.cross(v, uw), u, v, w)]
+    if table.cross(u, vw) != rhs3:
+        return "rule3"
+    return None
+
+
 def validate_cross_axioms(frame: G2Frame, seed: int = 0, trials: int = 200) -> CheckReport:
     """Exhaustive basis-triple and seeded random checks of the product rules.
 
@@ -281,50 +314,27 @@ def validate_cross_axioms(frame: G2Frame, seed: int = 0, trials: int = 200) -> C
     Rule 2: u x (u x w) = <u, w> u - |u|^2 w.
     Rule 3: u x (v x w) = -v x (u x w) + <u, w> v + <v, w> u - 2 <u, v> w.
     """
-    failures: list[str] = []
-
-    def check_triple(u: Vec7, v: Vec7, w: Vec7, tag: str):
-        uv = cross(u, v, frame)
-        vw = cross(v, w, frame)
-        if uv.dot(w) != u.dot(vw):
-            failures.append(f"rule1 fails on {tag}")
-            return
-        uw = cross(u, w, frame)
-        lhs2 = cross(u, uw, frame)
-        rhs2 = u.scale(u.dot(w)) - w.scale(u.norm_sq())
-        if lhs2 != rhs2:
-            failures.append(f"rule2 fails on {tag}")
-            return
-        lhs3 = cross(u, vw, frame)
-        rhs3 = -cross(v, uw, frame) + v.scale(u.dot(w)) + u.scale(v.dot(w)) - w.scale(2 * u.dot(v))
-        if lhs3 != rhs3:
-            failures.append(f"rule3 fails on {tag}")
-
-    basis_cases = 0
-    for i in range(DIM):
-        for j in range(DIM):
-            for k in range(DIM):
-                check_triple(Vec7.basis(i), Vec7.basis(j), Vec7.basis(k), f"basis ({i},{j},{k})")
-                basis_cases += 1
-                if failures:
-                    break
-            if failures:
-                break
-        if failures:
-            break
-
     from .sampling import rand_vec
+
+    table = frame.table
+    failures: list[str] = []
+    basis_cases = 0
+    for i, j, k in product(range(DIM), repeat=3):
+        basis_cases += 1
+        rule = _triple_failure(table, UNIT[i], UNIT[j], UNIT[k])
+        if rule:
+            failures.append(f"{rule} fails on basis ({i},{j},{k})")
+            break
 
     rng = Random(seed)
     random_cases = 0
     if not failures:
         for t in range(trials):
-            u = rand_vec(rng)
-            v = rand_vec(rng)
-            w = rand_vec(rng)
-            check_triple(u, v, w, f"seeded trial {t}")
+            u, v, w = (integer_vector(rand_vec(rng))[0] for _ in range(3))
             random_cases += 1
-            if failures:
+            rule = _triple_failure(table, u, v, w)
+            if rule:
+                failures.append(f"{rule} fails on seeded trial {t}")
                 break
 
     return CheckReport(
@@ -345,10 +355,10 @@ def star_phi_pairing_check(frame: G2Frame) -> CheckReport:
     both_zero = 0
     total = 0
     first_bad = None
-    products = {(i, j): basis_cross(table, i, j) for i, j in permutations(range(DIM), 2)}
+    products = {(i, j): table.cross(UNIT[i], UNIT[j]) for i, j in permutations(range(DIM), 2)}
     for quad in permutations(range(DIM), 4):
         i, j, k, l = quad
-        pairing = products[i, j].dot(products[k, l])
+        pairing = _dot(products[i, j], products[k, l])
         value = frame.star_phi.coeff(quad)
         total += 1
         if value == pairing == 0:

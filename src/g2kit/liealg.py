@@ -354,11 +354,12 @@ class DivergenceReport:
         }
 
 
-def divergence_balance(t: Mat7, r: CurvatureTensor, frame: G2Frame) -> DivergenceReport:
+def divergence_balance(t: Mat7, s_perp: Fraction, frame: G2Frame) -> DivergenceReport:
+    """The divergence summands of T against s_perp =
+    g2perp_scalar_curvature(R, frame), which the caller has computed."""
     from .torsion import characteristic_vector
 
     s_alt = alt_scalar_curvature(t, frame)
-    s_perp = g2perp_scalar_curvature(r, frame)
     chi = characteristic_vector(t, frame)
     chi_sq, alt_sq, sym_sq = torsion_energies(t, frame)
     rhs = Fraction(1, 2) * s_alt - Fraction(1, 2) * s_perp + chi_sq + alt_sq - sym_sq

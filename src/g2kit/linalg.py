@@ -181,8 +181,10 @@ class Mat7:
         return all(x == 0 for row in self.entries for x in row)
 
     def norm_sq(self) -> Fraction:
-        """Trace-form squared norm tr(M^T M) = sum of squared entries."""
-        return sum((x * x for row in self.entries for x in row), Fraction(0))
+        """Trace-form squared norm tr(M^T M) = sum of squared entries,
+        summed over the integer grid d M and divided once."""
+        rows, d = integer_rows(self)
+        return Fraction(sum(x * x for row in rows for x in row), d * d)
 
 
 def frobenius(a: Mat7, b: Mat7) -> Fraction:

@@ -14,17 +14,28 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from fractions import Fraction
 
 from .forms import KForm
 from .linalg import DIM, Mat7, Vec7
 
 
+class DigitLimitError(ValueError):
+    """A value has an integer too long for Python's int/str conversion limit."""
+
+
 def rational_str(x: Fraction) -> str:
     x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        if x.denominator == 1:
+            return str(x.numerator)
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        raise DigitLimitError(
+            f"an exact value has more than {sys.get_int_max_str_digits()} digits, "
+            "past Python's int/str conversion limit"
+        ) from None
 
 
 def parse_rational(value) -> Fraction:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .frames import CrossTable, G2Frame, cross
-from .linalg import DIM, Mat7, Vec7, nullspace
+from .linalg import DIM, Mat7, Vec7, integer_rows, integer_vector, nullspace
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,10 @@ def _as_matrix(a) -> Mat7:
 
 
 def cross_operator(v: Vec7, frame: G2Frame) -> SkewMat:
-    """The skew operator u -> u x v; entries a_ij = sum_k eps_ijk v_k."""
-    return SkewMat(Mat7.from_rows(frame.table.cross_rows(v)))
+    """The skew operator u -> u x v; entries a_ij = sum_k eps_ijk v_k,
+    formed from the integer vector d v and divided once per entry."""
+    c, d = integer_vector(v)
+    return SkewMat(Mat7(tuple(tuple(Fraction(x, d) for x in row) for row in frame.table.cross_rows(c))))
 
 
 def skew_to_vector(a, frame: G2Frame) -> Vec7:
@@ -53,14 +55,30 @@ def skew_to_vector(a, frame: G2Frame) -> Vec7:
     return Vec7(tuple(frame.table.contract(_as_matrix(a).entries)))
 
 
+def _skew_split(rows: list[list[int]], d: int, table: CrossTable) -> tuple[SkewMat, Vec7]:
+    """(g2 part, vector part) of the skew part of M = R / d, from the integer
+    grid R.
+
+    With S = R - R^T the skew part is S / 2d, its vector part is
+    p(S) / 12d and its g2 part is (6 S - A_{p(S)}) / 12d, so the whole
+    split runs over the integers and divides once.
+    """
+    s = [[a - b for a, b in zip(row, col)] for row, col in zip(rows, zip(*rows))]
+    p = table.contract(s)
+    q = 12 * d
+    g2 = [
+        tuple(Fraction(6 * x - y, q) for x, y in zip(s_row, a_row))
+        for s_row, a_row in zip(s, table.cross_rows(p))
+    ]
+    return SkewMat(Mat7(tuple(g2))), Vec7(tuple(Fraction(x, q) for x in p))
+
+
 def split_so7(a, frame: G2Frame) -> tuple[SkewMat, Vec7]:
     """Split a skew matrix as (g2 part, vector part v with a = g2 + A_v)."""
     m = _as_matrix(a)
     if not m.is_skew():
         raise ValueError("split_so7 needs a skew matrix")
-    v = skew_to_vector(m, frame).scale(Fraction(1, 6))
-    g2 = Mat7(m.entries) - cross_operator(v, frame).mat
-    return SkewMat(g2), v
+    return _skew_split(*integer_rows(m), frame.table)
 
 
 def bracket_g2perp(u: Vec7, v: Vec7, frame: G2Frame) -> SkewMat:
@@ -109,10 +127,19 @@ class EndoSplit:
 
 
 def decompose_endo(t: Mat7, frame: G2Frame) -> EndoSplit:
-    scalar = t.trace() / 7
-    sym0 = t.symmetric_part() - Mat7.identity().scale(scalar)
-    g2part, vector = split_so7(t.skew_part(), frame)
-    return EndoSplit(scalar=scalar, sym0=sym0, g2part=g2part, vector=vector)
+    """Split T into its four parts in one integer pass over R = d T: the
+    scalar is tr R / 7d, the traceless symmetric part is
+    (7 (R + R^T) - 2 tr R I) / 14d, and the skew part goes through
+    :func:`_skew_split`."""
+    rows, d = integer_rows(t)
+    tr = sum(rows[i][i] for i in range(DIM))
+    q = 14 * d
+    sym0 = tuple(
+        tuple(Fraction(7 * (a + b) - (2 * tr if i == j else 0), q) for j, (a, b) in enumerate(zip(row, col)))
+        for i, (row, col) in enumerate(zip(rows, zip(*rows)))
+    )
+    g2part, vector = _skew_split(rows, d, frame.table)
+    return EndoSplit(scalar=Fraction(tr, 7 * d), sym0=Mat7(sym0), g2part=g2part, vector=vector)
 
 
 # ---------------------------------------------------------------------------

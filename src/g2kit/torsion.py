@@ -59,11 +59,13 @@ def torsion_from_endo(t: Mat7, frame: G2Frame) -> TorsionTensor:
 
 
 def characteristic_vector(t: Mat7, frame: G2Frame) -> Vec7:
-    """chi = sum_i e_i x T(e_i)."""
-    acc = Vec7.zero()
-    for i in range(DIM):
-        acc = acc + cross(Vec7.basis(i), t.column(i), frame)
-    return acc
+    """chi = sum_i e_i x T(e_i).
+
+    Componentwise chi_k = sum_ij eps_kij T_ji, the contraction of the grid
+    of columns of T; it runs on d T and divides once.
+    """
+    cols, d = integer_columns(t)
+    return Vec7(tuple(Fraction(x, d) for x in frame.table.contract(cols)))
 
 
 def torsion_energies(t: Mat7, frame: G2Frame) -> tuple[Fraction, Fraction, Fraction]:
@@ -120,7 +122,13 @@ def classify(t: Mat7, frame: G2Frame) -> TorsionClass:
 def curvature_integrand(t: Mat7, frame: G2Frame) -> Fraction:
     """-(3/2) i0(T) + 6 sigma2(T), the algebraic side of the scalar-curvature
     balance (equal to s/6 pointwise when the vector class vanishes)."""
-    return Fraction(-3, 2) * i0(t, frame) + 6 * sigma2(t)
+    return integrand_from(i0(t, frame), sigma2(t))
+
+
+def integrand_from(i0_value: Fraction, sigma2_value: Fraction) -> Fraction:
+    """The curvature integrand from already computed i0(T) and sigma2(T),
+    for callers that hold an :class:`~g2kit.invariants.InvariantReport`."""
+    return Fraction(-3, 2) * i0_value + 6 * sigma2_value
 
 
 class VectorClassPresent(ValueError):

@@ -191,27 +191,54 @@ def test_unusable_input_file_rejected(tmp_path, capsys, command, content):
     assert_one_line_usage_error(main([command, "--input", str(path)]), capsys)
 
 
-def test_nilmanifold_does_each_computation_once(tmp_path, monkeypatch):
-    import g2kit.cli
-    import g2kit.liealg
-    from g2kit.liealg import MetricLieAlgebra
+def count_calls(monkeypatch, *names):
+    """Wrap each named g2kit function ("module.function") in a call counter
+    at every binding in a g2kit module namespace, since ``from .x import y``
+    copies the binding."""
+    import importlib
+    import sys
 
+    modules = [m for name, m in list(sys.modules.items()) if name == "g2kit" or name.startswith("g2kit.")]
     counts = {}
 
-    def count(owners, name):
-        original = getattr(owners[0], name)
-        counts[name] = 0
-
+    def counter(key, original):
         def counted(*args, **kwargs):
-            counts[name] += 1
+            counts[key] += 1
             return original(*args, **kwargs)
 
-        for owner in owners:
-            monkeypatch.setattr(owner, name, counted)
+        return counted
 
-    for name in ("koszul", "curvature", "torsion_forms"):
-        count([g2kit.liealg, g2kit.cli], name)
-    count([MetricLieAlgebra], "jacobi_defect")
+    for name in names:
+        module, key = name.rsplit(".", 1)
+        original = getattr(importlib.import_module(f"g2kit.{module}"), key)
+        counts[key] = 0
+        wrapper = counter(key, original)
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, wrapper)
+    return counts
+
+
+def test_nilmanifold_does_each_computation_once(tmp_path, monkeypatch):
+    from g2kit.liealg import MetricLieAlgebra
+
+    counts = count_calls(
+        monkeypatch,
+        "liealg.koszul",
+        "liealg.curvature",
+        "liealg.torsion_forms",
+        "liealg.g2perp_scalar_curvature",
+        "invariants.i0",
+    )
+    original = MetricLieAlgebra.jacobi_defect
+    counts["jacobi_defect"] = 0
+
+    def jacobi_defect(*args, **kwargs):
+        counts["jacobi_defect"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(MetricLieAlgebra, "jacobi_defect", jacobi_defect)
 
     path = tmp_path / "algebra.json"
     path.write_text(json.dumps(one_bracket()))
@@ -223,7 +250,44 @@ def test_nilmanifold_does_each_computation_once(tmp_path, monkeypatch):
             counts[name] = 0
         code, _ = run(cfg)
         assert code == 0
-        assert counts == {"koszul": 1, "curvature": 1, "torsion_forms": 1, "jacobi_defect": 1}
+        assert counts == {
+            "koszul": 1,
+            "curvature": 1,
+            "torsion_forms": 1,
+            "g2perp_scalar_curvature": 1,
+            "i0": 1,
+            "jacobi_defect": 1,
+        }
+
+
+@pytest.mark.parametrize("shape", ["heisenberg", "vector"])
+def test_classify_does_each_computation_once(tmp_path, monkeypatch, shape):
+    _, frame, t = heisenberg_model()
+    if shape == "vector":
+        t = t + cross_operator(Vec7.basis(2), frame).mat
+    path = write_matrix(tmp_path, t)
+    counts = count_calls(
+        monkeypatch,
+        "so7.decompose_endo",
+        "invariants.i0",
+        "invariants.sigma2",
+        "invariants.char_poly",
+        "torsion.characteristic_vector",
+    )
+    code, out = run(RunConfig(command="classify", input_path=path, frame="cayley", fmt="json"))
+    assert code == 0
+    assert ("X4" in json.loads(out)["flags"]) == (shape == "vector")
+    assert set(counts.values()) == {1}
+
+
+def test_classify_past_digit_limit_is_usage_error(tmp_path, capsys):
+    # a valid input whose characteristic polynomial needs about 4,900 digits
+    big = [["1e700" if i == j else "0" for j in range(7)] for i in range(7)]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"matrix": big}))
+    for fmt in ("json", "text"):
+        code = main(["classify", "--input", str(path), "--format", fmt])
+        assert_one_line_usage_error(code, capsys)
 
 
 def test_nilmanifold_rejects_non_jacobi_input(tmp_path, capsys):

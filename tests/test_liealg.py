@@ -172,8 +172,8 @@ def test_alt_scalar_curvature(frame):
 
 def test_divergence_balance():
     mla, frame, t = heisenberg_model()
-    r = curvature(koszul(mla), mla)
-    rep = divergence_balance(t, r, frame)
+    s_perp = g2perp_scalar_curvature(curvature(koszul(mla), mla), frame)
+    rep = divergence_balance(t, s_perp, frame)
     assert rep.balanced is True
     assert rep.rhs_total == 0
     assert rep.s_alt == Fraction(1, 3)
@@ -183,13 +183,14 @@ def test_divergence_balance():
     assert rep.sym_sq == Fraction(1, 2)
     # type-X4 input: the |chi|^2 term is 36|Z|^2 and balance is not asserted
     z = rand_vec(Random(4))
-    rep = divergence_balance(cross_operator(z, frame).mat, r, frame)
+    rep = divergence_balance(cross_operator(z, frame).mat, s_perp, frame)
     assert rep.chi_sq == 36 * z.norm_sq()
     assert rep.balanced is None
     # zero torsion against a flat curvature: every summand vanishes
     flat = curvature(koszul(MetricLieAlgebra.abelian()), MetricLieAlgebra.abelian())
-    rep = divergence_balance(Mat7.zero(), flat, frame)
-    assert rep == divergence_balance(Mat7.zero(), flat, frame)
+    flat_perp = g2perp_scalar_curvature(flat, frame)
+    rep = divergence_balance(Mat7.zero(), flat_perp, frame)
+    assert rep == divergence_balance(Mat7.zero(), flat_perp, frame)
     assert (rep.s_alt, rep.s_g2perp, rep.chi_sq, rep.alt_sq, rep.sym_sq, rep.rhs_total) == (0, 0, 0, 0, 0, 0)
     assert rep.balanced is True
 
