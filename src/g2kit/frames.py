@@ -6,9 +6,10 @@ are always 0..6 internally; ``label_offset`` records how the frame is
 displayed (1 for the standard frame labelled 1..7, 0 for the Cayley frame
 labelled 0..6).
 
-The table is stored once, as a 7x7 grid of ordered-pair slots, and three
+The table is stored once, as a 7x7 grid of ordered-pair slots, and four
 loops read it: the cross product u x v, the cross-operator rows
-a_ij = sum_k eps_ijk v_k, and the contraction p(m)_i = sum_jk eps_ijk m_jk.
+a_ij = sum_k eps_ijk v_k, the pair trace sum_ij <c_i x c_j, e_i x e_j> and
+the contraction p(m)_i = sum_jk eps_ijk m_jk.
 They accept int or Fraction coordinates, so callers that scale a common
 denominator out can run them over the integers.  No other module knows the
 table layout.
@@ -30,6 +31,7 @@ sign flip when a frame is forced onto the wrong orientation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import permutations, product
 from operator import mul
 from random import Random
@@ -70,6 +72,14 @@ class CrossTable:
         object.__setattr__(
             self, "_grid", tuple(tuple(tuple(sorted(slot)) for slot in row) for row in grid)
         )
+        # the same slots read by their third index: component k of u x v is
+        # sum of s (u_a v_b - u_b v_a) over the pairs a < b with (k, s) in slot (a, b)
+        component = [[] for _ in range(DIM)]
+        for a, row in enumerate(grid):
+            for b in range(a + 1, DIM):
+                for k, s in row[b]:
+                    component[k].append((a, b, s))
+        object.__setattr__(self, "_component", tuple(tuple(sorted(c)) for c in component))
 
     def eps(self, i: int, j: int, k: int) -> int:
         for c, s in self._grid[i][j]:
@@ -95,7 +105,7 @@ class CrossTable:
         off = self.label_offset
         return tuple((i + off, j + off, k + off, s) for i, j, k, s in sorted(self.base_triples))
 
-    # The three table loops.  Coordinates may be ints or Fractions; zero
+    # The table loops.  Coordinates may be ints or Fractions; zero
     # coordinates are skipped, so crosses with basis vectors stay cheap.
 
     def cross(self, u, v) -> list:
@@ -112,24 +122,34 @@ class CrossTable:
     def cross_rows(self, v) -> list[list]:
         """Rows of the cross operator of v: a_ij = sum_k eps_ijk v_k."""
         rows = [[0] * DIM for _ in range(DIM)]
-        for row, out in zip(self._grid, rows):
-            for j, slot in enumerate(row):
-                for k, s in slot:
-                    vk = v[k]
-                    if vk:
-                        out[j] += s * vk
+        for vk, pairs in zip(v, self._component):
+            if vk:
+                for a, b, s in pairs:
+                    x = s * vk
+                    rows[a][b] += x
+                    rows[b][a] -= x
         return rows
+
+    def pair_trace(self, cols) -> int:
+        """sum_ij <c_i x c_j, e_i x e_j> over a grid of 7 coordinate vectors.
+
+        e_i x e_j = sum of eps_ijk e_k over the slot of (i, j), so each pair
+        reads only component k of c_i x c_j; the pairs (i, j) and (j, i)
+        contribute equally.
+        """
+        component = self._component
+        total = 0
+        for i, row in enumerate(self._grid):
+            ci = cols[i]
+            for j in range(i + 1, DIM):
+                cj = cols[j]
+                for k, s in row[j]:
+                    total += s * sum(e * (ci[a] * cj[b] - ci[b] * cj[a]) for a, b, e in component[k])
+        return 2 * total
 
     def contract(self, m) -> list:
         """The contraction p(m)_i = sum_jk eps_ijk m_jk of a 7x7 grid m."""
-        out = [0] * DIM
-        for i, row in enumerate(self._grid):
-            for slot, mj in zip(row, m):
-                for k, s in slot:
-                    x = mj[k]
-                    if x:
-                        out[i] += s * x
-        return out
+        return [sum(s * (m[a][b] - m[b][a]) for a, b, s in pairs) for pairs in self._component]
 
 
 def _sort3(i: int, j: int, k: int) -> tuple[tuple[int, int, int], int]:
@@ -184,9 +204,13 @@ def _detect_orientation(table: CrossTable, plus_dual: KForm) -> int:
     return 1 if votes >= 0 else -1
 
 
+@lru_cache(maxsize=None)
 def build_standard_frame() -> G2Frame:
     """Frame whose phi is e^123 + e^145 + e^167 + e^246 - e^257 - e^347 - e^356
-    in labels 1..7 (internally 0-based)."""
+    in labels 1..7 (internally 0-based).
+
+    Built once per process: a frame and its forms are never modified, so
+    every caller shares the same instance."""
     triples = (
         (0, 1, 2, 1),
         (0, 3, 4, 1),
@@ -199,8 +223,10 @@ def build_standard_frame() -> G2Frame:
     return G2Frame.from_table(CrossTable(triples, label_offset=1), name="standard")
 
 
+@lru_cache(maxsize=None)
 def build_cayley_frame() -> G2Frame:
-    """Frame with e_i x e_{i+1} = e_{i+3}, indices mod 7, labels 0..6."""
+    """Frame with e_i x e_{i+1} = e_{i+3}, indices mod 7, labels 0..6; built
+    once per process, like :func:`build_standard_frame`."""
     base: dict[tuple[int, int, int], int] = {}
     for i in range(DIM):
         key, sign = _sort3(i, (i + 1) % DIM, (i + 3) % DIM)

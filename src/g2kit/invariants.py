@@ -57,16 +57,9 @@ def sigma2(t: Mat7) -> Fraction:
 
 
 def i0(t: Mat7, frame: G2Frame) -> Fraction:
-    """sum_ij <T(e_i) x T(e_j), e_i x e_j>."""
-    table = frame.table
+    """sum_ij <T(e_i) x T(e_j), e_i x e_j>, one table slot per pair."""
     cols, d = integer_columns(t)
-    total = 0
-    for i in range(DIM):
-        for j in range(i + 1, DIM):
-            # <c, e_i x e_j> = (e_j x c)_i
-            cij = table.cross(cols[i], cols[j])
-            total += 2 * table.cross(UNIT[j], cij)[i]
-    return Fraction(total, d * d)
+    return Fraction(frame.table.pair_trace(cols), d * d)
 
 
 def i1(t: Mat7, frame: G2Frame) -> Fraction:
@@ -83,10 +76,9 @@ def i1(t: Mat7, frame: G2Frame) -> Fraction:
 
 def i2(t: Mat7, frame: G2Frame) -> Fraction:
     """sum_ij <T(e_i) x e_j, T(e_j) x e_i>."""
-    table = frame.table
     cols, d = integer_columns(t)
-    # e_j x T(e_i) = -T(e_i) x e_j; the signs cancel in each product
-    crossed = [[table.cross(UNIT[j], cols[i]) for j in range(DIM)] for i in range(DIM)]
+    # row j of the cross operator of T(e_i) is T(e_i) x e_j
+    crossed = [frame.table.cross_rows(c) for c in cols]
     total = 0
     for i in range(DIM):
         total += sum(x * x for x in crossed[i][i])

@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import lcm
 
 from .forms import (
@@ -100,17 +101,26 @@ class MetricLieAlgebra:
         return acc
 
     def jacobi_defect(self) -> tuple[int, int, int] | None:
-        """First triple violating the Jacobi identity, or None."""
-        for i in range(DIM):
-            for j in range(i + 1, DIM):
-                for k in range(j + 1, DIM):
-                    total = (
-                        self.bracket(self.brackets[i][j], Vec7.basis(k))
-                        + self.bracket(self.brackets[j][k], Vec7.basis(i))
-                        + self.bracket(self.brackets[k][i], Vec7.basis(j))
-                    )
-                    if not total.is_zero():
-                        return (i, j, k)
+        """First triple (i < j < k) violating the Jacobi identity, or None.
+
+        The cyclic sum [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
+        expands as sum_a c^a_ij [e_a, e_k] + ...; only nonzero structure
+        constants enter it.
+        """
+        nonzero = {}
+        for i, row in enumerate(self.brackets):
+            for j, v in enumerate(row):
+                terms = [(a, x) for a, x in enumerate(v) if x]
+                if terms:
+                    nonzero[i, j] = terms
+        for i, j, k in combinations(range(DIM), 3):
+            total = [0] * DIM
+            for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+                for a, c in nonzero.get((x, y), ()):
+                    for b, c2 in nonzero.get((a, z), ()):
+                        total[b] += c * c2
+            if any(total):
+                return (i, j, k)
         return None
 
     def is_unimodular(self) -> bool:

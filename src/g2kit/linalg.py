@@ -1,8 +1,11 @@
 """Exact rational vectors and matrices on R^7.
 
-Everything here is built on :class:`fractions.Fraction`; no floating point
-is allowed anywhere.  Values are immutable (tuple-backed frozen dataclasses)
-and safe to share between threads.
+No floating point is allowed anywhere.  A :class:`Vec7` holds
+:class:`fractions.Fraction` coordinates.  A :class:`Mat7` holds an integer
+grid over one positive common denominator, in lowest terms, so matrix
+arithmetic runs on plain integers; its ``Fraction`` entries are a view built
+on demand for the API and serialisation boundary.  Values are immutable and
+safe to share between threads.
 
 Matrix convention: entries[i][j] is the coefficient of e_i in M(e_j), so a
 matrix acts on column vectors, ``(M @ v)[i] = sum_j M[i][j] v[j]``.
@@ -12,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import lcm
+from itertools import chain, combinations
+from math import gcd, lcm
 from operator import mul
 
 DIM = 7
@@ -86,26 +89,81 @@ class Vec7:
         return all(a == 0 for a in self.coords)
 
 
-@dataclass(frozen=True)
 class Mat7:
-    entries: tuple[tuple[Fraction, ...], ...]
+    """An exact 7x7 matrix, stored as integer rows over one common
+    denominator: entry (i, j) is rows[i][j] / den.
 
-    def __post_init__(self):
-        if len(self.entries) != DIM or any(len(r) != DIM for r in self.entries):
+    The form is canonical (den > 0 and gcd(den, all entries) == 1), so den
+    is the least common denominator of the entries and ``==``/``hash``
+    compare the grid directly.  Arithmetic runs on the integers and
+    normalises once per result; :attr:`entries` is a lazily built
+    ``Fraction`` view for the API and serialisation boundary.
+    """
+
+    __slots__ = ("_rows", "_den", "_entries")
+
+    def __new__(cls, entries):
+        if len(entries) != DIM or any(len(r) != DIM for r in entries):
             raise ValueError("Mat7 needs a 7x7 grid")
-        object.__setattr__(
-            self,
-            "entries",
-            tuple(tuple(as_fraction(x) for x in row) for row in self.entries),
-        )
+        grid = tuple(tuple(as_fraction(x) for x in row) for row in entries)
+        d = lcm(*(x.denominator for row in grid for x in row))
+        return _make(tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in grid), d, grid)
+
+    @staticmethod
+    def from_ints(rows, d: int) -> Mat7:
+        """The matrix rows / d for a 7x7 integer grid and a nonzero integer d;
+        the sign and the gcd are divided out.  ``math.gcd`` rejects
+        non-integers with ``TypeError``."""
+        rows = tuple(tuple(row) for row in rows)
+        if len(rows) != DIM or any(len(r) != DIM for r in rows):
+            raise ValueError("Mat7 needs a 7x7 grid")
+        if d == 0:
+            raise ZeroDivisionError("Mat7.from_ints with denominator 0")
+        g = gcd(d, *chain.from_iterable(rows))
+        if d < 0:
+            g = -g
+        if g != 1:
+            rows = tuple(tuple(x // g for x in row) for row in rows)
+            d //= g
+        return _make(rows, d)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Mat7 is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Mat7 is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return (Mat7.from_ints, (self._rows, self._den))
+
+    def __eq__(self, other):
+        if not isinstance(other, Mat7):
+            return NotImplemented
+        return self._den == other._den and self._rows == other._rows
+
+    def __hash__(self) -> int:
+        return hash((self._rows, self._den))
+
+    def __repr__(self) -> str:
+        return f"Mat7.from_ints({self._rows!r}, {self._den})"
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as ``Fraction`` rows, built on first use."""
+        grid = self._entries
+        if grid is None:
+            d = self._den
+            grid = tuple(tuple(Fraction(x, d) for x in row) for row in self._rows)
+            object.__setattr__(self, "_entries", grid)
+        return grid
 
     @staticmethod
     def zero() -> Mat7:
-        return Mat7(tuple((Fraction(0),) * DIM for _ in range(DIM)))
+        return Mat7.from_ints(((0,) * DIM,) * DIM, 1)
 
     @staticmethod
     def identity() -> Mat7:
-        return Mat7(tuple(tuple(Fraction(1 if i == j else 0) for j in range(DIM)) for i in range(DIM)))
+        return Mat7.from_ints(UNIT, 1)
 
     @staticmethod
     def from_rows(rows) -> Mat7:
@@ -126,82 +184,99 @@ class Mat7:
         return self.entries[i][j]
 
     def column(self, j: int) -> Vec7:
-        return Vec7(tuple(self.entries[i][j] for i in range(DIM)))
+        return Vec7(tuple(row[j] for row in self.entries))
 
     def columns(self) -> list[Vec7]:
         return [self.column(j) for j in range(DIM)]
 
+    def _combine(self, other: Mat7, sign: int) -> Mat7:
+        """self + sign * other over the lcm of the two denominators."""
+        da, db = self._den, other._den
+        d = lcm(da, db)
+        fa, fb = d // da, sign * (d // db)
+        return Mat7.from_ints(
+            [[fa * a + fb * b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)], d
+        )
+
     def __add__(self, other: Mat7) -> Mat7:
-        return Mat7(tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)))
+        return self._combine(other, 1)
 
     def __sub__(self, other: Mat7) -> Mat7:
-        return Mat7(tuple(tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)))
+        return self._combine(other, -1)
 
     def __neg__(self) -> Mat7:
-        return Mat7(tuple(tuple(-a for a in row) for row in self.entries))
+        return _make(tuple(tuple(-a for a in row) for row in self._rows), self._den)
 
     def scale(self, s) -> Mat7:
         s = as_fraction(s)
-        return Mat7(tuple(tuple(s * a for a in row) for row in self.entries))
+        p = s.numerator
+        return Mat7.from_ints([[p * a for a in row] for row in self._rows], s.denominator * self._den)
 
     __rmul__ = scale
 
     def __matmul__(self, other):
         if isinstance(other, Vec7):
-            return Vec7(tuple(sum((self.entries[i][j] * other[j] for j in range(DIM)), Fraction(0)) for i in range(DIM)))
+            v, dv = integer_vector(other)
+            d = self._den * dv
+            return Vec7(tuple(Fraction(sum(map(mul, row, v)), d) for row in self._rows))
         if isinstance(other, Mat7):
-            # scale the denominators out once; integer products avoid a gcd
-            # normalisation per intermediate term
-            a, da = integer_rows(self)
-            b, db = integer_rows(other)
-            d = da * db
-            prod = int_matmul(a, b)
-            return Mat7(tuple(tuple(Fraction(x, d) for x in row) for row in prod))
+            return Mat7.from_ints(int_matmul(self._rows, other._rows), self._den * other._den)
         return NotImplemented
 
     def transpose(self) -> Mat7:
-        return Mat7(tuple(tuple(self.entries[j][i] for j in range(DIM)) for i in range(DIM)))
+        return _make(tuple(zip(*self._rows)), self._den)
 
     def trace(self) -> Fraction:
-        return sum((self.entries[i][i] for i in range(DIM)), Fraction(0))
+        rows = self._rows
+        return Fraction(sum(rows[i][i] for i in range(DIM)), self._den)
 
     def symmetric_part(self) -> Mat7:
-        return (self + self.transpose()).scale(Fraction(1, 2))
+        rows = self._rows
+        return Mat7.from_ints([[a + b for a, b in zip(row, col)] for row, col in zip(rows, zip(*rows))], 2 * self._den)
 
     def skew_part(self) -> Mat7:
-        return (self - self.transpose()).scale(Fraction(1, 2))
+        rows = self._rows
+        return Mat7.from_ints([[a - b for a, b in zip(row, col)] for row, col in zip(rows, zip(*rows))], 2 * self._den)
 
     def is_symmetric(self) -> bool:
-        return self == self.transpose()
+        return self._rows == tuple(zip(*self._rows))
 
     def is_skew(self) -> bool:
-        return all(self.entries[i][j] == -self.entries[j][i] for i in range(DIM) for j in range(i, DIM))
+        rows = self._rows
+        return all(rows[i][j] == -rows[j][i] for i in range(DIM) for j in range(i, DIM))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(map(any, self._rows))
 
     def norm_sq(self) -> Fraction:
-        """Trace-form squared norm tr(M^T M) = sum of squared entries,
-        summed over the integer grid d M and divided once."""
-        rows, d = integer_rows(self)
-        return Fraction(sum(x * x for row in rows for x in row), d * d)
+        """Trace-form squared norm tr(M^T M) = sum of squared entries."""
+        d = self._den
+        return Fraction(sum(x * x for row in self._rows for x in row), d * d)
+
+
+def _make(rows: tuple, d: int, grid=None) -> Mat7:
+    """A Mat7 from integer rows already in canonical form over d, and
+    optionally the matching Fraction grid."""
+    m = object.__new__(Mat7)
+    object.__setattr__(m, "_rows", rows)
+    object.__setattr__(m, "_den", d)
+    object.__setattr__(m, "_entries", grid)
+    return m
 
 
 def frobenius(a: Mat7, b: Mat7) -> Fraction:
     """Trace inner product <A, B> = tr(A^T B)."""
-    return sum((a.entries[i][j] * b.entries[i][j] for i in range(DIM) for j in range(DIM)), Fraction(0))
+    total = sum(map(mul, chain.from_iterable(a._rows), chain.from_iterable(b._rows)))
+    return Fraction(total, a._den * b._den)
 
 
-def integer_rows(m: Mat7) -> tuple[list[list[int]], int]:
-    """(d * M as integer rows, d) for the smallest common denominator d.
+def integer_rows(m: Mat7) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(d * M as integer rows, d) for the least common denominator d.
 
-    Hot loops over matrices scale out the denominator once and work with
-    plain integers; results are divided back exactly at the end.  Each
-    entry scales as numerator * (d // denominator), so no Fraction is
-    multiplied.
+    Hot loops over matrices work with these plain integers and divide back
+    exactly at the end.  This reads the stored grid, so it costs nothing.
     """
-    d = lcm(*(x.denominator for row in m.entries for x in row))
-    return [[x.numerator * (d // x.denominator) for x in row] for row in m.entries], d
+    return m._rows, m._den
 
 
 def integer_vector(xs) -> tuple[list[int], int]:
@@ -213,8 +288,7 @@ def integer_vector(xs) -> tuple[list[int], int]:
 
 def integer_columns(m: Mat7) -> tuple[list[tuple[int, ...]], int]:
     """(columns of d * M as integer tuples, d), as in :func:`integer_rows`."""
-    rows, d = integer_rows(m)
-    return list(zip(*rows)), d
+    return list(zip(*m._rows)), m._den
 
 
 def int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:

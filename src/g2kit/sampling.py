@@ -8,11 +8,12 @@ reproduce identical runs; suites may be sharded by deriving child seeds with
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 from .frames import G2Frame
 from .liealg import MetricLieAlgebra
-from .linalg import DIM, LinearSystem, Mat7, Vec7
+from .linalg import DIM, LinearSystem, Mat7, Vec7, integer_rows
 from .so7 import g2_basis
 
 
@@ -21,8 +22,20 @@ def spawn_seeds(seed: int, n: int) -> list[int]:
     return [rng.randrange(2**32) for _ in range(n)]
 
 
+def _rand_ratio(rng: Random, num: int = 9, den: int = 9) -> tuple[int, int]:
+    """(numerator, denominator) of one :func:`rand_fraction` draw."""
+    return rng.randint(-num, num), rng.randint(1, den)
+
+
 def rand_fraction(rng: Random, num: int = 9, den: int = 9) -> Fraction:
-    return Fraction(rng.randint(-num, num), rng.randint(1, den))
+    return Fraction(*_rand_ratio(rng, num, den))
+
+
+def _mat_from_ratios(grid) -> Mat7:
+    """The Mat7 of a 7x7 grid of (numerator, denominator) pairs, scaled to
+    the lcm of the denominators without forming a Fraction."""
+    d = lcm(*(q for row in grid for _, q in row))
+    return Mat7.from_ints([[p * (d // q) for p, q in row] for row in grid], d)
 
 
 def rand_vec(rng: Random) -> Vec7:
@@ -37,43 +50,46 @@ def rand_nonzero_vec(rng: Random) -> Vec7:
 
 
 def rand_mat(rng: Random) -> Mat7:
-    return Mat7(tuple(tuple(rand_fraction(rng) for _ in range(DIM)) for _ in range(DIM)))
+    return _mat_from_ratios([[_rand_ratio(rng) for _ in range(DIM)] for _ in range(DIM)])
 
 
 def rand_symmetric(rng: Random) -> Mat7:
-    rows = [[Fraction(0)] * DIM for _ in range(DIM)]
+    grid = [[(0, 1)] * DIM for _ in range(DIM)]
     for i in range(DIM):
-        rows[i][i] = rand_fraction(rng)
+        grid[i][i] = _rand_ratio(rng)
         for j in range(i + 1, DIM):
-            v = rand_fraction(rng)
-            rows[i][j] = v
-            rows[j][i] = v
-    return Mat7.from_rows(rows)
+            grid[i][j] = grid[j][i] = _rand_ratio(rng)
+    return _mat_from_ratios(grid)
 
 
 def rand_skew(rng: Random) -> Mat7:
-    rows = [[Fraction(0)] * DIM for _ in range(DIM)]
+    grid = [[(0, 1)] * DIM for _ in range(DIM)]
     for i in range(DIM):
         for j in range(i + 1, DIM):
-            v = rand_fraction(rng)
-            rows[i][j] = v
-            rows[j][i] = -v
-    return Mat7.from_rows(rows)
+            p, q = grid[i][j] = _rand_ratio(rng)
+            grid[j][i] = (-p, q)
+    return _mat_from_ratios(grid)
 
 
 def rand_g2(rng: Random, frame: G2Frame) -> Mat7:
-    """Random element of the 14-dimensional kernel of the eps contraction."""
-    rows = [[Fraction(0)] * DIM for _ in range(DIM)]
+    """Random element of the 14-dimensional kernel of the eps contraction:
+    the g2 basis matrices B_b = R_b / d_b with coefficients p_b / q_b, summed
+    over the lcm of the q_b d_b."""
+    terms = []
     for b in g2_basis(frame):
-        c = rand_fraction(rng, 5, 5)
-        if c != 0:
-            for i in range(DIM):
-                brow = b.entries[i]
-                row = rows[i]
-                for j in range(DIM):
-                    if brow[j]:
-                        row[j] += c * brow[j]
-    return Mat7.from_rows(rows)
+        p, q = _rand_ratio(rng, 5, 5)
+        if p:
+            rows, d = integer_rows(b)
+            terms.append((p, q * d, rows))
+    den = lcm(*(qd for _, qd, _ in terms))
+    acc = [[0] * DIM for _ in range(DIM)]
+    for p, qd, rows in terms:
+        f = p * (den // qd)
+        for out, row in zip(acc, rows):
+            for j, x in enumerate(row):
+                if x:
+                    out[j] += f * x
+    return Mat7.from_ints(acc, den)
 
 
 def rand_vector_free(rng: Random, frame: G2Frame) -> Mat7:

@@ -43,7 +43,7 @@ def cross_operator(v: Vec7, frame: G2Frame) -> SkewMat:
     """The skew operator u -> u x v; entries a_ij = sum_k eps_ijk v_k,
     formed from the integer vector d v and divided once per entry."""
     c, d = integer_vector(v)
-    return SkewMat(Mat7(tuple(tuple(Fraction(x, d) for x in row) for row in frame.table.cross_rows(c))))
+    return SkewMat(Mat7.from_ints(frame.table.cross_rows(c), d))
 
 
 def skew_to_vector(a, frame: G2Frame) -> Vec7:
@@ -52,7 +52,8 @@ def skew_to_vector(a, frame: G2Frame) -> Vec7:
     Accepts a SkewMat or a plain Mat7; the eps contraction only sees the
     skew part of the argument.
     """
-    return Vec7(tuple(frame.table.contract(_as_matrix(a).entries)))
+    rows, d = integer_rows(_as_matrix(a))
+    return Vec7(tuple(Fraction(x, d) for x in frame.table.contract(rows)))
 
 
 def _skew_split(rows: list[list[int]], d: int, table: CrossTable) -> tuple[SkewMat, Vec7]:
@@ -66,11 +67,8 @@ def _skew_split(rows: list[list[int]], d: int, table: CrossTable) -> tuple[SkewM
     s = [[a - b for a, b in zip(row, col)] for row, col in zip(rows, zip(*rows))]
     p = table.contract(s)
     q = 12 * d
-    g2 = [
-        tuple(Fraction(6 * x - y, q) for x, y in zip(s_row, a_row))
-        for s_row, a_row in zip(s, table.cross_rows(p))
-    ]
-    return SkewMat(Mat7(tuple(g2))), Vec7(tuple(Fraction(x, q) for x in p))
+    g2 = [[6 * x - y for x, y in zip(s_row, a_row)] for s_row, a_row in zip(s, table.cross_rows(p))]
+    return SkewMat(Mat7.from_ints(g2, q)), Vec7(tuple(Fraction(x, q) for x in p))
 
 
 def split_so7(a, frame: G2Frame) -> tuple[SkewMat, Vec7]:
@@ -133,13 +131,11 @@ def decompose_endo(t: Mat7, frame: G2Frame) -> EndoSplit:
     :func:`_skew_split`."""
     rows, d = integer_rows(t)
     tr = sum(rows[i][i] for i in range(DIM))
-    q = 14 * d
-    sym0 = tuple(
-        tuple(Fraction(7 * (a + b) - (2 * tr if i == j else 0), q) for j, (a, b) in enumerate(zip(row, col)))
-        for i, (row, col) in enumerate(zip(rows, zip(*rows)))
-    )
+    sym0 = [[7 * (a + b) for a, b in zip(row, col)] for row, col in zip(rows, zip(*rows))]
+    for i in range(DIM):
+        sym0[i][i] -= 2 * tr
     g2part, vector = _skew_split(rows, d, frame.table)
-    return EndoSplit(scalar=Fraction(tr, 7 * d), sym0=Mat7(sym0), g2part=g2part, vector=vector)
+    return EndoSplit(scalar=Fraction(tr, 7 * d), sym0=Mat7.from_ints(sym0, 14 * d), g2part=g2part, vector=vector)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .frames import G2Frame, CheckReport, cross
 from .invariants import i0, sigma2
-from .linalg import DIM, UNIT, Mat7, Vec7, integer_columns
+from .linalg import DIM, Mat7, Vec7, integer_columns
 from .so7 import EndoSplit, decompose_endo
 
 # Scaling note attached to reports whenever a structure with nonzero vector
@@ -74,9 +74,10 @@ def torsion_energies(t: Mat7, frame: G2Frame) -> tuple[Fraction, Fraction, Fract
 
     The combination |chi|^2 + |xi_alt|^2 - |xi_sym|^2 equals i1(T) - i2(T).
     """
-    table = frame.table
     cols, d = integer_columns(t)
-    xi = [[table.cross(UNIT[j], cols[i]) for j in range(DIM)] for i in range(DIM)]
+    # row j of the cross operator of T(e_i) is T(e_i) x e_j = -xi_{e_i} e_j;
+    # the sign drops out of every square below
+    xi = [frame.table.cross_rows(c) for c in cols]
     chi = [sum(xi[i][i][k] for i in range(DIM)) for k in range(DIM)]
     chi_sq = Fraction(sum(x * x for x in chi), d * d)
     alt_int = 0

@@ -7,6 +7,7 @@ from g2kit.frames import (
     CrossTable,
     G2Frame,
     basis_cross,
+    build_cayley_frame,
     build_standard_frame,
     check_epsilon_identities,
     count_table_entries,
@@ -161,3 +162,12 @@ def test_crosstable_rejects_malformed():
         CrossTable(((0, 1, 2, 2),))
     with pytest.raises(ValueError):
         CrossTable(((0, 1, 2, 1), (0, 1, 2, -1)))
+
+
+def test_frame_builders_return_one_shared_frame():
+    for build in (build_standard_frame, build_cayley_frame):
+        first = build()
+        assert build() is first
+        # the shared frame is the one a fresh construction gives
+        fresh = G2Frame.from_table(CrossTable(first.table.base_triples, first.table.label_offset), name=first.name)
+        assert fresh == first

@@ -2,8 +2,12 @@
 
 Each reference below is the earlier Fraction implementation, copied here
 unchanged in substance, so the integer routes are held to an independent
-oracle: the endomorphism split, the so(7) split, the characteristic vector
-and the cross-product axiom checks.
+oracle: the endomorphism split, the so(7) split, the characteristic vector,
+the cross-product axiom checks, the invariants i0 and i2, the torsion
+energies and the matrix samplers.  The references for i0, i2 and the
+torsion energies run their double sums of dense and basis cross products
+over the ``Fraction`` columns of T; the sampler references draw
+``Fraction`` entries with the same ``Random`` calls.
 """
 
 from fractions import Fraction
@@ -13,10 +17,11 @@ from random import Random
 import pytest
 
 from g2kit.frames import CrossTable, G2Frame, _triple_failure, cross, validate_cross_axioms
-from g2kit.linalg import DIM, Mat7, Vec7, integer_vector
-from g2kit.sampling import rand_mat, rand_skew, rand_symmetric, rand_vec
-from g2kit.so7 import cross_operator, decompose_endo, split_so7
-from g2kit.torsion import characteristic_vector
+from g2kit.invariants import i0, i2
+from g2kit.linalg import DIM, UNIT, Mat7, Vec7, integer_vector
+from g2kit.sampling import rand_g2, rand_mat, rand_skew, rand_symmetric, rand_vec
+from g2kit.so7 import cross_operator, decompose_endo, g2_basis, split_so7
+from g2kit.torsion import characteristic_vector, torsion_energies
 
 
 def ref_split_so7(m: Mat7, frame) -> tuple[Mat7, Vec7]:
@@ -72,6 +77,90 @@ def ref_validate_cross_axioms(frame, seed: int, trials: int) -> tuple[tuple, tup
                 failures.append(f"{rule} fails on seeded trial {t}")
                 break
     return (("basis_triples", basis_cases), ("seeded_triples", random_cases)), tuple(failures)
+
+
+def fraction_columns(t: Mat7) -> list[list[Fraction]]:
+    return [[t.entries[i][j] for i in range(DIM)] for j in range(DIM)]
+
+
+def ref_i0(t: Mat7, frame) -> Fraction:
+    table = frame.table
+    cols = fraction_columns(t)
+    total = Fraction(0)
+    for i in range(DIM):
+        for j in range(i + 1, DIM):
+            # <c, e_i x e_j> = (e_j x c)_i
+            cij = table.cross(cols[i], cols[j])
+            total += 2 * table.cross(UNIT[j], cij)[i]
+    return total
+
+
+def ref_i2(t: Mat7, frame) -> Fraction:
+    table = frame.table
+    cols = fraction_columns(t)
+    crossed = [[table.cross(UNIT[j], cols[i]) for j in range(DIM)] for i in range(DIM)]
+    total = Fraction(0)
+    for i in range(DIM):
+        total += sum(x * x for x in crossed[i][i])
+        for j in range(i + 1, DIM):
+            total += 2 * sum(a * b for a, b in zip(crossed[i][j], crossed[j][i]))
+    return total
+
+
+def ref_torsion_energies(t: Mat7, frame) -> tuple[Fraction, Fraction, Fraction]:
+    table = frame.table
+    cols = fraction_columns(t)
+    xi = [[table.cross(UNIT[j], cols[i]) for j in range(DIM)] for i in range(DIM)]
+    chi = [sum(xi[i][i][k] for i in range(DIM)) for k in range(DIM)]
+    alt = sym = Fraction(0)
+    for i in range(DIM):
+        for j in range(DIM):
+            sym += sum((a + b) ** 2 for a, b in zip(xi[i][j], xi[j][i]))
+            alt += sum((a - b) ** 2 for a, b in zip(xi[i][j], xi[j][i]))
+    return sum(x * x for x in chi), alt / 4, sym / 4
+
+
+def ref_fraction(rng: Random, num: int = 9, den: int = 9) -> Fraction:
+    return Fraction(rng.randint(-num, num), rng.randint(1, den))
+
+
+def ref_rand_mat(rng: Random) -> Mat7:
+    return Mat7(tuple(tuple(ref_fraction(rng) for _ in range(DIM)) for _ in range(DIM)))
+
+
+def ref_rand_symmetric(rng: Random) -> Mat7:
+    rows = [[Fraction(0)] * DIM for _ in range(DIM)]
+    for i in range(DIM):
+        rows[i][i] = ref_fraction(rng)
+        for j in range(i + 1, DIM):
+            v = ref_fraction(rng)
+            rows[i][j] = v
+            rows[j][i] = v
+    return Mat7.from_rows(rows)
+
+
+def ref_rand_skew(rng: Random) -> Mat7:
+    rows = [[Fraction(0)] * DIM for _ in range(DIM)]
+    for i in range(DIM):
+        for j in range(i + 1, DIM):
+            v = ref_fraction(rng)
+            rows[i][j] = v
+            rows[j][i] = -v
+    return Mat7.from_rows(rows)
+
+
+def ref_rand_g2(rng: Random, frame) -> Mat7:
+    rows = [[Fraction(0)] * DIM for _ in range(DIM)]
+    for b in g2_basis(frame):
+        c = ref_fraction(rng, 5, 5)
+        if c != 0:
+            for i in range(DIM):
+                brow = b.entries[i]
+                row = rows[i]
+                for j in range(DIM):
+                    if brow[j]:
+                        row[j] += c * brow[j]
+    return Mat7.from_rows(rows)
 
 
 def wide_fraction(rng: Random) -> Fraction:
@@ -148,3 +237,49 @@ def test_validate_cross_axioms_matches_fraction_route(frame, flip, seed):
     rep = validate_cross_axioms(target, seed=seed, trials=25)
     assert (rep.counts, rep.failures) == ref_validate_cross_axioms(target, seed, 25)
     assert rep.passed == (flip is None)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_i0_i2_and_torsion_energies_match_fraction_route(frame, seed):
+    rng = Random(seed + 20)
+    mats = seeded_matrices(seed) + [cross_operator(rand_vec(rng), frame).mat for _ in range(3)]
+    mats += [rand_g2(rng, frame) for _ in range(3)]
+    for t in mats:
+        assert i0(t, frame) == ref_i0(t, frame)
+        assert i2(t, frame) == ref_i2(t, frame)
+        assert torsion_energies(t, frame) == ref_torsion_energies(t, frame)
+
+
+@pytest.mark.parametrize("flip", [0, 4])
+def test_i0_and_i2_match_fraction_route_on_corrupted_tables(frame, flip):
+    target = flipped_frame(frame, flip)
+    for t in seeded_matrices(3)[:6]:
+        assert i0(t, target) == ref_i0(t, target)
+        assert i2(t, target) == ref_i2(t, target)
+
+
+@pytest.mark.parametrize(
+    "sampler, reference",
+    [(rand_mat, ref_rand_mat), (rand_symmetric, ref_rand_symmetric), (rand_skew, ref_rand_skew)],
+    ids=["rand_mat", "rand_symmetric", "rand_skew"],
+)
+def test_matrix_samplers_match_fraction_route(sampler, reference):
+    for seed in range(15):
+        rng, ref_rng = Random(seed), Random(seed)
+        for _ in range(3):
+            m = sampler(rng)
+            expected = reference(ref_rng)
+            assert m == expected and m.entries == expected.entries
+        # the same number of draws: the streams stay in step
+        assert rng.random() == ref_rng.random()
+
+
+def test_rand_g2_matches_fraction_route(frame):
+    for seed in range(15):
+        rng, ref_rng = Random(seed), Random(seed)
+        for _ in range(3):
+            m = rand_g2(rng, frame)
+            expected = ref_rand_g2(ref_rng, frame)
+            assert m == expected and m.entries == expected.entries
+            assert split_so7(m, frame)[1].is_zero()
+        assert rng.random() == ref_rng.random()

@@ -52,6 +52,51 @@ def test_algebra_construction_and_validation():
         koszul(bad)
 
 
+def reference_jacobi_defect(mla: MetricLieAlgebra) -> tuple[int, int, int] | None:
+    """The earlier jacobi_defect: the cyclic sum through `bracket` for all
+    35 triples, nonzero or not."""
+    for i in range(DIM):
+        for j in range(i + 1, DIM):
+            for k in range(j + 1, DIM):
+                total = (
+                    mla.bracket(mla.brackets[i][j], Vec7.basis(k))
+                    + mla.bracket(mla.brackets[j][k], Vec7.basis(i))
+                    + mla.bracket(mla.brackets[k][i], Vec7.basis(j))
+                )
+                if not total.is_zero():
+                    return (i, j, k)
+    return None
+
+
+def test_jacobi_defect_matches_brute_force():
+    rng = Random(29)
+    algebras = [rand_two_step_nilpotent(rng) for _ in range(12)]
+    lam = Fraction(2, 3)
+    algebras.append(MetricLieAlgebra.from_nonzero({(0, 1): {2: lam}, (1, 2): {0: lam}, (0, 2): {1: -lam}}))
+    perturbed = []
+    for mla in algebras:
+        # one bracket [e_i, e_j] moved by c e_k: Jacobi usually fails afterwards
+        entries = {(i, j): {} for i, j in combinations(range(DIM), 2)}
+        for i, j, k, v in mla.nonzero_entries():
+            entries[i, j][k] = v
+        i, j = sorted(rng.sample(range(DIM), 2))
+        k = rng.randrange(DIM)
+        entries[i, j][k] = entries[i, j].get(k, 0) + rand_fraction(rng, 4, 3) + Fraction(1, 7)
+        perturbed.append(MetricLieAlgebra.from_nonzero(entries))
+    # dense random brackets: the first failing triple is rarely (0, 1, 2)
+    for _ in range(4):
+        entries = {(i, j): {k: rand_fraction(rng, 3, 2) for k in range(DIM)} for i, j in combinations(range(DIM), 2)}
+        perturbed.append(MetricLieAlgebra.from_nonzero(entries))
+    defects = []
+    for mla in algebras + perturbed:
+        expected = reference_jacobi_defect(mla)
+        assert mla.jacobi_defect() == expected
+        defects.append(expected)
+    assert all(d is None for d in defects[: len(algebras)])
+    assert sum(d is not None for d in defects[len(algebras):]) >= len(perturbed) // 2
+    assert len({d for d in defects if d is not None}) > 1
+
+
 def test_koszul_abelian_is_flat():
     conn = koszul(MetricLieAlgebra.abelian())
     assert all(conn.nabla(i, j).is_zero() for i in range(DIM) for j in range(DIM))
