@@ -149,7 +149,14 @@ class CrossTable:
 
     def contract(self, m) -> list:
         """The contraction p(m)_i = sum_jk eps_ijk m_jk of a 7x7 grid m."""
-        return [sum(s * (m[a][b] - m[b][a]) for a, b, s in pairs) for pairs in self._component]
+        out = [0] * DIM
+        for i, row in enumerate(self._grid):
+            for slot, mj in zip(row, m):
+                for k, s in slot:
+                    x = mj[k]
+                    if x:
+                        out[i] += s * x
+        return out
 
 
 def _sort3(i: int, j: int, k: int) -> tuple[tuple[int, int, int], int]:
