@@ -189,20 +189,14 @@ class Mat7:
     def columns(self) -> list[Vec7]:
         return [self.column(j) for j in range(DIM)]
 
-    def _combine(self, other: Mat7, sign: int) -> Mat7:
-        """self + sign * other over the lcm of the two denominators."""
+    def __add__(self, other: Mat7) -> Mat7:
         da, db = self._den, other._den
         d = lcm(da, db)
-        fa, fb = d // da, sign * (d // db)
-        return Mat7.from_ints(
-            [[fa * a + fb * b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)], d
-        )
-
-    def __add__(self, other: Mat7) -> Mat7:
-        return self._combine(other, 1)
+        fa, fb = d // da, d // db
+        return Mat7.from_ints([[fa * a + fb * b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)], d)
 
     def __sub__(self, other: Mat7) -> Mat7:
-        return self._combine(other, -1)
+        return self + -other
 
     def __neg__(self) -> Mat7:
         return _make(tuple(tuple(-a for a in row) for row in self._rows), self._den)
@@ -231,12 +225,10 @@ class Mat7:
         return Fraction(sum(rows[i][i] for i in range(DIM)), self._den)
 
     def symmetric_part(self) -> Mat7:
-        rows = self._rows
-        return Mat7.from_ints([[a + b for a, b in zip(row, col)] for row, col in zip(rows, zip(*rows))], 2 * self._den)
+        return (self + self.transpose()).scale(Fraction(1, 2))
 
     def skew_part(self) -> Mat7:
-        rows = self._rows
-        return Mat7.from_ints([[a - b for a, b in zip(row, col)] for row, col in zip(rows, zip(*rows))], 2 * self._den)
+        return (self - self.transpose()).scale(Fraction(1, 2))
 
     def is_symmetric(self) -> bool:
         return self._rows == tuple(zip(*self._rows))
