@@ -44,7 +44,7 @@ scaled = Mat7.identity().scale(lam)
 print("  lambda*Id:", (i0(scaled, frame), i1(scaled, frame), i2(scaled, frame)),
       "= (42, 0, -42) lambda^2")
 z = Vec7.basis(1)
-a_z = cross_operator(z, frame).mat
+a_z = cross_operator(z, frame)
 print("  cross operator of a unit vector:", (i0(a_z, frame), i1(a_z, frame), i2(a_z, frame)),
       "= (-18, 36, -18)")
 for sample in (scaled, a_z, rand_mat(rng)):

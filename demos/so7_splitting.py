@@ -24,7 +24,7 @@ rng = Random(0)
 
 v = Vec7.of(2, -1, 0, 1, 0, 0, 3)
 a_v = cross_operator(v, frame)
-print("the cross operator A_v is skew:", a_v.mat.is_skew())
+print("the cross operator A_v is skew:", a_v.is_skew())
 print("contraction recovers 6v:", skew_to_vector(a_v, frame) == v.scale(6))
 print("g2 = kernel of the contraction has dimension", len(g2_basis(frame)))
 
@@ -32,11 +32,11 @@ a = rand_skew(rng)
 g2part, vec = split_so7(a, frame)
 print("\nsplitting a random skew matrix:")
 print("  g2 part contracts to zero:", skew_to_vector(g2part, frame).is_zero())
-print("  parts re-sum exactly:", g2part.mat + cross_operator(vec, frame).mat == a)
+print("  parts re-sum exactly:", g2part + cross_operator(vec, frame) == a)
 
 u, w = rand_vec(rng), rand_vec(rng)
 print("\nthe g2-perp part of [A_u, A_w] is the cross operator of u x w:",
-      bracket_g2perp(u, w, frame).mat == cross_operator(cross(u, w, frame), frame).mat)
+      bracket_g2perp(u, w, frame) == cross_operator(cross(u, w, frame), frame))
 
 t = rand_mat(rng)
 split = decompose_endo(t, frame)

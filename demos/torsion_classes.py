@@ -13,6 +13,7 @@ from g2kit import (
     build_standard_frame,
     characteristic_vector,
     classify,
+    cross,
     cross_operator,
     curvature_integrand,
     hypersurface_identity_check,
@@ -21,7 +22,6 @@ from g2kit import (
     predicted_scalar_curvature,
     pure_vector_energy,
     torsion_energies,
-    torsion_from_endo,
 )
 from g2kit.sampling import rand_mat, rand_symmetric, rand_vector_free
 
@@ -29,9 +29,9 @@ frame = build_standard_frame()
 rng = Random(2)
 
 t = rand_mat(rng)
-xi = torsion_from_endo(t, frame)
-print("every torsion slice is the cross operator of T(e_i):",
-      all(xi.slice_operator(i) == cross_operator(t.column(i), frame).mat for i in range(7)))
+print("every torsion slice xi_{e_i} e_j = e_j x T(e_i) is the cross operator of T(e_i):",
+      all(cross_operator(t.column(i), frame) @ Vec7.basis(j) == cross(Vec7.basis(j), t.column(i), frame)
+          for i in range(7) for j in range(7)))
 
 chi_sq, alt_sq, sym_sq = torsion_energies(t, frame)
 print("|chi|^2 + |xi_alt|^2 - |xi_sym|^2 = i1 - i2:",
@@ -40,7 +40,7 @@ print("|chi|^2 + |xi_alt|^2 - |xi_sym|^2 = i1 - i2:",
 print("\nclass flags:")
 print("  random endomorphism:", sorted(classify(t, frame).flags))
 z = Vec7.of(1, 0, -2, 0, 0, 1, 0)
-a_z = cross_operator(z, frame).mat
+a_z = cross_operator(z, frame)
 print("  cross operator:", sorted(classify(a_z, frame).flags), " chi = -6Z:",
       characteristic_vector(a_z, frame) == z.scale(-6))
 vec_free = rand_vector_free(rng, frame)

@@ -131,10 +131,10 @@ def _identities_for_frame(frame_name: str, frame: G2Frame, seed: int, trials: in
     failures: list[str] = []
     for t in range(trials):
         u, v = rand_vec(rng), rand_vec(rng)
-        au, av = cross_operator(u, frame).mat, cross_operator(v, frame).mat
+        au, av = cross_operator(u, frame), cross_operator(v, frame)
         comm = au @ av - av @ au
         g2part, w = split_so7(comm, frame)
-        if w != cross(u, v, frame) or cross_operator(w, frame).mat != comm - g2part.mat:
+        if w != cross(u, v, frame) or cross_operator(w, frame) != comm - g2part:
             failures.append(f"bracket projection fails on trial {t}")
             break
     suites.append(_suite("bracket-projection", frame_name, failures, trials))
@@ -155,7 +155,7 @@ def _identities_for_frame(frame_name: str, frame: G2Frame, seed: int, trials: in
             # scalar, symmetric, and cross-operator shapes
             Mat7.identity().scale(rand_fraction(rng)),
             rand_symmetric(rng),
-            cross_operator(rand_vec(rng), frame).mat,
+            cross_operator(rand_vec(rng), frame),
         ):
             cases += 1
             rep = special_case_check(sample, frame)
@@ -174,7 +174,7 @@ def _identities_for_frame(frame_name: str, frame: G2Frame, seed: int, trials: in
             failures.append(f"characteristic vector nonzero for vector-free input, trial {t}")
             break
         z = rand_nonzero_vec(rng)
-        if characteristic_vector(cross_operator(z, frame).mat, frame) != z.scale(-6):
+        if characteristic_vector(cross_operator(z, frame), frame) != z.scale(-6):
             failures.append(f"characteristic vector != -6Z for cross operator, trial {t}")
             break
     suites.append(_suite("characteristic-vector", frame_name, failures, 2 * trials))

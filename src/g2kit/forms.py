@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
-from .linalg import DIM, Vec7, as_fraction
+from .linalg import DIM, Mat7, Vec7, as_fraction
 
 FORM = "form"
 TENSOR = "tensor"
@@ -224,15 +224,13 @@ def two_form_from_matrix(m) -> KForm:
     return KForm(2, terms)
 
 
-def matrix_from_two_form(a: KForm):
+def matrix_from_two_form(a: KForm) -> Mat7:
     """Skew matrix with M_ij = alpha(e_i, e_j)."""
-    from .linalg import Mat7
-
     rows = [[Fraction(0)] * DIM for _ in range(DIM)]
     for (i, j), v in a._terms.items():
         rows[i][j] = v
         rows[j][i] = -v
-    return Mat7.from_rows(rows)
+    return Mat7(rows)
 
 
 def all_increasing_tuples(k: int) -> list[tuple[int, ...]]:

@@ -247,10 +247,9 @@ def basis_cross(table: CrossTable, i: int, j: int) -> Vec7:
     return Vec7(tuple(table.cross(UNIT[i], UNIT[j])))
 
 
-def cross(u: Vec7, v: Vec7, frame: G2Frame | CrossTable) -> Vec7:
+def cross(u: Vec7, v: Vec7, frame: G2Frame) -> Vec7:
     """Cross product u x v induced by the frame's table."""
-    table = frame.table if isinstance(frame, G2Frame) else frame
-    return Vec7(tuple(table.cross(u, v)))
+    return Vec7(tuple(frame.table.cross(u, v)))
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from .forms import (
 from .frames import G2Frame, build_cayley_frame
 from .linalg import DIM, UNIT, LinearSystem, Mat7, Vec7, as_fraction, int_matmul, integer_columns, nullspace
 from .so7 import cross_operator, g2_basis
-from .torsion import torsion_energies
+from .torsion import characteristic_vector, torsion_energies
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +367,6 @@ class DivergenceReport:
 def divergence_balance(t: Mat7, s_perp: Fraction, frame: G2Frame) -> DivergenceReport:
     """The divergence summands of T against s_perp =
     g2perp_scalar_curvature(R, frame), which the caller has computed."""
-    from .torsion import characteristic_vector
-
     s_alt = alt_scalar_curvature(t, frame)
     chi = characteristic_vector(t, frame)
     chi_sq, alt_sq, sym_sq = torsion_energies(t, frame)
@@ -463,7 +461,7 @@ def _cross_action_system(table, orientation) -> LinearSystem:
     """The 35x7 system of v -> (cross operator of v) * phi, reduced once per frame."""
     frame = G2Frame.from_table(table, orientation)
     cols = [
-        _form_coords(derivation_action(cross_operator(Vec7.basis(k), frame).mat, frame.phi), 3)
+        _form_coords(derivation_action(cross_operator(Vec7.basis(k), frame), frame.phi), 3)
         for k in range(DIM)
     ]
     return LinearSystem(list(zip(*cols)))

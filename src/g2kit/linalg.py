@@ -24,8 +24,6 @@ DIM = 7
 # integer coordinates of the basis vectors e_0..e_6
 UNIT = tuple(tuple(int(i == j) for j in range(DIM)) for i in range(DIM))
 
-Rational = Fraction
-
 
 def as_fraction(x) -> Fraction:
     """Coerce an int or Fraction; floats are rejected to keep the core exact."""
@@ -164,10 +162,6 @@ class Mat7:
     @staticmethod
     def identity() -> Mat7:
         return Mat7.from_ints(UNIT, 1)
-
-    @staticmethod
-    def from_rows(rows) -> Mat7:
-        return Mat7(tuple(tuple(row) for row in rows))
 
     @staticmethod
     def from_columns(cols: list[Vec7]) -> Mat7:

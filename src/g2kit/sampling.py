@@ -154,7 +154,7 @@ def table_symmetries(frame: G2Frame, rng: Random, count: int, max_tries: int = 4
                 rows = [[Fraction(0)] * DIM for _ in range(DIM)]
                 for i in range(DIM):
                     rows[perm[i]][i] = Fraction(signs[i])
-                found.append(Mat7.from_rows(rows))
+                found.append(Mat7(rows))
                 break
     return found[:count]
 

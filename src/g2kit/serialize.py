@@ -106,7 +106,7 @@ def endo_split_to_json(split) -> dict:
     return {
         "scalar": rational_str(split.scalar),
         "sym0": mat_to_json(split.sym0),
-        "g2part": mat_to_json(split.g2part.mat),
+        "g2part": mat_to_json(split.g2part),
         "vector": vec_to_json(split.vector),
         "part_norms_sq": {
             "scalar": rational_str(norms[0]),

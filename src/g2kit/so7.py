@@ -17,46 +17,21 @@ from .frames import CrossTable, G2Frame, cross
 from .linalg import DIM, Mat7, Vec7, integer_rows, integer_vector, nullspace
 
 
-@dataclass(frozen=True)
-class SkewMat:
-    mat: Mat7
-
-    def __post_init__(self):
-        if not self.mat.is_skew():
-            raise ValueError("matrix is not skew-symmetric")
-
-    def __add__(self, other: SkewMat) -> SkewMat:
-        return SkewMat(self.mat + other.mat)
-
-    def __sub__(self, other: SkewMat) -> SkewMat:
-        return SkewMat(self.mat - other.mat)
-
-    def is_zero(self) -> bool:
-        return self.mat.is_zero()
-
-
-def _as_matrix(a) -> Mat7:
-    return a.mat if isinstance(a, SkewMat) else a
-
-
-def cross_operator(v: Vec7, frame: G2Frame) -> SkewMat:
+def cross_operator(v: Vec7, frame: G2Frame) -> Mat7:
     """The skew operator u -> u x v; entries a_ij = sum_k eps_ijk v_k,
     formed from the integer vector d v and divided once per entry."""
     c, d = integer_vector(v)
-    return SkewMat(Mat7.from_ints(frame.table.cross_rows(c), d))
+    return Mat7.from_ints(frame.table.cross_rows(c), d)
 
 
-def skew_to_vector(a, frame: G2Frame) -> Vec7:
-    """Contraction p(a)_i = sum_jk eps_ijk a_jk.
-
-    Accepts a SkewMat or a plain Mat7; the eps contraction only sees the
-    skew part of the argument.
-    """
-    rows, d = integer_rows(_as_matrix(a))
+def skew_to_vector(a: Mat7, frame: G2Frame) -> Vec7:
+    """Contraction p(a)_i = sum_jk eps_ijk a_jk; it only sees the skew part
+    of the argument."""
+    rows, d = integer_rows(a)
     return Vec7(tuple(Fraction(x, d) for x in frame.table.contract(rows)))
 
 
-def _skew_split(rows: list[list[int]], d: int, table: CrossTable) -> tuple[SkewMat, Vec7]:
+def _skew_split(rows: list[list[int]], d: int, table: CrossTable) -> tuple[Mat7, Vec7]:
     """(g2 part, vector part) of the skew part of M = R / d, from the integer
     grid R.
 
@@ -68,18 +43,17 @@ def _skew_split(rows: list[list[int]], d: int, table: CrossTable) -> tuple[SkewM
     p = table.contract(s)
     q = 12 * d
     g2 = [[6 * x - y for x, y in zip(s_row, a_row)] for s_row, a_row in zip(s, table.cross_rows(p))]
-    return SkewMat(Mat7.from_ints(g2, q)), Vec7(tuple(Fraction(x, q) for x in p))
+    return Mat7.from_ints(g2, q), Vec7(tuple(Fraction(x, q) for x in p))
 
 
-def split_so7(a, frame: G2Frame) -> tuple[SkewMat, Vec7]:
+def split_so7(a: Mat7, frame: G2Frame) -> tuple[Mat7, Vec7]:
     """Split a skew matrix as (g2 part, vector part v with a = g2 + A_v)."""
-    m = _as_matrix(a)
-    if not m.is_skew():
+    if not a.is_skew():
         raise ValueError("split_so7 needs a skew matrix")
-    return _skew_split(*integer_rows(m), frame.table)
+    return _skew_split(*integer_rows(a), frame.table)
 
 
-def bracket_g2perp(u: Vec7, v: Vec7, frame: G2Frame) -> SkewMat:
+def bracket_g2perp(u: Vec7, v: Vec7, frame: G2Frame) -> Mat7:
     """The g2-complement part of [A_u, A_v], which equals A_{u x v}."""
     return cross_operator(cross(u, v, frame), frame)
 
@@ -91,15 +65,15 @@ class EndoSplit:
 
     scalar: Fraction
     sym0: Mat7
-    g2part: SkewMat
+    g2part: Mat7
     vector: Vec7
 
     def reconstruct(self, frame: G2Frame) -> Mat7:
         return (
             Mat7.identity().scale(self.scalar)
             + self.sym0
-            + self.g2part.mat
-            + cross_operator(self.vector, frame).mat
+            + self.g2part
+            + cross_operator(self.vector, frame)
         )
 
     def part_norms_sq(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -107,7 +81,7 @@ class EndoSplit:
         return (
             7 * self.scalar * self.scalar,
             self.sym0.norm_sq(),
-            self.g2part.mat.norm_sq(),
+            self.g2part.norm_sq(),
             6 * self.vector.norm_sq(),
         )
 
@@ -168,7 +142,7 @@ def _g2_basis_cached(table: CrossTable) -> tuple[Mat7, ...]:
         for c, (i, j) in zip(coeffs, pairs):
             rows[i][j] += c
             rows[j][i] -= c
-        mats.append(Mat7.from_rows(rows))
+        mats.append(Mat7(rows))
     return tuple(mats)
 
 
@@ -196,6 +170,6 @@ def endo_part_maps(t: Mat7, frame: G2Frame) -> tuple[Mat7, Mat7, Mat7, Mat7]:
     return (
         Mat7.identity().scale(s.scalar),
         s.sym0,
-        s.g2part.mat,
-        cross_operator(s.vector, frame).mat,
+        s.g2part,
+        cross_operator(s.vector, frame),
     )

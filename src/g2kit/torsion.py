@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .frames import G2Frame, CheckReport, cross
+from .frames import CheckReport, G2Frame, build_standard_frame
 from .invariants import i0, sigma2
 from .linalg import DIM, Mat7, Vec7, integer_columns
-from .so7 import EndoSplit, decompose_endo
+from .so7 import EndoSplit, cross_operator, decompose_endo
 
 # Scaling note attached to reports whenever a structure with nonzero vector
 # class is classified: for pure vector type the consistent normalisation is
@@ -29,33 +29,6 @@ VECTOR_CLASS_SCALING_NOTE = (
     "the (1/3)s variant printed in reference material (45 instead of 90) "
     "is inconsistent by a factor of 2"
 )
-
-
-@dataclass(frozen=True)
-class TorsionTensor:
-    """Grid of values xi_{e_i} e_j together with the inducing endomorphism."""
-
-    values: tuple[tuple[Vec7, ...], ...]
-    source: Mat7
-
-    def slice_operator(self, i: int) -> Mat7:
-        """The skew operator xi_{e_i} as a matrix."""
-        return Mat7.from_columns([self.values[i][j] for j in range(DIM)])
-
-    def trace_vector(self) -> Vec7:
-        acc = Vec7.zero()
-        for i in range(DIM):
-            acc = acc + self.values[i][i]
-        return acc
-
-
-def torsion_from_endo(t: Mat7, frame: G2Frame) -> TorsionTensor:
-    cols = t.columns()
-    values = tuple(
-        tuple(cross(Vec7.basis(j), cols[i], frame) for j in range(DIM))
-        for i in range(DIM)
-    )
-    return TorsionTensor(values=values, source=t)
 
 
 def characteristic_vector(t: Mat7, frame: G2Frame) -> Vec7:
@@ -184,8 +157,6 @@ def hypersurface_identity_check(s: Mat7) -> HypersurfaceReport:
         raise ValueError("hypersurface shape operator must be symmetric")
     t = s.scale(Fraction(8, 3))
     # for symmetric T the integrand is frame independent (i0 = 2 sigma2)
-    from .frames import build_standard_frame
-
     lhs = 6 * curvature_integrand(t, build_standard_frame())
     rhs = 128 * sigma2(s)
     return HypersurfaceReport(passed=(lhs == rhs), lhs=lhs, rhs=rhs, sigma2_shape=sigma2(s))
@@ -195,9 +166,7 @@ def pure_vector_energy(z: Vec7, frame: G2Frame) -> Fraction:
     """curvature_integrand of the cross operator of Z; equals 45 |Z|^2 and is
     strictly positive for Z != 0, so a structure with vanishing integrand
     cannot be of pure vector type unless Z = 0."""
-    from .so7 import cross_operator
-
-    return curvature_integrand(cross_operator(z, frame).mat, frame)
+    return curvature_integrand(cross_operator(z, frame), frame)
 
 
 def pure_vector_report(z: Vec7, frame: G2Frame) -> CheckReport:

@@ -92,8 +92,8 @@ def test_criterion_03_bracket_projection_1000_pairs():
         rng = Random(23)
         for _ in range(1000):
             u, v = rand_vec(rng), rand_vec(rng)
-            au = cross_operator(u, frame).mat
-            av = cross_operator(v, frame).mat
+            au = cross_operator(u, frame)
+            av = cross_operator(v, frame)
             comm = au @ av - av @ au
             _, w = split_so7(comm, frame)
             assert w == cross(u, v, frame)
@@ -133,7 +133,7 @@ def test_criterion_05_special_shapes():
             assert (i0(s, frame), i1(s, frame), i2(s, frame)) == (2 * s2, 0, -2 * s2)
 
             z = rand_vec(rng)
-            a = cross_operator(z, frame).mat
+            a = cross_operator(z, frame)
             zsq = z.norm_sq()
             assert (
                 i0(a, frame),
@@ -177,7 +177,7 @@ def test_criterion_07_discrepancy_reports(tmp_path, capsys):
     assert all(n % 2 == 0 for n in multiset.values())
     assert sum(v * n for v, n in multiset.items()) == -1
 
-    a_z = cross_operator(Vec7.basis(1), frame).mat
+    a_z = cross_operator(Vec7.basis(1), frame)
     path = tmp_path / "az.json"
     path.write_text(json.dumps({"matrix": mat_to_json(a_z)}))
     code = main(["classify", "--input", str(path), "--frame", "cayley", "--format", "json"])
@@ -197,7 +197,7 @@ def test_criterion_08_characteristic_vector_1000_each():
         assert characteristic_vector(t, frame).is_zero()
     for _ in range(1000):
         z = rand_nonzero_vec(rng)
-        a = cross_operator(z, frame).mat
+        a = cross_operator(z, frame)
         assert characteristic_vector(a, frame) == z.scale(-6)
     report(8, "chi = 0 for 1000 vector-free T and chi = -6Z for 1000 cross operators")
 

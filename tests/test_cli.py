@@ -53,7 +53,7 @@ def test_classify_vector_input_flags_scaling_note(tmp_path, capsys):
     from g2kit import build_cayley_frame
 
     frame = build_cayley_frame()
-    a_z = cross_operator(Vec7.basis(1), frame).mat
+    a_z = cross_operator(Vec7.basis(1), frame)
     path = write_matrix(tmp_path, a_z)
     code = main(["classify", "--input", path, "--frame", "cayley", "--format", "json"])
     assert code == 0
@@ -264,7 +264,7 @@ def test_nilmanifold_does_each_computation_once(tmp_path, monkeypatch):
 def test_classify_does_each_computation_once(tmp_path, monkeypatch, shape):
     _, frame, t = heisenberg_model()
     if shape == "vector":
-        t = t + cross_operator(Vec7.basis(2), frame).mat
+        t = t + cross_operator(Vec7.basis(2), frame)
     path = write_matrix(tmp_path, t)
     counts = count_calls(
         monkeypatch,

@@ -26,7 +26,7 @@ from g2kit.torsion import characteristic_vector, torsion_energies
 
 def ref_split_so7(m: Mat7, frame) -> tuple[Mat7, Vec7]:
     v = Vec7(tuple(frame.table.contract(m.entries))).scale(Fraction(1, 6))
-    return Mat7(m.entries) - Mat7.from_rows(frame.table.cross_rows(v)), v
+    return Mat7(m.entries) - Mat7(frame.table.cross_rows(v)), v
 
 
 def ref_decompose_endo(t: Mat7, frame) -> tuple[Fraction, Mat7, Mat7, Vec7]:
@@ -136,7 +136,7 @@ def ref_rand_symmetric(rng: Random) -> Mat7:
             v = ref_fraction(rng)
             rows[i][j] = v
             rows[j][i] = v
-    return Mat7.from_rows(rows)
+    return Mat7(rows)
 
 
 def ref_rand_skew(rng: Random) -> Mat7:
@@ -146,7 +146,7 @@ def ref_rand_skew(rng: Random) -> Mat7:
             v = ref_fraction(rng)
             rows[i][j] = v
             rows[j][i] = -v
-    return Mat7.from_rows(rows)
+    return Mat7(rows)
 
 
 def ref_rand_g2(rng: Random, frame) -> Mat7:
@@ -160,7 +160,7 @@ def ref_rand_g2(rng: Random, frame) -> Mat7:
                 for j in range(DIM):
                     if brow[j]:
                         row[j] += c * brow[j]
-    return Mat7.from_rows(rows)
+    return Mat7(rows)
 
 
 def wide_fraction(rng: Random) -> Fraction:
@@ -193,7 +193,7 @@ def test_decompose_endo_matches_fraction_route(frame, seed):
     for t in seeded_matrices(seed):
         split = decompose_endo(t, frame)
         scalar, sym0, g2part, vector = ref_decompose_endo(t, frame)
-        assert (split.scalar, split.sym0, split.g2part.mat, split.vector) == (scalar, sym0, g2part, vector)
+        assert (split.scalar, split.sym0, split.g2part, split.vector) == (scalar, sym0, g2part, vector)
         assert split.reconstruct(frame) == t
 
 
@@ -201,10 +201,10 @@ def test_decompose_endo_matches_fraction_route(frame, seed):
 def test_split_so7_matches_fraction_route(frame, seed):
     rng = Random(seed)
     skews = [m for m in seeded_matrices(seed) if m.is_skew()]
-    skews += [cross_operator(rand_vec(rng), frame).mat for _ in range(3)]
+    skews += [cross_operator(rand_vec(rng), frame) for _ in range(3)]
     for a in skews:
         g2part, vector = split_so7(a, frame)
-        assert (g2part.mat, vector) == ref_split_so7(a, frame)
+        assert (g2part, vector) == ref_split_so7(a, frame)
     with pytest.raises(ValueError):
         split_so7(Mat7.identity(), frame)
 
@@ -242,7 +242,7 @@ def test_validate_cross_axioms_matches_fraction_route(frame, flip, seed):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_i0_i2_and_torsion_energies_match_fraction_route(frame, seed):
     rng = Random(seed + 20)
-    mats = seeded_matrices(seed) + [cross_operator(rand_vec(rng), frame).mat for _ in range(3)]
+    mats = seeded_matrices(seed) + [cross_operator(rand_vec(rng), frame) for _ in range(3)]
     mats += [rand_g2(rng, frame) for _ in range(3)]
     for t in mats:
         assert i0(t, frame) == ref_i0(t, frame)

@@ -228,7 +228,7 @@ def test_divergence_balance():
     assert rep.sym_sq == Fraction(1, 2)
     # type-X4 input: the |chi|^2 term is 36|Z|^2 and balance is not asserted
     z = rand_vec(Random(4))
-    rep = divergence_balance(cross_operator(z, frame).mat, s_perp, frame)
+    rep = divergence_balance(cross_operator(z, frame), s_perp, frame)
     assert rep.chi_sq == 36 * z.norm_sq()
     assert rep.balanced is None
     # zero torsion against a flat curvature: every summand vanishes
@@ -350,7 +350,7 @@ def test_r_map_reproduces_reference_two_form():
     rows = [[Fraction(0)] * DIM for _ in range(DIM)]
     rows[0][1], rows[1][0] = half, -half  # (1/2) e^01
     rows[4][6], rows[6][4] = -half, half  # -(1/2) e^46
-    assert grid == Mat7.from_rows(rows)
+    assert grid == Mat7(rows)
 
 
 def test_geometry_report_matches_form_convention(frame):
@@ -362,7 +362,7 @@ def test_geometry_report_matches_form_convention(frame):
         assert rep.matched_convention == FORM
         # round-trip: nabla_phi equals the torsion slices acting on phi
         for i in range(DIM):
-            acted = derivation_action(cross_operator(rep.torsion.column(i), frame).mat, frame.phi)
+            acted = derivation_action(cross_operator(rep.torsion.column(i), frame), frame.phi)
             assert acted == nphi[i]
 
 

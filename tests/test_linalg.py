@@ -60,7 +60,7 @@ def test_trace_invariant_under_signed_permutation_conjugation():
     rows = [[Fraction(0)] * DIM for _ in range(DIM)]
     for i in range(DIM):
         rows[perm[i]][i] = Fraction(signs[i])
-    p = Mat7.from_rows(rows)
+    p = Mat7(rows)
     assert p @ p.transpose() == Mat7.identity()
     assert (p @ a @ p.transpose()).trace() == a.trace()
 

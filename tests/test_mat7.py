@@ -139,7 +139,7 @@ def test_shapes_and_predicates_on_known_matrices():
     assert Mat7.zero().is_skew() and Mat7.zero().is_symmetric() and Mat7.zero().is_zero()
     assert Mat7.identity() @ Mat7.identity() == Mat7.identity()
     assert Mat7.diag(range(DIM)).trace() == 21
-    assert Mat7.from_rows([[Fraction(i * j, 3) for j in range(DIM)] for i in range(DIM)]).is_symmetric()
+    assert Mat7([[Fraction(i * j, 3) for j in range(DIM)] for i in range(DIM)]).is_symmetric()
 
 
 def test_floats_rejected():

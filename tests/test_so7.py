@@ -7,7 +7,6 @@ from g2kit.frames import cross
 from g2kit.linalg import DIM, Mat7, Vec7, frobenius, rank
 from g2kit.sampling import rand_g2, rand_mat, rand_skew, rand_vec
 from g2kit.so7 import (
-    SkewMat,
     bracket_g2perp,
     cross_operator,
     decompose_endo,
@@ -21,25 +20,19 @@ from g2kit.so7 import (
 )
 
 
-def test_skewmat_validates():
-    with pytest.raises(ValueError):
-        SkewMat(Mat7.identity())
-    SkewMat(Mat7.zero())
-
-
 def test_cross_operator_action(frame):
     rng = Random(0)
     v = rand_vec(rng)
     a = cross_operator(v, frame)
     for i in range(DIM):
-        assert a.mat @ Vec7.basis(i) == cross(Vec7.basis(i), v, frame)
-    assert (a.mat @ v).is_zero()
+        assert a @ Vec7.basis(i) == cross(Vec7.basis(i), v, frame)
+    assert (a @ v).is_zero()
 
 
 def test_cross_operator_e3_standard(standard):
     # from eps_123 = +1 (labels): e1 x e3 = -e2
     a = cross_operator(Vec7.basis(2), standard)
-    assert a.mat @ Vec7.basis(0) == -Vec7.basis(1)
+    assert a @ Vec7.basis(0) == -Vec7.basis(1)
 
 
 def test_p_of_cross_operator_is_6v(frame):
@@ -73,7 +66,7 @@ def test_split_so7_cases(frame):
     assert g2part.is_zero() and vec == z
     g = rand_g2(rng, frame)
     g2part, vec = split_so7(g, frame)
-    assert vec.is_zero() and g2part.mat == g
+    assert vec.is_zero() and g2part == g
 
 
 def test_split_so7_random_roundtrip(frame):
@@ -81,18 +74,37 @@ def test_split_so7_random_roundtrip(frame):
     for _ in range(100):
         a = rand_skew(rng)
         g2part, vec = split_so7(a, frame)
-        a_v = cross_operator(vec, frame).mat
-        assert g2part.mat + a_v == a
-        assert frobenius(g2part.mat, a_v) == 0
+        a_v = cross_operator(vec, frame)
+        assert g2part + a_v == a
+        assert frobenius(g2part, a_v) == 0
         assert skew_to_vector(g2part, frame).is_zero()
         # idempotent: splitting the parts again changes nothing
-        assert split_so7(g2part.mat, frame)[1].is_zero()
+        assert split_so7(g2part, frame)[1].is_zero()
         assert split_so7(a_v, frame)[1] == vec
 
 
 def test_split_rejects_non_skew(frame):
     with pytest.raises(ValueError):
         split_so7(Mat7.identity(), frame)
+    # one diagonal entry is enough to leave so(7)
+    with pytest.raises(ValueError):
+        split_so7(cross_operator(Vec7.basis(0), frame) + Mat7.diag([1, 0, 0, 0, 0, 0, 0]), frame)
+    assert split_so7(Mat7.zero(), frame) == (Mat7.zero(), Vec7.zero())
+
+
+def test_so7_outputs_are_skew(frame):
+    # cross operators, brackets and g2 parts are plain Mat7 values; their
+    # skewness is an invariant of the kernels, not a run-time check
+    rng = Random(7)
+    for _ in range(30):
+        u, v = rand_vec(rng), rand_vec(rng)
+        assert cross_operator(u, frame).is_skew()
+        assert bracket_g2perp(u, v, frame).is_skew()
+        g2_of_skew = split_so7(rand_skew(rng), frame)[0]
+        g2_of_endo = decompose_endo(rand_mat(rng), frame).g2part
+        for g2part in (g2_of_skew, g2_of_endo):
+            assert g2part.is_skew()
+            assert skew_to_vector(g2part, frame).is_zero()
 
 
 def test_bracket_projection_identity(frame):
@@ -101,11 +113,11 @@ def test_bracket_projection_identity(frame):
     assert bracket_g2perp(u, u, frame).is_zero()
     for _ in range(200):
         u, v = rand_vec(rng), rand_vec(rng)
-        au = cross_operator(u, frame).mat
-        av = cross_operator(v, frame).mat
+        au = cross_operator(u, frame)
+        av = cross_operator(v, frame)
         comm = au @ av - av @ au
         got = bracket_g2perp(u, v, frame)
-        assert got.mat == cross_operator(cross(u, v, frame), frame).mat
+        assert got == cross_operator(cross(u, v, frame), frame)
         _, w = split_so7(comm, frame)
         assert w == cross(u, v, frame)
         assert skew_to_vector(comm, frame) == cross(u, v, frame).scale(6)
@@ -113,7 +125,7 @@ def test_bracket_projection_identity(frame):
 
 def test_bracket_e1e2_standard(standard):
     got = bracket_g2perp(Vec7.basis(0), Vec7.basis(1), standard)
-    assert got.mat == cross_operator(Vec7.basis(2), standard).mat
+    assert got == cross_operator(Vec7.basis(2), standard)
 
 
 def test_decompose_endo_special_inputs(frame):
@@ -121,7 +133,7 @@ def test_decompose_endo_special_inputs(frame):
     assert split.scalar == 1
     assert split.sym0.is_zero() and split.g2part.is_zero() and split.vector.is_zero()
     z = rand_vec(Random(5))
-    split = decompose_endo(cross_operator(z, frame).mat, frame)
+    split = decompose_endo(cross_operator(z, frame), frame)
     assert split.scalar == 0 and split.sym0.is_zero() and split.g2part.is_zero()
     assert split.vector == z
 
@@ -148,7 +160,7 @@ def test_part_maps_projection_quadruple(frame):
     # idempotent, pairwise annihilating, summing to the identity on End(R^7)
     for i in range(DIM):
         for j in range(DIM):
-            basis_mat = Mat7.from_rows(
+            basis_mat = Mat7(
                 [[Fraction(1 if (r, c) == (i, j) else 0) for c in range(DIM)] for r in range(DIM)]
             )
             parts = endo_part_maps(basis_mat, frame)
@@ -167,7 +179,7 @@ def test_part_dimensions_by_rank(frame):
     mats = [[], [], [], []]
     for i in range(DIM):
         for j in range(DIM):
-            basis_mat = Mat7.from_rows(
+            basis_mat = Mat7(
                 [[Fraction(1 if (r, c) == (i, j) else 0) for c in range(DIM)] for r in range(DIM)]
             )
             parts = endo_part_maps(basis_mat, frame)

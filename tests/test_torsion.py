@@ -20,39 +20,52 @@ from g2kit.torsion import (
     pure_vector_energy,
     pure_vector_report,
     torsion_energies,
-    torsion_from_endo,
 )
+
+
+def torsion_grid(t, frame):
+    """The torsion by its definition: grid[i][j] = xi_{e_i} e_j = e_j x T(e_i),
+    49 cross products."""
+    cols = t.columns()
+    return [[cross(Vec7.basis(j), cols[i], frame) for j in range(DIM)] for i in range(DIM)]
+
+
+def slice_operator(xi, i):
+    """The operator xi_{e_i} as the matrix with columns xi_{e_i} e_j."""
+    return Mat7.from_columns(xi[i])
+
+
+def trace_vector(xi):
+    return sum((xi[i][i] for i in range(DIM)), Vec7.zero())
 
 
 def test_torsion_tensor_structure(frame):
     rng = Random(0)
     t = rand_mat(rng)
-    xi = torsion_from_endo(t, frame)
+    xi = torsion_grid(t, frame)
     for i in range(DIM):
-        op = xi.slice_operator(i)
+        op = slice_operator(xi, i)
         assert op.is_skew()
-        assert op == cross_operator(t.column(i), frame).mat
+        assert op == cross_operator(t.column(i), frame)
         assert skew_to_vector(op, frame) == t.column(i).scale(6)
         for j in range(DIM):
-            assert xi.values[i][j] == cross(Vec7.basis(j), t.column(i), frame)
-    assert xi.trace_vector() == characteristic_vector(t, frame)
+            assert xi[i][j] == cross(Vec7.basis(j), t.column(i), frame)
+    assert trace_vector(xi) == characteristic_vector(t, frame)
 
 
 def test_torsion_zero_and_identity(frame):
-    assert all(
-        v.is_zero() for row in torsion_from_endo(Mat7.zero(), frame).values for v in row
-    )
-    xi = torsion_from_endo(Mat7.identity(), frame)
+    assert all(v.is_zero() for row in torsion_grid(Mat7.zero(), frame) for v in row)
+    xi = torsion_grid(Mat7.identity(), frame)
     for i in range(DIM):
         for j in range(DIM):
-            assert xi.values[i][j] == cross(Vec7.basis(j), Vec7.basis(i), frame)
+            assert xi[i][j] == cross(Vec7.basis(j), Vec7.basis(i), frame)
 
 
 def test_heisenberg_slice():
     _, frame, t = heisenberg_model()
-    xi = torsion_from_endo(t, frame)
-    expected = cross_operator(Vec7.basis(1).scale(Fraction(1, 6)), frame).mat
-    assert xi.slice_operator(0) == expected
+    xi = torsion_grid(t, frame)
+    expected = cross_operator(Vec7.basis(1).scale(Fraction(1, 6)), frame)
+    assert slice_operator(xi, 0) == expected
 
 
 def test_chi_cases(frame):
@@ -62,7 +75,7 @@ def test_chi_cases(frame):
 
     assert characteristic_vector(rand_g2(rng, frame), frame).is_zero()
     z = rand_vec(rng)
-    assert characteristic_vector(cross_operator(z, frame).mat, frame) == z.scale(-6)
+    assert characteristic_vector(cross_operator(z, frame), frame) == z.scale(-6)
 
 
 def test_chi_vanishes_iff_vector_part_vanishes(frame):
@@ -78,7 +91,7 @@ def test_chi_vanishes_iff_vector_part_vanishes(frame):
 def test_energies(frame):
     assert torsion_energies(Mat7.zero(), frame) == (0, 0, 0)
     z = rand_vec(Random(3))
-    chi_sq, alt_sq, sym_sq = torsion_energies(cross_operator(z, frame).mat, frame)
+    chi_sq, alt_sq, sym_sq = torsion_energies(cross_operator(z, frame), frame)
     assert chi_sq + alt_sq - sym_sq == 54 * z.norm_sq()
     rng = Random(4)
     for _ in range(100):
@@ -86,9 +99,9 @@ def test_energies(frame):
         chi_sq, alt_sq, sym_sq = torsion_energies(t, frame)
         assert chi_sq + alt_sq - sym_sq == i1(t, frame) - i2(t, frame)
         # sym and alt parts reconstruct xi: |xi|^2 = |sym|^2 + |alt|^2
-        xi = torsion_from_endo(t, frame)
+        xi = torsion_grid(t, frame)
         xi_sq = sum(
-            (xi.values[i][j].norm_sq() for i in range(DIM) for j in range(DIM)),
+            (xi[i][j].norm_sq() for i in range(DIM) for j in range(DIM)),
             Fraction(0),
         )
         assert xi_sq == alt_sq + sym_sq
@@ -98,8 +111,8 @@ def test_classify(frame):
     _, heis_frame, t_heis = heisenberg_model()
     assert sorted(classify(t_heis, heis_frame).flags) == ["X2"]
     z = rand_vec(Random(5))
-    assert sorted(classify(cross_operator(z, frame).mat, frame).flags) == ["X4"]
-    mixed = Mat7.identity().scale(Fraction(2)) + cross_operator(z, frame).mat
+    assert sorted(classify(cross_operator(z, frame), frame).flags) == ["X4"]
+    mixed = Mat7.identity().scale(Fraction(2)) + cross_operator(z, frame)
     assert sorted(classify(mixed, frame).flags) == ["X1", "X4"]
     assert classify(Mat7.zero(), frame).flags == frozenset()
 
@@ -129,7 +142,7 @@ def test_pointwise_prediction(frame):
     assert predicted_scalar_curvature(t, heis_frame) == -1
     z = rand_vec(Random(8))
     with pytest.raises(VectorClassPresent) as err:
-        predicted_scalar_curvature(cross_operator(z, frame).mat, frame)
+        predicted_scalar_curvature(cross_operator(z, frame), frame)
     assert err.value.vector == z
 
 
@@ -149,7 +162,7 @@ def test_hypersurface_identity(standard):
         # the expression is even, so both coupling signs agree
         assert hypersurface_identity_check(s.scale(-1)).lhs == rep.lhs
     with pytest.raises(ValueError):
-        hypersurface_identity_check(cross_operator(Vec7.basis(0), standard).mat)
+        hypersurface_identity_check(cross_operator(Vec7.basis(0), standard))
 
 
 def test_pure_vector_energy(frame):
