@@ -20,6 +20,16 @@ from g2kit.so7 import (
 )
 
 
+def test_skewmat_validates(standard):
+    # so(7) membership is checked where an outside matrix enters: is_skew on
+    # Mat7 and the guard in split_so7
+    assert not Mat7.identity().is_skew()
+    assert Mat7.zero().is_skew()
+    with pytest.raises(ValueError):
+        split_so7(Mat7.identity(), standard)
+    split_so7(Mat7.zero(), standard)
+
+
 def test_cross_operator_action(frame):
     rng = Random(0)
     v = rand_vec(rng)
