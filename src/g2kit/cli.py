@@ -260,7 +260,7 @@ def cmd_classify(cfg: RunConfig) -> tuple[int, dict]:
         "command": "classify",
         "config": cfg.to_dict(),
         "flags": sorted(cls.flags),
-        "split": endo_split_to_json(cls.split),
+        "split": endo_split_to_json(cls.split, cls.part_norms_sq),
         "invariants": inv.to_dict(),
         "chi": vec_to_json(characteristic_vector(t, frame)),
         "integrand": rational_str(integrand),
@@ -523,7 +523,7 @@ def run(cfg: RunConfig) -> tuple[int, str]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.trials < 1:
+    if args.command == "identities" and args.trials < 1:
         parser.error("--trials must be at least 1")
     cfg = RunConfig(
         command=args.command,

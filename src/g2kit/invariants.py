@@ -10,35 +10,43 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .frames import CheckReport, G2Frame
-from .linalg import DIM, UNIT, Mat7, int_matmul, integer_columns, integer_rows
+from .linalg import DIM, UNIT, Mat7, integer_columns, integer_rows
 from .so7 import decompose_endo
 
 
 def char_poly(t: Mat7) -> tuple[Fraction, ...]:
     """Coefficients (c_0, ..., c_7) of det(T - t I) = sum_i c_i t^i.
 
-    Computed by the Faddeev-LeVerrier trace recursion on the denominator-
-    scaled integer matrix; the recursion's divisions by the step index are
-    exact there, and the common denominator is restored per degree.
+    Computed by Berkowitz's division-free recursion on the denominator-scaled
+    integer matrix N = d T.  Step r borders the leading r-by-r block A with
+    the column S above and the row R left of the diagonal entry a_rr: the
+    coefficients of det(tI - .) of the bordered block are the lower-
+    triangular Toeplitz matrix with first column 1, -a_rr, -R S, -R A S,
+    ..., -R A^(r-1) S times those of A.  No step divides; the common
+    denominator is restored per degree at the end.
     """
     n_rows, d = integer_rows(t)
-    m = n_rows
-    c = [sum(m[i][i] for i in range(DIM))]
-    for k in range(2, DIM + 1):
-        shifted = [[m[i][j] - (c[-1] if i == j else 0) for j in range(DIM)] for i in range(DIM)]
-        m = int_matmul(n_rows, shifted)
-        tr = sum(m[i][i] for i in range(DIM))
-        if tr % k:
-            raise ArithmeticError(f"Faddeev-LeVerrier trace {tr} is not divisible by {k}")
-        c.append(tr // k)
-    # det(tI - N) = t^7 - c_1 t^6 - ... - c_7 for the integer matrix N = d T,
-    # so det(T - tI) = -t^7 + sum_k (c_k / d^k) t^{7-k}
+    # e = (1, e_1, ..., e_r) with det(tI - N_r) = sum_k e_k t^(r-k) for the
+    # leading r-by-r block N_r of N
+    e = [1]
+    for r in range(DIM):
+        block = [n_rows[i][:r] for i in range(r)]
+        row = n_rows[r][:r]
+        col = [n_rows[i][r] for i in range(r)]
+        toeplitz = [1, -n_rows[r][r]]
+        for k in range(r):
+            if k:
+                col = [sum(map(mul, b, col)) for b in block]
+            toeplitz.append(-sum(map(mul, row, col)))
+        e = [sum(toeplitz[i - j] * e[j] for j in range(min(i, r) + 1)) for i in range(r + 2)]
+    # det(tI - N) = sum_k e_k t^{7-k}, so det(T - tI) = -t^7 - sum_k (e_k / d^k) t^{7-k}
     coeffs = [Fraction(0)] * (DIM + 1)
     coeffs[DIM] = Fraction(-1)
     for k in range(1, DIM + 1):
-        coeffs[DIM - k] = Fraction(c[k - 1], d**k)
+        coeffs[DIM - k] = Fraction(-e[k], d**k)
     return tuple(coeffs)
 
 

@@ -101,8 +101,9 @@ def form_from_json(data) -> KForm:
     return KForm(degree, terms)
 
 
-def endo_split_to_json(split) -> dict:
-    norms = split.part_norms_sq()
+def endo_split_to_json(split, norms) -> dict:
+    """The split parts and their squared norms, `norms` being
+    ``split.part_norms_sq()`` as (scalar, sym0, g2, vector)."""
     return {
         "scalar": rational_str(split.scalar),
         "sym0": mat_to_json(split.sym0),

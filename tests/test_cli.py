@@ -6,7 +6,7 @@ import pytest
 from g2kit.cli import RunConfig, build_parser, main, run
 from g2kit.liealg import heisenberg_model
 from g2kit.serialize import mat_to_json
-from g2kit.so7 import cross_operator
+from g2kit.so7 import EndoSplit, cross_operator
 from g2kit.linalg import Vec7
 
 
@@ -35,6 +35,15 @@ def test_identities_trials_zero_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["identities", "--trials", "0"])
     assert exc.value.code == 2
+    assert "--trials must be at least 1" in capsys.readouterr().err
+
+
+def test_trials_is_not_checked_where_unread(tmp_path, capsys):
+    # only identities reads --trials
+    path = write_matrix(tmp_path, heisenberg_model()[2])
+    assert main(["tables", "--trials", "0"]) == 0
+    assert main(["classify", "--input", path, "--trials", "0"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_classify_heisenberg(tmp_path, capsys):
@@ -274,10 +283,18 @@ def test_classify_does_each_computation_once(tmp_path, monkeypatch, shape):
         "invariants.char_poly",
         "torsion.characteristic_vector",
     )
+    original = EndoSplit.part_norms_sq
+    counts["part_norms_sq"] = 0
+
+    def part_norms_sq(*args, **kwargs):
+        counts["part_norms_sq"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(EndoSplit, "part_norms_sq", part_norms_sq)
     code, out = run(RunConfig(command="classify", input_path=path, frame="cayley", fmt="json"))
     assert code == 0
     assert ("X4" in json.loads(out)["flags"]) == (shape == "vector")
-    assert set(counts.values()) == {1}
+    assert counts == dict.fromkeys(counts, 1)
 
 
 def test_classify_past_digit_limit_is_usage_error(tmp_path, capsys):

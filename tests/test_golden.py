@@ -32,6 +32,12 @@ CASES = {
     "classify-dense17-cayley.json": RunConfig(
         "classify", frame="cayley", input_path=f"{INPUTS}/dense17.json", fmt="json"
     ),
+    "classify-sym17-standard.json": RunConfig(
+        "classify", frame="standard", input_path=f"{INPUTS}/sym17.json", fmt="json"
+    ),
+    "classify-skew17-standard.json": RunConfig(
+        "classify", frame="standard", input_path=f"{INPUTS}/skew17.json", fmt="json"
+    ),
     "nilmanifold.json": RunConfig("nilmanifold", fmt="json"),
     "nilmanifold.txt": RunConfig("nilmanifold", fmt="text"),
     "nilmanifold-algebra-cayley.txt": RunConfig(

@@ -45,8 +45,14 @@ def test_char_poly_heisenberg():
 
 def test_char_poly_vs_minor_sum_oracle():
     rng = Random(0)
-    for _ in range(20):
-        t = rand_mat(rng)
+    mats = [rand_mat(rng) for _ in range(20)]
+
+    def wide():
+        return Fraction(rng.randint(-(2**17), 2**17), rng.randint(1, 2**17))
+
+    # 17-bit denominators, as in the classify-wide inputs
+    mats += [Mat7([[wide() for _ in range(DIM)] for _ in range(DIM)]) for _ in range(3)]
+    for t in mats:
         coeffs = char_poly(t)
         for k in range(8):
             assert sigma_from_char_poly(coeffs, k) == principal_minor_sum(t, k)

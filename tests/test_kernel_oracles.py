@@ -4,10 +4,12 @@ Each reference below is the earlier Fraction implementation, copied here
 unchanged in substance, so the integer routes are held to an independent
 oracle: the endomorphism split, the so(7) split, the characteristic vector,
 the cross-product axiom checks, the invariants i0 and i2, the torsion
-energies and the matrix samplers.  The references for i0, i2 and the
-torsion energies run their double sums of dense and basis cross products
-over the ``Fraction`` columns of T; the sampler references draw
-``Fraction`` entries with the same ``Random`` calls.
+energies, the characteristic polynomial and the matrix samplers.  The
+references for i0, i2 and the torsion energies run their double sums of
+dense and basis cross products over the ``Fraction`` columns of T; the
+characteristic-polynomial reference is the Faddeev-LeVerrier trace
+recursion on the integer grid; the sampler references draw ``Fraction``
+entries with the same ``Random`` calls.
 """
 
 from fractions import Fraction
@@ -17,8 +19,9 @@ from random import Random
 import pytest
 
 from g2kit.frames import CrossTable, G2Frame, _triple_failure, cross, validate_cross_axioms
-from g2kit.invariants import i0, i2
-from g2kit.linalg import DIM, UNIT, Mat7, Vec7, integer_vector
+from g2kit.invariants import char_poly, i0, i2
+from g2kit.liealg import heisenberg_model
+from g2kit.linalg import DIM, UNIT, Mat7, Vec7, int_matmul, integer_rows, integer_vector
 from g2kit.sampling import rand_g2, rand_mat, rand_skew, rand_symmetric, rand_vec
 from g2kit.so7 import cross_operator, decompose_endo, g2_basis, split_so7
 from g2kit.torsion import characteristic_vector, torsion_energies
@@ -118,6 +121,26 @@ def ref_torsion_energies(t: Mat7, frame) -> tuple[Fraction, Fraction, Fraction]:
             sym += sum((a + b) ** 2 for a, b in zip(xi[i][j], xi[j][i]))
             alt += sum((a - b) ** 2 for a, b in zip(xi[i][j], xi[j][i]))
     return sum(x * x for x in chi), alt / 4, sym / 4
+
+
+def ref_char_poly(t: Mat7) -> tuple[Fraction, ...]:
+    n_rows, d = integer_rows(t)
+    m = n_rows
+    c = [sum(m[i][i] for i in range(DIM))]
+    for k in range(2, DIM + 1):
+        shifted = [[m[i][j] - (c[-1] if i == j else 0) for j in range(DIM)] for i in range(DIM)]
+        m = int_matmul(n_rows, shifted)
+        tr = sum(m[i][i] for i in range(DIM))
+        if tr % k:
+            raise ArithmeticError(f"Faddeev-LeVerrier trace {tr} is not divisible by {k}")
+        c.append(tr // k)
+    # det(tI - N) = t^7 - c_1 t^6 - ... - c_7 for the integer matrix N = d T,
+    # so det(T - tI) = -t^7 + sum_k (c_k / d^k) t^{7-k}
+    coeffs = [Fraction(0)] * (DIM + 1)
+    coeffs[DIM] = Fraction(-1)
+    for k in range(1, DIM + 1):
+        coeffs[DIM - k] = Fraction(c[k - 1], d**k)
+    return tuple(coeffs)
 
 
 def ref_fraction(rng: Random, num: int = 9, den: int = 9) -> Fraction:
@@ -283,3 +306,55 @@ def test_rand_g2_matches_fraction_route(frame):
             assert m == expected and m.entries == expected.entries
             assert split_so7(m, frame)[1].is_zero()
         assert rng.random() == ref_rng.random()
+
+
+def wide_matrix(rng: Random, shape: str) -> Mat7:
+    m = [[Fraction(0)] * DIM for _ in range(DIM)]
+    for i in range(DIM):
+        for j in range(DIM):
+            if shape == "dense":
+                m[i][j] = wide_fraction(rng)
+            elif j > i or (j == i and shape == "symmetric"):
+                m[i][j] = wide_fraction(rng)
+                m[j][i] = m[i][j] if shape == "symmetric" else -m[i][j]
+    return Mat7(m)
+
+
+def zero_leading_block(rng: Random, size: int, whole_rows: bool = False) -> Mat7:
+    """A wide dense matrix whose leading size-by-size block is zero; with
+    `whole_rows`, its first `size` rows are zero."""
+    rows = [[wide_fraction(rng) for _ in range(DIM)] for _ in range(DIM)]
+    for i in range(size):
+        for j in range(DIM if whole_rows else size):
+            rows[i][j] = Fraction(0)
+    return Mat7(rows)
+
+
+@pytest.mark.parametrize("shape", ["dense", "symmetric", "skew"])
+def test_char_poly_matches_trace_recursion_on_wide_inputs(shape):
+    rng = Random(f"char_poly:{shape}")
+    for _ in range(8):
+        t = wide_matrix(rng, shape)
+        assert char_poly(t) == ref_char_poly(t)
+
+
+@pytest.mark.parametrize(
+    "sampler", [rand_mat, rand_symmetric, rand_skew], ids=["rand_mat", "rand_symmetric", "rand_skew"]
+)
+def test_char_poly_matches_trace_recursion_on_sampler_draws(sampler):
+    rng = Random(41)
+    for _ in range(30):
+        t = sampler(rng)
+        assert char_poly(t) == ref_char_poly(t)
+
+
+def test_char_poly_matches_trace_recursion_on_structured_inputs():
+    rng = Random(31)
+    nilpotent = Mat7([[wide_fraction(rng) if j > i else 0 for j in range(DIM)] for i in range(DIM)])
+    mats = [Mat7.zero(), Mat7.identity().scale(Fraction(7, 4)), heisenberg_model()[2], nilpotent]
+    mats += [zero_leading_block(rng, size) for size in (1, 2, 3)]
+    mats.append(zero_leading_block(rng, 3, whole_rows=True))
+    for t in mats:
+        assert char_poly(t) == ref_char_poly(t)
+    assert char_poly(nilpotent) == (0,) * DIM + (-1,)
+    assert char_poly(Mat7.zero()) == (0,) * DIM + (-1,)

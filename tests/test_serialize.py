@@ -70,7 +70,7 @@ def test_form_roundtrip(standard):
 def test_endo_split_schema(standard):
     rng = Random(1)
     split = decompose_endo(rand_mat(rng), standard)
-    data = endo_split_to_json(split)
+    data = endo_split_to_json(split, split.part_norms_sq())
     assert set(data) == {"scalar", "sym0", "g2part", "vector", "part_norms_sq"}
     assert set(data["part_norms_sq"]) == {"scalar", "sym0", "g2", "vector"}
 
