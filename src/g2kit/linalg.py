@@ -1,11 +1,13 @@
 """Exact rational vectors and matrices on R^7.
 
 No floating point is allowed anywhere.  A :class:`Vec7` holds
-:class:`fractions.Fraction` coordinates.  A :class:`Mat7` holds an integer
-grid over one positive common denominator, in lowest terms, so matrix
-arithmetic runs on plain integers; its ``Fraction`` entries are a view built
-on demand for the API and serialisation boundary.  Values are immutable and
-safe to share between threads.
+:class:`fractions.Fraction` coordinates; its dot products run over one
+integer denominator per vector.  A :class:`Mat7` holds an integer grid over
+one positive common denominator, in lowest terms, so matrix arithmetic runs
+on plain integers.  Serialisation reads and writes that grid directly
+(:func:`integer_rows`, :meth:`Mat7.from_ints`); the ``Fraction`` entries are
+a view built on demand for the API.  Values are immutable and safe to share
+between threads.
 
 Matrix convention: entries[i][j] is the coefficient of e_i in M(e_j), so a
 matrix acts on column vectors, ``(M @ v)[i] = sum_j M[i][j] v[j]``.
@@ -78,10 +80,13 @@ class Vec7:
     __rmul__ = scale
 
     def dot(self, other: Vec7) -> Fraction:
-        return sum((a * b for a, b in zip(self.coords, other.coords)), Fraction(0))
+        a, da = integer_vector(self.coords)
+        b, db = integer_vector(other.coords)
+        return Fraction(sum(map(mul, a, b)), da * db)
 
     def norm_sq(self) -> Fraction:
-        return self.dot(self)
+        a, d = integer_vector(self.coords)
+        return Fraction(sum(map(mul, a, a)), d * d)
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coords)
@@ -94,8 +99,9 @@ class Mat7:
     The form is canonical (den > 0 and gcd(den, all entries) == 1), so den
     is the least common denominator of the entries and ``==``/``hash``
     compare the grid directly.  Arithmetic runs on the integers and
-    normalises once per result; :attr:`entries` is a lazily built
-    ``Fraction`` view for the API and serialisation boundary.
+    normalises once per result, and serialisation prints and parses the
+    grid itself; :attr:`entries` is a lazily built ``Fraction`` view for the
+    API.
     """
 
     __slots__ = ("_rows", "_den", "_entries")

@@ -8,34 +8,52 @@ increasing indices.  A metric Lie algebra is ingested from
 
 Parsing accepts JSON numbers as well: integers directly, floats through
 ``Fraction(float)``, which is exact for the binary value in the file.
+
+Matrices cross the boundary as the integer grid of :class:`Mat7`, with no
+``Fraction`` per entry.  Printing divides each grid entry x and the common
+denominator d by gcd(x, d).  Parsing reads each entry as one integer pair
+(p, q) with :func:`rational_pair`: the plain ASCII spelling
+``[+-]digits[/digits]``, the one every report writes, goes through ``int()``;
+every other spelling and every non-string goes through :func:`parse_rational`
+(``Fraction(str)`` for strings), so the accepted set and the error messages
+are those of ``Fraction``.  The grid is then one ``lcm`` of the q and one
+:meth:`Mat7.from_ints`.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import sys
 from fractions import Fraction
+from math import gcd, isfinite, lcm
 
 from .forms import KForm
-from .linalg import DIM, Mat7, Vec7
+from .linalg import DIM, Mat7, Vec7, integer_rows
 
 
 class DigitLimitError(ValueError):
     """A value has an integer too long for Python's int/str conversion limit."""
 
 
-def rational_str(x: Fraction) -> str:
-    x = Fraction(x)
+def _digit_limit_error() -> DigitLimitError:
+    return DigitLimitError(
+        f"an exact value has more than {sys.get_int_max_str_digits()} digits, "
+        "past Python's int/str conversion limit"
+    )
+
+
+def rational_str(x: Fraction | int) -> str:
+    """"p/q", or "p" when q = 1, for a Fraction or an int (bools print as
+    ints).  Floats, and anything else without an exact numerator and
+    denominator, raise TypeError."""
     try:
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
+        p, q = x.numerator, x.denominator
+    except AttributeError:
+        raise TypeError(f"expected an exact rational, got {type(x).__name__}: {x!r}") from None
+    try:
+        return str(p) if q == 1 else f"{p}/{q}"
     except ValueError:
-        raise DigitLimitError(
-            f"an exact value has more than {sys.get_int_max_str_digits()} digits, "
-            "past Python's int/str conversion limit"
-        ) from None
+        raise _digit_limit_error() from None
 
 
 def parse_rational(value) -> Fraction:
@@ -50,10 +68,30 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
-        if not math.isfinite(value):
+        if not isfinite(value):
             raise ValueError(f"{value} is not a finite rational")
         return Fraction(value)
     raise TypeError(f"cannot parse rational from {type(value).__name__}: {value!r}")
+
+
+def rational_pair(value) -> tuple[int, int]:
+    """The rational value as integers (p, q) with q > 0, not necessarily in
+    lowest terms.  A plain ASCII ``[+-]digits[/digits]`` string with a
+    nonzero denominator is read with ``int()``; every other value goes
+    through :func:`parse_rational`, so it is accepted or rejected, with the
+    same message, exactly as there."""
+    if isinstance(value, str) and value.isascii():
+        num, slash, den = value.partition("/")
+        digits = num[1:] if num[:1] in ("+", "-") else num
+        # ASCII str.isdigit is [0-9]+: no sign, space or underscore
+        if digits.isdigit() and (not slash or den.isdigit()):
+            # numerator first, as Fraction does, for the same digit-limit error
+            p = int(digits)
+            q = int(den) if slash else 1
+            if q:
+                return (-p if num[0] == "-" else p), q
+    x = parse_rational(value)
+    return x.numerator, x.denominator
 
 
 def vec_to_json(v: Vec7) -> list[str]:
@@ -61,13 +99,24 @@ def vec_to_json(v: Vec7) -> list[str]:
 
 
 def vec_from_json(data) -> Vec7:
+    _typed(data, list, "a vector")
     if len(data) != DIM:
         raise ValueError(f"vector needs {DIM} entries, got {len(data)}")
     return Vec7(tuple(parse_rational(x) for x in data))
 
 
 def mat_to_json(m: Mat7) -> list[list[str]]:
-    return [[rational_str(x) for x in row] for row in m.entries]
+    rows, d = integer_rows(m)
+    try:
+        return [[_grid_entry_str(x, d) for x in row] for row in rows]
+    except ValueError:
+        raise _digit_limit_error() from None
+
+
+def _grid_entry_str(x: int, d: int) -> str:
+    """x / d in lowest terms, as rational_str prints it (d > 0)."""
+    g = gcd(x, d)
+    return str(x // g) if g == d else f"{x // g}/{d // g}"
 
 
 def mat_from_json(data) -> Mat7:
@@ -79,7 +128,9 @@ def mat_from_json(data) -> Mat7:
         and all(isinstance(row, list) and len(row) == DIM for row in data)
     ):
         raise ValueError(f"matrix needs a {DIM}x{DIM} grid of lists")
-    return Mat7(tuple(tuple(parse_rational(x) for x in row) for row in data))
+    pairs = [[rational_pair(x) for x in row] for row in data]
+    d = lcm(*(q for row in pairs for _, q in row))
+    return Mat7.from_ints([[p * (d // q) for p, q in row] for row in pairs], d)
 
 
 def form_to_json(a: KForm) -> dict:
@@ -93,10 +144,10 @@ def form_to_json(a: KForm) -> dict:
 
 
 def form_from_json(data) -> KForm:
-    degree = int(data["degree"])
+    degree = _integer(data["degree"])
     terms = {}
     for term in data.get("terms", []):
-        key = tuple(int(i) for i in term["indices"])
+        key = tuple(_index(i) for i in term["indices"])
         terms[key] = terms.get(key, Fraction(0)) + parse_rational(term["coeff"])
     return KForm(degree, terms)
 

@@ -38,6 +38,9 @@ CASES = {
     "classify-skew17-standard.json": RunConfig(
         "classify", frame="standard", input_path=f"{INPUTS}/skew17.json", fmt="json"
     ),
+    "classify-spellings-standard.json": RunConfig(
+        "classify", frame="standard", input_path=f"{INPUTS}/spellings.json", fmt="json"
+    ),
     "nilmanifold.json": RunConfig("nilmanifold", fmt="json"),
     "nilmanifold.txt": RunConfig("nilmanifold", fmt="text"),
     "nilmanifold-algebra-cayley.txt": RunConfig(

@@ -4,25 +4,31 @@ Each reference below is the earlier Fraction implementation, copied here
 unchanged in substance, so the integer routes are held to an independent
 oracle: the endomorphism split, the so(7) split, the characteristic vector,
 the cross-product axiom checks, the invariants i0 and i2, the torsion
-energies, the characteristic polynomial and the matrix samplers.  The
-references for i0, i2 and the torsion energies run their double sums of
-dense and basis cross products over the ``Fraction`` columns of T; the
-characteristic-polynomial reference is the Faddeev-LeVerrier trace
+energies, the characteristic polynomial, the matrix samplers and the matrix
+serialisation.  The references for i0, i2 and the torsion energies run their
+double sums of dense and basis cross products over the ``Fraction`` columns
+of T; the characteristic-polynomial reference is the Faddeev-LeVerrier trace
 recursion on the integer grid; the sampler references draw ``Fraction``
-entries with the same ``Random`` calls.
+entries with the same ``Random`` calls; the serialisation references print
+the ``Fraction`` view entry by entry and parse every entry with
+``parse_rational``.
 """
 
+import sys
 from fractions import Fraction
 from itertools import product
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g2kit.frames import CrossTable, G2Frame, _triple_failure, cross, validate_cross_axioms
 from g2kit.invariants import char_poly, i0, i2
 from g2kit.liealg import heisenberg_model
 from g2kit.linalg import DIM, UNIT, Mat7, Vec7, int_matmul, integer_rows, integer_vector
 from g2kit.sampling import rand_g2, rand_mat, rand_skew, rand_symmetric, rand_vec
+from g2kit.serialize import DigitLimitError, mat_from_json, mat_to_json, parse_rational, rational_pair
 from g2kit.so7 import cross_operator, decompose_endo, g2_basis, split_so7
 from g2kit.torsion import characteristic_vector, torsion_energies
 
@@ -358,3 +364,120 @@ def test_char_poly_matches_trace_recursion_on_structured_inputs():
         assert char_poly(t) == ref_char_poly(t)
     assert char_poly(nilpotent) == (0,) * DIM + (-1,)
     assert char_poly(Mat7.zero()) == (0,) * DIM + (-1,)
+
+
+def ref_rational_str(x) -> str:
+    x = Fraction(x)
+    try:
+        if x.denominator == 1:
+            return str(x.numerator)
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        raise DigitLimitError("past the int/str conversion limit") from None
+
+
+def ref_mat_to_json(m: Mat7) -> list[list[str]]:
+    return [[ref_rational_str(x) for x in row] for row in m.entries]
+
+
+def ref_mat_from_json(data) -> Mat7:
+    if isinstance(data, dict):
+        data = data.get("matrix")
+    if not (
+        isinstance(data, list)
+        and len(data) == DIM
+        and all(isinstance(row, list) and len(row) == DIM for row in data)
+    ):
+        raise ValueError(f"matrix needs a {DIM}x{DIM} grid of lists")
+    return Mat7(tuple(tuple(parse_rational(x) for x in row) for row in data))
+
+
+def outcome(parse, value):
+    """("ok", value) or ("error", exception type, message) of one parse."""
+    try:
+        return "ok", parse(value)
+    except (ValueError, TypeError) as exc:
+        return "error", type(exc), str(exc)
+
+
+def pair_value(value) -> Fraction:
+    p, q = rational_pair(value)
+    assert type(p) is int and type(q) is int and q > 0
+    return Fraction(p, q)
+
+
+def serialisation_matrices(frame, seed: int) -> list[Mat7]:
+    """Zero, identity, negative entries, 3-bit and 17-bit seeded grids, and
+    the sym0 and g2 parts of seeded splits in `frame`."""
+    rng = Random(seed)
+    small = [Mat7([[Fraction(rng.randint(-7, 7), rng.randint(1, 7)) for _ in range(DIM)] for _ in range(DIM)])
+             for _ in range(3)]
+    wide = [wide_matrix(rng, shape) for shape in ("dense", "symmetric", "skew")]
+    mats = [Mat7.zero(), Mat7.identity(), Mat7.identity().scale(Fraction(-9, 4)), -small[0]] + small + wide
+    for t in small + wide + [heisenberg_model()[2]]:
+        split = decompose_endo(t, frame)
+        mats += [split.sym0, split.g2part]
+    return mats
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_mat_json_matches_fraction_route(frame, seed):
+    for m in serialisation_matrices(frame, seed):
+        data = ref_mat_to_json(m)
+        assert mat_to_json(m) == data
+        assert mat_from_json(data) == ref_mat_from_json(data) == m
+        assert mat_from_json({"matrix": data}) == m
+
+
+def test_mat_from_json_matches_fraction_route_on_other_spellings():
+    rng = Random(5)
+    m = wide_matrix(rng, "dense")
+    # each entry p/q spelled k*p/(k*q), with a plus sign on some nonnegative numerators
+    unreduced = [
+        [f"{'+' if k % 2 and x >= 0 else ''}{x.numerator * k}/{x.denominator * k}" for k, x in enumerate(row, 2)]
+        for row in m.entries
+    ]
+    assert mat_from_json(unreduced) == ref_mat_from_json(unreduced) == m
+    mixed = [["2/4", "+3", " 5/10 ", "1.5", "1e2", "-0", "0/9"], [3, 0.5, "-6/4", "١٢", "1E-2", "-.5", "7"]]
+    mixed += [[str(i - j) for j in range(DIM)] for i in range(DIM - 2)]
+    assert mat_from_json(mixed) == ref_mat_from_json(mixed)
+    for bad in ("1/0", "3 /4", "1/-2", "²", "", "x", None, True, float("inf")):
+        data = [row[:] for row in mixed]
+        data[4][3] = bad
+        got = outcome(mat_from_json, data)
+        assert got[0] == "error" and got == outcome(ref_mat_from_json, data)
+
+
+@pytest.mark.parametrize(
+    "text, accepted",
+    [("3 /4", False), ("1/-2", False), ("²", False), ("١٢", True), ("-0", True), ("+7/14", True), ("1/0", False)]
+    + [("1_0", sys.version_info >= (3, 11))],
+)
+def test_rational_pair_spellings(text, accepted):
+    expected = outcome(parse_rational, text)
+    assert outcome(pair_value, text) == expected
+    assert (expected[0] == "ok") == accepted
+
+
+def test_rational_pair_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    for text in ("9" * (limit + 1), "-" + "9" * (limit + 1) + "/" + "7" * (limit + 2), "1/" + "3" * (limit + 5)):
+        expected = outcome(parse_rational, text)
+        assert expected[0] == "error"
+        assert outcome(pair_value, text) == expected
+
+
+# short strings over the characters, and strings shaped sign, numeral,
+# slash, sign, numeral, so that signs and slashes land next to digits often
+SIGN = st.sampled_from(["", "+", "-", " ", "+-"])
+NUMERAL = st.text(alphabet="0123456789 _.eE١²", max_size=4)
+SPELLINGS = st.one_of(
+    st.text(alphabet="0123456789 +-/._eE١²", max_size=8),
+    st.tuples(SIGN, NUMERAL, st.sampled_from(["", "/"]), SIGN, NUMERAL).map("".join),
+)
+
+
+@settings(derandomize=True, max_examples=600, deadline=None, database=None)
+@given(SPELLINGS)
+def test_rational_pair_agrees_with_parse_rational(text):
+    assert outcome(pair_value, text) == outcome(parse_rational, text)

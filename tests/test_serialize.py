@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -5,8 +6,10 @@ import pytest
 
 from g2kit.forms import KForm
 from g2kit.liealg import heisenberg_model
+from g2kit.linalg import Mat7
 from g2kit.sampling import rand_mat, rand_vec
 from g2kit.serialize import (
+    DigitLimitError,
     algebra_from_json,
     algebra_to_json,
     canonical_json,
@@ -27,6 +30,15 @@ def test_rational_str():
     assert rational_str(Fraction(3)) == "3"
     assert rational_str(Fraction(-1, 18)) == "-1/18"
     assert rational_str(Fraction(0)) == "0"
+
+
+def test_rational_str_prints_ints_and_rejects_floats():
+    assert rational_str(-7) == "-7"
+    assert (rational_str(True), rational_str(False)) == ("1", "0")
+    for x in (0.1, 0.5, 2.0):
+        # a float's binary value is not an exact input to print
+        with pytest.raises(TypeError):
+            rational_str(x)
 
 
 def test_parse_rational_strings_and_ints():
@@ -56,6 +68,35 @@ def test_vec_mat_roundtrip():
         vec_from_json(["1", "2"])
     with pytest.raises(ValueError):
         mat_from_json([["1"] * 7] * 6)
+
+
+def test_printing_past_the_digit_limit():
+    x = Fraction(1, 10 ** sys.get_int_max_str_digits())
+    with pytest.raises(DigitLimitError):
+        rational_str(x)
+    with pytest.raises(DigitLimitError):
+        mat_to_json(Mat7.diag([x] + [0] * 6))
+
+
+def test_vec_from_json_needs_a_list():
+    # a 7-character string is not read digit by digit
+    with pytest.raises(ValueError, match="must be a JSON list"):
+        vec_from_json("1234567")
+
+
+def test_form_from_json_rejects_a_non_integral_degree():
+    for degree in (2.9, True):
+        with pytest.raises(ValueError, match="expected an integer"):
+            form_from_json({"degree": degree, "terms": []})
+    assert form_from_json({"degree": 2.0, "terms": []}) == KForm.zero(2)
+
+
+def test_form_from_json_rejects_bool_and_fractional_indices():
+    for indices in ([True, 2], [0, 2.7], [True, 2.7]):
+        with pytest.raises(ValueError, match="expected an integer"):
+            form_from_json({"degree": 2, "terms": [{"indices": indices, "coeff": "1"}]})
+    a = form_from_json({"degree": 2, "terms": [{"indices": [1, 2.0], "coeff": "1"}]})
+    assert a == form_from_json({"degree": 2, "terms": [{"indices": [1, 2], "coeff": "1"}]})
 
 
 def test_form_roundtrip(standard):
