@@ -27,27 +27,124 @@ Convention notes, fixed once here:
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from math import lcm
+from itertools import chain, combinations
+from math import comb, gcd, lcm
+from operator import mul
 
 from .forms import (
     FORM,
+    TENSOR,
     KForm,
     all_increasing_tuples,
     form_inner,
     form_norm_sq,
     hodge,
+    integer_terms,
     interior,
     two_form_from_matrix,
     wedge,
 )
 from .frames import G2Frame, build_cayley_frame
-from .linalg import DIM, UNIT, LinearSystem, Mat7, Vec7, as_fraction, int_matmul, integer_columns, nullspace
+from .linalg import (
+    DIM,
+    UNIT,
+    LinearSystem,
+    Mat7,
+    Vec7,
+    as_fraction,
+    int_matmul,
+    integer_columns,
+    integer_rows,
+    nullspace,
+)
 from .so7 import cross_operator, g2_basis
 from .torsion import characteristic_vector, torsion_energies
+
+_R = range(DIM)
+
+
+def _grid3(values, what: str) -> tuple:
+    """A 7x7 grid of length-7 sequences as nested tuples; ValueError otherwise."""
+    grid = tuple(tuple(tuple(v) for v in row) for row in values)
+    if len(grid) != DIM or any(len(row) != DIM or any(len(v) != DIM for v in row) for row in grid):
+        raise ValueError(f"needs a 7x7 grid of {what}")
+    return grid
+
+
+def _scaled_grid3(values, what: str) -> tuple[tuple, int]:
+    """(d * values as a nested integer grid, d) for a 7x7 grid of length-7
+    sequences of rationals and their least common denominator d."""
+    grid = tuple(tuple(tuple(as_fraction(x) for x in v) for v in row) for row in _grid3(values, what))
+    d = lcm(*(x.denominator for x in chain.from_iterable(chain.from_iterable(grid))))
+    return tuple(tuple(tuple(x.numerator * (d // x.denominator) for x in v) for v in row) for row in grid), d
+
+
+def _vec7_grid(grid: tuple, d: int) -> tuple[tuple[Vec7, ...], ...]:
+    """The ``Vec7`` view of a 7x7 grid of integer vectors over d."""
+    return tuple(tuple(Vec7(tuple(Fraction(x, d) for x in v)) for v in row) for row in grid)
+
+
+def _lowest_terms(grid: tuple, d: int, depth: int) -> tuple[tuple, int]:
+    """A nested integer grid `depth` levels deep and d > 0, divided by their gcd."""
+    flat = grid
+    for _ in range(depth - 1):
+        flat = chain.from_iterable(flat)
+    g = gcd(d, *flat)
+    return (grid, d) if g == 1 else (_divide(grid, g, depth), d // g)
+
+
+def _divide(grid: tuple, g: int, depth: int) -> tuple:
+    if depth == 1:
+        return tuple(x // g for x in grid)
+    return tuple(_divide(v, g, depth - 1) for v in grid)
+
+
+class _IntegerGrid:
+    """Immutable base of the three integer grids of this module: a nested
+    integer grid over one positive denominator, with ``==``/``hash`` on the
+    values (the grid in lowest terms) and a ``Fraction`` view built on
+    first use."""
+
+    __slots__ = ()
+    _depth = 3  # nesting levels of the grid
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+    def _init(self, grid, d: int, *lazy: str):
+        object.__setattr__(self, "_grid", grid)
+        object.__setattr__(self, "_den", d)
+        for name in lazy:
+            object.__setattr__(self, name, None)
+        return self
+
+    def _cached(self, name: str, build):
+        value = getattr(self, name)
+        if value is None:
+            value = build()
+            object.__setattr__(self, name, value)
+        return value
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return _lowest_terms(self._grid, self._den, self._depth) == _lowest_terms(other._grid, other._den, self._depth)
+
+    def __hash__(self) -> int:
+        return hash(_lowest_terms(self._grid, self._den, self._depth))
+
+    def __reduce__(self):
+        return (type(self).from_ints, (self._grid, self._den))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}.from_ints({self._grid!r}, {self._den})"
 
 
 # ---------------------------------------------------------------------------
@@ -55,39 +152,72 @@ from .torsion import characteristic_vector, torsion_energies
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MetricLieAlgebra:
-    """Structure constants c^k_ij with [e_i, e_j] = sum_k c^k_ij e_k,
-    stored as a 7x7 grid of bracket vectors; the frame is orthonormal."""
+class MetricLieAlgebra(_IntegerGrid):
+    """Structure constants c^k_ij with [e_i, e_j] = sum_k c^k_ij e_k; the
+    frame is orthonormal.
 
-    brackets: tuple[tuple[Vec7, ...], ...]
+    They are stored as an integer grid C[i][j][k] = d c^k_ij over one
+    positive denominator d, in lowest terms, so the kernels of this module
+    run on plain integers.  :attr:`brackets`, the 7x7 grid of bracket
+    vectors, is a ``Vec7`` view built on first use.
+    """
 
-    def __post_init__(self):
-        if len(self.brackets) != DIM or any(len(row) != DIM for row in self.brackets):
-            raise ValueError("needs a 7x7 grid of bracket vectors")
-        for i in range(DIM):
-            for j in range(DIM):
-                if self.brackets[i][j] != -self.brackets[j][i]:
+    __slots__ = ("_grid", "_den", "_brackets")
+
+    def __new__(cls, brackets):
+        return MetricLieAlgebra.from_ints(*_scaled_grid3(brackets, "bracket vectors"))
+
+    @staticmethod
+    def from_ints(grid, d: int) -> MetricLieAlgebra:
+        """The algebra with c^k_ij = grid[i][j][k] / d for a 7x7x7 integer
+        grid, antisymmetric in (i, j), and an integer d > 0."""
+        grid = _grid3(grid, "bracket vectors")
+        if d <= 0:
+            raise ValueError(f"needs a positive denominator, got {d}")
+        # a failing pair (i, j) with i > j fails as (j, i) first, in row-major order
+        for i in _R:
+            for j in range(i, DIM):
+                if any(a != -b for a, b in zip(grid[i][j], grid[j][i])):
                     raise ValueError(f"brackets not antisymmetric at ({i},{j})")
+        return object.__new__(MetricLieAlgebra)._init(*_lowest_terms(grid, d, 3), "_brackets")
+
+    @staticmethod
+    def from_pairs(entries: dict) -> MetricLieAlgebra:
+        """Build from {(i, j): [(k, p, q), ...]}, each term adding p / q
+        (q > 0) to c^k_ij; antisymmetry is filled in."""
+        d = lcm(*(q for terms in entries.values() for _, _, q in terms))
+        grid = [[[0] * DIM for _ in _R] for _ in _R]
+        for (i, j), terms in entries.items():
+            if i == j:
+                raise ValueError("diagonal brackets must vanish")
+            for k, p, q in terms:
+                x = p * (d // q)
+                grid[i][j][k] += x
+                grid[j][i][k] -= x
+        return MetricLieAlgebra.from_ints(grid, d)
 
     @staticmethod
     def from_nonzero(entries: dict) -> MetricLieAlgebra:
         """Build from {(i, j): {k: coeff}} for i < j; antisymmetry is filled in."""
-        grid = [[Vec7.zero() for _ in range(DIM)] for _ in range(DIM)]
+        pairs = {}
         for (i, j), coeffs in entries.items():
             if i == j:
                 raise ValueError("diagonal brackets must vanish")
-            v = Vec7(tuple(as_fraction(coeffs.get(k, 0)) for k in range(DIM)))
-            grid[i][j] = grid[i][j] + v
-            grid[j][i] = grid[j][i] - v
-        return MetricLieAlgebra(tuple(tuple(row) for row in grid))
+            values = ((k, as_fraction(coeffs.get(k, 0))) for k in _R)
+            pairs[i, j] = [(k, x.numerator, x.denominator) for k, x in values if x]
+        return MetricLieAlgebra.from_pairs(pairs)
 
     @staticmethod
     def abelian() -> MetricLieAlgebra:
         return MetricLieAlgebra.from_nonzero({})
 
+    @property
+    def brackets(self) -> tuple[tuple[Vec7, ...], ...]:
+        """The bracket vectors [e_i, e_j] as a grid of ``Vec7``s."""
+        return self._cached("_brackets", lambda: _vec7_grid(self._grid, self._den))
+
     def c(self, i: int, j: int, k: int) -> Fraction:
-        return self.brackets[i][j][k]
+        return Fraction(self._grid[i][j][k], self._den)
 
     def bracket(self, u: Vec7, v: Vec7) -> Vec7:
         acc = Vec7.zero()
@@ -108,12 +238,12 @@ class MetricLieAlgebra:
         constants enter it.
         """
         nonzero = {}
-        for i, row in enumerate(self.brackets):
+        for i, row in enumerate(self._grid):
             for j, v in enumerate(row):
                 terms = [(a, x) for a, x in enumerate(v) if x]
                 if terms:
                     nonzero[i, j] = terms
-        for i, j, k in combinations(range(DIM), 3):
+        for i, j, k in combinations(_R, 3):
             total = [0] * DIM
             for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
                 for a, c in nonzero.get((x, y), ()):
@@ -124,19 +254,18 @@ class MetricLieAlgebra:
         return None
 
     def is_unimodular(self) -> bool:
-        return all(
-            sum((self.brackets[i][j][j] for j in range(DIM)), Fraction(0)) == 0
-            for i in range(DIM)
-        )
+        return all(sum(row[j][j] for j in _R) == 0 for row in self._grid)
 
     def nonzero_entries(self) -> list[tuple[int, int, int, Fraction]]:
-        out = []
-        for i in range(DIM):
-            for j in range(i + 1, DIM):
-                for k in range(DIM):
-                    if self.brackets[i][j][k] != 0:
-                        out.append((i, j, k, self.brackets[i][j][k]))
-        return out
+        d = self._den
+        return [
+            (i, j, k, Fraction(x, d))
+            for i, row in enumerate(self._grid)
+            for j in range(i + 1, DIM)
+            for k, x in enumerate(row[j])
+            if x
+        ]
+
 
 
 # ---------------------------------------------------------------------------
@@ -144,18 +273,37 @@ class MetricLieAlgebra:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConnectionTable:
-    """Gamma^k_ij with nabla_{e_i} e_j = sum_k Gamma^k_ij e_k."""
+class ConnectionTable(_IntegerGrid):
+    """Gamma^k_ij with nabla_{e_i} e_j = sum_k Gamma^k_ij e_k.
 
-    gamma: tuple[tuple[Vec7, ...], ...]
+    Stored as an integer grid G[i][j][k] = D Gamma^k_ij over one positive
+    denominator D, not necessarily in lowest terms (the Koszul connection
+    of an algebra over d comes over 2d); :attr:`gamma` is a ``Vec7`` view
+    built on first use.
+    """
+
+    __slots__ = ("_grid", "_den", "_gamma")
+
+    def __new__(cls, gamma):
+        return ConnectionTable.from_ints(*_scaled_grid3(gamma, "connection vectors"))
+
+    @staticmethod
+    def from_ints(grid, d: int) -> ConnectionTable:
+        """The connection with Gamma^k_ij = grid[i][j][k] / d, d > 0."""
+        if d <= 0:
+            raise ValueError(f"needs a positive denominator, got {d}")
+        return object.__new__(ConnectionTable)._init(_grid3(grid, "connection vectors"), d, "_gamma")
+
+    @property
+    def gamma(self) -> tuple[tuple[Vec7, ...], ...]:
+        return self._cached("_gamma", lambda: _vec7_grid(self._grid, self._den))
 
     def nabla(self, i: int, j: int) -> Vec7:
         return self.gamma[i][j]
 
     def operator(self, i: int) -> Mat7:
         """The skew operator nabla_{e_i} (column j is nabla_{e_i} e_j)."""
-        return Mat7.from_columns([self.gamma[i][j] for j in range(DIM)])
+        return Mat7.from_ints(tuple(zip(*self._grid[i])), self._den)
 
     def is_metric(self) -> bool:
         return all(self.operator(i).is_skew() for i in range(DIM))
@@ -168,54 +316,75 @@ class ConnectionTable:
         return None
 
     def nonzero_entries(self) -> list[tuple[int, int, int, Fraction]]:
-        out = []
-        for i in range(DIM):
-            for j in range(DIM):
-                for k in range(DIM):
-                    if self.gamma[i][j][k] != 0:
-                        out.append((i, j, k, self.gamma[i][j][k]))
-        return out
+        d = self._den
+        return [
+            (i, j, k, Fraction(x, d))
+            for i, row in enumerate(self._grid)
+            for j, v in enumerate(row)
+            for k, x in enumerate(v)
+            if x
+        ]
 
 
 def koszul(mla: MetricLieAlgebra) -> ConnectionTable:
     """Levi-Civita connection of the left-invariant metric:
-    2 Gamma^k_ij = c^k_ij - c^i_jk + c^j_ki (orthonormal frame)."""
+    2 Gamma^k_ij = c^k_ij - c^i_jk + c^j_ki (orthonormal frame), so the
+    integer grid of the algebra over d gives Gamma over 2d directly."""
     defect = mla.jacobi_defect()
     if defect is not None:
         raise ValueError(f"Jacobi identity fails on triple {defect}")
-    half = Fraction(1, 2)
-    gamma = tuple(
-        tuple(
-            Vec7(
-                tuple(
-                    half * (mla.c(i, j, k) - mla.c(j, k, i) + mla.c(k, i, j))
-                    for k in range(DIM)
-                )
-            )
-            for j in range(DIM)
-        )
-        for i in range(DIM)
+    c = mla._grid
+    grid = tuple(
+        tuple(tuple(c[i][j][k] - c[j][k][i] + c[k][i][j] for k in _R) for j in _R) for i in _R
     )
-    return ConnectionTable(gamma)
+    return ConnectionTable.from_ints(grid, 2 * mla._den)
 
 
-@dataclass(frozen=True)
-class CurvatureTensor:
-    """Components R_ijkl = <R(e_i, e_j) e_k, e_l>."""
+class CurvatureTensor(_IntegerGrid):
+    """Components R_ijkl = <R(e_i, e_j) e_k, e_l>.
 
-    components: tuple[tuple[tuple[tuple[Fraction, ...], ...], ...], ...]
+    Stored as the integer operators D R(e_i, e_j) (row l, column k holds
+    D R_ijkl) over one positive denominator D, not necessarily in lowest
+    terms; :attr:`components` is a ``Fraction`` view built on first use.
+    """
+
+    __slots__ = ("_grid", "_den", "_components")
+    _depth = 4
+
+    def __new__(cls, components):
+        if len(components) != DIM or any(len(row) != DIM for row in components):
+            raise ValueError("needs a 7x7 grid of 7x7 component blocks")
+        # operator (i, j) has row l, column k = R_ijkl
+        flat = [as_fraction(x) for row in components for block in row for r in zip(*block) for x in r]
+        d = lcm(*(x.denominator for x in flat))
+        ints = iter([x.numerator * (d // x.denominator) for x in flat])
+        return CurvatureTensor.from_ints([[[[next(ints) for _ in _R] for _ in _R] for _ in _R] for _ in _R], d)
+
+    @staticmethod
+    def from_ints(ops, d: int) -> CurvatureTensor:
+        """The tensor with R_ijkl = ops[i][j][l][k] / d, d > 0."""
+        if d <= 0:
+            raise ValueError(f"needs a positive denominator, got {d}")
+        ops = tuple(tuple(tuple(tuple(r) for r in op) for op in row) for row in ops)
+        return object.__new__(CurvatureTensor)._init(ops, d, "_components")
+
+    @property
+    def components(self) -> tuple[tuple[tuple[tuple[Fraction, ...], ...], ...], ...]:
+        d = self._den
+        return self._cached(
+            "_components",
+            lambda: tuple(
+                tuple(tuple(tuple(Fraction(x, d) for x in col) for col in zip(*op)) for op in row)
+                for row in self._grid
+            ),
+        )
 
     def value(self, i: int, j: int, k: int, l: int) -> Fraction:
-        return self.components[i][j][k][l]
+        return Fraction(self._grid[i][j][l][k], self._den)
 
     def operator(self, i: int, j: int) -> Mat7:
         """R(e_i, e_j) as a skew matrix."""
-        return Mat7(
-            tuple(
-                tuple(self.components[i][j][k][l] for k in range(DIM))
-                for l in range(DIM)
-            )
-        )
+        return Mat7.from_ints(self._grid[i][j], self._den)
 
     def symmetry_defects(self) -> list[str]:
         out = []
@@ -245,52 +414,49 @@ class CurvatureTensor:
 def curvature(conn: ConnectionTable, mla: MetricLieAlgebra) -> CurvatureTensor:
     """R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z.
 
-    The connection coefficients and structure constants are scaled to one
-    common denominator d, so with D_i = d nabla_{e_i} the operator
-    d^2 R(e_i, e_j) = [D_i, D_j] - sum_m (d c^m_ij) D_m runs over the
-    integers; each component is divided back exactly at the end.
+    The connection (over D) and the structure constants (over d) are read
+    over their common denominator L, which is D for koszul(mla).  With
+    N_i = L nabla_{e_i}, the operator L^2 R(e_i, e_j) = [N_i, N_j] -
+    sum_m (L c^m_ij) N_m runs over the nonzero integer entries only; it is
+    computed for i < j, since both terms are antisymmetric in (i, j).
     """
-    d = lcm(*(x.denominator for grid in (conn.gamma, mla.brackets) for row in grid for v in row for x in v))
-
-    def scaled(x: Fraction) -> int:
-        return x.numerator * (d // x.denominator)
-
-    # ops[i][l][k] = d Gamma^l_ik: row l, column k of D_i
-    ops = [[[scaled(conn.gamma[i][k][l]) for k in range(DIM)] for l in range(DIM)] for i in range(DIM)]
-    prods = [[int_matmul(a, b) for b in ops] for a in ops]
-    dd = d * d
-    zero = Fraction(0)
-    comps = []
-    for i in range(DIM):
-        row = []
-        for j in range(DIM):
-            op = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(prods[i][j], prods[j][i])]
-            for m, c in enumerate(mla.brackets[i][j]):
+    D, d = conn._den, mla._den
+    L = lcm(D, d)
+    f, g = L // D, L // d
+    # rows[i][l] = the nonzero (k, L Gamma^l_ik): row l of N_i
+    rows = [
+        [tuple((k, f * x) for k, x in enumerate(col) if x) for col in zip(*conn._grid[i])] for i in _R
+    ]
+    zero = ((0,) * DIM,) * DIM
+    ops = [[zero] * DIM for _ in _R]
+    for i in _R:
+        for j in range(i + 1, DIM):
+            op = [[0] * DIM for _ in _R]
+            for a, b, sign in ((rows[i], rows[j], 1), (rows[j], rows[i], -1)):
+                for out, arow in zip(op, a):
+                    for s, x in arow:
+                        for k, y in b[s]:
+                            out[k] += sign * x * y
+            for m, c in enumerate(mla._grid[i][j]):
                 if c:
-                    c = scaled(c)
-                    op = [[x - c * y for x, y in zip(r1, r2)] for r1, r2 in zip(op, ops[m])]
-            # R_ijkl is row l, column k of R(e_i, e_j)
-            row.append(tuple(tuple(Fraction(x, dd) if x else zero for x in col) for col in zip(*op)))
-        comps.append(tuple(row))
-    return CurvatureTensor(tuple(comps))
+                    c *= g
+                    for out, mrow in zip(op, rows[m]):
+                        for k, y in mrow:
+                            out[k] -= c * y
+            ops[i][j] = tuple(map(tuple, op))
+            ops[j][i] = tuple(tuple(-x for x in r) for r in op)
+    return object.__new__(CurvatureTensor)._init(tuple(map(tuple, ops)), L * L, "_components")
 
 
 def scalar_curvature(r: CurvatureTensor) -> Fraction:
-    return sum(
-        (r.components[i][j][j][i] for i in range(DIM) for j in range(DIM)),
-        Fraction(0),
-    )
+    """s = sum_ij R_ijji."""
+    return Fraction(sum(row[j][i][j] for i, row in enumerate(r._grid) for j in _R), r._den)
 
 
 def curvature_diagonal(r: CurvatureTensor) -> list[tuple[int, int, Fraction]]:
     """Nonzero sectional components R_ijji with their ordered index pairs."""
-    out = []
-    for i in range(DIM):
-        for j in range(DIM):
-            v = r.components[i][j][j][i]
-            if v != 0:
-                out.append((i, j, v))
-    return out
+    d = r._den
+    return [(i, j, Fraction(v, d)) for i, row in enumerate(r._grid) for j in _R if (v := row[j][i][j])]
 
 
 def g2perp_scalar_curvature(r: CurvatureTensor, frame: G2Frame) -> Fraction:
@@ -299,16 +465,17 @@ def g2perp_scalar_curvature(r: CurvatureTensor, frame: G2Frame) -> Fraction:
 
     The projection of R(e_i,e_j) is the cross operator of
     p(R(e_i,e_j)) / 6, so the summand is (1/6) <e_i x e_j, p(R(e_i,e_j))>,
-    evaluated componentwise from the operator entries M[b][c] = R_ijcb.
+    evaluated on the integer operator entries M[b][c] = R_ijcb.
     """
     table = frame.table
-    total = Fraction(0)
-    for i in range(DIM):
-        for j in range(DIM):
-            p = table.contract(tuple(zip(*r.components[i][j])))
-            # <e_i x e_j, p> = (e_j x p)_i
-            total += table.cross(UNIT[j], p)[i]
-    return total / 6
+    total = 0
+    for i, row in enumerate(r._grid):
+        for j, op in enumerate(row):
+            if i != j and any(map(any, op)):
+                p = table.contract(op)
+                # <e_i x e_j, p> = sum of eps_ija p_a over the slot of (i, j)
+                total += sum(s * p[a] for a, s in table.pair_slots(i, j))
+    return Fraction(total, 6 * r._den)
 
 
 def alt_scalar_curvature(t: Mat7, frame: G2Frame) -> Fraction:
@@ -390,24 +557,35 @@ def divergence_balance(t: Mat7, s_perp: Fraction, frame: G2Frame) -> DivergenceR
 
 
 def ce_differential(mla: MetricLieAlgebra, a: KForm) -> KForm:
-    """Chevalley-Eilenberg differential on invariant forms:
-    d a(X_0..X_k) = sum_{p<q} (-1)^{p+q} a([X_p, X_q], ..., no X_p, X_q)."""
+    """Chevalley-Eilenberg differential on invariant forms, applied as the
+    graded derivation with d e^m = -sum_{i<j} c^m_ij e^{ij}:
+    d(e^{k_0} ^ ... ^ e^{k_r}) = sum_p (-1)^p e^{k_0} ^ ... ^ d e^{k_p} ^ ... ^ e^{k_r}.
+
+    Only the nonzero structure constants enter.  Putting e^{ij} in slot p
+    of the remaining indices `rest` and sorting costs the sign
+    (-1)^(r_i + r_j), r_i being the number of indices in `rest` below i.
+    """
     if a.degree == DIM:
         raise ValueError("no degree-8 forms on a 7-dimensional algebra")
-    terms = {}
-    for key in all_increasing_tuples(a.degree + 1):
-        total = Fraction(0)
-        for p in range(len(key)):
-            for q in range(p + 1, len(key)):
-                rest = key[:p] + key[p + 1:q] + key[q + 1:]
-                bracket = mla.brackets[key[p]][key[q]]
-                sign = -1 if (p + q) % 2 else 1
-                for m in range(DIM):
-                    if bracket[m] != 0:
-                        total += sign * bracket[m] * a.coeff((m,) + rest)
-        if total != 0:
-            terms[key] = total
-    return KForm(a.degree + 1, terms)
+    grid = mla._grid
+    # d e^m as the nonzero (i, j, -d c^m_ij) over the algebra's denominator d
+    differentials = [[(i, j, -grid[i][j][m]) for i, j in combinations(_R, 2) if grid[i][j][m]] for m in _R]
+    num, den = integer_terms(a)
+    acc: dict[tuple[int, ...], int] = {}
+    for key, v in num.items():
+        for p, m in enumerate(key):
+            terms = differentials[m]
+            if not terms:
+                continue
+            rest = key[:p] + key[p + 1:]
+            for i, j, c in terms:
+                if i in rest or j in rest:
+                    continue
+                ri, rj = bisect(rest, i), bisect(rest, j)
+                new = rest[:ri] + (i,) + rest[ri:rj] + (j,) + rest[rj:]
+                x = c * v
+                acc[new] = acc.get(new, 0) + (-x if (p + ri + rj) % 2 else x)
+    return KForm.from_ints(a.degree + 1, acc, den * mla._den)
 
 
 def codifferential(mla: MetricLieAlgebra, a: KForm, orientation: int = 1) -> KForm:
@@ -421,26 +599,46 @@ def codifferential(mla: MetricLieAlgebra, a: KForm, orientation: int = 1) -> KFo
     return hodge(ce_differential(mla, hodge(a, orientation)), orientation).scale(sign)
 
 
-def derivation_action(a: Mat7, form: KForm) -> KForm:
-    """(a * form)(Y_1..Y_k) = sum_m form(Y_1, ..., a Y_m, ..., Y_k)."""
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for key, value in form.terms():
+def _derive(rows, num: dict) -> dict:
+    """Integer coefficients of A * form for the integer rows of A and the
+    integer coefficients of the form: the term at `key` feeds, from each
+    slot holding idx, every target l with weight A[idx][l], with the sign
+    (-1)^(pos + r) of moving l from slot pos to its sorted slot r."""
+    targets = [tuple((l, c) for l, c in enumerate(row) if c) for row in rows]
+    acc: dict[tuple[int, ...], int] = {}
+    for key, v in num.items():
         for pos, idx in enumerate(key):
-            # the stored index idx sits in a covariant slot, so the term at
-            # idx feeds every target l with weight (a e_l)_idx = a[idx][l]
-            for l in range(DIM):
-                c = a.entries[idx][l]
-                if c == 0:
+            rest = key[:pos] + key[pos + 1:]
+            for l, c in targets[idx]:
+                if l in rest:
                     continue
-                newkey = key[:pos] + (l,) + key[pos + 1:]
-                acc[newkey] = acc.get(newkey, Fraction(0)) + c * value
-    return KForm(form.degree, acc)
+                r = bisect(rest, l)
+                new = rest[:r] + (l,) + rest[r:]
+                x = c * v
+                acc[new] = acc.get(new, 0) + (-x if (pos + r) % 2 else x)
+    return acc
+
+
+def derivation_action(a: Mat7, form: KForm) -> KForm:
+    """(a * form)(Y_1..Y_k) = sum_m form(Y_1, ..., a Y_m, ..., Y_k).
+
+    The stored index idx sits in a covariant slot, so the term at idx feeds
+    every target l with weight (a e_l)_idx = a[idx][l]."""
+    rows, d = integer_rows(a)
+    num, den = integer_terms(form)
+    return KForm.from_ints(form.degree, _derive(rows, num), d * den)
 
 
 def nabla_form(conn: ConnectionTable, a: KForm) -> tuple[KForm, ...]:
     """Covariant derivatives (nabla_{e_0} a, ..., nabla_{e_6} a) of an
-    invariant form: (nabla_{e_i} a)(Y...) = -sum_m a(..., nabla_{e_i} Y_m, ...)."""
-    return tuple(-derivation_action(conn.operator(i), a) for i in range(DIM))
+    invariant form: (nabla_{e_i} a)(Y...) = -sum_m a(..., nabla_{e_i} Y_m, ...),
+    the derivation action of -nabla_{e_i}, whose row idx holds
+    -Gamma^idx_il in column l."""
+    num, den = integer_terms(a)
+    d = conn._den * den
+    return tuple(
+        KForm.from_ints(a.degree, _derive([[-x for x in col] for col in zip(*g)], num), d) for g in conn._grid
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -452,19 +650,42 @@ class TorsionSolveError(ValueError):
     pass
 
 
-def _form_coords(a: KForm, degree: int) -> list[Fraction]:
-    return [a.coeff(key) for key in all_increasing_tuples(degree)]
+@lru_cache(maxsize=None)
+def _key_index(degree: int) -> dict[tuple[int, ...], int]:
+    return {key: n for n, key in enumerate(all_increasing_tuples(degree))}
+
+
+def _form_coords(a: KForm, degree: int) -> list[int]:
+    """Coefficients of a on the increasing monomials of `degree`, in order,
+    as integers over a's denominator."""
+    coords = [0] * comb(DIM, degree)
+    index = _key_index(degree)
+    for key, v in integer_terms(a)[0].items():
+        coords[index[key]] = v
+    return coords
+
+
+def _system(columns, degree: int) -> LinearSystem:
+    """The linear system whose columns are the coordinates of the given forms."""
+    cols = []
+    for f in columns:
+        d = integer_terms(f)[1]
+        cols.append([Fraction(x, d) for x in _form_coords(f, degree)])
+    return LinearSystem(list(zip(*cols)))
+
+
+def _common_coords(forms, degree: int) -> tuple[list[list[int]], int]:
+    """The coordinates of each form over one common denominator."""
+    dens = [integer_terms(f)[1] for f in forms]
+    d = lcm(*dens)
+    return [[x * (d // df) for x in _form_coords(f, degree)] for f, df in zip(forms, dens)], d
 
 
 @lru_cache(maxsize=None)
 def _cross_action_system(table, orientation) -> LinearSystem:
     """The 35x7 system of v -> (cross operator of v) * phi, reduced once per frame."""
     frame = G2Frame.from_table(table, orientation)
-    cols = [
-        _form_coords(derivation_action(cross_operator(Vec7.basis(k), frame), frame.phi), 3)
-        for k in range(DIM)
-    ]
-    return LinearSystem(list(zip(*cols)))
+    return _system([derivation_action(cross_operator(Vec7.basis(k), frame), frame.phi) for k in _R], 3)
 
 
 def torsion_endo_from_geometry(nphi: tuple[KForm, ...], frame: G2Frame) -> Mat7:
@@ -474,18 +695,32 @@ def torsion_endo_from_geometry(nphi: tuple[KForm, ...], frame: G2Frame) -> Mat7:
     Each slice is an exact overdetermined linear solve against one system
     per frame; for a metric connection the system is consistent with zero
     residual, and the resulting T reproduces the tabulated endomorphism of
-    the built-in nilmanifold model.
+    the built-in nilmanifold model.  The slices share one denominator, so
+    their integer solutions are the columns of T over one denominator too.
     """
     system = _cross_action_system(frame.table, frame.orientation)
+    coords, d = _common_coords(nphi, 3)
     cols = []
-    for i in range(DIM):
-        sol = system.solve(_form_coords(nphi[i], 3))
+    for i, b in enumerate(coords):
+        sol = system.solve_ints(b, d)
         if sol is None:
             raise TorsionSolveError(
                 f"slice {i}: nabla_phi does not lie in the cross-operator orbit of phi"
             )
-        cols.append(Vec7(tuple(sol)))
-    return Mat7.from_columns(cols)
+        cols.append(sol[0])
+    return Mat7.from_ints(tuple(zip(*cols)), sol[1])
+
+
+# the 3-form pairing in each convention, as a multiple of the "form" one
+_PAIRING_WEIGHT_3 = {FORM: 1, TENSOR: 6}
+
+
+@lru_cache(maxsize=None)
+def _dual_coords(table, orientation) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Coordinates of e_y -| (-star_phi) for y = 0..6 over one denominator."""
+    star = -G2Frame.from_table(table, orientation).star_phi
+    coords, d = _common_coords([interior(Vec7.basis(y), star) for y in _R], 3)
+    return tuple(map(tuple, coords)), d
 
 
 def r_map(nphi: tuple[KForm, ...], frame: G2Frame, convention: str = FORM) -> Mat7:
@@ -499,10 +734,12 @@ def r_map(nphi: tuple[KForm, ...], frame: G2Frame, convention: str = FORM) -> Ma
     algebra, for both built-in frames, and it reproduces the tabulated
     r = (1/2)(e^01 - e^46) of the built-in nilmanifold model.
     """
-    star = -frame.star_phi
-    duals = [interior(Vec7.basis(y), star) for y in range(DIM)]
-    quarter = Fraction(1, 4)
-    return Mat7(tuple(tuple(quarter * form_inner(a, b, convention) for b in duals) for a in nphi))
+    if convention not in _PAIRING_WEIGHT_3:
+        raise ValueError(f"unknown convention {convention!r}")
+    weight = _PAIRING_WEIGHT_3[convention]
+    duals, dd = _dual_coords(frame.table, frame.orientation)
+    coords, d = _common_coords(nphi, 3)
+    return Mat7.from_ints([[weight * sum(map(mul, a, b)) for b in duals] for a in coords], 4 * d * dd)
 
 
 @dataclass(frozen=True)
@@ -528,7 +765,7 @@ def geometry_torsion_report(nphi: tuple[KForm, ...], frame: G2Frame) -> Geometry
     t = torsion_endo_from_geometry(nphi, frame)
     matched = None
     r_form = r_map(nphi, frame, FORM)
-    for convention in (FORM, "tensor"):
+    for convention in (FORM, TENSOR):
         grid = r_form if convention == FORM else r_map(nphi, frame, convention)
         candidate = grid.transpose().scale(Fraction(1, 3))
         if candidate == t:
@@ -560,7 +797,7 @@ def _lambda3_27_forms(table, orientation) -> tuple[KForm, ...]:
             row.append(wedge(KForm.monomial(key), frame.phi).coeff(target))
         rows.append(row)
     # gamma ^ star_phi = 0 (1 equation in Lambda^7)
-    target = tuple(range(DIM))
+    target = tuple(_R)
     rows.append([wedge(KForm.monomial(key), frame.star_phi).coeff(target) for key in keys3])
     basis = nullspace(rows)
     out = []
@@ -574,10 +811,10 @@ def _lambda4_system(table, orientation) -> LinearSystem:
     """Lambda^4 against {star_phi} + {e^i ^ phi} + {star(27-part basis)}:
     35 equations in 35 unknowns, reduced once per frame."""
     frame = G2Frame.from_table(table, orientation)
-    cols = [_form_coords(frame.star_phi, 4)]
-    cols += [_form_coords(wedge(KForm.monomial((i,)), frame.phi), 4) for i in range(DIM)]
-    cols += [_form_coords(hodge(gamma, orientation), 4) for gamma in _lambda3_27_forms(table, orientation)]
-    return LinearSystem(list(zip(*cols)))
+    cols = [frame.star_phi]
+    cols += [wedge(KForm.monomial((i,)), frame.phi) for i in _R]
+    cols += [hodge(gamma, orientation) for gamma in _lambda3_27_forms(table, orientation)]
+    return _system(cols, 4)
 
 
 @lru_cache(maxsize=None)
@@ -585,9 +822,22 @@ def _lambda5_system(table, orientation) -> LinearSystem:
     """Lambda^5 against {e^i ^ star_phi} + {(14-part basis) ^ phi}:
     21 equations in 21 unknowns, reduced once per frame."""
     frame = G2Frame.from_table(table, orientation)
-    cols = [_form_coords(wedge(KForm.monomial((i,)), frame.star_phi), 5) for i in range(DIM)]
-    cols += [_form_coords(wedge(beta, frame.phi), 5) for beta in _lambda2_14_forms(table)]
-    return LinearSystem(list(zip(*cols)))
+    cols = [wedge(KForm.monomial((i,)), frame.star_phi) for i in _R]
+    cols += [wedge(beta, frame.phi) for beta in _lambda2_14_forms(table)]
+    return _system(cols, 5)
+
+
+def _combination(basis: tuple[KForm, ...], coeffs: list[int], d: int, degree: int) -> KForm:
+    """sum_a (coeffs[a] / d) basis[a] for integer coefficients and d > 0."""
+    terms = [integer_terms(f) for f in basis]
+    common = lcm(*(df for _, df in terms))
+    acc: dict[tuple[int, ...], int] = {}
+    for c, (num, df) in zip(coeffs, terms):
+        if c:
+            c *= common // df
+            for key, v in num.items():
+                acc[key] = acc.get(key, 0) + c * v
+    return KForm.from_ints(degree, acc, common * d)
 
 
 @dataclass(frozen=True)
@@ -649,33 +899,23 @@ def torsion_forms(mla: MetricLieAlgebra, frame: G2Frame, convention: str = FORM)
     dphi = ce_differential(mla, frame.phi)
     dstar = ce_differential(mla, frame.star_phi)
 
-    gamma_basis = _lambda3_27_forms(frame.table, frame.orientation)
-    beta_basis = _lambda2_14_forms(frame.table)
-
     # system 1: Lambda^4, 35 unknowns
-    sol4 = _lambda4_system(frame.table, frame.orientation).solve(_form_coords(dphi, 4))
+    sol4 = _lambda4_system(frame.table, frame.orientation).solve_ints(_form_coords(dphi, 4), integer_terms(dphi)[1])
     if sol4 is None:
         raise TorsionSolveError("d phi is not compatible with the 1+7+27 split")
-
-    tau0 = sol4[0]
-    tau1 = KForm(1, {(i,): sol4[1 + i] / 3 for i in range(DIM)})
-    tau3 = KForm.zero(3)
-    for a, gamma in enumerate(gamma_basis):
-        if sol4[8 + a] != 0:
-            tau3 = tau3 + gamma.scale(sol4[8 + a])
+    x, d4 = sol4
+    tau0 = Fraction(x[0], d4)
+    tau1 = KForm.from_ints(1, {(i,): x[1 + i] for i in _R}, 3 * d4)
+    tau3 = _combination(_lambda3_27_forms(frame.table, frame.orientation), x[8:], d4, 3)
 
     # system 2: Lambda^5, 21 unknowns
-    sol5 = _lambda5_system(frame.table, frame.orientation).solve(_form_coords(dstar, 5))
+    sol5 = _lambda5_system(frame.table, frame.orientation).solve_ints(_form_coords(dstar, 5), integer_terms(dstar)[1])
     if sol5 is None:
         raise TorsionSolveError("d star_phi is not compatible with the 7+14 split")
-
-    tau1_bis = KForm(1, {(i,): sol5[i] / 4 for i in range(DIM)})
-    if tau1_bis != tau1:
+    y, d5 = sol5
+    if KForm.from_ints(1, {(i,): y[i] for i in _R}, 4 * d5) != tau1:
         raise TorsionSolveError("the one-form parts of d phi and d star_phi disagree")
-    tau2 = KForm.zero(2)
-    for b, beta in enumerate(beta_basis):
-        if sol5[7 + b] != 0:
-            tau2 = tau2 + beta.scale(sol5[7 + b])
+    tau2 = _combination(_lambda2_14_forms(frame.table), y[7:], d5, 2)
 
     return TorsionForms(tau0=tau0, tau1=tau1, tau2=tau2, tau3=tau3, convention=convention)
 

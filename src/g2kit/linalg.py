@@ -346,11 +346,11 @@ class LinearSystem:
 
     [A | I] is reduced once with :func:`rref`.  The rows with a pivot in A
     carry the transform E (E A = rref(A)), the others span the left null
-    space of A; both are kept as integer rows.  :meth:`solve` then costs one
-    integer matrix-vector product plus a consistency check, and returns
-    exactly what reducing [A | b] would give.  (Reducing past the A columns
-    changes the E rows only by left-null rows, which vanish on every
-    consistent b.)
+    space of A; both are kept as integer rows, the transform over one
+    common denominator.  :meth:`solve_ints` then costs one integer
+    matrix-vector product plus a consistency check, and returns exactly
+    what reducing [A | b] would give.  (Reducing past the A columns changes
+    the E rows only by left-null rows, which vanish on every consistent b.)
     """
 
     def __init__(self, rows: list[list[Fraction]]):
@@ -359,8 +359,21 @@ class LinearSystem:
         reduced, pivots = rref([list(r) + [Fraction(int(i == k)) for k in range(nrows)] for i, r in enumerate(rows)])
         r = sum(1 for c in pivots if c < ncols)
         self.pivots = tuple(pivots[:r])
-        self._transform = tuple(integer_vector(row[ncols:]) for row in reduced[:r])
+        transform = [integer_vector(row[ncols:]) for row in reduced[:r]]
+        self._den = d = lcm(*(dr for _, dr in transform))
+        self._transform = tuple(tuple(x * (d // dr) for x in row) for row, dr in transform)
         self._left_null = tuple(integer_vector(row[ncols:])[0] for row in reduced[r:])
+
+    def solve_ints(self, b, db: int) -> tuple[list[int], int] | None:
+        """One exact solution of A x = b / db for integers b and db > 0, as
+        (integers x, their common denominator), or None when inconsistent.
+        The denominator is not reduced."""
+        if any(sum(map(mul, row, b)) for row in self._left_null):
+            return None
+        x = [0] * self.ncols
+        for pc, row in zip(self.pivots, self._transform):
+            x[pc] = sum(map(mul, row, b))
+        return x, self._den * db
 
     def solve(self, rhs) -> list[Fraction] | None:
         """One exact solution of A x = b, or None when inconsistent.
@@ -368,13 +381,11 @@ class LinearSystem:
         Free variables are set to zero; for the square nonsingular systems
         used in this package the solution is unique.
         """
-        b, db = integer_vector(rhs)
-        if any(sum(map(mul, row, b)) for row in self._left_null):
+        sol = self.solve_ints(*integer_vector(rhs))
+        if sol is None:
             return None
-        x = [Fraction(0)] * self.ncols
-        for pc, (row, d) in zip(self.pivots, self._transform):
-            x[pc] = Fraction(sum(map(mul, row, b)), d * db)
-        return x
+        x, d = sol
+        return [Fraction(v, d) for v in x]
 
 
 def det(rows: list[list[Fraction]]) -> Fraction:

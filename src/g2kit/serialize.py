@@ -16,15 +16,17 @@ denominator d by gcd(x, d).  Parsing reads each entry as one integer pair
 ``[+-]digits[/digits]``, the one every report writes, goes through ``int()``;
 every other spelling and every non-string goes through :func:`parse_rational`
 (``Fraction(str)`` for strings), so the accepted set and the error messages
-are those of ``Fraction``.  The grid is then one ``lcm`` of the q and one
-:meth:`Mat7.from_ints`.
+are those of ``Fraction``, except that digit underscores are rejected on
+every Python version.  The grid is then one ``lcm`` of the q and one
+:meth:`Mat7.from_ints`; algebra coefficients take the same route into the
+integer grid of :class:`~g2kit.liealg.MetricLieAlgebra`.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_string
 from math import gcd, isfinite, lcm
 
 from .forms import KForm
@@ -57,10 +59,17 @@ def rational_str(x: Fraction | int) -> str:
 
 
 def parse_rational(value) -> Fraction:
-    """Parse a rational; zero denominators and non-finite floats raise ValueError."""
+    """Parse a rational; zero denominators and non-finite floats raise ValueError.
+
+    Strings are read by ``Fraction``, except that digit underscores
+    ("1_000"), which ``Fraction`` accepts from Python 3.11 on, are rejected
+    on every version with the message older versions give."""
     if isinstance(value, str):
+        text = value.strip()
+        if "_" in text:
+            raise ValueError(f"Invalid literal for Fraction: {text!r}")
         try:
-            return Fraction(value.strip())
+            return Fraction(text)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
     if isinstance(value, bool):
@@ -183,22 +192,22 @@ def algebra_to_json(mla) -> dict:
 def algebra_from_json(data):
     """Parse the algebra schema.  Objects and lists must have the schema's
     JSON types; indices and dim are integers, given as JSON integers or as
-    integer strings (coefficient keys are always strings)."""
+    integer strings (coefficient keys are always strings).  Coefficients
+    are read as integer pairs with :func:`rational_pair` and go straight to
+    the algebra's integer grid."""
     from .liealg import MetricLieAlgebra
 
     data = _typed(data, dict, "an algebra")
     if _integer(data.get("dim", DIM)) != DIM:
         raise ValueError("only dimension 7 is supported")
-    entries = {}
+    entries: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
     for b in _typed(data.get("brackets", []), list, "brackets"):
         b = _typed(b, dict, "a bracket")
         i, j = _index(b["i"]), _index(b["j"])
-        coeffs = {_index(k): parse_rational(v) for k, v in _typed(b.get("coeffs", {}), dict, "coeffs").items()}
-        key = (i, j)
-        acc = entries.setdefault(key, {})
-        for k, v in coeffs.items():
-            acc[k] = acc.get(k, Fraction(0)) + v
-    return MetricLieAlgebra.from_nonzero(entries)
+        terms = entries.setdefault((i, j), [])
+        for k, v in _typed(b.get("coeffs", {}), dict, "coeffs").items():
+            terms.append((_index(k), *rational_pair(v)))
+    return MetricLieAlgebra.from_pairs(entries)
 
 
 def _typed(value, kind: type, what: str):
@@ -225,5 +234,44 @@ def _index(value) -> int:
 
 
 def canonical_json(obj) -> str:
-    """Deterministic rendering used for every report."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Deterministic rendering used for every report: the bytes of
+    ``json.dumps(obj, sort_keys=True, indent=2)`` and a newline.
+
+    With ``indent`` set, ``json.dumps`` runs its pure-Python encoder, so
+    the report's value types (dicts with string keys, lists, tuples,
+    strings, ints, bools and None) are written here instead, with the C
+    string escaper; any other value raises TypeError.
+    """
+    return _json_text(obj, "\n") + "\n"
+
+
+def _json_text(obj, newline: str) -> str:
+    """The indented JSON text of obj; `newline` is a newline and the
+    current indentation."""
+    if isinstance(obj, str):
+        return _json_string(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        if not all(isinstance(key, str) for key in obj):
+            raise TypeError(f"report keys must be strings, got {obj!r}")
+        items = [
+            _json_string(key) + ": " + (_json_string(value) if type(value) is str else _json_text(value, inner))
+            for key, value in sorted(obj.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [_json_string(item) if type(item) is str else _json_text(item, inner) for item in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    raise TypeError(f"{type(obj).__name__} is not a report value: {obj!r}")

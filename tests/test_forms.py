@@ -14,7 +14,6 @@ from g2kit.forms import (
     hodge,
     interior,
     matrix_from_two_form,
-    one_form,
     sort_with_sign,
     two_form_from_matrix,
     wedge,
@@ -51,6 +50,18 @@ def test_degree_bounds():
         KForm(8, {})
     with pytest.raises(ValueError):
         KForm(2, {(0, 9): 1})
+
+
+def test_from_ints_is_canonical_and_checks_its_keys():
+    a = KForm.from_ints(2, {(0, 1): 6, (2, 5): -4, (3, 4): 0}, 8)
+    assert a == KForm(2, {(0, 1): Fraction(3, 4), (2, 5): Fraction(-1, 2)})
+    assert a.terms() == (((0, 1), Fraction(3, 4)), ((2, 5), Fraction(-1, 2)))
+    assert KForm.from_ints(1, {(3,): 0}, 5) == KForm.zero(1)
+    for terms, d in (({(1, 0): 1}, 1), ({(1, 1): 1}, 1), ({(0, 7): 1}, 1), ({(0,): 1}, 1), ({(0, 1): 1}, 0)):
+        with pytest.raises(ValueError):
+            KForm.from_ints(2, terms, d)
+    with pytest.raises(AttributeError):
+        a.degree = 3
 
 
 def test_wedge_alternation_and_anticommutativity():
@@ -110,7 +121,8 @@ def test_interior_adjoint_to_wedge_with_one_form():
         x = rand_vec(rng)
         a = rand_form(rng, k)
         b = rand_form(rng, k - 1)
-        assert form_inner(interior(x, a), b) == form_inner(a, wedge(one_form(x), b))
+        x_flat = KForm(1, {(i,): x[i] for i in range(DIM)})
+        assert form_inner(interior(x, a), b) == form_inner(a, wedge(x_flat, b))
 
 
 def test_interior_on_zero_form_rejected():

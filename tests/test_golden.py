@@ -46,6 +46,9 @@ CASES = {
     "nilmanifold-algebra-cayley.txt": RunConfig(
         "nilmanifold", frame="cayley", input_path=f"{INPUTS}/algebra.json", fmt="text"
     ),
+    "nilmanifold-almost-abelian-standard.json": RunConfig(
+        "nilmanifold", frame="standard", input_path=f"{INPUTS}/almost-abelian.json", fmt="json"
+    ),
     "identities-seed3-trials15.json": RunConfig("identities", seed=3, trials=15, fmt="json"),
 }
 

@@ -4,31 +4,68 @@ Each reference below is the earlier Fraction implementation, copied here
 unchanged in substance, so the integer routes are held to an independent
 oracle: the endomorphism split, the so(7) split, the characteristic vector,
 the cross-product axiom checks, the invariants i0 and i2, the torsion
-energies, the characteristic polynomial, the matrix samplers and the matrix
-serialisation.  The references for i0, i2 and the torsion energies run their
+energies, the characteristic polynomial, the matrix samplers, the matrix
+serialisation, and the left-invariant geometry of metric Lie algebras: the
+Koszul connection, the curvature and the scalars read from it, the
+Chevalley-Eilenberg differential, the derivation action behind nabla phi,
+the r map and the assembly of the torsion forms.  The references for i0, i2 and the torsion energies run their
 double sums of dense and basis cross products over the ``Fraction`` columns
 of T; the characteristic-polynomial reference is the Faddeev-LeVerrier trace
 recursion on the integer grid; the sampler references draw ``Fraction``
 entries with the same ``Random`` calls; the serialisation references print
 the ``Fraction`` view entry by entry and parse every entry with
-``parse_rational``.
+``parse_rational``.  The geometry references run on the ``Fraction``
+views (``brackets``, ``gamma``, ``components``, ``KForm.coeff``/``terms``)
+and on ``Fraction`` ``Mat7`` products, over seeded 2-step nilpotent
+algebras, so(3) + R^4 scaled by 2/3 and the non-unimodular almost-abelian
+golden input, in both frames.
 """
 
+import json
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from pathlib import Path
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from g2kit.forms import FORM, TENSOR, KForm
 from g2kit.frames import CrossTable, G2Frame, _triple_failure, cross, validate_cross_axioms
 from g2kit.invariants import char_poly, i0, i2
-from g2kit.liealg import heisenberg_model
+from g2kit.liealg import (
+    ConnectionTable,
+    CurvatureTensor,
+    MetricLieAlgebra,
+    TorsionForms,
+    _lambda2_14_forms,
+    _lambda3_27_forms,
+    _lambda4_system,
+    _lambda5_system,
+    ce_differential,
+    curvature,
+    curvature_diagonal,
+    derivation_action,
+    g2perp_scalar_curvature,
+    heisenberg_model,
+    koszul,
+    nabla_form,
+    r_map,
+    scalar_curvature,
+    torsion_forms,
+)
 from g2kit.linalg import DIM, UNIT, Mat7, Vec7, int_matmul, integer_rows, integer_vector
-from g2kit.sampling import rand_g2, rand_mat, rand_skew, rand_symmetric, rand_vec
-from g2kit.serialize import DigitLimitError, mat_from_json, mat_to_json, parse_rational, rational_pair
+from g2kit.sampling import rand_fraction, rand_g2, rand_mat, rand_skew, rand_symmetric, rand_two_step_nilpotent, rand_vec
+from g2kit.serialize import (
+    DigitLimitError,
+    algebra_from_json,
+    mat_from_json,
+    mat_to_json,
+    parse_rational,
+    rational_pair,
+)
 from g2kit.so7 import cross_operator, decompose_endo, g2_basis, split_so7
 from g2kit.torsion import characteristic_vector, torsion_energies
 
@@ -451,7 +488,9 @@ def test_mat_from_json_matches_fraction_route_on_other_spellings():
 @pytest.mark.parametrize(
     "text, accepted",
     [("3 /4", False), ("1/-2", False), ("²", False), ("١٢", True), ("-0", True), ("+7/14", True), ("1/0", False)]
-    + [("1_0", sys.version_info >= (3, 11))],
+    # digit underscores are rejected on every Python version, although
+    # Fraction accepts them from 3.11 on
+    + [("1_0", False)],
 )
 def test_rational_pair_spellings(text, accepted):
     expected = outcome(parse_rational, text)
@@ -480,4 +519,250 @@ SPELLINGS = st.one_of(
 @settings(derandomize=True, max_examples=600, deadline=None, database=None)
 @given(SPELLINGS)
 def test_rational_pair_agrees_with_parse_rational(text):
-    assert outcome(pair_value, text) == outcome(parse_rational, text)
+    got = outcome(parse_rational, text)
+    assert outcome(pair_value, text) == got
+    if "_" in text:
+        assert got[0] == "error"
+        return
+    # without an underscore the accepted set and the values are Fraction's
+    try:
+        expected = Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        assert got[0] == "error"
+    else:
+        assert got == ("ok", expected)
+
+
+# ---------------------------------------------------------------------------
+# Left-invariant geometry
+# ---------------------------------------------------------------------------
+
+ALMOST_ABELIAN = Path(__file__).resolve().parent / "golden" / "inputs" / "almost-abelian.json"
+
+
+def so3_plus_r4() -> MetricLieAlgebra:
+    """so(3) + R^4 with brackets scaled by 2/3: not nilpotent."""
+    lam = Fraction(2, 3)
+    return MetricLieAlgebra.from_nonzero({(0, 1): {2: lam}, (1, 2): {0: lam}, (0, 2): {1: -lam}})
+
+
+def almost_abelian() -> MetricLieAlgebra:
+    """The golden almost-abelian input: solvable, not unimodular, with
+    denominators 2, 3, 5 and 7."""
+    with open(ALMOST_ABELIAN, encoding="utf-8") as fh:
+        return algebra_from_json(json.load(fh))
+
+
+def oracle_algebras(seed: int) -> list[MetricLieAlgebra]:
+    rng = Random(seed)
+    return [rand_two_step_nilpotent(rng) for _ in range(3)] + [so3_plus_r4(), almost_abelian()]
+
+
+def rand_form(rng: Random, degree: int) -> KForm:
+    return KForm(degree, {key: rand_fraction(rng) for key in combinations(range(DIM), degree) if rng.random() < 0.4})
+
+
+def ref_koszul(mla: MetricLieAlgebra) -> ConnectionTable:
+    defect = mla.jacobi_defect()
+    if defect is not None:
+        raise ValueError(f"Jacobi identity fails on triple {defect}")
+    half = Fraction(1, 2)
+    gamma = tuple(
+        tuple(
+            Vec7(tuple(half * (mla.c(i, j, k) - mla.c(j, k, i) + mla.c(k, i, j)) for k in range(DIM)))
+            for j in range(DIM)
+        )
+        for i in range(DIM)
+    )
+    return ConnectionTable(gamma)
+
+
+def ref_curvature(conn: ConnectionTable, mla: MetricLieAlgebra) -> CurvatureTensor:
+    """R(e_i, e_j) = [nabla_i, nabla_j] - sum_m c^m_ij nabla_m over Fraction
+    matrices."""
+    ops = [Mat7(conn.operator(i).entries) for i in range(DIM)]
+    comps = []
+    for i in range(DIM):
+        row = []
+        for j in range(DIM):
+            op = ops[i] @ ops[j] - ops[j] @ ops[i]
+            cij = mla.brackets[i][j]
+            for m in range(DIM):
+                if cij[m] != 0:
+                    op = op - ops[m].scale(cij[m])
+            row.append(tuple(tuple(op.entries[l][k] for l in range(DIM)) for k in range(DIM)))
+        comps.append(tuple(row))
+    return CurvatureTensor(tuple(comps))
+
+
+def ref_scalar_curvature(r: CurvatureTensor) -> Fraction:
+    return sum((r.components[i][j][j][i] for i in range(DIM) for j in range(DIM)), Fraction(0))
+
+
+def ref_g2perp_scalar_curvature(r: CurvatureTensor, frame) -> Fraction:
+    table = frame.table
+    total = Fraction(0)
+    for i in range(DIM):
+        for j in range(DIM):
+            p = table.contract(tuple(zip(*r.components[i][j])))
+            # <e_i x e_j, p> = (e_j x p)_i
+            total += table.cross(UNIT[j], p)[i]
+    return total / 6
+
+
+def ref_ce_differential(mla: MetricLieAlgebra, a: KForm) -> KForm:
+    """d a(X_0..X_k) = sum_{p<q} (-1)^{p+q} a([X_p, X_q], ..., no X_p, X_q)."""
+    terms = {}
+    for key in combinations(range(DIM), a.degree + 1):
+        total = Fraction(0)
+        for p in range(len(key)):
+            for q in range(p + 1, len(key)):
+                rest = key[:p] + key[p + 1:q] + key[q + 1:]
+                bracket = mla.brackets[key[p]][key[q]]
+                sign = -1 if (p + q) % 2 else 1
+                for m in range(DIM):
+                    if bracket[m] != 0:
+                        total += sign * bracket[m] * a.coeff((m,) + rest)
+        if total != 0:
+            terms[key] = total
+    return KForm(a.degree + 1, terms)
+
+
+def ref_derivation_action(a: Mat7, form: KForm) -> KForm:
+    acc: dict[tuple[int, ...], Fraction] = {}
+    for key, value in form.terms():
+        for pos, idx in enumerate(key):
+            for l in range(DIM):
+                c = a.entries[idx][l]
+                if c == 0:
+                    continue
+                newkey = key[:pos] + (l,) + key[pos + 1:]
+                acc[newkey] = acc.get(newkey, Fraction(0)) + c * value
+    return KForm(form.degree, acc)
+
+
+def ref_r_map(nphi, frame, convention: str) -> Mat7:
+    """(w / 4) sum over increasing keys of nabla_X phi(key) (e_Y -| -star_phi)(key),
+    w = 1 ("form") or 3! ("tensor"); the interior product is evaluated as
+    -star_phi(e_Y, key)."""
+    weight = Fraction({FORM: 1, TENSOR: 6}[convention], 4)
+    keys = list(combinations(range(DIM), 3))
+    return Mat7(
+        tuple(
+            tuple(weight * sum(-a.coeff(key) * frame.star_phi.coeff((y,) + key) for key in keys) for y in range(DIM))
+            for a in nphi
+        )
+    )
+
+
+def ref_torsion_forms(mla: MetricLieAlgebra, frame) -> TorsionForms:
+    """Both solves on Fraction right-hand sides and the tau forms summed
+    as KForms."""
+    dphi = ref_ce_differential(mla, frame.phi)
+    dstar = ref_ce_differential(mla, frame.star_phi)
+    sol4 = _lambda4_system(frame.table, frame.orientation).solve(
+        [dphi.coeff(key) for key in combinations(range(DIM), 4)]
+    )
+    tau0 = sol4[0]
+    tau1 = KForm(1, {(i,): sol4[1 + i] / 3 for i in range(DIM)})
+    tau3 = KForm.zero(3)
+    for a, gamma in enumerate(_lambda3_27_forms(frame.table, frame.orientation)):
+        if sol4[8 + a] != 0:
+            tau3 = tau3 + gamma.scale(sol4[8 + a])
+    sol5 = _lambda5_system(frame.table, frame.orientation).solve(
+        [dstar.coeff(key) for key in combinations(range(DIM), 5)]
+    )
+    assert KForm(1, {(i,): sol5[i] / 4 for i in range(DIM)}) == tau1
+    tau2 = KForm.zero(2)
+    for b, beta in enumerate(_lambda2_14_forms(frame.table)):
+        if sol5[7 + b] != 0:
+            tau2 = tau2 + beta.scale(sol5[7 + b])
+    return TorsionForms(tau0=tau0, tau1=tau1, tau2=tau2, tau3=tau3)
+
+
+def test_almost_abelian_input_parses_to_its_fraction_brackets():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    expected = MetricLieAlgebra.from_nonzero(
+        {
+            (0, 1): {1: half, 2: -2 * third},
+            (0, 2): {2: Fraction(5, 7), 4: 1},
+            (0, 3): {3: -1, 6: Fraction(3, 5)},
+            (0, 5): {5: 2},
+        }
+    )
+    mla = almost_abelian()
+    assert mla == expected and mla.brackets == expected.brackets
+    assert not mla.is_unimodular() and mla.jacobi_defect() is None
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_koszul_matches_fraction_route(seed):
+    for mla in oracle_algebras(seed):
+        conn, ref = koszul(mla), ref_koszul(mla)
+        assert conn == ref
+        assert conn.gamma == ref.gamma
+        assert conn.nonzero_entries() == ref.nonzero_entries()
+        assert conn.is_metric() and conn.torsion_defect(mla) is None
+
+
+def test_integer_curvature_matches_fraction_route():
+    algebras = oracle_algebras(13)
+    for mla in algebras:
+        conn = koszul(mla)
+        r, ref = curvature(conn, mla), ref_curvature(conn, mla)
+        assert r == ref and r.components == ref.components
+        assert r.symmetry_defects() == []
+    # a connection paired with another algebra's brackets: the common
+    # denominator must cover the structure constants too
+    for conn_mla, mla in ((algebras[0], algebras[-1]), (algebras[-2], algebras[1])):
+        conn = koszul(conn_mla)
+        assert curvature(conn, mla) == ref_curvature(conn, mla)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_curvature_scalars_match_fraction_route(frame, seed):
+    for mla in oracle_algebras(seed):
+        r = curvature(koszul(mla), mla)
+        s = scalar_curvature(r)
+        assert s == ref_scalar_curvature(r)
+        assert curvature_diagonal(r) == [
+            (i, j, r.components[i][j][j][i]) for i in range(DIM) for j in range(DIM) if r.components[i][j][j][i]
+        ]
+        assert g2perp_scalar_curvature(r, frame) == ref_g2perp_scalar_curvature(r, frame) == s / 3
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_ce_differential_matches_fraction_route(frame, seed):
+    rng = Random(seed + 50)
+    for mla in oracle_algebras(seed):
+        forms = [frame.phi, frame.star_phi] + [rand_form(rng, k) for k in range(DIM)]
+        for a in forms:
+            assert ce_differential(mla, a) == ref_ce_differential(mla, a)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_derivation_action_and_nabla_form_match_fraction_route(frame, seed):
+    rng = Random(seed + 60)
+    for mla in oracle_algebras(seed):
+        conn = koszul(mla)
+        for a in (frame.phi, frame.star_phi, rand_form(rng, 2)):
+            assert nabla_form(conn, a) == tuple(-ref_derivation_action(conn.operator(i), a) for i in range(DIM))
+        m = rand_mat(rng)
+        for a in (frame.phi, rand_form(rng, 4), rand_form(rng, 1)):
+            assert derivation_action(m, a) == ref_derivation_action(m, a)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_r_map_matches_fraction_route(frame, seed):
+    for mla in oracle_algebras(seed):
+        nphi = nabla_form(koszul(mla), frame.phi)
+        for convention in (FORM, TENSOR):
+            assert r_map(nphi, frame, convention) == ref_r_map(nphi, frame, convention)
+    with pytest.raises(ValueError, match="unknown convention"):
+        r_map(nphi, frame, "quarter")
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_torsion_forms_match_fraction_route(frame, seed):
+    for mla in oracle_algebras(seed):
+        assert torsion_forms(mla, frame) == ref_torsion_forms(mla, frame)

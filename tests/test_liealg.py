@@ -8,7 +8,6 @@ from g2kit.forms import FORM, TENSOR, KForm, form_inner, form_norm_sq, hodge, we
 from g2kit.invariants import i0
 from g2kit.liealg import (
     HEISENBERG_REFERENCE_CONNECTION,
-    CurvatureTensor,
     MetricLieAlgebra,
     TorsionSolveError,
     _lambda2_14_forms,
@@ -137,39 +136,6 @@ def test_curvature_abelian_and_symmetries():
         mla = rand_two_step_nilpotent(rng)
         r = curvature(koszul(mla), mla)
         assert r.symmetry_defects() == []
-
-
-def reference_curvature(conn, mla):
-    """R(e_i, e_j) = [nabla_i, nabla_j] - sum_m c^m_ij nabla_m over Fraction
-    matrices, the formula the integer kernel replaces."""
-    ops = [conn.operator(i) for i in range(DIM)]
-    comps = []
-    for i in range(DIM):
-        row = []
-        for j in range(DIM):
-            op = ops[i] @ ops[j] - ops[j] @ ops[i]
-            cij = mla.brackets[i][j]
-            for m in range(DIM):
-                if cij[m] != 0:
-                    op = op - ops[m].scale(cij[m])
-            row.append(tuple(tuple(op.entries[l][k] for l in range(DIM)) for k in range(DIM)))
-        comps.append(tuple(row))
-    return CurvatureTensor(tuple(comps))
-
-
-def test_integer_curvature_matches_fraction_route():
-    rng = Random(13)
-    algebras = [rand_two_step_nilpotent(rng) for _ in range(5)]
-    # so(3) + R^4 with brackets scaled by 2/3: not nilpotent, not unimodular-trivial
-    lam = Fraction(2, 3)
-    algebras.append(MetricLieAlgebra.from_nonzero({(0, 1): {2: lam}, (1, 2): {0: lam}, (0, 2): {1: -lam}}))
-    for mla in algebras:
-        conn = koszul(mla)
-        assert curvature(conn, mla) == reference_curvature(conn, mla)
-    # a connection paired with another algebra's brackets: the common
-    # denominator must cover the structure constants too
-    conn = koszul(algebras[0])
-    assert curvature(conn, algebras[-1]) == reference_curvature(conn, algebras[-1])
 
 
 def test_curvature_heisenberg_values():

@@ -1,8 +1,11 @@
+import json
 import sys
 from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from g2kit.forms import KForm
 from g2kit.liealg import heisenberg_model
@@ -130,3 +133,30 @@ def test_canonical_json_is_deterministic():
     obj = {"b": [1, 2], "a": {"y": "1/2", "x": None}}
     assert canonical_json(obj) == canonical_json({"a": {"x": None, "y": "1/2"}, "b": [1, 2]})
     assert canonical_json(obj).endswith("\n")
+
+
+# the value types of a report, nested: strings over all of Unicode (control
+# characters and non-ASCII included), ints, bools, None, and empty or
+# nonempty lists and string-keyed dicts
+REPORT_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=40,
+)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None, database=None)
+@given(REPORT_VALUES)
+@example({"": [], "a\x00\x1f\x7f": {}, "é€😀": ["\u2028", "\"\\/", -(10**30)]})
+@example([[], {}, [[]], {"b": {"a": None}}, True, False, 0])
+def test_canonical_json_matches_json_dumps(obj):
+    assert canonical_json(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def test_canonical_json_writes_tuples_and_rejects_other_values():
+    obj = {"t": (1, ("a", None))}
+    assert canonical_json(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    # an exact report holds no floats, and its keys are strings
+    for other in ({"x": 0.5}, {1: "int key"}, [Fraction(1, 2)]):
+        with pytest.raises(TypeError):
+            canonical_json(other)
