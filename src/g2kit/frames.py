@@ -312,11 +312,6 @@ def check_epsilon_identities(frame: G2Frame) -> CheckReport:
     )
 
 
-def count_table_entries(table: CrossTable) -> tuple[int, int]:
-    """(number of base triples, number of ordered nonzero entries)."""
-    return len(table.base_triples), len(table.nonzero_ordered())
-
-
 def _triple_failure(table: CrossTable, u, v, w) -> str | None:
     """The first of rule1..rule3 that fails on (u, v, w), or None.
 

@@ -51,12 +51,10 @@ from .forms import (
 from .frames import G2Frame, build_cayley_frame
 from .linalg import (
     DIM,
-    UNIT,
     LinearSystem,
     Mat7,
     Vec7,
     as_fraction,
-    int_matmul,
     integer_columns,
     integer_rows,
     nullspace,
@@ -459,22 +457,31 @@ def curvature_diagonal(r: CurvatureTensor) -> list[tuple[int, int, Fraction]]:
     return [(i, j, Fraction(v, d)) for i, row in enumerate(r._grid) for j in _R if (v := row[j][i][j])]
 
 
+def _contraction_reads(table) -> list[list[tuple[int, int, int]]]:
+    """For each k, the six (a, b, s) with (b, s) in the slot of (k, a):
+    component k of the contraction p(m) is sum of s m_ab over them."""
+    return [[(a, b, s) for a in _R for b, s in table.pair_slots(k, a)] for k in _R]
+
+
 def g2perp_scalar_curvature(r: CurvatureTensor, frame: G2Frame) -> Fraction:
     """sum_ij <(R(e_i,e_j))_{g2-perp}(e_j), e_i>; equals s/3 whenever the
     first Bianchi identity holds.
 
     The projection of R(e_i,e_j) is the cross operator of
     p(R(e_i,e_j)) / 6, so the summand is (1/6) <e_i x e_j, p(R(e_i,e_j))>,
-    evaluated on the integer operator entries M[b][c] = R_ijcb.
+    evaluated on the integer operator entries M[b][c] = R_ijcb.  The pairing
+    reads p_a only for the slot (a, s) of (i, j), and p_a is a signed sum of
+    six entries of M.
     """
     table = frame.table
+    reads = _contraction_reads(table)
     total = 0
     for i, row in enumerate(r._grid):
         for j, op in enumerate(row):
             if i != j and any(map(any, op)):
-                p = table.contract(op)
                 # <e_i x e_j, p> = sum of eps_ija p_a over the slot of (i, j)
-                total += sum(s * p[a] for a, s in table.pair_slots(i, j))
+                for a, s in table.pair_slots(i, j):
+                    total += s * sum(e * op[b][c] for b, c, e in reads[a])
     return Fraction(total, 6 * r._den)
 
 
@@ -484,21 +491,29 @@ def alt_scalar_curvature(t: Mat7, frame: G2Frame) -> Fraction:
 
     This is the commutator-and-projection route, kept independent of the
     i0 double sum; the denominator of T is scaled out so the commutators
-    run over the integers.
+    run over the integers.  Each pair (i, j) pairs the contraction p(C) of
+    C = [S_i, S_j] with e_i x e_j, so it reads p_k only for the slot
+    (k, s) of (i, j); p_k is a signed sum of six entries C_ab, and each
+    entry is one row-by-column difference of the slices S_i, S_j.
     """
     table = frame.table
     cols, d = integer_columns(t)
     slices = [table.cross_rows(cols[i]) for i in range(DIM)]
+    slice_cols = [list(zip(*s)) for s in slices]
+    reads = _contraction_reads(table)
     total = 0
     for i in range(DIM):
+        rows_i, cols_i = slices[i], slice_cols[i]
         for j in range(i + 1, DIM):
-            ab = int_matmul(slices[i], slices[j])
-            ba = int_matmul(slices[j], slices[i])
-            comm = [[ab[p][q] - ba[p][q] for q in range(DIM)] for p in range(DIM)]
-            w = table.contract(comm)
+            rows_j, cols_j = slices[j], slice_cols[j]
             # ordered pairs (i, j) and (j, i) contribute equally;
-            # <w, e_i x e_j> = (e_j x w)_i
-            total += 2 * table.cross(UNIT[j], w)[i]
+            # <p, e_i x e_j> = sum of s p_k over the slot of (i, j)
+            for k, s in table.pair_slots(i, j):
+                pk = 0
+                for a, b, e in reads[k]:
+                    # C_ab = (S_i S_j - S_j S_i)_ab
+                    pk += e * (sum(map(mul, rows_i[a], cols_j[b])) - sum(map(mul, rows_j[a], cols_i[b])))
+                total += 2 * s * pk
     return Fraction(total, 6 * d * d)
 
 

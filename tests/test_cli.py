@@ -238,7 +238,11 @@ def test_nilmanifold_does_each_computation_once(tmp_path, monkeypatch):
         "liealg.curvature",
         "liealg.torsion_forms",
         "liealg.g2perp_scalar_curvature",
+        "liealg.alt_scalar_curvature",
         "invariants.i0",
+        "torsion.torsion_energies",
+        "torsion.characteristic_vector",
+        "linalg.int_matmul",
     )
     original = MetricLieAlgebra.jacobi_defect
     counts["jacobi_defect"] = 0
@@ -264,7 +268,12 @@ def test_nilmanifold_does_each_computation_once(tmp_path, monkeypatch):
             "curvature": 1,
             "torsion_forms": 1,
             "g2perp_scalar_curvature": 1,
+            "alt_scalar_curvature": 1,
             "i0": 1,
+            "torsion_energies": 1,
+            "characteristic_vector": 1,
+            # the projection kernels read single entries, not dense products
+            "int_matmul": 0,
             "jacobi_defect": 1,
         }
 

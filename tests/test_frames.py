@@ -10,7 +10,6 @@ from g2kit.frames import (
     build_cayley_frame,
     build_standard_frame,
     check_epsilon_identities,
-    count_table_entries,
     cross,
     star_phi_pairing_check,
     validate_cross_axioms,
@@ -61,9 +60,8 @@ def test_cayley_frame_rules(cayley):
 
 
 def test_table_entry_counts(frame):
-    base, ordered = count_table_entries(frame.table)
-    assert base == 7
-    assert ordered == 42
+    assert len(frame.table.base_triples) == 7
+    assert len(frame.table.nonzero_ordered()) == 42
     assert all(s in (1, -1) for _, _, _, s in frame.table.nonzero_ordered())
 
 

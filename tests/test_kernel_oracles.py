@@ -7,8 +7,10 @@ the cross-product axiom checks, the invariants i0 and i2, the torsion
 energies, the characteristic polynomial, the matrix samplers, the matrix
 serialisation, and the left-invariant geometry of metric Lie algebras: the
 Koszul connection, the curvature and the scalars read from it, the
-Chevalley-Eilenberg differential, the derivation action behind nabla phi,
-the r map and the assembly of the torsion forms.  The references for i0, i2 and the torsion energies run their
+alternating scalar curvature (its earlier integer route: dense commutators
+and a full contraction), the Chevalley-Eilenberg differential, the
+derivation action behind nabla phi, the r map and the assembly of the
+torsion forms.  The references for i0, i2 and the torsion energies run their
 double sums of dense and basis cross products over the ``Fraction`` columns
 of T; the characteristic-polynomial reference is the Faddeev-LeVerrier trace
 recursion on the integer grid; the sampler references draw ``Fraction``
@@ -17,8 +19,8 @@ the ``Fraction`` view entry by entry and parse every entry with
 ``parse_rational``.  The geometry references run on the ``Fraction``
 views (``brackets``, ``gamma``, ``components``, ``KForm.coeff``/``terms``)
 and on ``Fraction`` ``Mat7`` products, over seeded 2-step nilpotent
-algebras, so(3) + R^4 scaled by 2/3 and the non-unimodular almost-abelian
-golden input, in both frames.
+algebras, seeded almost-abelian algebras, so(3) + R^4 scaled by 2/3 and
+the non-unimodular almost-abelian golden input, in both frames.
 """
 
 import json
@@ -44,11 +46,13 @@ from g2kit.liealg import (
     _lambda3_27_forms,
     _lambda4_system,
     _lambda5_system,
+    alt_scalar_curvature,
     ce_differential,
     curvature,
     curvature_diagonal,
     derivation_action,
     g2perp_scalar_curvature,
+    geometry_torsion_report,
     heisenberg_model,
     koszul,
     nabla_form,
@@ -56,7 +60,7 @@ from g2kit.liealg import (
     scalar_curvature,
     torsion_forms,
 )
-from g2kit.linalg import DIM, UNIT, Mat7, Vec7, int_matmul, integer_rows, integer_vector
+from g2kit.linalg import DIM, UNIT, Mat7, Vec7, int_matmul, integer_columns, integer_rows, integer_vector
 from g2kit.sampling import rand_fraction, rand_g2, rand_mat, rand_skew, rand_symmetric, rand_two_step_nilpotent, rand_vec
 from g2kit.serialize import (
     DigitLimitError,
@@ -558,6 +562,21 @@ def oracle_algebras(seed: int) -> list[MetricLieAlgebra]:
     return [rand_two_step_nilpotent(rng) for _ in range(3)] + [so3_plus_r4(), almost_abelian()]
 
 
+def rand_almost_abelian(rng: Random) -> MetricLieAlgebra:
+    """e_0 acting on span(e_1..e_6) by a sparse seeded rational matrix; the
+    other brackets vanish, so Jacobi holds by construction."""
+    entries = {}
+    for j in range(1, DIM):
+        coeffs = {k: rand_fraction(rng) for k in range(1, DIM) if rng.random() < 0.4}
+        if any(coeffs.values()):
+            entries[0, j] = coeffs
+    return MetricLieAlgebra.from_nonzero(entries)
+
+
+def torsion_endo(mla: MetricLieAlgebra, frame) -> Mat7:
+    return geometry_torsion_report(nabla_form(koszul(mla), frame.phi), frame).torsion
+
+
 def rand_form(rng: Random, degree: int) -> KForm:
     return KForm(degree, {key: rand_fraction(rng) for key in combinations(range(DIM), degree) if rng.random() < 0.4})
 
@@ -608,6 +627,25 @@ def ref_g2perp_scalar_curvature(r: CurvatureTensor, frame) -> Fraction:
             # <e_i x e_j, p> = (e_j x p)_i
             total += table.cross(UNIT[j], p)[i]
     return total / 6
+
+
+def ref_alt_scalar_curvature(t: Mat7, frame) -> Fraction:
+    """Dense commutators [S_i, S_j] of the integer slices, the full
+    contraction, and a basis cross to pair it with e_i x e_j."""
+    table = frame.table
+    cols, d = integer_columns(t)
+    slices = [table.cross_rows(cols[i]) for i in range(DIM)]
+    total = 0
+    for i in range(DIM):
+        for j in range(i + 1, DIM):
+            ab = int_matmul(slices[i], slices[j])
+            ba = int_matmul(slices[j], slices[i])
+            comm = [[ab[p][q] - ba[p][q] for q in range(DIM)] for p in range(DIM)]
+            w = table.contract(comm)
+            # ordered pairs (i, j) and (j, i) contribute equally;
+            # <w, e_i x e_j> = (e_j x w)_i
+            total += 2 * table.cross(UNIT[j], w)[i]
+    return Fraction(total, 6 * d * d)
 
 
 def ref_ce_differential(mla: MetricLieAlgebra, a: KForm) -> KForm:
@@ -729,6 +767,35 @@ def test_curvature_scalars_match_fraction_route(frame, seed):
             (i, j, r.components[i][j][j][i]) for i in range(DIM) for j in range(DIM) if r.components[i][j][j][i]
         ]
         assert g2perp_scalar_curvature(r, frame) == ref_g2perp_scalar_curvature(r, frame) == s / 3
+    # almost-abelian algebras have s != 0 and a nonzero characteristic vector
+    rng = Random(seed + 70)
+    for _ in range(3):
+        mla = rand_almost_abelian(rng)
+        r = curvature(koszul(mla), mla)
+        s = scalar_curvature(r)
+        assert s != 0 and not characteristic_vector(torsion_endo(mla, frame), frame).is_zero()
+        assert g2perp_scalar_curvature(r, frame) == ref_g2perp_scalar_curvature(r, frame) == s / 3
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_alt_scalar_curvature_matches_dense_route(frame, seed):
+    rng = Random(seed + 80)
+    mats = seeded_matrices(seed) + [cross_operator(rand_vec(rng), frame) for _ in range(3)]
+    values = [alt_scalar_curvature(t, frame) for t in mats]
+    assert values == [ref_alt_scalar_curvature(t, frame) for t in mats]
+    assert sum(v != 0 for v in values) >= len(values) // 2
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_alt_scalar_curvature_matches_dense_route_on_torsion(frame, seed):
+    rng = Random(seed + 90)
+    algebras = [rand_two_step_nilpotent(rng) for _ in range(3)] + [rand_almost_abelian(rng) for _ in range(3)]
+    values = []
+    for mla in algebras:
+        t = torsion_endo(mla, frame)
+        values.append(alt_scalar_curvature(t, frame))
+        assert values[-1] == ref_alt_scalar_curvature(t, frame) == i0(t, frame)
+    assert all(values)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
