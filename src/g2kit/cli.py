@@ -11,7 +11,11 @@ failure, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import marshal
+import os
 import sys
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from json import JSONDecodeError
@@ -202,10 +206,86 @@ def _identities_for_frame(frame_name: str, frame: G2Frame, seed: int, trials: in
     return suites
 
 
+def _frame_suites(frame_name: str, seed: int, trials: int) -> list[dict]:
+    return _identities_for_frame(frame_name, FRAMES[frame_name](), seed, trials)
+
+
+@contextmanager
+def _frame_in_child(frame_name: str, seed: int, trials: int):
+    """Run one frame's suites in a child made by ``os.fork``, beside the caller.
+
+    Yields a function that waits for the child and returns its suites, or
+    None when there is no child or it failed (nonzero exit, bad data); the
+    caller then runs the frame itself.  There is no child without
+    ``os.fork`` (Windows) or while other threads run: forking then can
+    deadlock the child, and Python 3.12+ warns.  The child sends the suites
+    over a pipe, marshal-encoded (built in, so no import adds to the peak
+    RSS), and ends only through ``os._exit``, so no atexit handler, test
+    teardown or buffered stdout it inherited runs twice.  The child is
+    reaped on every path; if the block raises before collecting it, it is
+    killed first.
+    """
+    if not (hasattr(os, "fork") and threading.active_count() == 1):
+        yield lambda: None
+        return
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        yield lambda: None
+        return
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as out:
+                out.write(marshal.dumps(_frame_suites(frame_name, seed, trials)))
+            code = 0
+        finally:
+            os._exit(code)
+    reaped = False
+
+    def collect() -> list[dict] | None:
+        nonlocal reaped
+        with open(read_fd, "rb", closefd=False) as inp:
+            payload = inp.read()
+        status = os.waitpid(pid, 0)[1]
+        reaped = True
+        if os.waitstatus_to_exitcode(status) != 0:
+            return None
+        try:
+            suites = marshal.loads(payload)
+        except (EOFError, ValueError, TypeError):
+            return None
+        if isinstance(suites, list) and all(isinstance(s, dict) and s.get("frame") == frame_name for s in suites):
+            return suites
+        return None
+
+    try:
+        os.close(write_fd)
+        yield collect
+    finally:
+        os.close(read_fd)
+        if not reaped:
+            import signal
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def cmd_identities(cfg: RunConfig) -> tuple[int, dict]:
-    suites = []
-    for frame_name in ("standard", "cayley"):
-        suites.extend(_identities_for_frame(frame_name, FRAMES[frame_name](), cfg.seed, cfg.trials))
+    # the frames share no state, so the Cayley frame runs in a forked child
+    # while this process runs the standard frame; its suites follow the
+    # standard ones, as when both run here
+    with _frame_in_child("cayley", cfg.seed, cfg.trials) as collect:
+        suites = _frame_suites("standard", cfg.seed, cfg.trials)
+        cayley = collect()
+    if cayley is None:
+        # a deterministic failure of the child raises here, with its traceback
+        cayley = _frame_suites("cayley", cfg.seed, cfg.trials)
+    suites.extend(cayley)
     passed = all(s["passed"] for s in suites)
     report = {
         "command": "identities",

@@ -1,8 +1,12 @@
 """Deterministic seeded generators for the randomized identity suites.
 
 Every generator takes an explicit ``random.Random`` so that identical seeds
-reproduce identical runs; suites may be sharded by deriving child seeds with
-:func:`spawn_seeds` and merging results by conjunction.
+reproduce identical runs.  The ``identities`` suites of one frame draw from
+the streams ``Random(seed + k)``, one per suite, and each frame builds its
+own, so the frames share no state: ``cli.cmd_identities`` runs the Cayley
+frame in a forked child beside the standard frame and appends its suites
+after the standard ones.  :func:`spawn_seeds` derives independent per-suite
+seeds; no suite uses it yet.
 """
 
 from __future__ import annotations

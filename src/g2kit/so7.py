@@ -149,27 +149,3 @@ def _g2_basis_cached(table: CrossTable) -> tuple[Mat7, ...]:
 def g2_basis(frame: G2Frame) -> tuple[Mat7, ...]:
     """A basis (14 matrices) of the kernel of the eps contraction on so(7)."""
     return _g2_basis_cached(frame.table)
-
-
-def is_derivation_of_cross(a: Mat7, frame: G2Frame) -> bool:
-    """Whether a(u x v) = a(u) x v + u x a(v) on all basis pairs."""
-    for i in range(DIM):
-        ei = Vec7.basis(i)
-        for j in range(DIM):
-            ej = Vec7.basis(j)
-            lhs = a @ cross(ei, ej, frame)
-            rhs = cross(a @ ei, ej, frame) + cross(ei, a @ ej, frame)
-            if lhs != rhs:
-                return False
-    return True
-
-
-def endo_part_maps(t: Mat7, frame: G2Frame) -> tuple[Mat7, Mat7, Mat7, Mat7]:
-    """The four projections of t as matrices (scalar, sym0, g2, vector)."""
-    s = decompose_endo(t, frame)
-    return (
-        Mat7.identity().scale(s.scalar),
-        s.sym0,
-        s.g2part,
-        cross_operator(s.vector, frame),
-    )

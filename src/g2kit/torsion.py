@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .frames import CheckReport, G2Frame, build_standard_frame
+from .frames import G2Frame, build_standard_frame
 from .invariants import i0, sigma2
 from .linalg import DIM, Mat7, Vec7, integer_columns
 from .so7 import EndoSplit, cross_operator, decompose_endo
@@ -167,15 +167,3 @@ def pure_vector_energy(z: Vec7, frame: G2Frame) -> Fraction:
     strictly positive for Z != 0, so a structure with vanishing integrand
     cannot be of pure vector type unless Z = 0."""
     return curvature_integrand(cross_operator(z, frame), frame)
-
-
-def pure_vector_report(z: Vec7, frame: G2Frame) -> CheckReport:
-    value = pure_vector_energy(z, frame)
-    expected = 45 * z.norm_sq()
-    return CheckReport(
-        name="pure-vector-energy",
-        passed=(value == expected),
-        counts=(),
-        failures=() if value == expected else (f"integrand {value} != 45|Z|^2 = {expected}",),
-        notes=(VECTOR_CLASS_SCALING_NOTE,),
-    )

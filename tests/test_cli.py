@@ -1,9 +1,14 @@
 import json
+import marshal
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from g2kit import cli
 from g2kit.cli import RunConfig, build_parser, main, run
+from g2kit.frames import CrossTable, G2Frame, build_cayley_frame
 from g2kit.liealg import heisenberg_model
 from g2kit.serialize import mat_to_json
 from g2kit.so7 import EndoSplit, cross_operator
@@ -393,3 +398,174 @@ def test_exit_code_mapping_on_failed_suite():
     assert COMMANDS["identities"] is not None
     code, report = run(RunConfig(command="identities", seed=0, trials=5, fmt="json"))
     assert code == 0
+
+
+# ---------------------------------------------------------------------------
+# identities: the Cayley frame in a forked child
+# ---------------------------------------------------------------------------
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork is POSIX only")
+GOLDEN = Path(__file__).resolve().parent / "golden"
+IDENTITIES_GOLDENS = {
+    "identities-seed3-trials15.json": RunConfig(command="identities", seed=3, trials=15, fmt="json"),
+    "identities-seed0-trials200.json": RunConfig(command="identities", seed=0, trials=200, fmt="json"),
+}
+
+
+def count_forks(monkeypatch) -> list:
+    """Wrap os.fork with a counter; the list grows by one per fork."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def assert_no_child_left():
+    # ECHILD: no child of this process is left, running or unreaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def record_frames(monkeypatch) -> list:
+    """Record the frames whose suites run in this process; a forked child's
+    calls are not seen."""
+    frames_here = []
+    real = cli._identities_for_frame
+
+    def identities_for_frame(frame_name, frame, seed, trials):
+        frames_here.append(frame_name)
+        return real(frame_name, frame, seed, trials)
+
+    monkeypatch.setattr(cli, "_identities_for_frame", identities_for_frame)
+    return frames_here
+
+
+def run_both_routes(monkeypatch, cfg):
+    """run(cfg) with the Cayley frame in a forked child, then in this process."""
+    frames_here = record_frames(monkeypatch)
+    forks = count_forks(monkeypatch)
+    forked = run(cfg)
+    assert len(forks) == 1  # the thread guard must not turn the fork off here
+    assert frames_here == ["standard"]  # the child's suites were used
+    assert_no_child_left()
+    monkeypatch.delattr(os, "fork")
+    in_process = run(cfg)
+    assert frames_here == ["standard", "standard", "cayley"]
+    return forked, in_process
+
+
+@needs_fork
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_identities_forked_and_in_process_reports_match(monkeypatch, seed, fmt):
+    forked, in_process = run_both_routes(monkeypatch, RunConfig(command="identities", seed=seed, trials=15, fmt=fmt))
+    assert forked[0] == in_process[0] == 0
+    assert forked[1].encode() == in_process[1].encode()
+
+
+@needs_fork
+@pytest.mark.parametrize("name", sorted(IDENTITIES_GOLDENS))
+def test_identities_goldens_on_both_routes(monkeypatch, name):
+    expected = (GOLDEN / name).read_bytes()
+    forked, in_process = run_both_routes(monkeypatch, IDENTITIES_GOLDENS[name])
+    assert forked[1].encode() == in_process[1].encode() == expected
+
+
+@needs_fork
+def test_identities_sign_flipped_cayley_table_fails_alike_on_both_routes(monkeypatch):
+    # flip one eps of the Cayley table, as in test_frames.test_corrupt_table_fails_with_witness
+    triples = list(build_cayley_frame().table.base_triples)
+    i, j, k, sign = triples[0]
+    triples[0] = (i, j, k, -sign)
+    corrupt = G2Frame.from_table(CrossTable(tuple(triples), label_offset=0))
+    monkeypatch.setitem(cli.FRAMES, "cayley", lambda: corrupt)
+    forked, in_process = run_both_routes(monkeypatch, RunConfig(command="identities", seed=0, trials=15, fmt="json"))
+    assert forked == in_process
+    assert forked[0] == 1
+    suites = json.loads(forked[1])["suites"]
+    failed = [s for s in suites if not s["passed"]]
+    assert failed and {s["frame"] for s in failed} == {"cayley"}
+    assert all(s["failures"] for s in failed)
+
+
+@needs_fork
+@pytest.mark.parametrize("broken", ["standard", "cayley"])
+def test_identities_frame_exception_surfaces_in_parent(monkeypatch, broken):
+    real = cli._identities_for_frame
+
+    def identities_for_frame(frame_name, frame, seed, trials):
+        if frame_name == broken:
+            raise RuntimeError(f"{frame_name} frame broke")
+        return real(frame_name, frame, seed, trials)
+
+    monkeypatch.setattr(cli, "_identities_for_frame", identities_for_frame)
+    forks = count_forks(monkeypatch)
+    cfg = RunConfig(command="identities", seed=0, trials=15, fmt="json")
+    with pytest.raises(RuntimeError, match=f"{broken} frame broke"):
+        run(cfg)
+    # a broken child is outlived and reaped; a raising parent kills its child
+    assert len(forks) == 1
+    assert_no_child_left()
+    monkeypatch.delattr(os, "fork")
+    with pytest.raises(RuntimeError, match=f"{broken} frame broke"):
+        run(cfg)
+
+
+@needs_fork
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda dumps, suites: b"not marshal data",
+        lambda dumps, suites: dumps(suites)[:-5],
+        lambda dumps, suites: dumps([dict(s, frame="standard") for s in suites]),
+        lambda dumps, suites: dumps({"suites": suites}),
+    ],
+    ids=["garbage", "truncated", "wrong-frame", "wrong-shape"],
+)
+def test_identities_bad_child_data_falls_back_to_this_process(monkeypatch, corrupt):
+    # only the child encodes with marshal.dumps, so this corrupts what it sends
+    real_dumps = marshal.dumps
+    monkeypatch.setattr(marshal, "dumps", lambda suites: corrupt(real_dumps, suites))
+    assert_falls_back(monkeypatch)
+
+
+def assert_falls_back(monkeypatch):
+    """The child forks but its suites are not used: this process runs the
+    Cayley frame itself, with the same report bytes."""
+    frames_here = record_frames(monkeypatch)
+    forks = count_forks(monkeypatch)
+    code, text = run(RunConfig(command="identities", seed=3, trials=15, fmt="json"))
+    assert len(forks) == 1
+    assert frames_here == ["standard", "cayley"]
+    assert_no_child_left()
+    assert code == 0
+    assert text.encode() == (GOLDEN / "identities-seed3-trials15.json").read_bytes()
+
+
+@needs_fork
+def test_identities_child_nonzero_exit_falls_back_to_this_process(monkeypatch):
+    # the child sends good suites but exits 3
+    real_exit = os._exit
+    monkeypatch.setattr(os, "_exit", lambda code: real_exit(3))
+    assert_falls_back(monkeypatch)
+
+
+@needs_fork
+def test_identities_fork_error_runs_both_frames_here(monkeypatch):
+    def fork():
+        raise BlockingIOError("fork: resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fork)
+    frames_here = record_frames(monkeypatch)
+    open_fds = set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    code, text = run(RunConfig(command="identities", seed=3, trials=15, fmt="json"))
+    assert frames_here == ["standard", "cayley"]
+    assert code == 0
+    assert text.encode() == (GOLDEN / "identities-seed3-trials15.json").read_bytes()
+    if open_fds is not None:
+        assert set(os.listdir("/proc/self/fd")) == open_fds  # the pipe is closed

@@ -10,14 +10,37 @@ from g2kit.so7 import (
     bracket_g2perp,
     cross_operator,
     decompose_endo,
-    endo_part_maps,
     g2_basis,
-    is_derivation_of_cross,
     p_matrix,
     skew_basis_indices,
     skew_to_vector,
     split_so7,
 )
+
+
+def is_derivation_of_cross(a, frame):
+    """Whether a(u x v) = a(u) x v + u x a(v) on all basis pairs: g2
+    membership by its definition, independent of the eps contraction."""
+    for i in range(DIM):
+        ei = Vec7.basis(i)
+        for j in range(DIM):
+            ej = Vec7.basis(j)
+            lhs = a @ cross(ei, ej, frame)
+            rhs = cross(a @ ei, ej, frame) + cross(ei, a @ ej, frame)
+            if lhs != rhs:
+                return False
+    return True
+
+
+def endo_part_maps(t, frame):
+    """The four projections of t as matrices (scalar, sym0, g2, vector)."""
+    s = decompose_endo(t, frame)
+    return (
+        Mat7.identity().scale(s.scalar),
+        s.sym0,
+        s.g2part,
+        cross_operator(s.vector, frame),
+    )
 
 
 def test_skewmat_validates(standard):

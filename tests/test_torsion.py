@@ -18,7 +18,6 @@ from g2kit.torsion import (
     hypersurface_identity_check,
     predicted_scalar_curvature,
     pure_vector_energy,
-    pure_vector_report,
     torsion_energies,
 )
 
@@ -174,6 +173,3 @@ def test_pure_vector_energy(frame):
         z = rand_vec(rng)
         assert pure_vector_energy(z, frame) == 45 * z.norm_sq()
         assert (pure_vector_energy(z, frame) == 0) == z.is_zero()
-    rep = pure_vector_report(Vec7.basis(0), frame)
-    assert rep.passed
-    assert VECTOR_CLASS_SCALING_NOTE in rep.notes
