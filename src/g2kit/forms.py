@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial, gcd, lcm
 
-from .linalg import DIM, Mat7, Vec7, as_fraction, integer_rows, integer_vector
+from .linalg import DIM, Mat7, Vec7, as_fraction, integer_coords, integer_rows
 
 FORM = "form"
 TENSOR = "tensor"
@@ -248,7 +248,7 @@ def interior(x: Vec7, a: KForm) -> KForm:
     """Interior product x ⌟ a."""
     if a.degree == 0:
         raise ValueError("interior product of a 0-form is undefined")
-    xs, dx = integer_vector(x)
+    xs, dx = integer_coords(x)
     acc: dict[tuple[int, ...], int] = {}
     for key, value in a._num.items():
         for pos, idx in enumerate(key):

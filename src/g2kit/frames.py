@@ -37,7 +37,7 @@ from operator import mul
 from random import Random
 
 from .forms import KForm, hodge
-from .linalg import DIM, UNIT, Vec7, integer_vector
+from .linalg import DIM, UNIT, Vec7, integer_coords
 
 
 def _dot(a, b):
@@ -242,14 +242,12 @@ def build_cayley_frame() -> G2Frame:
     return G2Frame.from_table(CrossTable(triples, label_offset=0), name="cayley")
 
 
-def basis_cross(table: CrossTable, i: int, j: int) -> Vec7:
-    """e_i x e_j from the table."""
-    return Vec7(tuple(table.cross(UNIT[i], UNIT[j])))
-
-
 def cross(u: Vec7, v: Vec7, frame: G2Frame) -> Vec7:
-    """Cross product u x v induced by the frame's table."""
-    return Vec7(tuple(frame.table.cross(u, v)))
+    """Cross product u x v induced by the frame's table, formed from the
+    integer grids of u and v and divided once."""
+    a, da = integer_coords(u)
+    b, db = integer_coords(v)
+    return Vec7.from_ints(frame.table.cross(a, b), da * db)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +355,7 @@ def validate_cross_axioms(frame: G2Frame, seed: int = 0, trials: int = 200) -> C
     random_cases = 0
     if not failures:
         for t in range(trials):
-            u, v, w = (integer_vector(rand_vec(rng))[0] for _ in range(3))
+            u, v, w = (integer_coords(rand_vec(rng))[0] for _ in range(3))
             random_cases += 1
             rule = _triple_failure(table, u, v, w)
             if rule:

@@ -31,8 +31,8 @@ from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations
-from math import comb, gcd, lcm
+from itertools import combinations
+from math import comb, lcm
 from operator import mul
 
 from .forms import (
@@ -54,6 +54,7 @@ from .linalg import (
     LinearSystem,
     Mat7,
     Vec7,
+    _IntegerGrid,
     as_fraction,
     integer_columns,
     integer_rows,
@@ -73,76 +74,9 @@ def _grid3(values, what: str) -> tuple:
     return grid
 
 
-def _scaled_grid3(values, what: str) -> tuple[tuple, int]:
-    """(d * values as a nested integer grid, d) for a 7x7 grid of length-7
-    sequences of rationals and their least common denominator d."""
-    grid = tuple(tuple(tuple(as_fraction(x) for x in v) for v in row) for row in _grid3(values, what))
-    d = lcm(*(x.denominator for x in chain.from_iterable(chain.from_iterable(grid))))
-    return tuple(tuple(tuple(x.numerator * (d // x.denominator) for x in v) for v in row) for row in grid), d
-
-
 def _vec7_grid(grid: tuple, d: int) -> tuple[tuple[Vec7, ...], ...]:
     """The ``Vec7`` view of a 7x7 grid of integer vectors over d."""
-    return tuple(tuple(Vec7(tuple(Fraction(x, d) for x in v)) for v in row) for row in grid)
-
-
-def _lowest_terms(grid: tuple, d: int, depth: int) -> tuple[tuple, int]:
-    """A nested integer grid `depth` levels deep and d > 0, divided by their gcd."""
-    flat = grid
-    for _ in range(depth - 1):
-        flat = chain.from_iterable(flat)
-    g = gcd(d, *flat)
-    return (grid, d) if g == 1 else (_divide(grid, g, depth), d // g)
-
-
-def _divide(grid: tuple, g: int, depth: int) -> tuple:
-    if depth == 1:
-        return tuple(x // g for x in grid)
-    return tuple(_divide(v, g, depth - 1) for v in grid)
-
-
-class _IntegerGrid:
-    """Immutable base of the three integer grids of this module: a nested
-    integer grid over one positive denominator, with ``==``/``hash`` on the
-    values (the grid in lowest terms) and a ``Fraction`` view built on
-    first use."""
-
-    __slots__ = ()
-    _depth = 3  # nesting levels of the grid
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
-
-    def _init(self, grid, d: int, *lazy: str):
-        object.__setattr__(self, "_grid", grid)
-        object.__setattr__(self, "_den", d)
-        for name in lazy:
-            object.__setattr__(self, name, None)
-        return self
-
-    def _cached(self, name: str, build):
-        value = getattr(self, name)
-        if value is None:
-            value = build()
-            object.__setattr__(self, name, value)
-        return value
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return _lowest_terms(self._grid, self._den, self._depth) == _lowest_terms(other._grid, other._den, self._depth)
-
-    def __hash__(self) -> int:
-        return hash(_lowest_terms(self._grid, self._den, self._depth))
-
-    def __reduce__(self):
-        return (type(self).from_ints, (self._grid, self._den))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}.from_ints({self._grid!r}, {self._den})"
+    return tuple(tuple(Vec7.from_ints(v, d) for v in row) for row in grid)
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +94,11 @@ class MetricLieAlgebra(_IntegerGrid):
     vectors, is a ``Vec7`` view built on first use.
     """
 
-    __slots__ = ("_grid", "_den", "_brackets")
+    __slots__ = ()
+    _depth = 3
 
     def __new__(cls, brackets):
-        return MetricLieAlgebra.from_ints(*_scaled_grid3(brackets, "bracket vectors"))
+        return MetricLieAlgebra.from_ints(*MetricLieAlgebra._scaled(_grid3(brackets, "bracket vectors")))
 
     @staticmethod
     def from_ints(grid, d: int) -> MetricLieAlgebra:
@@ -177,7 +112,7 @@ class MetricLieAlgebra(_IntegerGrid):
             for j in range(i, DIM):
                 if any(a != -b for a, b in zip(grid[i][j], grid[j][i])):
                     raise ValueError(f"brackets not antisymmetric at ({i},{j})")
-        return object.__new__(MetricLieAlgebra)._init(*_lowest_terms(grid, d, 3), "_brackets")
+        return MetricLieAlgebra._lowest(grid, d)
 
     @staticmethod
     def from_pairs(entries: dict) -> MetricLieAlgebra:
@@ -212,7 +147,7 @@ class MetricLieAlgebra(_IntegerGrid):
     @property
     def brackets(self) -> tuple[tuple[Vec7, ...], ...]:
         """The bracket vectors [e_i, e_j] as a grid of ``Vec7``s."""
-        return self._cached("_brackets", lambda: _vec7_grid(self._grid, self._den))
+        return self._viewed(_vec7_grid)
 
     def c(self, i: int, j: int, k: int) -> Fraction:
         return Fraction(self._grid[i][j][k], self._den)
@@ -275,26 +210,26 @@ class ConnectionTable(_IntegerGrid):
     """Gamma^k_ij with nabla_{e_i} e_j = sum_k Gamma^k_ij e_k.
 
     Stored as an integer grid G[i][j][k] = D Gamma^k_ij over one positive
-    denominator D, not necessarily in lowest terms (the Koszul connection
-    of an algebra over d comes over 2d); :attr:`gamma` is a ``Vec7`` view
-    built on first use.
+    denominator D, in lowest terms; :attr:`gamma` is a ``Vec7`` view built
+    on first use.
     """
 
-    __slots__ = ("_grid", "_den", "_gamma")
+    __slots__ = ()
+    _depth = 3
 
     def __new__(cls, gamma):
-        return ConnectionTable.from_ints(*_scaled_grid3(gamma, "connection vectors"))
+        return ConnectionTable.from_ints(*ConnectionTable._scaled(_grid3(gamma, "connection vectors")))
 
     @staticmethod
     def from_ints(grid, d: int) -> ConnectionTable:
         """The connection with Gamma^k_ij = grid[i][j][k] / d, d > 0."""
         if d <= 0:
             raise ValueError(f"needs a positive denominator, got {d}")
-        return object.__new__(ConnectionTable)._init(_grid3(grid, "connection vectors"), d, "_gamma")
+        return ConnectionTable._lowest(_grid3(grid, "connection vectors"), d)
 
     @property
     def gamma(self) -> tuple[tuple[Vec7, ...], ...]:
-        return self._cached("_gamma", lambda: _vec7_grid(self._grid, self._den))
+        return self._viewed(_vec7_grid)
 
     def nabla(self, i: int, j: int) -> Vec7:
         return self.gamma[i][j]
@@ -327,7 +262,7 @@ class ConnectionTable(_IntegerGrid):
 def koszul(mla: MetricLieAlgebra) -> ConnectionTable:
     """Levi-Civita connection of the left-invariant metric:
     2 Gamma^k_ij = c^k_ij - c^i_jk + c^j_ki (orthonormal frame), so the
-    integer grid of the algebra over d gives Gamma over 2d directly."""
+    integer grid of the algebra over d gives Gamma over 2d, in lowest terms."""
     defect = mla.jacobi_defect()
     if defect is not None:
         raise ValueError(f"Jacobi identity fails on triple {defect}")
@@ -342,21 +277,19 @@ class CurvatureTensor(_IntegerGrid):
     """Components R_ijkl = <R(e_i, e_j) e_k, e_l>.
 
     Stored as the integer operators D R(e_i, e_j) (row l, column k holds
-    D R_ijkl) over one positive denominator D, not necessarily in lowest
-    terms; :attr:`components` is a ``Fraction`` view built on first use.
+    D R_ijkl) over one positive denominator D, in lowest terms;
+    :attr:`components` is a ``Fraction`` view built on first use.
     """
 
-    __slots__ = ("_grid", "_den", "_components")
+    __slots__ = ()
     _depth = 4
 
     def __new__(cls, components):
         if len(components) != DIM or any(len(row) != DIM for row in components):
             raise ValueError("needs a 7x7 grid of 7x7 component blocks")
         # operator (i, j) has row l, column k = R_ijkl
-        flat = [as_fraction(x) for row in components for block in row for r in zip(*block) for x in r]
-        d = lcm(*(x.denominator for x in flat))
-        ints = iter([x.numerator * (d // x.denominator) for x in flat])
-        return CurvatureTensor.from_ints([[[[next(ints) for _ in _R] for _ in _R] for _ in _R] for _ in _R], d)
+        ops = [[tuple(zip(*block)) for block in row] for row in components]
+        return CurvatureTensor.from_ints(*CurvatureTensor._scaled(ops))
 
     @staticmethod
     def from_ints(ops, d: int) -> CurvatureTensor:
@@ -364,17 +297,14 @@ class CurvatureTensor(_IntegerGrid):
         if d <= 0:
             raise ValueError(f"needs a positive denominator, got {d}")
         ops = tuple(tuple(tuple(tuple(r) for r in op) for op in row) for row in ops)
-        return object.__new__(CurvatureTensor)._init(ops, d, "_components")
+        return CurvatureTensor._lowest(ops, d)
 
     @property
     def components(self) -> tuple[tuple[tuple[tuple[Fraction, ...], ...], ...], ...]:
-        d = self._den
-        return self._cached(
-            "_components",
-            lambda: tuple(
-                tuple(tuple(tuple(Fraction(x, d) for x in col) for col in zip(*op)) for op in row)
-                for row in self._grid
-            ),
+        return self._viewed(
+            lambda grid, d: tuple(
+                tuple(tuple(tuple(Fraction(x, d) for x in col) for col in zip(*op)) for op in row) for row in grid
+            )
         )
 
     def value(self, i: int, j: int, k: int, l: int) -> Fraction:
@@ -413,10 +343,10 @@ def curvature(conn: ConnectionTable, mla: MetricLieAlgebra) -> CurvatureTensor:
     """R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z.
 
     The connection (over D) and the structure constants (over d) are read
-    over their common denominator L, which is D for koszul(mla).  With
-    N_i = L nabla_{e_i}, the operator L^2 R(e_i, e_j) = [N_i, N_j] -
-    sum_m (L c^m_ij) N_m runs over the nonzero integer entries only; it is
-    computed for i < j, since both terms are antisymmetric in (i, j).
+    over their common denominator L.  With N_i = L nabla_{e_i}, the
+    operator L^2 R(e_i, e_j) = [N_i, N_j] - sum_m (L c^m_ij) N_m runs over
+    the nonzero integer entries only; it is computed for i < j, since both
+    terms are antisymmetric in (i, j).
     """
     D, d = conn._den, mla._den
     L = lcm(D, d)
@@ -443,7 +373,7 @@ def curvature(conn: ConnectionTable, mla: MetricLieAlgebra) -> CurvatureTensor:
                             out[k] -= c * y
             ops[i][j] = tuple(map(tuple, op))
             ops[j][i] = tuple(tuple(-x for x in r) for r in op)
-    return object.__new__(CurvatureTensor)._init(tuple(map(tuple, ops)), L * L, "_components")
+    return CurvatureTensor.from_ints(ops, L * L)
 
 
 def scalar_curvature(r: CurvatureTensor) -> Fraction:
@@ -603,15 +533,15 @@ def ce_differential(mla: MetricLieAlgebra, a: KForm) -> KForm:
     return KForm.from_ints(a.degree + 1, acc, den * mla._den)
 
 
-def codifferential(mla: MetricLieAlgebra, a: KForm, orientation: int = 1) -> KForm:
+def codifferential(mla: MetricLieAlgebra, a: KForm) -> KForm:
     """delta = (-1)^k star d star on invariant k-forms (dimension 7); the
     formal adjoint of d for the "form" inner product on unimodular algebras.
     The two Hodge duals cancel any orientation sign, so the result does not
-    depend on the orientation argument."""
+    depend on the orientation."""
     if a.degree == 0:
         return KForm.zero(0)
     sign = -1 if a.degree % 2 else 1
-    return hodge(ce_differential(mla, hodge(a, orientation)), orientation).scale(sign)
+    return hodge(ce_differential(mla, hodge(a))).scale(sign)
 
 
 def _derive(rows, num: dict) -> dict:
@@ -966,7 +896,7 @@ def bryant_scalar_check(
     scalar curvature s of the Koszul/curvature route, where tf is
     torsion_forms(mla, frame), and report which convention gives exact
     equality.  The two sides come from independent routes."""
-    dt1 = codifferential(mla, tf.tau1, frame.orientation).coeff(())
+    dt1 = codifferential(mla, tf.tau1).coeff(())
     rhs = []
     matches = []
     for convention in (FORM, "tensor"):

@@ -1,12 +1,13 @@
 """Exact rational vectors and matrices on R^7.
 
-No floating point is allowed anywhere.  A :class:`Vec7` holds
-:class:`fractions.Fraction` coordinates; its dot products run over one
-integer denominator per vector.  A :class:`Mat7` holds an integer grid over
-one positive common denominator, in lowest terms, so matrix arithmetic runs
-on plain integers.  Serialisation reads and writes that grid directly
-(:func:`integer_rows`, :meth:`Mat7.from_ints`); the ``Fraction`` entries are
-a view built on demand for the API.  Values are immutable and safe to share
+No floating point is allowed anywhere.  A :class:`Vec7` and a :class:`Mat7`
+each hold an integer grid over one positive common denominator, in lowest
+terms, so vector and matrix arithmetic runs on plain integers; both share
+that storage with the metric Lie algebras, connections and curvature
+tensors of :mod:`g2kit.liealg` through one immutable base.  Serialisation
+reads and writes the grid directly (:func:`integer_rows`,
+:meth:`Mat7.from_ints`); the ``Fraction`` coordinates and entries are a
+view built on demand for the API.  Values are immutable and safe to share
 between threads.
 
 Matrix convention: entries[i][j] is the coefficient of e_i in M(e_j), so a
@@ -15,7 +16,6 @@ matrix acts on column vectors, ``(M @ v)[i] = sum_j M[i][j] v[j]``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 from math import gcd, lcm
@@ -36,26 +36,132 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}: {x!r}")
 
 
-@dataclass(frozen=True)
-class Vec7:
-    coords: tuple[Fraction, ...]
+def _leaves(grid, depth: int):
+    """The entries of a nested grid `depth` levels deep, in order."""
+    for _ in range(depth - 1):
+        grid = chain.from_iterable(grid)
+    return grid
 
-    def __post_init__(self):
-        if len(self.coords) != DIM:
-            raise ValueError(f"Vec7 needs {DIM} coordinates, got {len(self.coords)}")
-        object.__setattr__(self, "coords", tuple(as_fraction(c) for c in self.coords))
+
+def _mapped(f, grid, depth: int) -> tuple:
+    """The nested grid `depth` levels deep with f applied to every entry."""
+    if depth == 1:
+        return tuple(map(f, grid))
+    return tuple(_mapped(f, v, depth - 1) for v in grid)
+
+
+class _IntegerGrid:
+    """Immutable base of the exact values: a nested integer grid ``_depth``
+    levels deep over one positive denominator, always in lowest terms, so
+    ``==``/``hash`` compare the grid directly.  Each subclass checks its
+    shape in ``from_ints`` and keeps one view in the lazy ``_view`` slot.
+    """
+
+    __slots__ = ("_grid", "_den", "_view")
+    _depth = 1  # nesting levels of the grid
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+    @classmethod
+    def _make(cls, grid, d: int):
+        """A value from a grid already in lowest terms over d > 0."""
+        x = object.__new__(cls)
+        _set_grid(x, grid)
+        _set_den(x, d)
+        _set_view(x, None)
+        return x
+
+    @classmethod
+    def _scaled(cls, values) -> tuple[tuple, int]:
+        """(d * values, d), in lowest terms, for a nested grid of int or
+        Fraction values; d is their least common denominator."""
+        values = _mapped(as_fraction, values, cls._depth)
+        d = lcm(*(x.denominator for x in _leaves(values, cls._depth)))
+        return _mapped(lambda x: x.numerator * (d // x.denominator), values, cls._depth), d
+
+    @classmethod
+    def _lowest(cls, grid, d: int):
+        """The value grid / d for a nested integer grid and an integer d != 0,
+        with the sign and the gcd divided out (``gcd`` rejects non-integers)."""
+        if d == 0:
+            raise ZeroDivisionError(f"{cls.__name__}.from_ints with denominator 0")
+        g = gcd(d, *_leaves(grid, cls._depth))
+        if d < 0:
+            g = -g
+        if g != 1:
+            grid = _mapped(lambda x: x // g, grid, cls._depth)
+            d //= g
+        return cls._make(grid, d)
+
+    def _viewed(self, build):
+        """The view, built as build(grid, den) on first use."""
+        view = self._view
+        if view is None:
+            view = build(self._grid, self._den)
+            _set_view(self, view)
+        return view
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._den == other._den and self._grid == other._grid
+
+    def __hash__(self) -> int:
+        return hash((self._grid, self._den))
+
+    def __reduce__(self):
+        return (type(self).from_ints, (self._grid, self._den))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}.from_ints({self._grid!r}, {self._den})"
+
+
+# the slot setters, which bypass the base's blocking attribute hook
+_set_grid = _IntegerGrid._grid.__set__
+_set_den = _IntegerGrid._den.__set__
+_set_view = _IntegerGrid._view.__set__
+
+
+class Vec7(_IntegerGrid):
+    """An exact vector in R^7, stored as integer coordinates over one common
+    denominator: coordinate i is grid[i] / den, in lowest terms.
+    :attr:`coords` is a lazily built ``Fraction`` view for the API."""
+
+    __slots__ = ()
+
+    def __new__(cls, coords):
+        if len(coords) != DIM:
+            raise ValueError(f"Vec7 needs {DIM} coordinates, got {len(coords)}")
+        return Vec7._make(*Vec7._scaled(coords))
+
+    @staticmethod
+    def from_ints(xs, d: int) -> Vec7:
+        """The vector xs / d for 7 integers xs and a nonzero integer d."""
+        xs = tuple(xs)
+        if len(xs) != DIM:
+            raise ValueError(f"Vec7 needs {DIM} coordinates, got {len(xs)}")
+        return Vec7._lowest(xs, d)
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """The coordinates as ``Fraction``s, built on first use."""
+        return self._viewed(lambda grid, d: tuple(Fraction(x, d) for x in grid))
 
     @staticmethod
     def zero() -> Vec7:
-        return Vec7((Fraction(0),) * DIM)
+        return Vec7._make((0,) * DIM, 1)
 
     @staticmethod
     def basis(i: int) -> Vec7:
-        return Vec7(tuple(Fraction(1 if j == i else 0) for j in range(DIM)))
+        return Vec7._make(UNIT[i], 1)
 
     @staticmethod
     def of(*coords) -> Vec7:
-        return Vec7(tuple(coords))
+        return Vec7(coords)
 
     def __getitem__(self, i: int) -> Fraction:
         return self.coords[i]
@@ -64,110 +170,73 @@ class Vec7:
         return iter(self.coords)
 
     def __add__(self, other: Vec7) -> Vec7:
-        return Vec7(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        da, db = self._den, other._den
+        d = lcm(da, db)
+        fa, fb = d // da, d // db
+        return Vec7.from_ints([fa * a + fb * b for a, b in zip(self._grid, other._grid)], d)
 
     def __sub__(self, other: Vec7) -> Vec7:
-        return Vec7(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return self + -other
 
     def __neg__(self) -> Vec7:
-        return Vec7(tuple(-a for a in self.coords))
+        return Vec7._make(tuple(-a for a in self._grid), self._den)
 
     def scale(self, s) -> Vec7:
         s = as_fraction(s)
-        return Vec7(tuple(s * a for a in self.coords))
+        p = s.numerator
+        return Vec7.from_ints([p * a for a in self._grid], s.denominator * self._den)
 
     __mul__ = scale
     __rmul__ = scale
 
     def dot(self, other: Vec7) -> Fraction:
-        a, da = integer_vector(self.coords)
-        b, db = integer_vector(other.coords)
-        return Fraction(sum(map(mul, a, b)), da * db)
+        return Fraction(sum(map(mul, self._grid, other._grid)), self._den * other._den)
 
     def norm_sq(self) -> Fraction:
-        a, d = integer_vector(self.coords)
-        return Fraction(sum(map(mul, a, a)), d * d)
+        a = self._grid
+        return Fraction(sum(map(mul, a, a)), self._den * self._den)
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coords)
+        return not any(self._grid)
 
 
-class Mat7:
+class Mat7(_IntegerGrid):
     """An exact 7x7 matrix, stored as integer rows over one common
-    denominator: entry (i, j) is rows[i][j] / den.
-
-    The form is canonical (den > 0 and gcd(den, all entries) == 1), so den
-    is the least common denominator of the entries and ``==``/``hash``
-    compare the grid directly.  Arithmetic runs on the integers and
-    normalises once per result, and serialisation prints and parses the
-    grid itself; :attr:`entries` is a lazily built ``Fraction`` view for the
-    API.
+    denominator: entry (i, j) is rows[i][j] / den, in lowest terms, so den
+    is the least common denominator of the entries.  Arithmetic runs on the
+    integers and normalises once per result, and serialisation prints and
+    parses the grid itself; :attr:`entries` is a lazily built ``Fraction``
+    view for the API.
     """
 
-    __slots__ = ("_rows", "_den", "_entries")
+    __slots__ = ()
+    _depth = 2
 
     def __new__(cls, entries):
         if len(entries) != DIM or any(len(r) != DIM for r in entries):
             raise ValueError("Mat7 needs a 7x7 grid")
-        grid = tuple(tuple(as_fraction(x) for x in row) for row in entries)
-        d = lcm(*(x.denominator for row in grid for x in row))
-        return _make(tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in grid), d, grid)
+        return Mat7._make(*Mat7._scaled(entries))
 
     @staticmethod
     def from_ints(rows, d: int) -> Mat7:
-        """The matrix rows / d for a 7x7 integer grid and a nonzero integer d;
-        the sign and the gcd are divided out.  ``math.gcd`` rejects
-        non-integers with ``TypeError``."""
-        rows = tuple(tuple(row) for row in rows)
+        """The matrix rows / d for a 7x7 integer grid and a nonzero integer d."""
+        rows = tuple(map(tuple, rows))
         if len(rows) != DIM or any(len(r) != DIM for r in rows):
             raise ValueError("Mat7 needs a 7x7 grid")
-        if d == 0:
-            raise ZeroDivisionError("Mat7.from_ints with denominator 0")
-        g = gcd(d, *chain.from_iterable(rows))
-        if d < 0:
-            g = -g
-        if g != 1:
-            rows = tuple(tuple(x // g for x in row) for row in rows)
-            d //= g
-        return _make(rows, d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Mat7 is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"Mat7 is immutable; cannot delete {name!r}")
-
-    def __reduce__(self):
-        return (Mat7.from_ints, (self._rows, self._den))
-
-    def __eq__(self, other):
-        if not isinstance(other, Mat7):
-            return NotImplemented
-        return self._den == other._den and self._rows == other._rows
-
-    def __hash__(self) -> int:
-        return hash((self._rows, self._den))
-
-    def __repr__(self) -> str:
-        return f"Mat7.from_ints({self._rows!r}, {self._den})"
+        return Mat7._lowest(rows, d)
 
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
         """The entries as ``Fraction`` rows, built on first use."""
-        grid = self._entries
-        if grid is None:
-            d = self._den
-            grid = tuple(tuple(Fraction(x, d) for x in row) for row in self._rows)
-            object.__setattr__(self, "_entries", grid)
-        return grid
+        return self._viewed(lambda grid, d: tuple(tuple(Fraction(x, d) for x in row) for row in grid))
 
     @staticmethod
     def zero() -> Mat7:
-        return Mat7.from_ints(((0,) * DIM,) * DIM, 1)
+        return Mat7._make(((0,) * DIM,) * DIM, 1)
 
     @staticmethod
     def identity() -> Mat7:
-        return Mat7.from_ints(UNIT, 1)
+        return Mat7._make(UNIT, 1)
 
     @staticmethod
     def from_columns(cols: list[Vec7]) -> Mat7:
@@ -184,7 +253,7 @@ class Mat7:
         return self.entries[i][j]
 
     def column(self, j: int) -> Vec7:
-        return Vec7(tuple(row[j] for row in self.entries))
+        return Vec7.from_ints([row[j] for row in self._grid], self._den)
 
     def columns(self) -> list[Vec7]:
         return [self.column(j) for j in range(DIM)]
@@ -193,35 +262,34 @@ class Mat7:
         da, db = self._den, other._den
         d = lcm(da, db)
         fa, fb = d // da, d // db
-        return Mat7.from_ints([[fa * a + fb * b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)], d)
+        return Mat7.from_ints([[fa * a + fb * b for a, b in zip(ra, rb)] for ra, rb in zip(self._grid, other._grid)], d)
 
     def __sub__(self, other: Mat7) -> Mat7:
         return self + -other
 
     def __neg__(self) -> Mat7:
-        return _make(tuple(tuple(-a for a in row) for row in self._rows), self._den)
+        return Mat7._make(tuple(tuple(-a for a in row) for row in self._grid), self._den)
 
     def scale(self, s) -> Mat7:
         s = as_fraction(s)
         p = s.numerator
-        return Mat7.from_ints([[p * a for a in row] for row in self._rows], s.denominator * self._den)
+        return Mat7.from_ints([[p * a for a in row] for row in self._grid], s.denominator * self._den)
 
     __rmul__ = scale
 
     def __matmul__(self, other):
         if isinstance(other, Vec7):
-            v, dv = integer_vector(other)
-            d = self._den * dv
-            return Vec7(tuple(Fraction(sum(map(mul, row, v)), d) for row in self._rows))
+            v = other._grid
+            return Vec7.from_ints([sum(map(mul, row, v)) for row in self._grid], self._den * other._den)
         if isinstance(other, Mat7):
-            return Mat7.from_ints(int_matmul(self._rows, other._rows), self._den * other._den)
+            return Mat7.from_ints(int_matmul(self._grid, other._grid), self._den * other._den)
         return NotImplemented
 
     def transpose(self) -> Mat7:
-        return _make(tuple(zip(*self._rows)), self._den)
+        return Mat7._make(tuple(zip(*self._grid)), self._den)
 
     def trace(self) -> Fraction:
-        rows = self._rows
+        rows = self._grid
         return Fraction(sum(rows[i][i] for i in range(DIM)), self._den)
 
     def symmetric_part(self) -> Mat7:
@@ -231,34 +299,24 @@ class Mat7:
         return (self - self.transpose()).scale(Fraction(1, 2))
 
     def is_symmetric(self) -> bool:
-        return self._rows == tuple(zip(*self._rows))
+        return self._grid == tuple(zip(*self._grid))
 
     def is_skew(self) -> bool:
-        rows = self._rows
+        rows = self._grid
         return all(rows[i][j] == -rows[j][i] for i in range(DIM) for j in range(i, DIM))
 
     def is_zero(self) -> bool:
-        return not any(map(any, self._rows))
+        return not any(map(any, self._grid))
 
     def norm_sq(self) -> Fraction:
         """Trace-form squared norm tr(M^T M) = sum of squared entries."""
         d = self._den
-        return Fraction(sum(x * x for row in self._rows for x in row), d * d)
-
-
-def _make(rows: tuple, d: int, grid=None) -> Mat7:
-    """A Mat7 from integer rows already in canonical form over d, and
-    optionally the matching Fraction grid."""
-    m = object.__new__(Mat7)
-    object.__setattr__(m, "_rows", rows)
-    object.__setattr__(m, "_den", d)
-    object.__setattr__(m, "_entries", grid)
-    return m
+        return Fraction(sum(x * x for row in self._grid for x in row), d * d)
 
 
 def frobenius(a: Mat7, b: Mat7) -> Fraction:
     """Trace inner product <A, B> = tr(A^T B)."""
-    total = sum(map(mul, chain.from_iterable(a._rows), chain.from_iterable(b._rows)))
+    total = sum(map(mul, chain.from_iterable(a._grid), chain.from_iterable(b._grid)))
     return Fraction(total, a._den * b._den)
 
 
@@ -268,7 +326,13 @@ def integer_rows(m: Mat7) -> tuple[tuple[tuple[int, ...], ...], int]:
     Hot loops over matrices work with these plain integers and divide back
     exactly at the end.  This reads the stored grid, so it costs nothing.
     """
-    return m._rows, m._den
+    return m._grid, m._den
+
+
+def integer_coords(v: Vec7) -> tuple[tuple[int, ...], int]:
+    """(d * v as integer coordinates, d) for the least common denominator
+    d; it reads the stored grid, as :func:`integer_rows` does."""
+    return v._grid, v._den
 
 
 def integer_vector(xs) -> tuple[list[int], int]:
@@ -280,7 +344,7 @@ def integer_vector(xs) -> tuple[list[int], int]:
 
 def integer_columns(m: Mat7) -> tuple[list[tuple[int, ...]], int]:
     """(columns of d * M as integer tuples, d), as in :func:`integer_rows`."""
-    return list(zip(*m._rows)), m._den
+    return list(zip(*m._grid)), m._den
 
 
 def int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:

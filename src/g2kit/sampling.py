@@ -43,7 +43,9 @@ def _mat_from_ratios(grid) -> Mat7:
 
 
 def rand_vec(rng: Random) -> Vec7:
-    return Vec7(tuple(rand_fraction(rng) for _ in range(DIM)))
+    ratios = [_rand_ratio(rng) for _ in range(DIM)]
+    d = lcm(*(q for _, q in ratios))
+    return Vec7.from_ints([p * (d // q) for p, q in ratios], d)
 
 
 def rand_nonzero_vec(rng: Random) -> Vec7:

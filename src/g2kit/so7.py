@@ -14,13 +14,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .frames import CrossTable, G2Frame, cross
-from .linalg import DIM, Mat7, Vec7, integer_rows, integer_vector, nullspace
+from .linalg import DIM, Mat7, Vec7, integer_coords, integer_rows, nullspace
 
 
 def cross_operator(v: Vec7, frame: G2Frame) -> Mat7:
     """The skew operator u -> u x v; entries a_ij = sum_k eps_ijk v_k,
     formed from the integer vector d v and divided once per entry."""
-    c, d = integer_vector(v)
+    c, d = integer_coords(v)
     return Mat7.from_ints(frame.table.cross_rows(c), d)
 
 
@@ -28,7 +28,7 @@ def skew_to_vector(a: Mat7, frame: G2Frame) -> Vec7:
     """Contraction p(a)_i = sum_jk eps_ijk a_jk; it only sees the skew part
     of the argument."""
     rows, d = integer_rows(a)
-    return Vec7(tuple(Fraction(x, d) for x in frame.table.contract(rows)))
+    return Vec7.from_ints(frame.table.contract(rows), d)
 
 
 def _skew_split(rows: list[list[int]], d: int, table: CrossTable) -> tuple[Mat7, Vec7]:
@@ -43,7 +43,7 @@ def _skew_split(rows: list[list[int]], d: int, table: CrossTable) -> tuple[Mat7,
     p = table.contract(s)
     q = 12 * d
     g2 = [[6 * x - y for x, y in zip(s_row, a_row)] for s_row, a_row in zip(s, table.cross_rows(p))]
-    return Mat7.from_ints(g2, q), Vec7(tuple(Fraction(x, q) for x in p))
+    return Mat7.from_ints(g2, q), Vec7.from_ints(p, q)
 
 
 def split_so7(a: Mat7, frame: G2Frame) -> tuple[Mat7, Vec7]:

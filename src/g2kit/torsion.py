@@ -38,7 +38,7 @@ def characteristic_vector(t: Mat7, frame: G2Frame) -> Vec7:
     of columns of T; it runs on d T and divides once.
     """
     cols, d = integer_columns(t)
-    return Vec7(tuple(Fraction(x, d) for x in frame.table.contract(cols)))
+    return Vec7.from_ints(frame.table.contract(cols), d)
 
 
 def torsion_energies(t: Mat7, frame: G2Frame) -> tuple[Fraction, Fraction, Fraction]:

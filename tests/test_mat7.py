@@ -2,7 +2,10 @@
 
 Every operation is compared with the same operation written out on lists
 of ``Fraction`` entries, on seeded matrices with small (<= 9) and 17-bit
-denominators, and every result is checked to be in canonical form.
+denominators, and every result is checked to be in canonical form.  The
+immutability, pickling, copying, ``repr`` and lowest-terms checks also run
+on the other values of the same integer-grid base: ``Vec7``, metric Lie
+algebras, their Koszul connections and their curvature tensors.
 """
 
 import copy
@@ -14,7 +17,11 @@ from random import Random
 
 import pytest
 
+from g2kit.frames import build_cayley_frame, build_standard_frame, cross
+from g2kit.liealg import ConnectionTable, CurvatureTensor, MetricLieAlgebra, curvature, heisenberg_model, koszul
 from g2kit.linalg import DIM, Mat7, Vec7, frobenius, integer_columns, integer_rows
+from g2kit.sampling import rand_two_step_nilpotent
+from g2kit.torsion import characteristic_vector
 
 SEEDS = [0, 1, 2]
 
@@ -47,11 +54,37 @@ def vectors(seed: int) -> list[list[Fraction]]:
     return [[draw(rng) for _ in range(DIM)] for draw in (small_fraction, wide_fraction)] + [[Fraction(0)] * DIM]
 
 
-def assert_canonical(m: Mat7) -> None:
-    rows, d = integer_rows(m)
+# each value type of the integer-grid base and the name of its view
+VIEWS = {
+    Mat7: "entries",
+    Vec7: "coords",
+    MetricLieAlgebra: "brackets",
+    ConnectionTable: "gamma",
+    CurvatureTensor: "components",
+}
+
+
+def leaves(grid) -> list:
+    """The entries of a nested tuple grid, in order."""
+    return [y for x in grid for y in leaves(x)] if isinstance(grid, tuple) else [grid]
+
+
+def assert_canonical(x) -> None:
+    """The stored grid, the one ``from_ints`` rebuilds x from, has integer
+    entries over a positive denominator sharing no factor with them."""
+    grid, d = x.__reduce__()[1]
+    entries = leaves(grid)
     assert type(d) is int and d > 0
-    assert all(type(x) is int for x in chain.from_iterable(rows))
-    assert gcd(d, *chain.from_iterable(rows)) == 1
+    assert all(type(v) is int for v in entries)
+    assert gcd(d, *entries) == 1
+
+
+def grid_values(seed: int) -> list:
+    """A Mat7, a Vec7, a seeded metric Lie algebra, its Koszul connection
+    and its curvature tensor."""
+    mla = rand_two_step_nilpotent(Random(seed))
+    conn = koszul(mla)
+    return [Mat7(grids(seed)[0]), Vec7(tuple(vectors(seed)[1])), mla, conn, curvature(conn, mla)]
 
 
 def same(m: Mat7, grid) -> bool:
@@ -167,34 +200,70 @@ def test_malformed_grids_rejected():
 
 
 def test_immutable():
-    m = Mat7(grids(0)[0])
-    before = integer_rows(m)
-    for name in ("entries", "_rows", "_den", "_entries", "other"):
+    for x in grid_values(0):
+        view = VIEWS[type(x)]
+        before = repr(x)
+        for name in (view, "_grid", "_den", "_view", "other"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, None)
         with pytest.raises(AttributeError):
-            setattr(m, name, None)
-    with pytest.raises(AttributeError):
-        del m._den
-    assert integer_rows(m) == before
+            del x._den
+        getattr(x, view)
+        assert repr(x) == before
 
 
 @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
 def test_pickle_round_trip(protocol):
-    for g in grids(1):
-        m = Mat7(g)
-        back = pickle.loads(pickle.dumps(m, protocol))
-        assert back == m and hash(back) == hash(m)
-        assert back.entries == m.entries
+    for x in [Mat7(g) for g in grids(1)] + grid_values(1):
+        back = pickle.loads(pickle.dumps(x, protocol))
+        assert type(back) is type(x)
+        assert back == x and hash(back) == hash(x)
+        view = VIEWS[type(x)]
+        assert getattr(back, view) == getattr(x, view)
         assert_canonical(back)
 
 
 def test_copy_and_deepcopy_round_trip():
-    for g in grids(2):
-        m = Mat7(g)
-        for dup in (copy.copy(m), copy.deepcopy(m), copy.deepcopy([m, m])[0]):
-            assert dup == m and hash(dup) == hash(m)
-            assert dup.entries == m.entries
+    for x in [Mat7(g) for g in grids(2)] + grid_values(2):
+        view = VIEWS[type(x)]
+        for dup in (copy.copy(x), copy.deepcopy(x), copy.deepcopy([x, x])[0]):
+            assert type(dup) is type(x)
+            assert dup == x and hash(dup) == hash(x)
+            assert getattr(dup, view) == getattr(x, view)
 
 
 def test_repr_rebuilds_the_matrix():
-    m = Mat7(grids(0)[4])
-    assert eval(repr(m), {"Mat7": Mat7}) == m
+    namespace = {cls.__name__: cls for cls in VIEWS}
+    for x in [Mat7(grids(0)[4])] + grid_values(0):
+        assert eval(repr(x), namespace) == x
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_results_are_in_lowest_terms(seed):
+    rng = Random(seed)
+    algebras = [rand_two_step_nilpotent(rng) for _ in range(6)] + [heisenberg_model()[0]]
+    # even integer brackets: the Koszul grid over 2d and the curvature grid
+    # over (2d)^2 have a common factor that must be divided out
+    algebras.append(MetricLieAlgebra.from_nonzero({(0, 1): {2: 2}, (3, 4): {5: -4}}))
+    for mla in algebras:
+        conn = koszul(mla)
+        assert_canonical(mla)
+        assert_canonical(conn)
+        assert_canonical(curvature(conn, mla))
+    vs = [Vec7(tuple(v)) for v in vectors(seed)]
+    vs += [v.scale(6) for v in vs] + [Vec7.basis(3).scale(Fraction(2, 4))]
+    s = small_fraction(rng)
+    for frame in (build_standard_frame(), build_cayley_frame()):
+        for u in vs:
+            assert_canonical(u)
+            assert_canonical(u.scale(s))
+            assert_canonical(u.scale(0))
+            for v in vs + [-u]:
+                for w in (u + v, u - v, cross(u, v, frame)):
+                    assert_canonical(w)
+        for g in grids(seed):
+            m = Mat7(g)
+            assert_canonical(characteristic_vector(m, frame))
+            assert_canonical(characteristic_vector(m.scale(12), frame))
+            for v in vs:
+                assert_canonical(m @ v)
