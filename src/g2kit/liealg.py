@@ -31,7 +31,7 @@ from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb, lcm
 from operator import mul
 
@@ -58,6 +58,7 @@ from .linalg import (
     as_fraction,
     integer_columns,
     integer_rows,
+    integer_vector,
     nullspace,
 )
 from .so7 import cross_operator, g2_basis
@@ -66,12 +67,26 @@ from .torsion import characteristic_vector, torsion_energies
 _R = range(DIM)
 
 
+def _shaped(grid: tuple, depth: int, what: str) -> tuple:
+    """grid, a nested tuple `depth` levels deep, once every level holds 7
+    entries; ValueError otherwise."""
+    level = (grid,)
+    for k in range(depth):
+        if k:
+            level = tuple(chain.from_iterable(level))
+        if set(map(len, level)) != {DIM}:
+            raise ValueError(f"needs a 7x7 grid of {what}")
+    return grid
+
+
 def _grid3(values, what: str) -> tuple:
     """A 7x7 grid of length-7 sequences as nested tuples; ValueError otherwise."""
-    grid = tuple(tuple(tuple(v) for v in row) for row in values)
-    if len(grid) != DIM or any(len(row) != DIM or any(len(v) != DIM for v in row) for row in grid):
-        raise ValueError(f"needs a 7x7 grid of {what}")
-    return grid
+    return _shaped(tuple(tuple(tuple(v) for v in row) for row in values), 3, what)
+
+
+def _grid4(values, what: str) -> tuple:
+    """A 7x7 grid of 7x7 blocks as nested tuples; ValueError otherwise."""
+    return _shaped(tuple(tuple(tuple(tuple(r) for r in op) for op in row) for row in values), 4, what)
 
 
 def _vec7_grid(grid: tuple, d: int) -> tuple[tuple[Vec7, ...], ...]:
@@ -151,17 +166,6 @@ class MetricLieAlgebra(_IntegerGrid):
 
     def c(self, i: int, j: int, k: int) -> Fraction:
         return Fraction(self._grid[i][j][k], self._den)
-
-    def bracket(self, u: Vec7, v: Vec7) -> Vec7:
-        acc = Vec7.zero()
-        for i in range(DIM):
-            if u[i] == 0:
-                continue
-            for j in range(DIM):
-                if v[j] == 0:
-                    continue
-                acc = acc + self.brackets[i][j].scale(u[i] * v[j])
-        return acc
 
     def jacobi_defect(self) -> tuple[int, int, int] | None:
         """First triple (i < j < k) violating the Jacobi identity, or None.
@@ -285,10 +289,8 @@ class CurvatureTensor(_IntegerGrid):
     _depth = 4
 
     def __new__(cls, components):
-        if len(components) != DIM or any(len(row) != DIM for row in components):
-            raise ValueError("needs a 7x7 grid of 7x7 component blocks")
         # operator (i, j) has row l, column k = R_ijkl
-        ops = [[tuple(zip(*block)) for block in row] for row in components]
+        ops = [[tuple(zip(*block)) for block in row] for row in _grid4(components, "7x7 component blocks")]
         return CurvatureTensor.from_ints(*CurvatureTensor._scaled(ops))
 
     @staticmethod
@@ -296,8 +298,7 @@ class CurvatureTensor(_IntegerGrid):
         """The tensor with R_ijkl = ops[i][j][l][k] / d, d > 0."""
         if d <= 0:
             raise ValueError(f"needs a positive denominator, got {d}")
-        ops = tuple(tuple(tuple(tuple(r) for r in op) for op in row) for row in ops)
-        return CurvatureTensor._lowest(ops, d)
+        return CurvatureTensor._lowest(_grid4(ops, "7x7 component blocks"), d)
 
     @property
     def components(self) -> tuple[tuple[tuple[tuple[Fraction, ...], ...], ...], ...]:
@@ -612,11 +613,8 @@ def _form_coords(a: KForm, degree: int) -> list[int]:
 
 def _system(columns, degree: int) -> LinearSystem:
     """The linear system whose columns are the coordinates of the given forms."""
-    cols = []
-    for f in columns:
-        d = integer_terms(f)[1]
-        cols.append([Fraction(x, d) for x in _form_coords(f, degree)])
-    return LinearSystem(list(zip(*cols)))
+    coords, d = _common_coords(columns, degree)
+    return LinearSystem(list(zip(*coords)), d)
 
 
 def _common_coords(forms, degree: int) -> tuple[list[list[int]], int]:
@@ -735,19 +733,16 @@ def _lambda3_27_forms(table, orientation) -> tuple[KForm, ...]:
     frame = G2Frame.from_table(table, orientation)
     keys3 = all_increasing_tuples(3)
     rows = []
-    # gamma ^ phi = 0 (7 equations in Lambda^6)
-    for target in all_increasing_tuples(6):
-        row = []
-        for key in keys3:
-            row.append(wedge(KForm.monomial(key), frame.phi).coeff(target))
-        rows.append(row)
-    # gamma ^ star_phi = 0 (1 equation in Lambda^7)
-    target = tuple(_R)
-    rows.append([wedge(KForm.monomial(key), frame.star_phi).coeff(target) for key in keys3])
-    basis = nullspace(rows)
+    # gamma ^ phi = 0 (7 equations in Lambda^6), gamma ^ star_phi = 0 (1
+    # equation in Lambda^7); each group of rows is scaled to integers
+    for form, targets in ((frame.phi, all_increasing_tuples(6)), (frame.star_phi, [tuple(_R)])):
+        wedges = [integer_terms(wedge(KForm.monomial(key), form)) for key in keys3]
+        d = lcm(*(dw for _, dw in wedges))
+        rows += [[num.get(target, 0) * (d // dw) for num, dw in wedges] for target in targets]
     out = []
-    for coeffs in basis:
-        out.append(KForm(3, {key: c for key, c in zip(keys3, coeffs) if c != 0}))
+    for coeffs in nullspace(rows):
+        xs, d = integer_vector(coeffs)
+        out.append(KForm.from_ints(3, dict(zip(keys3, xs)), d))
     return tuple(out)
 
 

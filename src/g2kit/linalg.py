@@ -19,12 +19,15 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, combinations
 from math import gcd, lcm
-from operator import mul
+from operator import attrgetter, mul
 
 DIM = 7
 
 # integer coordinates of the basis vectors e_0..e_6
 UNIT = tuple(tuple(int(i == j) for j in range(DIM)) for i in range(DIM))
+
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
 
 
 def as_fraction(x) -> Fraction:
@@ -338,7 +341,9 @@ def integer_coords(v: Vec7) -> tuple[tuple[int, ...], int]:
 def integer_vector(xs) -> tuple[list[int], int]:
     """(d * x as integers, d) for the smallest common denominator d of the
     int or Fraction entries x."""
-    d = lcm(*(x.denominator for x in xs))
+    d = lcm(*map(_denominator, xs))
+    if d == 1:
+        return list(map(_numerator, xs)), 1
     return [x.numerator * (d // x.denominator) for x in xs], d
 
 
@@ -353,80 +358,128 @@ def int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# Generic exact routines on rectangular Fraction grids (plain lists of lists).
-# These back the rank/kernel computations used for the g2 basis and the
-# degree-wise form decompositions.
+# Generic exact routines on rectangular grids of int or Fraction entries
+# (plain lists of lists).  They back the rank/kernel computations used for
+# the g2 basis and the degree-wise form decompositions, and the per-frame
+# linear systems; all of them run one fraction-free integer Gauss-Jordan.
 # ---------------------------------------------------------------------------
 
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices)."""
-    m = [list(r) for r in rows]
+def _reduce(m: list[list[int]]) -> list[int]:
+    """Gauss-Jordan elimination of integer rows in place, fraction-free;
+    returns the pivot columns.
+
+    The pivot of column c is the first nonzero entry at or below row r, as
+    in elimination over ``Fraction``s, so the pivots are the same, and every
+    row ends as a nonzero multiple of its row of the reduced row echelon
+    form.  A row with entry f in the pivot column becomes
+    (p/g) row - (f/g) pivot_row for the pivot p and g = gcd(p, f), and is
+    then divided by its content (the gcd of its entries)."""
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        prow = m[r]
+        p = prow[c]
         for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            f = m[i][c]
+            if f and i != r:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                row = [a * x - b * y for x, y in zip(m[i], prow)]
+                g = gcd(*row)
+                if g > 1:
+                    row = [x // g for x in row]
+                m[i] = row
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return m, pivots
+    return pivots
 
 
-def rank(rows: list[list[Fraction]]) -> int:
-    return len(rref(rows)[1])
+def _integer_grid(rows) -> list[list[int]]:
+    """Each row of int or Fraction entries times the lcm of its denominators."""
+    return [integer_vector(r)[0] for r in rows]
 
 
-def nullspace(rows: list[list[Fraction]]) -> list[list[Fraction]]:
+def _over(xs: list[int], p: int) -> tuple[list[int], int]:
+    """(integers, d) with xs / p = integers / d in lowest terms and d > 0."""
+    g = gcd(p, *xs)
+    if p < 0:
+        g = -g
+    return [x // g for x in xs], p // g
+
+
+def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns (matrix, pivot column indices)."""
+    m = _integer_grid(rows)
+    pivots = _reduce(m)
+    ncols = len(m[0]) if m else 0
+    reduced = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
+    return reduced + [[Fraction(0)] * ncols for _ in m[len(pivots):]], pivots
+
+
+def rank(rows) -> int:
+    return len(_reduce(_integer_grid(rows)))
+
+
+def nullspace(rows) -> list[list[Fraction]]:
     """Basis of {x : A x = 0}, one list per basis vector."""
     if not rows:
         return []
-    ncols = len(rows[0])
-    reduced, pivots = rref(rows)
+    m = _integer_grid(rows)
+    ncols = len(m[0])
+    pivots = _reduce(m)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -reduced[r][fc]
+        for row, pc in zip(m, pivots):
+            v[pc] = Fraction(-row[fc], row[pc])
         basis.append(v)
     return basis
 
 
 class LinearSystem:
-    """A x = b for one fixed A and many right-hand sides b.
+    """A x = b for one fixed A = rows / d and many right-hand sides b.
 
-    [A | I] is reduced once with :func:`rref`.  The rows with a pivot in A
-    carry the transform E (E A = rref(A)), the others span the left null
-    space of A; both are kept as integer rows, the transform over one
-    common denominator.  :meth:`solve_ints` then costs one integer
-    matrix-vector product plus a consistency check, and returns exactly
-    what reducing [A | b] would give.  (Reducing past the A columns changes
-    the E rows only by left-null rows, which vanish on every consistent b.)
+    The integer rows of D [A | I] are reduced once with the integer
+    Gauss-Jordan, where the diagonal D scales each row of A to integers (the
+    identity block is scaled too, so the reduction sees a matrix row
+    equivalent to [A | I]).  The rows with a pivot in A carry the transform
+    E (E A = rref(A)), the others span the left null space of A; both are
+    kept as integer rows, the transform in lowest terms over one common
+    denominator.  :meth:`solve_ints` then costs one integer matrix-vector
+    product plus a consistency check, and returns exactly what reducing
+    [A | b] would give.  (Reducing past the A columns changes the E rows
+    only by left-null rows, which vanish on every consistent b.)
     """
 
-    def __init__(self, rows: list[list[Fraction]]):
+    def __init__(self, rows, d: int = 1):
+        """The system with matrix rows / d, for rows of int or Fraction
+        entries and an integer d > 0."""
         nrows = len(rows)
         self.ncols = ncols = len(rows[0])
-        reduced, pivots = rref([list(r) + [Fraction(int(i == k)) for k in range(nrows)] for i, r in enumerate(rows)])
+        m = []
+        for i, row in enumerate(rows):
+            xs, di = integer_vector(row)
+            scaled = [0] * nrows
+            scaled[i] = di * d
+            m.append(xs + scaled)
+        pivots = _reduce(m)
         r = sum(1 for c in pivots if c < ncols)
         self.pivots = tuple(pivots[:r])
-        transform = [integer_vector(row[ncols:]) for row in reduced[:r]]
-        self._den = d = lcm(*(dr for _, dr in transform))
-        self._transform = tuple(tuple(x * (d // dr) for x in row) for row, dr in transform)
-        self._left_null = tuple(integer_vector(row[ncols:])[0] for row in reduced[r:])
+        transform = [_over(row[ncols:], row[c]) for row, c in zip(m, self.pivots)]
+        self._den = den = lcm(*(dr for _, dr in transform))
+        self._transform = tuple(tuple(x * (den // dr) for x in row) for row, dr in transform)
+        self._left_null = tuple(_over(row[ncols:], row[c])[0] for row, c in zip(m[r:], pivots[r:]))
 
     def solve_ints(self, b, db: int) -> tuple[list[int], int] | None:
         """One exact solution of A x = b / db for integers b and db > 0, as

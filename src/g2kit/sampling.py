@@ -17,7 +17,7 @@ from random import Random
 
 from .frames import G2Frame
 from .liealg import MetricLieAlgebra
-from .linalg import DIM, LinearSystem, Mat7, Vec7, integer_rows
+from .linalg import DIM, LinearSystem, Mat7, Vec7, integer_columns, integer_rows
 from .so7 import g2_basis
 
 
@@ -111,15 +111,15 @@ def rand_orthogonal(rng: Random) -> Mat7:
 
     The 7 columns solve one system (I + S) x = (I - S) e_j, reduced once."""
     s = rand_skew(rng)
-    system = LinearSystem((Mat7.identity() + s).entries)
-    b = Mat7.identity() - s
+    system = LinearSystem(*integer_rows(Mat7.identity() + s))
+    b, db = integer_columns(Mat7.identity() - s)
     cols = []
-    for j in range(DIM):
-        sol = system.solve(b.column(j))
+    for col in b:
+        sol = system.solve_ints(col, db)
         if sol is None:
             raise ValueError("Cayley transform failed: I + S is singular")
-        cols.append(Vec7(tuple(sol)))
-    return Mat7.from_columns(cols)
+        cols.append(sol[0])
+    return Mat7.from_ints(tuple(zip(*cols)), sol[1])
 
 
 def table_symmetries(frame: G2Frame, rng: Random, count: int, max_tries: int = 4000) -> list[Mat7]:

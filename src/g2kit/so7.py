@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .frames import CrossTable, G2Frame, cross
-from .linalg import DIM, Mat7, Vec7, integer_coords, integer_rows, nullspace
+from .linalg import DIM, Mat7, Vec7, integer_coords, integer_rows, integer_vector, nullspace
 
 
 def cross_operator(v: Vec7, frame: G2Frame) -> Mat7:
@@ -122,14 +122,14 @@ def skew_basis_indices() -> list[tuple[int, int]]:
     return [(i, j) for i in range(DIM) for j in range(i + 1, DIM)]
 
 
-def p_matrix(table: CrossTable) -> list[list[Fraction]]:
+def p_matrix(table: CrossTable) -> list[list[int]]:
     """Matrix of the eps contraction on so(7) in the E_ij - E_ji basis (7 x 21)."""
     cols = []
     for i, j in skew_basis_indices():
         m = [[0] * DIM for _ in range(DIM)]
         m[i][j], m[j][i] = 1, -1
         cols.append(table.contract(m))
-    return [[Fraction(col[r]) for col in cols] for r in range(DIM)]
+    return [[col[r] for col in cols] for r in range(DIM)]
 
 
 @lru_cache(maxsize=None)
@@ -138,11 +138,12 @@ def _g2_basis_cached(table: CrossTable) -> tuple[Mat7, ...]:
     kernel = nullspace(p_matrix(table))
     mats = []
     for coeffs in kernel:
-        rows = [[Fraction(0)] * DIM for _ in range(DIM)]
-        for c, (i, j) in zip(coeffs, pairs):
-            rows[i][j] += c
-            rows[j][i] -= c
-        mats.append(Mat7(rows))
+        xs, d = integer_vector(coeffs)
+        rows = [[0] * DIM for _ in range(DIM)]
+        for x, (i, j) in zip(xs, pairs):
+            rows[i][j] = x
+            rows[j][i] = -x
+        mats.append(Mat7.from_ints(rows, d))
     return tuple(mats)
 
 

@@ -20,13 +20,19 @@ the ``Fraction`` view entry by entry and parse every entry with
 views (``brackets``, ``gamma``, ``components``, ``KForm.coeff``/``terms``)
 and on ``Fraction`` ``Mat7`` products, over seeded 2-step nilpotent
 algebras, seeded almost-abelian algebras, so(3) + R^4 scaled by 2/3 and
-the non-unimodular almost-abelian golden input, in both frames.
+the non-unimodular almost-abelian golden input, in both frames.  The
+exact linear algebra (``rref``, ``rank``, ``nullspace`` and
+``LinearSystem``, now one fraction-free integer Gauss-Jordan) is held to
+the earlier Gauss-Jordan over ``Fraction``s, on seeded and generated
+grids and on the linear systems and bases cached per frame.
 """
 
 import json
 import sys
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
+from operator import mul
 from pathlib import Path
 from random import Random
 
@@ -34,7 +40,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2kit.forms import FORM, TENSOR, KForm
+from g2kit.forms import FORM, TENSOR, KForm, hodge, wedge
 from g2kit.frames import CrossTable, G2Frame, _triple_failure, cross, validate_cross_axioms
 from g2kit.invariants import char_poly, i0, i2
 from g2kit.liealg import (
@@ -42,6 +48,7 @@ from g2kit.liealg import (
     CurvatureTensor,
     MetricLieAlgebra,
     TorsionForms,
+    _cross_action_system,
     _lambda2_14_forms,
     _lambda3_27_forms,
     _lambda4_system,
@@ -60,7 +67,20 @@ from g2kit.liealg import (
     scalar_curvature,
     torsion_forms,
 )
-from g2kit.linalg import DIM, UNIT, Mat7, Vec7, int_matmul, integer_columns, integer_rows, integer_vector
+from g2kit.linalg import (
+    DIM,
+    UNIT,
+    LinearSystem,
+    Mat7,
+    Vec7,
+    int_matmul,
+    integer_columns,
+    integer_rows,
+    integer_vector,
+    nullspace,
+    rank,
+    rref,
+)
 from g2kit.sampling import rand_fraction, rand_g2, rand_mat, rand_skew, rand_symmetric, rand_two_step_nilpotent, rand_vec
 from g2kit.serialize import (
     DigitLimitError,
@@ -70,7 +90,7 @@ from g2kit.serialize import (
     parse_rational,
     rational_pair,
 )
-from g2kit.so7 import cross_operator, decompose_endo, g2_basis, split_so7
+from g2kit.so7 import cross_operator, decompose_endo, g2_basis, skew_basis_indices, split_so7
 from g2kit.torsion import characteristic_vector, torsion_energies
 
 
@@ -833,3 +853,280 @@ def test_r_map_matches_fraction_route(frame, seed):
 def test_torsion_forms_match_fraction_route(frame, seed):
     for mla in oracle_algebras(seed):
         assert torsion_forms(mla, frame) == ref_torsion_forms(mla, frame)
+
+
+# ---------------------------------------------------------------------------
+# Exact linear algebra
+# ---------------------------------------------------------------------------
+
+
+def ref_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Gauss-Jordan over Fractions: each pivot row is divided by its pivot,
+    then the pivot column is cleared in every other row."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = Fraction(1) / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+def ref_nullspace(rows: list[list[Fraction]]) -> list[list[Fraction]]:
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    reduced, pivots = ref_rref(rows)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -reduced[r][fc]
+        basis.append(v)
+    return basis
+
+
+def ref_linear_system(rows: list[list[Fraction]]) -> tuple:
+    """(pivots, denominator, transform, left-null rows) from reducing
+    [A | I] over Fractions."""
+    nrows, ncols = len(rows), len(rows[0])
+    reduced, pivots = ref_rref([list(r) + [Fraction(int(i == k)) for k in range(nrows)] for i, r in enumerate(rows)])
+    r = sum(1 for c in pivots if c < ncols)
+    transform = [integer_vector(row[ncols:]) for row in reduced[:r]]
+    d = lcm(*(dr for _, dr in transform))
+    return (
+        tuple(pivots[:r]),
+        d,
+        tuple(tuple(x * (d // dr) for x in row) for row, dr in transform),
+        tuple(integer_vector(row[ncols:])[0] for row in reduced[r:]),
+    )
+
+
+def ref_solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
+    """Reduce [A | b] for this one b and read x off the pivots."""
+    ncols = len(rows[0])
+    reduced, pivots = ref_rref([list(r) + [b] for r, b in zip(rows, rhs)])
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = reduced[r][ncols]
+    return x
+
+
+def system_fields(system: LinearSystem) -> tuple:
+    return system.pivots, system._den, system._transform, system._left_null
+
+
+def check_linear_algebra(rows: list[list[Fraction]], rhs_list: list[list[Fraction]]) -> int:
+    """Every routine against the Fraction reference on one grid; returns
+    the number of inconsistent right-hand sides."""
+    assert rref(rows) == ref_rref(rows)
+    assert rank(rows) == len(ref_rref(rows)[1])
+    assert nullspace(rows) == ref_nullspace(rows)
+    system = LinearSystem(rows)
+    fields = ref_linear_system(rows)
+    assert system_fields(system) == fields
+    pivots, d, transform, _ = fields
+    inconsistent = 0
+    for rhs in rhs_list:
+        expected = ref_solve(rows, rhs)
+        assert system.solve(rhs) == expected
+        b, db = integer_vector(rhs)
+        sol = system.solve_ints(b, db)
+        if expected is None:
+            assert sol is None
+            inconsistent += 1
+            continue
+        x = [0] * len(rows[0])
+        for pc, row in zip(pivots, transform):
+            x[pc] = sum(map(mul, row, b))
+        assert sol == (x, d * db)
+        assert [Fraction(v, sol[1]) for v in sol[0]] == expected
+    return inconsistent
+
+
+def seeded_grid(rng: Random, nrows: int, ncols: int, rank_: int) -> list[list[Fraction]]:
+    """nrows combinations of rank_ random rows (signed entries, so negative
+    pivots occur), with one row zeroed when there are more rows than rank_."""
+    base = [[rand_fraction(rng) for _ in range(ncols)] for _ in range(rank_)]
+    rows = []
+    for _ in range(nrows):
+        coeffs = [rand_fraction(rng, 3, 2) for _ in base]
+        rows.append([sum((c * b[k] for c, b in zip(coeffs, base)), Fraction(0)) for k in range(ncols)])
+    if nrows > rank_:
+        rows[rng.randrange(nrows)] = [Fraction(0)] * ncols
+    return rows
+
+
+GRID_SHAPES = {
+    "square": (7, 7, 7),
+    "tall-35": (35, 7, 7),
+    "wide": (4, 9, 4),
+    "rank-deficient-tall": (12, 9, 4),
+    "rank-deficient-wide": (5, 11, 3),
+    "rank-deficient-square": (8, 8, 6),
+    "rank-one": (6, 5, 1),
+    "zero": (4, 6, 0),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(GRID_SHAPES))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_linear_algebra_matches_fraction_gauss_jordan(shape, seed):
+    nrows, ncols, rank_ = GRID_SHAPES[shape]
+    rng = Random(seed * 1000 + sum(map(ord, shape)))
+    rows = seeded_grid(rng, nrows, ncols, rank_)
+    assert rank(rows) == rank_
+    rhs_list = []
+    for _ in range(3):
+        x0 = [rand_fraction(rng) for _ in range(ncols)]
+        rhs_list.append([sum((a * x for a, x in zip(row, x0)), Fraction(0)) for row in rows])
+        rhs_list.append([rand_fraction(rng) for _ in range(nrows)])
+    rhs_list.append([Fraction(0)] * nrows)
+    inconsistent = check_linear_algebra(rows, rhs_list)
+    # random right-hand sides are inconsistent unless A has full row rank
+    assert (inconsistent > 0) == (rank_ < nrows)
+
+
+def test_linear_algebra_on_small_fixed_grids():
+    cases = [
+        [[Fraction(-2), Fraction(4)], [Fraction(3), Fraction(-1)]],
+        [[Fraction(0), Fraction(-3), Fraction(6)], [Fraction(-5, 2), Fraction(1), Fraction(0)]],
+        [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(-7, 3)], [Fraction(0), Fraction(2)]],
+        [[Fraction(-1)]],
+        [[Fraction(0), Fraction(0), Fraction(0)]],
+    ]
+    for rows in cases:
+        rhs_list = [[Fraction(k - i) for i in range(len(rows))] for k in range(3)]
+        check_linear_algebra(rows, rhs_list)
+    # ints and Fractions mix, and an integer grid gives the Fraction answers
+    ints = [[2, -4, 1], [-1, 2, 3]]
+    assert rref(ints) == ref_rref(ints) and nullspace(ints) == ref_nullspace(ints)
+    assert rref([]) == ([], []) and nullspace([]) == [] and rank([]) == 0
+
+
+def test_linear_system_over_a_denominator_matches_fraction_rows():
+    rng = Random(11)
+    for nrows, ncols, rank_ in GRID_SHAPES.values():
+        rows = seeded_grid(rng, nrows, ncols, rank_)
+        d = lcm(*(integer_vector(row)[1] for row in rows))
+        scaled = [[x.numerator * (d // x.denominator) for x in row] for row in rows]
+        assert system_fields(LinearSystem(scaled, d)) == ref_linear_system(rows)
+
+
+GRID_ENTRIES = st.one_of(
+    st.just(0),
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+)
+
+
+@st.composite
+def grids_and_rhs(draw):
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rows = [[draw(GRID_ENTRIES) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows > 1 and draw(st.booleans()):
+        # a multiple of another row, or a zero row
+        a, c = draw(st.integers(0, nrows - 2)), draw(GRID_ENTRIES)
+        rows[-1] = [c * x for x in rows[a]]
+    rhs = [[Fraction(draw(GRID_ENTRIES)) for _ in range(nrows)] for _ in range(2)]
+    return rows, rhs
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(grids_and_rhs())
+def test_linear_algebra_matches_fraction_gauss_jordan_on_generated_grids(case):
+    rows, rhs_list = case
+    fraction_rows = [[Fraction(x) for x in row] for row in rows]
+    # the image of a generated vector is always consistent
+    x0 = rhs_list[0][: len(rows[0])] + [Fraction(1)] * max(0, len(rows[0]) - len(rows))
+    image = [sum((a * x for a, x in zip(row, x0)), Fraction(0)) for row in fraction_rows]
+    check_linear_algebra(fraction_rows, rhs_list + [image])
+    assert LinearSystem(rows).solve(image) is not None
+    assert rref(rows) == rref(fraction_rows)
+
+
+def ref_form_rows(forms, degree: int) -> list[list[Fraction]]:
+    """The Fraction grid whose columns are the coordinates of the forms."""
+    keys = list(combinations(range(DIM), degree))
+    return [list(r) for r in zip(*[[f.coeff(key) for key in keys] for f in forms])]
+
+
+def ref_lambda3_27_forms(frame) -> tuple[KForm, ...]:
+    """The kernel of gamma -> (gamma ^ phi, gamma ^ star_phi) over Fraction
+    coefficients."""
+    keys3 = list(combinations(range(DIM), 3))
+    rows = [[wedge(KForm.monomial(key), frame.phi).coeff(t) for key in keys3] for t in combinations(range(DIM), 6)]
+    rows.append([wedge(KForm.monomial(key), frame.star_phi).coeff(tuple(range(DIM))) for key in keys3])
+    return tuple(KForm(3, {key: c for key, c in zip(keys3, v) if c != 0}) for v in ref_nullspace(rows))
+
+
+def ref_g2_basis(frame) -> tuple[Mat7, ...]:
+    pairs = skew_basis_indices()
+    cols = []
+    for i, j in pairs:
+        m = [[0] * DIM for _ in range(DIM)]
+        m[i][j], m[j][i] = 1, -1
+        cols.append(frame.table.contract(m))
+    out = []
+    for coeffs in ref_nullspace([[Fraction(col[r]) for col in cols] for r in range(DIM)]):
+        rows = [[Fraction(0)] * DIM for _ in range(DIM)]
+        for c, (i, j) in zip(coeffs, pairs):
+            rows[i][j] += c
+            rows[j][i] -= c
+        out.append(Mat7(rows))
+    return tuple(out)
+
+
+def test_frame_bases_match_fraction_route(frame):
+    gammas = _lambda3_27_forms(frame.table, frame.orientation)
+    assert len(gammas) == 27 and gammas == ref_lambda3_27_forms(frame)
+    basis = g2_basis(frame)
+    assert len(basis) == 14 and basis == ref_g2_basis(frame)
+
+
+def test_frame_systems_match_fraction_route(frame):
+    table, orientation = frame.table, frame.orientation
+    one_forms = [KForm.monomial((i,)) for i in range(DIM)]
+    cases = [
+        (
+            _cross_action_system(table, orientation),
+            [ref_derivation_action(cross_operator(Vec7.basis(k), frame), frame.phi) for k in range(DIM)],
+            3,
+        ),
+        (
+            _lambda4_system(table, orientation),
+            [frame.star_phi]
+            + [wedge(e, frame.phi) for e in one_forms]
+            + [hodge(gamma, orientation) for gamma in ref_lambda3_27_forms(frame)],
+            4,
+        ),
+        (
+            _lambda5_system(table, orientation),
+            [wedge(e, frame.star_phi) for e in one_forms]
+            + [wedge(beta, frame.phi) for beta in _lambda2_14_forms(table)],
+            5,
+        ),
+    ]
+    for system, forms, degree in cases:
+        rows = ref_form_rows(forms, degree)
+        assert system_fields(system) == ref_linear_system(rows)
+        assert system.ncols == len(forms)
+    # the two square systems are nonsingular: no left-null rows
+    assert [len(system._left_null) for system, _, _ in cases] == [28, 0, 0]

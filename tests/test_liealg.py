@@ -8,6 +8,7 @@ from g2kit.forms import FORM, TENSOR, KForm, form_inner, form_norm_sq, hodge, we
 from g2kit.invariants import i0
 from g2kit.liealg import (
     HEISENBERG_REFERENCE_CONNECTION,
+    CurvatureTensor,
     MetricLieAlgebra,
     TorsionSolveError,
     _lambda2_14_forms,
@@ -51,6 +52,41 @@ def test_algebra_construction_and_validation():
         koszul(bad)
 
 
+def blocks(rows: int, cols: int) -> list:
+    """A 7x7 grid of rows-by-cols blocks of ones."""
+    return [[[[1] * cols for _ in range(rows)] for _ in range(DIM)] for _ in range(DIM)]
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (7, 6), (6, 7), (7, 8)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_curvature_tensor_rejects_misshapen_blocks(shape):
+    for build in (CurvatureTensor, lambda grid: CurvatureTensor.from_ints(grid, 1)):
+        with pytest.raises(ValueError, match="needs a 7x7 grid of 7x7 component blocks"):
+            build(blocks(*shape))
+
+
+def test_curvature_tensor_rejects_misshapen_outer_grid():
+    grid = blocks(DIM, DIM)
+    for bad in (grid[:-1], [row[:-1] for row in grid]):
+        with pytest.raises(ValueError, match="needs a 7x7 grid of 7x7 component blocks"):
+            CurvatureTensor(bad)
+        with pytest.raises(ValueError, match="needs a 7x7 grid of 7x7 component blocks"):
+            CurvatureTensor.from_ints(bad, 1)
+    assert CurvatureTensor.from_ints(grid, 1) == CurvatureTensor(grid)
+
+
+def bracket(mla: MetricLieAlgebra, u: Vec7, v: Vec7) -> Vec7:
+    """[u, v] summed term by term over the ``Vec7`` bracket view."""
+    acc = Vec7.zero()
+    for i in range(DIM):
+        if u[i] == 0:
+            continue
+        for j in range(DIM):
+            if v[j] == 0:
+                continue
+            acc = acc + mla.brackets[i][j].scale(u[i] * v[j])
+    return acc
+
+
 def reference_jacobi_defect(mla: MetricLieAlgebra) -> tuple[int, int, int] | None:
     """The earlier jacobi_defect: the cyclic sum through `bracket` for all
     35 triples, nonzero or not."""
@@ -58,9 +94,9 @@ def reference_jacobi_defect(mla: MetricLieAlgebra) -> tuple[int, int, int] | Non
         for j in range(i + 1, DIM):
             for k in range(j + 1, DIM):
                 total = (
-                    mla.bracket(mla.brackets[i][j], Vec7.basis(k))
-                    + mla.bracket(mla.brackets[j][k], Vec7.basis(i))
-                    + mla.bracket(mla.brackets[k][i], Vec7.basis(j))
+                    bracket(mla, mla.brackets[i][j], Vec7.basis(k))
+                    + bracket(mla, mla.brackets[j][k], Vec7.basis(i))
+                    + bracket(mla, mla.brackets[k][i], Vec7.basis(j))
                 )
                 if not total.is_zero():
                     return (i, j, k)
