@@ -10,15 +10,13 @@ failure, 2 usage or parse error.
 
 from __future__ import annotations
 
-import argparse
+import json
 import marshal
 import os
 import sys
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
-from json import JSONDecodeError
 from random import Random
 
 from .forms import FORM, TENSOR
@@ -48,7 +46,7 @@ from .liealg import (
     scalar_curvature,
     torsion_forms,
 )
-from .linalg import Mat7
+from .linalg import Mat7, _Record
 from .sampling import (
     rand_fraction,
     rand_mat,
@@ -79,8 +77,7 @@ from .torsion import (
 FRAMES = {"standard": build_standard_frame, "cayley": build_cayley_frame}
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_Record):
     command: str
     seed: int = 0
     trials: int = 200
@@ -301,14 +298,12 @@ def cmd_identities(cfg: RunConfig) -> tuple[int, dict]:
 
 
 def _read_json(path: str):
-    import json
-
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    except JSONDecodeError as exc:
+    except json.JSONDecodeError as exc:
         raise UsageError(f"parse failure in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except ValueError as exc:
         # undecodable UTF-8, or an integer literal past the int/str digit limit
@@ -567,6 +562,9 @@ def render(report: dict, fmt: str) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # imported here: only `main` parses arguments, and `run` callers skip the import
+    import argparse
+
     parser = argparse.ArgumentParser(prog="g2kit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, helptext in (

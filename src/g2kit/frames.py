@@ -30,14 +30,13 @@ sign flip when a frame is forced onto the wrong orientation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations, product
 from operator import mul
 from random import Random
 
 from .forms import KForm, hodge
-from .linalg import DIM, UNIT, Vec7, integer_coords
+from .linalg import DIM, UNIT, Vec7, _Record, integer_coords
 
 
 def _dot(a, b):
@@ -45,8 +44,7 @@ def _dot(a, b):
     return sum(map(mul, a, b))
 
 
-@dataclass(frozen=True)
-class CrossTable:
+class CrossTable(_Record):
     """Antisymmetric 3-index table with entries in {-1, 0, +1}, stored as a
     7x7 grid of ordered-pair slots: slot (i, j) holds the (k, eps_ijk) with
     nonzero eps_ijk."""
@@ -173,13 +171,12 @@ def _sort3(i: int, j: int, k: int) -> tuple[tuple[int, int, int], int]:
     return (a, b, c), sign
 
 
-@dataclass(frozen=True)
-class G2Frame:
+class G2Frame(_Record):
     table: CrossTable
     phi: KForm
     star_phi: KForm
     orientation: int
-    name: str = field(default="custom")
+    name: str = "custom"
 
     @property
     def label_offset(self) -> int:
@@ -255,8 +252,7 @@ def cross(u: Vec7, v: Vec7, frame: G2Frame) -> Vec7:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(_Record):
     name: str
     passed: bool
     counts: tuple[tuple[str, int], ...] = ()

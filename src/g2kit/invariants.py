@@ -8,12 +8,11 @@ the frame explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
 from .frames import CheckReport, G2Frame
-from .linalg import DIM, UNIT, Mat7, integer_columns, integer_rows
+from .linalg import DIM, UNIT, Mat7, _Record, integer_columns, integer_rows
 from .so7 import decompose_endo
 
 
@@ -95,28 +94,33 @@ def i2(t: Mat7, frame: G2Frame) -> Fraction:
     return Fraction(total, d * d)
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(_Record):
+    """The orthogonal and frame invariants of one endomorphism; ``charpoly``
+    is None in the report of :func:`verify_quadratic_relations`, which
+    does not read it."""
+
     sigma1: Fraction
     sigma2: Fraction
     norm_sq: Fraction
     i0: Fraction
     i1: Fraction
     i2: Fraction
-    charpoly: tuple[Fraction, ...]
+    charpoly: tuple[Fraction, ...] | None
 
     def to_dict(self) -> dict:
         from .serialize import rational_str
 
-        return {
+        out = {
             "sigma1": rational_str(self.sigma1),
             "sigma2": rational_str(self.sigma2),
             "norm_sq": rational_str(self.norm_sq),
             "i0": rational_str(self.i0),
             "i1": rational_str(self.i1),
             "i2": rational_str(self.i2),
-            "charpoly": [rational_str(c) for c in self.charpoly],
         }
+        if self.charpoly is not None:
+            out["charpoly"] = [rational_str(c) for c in self.charpoly]
+        return out
 
 
 def invariant_report(t: Mat7, frame: G2Frame) -> InvariantReport:
@@ -131,8 +135,7 @@ def invariant_report(t: Mat7, frame: G2Frame) -> InvariantReport:
     )
 
 
-@dataclass(frozen=True)
-class QuadraticRelationsReport:
+class QuadraticRelationsReport(_Record):
     passed: bool
     invariants: InvariantReport
     residual_i1: Fraction
@@ -153,8 +156,19 @@ class QuadraticRelationsReport:
 
 def verify_quadratic_relations(t: Mat7, frame: G2Frame) -> QuadraticRelationsReport:
     """Check i1 = -i0 + |T|^2 + 4 sigma2 - sigma1^2,
-    i2 = i0 + |T|^2 - 2 sigma2 - sigma1^2 and their difference identity."""
-    inv = invariant_report(t, frame)
+    i2 = i0 + |T|^2 - 2 sigma2 - sigma1^2 and their difference identity.
+
+    Only the six values the relations read are computed; the report's
+    ``invariants.charpoly`` is None."""
+    inv = InvariantReport(
+        sigma1=t.trace(),
+        sigma2=sigma2(t),
+        norm_sq=t.norm_sq(),
+        i0=i0(t, frame),
+        i1=i1(t, frame),
+        i2=i2(t, frame),
+        charpoly=None,
+    )
     s1sq = inv.sigma1 * inv.sigma1
     r1 = inv.i1 - (-inv.i0 + inv.norm_sq + 4 * inv.sigma2 - s1sq)
     r2 = inv.i2 - (inv.i0 + inv.norm_sq - 2 * inv.sigma2 - s1sq)
@@ -202,12 +216,13 @@ def special_case_check(t: Mat7, frame: G2Frame) -> CheckReport:
     elif split.scalar == 0 and split.sym0.is_zero() and split.g2part.is_zero():
         case = "vector"
         zsq = split.vector.norm_sq()
+        v1, v2 = i1(t, frame), i2(t, frame)
         expect("i0", i0(t, frame), -18 * zsq)
-        expect("i1", i1(t, frame), 36 * zsq)
-        expect("i2", i2(t, frame), -18 * zsq)
+        expect("i1", v1, 36 * zsq)
+        expect("i2", v2, -18 * zsq)
         expect("sigma2", sigma2(t), 3 * zsq)
         expect("norm_sq", t.norm_sq(), 6 * zsq)
-        expect("i1 - i2", i1(t, frame) - i2(t, frame), 54 * zsq)
+        expect("i1 - i2", v1 - v2, 54 * zsq)
     else:
         case = "not special"
 

@@ -28,7 +28,6 @@ Convention notes, fixed once here:
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
@@ -55,6 +54,7 @@ from .linalg import (
     Mat7,
     Vec7,
     _IntegerGrid,
+    _Record,
     as_fraction,
     integer_columns,
     integer_rows,
@@ -448,8 +448,7 @@ def alt_scalar_curvature(t: Mat7, frame: G2Frame) -> Fraction:
     return Fraction(total, 6 * d * d)
 
 
-@dataclass(frozen=True)
-class DivergenceReport:
+class DivergenceReport(_Record):
     """Summands of div chi = (1/2) s_alt - (1/2) s_g2perp + |chi|^2 +
     |xi_alt|^2 - |xi_sym|^2 evaluated from algebraic data."""
 
@@ -685,8 +684,7 @@ def r_map(nphi: tuple[KForm, ...], frame: G2Frame, convention: str = FORM) -> Ma
     return Mat7.from_ints([[weight * sum(map(mul, a, b)) for b in duals] for a in coords], 4 * d * dd)
 
 
-@dataclass(frozen=True)
-class GeometryTorsionReport:
+class GeometryTorsionReport(_Record):
     torsion: Mat7
     r_grid: Mat7
     matched_convention: str | None
@@ -780,8 +778,7 @@ def _combination(basis: tuple[KForm, ...], coeffs: list[int], d: int, degree: in
     return KForm.from_ints(degree, acc, common * d)
 
 
-@dataclass(frozen=True)
-class TorsionForms:
+class TorsionForms(_Record):
     """Solution of d phi = tau0 star_phi + 3 tau1 ^ phi + star tau3 and
     d star_phi = 4 tau1 ^ star_phi + tau2 ^ phi, with tau2 in the
     14-dimensional and tau3 in the 27-dimensional summand."""
@@ -860,8 +857,7 @@ def torsion_forms(mla: MetricLieAlgebra, frame: G2Frame, convention: str = FORM)
     return TorsionForms(tau0=tau0, tau1=tau1, tau2=tau2, tau3=tau3, convention=convention)
 
 
-@dataclass(frozen=True)
-class BryantScalarReport:
+class BryantScalarReport(_Record):
     scalar: Fraction
     rhs_by_convention: tuple[tuple[str, Fraction], ...]
     reconciling: tuple[str, ...]
@@ -915,8 +911,7 @@ def bryant_scalar_check(
     )
 
 
-@dataclass(frozen=True)
-class NearlyParallelReport:
+class NearlyParallelReport(_Record):
     """Nearly parallel check at a purely algebraic level: substitute
     d phi := -8 lambda0 star_phi and Z = 0 into the skew-torsion formulas."""
 

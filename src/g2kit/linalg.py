@@ -8,7 +8,8 @@ tensors of :mod:`g2kit.liealg` through one immutable base.  Serialisation
 reads and writes the grid directly (:func:`integer_rows`,
 :meth:`Mat7.from_ints`); the ``Fraction`` coordinates and entries are a
 view built on demand for the API.  Values are immutable and safe to share
-between threads.
+between threads.  The package's frozen report records (:class:`_Record`)
+share the base's attribute block.
 
 Matrix convention: entries[i][j] is the coefficient of e_i in M(e_j), so a
 matrix acts on column vectors, ``(M @ v)[i] = sum_j M[i][j] v[j]``.
@@ -53,7 +54,20 @@ def _mapped(f, grid, depth: int) -> tuple:
     return tuple(_mapped(f, v, depth - 1) for v in grid)
 
 
-class _IntegerGrid:
+class _Immutable:
+    """Blocks setting and deleting attributes; subclasses fill their
+    instances through ``object.__setattr__``, slot setters or ``__dict__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+
+class _IntegerGrid(_Immutable):
     """Immutable base of the exact values: a nested integer grid ``_depth``
     levels deep over one positive denominator, always in lowest terms, so
     ``==``/``hash`` compare the grid directly.  Each subclass checks its
@@ -62,12 +76,6 @@ class _IntegerGrid:
 
     __slots__ = ("_grid", "_den", "_view")
     _depth = 1  # nesting levels of the grid
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
 
     @classmethod
     def _make(cls, grid, d: int):
@@ -127,6 +135,74 @@ class _IntegerGrid:
 _set_grid = _IntegerGrid._grid.__set__
 _set_den = _IntegerGrid._den.__set__
 _set_view = _IntegerGrid._view.__set__
+
+
+class _Record(_Immutable):
+    """Base of the frozen report records: the class's own annotated names
+    are its fields, in order, and a class attribute of the same name is
+    that field's default.
+
+    The constructor takes the fields by position and by keyword, and then
+    calls ``__post_init__``; ``==`` holds between records of one class with
+    equal fields, ``hash`` is over the fields, and ``repr`` lists them.  No
+    method is generated per class, so defining a record costs no code
+    generation at import time.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = tuple(cls.__annotations__)
+        cls._fields = fields
+        cls._field_set = frozenset(fields)
+        cls._defaults = {name: cls.__dict__[name] for name in fields if name in cls.__dict__}
+        cls._values = attrgetter(*fields)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if not kwargs and len(args) == len(fields):
+            self.__dict__.update(zip(fields, args))
+        elif not args and kwargs.keys() == self._field_set:
+            self.__dict__.update(kwargs)
+        else:
+            self.__dict__.update(self._bound(args, kwargs))
+        self.__post_init__()
+
+    @classmethod
+    def _bound(cls, args: tuple, kwargs: dict) -> dict:
+        """The field values in order from a mixed or partial argument list,
+        with the defaults filled in."""
+        fields, name = cls._fields, cls.__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} positional arguments but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for field in fields[len(args):]:
+            if field in kwargs:
+                values[field] = kwargs.pop(field)
+            elif field in cls._defaults:
+                values[field] = cls._defaults[field]
+            else:
+                raise TypeError(f"{name}() missing required argument: {field!r}")
+        extra = next(iter(kwargs), None)  # a name left over is a repeat or unknown
+        if extra in values:
+            raise TypeError(f"{name}() got multiple values for argument {extra!r}")
+        if extra is not None:
+            raise TypeError(f"{name}() got an unexpected keyword argument {extra!r}")
+        return values
+
+    def __post_init__(self):
+        """Validation and derived attributes of a subclass; none by default."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 class Vec7(_IntegerGrid):

@@ -9,12 +9,11 @@ are handled inside commutators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .frames import CrossTable, G2Frame, cross
-from .linalg import DIM, Mat7, Vec7, integer_coords, integer_rows, integer_vector, nullspace
+from .linalg import DIM, Mat7, Vec7, _Record, integer_coords, integer_rows, integer_vector, nullspace
 
 
 def cross_operator(v: Vec7, frame: G2Frame) -> Mat7:
@@ -58,8 +57,7 @@ def bracket_g2perp(u: Vec7, v: Vec7, frame: G2Frame) -> Mat7:
     return cross_operator(cross(u, v, frame), frame)
 
 
-@dataclass(frozen=True)
-class EndoSplit:
+class EndoSplit(_Record):
     """Decomposition of an endomorphism into scalar, traceless symmetric,
     g2, and vector (cross-operator) parts."""
 

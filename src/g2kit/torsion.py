@@ -11,12 +11,11 @@ is a field-level condition outside this package's scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .frames import G2Frame, build_standard_frame
 from .invariants import i0, sigma2
-from .linalg import DIM, Mat7, Vec7, integer_columns
+from .linalg import DIM, Mat7, Vec7, _Record, integer_columns
 from .so7 import EndoSplit, cross_operator, decompose_endo
 
 # Scaling note attached to reports whenever a structure with nonzero vector
@@ -64,8 +63,7 @@ def torsion_energies(t: Mat7, frame: G2Frame) -> tuple[Fraction, Fraction, Fract
     return chi_sq, Fraction(alt_int, 4 * d * d), Fraction(sym_int, 4 * d * d)
 
 
-@dataclass(frozen=True)
-class TorsionClass:
+class TorsionClass(_Record):
     split: EndoSplit
     flags: frozenset[str]
     part_norms_sq: tuple[Fraction, Fraction, Fraction, Fraction]
@@ -125,8 +123,7 @@ def predicted_scalar_curvature(t: Mat7, frame: G2Frame) -> Fraction:
     return 6 * curvature_integrand(t, frame)
 
 
-@dataclass(frozen=True)
-class HypersurfaceReport:
+class HypersurfaceReport(_Record):
     passed: bool
     lhs: Fraction
     rhs: Fraction

@@ -1,3 +1,4 @@
+import re
 from random import Random
 
 import pytest
@@ -153,11 +154,13 @@ def test_display_triples(standard, cayley):
 
 
 def test_crosstable_rejects_malformed():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("triple (0, 0, 1) must be strictly increasing in 0..6")):
         CrossTable(((0, 0, 1, 1),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("triple (0, 1, 7) must be strictly increasing in 0..6")):
+        CrossTable(((0, 1, 7, 1),))
+    with pytest.raises(ValueError, match=re.escape("triple sign must be +-1, got 2")):
         CrossTable(((0, 1, 2, 2),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("duplicate triple (0, 1, 2)")):
         CrossTable(((0, 1, 2, 1), (0, 1, 2, -1)))
 
 
