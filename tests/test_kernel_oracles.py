@@ -30,7 +30,7 @@ grids and on the linear systems and bases cached per frame.
 import json
 import sys
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import lcm
 from operator import mul
 from pathlib import Path
@@ -41,8 +41,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from g2kit.forms import FORM, TENSOR, KForm, hodge, wedge
-from g2kit.frames import CrossTable, G2Frame, _triple_failure, cross, validate_cross_axioms
-from g2kit.invariants import char_poly, i0, i2
+from g2kit.frames import (
+    CheckReport,
+    CrossTable,
+    G2Frame,
+    _triple_failure,
+    check_epsilon_identities,
+    cross,
+    star_phi_pairing_check,
+    validate_cross_axioms,
+)
+from g2kit.invariants import char_poly, i0, i1, i2
 from g2kit.liealg import (
     ConnectionTable,
     CurvatureTensor,
@@ -81,7 +90,16 @@ from g2kit.linalg import (
     rank,
     rref,
 )
-from g2kit.sampling import rand_fraction, rand_g2, rand_mat, rand_skew, rand_symmetric, rand_two_step_nilpotent, rand_vec
+from g2kit.sampling import (
+    _rand_ratio,
+    rand_fraction,
+    rand_g2,
+    rand_mat,
+    rand_skew,
+    rand_symmetric,
+    rand_two_step_nilpotent,
+    rand_vec,
+)
 from g2kit.serialize import (
     DigitLimitError,
     algebra_from_json,
@@ -149,6 +167,75 @@ def ref_validate_cross_axioms(frame, seed: int, trials: int) -> tuple[tuple, tup
     return (("basis_triples", basis_cases), ("seeded_triples", random_cases)), tuple(failures)
 
 
+def ref_check_epsilon_identities(frame) -> CheckReport:
+    table = frame.table
+    eps = [[[table.eps(i, j, k) for k in range(DIM)] for j in range(DIM)] for i in range(DIM)]
+    star = {
+        quad: frame.star_phi.coeff(quad) for key, _ in frame.star_phi.terms() for quad in permutations(key)
+    }
+    failures = []
+    checked = 0
+    for k in range(DIM):
+        for l in range(DIM):
+            total = sum(eps[i][j][k] * eps[i][j][l] for i in range(DIM) for j in range(DIM))
+            checked += 1
+            if total != (6 if k == l else 0):
+                failures.append(f"contraction over two indices fails at (k,l)=({k},{l}): {total}")
+    for j, k, p, q in product(range(DIM), repeat=4):
+        lhs = sum(eps[i][j][k] * eps[i][p][q] for i in range(DIM))
+        rhs = star.get((j, k, p, q), 0) + (j == p) * (k == q) - (j == q) * (k == p)
+        checked += 1
+        if lhs != rhs:
+            failures.append(f"contraction over one index fails at (j,k,p,q)=({j},{k},{p},{q}): {lhs} != {rhs}")
+            if len(failures) > 3:
+                break
+    return CheckReport(
+        name="epsilon-identities",
+        passed=not failures,
+        counts=(("cases", checked),),
+        failures=tuple(failures[:3]),
+    )
+
+
+def ref_star_phi_pairing_check(frame) -> CheckReport:
+    table = frame.table
+    match = flipped = both_zero = total = 0
+    first_bad = None
+    products = {(i, j): table.cross(UNIT[i], UNIT[j]) for i, j in permutations(range(DIM), 2)}
+    for quad in permutations(range(DIM), 4):
+        i, j, k, l = quad
+        pairing = sum(map(mul, products[i, j], products[k, l]))
+        value = frame.star_phi.coeff(quad)
+        total += 1
+        if value == pairing == 0:
+            both_zero += 1
+        elif value == pairing:
+            match += 1
+        elif value == -pairing != 0:
+            flipped += 1
+        elif first_bad is None:
+            first_bad = f"quadruple {quad}: star_phi={value}, pairing={pairing}"
+    nonzero = total - both_zero
+    if first_bad is not None or match + flipped != nonzero:
+        verdict, passed = "fail", False
+    elif flipped == 0:
+        verdict, passed = "pass", True
+    elif match == 0:
+        verdict, passed = "global-sign", True
+    else:
+        verdict, passed = "fail", False
+    notes = (f"verdict: {verdict}",)
+    if verdict == "global-sign":
+        notes += ("a single global sign flip of star_phi reconciles all quadruples",)
+    return CheckReport(
+        name="star-phi-pairing",
+        passed=passed,
+        counts=(("quadruples", total), ("matching", match), ("sign_flipped", flipped)),
+        failures=(first_bad,) if first_bad else (),
+        notes=notes,
+    )
+
+
 def fraction_columns(t: Mat7) -> list[list[Fraction]]:
     return [[t.entries[i][j] for i in range(DIM)] for j in range(DIM)]
 
@@ -163,6 +250,16 @@ def ref_i0(t: Mat7, frame) -> Fraction:
             cij = table.cross(cols[i], cols[j])
             total += 2 * table.cross(UNIT[j], cij)[i]
     return total
+
+
+def ref_i1(t: Mat7, frame) -> Fraction:
+    table = frame.table
+    cols = fraction_columns(t)
+    acc = [Fraction(0)] * DIM
+    for i in range(DIM):
+        for k, x in enumerate(table.cross(cols[i], UNIT[i])):
+            acc[k] += x
+    return sum(x * x for x in acc)
 
 
 def ref_i2(t: Mat7, frame) -> Fraction:
@@ -336,6 +433,7 @@ def test_i0_i2_and_torsion_energies_match_fraction_route(frame, seed):
     mats += [rand_g2(rng, frame) for _ in range(3)]
     for t in mats:
         assert i0(t, frame) == ref_i0(t, frame)
+        assert i1(t, frame) == ref_i1(t, frame)
         assert i2(t, frame) == ref_i2(t, frame)
         assert torsion_energies(t, frame) == ref_torsion_energies(t, frame)
 
@@ -345,7 +443,9 @@ def test_i0_and_i2_match_fraction_route_on_corrupted_tables(frame, flip):
     target = flipped_frame(frame, flip)
     for t in seeded_matrices(3)[:6]:
         assert i0(t, target) == ref_i0(t, target)
+        assert i1(t, target) == ref_i1(t, target)
         assert i2(t, target) == ref_i2(t, target)
+        assert torsion_energies(t, target) == ref_torsion_energies(t, target)
 
 
 @pytest.mark.parametrize(
@@ -362,6 +462,54 @@ def test_matrix_samplers_match_fraction_route(sampler, reference):
             assert m == expected and m.entries == expected.entries
         # the same number of draws: the streams stay in step
         assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("variant", [None, 0, 4, "opposite-orientation"])
+def test_table_checks_match_loop_route(frame, variant):
+    if variant is None:
+        target = frame
+    elif variant == "opposite-orientation":
+        # star_phi forced onto the other orientation: every quadruple flips
+        target = G2Frame.from_table(frame.table, orientation=-frame.orientation)
+    else:
+        target = flipped_frame(frame, variant)
+    eps_report = check_epsilon_identities(target)
+    pairing_report = star_phi_pairing_check(target)
+    assert eps_report == ref_check_epsilon_identities(target)
+    assert pairing_report == ref_star_phi_pairing_check(target)
+    # a valid table passes both; a flipped triple fails both; the opposite
+    # orientation fails the contraction and reads as one global sign
+    assert eps_report.passed == (variant is None)
+    assert bool(eps_report.failures) == (variant is not None)
+    assert pairing_report.passed == (variant in (None, "opposite-orientation"))
+    if variant == "opposite-orientation":
+        assert pairing_report.notes[0] == "verdict: global-sign"
+
+
+# the (num, den) bounds the samplers and tests draw with, the edge of a
+# one-value numerator, bounds at powers of two, and 17-bit bounds
+RATIO_BOUNDS = [(9, 9), (5, 5), (4, 3), (3, 2), (0, 1), (7, 8), (8, 16), (2**17, 2**17)]
+
+
+@pytest.mark.parametrize("num, den", RATIO_BOUNDS)
+def test_rand_ratio_draws_the_randint_stream(num, den):
+    for seed in range(20):
+        rng, ref_rng = Random(seed), Random(seed)
+        for _ in range(50):
+            assert _rand_ratio(rng, num, den) == (ref_rng.randint(-num, num), ref_rng.randint(1, den))
+        # the same number of draws: the streams stay in step
+        assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("num, den", [(-1, 9), (9, 0), (9, -3), (-2, 0)])
+def test_rand_ratio_rejects_empty_ranges_as_randint_does(num, den):
+    rng, ref_rng = Random(5), Random(5)
+    with pytest.raises(ValueError):
+        ref_rng.randint(-num, num), ref_rng.randint(1, den)
+    with pytest.raises(ValueError):
+        _rand_ratio(rng, num, den)
+    # the draws made before the error match too (a numerator when only den is bad)
+    assert rng.random() == ref_rng.random()
 
 
 def test_rand_g2_matches_fraction_route(frame):
