@@ -269,6 +269,13 @@ class CheckReport(_Record):
         }
 
 
+def _star_phi_values(frame: G2Frame) -> dict:
+    """star_phi on every ordered index tuple of its monomials; the
+    quadruples not in the dict have the value 0."""
+    star_phi = frame.star_phi
+    return {quad: star_phi.coeff(quad) for key, _ in star_phi.terms() for quad in permutations(key)}
+
+
 def check_epsilon_identities(frame: G2Frame) -> CheckReport:
     """Exhaustive contraction identities of the 3- and 4-index tables.
 
@@ -277,21 +284,19 @@ def check_epsilon_identities(frame: G2Frame) -> CheckReport:
     7^4 tuples (j, k, p, q), with eps_jkpq read off star_phi.
     """
     table = frame.table
-    eps = [[[table.eps(i, j, k) for k in range(DIM)] for j in range(DIM)] for i in range(DIM)]
-    # star_phi on every ordered index tuple of its monomials; 0 elsewhere
-    star = {
-        quad: frame.star_phi.coeff(quad) for key, _ in frame.star_phi.terms() for quad in permutations(key)
-    }
+    # eps_ijk over i, read once per (j, k)
+    column = [[tuple(table.eps(i, j, k) for i in range(DIM)) for k in range(DIM)] for j in range(DIM)]
+    star = _star_phi_values(frame)
     failures = []
     checked = 0
     for k in range(DIM):
         for l in range(DIM):
-            total = sum(eps[i][j][k] * eps[i][j][l] for i in range(DIM) for j in range(DIM))
+            total = sum(sum(map(mul, column[j][k], column[j][l])) for j in range(DIM))
             checked += 1
             if total != (6 if k == l else 0):
                 failures.append(f"contraction over two indices fails at (k,l)=({k},{l}): {total}")
     for j, k, p, q in product(range(DIM), repeat=4):
-        lhs = sum(eps[i][j][k] * eps[i][p][q] for i in range(DIM))
+        lhs = sum(map(mul, column[j][k], column[p][q]))
         rhs = star.get((j, k, p, q), 0) + (j == p) * (k == q) - (j == q) * (k == p)
         checked += 1
         if lhs != rhs:
@@ -377,10 +382,11 @@ def star_phi_pairing_check(frame: G2Frame) -> CheckReport:
     total = 0
     first_bad = None
     products = {(i, j): table.cross(UNIT[i], UNIT[j]) for i, j in permutations(range(DIM), 2)}
+    star = _star_phi_values(frame)
     for quad in permutations(range(DIM), 4):
         i, j, k, l = quad
         pairing = _dot(products[i, j], products[k, l])
-        value = frame.star_phi.coeff(quad)
+        value = star.get(quad, 0)
         total += 1
         if value == pairing == 0:
             both_zero += 1

@@ -73,12 +73,9 @@ def i1(t: Mat7, frame: G2Frame) -> Fraction:
     """sum_ij <T(e_i) x e_i, T(e_j) x e_j> = |sum_i T(e_i) x e_i|^2."""
     table = frame.table
     cols, d = integer_columns(t)
-    acc = [0] * DIM
-    for i in range(DIM):
-        # e_i x T(e_i) = -T(e_i) x e_i; the sign drops out of the square
-        for k, x in enumerate(table.cross(UNIT[i], cols[i])):
-            acc[k] += x
-    return Fraction(sum(x * x for x in acc), d * d)
+    # e_i x T(e_i) = -T(e_i) x e_i; the sign drops out of the square
+    acc = list(map(sum, zip(*(table.cross(UNIT[i], cols[i]) for i in range(DIM)))))
+    return Fraction(sum(map(mul, acc, acc)), d * d)
 
 
 def i2(t: Mat7, frame: G2Frame) -> Fraction:
@@ -88,9 +85,10 @@ def i2(t: Mat7, frame: G2Frame) -> Fraction:
     crossed = [frame.table.cross_rows(c) for c in cols]
     total = 0
     for i in range(DIM):
-        total += sum(x * x for x in crossed[i][i])
+        row = crossed[i]
+        total += sum(map(mul, row[i], row[i]))
         for j in range(i + 1, DIM):
-            total += 2 * sum(a * b for a, b in zip(crossed[i][j], crossed[j][i]))
+            total += 2 * sum(map(mul, row[j], crossed[j][i]))
     return Fraction(total, d * d)
 
 

@@ -242,16 +242,6 @@ class ConnectionTable(_IntegerGrid):
         """The skew operator nabla_{e_i} (column j is nabla_{e_i} e_j)."""
         return Mat7.from_ints(tuple(zip(*self._grid[i])), self._den)
 
-    def is_metric(self) -> bool:
-        return all(self.operator(i).is_skew() for i in range(DIM))
-
-    def torsion_defect(self, mla: MetricLieAlgebra) -> tuple[int, int] | None:
-        for i in range(DIM):
-            for j in range(DIM):
-                if self.gamma[i][j] - self.gamma[j][i] != mla.brackets[i][j]:
-                    return (i, j)
-        return None
-
     def nonzero_entries(self) -> list[tuple[int, int, int, Fraction]]:
         d = self._den
         return [
@@ -314,30 +304,6 @@ class CurvatureTensor(_IntegerGrid):
     def operator(self, i: int, j: int) -> Mat7:
         """R(e_i, e_j) as a skew matrix."""
         return Mat7.from_ints(self._grid[i][j], self._den)
-
-    def symmetry_defects(self) -> list[str]:
-        out = []
-        for i in range(DIM):
-            for j in range(DIM):
-                for k in range(DIM):
-                    for l in range(DIM):
-                        v = self.components[i][j][k][l]
-                        if v != -self.components[j][i][k][l]:
-                            out.append(f"antisymmetry in (i,j) fails at {(i, j, k, l)}")
-                        if v != -self.components[i][j][l][k]:
-                            out.append(f"antisymmetry in (k,l) fails at {(i, j, k, l)}")
-                        if v != self.components[k][l][i][j]:
-                            out.append(f"pair symmetry fails at {(i, j, k, l)}")
-                        first_bianchi = (
-                            v
-                            + self.components[j][k][i][l]
-                            + self.components[k][i][j][l]
-                        )
-                        if first_bianchi != 0:
-                            out.append(f"first Bianchi fails at {(i, j, k, l)}")
-                        if out:
-                            return out
-        return out
 
 
 def curvature(conn: ConnectionTable, mla: MetricLieAlgebra) -> CurvatureTensor:

@@ -344,7 +344,10 @@ class Mat7(_IntegerGrid):
         return Mat7.from_ints([[fa * a + fb * b for a, b in zip(ra, rb)] for ra, rb in zip(self._grid, other._grid)], d)
 
     def __sub__(self, other: Mat7) -> Mat7:
-        return self + -other
+        da, db = self._den, other._den
+        d = lcm(da, db)
+        fa, fb = d // da, d // db
+        return Mat7.from_ints([[fa * a - fb * b for a, b in zip(ra, rb)] for ra, rb in zip(self._grid, other._grid)], d)
 
     def __neg__(self) -> Mat7:
         return Mat7._make(tuple(tuple(-a for a in row) for row in self._grid), self._den)

@@ -7,6 +7,14 @@ own, so the frames share no state: ``cli.cmd_identities`` runs the Cayley
 frame in a forked child beside the standard frame and appends its suites
 after the standard ones.  :func:`spawn_seeds` derives independent per-suite
 seeds; no suite uses it yet.
+
+A rational entry p / q is the pair ``(rng.randint(-num, num),
+rng.randint(1, den))``.  :func:`_rand_ratios` draws a whole matrix or
+vector of such pairs with ``rng.getrandbits``, by the rejection that
+``randint`` itself runs, so the values and the stream position are those
+of the ``randint`` calls on every supported Python, at a fraction of their
+call overhead.  The samplers scale the pairs to one common denominator
+and build the integer grid directly, with no ``Fraction`` in between.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from random import Random
 from .frames import G2Frame
 from .liealg import MetricLieAlgebra
 from .linalg import DIM, LinearSystem, Mat7, Vec7, integer_columns, integer_rows
-from .so7 import g2_basis
+from .so7 import g2_basis_entries
 
 
 def spawn_seeds(seed: int, n: int) -> list[int]:
@@ -26,9 +34,36 @@ def spawn_seeds(seed: int, n: int) -> list[int]:
     return [rng.randrange(2**32) for _ in range(n)]
 
 
+def _rand_ratios(rng: Random, count: int, num: int = 9, den: int = 9) -> list[tuple[int, int]]:
+    """count (numerator, denominator) pairs, each the pair
+    (rng.randint(-num, num), rng.randint(1, den)), in that order.
+
+    Drawn the way ``random.Random.randint`` draws: an integer below n is
+    ``getrandbits(n.bit_length())``, taken again while it is n or more.
+    The values and the stream position are those of the randint calls.
+    An empty range (num < 0 or den < 1) raises ``ValueError`` as randint
+    does, here before any draw.
+    """
+    if num < 0 or den < 1:
+        raise ValueError(f"empty range for a ratio draw: numerator bound {num}, denominator bound {den}")
+    getrandbits = rng.getrandbits
+    n = 2 * num + 1
+    kp, kq = n.bit_length(), den.bit_length()
+    out = []
+    for _ in range(count):
+        p = getrandbits(kp)
+        while p >= n:
+            p = getrandbits(kp)
+        q = getrandbits(kq)
+        while q >= den:
+            q = getrandbits(kq)
+        out.append((p - num, q + 1))
+    return out
+
+
 def _rand_ratio(rng: Random, num: int = 9, den: int = 9) -> tuple[int, int]:
     """(numerator, denominator) of one :func:`rand_fraction` draw."""
-    return rng.randint(-num, num), rng.randint(1, den)
+    return _rand_ratios(rng, 1, num, den)[0]
 
 
 def rand_fraction(rng: Random, num: int = 9, den: int = 9) -> Fraction:
@@ -43,7 +78,7 @@ def _mat_from_ratios(grid) -> Mat7:
 
 
 def rand_vec(rng: Random) -> Vec7:
-    ratios = [_rand_ratio(rng) for _ in range(DIM)]
+    ratios = _rand_ratios(rng, DIM)
     d = lcm(*(q for _, q in ratios))
     return Vec7.from_ints([p * (d // q) for p, q in ratios], d)
 
@@ -56,23 +91,27 @@ def rand_nonzero_vec(rng: Random) -> Vec7:
 
 
 def rand_mat(rng: Random) -> Mat7:
-    return _mat_from_ratios([[_rand_ratio(rng) for _ in range(DIM)] for _ in range(DIM)])
+    ratios = _rand_ratios(rng, DIM * DIM)
+    return _mat_from_ratios([ratios[r:r + DIM] for r in range(0, DIM * DIM, DIM)])
 
 
 def rand_symmetric(rng: Random) -> Mat7:
+    """The upper triangle with its diagonal drawn row by row, mirrored."""
+    ratios = iter(_rand_ratios(rng, DIM * (DIM + 1) // 2))
     grid = [[(0, 1)] * DIM for _ in range(DIM)]
     for i in range(DIM):
-        grid[i][i] = _rand_ratio(rng)
-        for j in range(i + 1, DIM):
-            grid[i][j] = grid[j][i] = _rand_ratio(rng)
+        for j in range(i, DIM):
+            grid[i][j] = grid[j][i] = next(ratios)
     return _mat_from_ratios(grid)
 
 
 def rand_skew(rng: Random) -> Mat7:
+    """The strict upper triangle drawn row by row, mirrored with its sign."""
+    ratios = iter(_rand_ratios(rng, DIM * (DIM - 1) // 2))
     grid = [[(0, 1)] * DIM for _ in range(DIM)]
     for i in range(DIM):
         for j in range(i + 1, DIM):
-            p, q = grid[i][j] = _rand_ratio(rng)
+            p, q = grid[i][j] = next(ratios)
             grid[j][i] = (-p, q)
     return _mat_from_ratios(grid)
 
@@ -80,22 +119,17 @@ def rand_skew(rng: Random) -> Mat7:
 def rand_g2(rng: Random, frame: G2Frame) -> Mat7:
     """Random element of the 14-dimensional kernel of the eps contraction:
     the g2 basis matrices B_b = R_b / d_b with coefficients p_b / q_b, summed
-    over the lcm of the q_b d_b."""
-    terms = []
-    for b in g2_basis(frame):
-        p, q = _rand_ratio(rng, 5, 5)
-        if p:
-            rows, d = integer_rows(b)
-            terms.append((p, q * d, rows))
+    over the lcm of the q_b d_b.  Only the nonzero entries of each R_b are
+    read."""
+    basis = g2_basis_entries(frame)
+    terms = [(p, q * d, entries) for (p, q), (d, entries) in zip(_rand_ratios(rng, len(basis), 5, 5), basis) if p]
     den = lcm(*(qd for _, qd, _ in terms))
-    acc = [[0] * DIM for _ in range(DIM)]
-    for p, qd, rows in terms:
+    acc = [0] * (DIM * DIM)
+    for p, qd, entries in terms:
         f = p * (den // qd)
-        for out, row in zip(acc, rows):
-            for j, x in enumerate(row):
-                if x:
-                    out[j] += f * x
-    return Mat7.from_ints(acc, den)
+        for at, x in entries:
+            acc[at] += f * x
+    return Mat7.from_ints([acc[r:r + DIM] for r in range(0, DIM * DIM, DIM)], den)
 
 
 def rand_vector_free(rng: Random, frame: G2Frame) -> Mat7:

@@ -148,3 +148,18 @@ def _g2_basis_cached(table: CrossTable) -> tuple[Mat7, ...]:
 def g2_basis(frame: G2Frame) -> tuple[Mat7, ...]:
     """A basis (14 matrices) of the kernel of the eps contraction on so(7)."""
     return _g2_basis_cached(frame.table)
+
+
+@lru_cache(maxsize=None)
+def _g2_basis_entries_cached(table: CrossTable) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    out = []
+    for b in _g2_basis_cached(table):
+        rows, d = integer_rows(b)
+        out.append((d, tuple((DIM * i + j, x) for i, row in enumerate(rows) for j, x in enumerate(row) if x)))
+    return tuple(out)
+
+
+def g2_basis_entries(frame: G2Frame) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """The :func:`g2_basis` matrices R / d as (d, nonzero entries of R),
+    each entry (7 i + j, R_ij); built on first use per table."""
+    return _g2_basis_entries_cached(frame.table)

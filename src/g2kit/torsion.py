@@ -12,6 +12,7 @@ is a field-level condition outside this package's scope.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, mul, sub
 
 from .frames import G2Frame, build_standard_frame
 from .invariants import i0, sigma2
@@ -50,17 +51,24 @@ def torsion_energies(t: Mat7, frame: G2Frame) -> tuple[Fraction, Fraction, Fract
     # row j of the cross operator of T(e_i) is T(e_i) x e_j = -xi_{e_i} e_j;
     # the sign drops out of every square below
     xi = [frame.table.cross_rows(c) for c in cols]
-    chi = [sum(xi[i][i][k] for i in range(DIM)) for k in range(DIM)]
-    chi_sq = Fraction(sum(x * x for x in chi), d * d)
+    chi = list(map(sum, zip(*(xi[i][i] for i in range(DIM)))))
+    # |xi_sym|^2 and |xi_alt|^2 are the sums over (i, j) of
+    # |xi_ij +- xi_ji|^2 / 4d^2.  The pairs (i, j) and (j, i) add equal
+    # terms, so each pair i < j is summed once over 2d^2; the pair (i, i)
+    # adds |2 xi_ii|^2 / 4d^2 = 2 |xi_ii|^2 / 2d^2 to the symmetric part only
+    diag = 2 * sum(sum(map(mul, xi[i][i], xi[i][i])) for i in range(DIM))
     alt_int = 0
     sym_int = 0
     for i in range(DIM):
-        for j in range(DIM):
-            sym2 = [a + b for a, b in zip(xi[i][j], xi[j][i])]
-            alt2 = [a - b for a, b in zip(xi[i][j], xi[j][i])]
-            sym_int += sum(x * x for x in sym2)
-            alt_int += sum(x * x for x in alt2)
-    return chi_sq, Fraction(alt_int, 4 * d * d), Fraction(sym_int, 4 * d * d)
+        xi_i = xi[i]
+        for j in range(i + 1, DIM):
+            a, b = xi_i[j], xi[j][i]
+            s = list(map(add, a, b))
+            r = list(map(sub, a, b))
+            sym_int += sum(map(mul, s, s))
+            alt_int += sum(map(mul, r, r))
+    dd = 2 * d * d
+    return Fraction(sum(map(mul, chi, chi)), d * d), Fraction(alt_int, dd), Fraction(sym_int + diag, dd)
 
 
 class TorsionClass(_Record):

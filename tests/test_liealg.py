@@ -3,11 +3,13 @@ from itertools import combinations
 from random import Random
 
 import pytest
+from geometry_checks import is_metric, symmetry_defects, torsion_defect
 
 from g2kit.forms import FORM, TENSOR, KForm, form_inner, form_norm_sq, hodge, wedge
 from g2kit.invariants import i0
 from g2kit.liealg import (
     HEISENBERG_REFERENCE_CONNECTION,
+    ConnectionTable,
     CurvatureTensor,
     MetricLieAlgebra,
     TorsionSolveError,
@@ -151,8 +153,8 @@ def test_koszul_invariants_random():
     for _ in range(20):
         mla = rand_two_step_nilpotent(rng)
         conn = koszul(mla)
-        assert conn.is_metric()
-        assert conn.torsion_defect(mla) is None
+        assert is_metric(conn)
+        assert torsion_defect(conn, mla) is None
 
 
 def test_connection_reference_diff_is_single_entry():
@@ -171,7 +173,22 @@ def test_curvature_abelian_and_symmetries():
     for _ in range(5):
         mla = rand_two_step_nilpotent(rng)
         r = curvature(koszul(mla), mla)
-        assert r.symmetry_defects() == []
+        assert symmetry_defects(r) == []
+
+
+def test_geometry_checks_catch_broken_connections_and_curvatures():
+    mla, _, _ = heisenberg_model()
+    conn = koszul(mla)
+    # Gamma^6_05 moved alone: nabla_{e_0} is no longer skew, and the torsion
+    # at (0, 5) no longer vanishes
+    grid = [[list(v) for v in row] for row in conn._grid]
+    grid[0][5][6] += 1
+    broken = ConnectionTable.from_ints(grid, conn._den)
+    assert not is_metric(broken)
+    assert torsion_defect(broken, mla) == (0, 5)
+    assert torsion_defect(conn, MetricLieAlgebra.abelian()) is not None
+    # the curvature of a connection that is not metric is no curvature tensor
+    assert symmetry_defects(curvature(broken, mla)) != []
 
 
 def test_curvature_heisenberg_values():
