@@ -31,12 +31,15 @@ sign flip when a frame is forced onto the wrong orientation.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import compress, permutations, product
 from operator import mul
 from random import Random
 
 from .forms import KForm, hodge
 from .linalg import DIM, UNIT, Vec7, _Record, integer_coords
+
+
+_INDICES = range(DIM)
 
 
 def _dot(a, b):
@@ -109,12 +112,13 @@ class CrossTable(_Record):
     def cross(self, u, v) -> list:
         """Coordinates of u x v: (u x v)_k = sum_ij eps_ijk u_i v_j."""
         out = [0] * DIM
-        for row, ui in zip(self._grid, u):
-            if ui:
-                for slot, vj in zip(row, v):
-                    if vj:
-                        for k, s in slot:
-                            out[k] += s * ui * vj
+        vs = [(j, v[j]) for j in compress(_INDICES, v)]
+        for i in compress(_INDICES, u):
+            ui = u[i]
+            row = self._grid[i]
+            for j, vj in vs:
+                for k, s in row[j]:
+                    out[k] += s * ui * vj
         return out
 
     def cross_rows(self, v) -> list[list]:

@@ -490,6 +490,28 @@ def test_table_checks_match_loop_route(frame, variant):
         assert pairing_report.notes[0] == "verdict: global-sign"
 
 
+def ref_cross(table, u, v) -> list:
+    return [sum(table.eps(i, j, k) * u[i] * v[j] for i in range(DIM) for j in range(DIM)) for k in range(DIM)]
+
+
+@pytest.mark.parametrize("variant", [None, 0, 4, "shared-pair"])
+def test_cross_matches_eps_sum(frame, variant):
+    if variant is None:
+        table = frame.table
+    elif variant == "shared-pair":
+        # two triples on the pair (0, 1): its slot holds two entries
+        table = CrossTable(((0, 1, 2, 1), (0, 1, 3, -1), (2, 4, 5, 1)))
+    else:
+        table = flipped_frame(frame, variant).table
+    rng = Random(17)
+    vecs = [list(UNIT[i]) for i in range(DIM)] + [[0] * DIM, [0, 0, 3, 0, -2, 0, 0]]
+    vecs += [list(integer_vector(rand_vec(rng))[0]) for _ in range(6)]
+    vecs += [list(rand_vec(rng)) for _ in range(3)]  # Fraction coordinates
+    for u in vecs:
+        for v in vecs:
+            assert table.cross(u, v) == ref_cross(table, u, v)
+
+
 # the (num, den) bounds the samplers and tests draw with, the edge of a
 # one-value numerator, bounds at powers of two, and 17-bit bounds
 RATIO_BOUNDS = [(9, 9), (5, 5), (4, 3), (3, 2), (0, 1), (7, 8), (8, 16), (2**17, 2**17)]
