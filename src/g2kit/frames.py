@@ -6,10 +6,11 @@ are always 0..6 internally; ``label_offset`` records how the frame is
 displayed (1 for the standard frame labelled 1..7, 0 for the Cayley frame
 labelled 0..6).
 
-The table is stored once, as a 7x7 grid of ordered-pair slots, and four
-loops read it: the cross product u x v, the cross-operator rows
-a_ij = sum_k eps_ijk v_k, the pair trace sum_ij <c_i x c_j, e_i x e_j> and
-the contraction p(m)_i = sum_jk eps_ijk m_jk.
+The table is stored once, as a 7x7 grid of ordered-pair slots, and five
+kernels read it: the cross product u x v, the cross-operator rows
+a_ij = sum_k eps_ijk v_k, the pair trace sum_ij <c_i x c_j, e_i x e_j>,
+the swap trace sum_ij <c_i x e_j, c_j x e_i> and the contraction
+p(m)_i = sum_jk eps_ijk m_jk.
 They accept int or Fraction coordinates, so callers that scale a common
 denominator out can run them over the integers.  No other module knows the
 table layout.
@@ -31,7 +32,7 @@ sign flip when a frame is forced onto the wrong orientation.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress, permutations, product
+from itertools import chain, compress, permutations, product
 from operator import mul
 from random import Random
 
@@ -149,6 +150,18 @@ class CrossTable(_Record):
                     total += s * sum(e * (ci[a] * cj[b] - ci[b] * cj[a]) for a, b, e in component[k])
         return 2 * total
 
+    def swap_trace(self, cols) -> int:
+        """sum_ij <c_i x e_j, c_j x e_i> over a grid of 7 coordinate vectors.
+
+        Component k of c_i x e_j is sum_a eps_ajk c_i[a], so the sum is a
+        quadratic form in the 49 coordinates c_i[a], read in one pass over
+        its nonzero coefficients (:func:`_swap_form`, built once per table).
+        """
+        x = list(chain.from_iterable(cols))
+        first, second, coeffs = _swap_form(self)
+        at = x.__getitem__
+        return sum(map(mul, coeffs, map(mul, map(at, first), map(at, second))))
+
     def contract(self, m) -> list:
         """The contraction p(m)_i = sum_jk eps_ijk m_jk of a 7x7 grid m."""
         out = [0] * DIM
@@ -159,6 +172,27 @@ class CrossTable(_Record):
                     if x:
                         out[i] += s * x
         return out
+
+
+@lru_cache(maxsize=None)
+def _swap_form(table: CrossTable) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The form of :meth:`CrossTable.swap_trace` as (first index, second
+    index, coefficient) columns over the coordinates x[7 i + a] = c_i[a].
+
+    The product c_i[a] c_j[b] has the coefficient sum_k eps_ajk eps_bik;
+    both orders of a pair of coordinates are summed into one coefficient.
+    """
+    by_k = [[] for _ in range(DIM)]
+    for a, j, k, s in table.nonzero_ordered():
+        by_k[k].append((a, j, s))
+    form: dict[tuple[int, int], int] = {}
+    for pairs in by_k:
+        for a, j, s in pairs:
+            for b, i, t in pairs:
+                key = tuple(sorted((DIM * i + a, DIM * j + b)))
+                form[key] = form.get(key, 0) + s * t
+    terms = sorted((key, c) for key, c in form.items() if c)
+    return tuple(p for (p, _), _ in terms), tuple(q for (_, q), _ in terms), tuple(c for _, c in terms)
 
 
 def _sort3(i: int, j: int, k: int) -> tuple[tuple[int, int, int], int]:

@@ -79,17 +79,10 @@ def i1(t: Mat7, frame: G2Frame) -> Fraction:
 
 
 def i2(t: Mat7, frame: G2Frame) -> Fraction:
-    """sum_ij <T(e_i) x e_j, T(e_j) x e_i>."""
+    """sum_ij <T(e_i) x e_j, T(e_j) x e_i>, one pass over the table's
+    quadratic form in the entries of T."""
     cols, d = integer_columns(t)
-    # row j of the cross operator of T(e_i) is T(e_i) x e_j
-    crossed = [frame.table.cross_rows(c) for c in cols]
-    total = 0
-    for i in range(DIM):
-        row = crossed[i]
-        total += sum(map(mul, row[i], row[i]))
-        for j in range(i + 1, DIM):
-            total += 2 * sum(map(mul, row[j], crossed[j][i]))
-    return Fraction(total, d * d)
+    return Fraction(frame.table.swap_trace(cols), d * d)
 
 
 class InvariantReport(_Record):
