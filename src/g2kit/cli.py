@@ -21,6 +21,7 @@ from random import Random
 
 from .forms import FORM, TENSOR
 from .frames import (
+    CheckReport,
     G2Frame,
     build_cayley_frame,
     build_standard_frame,
@@ -103,103 +104,111 @@ class RunConfig(_Record):
 # ---------------------------------------------------------------------------
 
 
-def _suite(name: str, frame_name: str, failures: list[str], cases: int) -> dict:
+def _suite(name: str, frame_name: str, failures: list[str] | tuple[str, ...], cases: int) -> dict:
     return {
         "suite": name,
         "frame": frame_name,
         "cases": cases,
         "passed": not failures,
-        "failures": failures[:3],
+        "failures": list(failures[:3]),
     }
 
 
-def _identities_for_frame(frame_name: str, frame: G2Frame, seed: int, trials: int) -> list[dict]:
-    suites = []
-
-    rep = check_epsilon_identities(frame)
-    suites.append(_suite("epsilon-identities", frame_name, list(rep.failures), dict(rep.counts)["cases"]))
-
-    rep = validate_cross_axioms(frame, seed=seed, trials=trials)
+def _check_suite(name: str, frame_name: str, rep: CheckReport, *count_names: str) -> dict:
     counts = dict(rep.counts)
-    suites.append(
-        _suite("cross-product-axioms", frame_name, list(rep.failures), counts["basis_triples"] + counts["seeded_triples"])
-    )
+    return _suite(name, frame_name, rep.failures, sum(counts[c] for c in count_names))
 
-    rep = star_phi_pairing_check(frame)
-    suites.append(_suite("star-phi-pairing", frame_name, list(rep.failures), dict(rep.counts)["quadruples"]))
 
-    rng = Random(seed)
-    failures: list[str] = []
-    for t in range(trials):
-        u, v = rand_vec(rng), rand_vec(rng)
-        au, av = cross_operator(u, frame), cross_operator(v, frame)
-        comm = au @ av - av @ au
-        g2part, w = split_so7(comm, frame)
-        if w != cross(u, v, frame) or cross_operator(w, frame) != comm - g2part:
-            failures.append(f"bracket projection fails on trial {t}")
-            break
-    suites.append(_suite("bracket-projection", frame_name, failures, trials))
+def _bracket_projection(frame: G2Frame, rng: Random, t: int) -> str | None:
+    u, v = rand_vec(rng), rand_vec(rng)
+    au, av = cross_operator(u, frame), cross_operator(v, frame)
+    comm = au @ av - av @ au
+    g2part, w = split_so7(comm, frame)
+    passed = w == cross(u, v, frame) and cross_operator(w, frame) == comm - g2part
+    return None if passed else f"bracket projection fails on trial {t}"
 
-    rng = Random(seed + 1)
-    failures = []
-    for t in range(trials):
-        if not verify_quadratic_relations(rand_mat(rng), frame).passed:
-            failures.append(f"quadratic relations fail on trial {t}")
-            break
-    suites.append(_suite("quadratic-relations", frame_name, failures, trials))
 
-    rng = Random(seed + 2)
-    failures = []
-    cases = 0
-    for t in range(max(1, trials // 3)):
-        for sample in (
-            # scalar, symmetric, and cross-operator shapes
-            Mat7.identity().scale(rand_fraction(rng)),
-            rand_symmetric(rng),
-            cross_operator(rand_vec(rng), frame),
-        ):
-            cases += 1
-            rep = special_case_check(sample, frame)
-            if not rep.passed:
-                failures.append(f"special case fails on trial {t}: {rep.failures[:1]}")
+def _quadratic_relations(frame: G2Frame, rng: Random, t: int) -> str | None:
+    passed = verify_quadratic_relations(rand_mat(rng), frame).passed
+    return None if passed else f"quadratic relations fail on trial {t}"
+
+
+def _special_cases(frame: G2Frame, rng: Random, t: int) -> str | None:
+    for sample in (
+        # scalar, symmetric, and cross-operator shapes
+        Mat7.identity().scale(rand_fraction(rng)),
+        rand_symmetric(rng),
+        cross_operator(rand_vec(rng), frame),
+    ):
+        rep = special_case_check(sample, frame)
+        if not rep.passed:
+            return f"special case fails on trial {t}: {rep.failures[:1]}"
+    return None
+
+
+def _characteristic_vector(frame: G2Frame, rng: Random, t: int) -> str | None:
+    if not characteristic_vector(rand_vector_free(rng, frame), frame).is_zero():
+        return f"characteristic vector nonzero for vector-free input, trial {t}"
+    z = rand_nonzero_vec(rng)
+    if characteristic_vector(cross_operator(z, frame), frame) != z.scale(-6):
+        return f"characteristic vector != -6Z for cross operator, trial {t}"
+    return None
+
+
+def _torsion_energy_difference(frame: G2Frame, rng: Random, t: int) -> str | None:
+    m = rand_mat(rng)
+    chi_sq, alt_sq, sym_sq = torsion_energies(m, frame)
+    passed = chi_sq + alt_sq - sym_sq == i1(m, frame) - i2(m, frame)
+    return None if passed else f"torsion energy difference fails on trial {t}"
+
+
+def _alt_scalar_vs_i0(frame: G2Frame, rng: Random, t: int) -> str | None:
+    m = rand_mat(rng)
+    passed = alt_scalar_curvature(m, frame) == i0(m, frame)
+    return None if passed else f"alternating scalar curvature != i0 on trial {t}"
+
+
+# The seeded suites in report order: name, trials for --trials n, cases per
+# trial, and the trial, which returns its failure message or None.  Row k
+# draws from the stream Random(seed + k).
+SEEDED_SUITES = (
+    ("bracket-projection", lambda n: n, 1, _bracket_projection),
+    ("quadratic-relations", lambda n: n, 1, _quadratic_relations),
+    ("special-cases", lambda n: max(1, n // 3), 3, _special_cases),
+    ("characteristic-vector", lambda n: n, 2, _characteristic_vector),
+    ("torsion-energy-difference", lambda n: n, 1, _torsion_energy_difference),
+    ("alt-scalar-vs-i0", lambda n: max(1, n // 4), 1, _alt_scalar_vs_i0),
+)
+
+
+def _seeded_suites(frame_name: str, frame: G2Frame, seed: int, trials: int) -> list[dict]:
+    """Run each row of SEEDED_SUITES on its own stream, up to and including
+    the first failing trial; a suite's cases are its cases per trial times
+    the trials run."""
+    suites = []
+    for k, (name, trial_count, per_trial, trial) in enumerate(SEEDED_SUITES):
+        rng = Random(seed + k)
+        count = trial_count(trials)
+        failures = []
+        for t in range(count):
+            failure = trial(frame, rng, t)
+            if failure is not None:
+                failures.append(failure)
+                count = t + 1
                 break
-        if failures:
-            break
-    suites.append(_suite("special-cases", frame_name, failures, cases))
-
-    rng = Random(seed + 3)
-    failures = []
-    for t in range(trials):
-        t_free = rand_vector_free(rng, frame)
-        if not characteristic_vector(t_free, frame).is_zero():
-            failures.append(f"characteristic vector nonzero for vector-free input, trial {t}")
-            break
-        z = rand_nonzero_vec(rng)
-        if characteristic_vector(cross_operator(z, frame), frame) != z.scale(-6):
-            failures.append(f"characteristic vector != -6Z for cross operator, trial {t}")
-            break
-    suites.append(_suite("characteristic-vector", frame_name, failures, 2 * trials))
-
-    rng = Random(seed + 4)
-    failures = []
-    for t in range(trials):
-        m = rand_mat(rng)
-        chi_sq, alt_sq, sym_sq = torsion_energies(m, frame)
-        if chi_sq + alt_sq - sym_sq != i1(m, frame) - i2(m, frame):
-            failures.append(f"torsion energy difference fails on trial {t}")
-            break
-    suites.append(_suite("torsion-energy-difference", frame_name, failures, trials))
-
-    rng = Random(seed + 5)
-    failures = []
-    for t in range(max(1, trials // 4)):
-        m = rand_mat(rng)
-        if alt_scalar_curvature(m, frame) != i0(m, frame):
-            failures.append(f"alternating scalar curvature != i0 on trial {t}")
-            break
-    suites.append(_suite("alt-scalar-vs-i0", frame_name, failures, max(1, trials // 4)))
-
+        suites.append(_suite(name, frame_name, failures, per_trial * count))
     return suites
+
+
+def _identities_for_frame(frame_name: str, frame: G2Frame, seed: int, trials: int) -> list[dict]:
+    eps = check_epsilon_identities(frame)
+    axioms = validate_cross_axioms(frame, seed=seed, trials=trials)
+    return [
+        _check_suite("epsilon-identities", frame_name, eps, "cases"),
+        _check_suite("cross-product-axioms", frame_name, axioms, "basis_triples", "seeded_triples"),
+        _check_suite("star-phi-pairing", frame_name, star_phi_pairing_check(frame), "quadruples"),
+        *_seeded_suites(frame_name, frame, seed, trials),
+    ]
 
 
 def _frame_suites(frame_name: str, seed: int, trials: int) -> list[dict]:

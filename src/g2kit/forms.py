@@ -118,10 +118,6 @@ class KForm:
     def constant(value) -> KForm:
         return KForm(0, {(): value})
 
-    @staticmethod
-    def volume() -> KForm:
-        return KForm.monomial(tuple(range(DIM)))
-
     # -- access ------------------------------------------------------------
 
     def _fractions(self) -> dict[tuple[int, ...], Fraction]:
@@ -305,15 +301,6 @@ def two_form_from_matrix(m: Mat7) -> KForm:
     """2-form alpha(e_i, e_j) = M_ij of a skew matrix."""
     rows, d = integer_rows(m)
     return _form(2, {(i, j): rows[i][j] for i in range(DIM) for j in range(i + 1, DIM)}, d)
-
-
-def matrix_from_two_form(a: KForm) -> Mat7:
-    """Skew matrix with M_ij = alpha(e_i, e_j)."""
-    rows = [[0] * DIM for _ in range(DIM)]
-    for (i, j), v in a._num.items():
-        rows[i][j] = v
-        rows[j][i] = -v
-    return Mat7.from_ints(rows, a._den)
 
 
 def all_increasing_tuples(k: int) -> list[tuple[int, ...]]:

@@ -297,15 +297,6 @@ class CheckReport(_Record):
     failures: tuple[str, ...] = ()
     notes: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "counts": {k: v for k, v in self.counts},
-            "failures": list(self.failures),
-            "notes": list(self.notes),
-        }
-
 
 def _star_phi_values(frame: G2Frame) -> dict:
     """star_phi on every ordered index tuple of its monomials; the

@@ -133,17 +133,6 @@ class QuadraticRelationsReport(_Record):
     residual_i2: Fraction
     residual_difference: Fraction
 
-    def to_dict(self) -> dict:
-        from .serialize import rational_str
-
-        return {
-            "passed": self.passed,
-            "invariants": self.invariants.to_dict(),
-            "residual_i1": rational_str(self.residual_i1),
-            "residual_i2": rational_str(self.residual_i2),
-            "residual_difference": rational_str(self.residual_difference),
-        }
-
 
 def verify_quadratic_relations(t: Mat7, frame: G2Frame) -> QuadraticRelationsReport:
     """Check i1 = -i0 + |T|^2 + 4 sigma2 - sigma1^2,

@@ -655,15 +655,6 @@ class GeometryTorsionReport(_Record):
     r_grid: Mat7
     matched_convention: str | None
 
-    def to_dict(self) -> dict:
-        from .serialize import mat_to_json
-
-        return {
-            "torsion": mat_to_json(self.torsion),
-            "r_grid": mat_to_json(self.r_grid),
-            "matched_convention": self.matched_convention,
-        }
-
 
 def geometry_torsion_report(nphi: tuple[KForm, ...], frame: G2Frame) -> GeometryTorsionReport:
     """Solve for T from nphi = nabla_form(conn, frame.phi) and record which
@@ -889,20 +880,6 @@ class NearlyParallelReport(_Record):
     check_27_reconciling: tuple[str, ...]
     scalar_formula_by_convention: tuple[tuple[str, Fraction], ...]
     scalar_formula_reconciling: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        from .serialize import rational_str
-
-        return {
-            "lambda0": rational_str(self.lambda0),
-            "torsion_is_minus_4_thirds_lambda0_phi": self.torsion_is_expected_multiple,
-            "expected_scalar": rational_str(self.expected_scalar),
-            "tor_sq_by_convention": {k: rational_str(v) for k, v in self.tor_sq_by_convention},
-            "check_27_halves": {k: rational_str(v) for k, v in self.check_27_by_convention},
-            "check_27_halves_reconciling": list(self.check_27_reconciling),
-            "scalar_formula": {k: rational_str(v) for k, v in self.scalar_formula_by_convention},
-            "scalar_formula_reconciling": list(self.scalar_formula_reconciling),
-        }
 
     @property
     def passed(self) -> bool:

@@ -374,12 +374,6 @@ class Mat7(_IntegerGrid):
         rows = self._grid
         return Fraction(sum(rows[i][i] for i in range(DIM)), self._den)
 
-    def symmetric_part(self) -> Mat7:
-        return (self + self.transpose()).scale(Fraction(1, 2))
-
-    def skew_part(self) -> Mat7:
-        return (self - self.transpose()).scale(Fraction(1, 2))
-
     def is_symmetric(self) -> bool:
         return self._grid == tuple(zip(*self._grid))
 
@@ -394,12 +388,6 @@ class Mat7(_IntegerGrid):
         """Trace-form squared norm tr(M^T M) = sum of squared entries."""
         d = self._den
         return Fraction(sum(x * x for row in self._grid for x in row), d * d)
-
-
-def frobenius(a: Mat7, b: Mat7) -> Fraction:
-    """Trace inner product <A, B> = tr(A^T B)."""
-    total = sum(map(mul, chain.from_iterable(a._grid), chain.from_iterable(b._grid)))
-    return Fraction(total, a._den * b._den)
 
 
 def integer_rows(m: Mat7) -> tuple[tuple[tuple[int, ...], ...], int]:

@@ -1,11 +1,11 @@
 """Deterministic seeded generators for the randomized identity suites.
 
 Every generator takes an explicit ``random.Random`` so that identical seeds
-reproduce identical runs.  The ``identities`` suites of one frame draw from
-the streams ``Random(seed + k)``, one per suite, and each frame builds its
-own, so the frames share no state: ``cli.cmd_identities`` runs the Cayley
-frame in a forked child beside the standard frame and appends its suites
-after the standard ones.  :func:`spawn_seeds` derives independent per-suite
+reproduce identical runs.  Row k of ``cli.SEEDED_SUITES``, the seeded
+``identities`` suites, draws from the stream ``Random(seed + k)``, and each
+frame builds its own streams, so the frames share no state:
+``cli.cmd_identities`` runs the Cayley frame in a forked child beside the
+standard frame and appends its suites after the standard ones.  :func:`spawn_seeds` derives independent per-suite
 seeds; no suite uses it yet.
 
 A rational entry p / q is the pair ``(rng.randint(-num, num),

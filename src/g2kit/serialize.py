@@ -107,13 +107,6 @@ def vec_to_json(v: Vec7) -> list[str]:
     return [rational_str(c) for c in v]
 
 
-def vec_from_json(data) -> Vec7:
-    _typed(data, list, "a vector")
-    if len(data) != DIM:
-        raise ValueError(f"vector needs {DIM} entries, got {len(data)}")
-    return Vec7(tuple(parse_rational(x) for x in data))
-
-
 def mat_to_json(m: Mat7) -> list[list[str]]:
     rows, d = integer_rows(m)
     try:
@@ -150,15 +143,6 @@ def form_to_json(a: KForm) -> dict:
             for key, value in a.terms()
         ],
     }
-
-
-def form_from_json(data) -> KForm:
-    degree = _integer(data["degree"])
-    terms = {}
-    for term in data.get("terms", []):
-        key = tuple(_index(i) for i in term["indices"])
-        terms[key] = terms.get(key, Fraction(0)) + parse_rational(term["coeff"])
-    return KForm(degree, terms)
 
 
 def endo_split_to_json(split, norms) -> dict:

@@ -137,16 +137,6 @@ class HypersurfaceReport(_Record):
     rhs: Fraction
     sigma2_shape: Fraction
 
-    def to_dict(self) -> dict:
-        from .serialize import rational_str
-
-        return {
-            "passed": self.passed,
-            "lhs_18_sigma2_T": rational_str(self.lhs),
-            "rhs_128_sigma2_S": rational_str(self.rhs),
-            "sigma2_shape": rational_str(self.sigma2_shape),
-        }
-
 
 def hypersurface_identity_check(s: Mat7) -> HypersurfaceReport:
     """For symmetric shape operator S, set T = (8/3) S (the coupling used by

@@ -390,16 +390,6 @@ def test_text_rendering_has_stable_shape():
     assert out.endswith("\n")
 
 
-def test_exit_code_mapping_on_failed_suite():
-    # a failing report maps to exit 1 (identity failures cannot be produced
-    # by valid frames, so check the mapping directly)
-    from g2kit.cli import COMMANDS
-
-    assert COMMANDS["identities"] is not None
-    code, report = run(RunConfig(command="identities", seed=0, trials=5, fmt="json"))
-    assert code == 0
-
-
 # ---------------------------------------------------------------------------
 # identities: the Cayley frame in a forked child
 # ---------------------------------------------------------------------------
@@ -476,17 +466,34 @@ def test_identities_goldens_on_both_routes(monkeypatch, name):
     assert forked[1].encode() == in_process[1].encode() == expected
 
 
-@needs_fork
-def test_identities_sign_flipped_cayley_table_fails_alike_on_both_routes(monkeypatch):
-    # flip one eps of the Cayley table, as in test_frames.test_corrupt_table_fails_with_witness
+FLIPPED_GOLDEN = GOLDEN / "identities-cayley-flipped-seed0-trials15.json"
+
+
+def flip_cayley_table(monkeypatch):
+    """Make FRAMES["cayley"] build the Cayley frame with its first eps triple
+    sign-flipped, as in test_frames.test_corrupt_table_fails_with_witness."""
     triples = list(build_cayley_frame().table.base_triples)
     i, j, k, sign = triples[0]
     triples[0] = (i, j, k, -sign)
     corrupt = G2Frame.from_table(CrossTable(tuple(triples), label_offset=0))
     monkeypatch.setitem(cli.FRAMES, "cayley", lambda: corrupt)
+
+
+def test_exit_code_mapping_on_failed_suite(monkeypatch, capsys):
+    flip_cayley_table(monkeypatch)
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert main(["identities", "--seed", "0", "--trials", "15", "--format", "json"]) == 1
+    out = capsys.readouterr().out
+    assert json.loads(out)["passed"] is False
+    assert out.encode() == FLIPPED_GOLDEN.read_bytes()
+
+
+@needs_fork
+def test_identities_sign_flipped_cayley_table_fails_alike_on_both_routes(monkeypatch):
+    flip_cayley_table(monkeypatch)
     forked, in_process = run_both_routes(monkeypatch, RunConfig(command="identities", seed=0, trials=15, fmt="json"))
-    assert forked == in_process
-    assert forked[0] == 1
+    assert forked[0] == in_process[0] == 1
+    assert forked[1].encode() == in_process[1].encode() == FLIPPED_GOLDEN.read_bytes()
     suites = json.loads(forked[1])["suites"]
     failed = [s for s in suites if not s["passed"]]
     assert failed and {s["frame"] for s in failed} == {"cayley"}

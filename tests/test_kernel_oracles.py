@@ -123,8 +123,9 @@ def ref_split_so7(m: Mat7, frame) -> tuple[Mat7, Vec7]:
 
 def ref_decompose_endo(t: Mat7, frame) -> tuple[Fraction, Mat7, Mat7, Vec7]:
     scalar = t.trace() / 7
-    sym0 = t.symmetric_part() - Mat7.identity().scale(scalar)
-    g2part, vector = ref_split_so7(t.skew_part(), frame)
+    half = Fraction(1, 2)
+    sym0 = (t + t.transpose()).scale(half) - Mat7.identity().scale(scalar)
+    g2part, vector = ref_split_so7((t - t.transpose()).scale(half), frame)
     return scalar, sym0, g2part, vector
 
 

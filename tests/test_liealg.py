@@ -405,9 +405,8 @@ def test_torsion_forms_heisenberg():
     dstar = ce_differential(mla, frame.star_phi)
     assert wedge(tf.tau2, frame.phi) == dstar
     # tau2 lies in the 14-dimensional summand
-    from g2kit.forms import matrix_from_two_form
-
-    assert skew_to_vector(matrix_from_two_form(tf.tau2), frame).is_zero()
+    tau2 = Mat7([[tf.tau2.coeff((i, j)) for j in range(DIM)] for i in range(DIM)])
+    assert skew_to_vector(tau2, frame).is_zero()
 
 
 def test_torsion_forms_abelian(frame):

@@ -9,7 +9,6 @@ from g2kit.linalg import (
     Mat7,
     Vec7,
     det,
-    frobenius,
     int_matmul,
     integer_rows,
     nullspace,
@@ -70,15 +69,6 @@ def test_matvec_column_convention():
     m = rand_mat(rng)
     for j in range(DIM):
         assert m @ Vec7.basis(j) == m.column(j)
-
-
-def test_sym_skew_split():
-    rng = Random(5)
-    m = rand_mat(rng)
-    assert m.symmetric_part() + m.skew_part() == m
-    assert m.symmetric_part().is_symmetric()
-    assert m.skew_part().is_skew()
-    assert frobenius(m.symmetric_part(), m.skew_part()) == 0
 
 
 def test_rref_rank_nullspace():

@@ -19,7 +19,7 @@ import pytest
 
 from g2kit.frames import build_cayley_frame, build_standard_frame, cross
 from g2kit.liealg import ConnectionTable, CurvatureTensor, MetricLieAlgebra, curvature, heisenberg_model, koszul
-from g2kit.linalg import DIM, Mat7, Vec7, frobenius, integer_columns, integer_rows
+from g2kit.linalg import DIM, Mat7, Vec7, integer_columns, integer_rows
 from g2kit.sampling import rand_two_step_nilpotent
 from g2kit.torsion import characteristic_vector
 
@@ -153,14 +153,11 @@ def test_operations_match_fraction_reference(seed):
         assert same(ma @ mb, ref_matmul(a, b))
         assert same(ma.transpose(), ref_transpose(a))
         at = ref_transpose(a)
-        assert same(ma.symmetric_part(), [[(x + y) / 2 for x, y in zip(r, q)] for r, q in zip(a, at)])
-        assert same(ma.skew_part(), [[(x - y) / 2 for x, y in zip(r, q)] for r, q in zip(a, at)])
         assert ma.trace() == sum((a[i][i] for i in range(DIM)), Fraction(0))
         assert ma.is_symmetric() == (a == at)
         assert ma.is_skew() == all(a[i][j] == -a[j][i] for i in range(DIM) for j in range(DIM))
         assert ma.is_zero() == all(x == 0 for x in chain.from_iterable(a))
         assert ma.norm_sq() == sum((x * x for x in chain.from_iterable(a)), Fraction(0))
-        assert frobenius(ma, mb) == sum((x * y for x, y in zip(chain(*a), chain(*b))), Fraction(0))
         assert (ma == mb) == (a == b)
         for v in vectors(seed):
             expected = [sum((a[i][j] * v[j] for j in range(DIM)), Fraction(0)) for i in range(DIM)]
