@@ -31,9 +31,9 @@ sign flip when a frame is forced onto the wrong orientation.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import chain, compress, permutations, product
-from operator import mul
+from functools import cached_property, lru_cache
+from itertools import chain, compress, permutations, product, repeat
+from operator import add, mul
 from random import Random
 
 from .forms import KForm, hodge
@@ -195,6 +195,24 @@ def _swap_form(table: CrossTable) -> tuple[tuple[int, ...], tuple[int, ...], tup
     return tuple(p for (p, _), _ in terms), tuple(q for (_, q), _ in terms), tuple(c for _, c in terms)
 
 
+@lru_cache(maxsize=None)
+def _basis_products(table: CrossTable) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The 49 basis products: P[i][j] holds the coordinates of e_i x e_j,
+    each from :meth:`CrossTable.cross`.  The exhaustive checks read only
+    these, and a cross product with a basis product is formed from them by
+    linearity (:func:`_combination`)."""
+    return tuple(tuple(tuple(table.cross(UNIT[i], UNIT[j])) for j in _INDICES) for i in _INDICES)
+
+
+def _combination(rows, coeffs) -> tuple:
+    """sum_m coeffs[m] rows[m] over the nonzero coefficients: with rows =
+    P[a] this is e_a x x for coeffs = x."""
+    out = (0,) * len(rows[0])
+    for m in compress(range(len(coeffs)), coeffs):
+        out = tuple(map(add, out, map(mul, repeat(coeffs[m]), rows[m])))
+    return out
+
+
 def _sort3(i: int, j: int, k: int) -> tuple[tuple[int, int, int], int]:
     if i == j or j == k or i == k:
         return (i, j, k), 0
@@ -219,6 +237,17 @@ class G2Frame(_Record):
     @property
     def label_offset(self) -> int:
         return self.table.label_offset
+
+    @cached_property
+    def _star_phi_values(self) -> tuple[tuple, ...]:
+        """star_phi(e_j, e_k, e_p, e_q) as 49 blocks, one per (j, k), of 49
+        entries indexed 7 p + q, read off star_phi's monomials once per
+        frame; the exhaustive checks share it."""
+        blocks = [[0] * (DIM * DIM) for _ in range(DIM * DIM)]
+        for key, _ in self.star_phi.terms():
+            for j, k, p, q in permutations(key):
+                blocks[DIM * j + k][DIM * p + q] = self.star_phi.coeff((j, k, p, q))
+        return tuple(map(tuple, blocks))
 
     @staticmethod
     def from_table(table: CrossTable, orientation: int | None = None, name: str = "custom") -> G2Frame:
@@ -298,11 +327,13 @@ class CheckReport(_Record):
     notes: tuple[str, ...] = ()
 
 
-def _star_phi_values(frame: G2Frame) -> dict:
-    """star_phi on every ordered index tuple of its monomials; the
-    quadruples not in the dict have the value 0."""
-    star_phi = frame.star_phi
-    return {quad: star_phi.coeff(quad) for key, _ in star_phi.terms() for quad in permutations(key)}
+def _product_pairings(products) -> tuple[tuple[int, ...], ...]:
+    """<e_j x e_k, e_p x e_q> as 49 blocks, one per (j, k), of 49 entries
+    indexed 7 p + q; block (j, k) is formed by linearity over the nonzero
+    coordinates of e_j x e_k."""
+    flat = tuple(chain.from_iterable(products))
+    by_coordinate = tuple(zip(*flat))  # component i of every e_p x e_q
+    return tuple(_combination(by_coordinate, v) for v in flat)
 
 
 def check_epsilon_identities(frame: G2Frame) -> CheckReport:
@@ -310,28 +341,40 @@ def check_epsilon_identities(frame: G2Frame) -> CheckReport:
 
     Checks sum_ij eps_ijk eps_ijl = 6 d_kl over all (k, l) and
     sum_i eps_ijk eps_ipq = eps_jkpq + d_jp d_kq - d_jq d_kp over all
-    7^4 tuples (j, k, p, q), with eps_jkpq read off star_phi.
+    7^4 tuples (j, k, p, q), with eps_jkpq read off star_phi.  Since
+    e_j x e_k = sum_i eps_ijk e_i, the left-hand side is
+    <e_j x e_k, e_p x e_q>; the 7^4 tuples are compared as 49 blocks, one
+    per (j, k), and only a block that differs is read entry by entry.
     """
-    table = frame.table
-    # eps_ijk over i, read once per (j, k)
-    column = [[tuple(table.eps(i, j, k) for i in range(DIM)) for k in range(DIM)] for j in range(DIM)]
-    star = _star_phi_values(frame)
+    pairings = _product_pairings(_basis_products(frame.table))
     failures = []
     checked = 0
     for k in range(DIM):
         for l in range(DIM):
-            total = sum(sum(map(mul, column[j][k], column[j][l])) for j in range(DIM))
+            total = sum(pairings[DIM * j + k][DIM * j + l] for j in range(DIM))
             checked += 1
             if total != (6 if k == l else 0):
                 failures.append(f"contraction over two indices fails at (k,l)=({k},{l}): {total}")
-    for j, k, p, q in product(range(DIM), repeat=4):
-        lhs = sum(map(mul, column[j][k], column[p][q]))
-        rhs = star.get((j, k, p, q), 0) + (j == p) * (k == q) - (j == q) * (k == p)
-        checked += 1
-        if lhs != rhs:
-            failures.append(f"contraction over one index fails at (j,k,p,q)=({j},{k},{p},{q}): {lhs} != {rhs}")
-            if len(failures) > 3:
-                break
+    size = DIM * DIM
+    for block, (lhs, star) in enumerate(zip(pairings, frame._star_phi_values)):
+        j, k = divmod(block, DIM)
+        rhs = list(star)
+        rhs[block] += 1  # d_jp d_kq at (p, q) = (j, k)
+        rhs[DIM * k + j] -= 1  # d_jq d_kp at (p, q) = (k, j)
+        if list(lhs) == rhs:
+            checked += size
+            continue
+        for entry in range(size):
+            checked += 1
+            if lhs[entry] != rhs[entry]:
+                p, q = divmod(entry, DIM)
+                failures.append(
+                    f"contraction over one index fails at (j,k,p,q)=({j},{k},{p},{q}): {lhs[entry]} != {rhs[entry]}"
+                )
+                if len(failures) > 3:
+                    break
+        if len(failures) > 3:
+            break
     return CheckReport(
         name="epsilon-identities",
         passed=not failures,
@@ -362,6 +405,35 @@ def _triple_failure(table: CrossTable, u, v, w) -> str | None:
     return None
 
 
+def _basis_triple_rules(products):
+    """(first failing rule or None, i, j, k) for each basis triple in
+    lexicographic order: :func:`_triple_failure` on (e_i, e_j, e_k), read
+    off the basis products P.
+
+    Rule 1 compares P[i][j][k] with P[j][k][i].  Rule 2 depends on (i, k)
+    only and is evaluated once per pair.  Rule 3 compares
+    e_i x P[j][k] + e_j x P[i][k] with d_ik e_j + d_jk e_i - 2 d_ij e_k,
+    where e_a x P[b][c] is formed by linearity over the rows of P.
+    """
+    # nested[a][b][c] = e_a x (e_b x e_c)
+    nested = [[[_combination(pa, x) for x in pb] for pb in products] for pa in products]
+    rule2 = [
+        [nested[i][i][k] == tuple(a * (i == k) - c for a, c in zip(UNIT[i], UNIT[k])) for k in _INDICES]
+        for i in _INDICES
+    ]
+    zero = (0,) * DIM
+    for i, j, k in product(_INDICES, repeat=3):
+        if products[i][j][k] != products[j][k][i]:
+            yield "rule1", i, j, k
+        elif not rule2[i][k]:
+            yield "rule2", i, j, k
+        else:
+            rhs3 = zero if i != j != k != i else tuple(
+                (i == k) * b + (j == k) * a - 2 * (i == j) * c for a, b, c in zip(UNIT[i], UNIT[j], UNIT[k])
+            )
+            yield ("rule3" if tuple(map(add, nested[i][j][k], nested[j][i][k])) != rhs3 else None), i, j, k
+
+
 def validate_cross_axioms(frame: G2Frame, seed: int = 0, trials: int = 200) -> CheckReport:
     """Exhaustive basis-triple and seeded random checks of the product rules.
 
@@ -373,10 +445,7 @@ def validate_cross_axioms(frame: G2Frame, seed: int = 0, trials: int = 200) -> C
 
     table = frame.table
     failures: list[str] = []
-    basis_cases = 0
-    for i, j, k in product(range(DIM), repeat=3):
-        basis_cases += 1
-        rule = _triple_failure(table, UNIT[i], UNIT[j], UNIT[k])
+    for basis_cases, (rule, i, j, k) in enumerate(_basis_triple_rules(_basis_products(table)), 1):
         if rule:
             failures.append(f"{rule} fails on basis ({i},{j},{k})")
             break
@@ -402,20 +471,20 @@ def validate_cross_axioms(frame: G2Frame, seed: int = 0, trials: int = 200) -> C
 
 def star_phi_pairing_check(frame: G2Frame) -> CheckReport:
     """Verify star_phi(e_i,e_j,e_k,e_l) = <e_i x e_j, e_k x e_l> on all 840
-    ordered distinct quadruples; reports whether a single global sign would
-    reconcile a systematic mismatch (orientation sensitivity)."""
-    table = frame.table
+    ordered distinct quadruples, reading the pairings of the basis products;
+    reports whether a single global sign would reconcile a systematic
+    mismatch (orientation sensitivity)."""
+    pairings = _product_pairings(_basis_products(frame.table))
+    star = frame._star_phi_values
     match = 0
     flipped = 0
     both_zero = 0
     total = 0
     first_bad = None
-    products = {(i, j): table.cross(UNIT[i], UNIT[j]) for i, j in permutations(range(DIM), 2)}
-    star = _star_phi_values(frame)
     for quad in permutations(range(DIM), 4):
         i, j, k, l = quad
-        pairing = _dot(products[i, j], products[k, l])
-        value = star.get(quad, 0)
+        pairing = pairings[DIM * i + j][DIM * k + l]
+        value = star[DIM * i + j][DIM * k + l]
         total += 1
         if value == pairing == 0:
             both_zero += 1

@@ -5,16 +5,21 @@ bytes with ``tests/golden/<name>``.  Reports echo ``--input``, so inputs are
 passed as repository-relative paths and the test runs from the repository
 root.  A golden file changes only with a deliberate change of report content;
 to regenerate one, write ``run(cfg)[1]`` for its configuration to the file.
-The nilmanifold cases run a second time after the per-frame caches are
-cleared, so the bytes pin the cold fill of the frame's linear systems and
-bases as well as the cached route.
+The nilmanifold cases and one identities case run a second time after the
+per-frame caches are cleared, so the bytes pin the cold fill of the frame's
+linear systems, bases and basis products as well as the cached route.
 """
 
+import importlib
+import os
+import pkgutil
+from inspect import signature
 from pathlib import Path
 
 import pytest
 
-from g2kit import liealg, so7
+import g2kit
+from g2kit import frames
 from g2kit.cli import RunConfig, run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -68,24 +73,55 @@ def test_report_bytes_match_golden(name, monkeypatch):
     assert text.encode() == (GOLDEN / name).read_bytes()
 
 
-# the linear systems and bases that each process builds once per frame
-PER_FRAME_CACHES = (
-    liealg._cross_action_system,
-    liealg._lambda4_system,
-    liealg._lambda5_system,
-    liealg._lambda3_27_forms,
-    liealg._lambda2_14_forms,
-    liealg._dual_coords,
-    so7._g2_basis_cached,
-)
+def _table_caches() -> tuple:
+    """Every ``lru_cache`` defined in a g2kit module whose first parameter is
+    ``table``: the values each process builds once per cross-product table."""
+    caches = []
+    for info in pkgutil.iter_modules(g2kit.__path__):
+        module = importlib.import_module(f"g2kit.{info.name}")
+        for value in vars(module).values():
+            if (
+                hasattr(value, "cache_clear")
+                and value.__module__ == module.__name__
+                and list(signature(value).parameters)[:1] == ["table"]
+            ):
+                caches.append(value)
+    return tuple(caches)
+
+
+TABLE_CACHES = _table_caches()
+LIEALG_CACHES = tuple(cache for cache in TABLE_CACHES if cache.__module__ == "g2kit.liealg")
+OTHER_CACHES = tuple(cache for cache in TABLE_CACHES if cache.__module__ != "g2kit.liealg")
+
+
+def run_cold(cfg: RunConfig) -> tuple[int, str]:
+    for cache in TABLE_CACHES:
+        cache.cache_clear()
+    return run(cfg)
+
+
+def test_table_caches_are_found():
+    assert frames._basis_products in OTHER_CACHES and frames._swap_form in OTHER_CACHES
+    assert len(LIEALG_CACHES) >= 6 and len(OTHER_CACHES) >= 4
 
 
 @pytest.mark.parametrize("name", sorted(n for n in CASES if n.startswith("nilmanifold")))
 def test_nilmanifold_bytes_match_golden_from_cold_caches(name, monkeypatch):
     monkeypatch.chdir(ROOT)
-    for cache in PER_FRAME_CACHES:
-        cache.cache_clear()
-    code, text = run(CASES[name])
+    code, text = run_cold(CASES[name])
     assert code == 0
     assert text.encode() == (GOLDEN / name).read_bytes()
-    assert all(cache.cache_info().misses for cache in PER_FRAME_CACHES)
+    # every per-frame linear system and basis of the geometry was built anew
+    assert all(cache.cache_info().misses for cache in LIEALG_CACHES)
+
+
+def test_identities_bytes_match_golden_from_cold_caches(monkeypatch):
+    name = "identities-seed3-trials15.json"
+    monkeypatch.chdir(ROOT)
+    monkeypatch.delattr(os, "fork", raising=False)  # both frames fill in this process
+    code, text = run_cold(CASES[name])
+    assert code == 0
+    assert text.encode() == (GOLDEN / name).read_bytes()
+    # identities reads every other table cache, the basis products among
+    # them, and builds each once per frame
+    assert all(cache.cache_info().misses == 2 for cache in OTHER_CACHES)

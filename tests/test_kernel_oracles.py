@@ -380,6 +380,26 @@ def flipped_frame(frame: G2Frame, index: int) -> G2Frame:
     return G2Frame.from_table(CrossTable(tuple(triples), frame.table.label_offset))
 
 
+# two triples on the pair (0, 1): the slots of (0, 1) and (1, 0) hold two
+# entries, so e_0 x e_1 has two terms
+SHARED_PAIR_TABLE = CrossTable(((0, 1, 2, 1), (0, 1, 3, -1), (2, 4, 5, 1)))
+
+# the frame itself, each of its seven base triples sign-flipped, star_phi
+# forced onto the opposite orientation, and the shared-pair table
+TABLE_VARIANTS = [None, *range(DIM), "opposite-orientation", "shared-pair"]
+
+
+def variant_frame(frame: G2Frame, variant) -> G2Frame:
+    if variant is None:
+        return frame
+    if variant == "opposite-orientation":
+        # star_phi forced onto the other orientation: every quadruple flips
+        return G2Frame.from_table(frame.table, orientation=-frame.orientation)
+    if variant == "shared-pair":
+        return G2Frame.from_table(SHARED_PAIR_TABLE)
+    return flipped_frame(frame, variant)
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_decompose_endo_matches_fraction_route(frame, seed):
     for t in seeded_matrices(seed):
@@ -422,13 +442,14 @@ def test_triple_check_matches_fraction_route(frame, flip):
     assert (outcomes == {None}) == (flip is None)
 
 
-@pytest.mark.parametrize("flip", [None, 0, 4])
+@pytest.mark.parametrize("variant", TABLE_VARIANTS)
 @pytest.mark.parametrize("seed", [0, 7])
-def test_validate_cross_axioms_matches_fraction_route(frame, flip, seed):
-    target = frame if flip is None else flipped_frame(frame, flip)
+def test_validate_cross_axioms_matches_fraction_route(frame, variant, seed):
+    target = variant_frame(frame, variant)
     rep = validate_cross_axioms(target, seed=seed, trials=25)
     assert (rep.counts, rep.failures) == ref_validate_cross_axioms(target, seed, 25)
-    assert rep.passed == (flip is None)
+    # the product rules read the table only, not the orientation
+    assert rep.passed == (variant in (None, "opposite-orientation"))
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -469,26 +490,33 @@ def test_matrix_samplers_match_fraction_route(sampler, reference):
         assert rng.random() == ref_rng.random()
 
 
-@pytest.mark.parametrize("variant", [None, 0, 4, "opposite-orientation"])
+@pytest.mark.parametrize("variant", TABLE_VARIANTS)
 def test_table_checks_match_loop_route(frame, variant):
-    if variant is None:
-        target = frame
-    elif variant == "opposite-orientation":
-        # star_phi forced onto the other orientation: every quadruple flips
-        target = G2Frame.from_table(frame.table, orientation=-frame.orientation)
-    else:
-        target = flipped_frame(frame, variant)
+    target = variant_frame(frame, variant)
     eps_report = check_epsilon_identities(target)
     pairing_report = star_phi_pairing_check(target)
     assert eps_report == ref_check_epsilon_identities(target)
     assert pairing_report == ref_star_phi_pairing_check(target)
-    # a valid table passes both; a flipped triple fails both; the opposite
-    # orientation fails the contraction and reads as one global sign
+    # a valid table passes both; a flipped triple or the shared-pair table
+    # fails both; the opposite orientation fails the contraction and reads as
+    # one global sign
     assert eps_report.passed == (variant is None)
     assert bool(eps_report.failures) == (variant is not None)
     assert pairing_report.passed == (variant in (None, "opposite-orientation"))
     if variant == "opposite-orientation":
         assert pairing_report.notes[0] == "verdict: global-sign"
+
+
+def test_shared_pair_table_reports():
+    """The shared-pair table's reports, pinned: rule 2 fails on the second
+    basis triple, and the contraction stops at its fourth failure."""
+    target = G2Frame.from_table(SHARED_PAIR_TABLE)
+    axioms = validate_cross_axioms(target, seed=0, trials=25)
+    assert axioms.counts == (("basis_triples", 2), ("seeded_triples", 0))
+    assert axioms.failures == ("rule2 fails on basis (0,0,1)",)
+    eps_report = check_epsilon_identities(target)
+    assert eps_report.counts == (("cases", 100),)
+    assert len(eps_report.failures) == 3 and not eps_report.passed
 
 
 def ref_cross(table, u, v) -> list:
@@ -497,13 +525,7 @@ def ref_cross(table, u, v) -> list:
 
 @pytest.mark.parametrize("variant", [None, 0, 4, "shared-pair"])
 def test_cross_matches_eps_sum(frame, variant):
-    if variant is None:
-        table = frame.table
-    elif variant == "shared-pair":
-        # two triples on the pair (0, 1): its slot holds two entries
-        table = CrossTable(((0, 1, 2, 1), (0, 1, 3, -1), (2, 4, 5, 1)))
-    else:
-        table = flipped_frame(frame, variant).table
+    table = variant_frame(frame, variant).table
     rng = Random(17)
     vecs = [list(UNIT[i]) for i in range(DIM)] + [[0] * DIM, [0, 0, 3, 0, -2, 0, 0]]
     vecs += [list(integer_vector(rand_vec(rng))[0]) for _ in range(6)]
