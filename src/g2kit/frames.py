@@ -198,19 +198,8 @@ def _swap_form(table: CrossTable) -> tuple[tuple[int, ...], tuple[int, ...], tup
 @lru_cache(maxsize=None)
 def _basis_products(table: CrossTable) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """The 49 basis products: P[i][j] holds the coordinates of e_i x e_j,
-    each from :meth:`CrossTable.cross`.  The exhaustive checks read only
-    these, and a cross product with a basis product is formed from them by
-    linearity (:func:`_combination`)."""
+    each from :meth:`CrossTable.cross`; the exhaustive checks read these."""
     return tuple(tuple(tuple(table.cross(UNIT[i], UNIT[j])) for j in _INDICES) for i in _INDICES)
-
-
-def _combination(rows, coeffs) -> tuple:
-    """sum_m coeffs[m] rows[m] over the nonzero coefficients: with rows =
-    P[a] this is e_a x x for coeffs = x."""
-    out = (0,) * len(rows[0])
-    for m in compress(range(len(coeffs)), coeffs):
-        out = tuple(map(add, out, map(mul, repeat(coeffs[m]), rows[m])))
-    return out
 
 
 def _sort3(i: int, j: int, k: int) -> tuple[tuple[int, int, int], int]:
@@ -329,11 +318,18 @@ class CheckReport(_Record):
 
 def _product_pairings(products) -> tuple[tuple[int, ...], ...]:
     """<e_j x e_k, e_p x e_q> as 49 blocks, one per (j, k), of 49 entries
-    indexed 7 p + q; block (j, k) is formed by linearity over the nonzero
-    coordinates of e_j x e_k."""
+    indexed 7 p + q; block (j, k) is formed by linearity, as the sum over
+    the nonzero coordinates v[i] of v = e_j x e_k of v[i] times component i
+    of every e_p x e_q."""
     flat = tuple(chain.from_iterable(products))
     by_coordinate = tuple(zip(*flat))  # component i of every e_p x e_q
-    return tuple(_combination(by_coordinate, v) for v in flat)
+    blocks = []
+    for v in flat:
+        block = (0,) * len(flat)
+        for i in compress(_INDICES, v):
+            block = tuple(map(add, block, map(mul, repeat(v[i]), by_coordinate[i])))
+        blocks.append(block)
+    return tuple(blocks)
 
 
 def check_epsilon_identities(frame: G2Frame) -> CheckReport:
@@ -405,18 +401,18 @@ def _triple_failure(table: CrossTable, u, v, w) -> str | None:
     return None
 
 
-def _basis_triple_rules(products):
+def _basis_triple_rules(table: CrossTable):
     """(first failing rule or None, i, j, k) for each basis triple in
     lexicographic order: :func:`_triple_failure` on (e_i, e_j, e_k), read
     off the basis products P.
 
     Rule 1 compares P[i][j][k] with P[j][k][i].  Rule 2 depends on (i, k)
     only and is evaluated once per pair.  Rule 3 compares
-    e_i x P[j][k] + e_j x P[i][k] with d_ik e_j + d_jk e_i - 2 d_ij e_k,
-    where e_a x P[b][c] is formed by linearity over the rows of P.
+    e_i x P[j][k] + e_j x P[i][k] with d_ik e_j + d_jk e_i - 2 d_ij e_k.
     """
+    products = _basis_products(table)
     # nested[a][b][c] = e_a x (e_b x e_c)
-    nested = [[[_combination(pa, x) for x in pb] for pb in products] for pa in products]
+    nested = [[[tuple(table.cross(UNIT[a], x)) for x in pb] for pb in products] for a in _INDICES]
     rule2 = [
         [nested[i][i][k] == tuple(a * (i == k) - c for a, c in zip(UNIT[i], UNIT[k])) for k in _INDICES]
         for i in _INDICES
@@ -445,7 +441,7 @@ def validate_cross_axioms(frame: G2Frame, seed: int = 0, trials: int = 200) -> C
 
     table = frame.table
     failures: list[str] = []
-    for basis_cases, (rule, i, j, k) in enumerate(_basis_triple_rules(_basis_products(table)), 1):
+    for basis_cases, (rule, i, j, k) in enumerate(_basis_triple_rules(table), 1):
         if rule:
             failures.append(f"{rule} fails on basis ({i},{j},{k})")
             break
