@@ -12,6 +12,7 @@ from g2kit import (
     build_standard_frame,
     char_poly,
     cross_operator,
+    decompose_endo,
     i0,
     i1,
     i2,
@@ -20,6 +21,7 @@ from g2kit import (
     special_case_check,
     verify_quadratic_relations,
 )
+from g2kit.invariants import PART_NORM_TABLE, part_norm_invariants
 from g2kit.sampling import rand_mat
 
 frame = build_standard_frame()
@@ -50,3 +52,18 @@ print("  cross operator of a unit vector:", (i0(a_z, frame), i1(a_z, frame), i2(
 for sample in (scaled, a_z, rand_mat(rng)):
     rep = special_case_check(sample, frame)
     print("  detected:", rep.notes[0], "->", "pass" if rep.passed else "FAIL")
+
+print("\nevery quadratic invariant from the part norms (p1, p27, p14, p7):")
+print(" " * 10 + "".join(f"{col:>7}" for col in ("p1", "p27", "p14", "p7")))
+for name, coeffs, div in PART_NORM_TABLE:
+    print(f"  {name:8s}" + "".join(f"{str(Fraction(c, div)):>7}" for c in coeffs))
+for label, sample in (("random T", t), ("lambda*Id", scaled), ("cross operator", a_z)):
+    table = part_norm_invariants(decompose_endo(sample, frame).part_norms_sq())
+    kernels = {
+        "sigma2": sigma2(sample),
+        "norm_sq": sample.norm_sq(),
+        "i0": i0(sample, frame),
+        "i1": i1(sample, frame),
+        "i2": i2(sample, frame),
+    }
+    print(f"  {label}: kernels equal the table:", kernels == table)

@@ -30,7 +30,14 @@ from .frames import (
     star_phi_pairing_check,
     validate_cross_axioms,
 )
-from .invariants import i0, i1, i2, invariant_report, special_case_check, verify_quadratic_relations
+from .invariants import (
+    i0,
+    i1,
+    i2,
+    invariant_report_from_norms,
+    special_case_check,
+    verify_quadratic_relations,
+)
 from .liealg import (
     HEISENBERG_REFERENCE_CURVATURE_MULTISET,
     alt_scalar_curvature,
@@ -330,7 +337,7 @@ def cmd_classify(cfg: RunConfig) -> tuple[int, dict]:
 
     frame = FRAMES[cfg.frame]()
     cls = classify(t, frame)
-    inv = invariant_report(t, frame)
+    inv = invariant_report_from_norms(t, cls.part_norms_sq)
     integrand = integrand_from(inv.i0, inv.sigma2)
     notes = []
     predicted = None
@@ -385,9 +392,9 @@ def cmd_nilmanifold(cfg: RunConfig) -> tuple[int, dict]:
     s_perp = g2perp_scalar_curvature(r, frame)
     geo = geometry_torsion_report(nabla_form(conn, frame.phi), frame)
     t = geo.torsion
-    inv = invariant_report(t, frame)
-    integrand = integrand_from(inv.i0, inv.sigma2)
     cls = classify(t, frame)
+    inv = invariant_report_from_norms(t, cls.part_norms_sq)
+    integrand = integrand_from(inv.i0, inv.sigma2)
     div = divergence_balance(t, s_perp, frame)
     tf = torsion_forms(mla, frame)
     bryant = bryant_scalar_check(mla, frame, s, tf)

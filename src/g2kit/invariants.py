@@ -4,11 +4,18 @@ sigma1, sigma2, the squared trace norm and the characteristic polynomial are
 orthogonal invariants; i0, i1, i2 are built from the cross product and are
 invariants of the frame-preserving subgroup only, so every i-evaluator takes
 the frame explicitly.
+
+End(R^7) = R + S^2_0 + g2 + R^7 holds each summand once, so every quadratic
+form on End(R^7) invariant under the frame's G2 is a fixed combination of the
+four part norms (:data:`PART_NORM_TABLE`).  Reports read their invariants
+off that table; the kernels below evaluate each invariant directly, the
+independent route the identity checks compare against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 from .frames import CheckReport, G2Frame
@@ -114,16 +121,35 @@ class InvariantReport(_Record):
         return out
 
 
+# Each quadratic invariant as (name, integer coefficients of the part norms
+# (p1, p27, p14, p7) = EndoSplit.part_norms_sq(), divisor); sigma2, for
+# one, is (6 p1 - p27 + p14 + p7) / 2.
+PART_NORM_TABLE = (
+    ("sigma2", (6, -1, 1, 1), 2),
+    ("norm_sq", (1, 1, 1, 1), 1),
+    ("i0", (6, -1, 3, -3), 1),
+    ("i1", (0, 0, 0, 6), 1),
+    ("i2", (-6, 1, 3, -3), 1),
+)
+
+
+def part_norm_invariants(norms: tuple[Fraction, Fraction, Fraction, Fraction]) -> dict[str, Fraction]:
+    """The invariants of :data:`PART_NORM_TABLE` by name, from the part norms
+    (p1, p27, p14, p7): the norms go over one common denominator, and each
+    invariant is one integer combination divided once."""
+    d = lcm(*(p.denominator for p in norms))
+    nums = [p.numerator * (d // p.denominator) for p in norms]
+    return {name: Fraction(sum(map(mul, coeffs, nums)), div * d) for name, coeffs, div in PART_NORM_TABLE}
+
+
+def invariant_report_from_norms(t: Mat7, norms: tuple[Fraction, Fraction, Fraction, Fraction]) -> InvariantReport:
+    """The report of T whose part norms are ``norms``; only sigma1 and the
+    characteristic polynomial are computed from T itself."""
+    return InvariantReport(sigma1=t.trace(), charpoly=char_poly(t), **part_norm_invariants(norms))
+
+
 def invariant_report(t: Mat7, frame: G2Frame) -> InvariantReport:
-    return InvariantReport(
-        sigma1=t.trace(),
-        sigma2=sigma2(t),
-        norm_sq=t.norm_sq(),
-        i0=i0(t, frame),
-        i1=i1(t, frame),
-        i2=i2(t, frame),
-        charpoly=char_poly(t),
-    )
+    return invariant_report_from_norms(t, decompose_endo(t, frame).part_norms_sq())
 
 
 class QuadraticRelationsReport(_Record):

@@ -244,7 +244,11 @@ def test_nilmanifold_does_each_computation_once(tmp_path, monkeypatch):
         "liealg.torsion_forms",
         "liealg.g2perp_scalar_curvature",
         "liealg.alt_scalar_curvature",
+        "so7.decompose_endo",
         "invariants.i0",
+        "invariants.i1",
+        "invariants.i2",
+        "invariants.sigma2",
         "torsion.torsion_energies",
         "torsion.characteristic_vector",
         "linalg.int_matmul",
@@ -274,7 +278,12 @@ def test_nilmanifold_does_each_computation_once(tmp_path, monkeypatch):
             "torsion_forms": 1,
             "g2perp_scalar_curvature": 1,
             "alt_scalar_curvature": 1,
-            "i0": 1,
+            # the invariants are read off the part norms of the one split
+            "decompose_endo": 1,
+            "i0": 0,
+            "i1": 0,
+            "i2": 0,
+            "sigma2": 0,
             "torsion_energies": 1,
             "characteristic_vector": 1,
             # the projection kernels read single entries, not dense products
@@ -293,6 +302,8 @@ def test_classify_does_each_computation_once(tmp_path, monkeypatch, shape):
         monkeypatch,
         "so7.decompose_endo",
         "invariants.i0",
+        "invariants.i1",
+        "invariants.i2",
         "invariants.sigma2",
         "invariants.char_poly",
         "torsion.characteristic_vector",
@@ -308,7 +319,9 @@ def test_classify_does_each_computation_once(tmp_path, monkeypatch, shape):
     code, out = run(RunConfig(command="classify", input_path=path, frame="cayley", fmt="json"))
     assert code == 0
     assert ("X4" in json.loads(out)["flags"]) == (shape == "vector")
-    assert counts == dict.fromkeys(counts, 1)
+    # the invariants are read off the part norms of the one split; no kernel runs
+    kernels = ("i0", "i1", "i2", "sigma2")
+    assert counts == {name: 0 if name in kernels else 1 for name in counts}
 
 
 def test_classify_past_digit_limit_is_usage_error(tmp_path, capsys):

@@ -5,9 +5,9 @@ bytes with ``tests/golden/<name>``.  Reports echo ``--input``, so inputs are
 passed as repository-relative paths and the test runs from the repository
 root.  A golden file changes only with a deliberate change of report content;
 to regenerate one, write ``run(cfg)[1]`` for its configuration to the file.
-The nilmanifold cases and one identities case run a second time after the
-per-frame caches are cleared, so the bytes pin the cold fill of the frame's
-linear systems, bases and basis products as well as the cached route.
+The nilmanifold and classify cases and one identities case run a second time
+after the per-frame caches are cleared, so the bytes pin the cold fill of the
+frame's linear systems, bases and basis products as well as the cached route.
 """
 
 import importlib
@@ -44,8 +44,14 @@ CASES = {
     "classify-sym17-standard.json": RunConfig(
         "classify", frame="standard", input_path=f"{INPUTS}/sym17.json", fmt="json"
     ),
+    "classify-sym17-cayley.json": RunConfig(
+        "classify", frame="cayley", input_path=f"{INPUTS}/sym17.json", fmt="json"
+    ),
     "classify-skew17-standard.json": RunConfig(
         "classify", frame="standard", input_path=f"{INPUTS}/skew17.json", fmt="json"
+    ),
+    "classify-skew17-cayley.json": RunConfig(
+        "classify", frame="cayley", input_path=f"{INPUTS}/skew17.json", fmt="json"
     ),
     "classify-spellings-standard.json": RunConfig(
         "classify", frame="standard", input_path=f"{INPUTS}/spellings.json", fmt="json"
@@ -90,10 +96,11 @@ def _table_caches() -> tuple:
 
 
 TABLE_CACHES = _table_caches()
-# nilmanifold reads every table cache but the two that only the identities
-# checks read; identities reads every table cache outside the geometry of
+# nilmanifold reads every table cache but the three that only the identities
+# checks read (reports take i2 off the part norms, so only the i2 kernel reads
+# the swap form); identities reads every table cache outside the geometry of
 # liealg.  A new table cache is then required to fill on one of the two.
-IDENTITIES_ONLY = (frames._basis_products, so7._g2_basis_entries_cached)
+IDENTITIES_ONLY = (frames._basis_products, so7._g2_basis_entries_cached, frames._swap_form)
 NILMANIFOLD_CACHES = tuple(cache for cache in TABLE_CACHES if cache not in IDENTITIES_ONLY)
 IDENTITIES_CACHES = tuple(cache for cache in TABLE_CACHES if cache.__module__ != "g2kit.liealg")
 
@@ -113,10 +120,9 @@ def test_table_caches_are_found():
         liealg._lambda2_14_forms,
         liealg._dual_coords,
         so7._g2_basis_cached,
-        frames._swap_form,
     )
     assert set(geometry) <= set(NILMANIFOLD_CACHES)
-    assert set(IDENTITIES_ONLY + (so7._g2_basis_cached, frames._swap_form)) <= set(IDENTITIES_CACHES)
+    assert set(IDENTITIES_ONLY + (so7._g2_basis_cached,)) <= set(IDENTITIES_CACHES)
 
 
 @pytest.mark.parametrize("name", sorted(n for n in CASES if n.startswith("nilmanifold")))
@@ -126,8 +132,20 @@ def test_nilmanifold_bytes_match_golden_from_cold_caches(name, monkeypatch):
     assert code == 0
     assert text.encode() == (GOLDEN / name).read_bytes()
     # every per-frame linear system and basis the geometry reads was built
-    # anew, once for the one frame
+    # anew, once for the one frame, and no cache of the identities checks
     assert all(cache.cache_info().misses == 1 for cache in NILMANIFOLD_CACHES)
+    assert all(cache.cache_info().misses == 0 for cache in IDENTITIES_ONLY)
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if n.startswith("classify")))
+def test_classify_bytes_match_golden_from_cold_caches(name, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    code, text = run_cold(CASES[name])
+    assert code == 0
+    assert text.encode() == (GOLDEN / name).read_bytes()
+    # the report reads its invariants off the part norms, so the i2 kernel's
+    # swap form and the other identities caches stay empty
+    assert all(cache.cache_info().misses == 0 for cache in IDENTITIES_ONLY)
 
 
 def test_identities_bytes_match_golden_from_cold_caches(monkeypatch):

@@ -1,13 +1,19 @@
 from fractions import Fraction
+from functools import cache
+from itertools import combinations
 from random import Random
+
+from test_kernel_oracles import flipped_frame
 
 from g2kit.frames import cross
 from g2kit.invariants import (
+    PART_NORM_TABLE,
     char_poly,
     i0,
     i1,
     i2,
     invariant_report,
+    part_norm_invariants,
     sigma2,
     sigma_from_char_poly,
     special_case_check,
@@ -22,7 +28,7 @@ from g2kit.sampling import (
     rand_vec,
     table_symmetries,
 )
-from g2kit.so7 import cross_operator
+from g2kit.so7 import cross_operator, decompose_endo
 
 
 def test_char_poly_identity():
@@ -157,6 +163,58 @@ def test_invariant_report_consistency(frame):
     assert rep.sigma1 == sigma_from_char_poly(rep.charpoly, 1)
     d = rep.to_dict()
     assert set(d) == {"sigma1", "sigma2", "norm_sq", "i0", "i1", "i2", "charpoly"}
+
+
+@cache
+def polarization_points() -> tuple[Mat7, ...]:
+    """E_a and E_a + E_b over the 49 matrix units, 1,225 points: a quadratic
+    form on End(R^7) is fixed by its values there, since
+    2 B(E_a, E_b) = Q(E_a + E_b) - Q(E_a) - Q(E_b)."""
+    out = []
+    for units in [(a,) for a in range(DIM * DIM)] + list(combinations(range(DIM * DIM), 2)):
+        rows = [[0] * DIM for _ in range(DIM)]
+        for a in units:
+            rows[a // DIM][a % DIM] = 1
+        out.append(Mat7.from_ints(rows, 1))
+    return tuple(out)
+
+
+@cache
+def orthogonal_kernel_values() -> tuple[tuple[Fraction, Fraction], ...]:
+    """(sigma2, |T|^2) of each polarization point; neither reads the frame."""
+    return tuple((sigma2(t), t.norm_sq()) for t in polarization_points())
+
+
+def table_disagreements(frame) -> dict[str, int]:
+    """For each kernel, the number of polarization points at which it differs
+    from PART_NORM_TABLE applied to the part norms of decompose_endo."""
+    bad = {name: 0 for name, _, _ in PART_NORM_TABLE}
+    for t, (s2, norm) in zip(polarization_points(), orthogonal_kernel_values()):
+        table = part_norm_invariants(decompose_endo(t, frame).part_norms_sq())
+        kernels = {"sigma2": s2, "norm_sq": norm, "i0": i0(t, frame), "i1": i1(t, frame), "i2": i2(t, frame)}
+        for name, value in kernels.items():
+            bad[name] += value != table[name]
+    return bad
+
+
+def test_part_norm_table_matches_the_kernels_on_every_endomorphism(frame):
+    # each kernel and each table row is a quadratic form in T, so agreement
+    # on the polarization points is agreement everywhere
+    assert table_disagreements(frame) == dict.fromkeys(("sigma2", "norm_sq", "i0", "i1", "i2"), 0)
+
+
+def test_part_norm_table_certificate_fails_on_flipped_triples(frame):
+    # a sign-flipped base triple leaves no G2 structure: i0 and i2 leave the
+    # table, while sigma2 and |T|^2, which read no table, and i1 = |chi|^2,
+    # the square of the contraction that also gives the vector part, agree
+    for index in range(DIM):
+        assert table_disagreements(flipped_frame(frame, index)) == {
+            "sigma2": 0,
+            "norm_sq": 0,
+            "i0": 48,
+            "i1": 0,
+            "i2": 48,
+        }
 
 
 def test_special_cases(frame):
