@@ -51,7 +51,6 @@ from .liealg import (
     heisenberg_model,
     koszul,
     nabla_form,
-    nearly_parallel_torsion_check,
     r_map,
     scalar_curvature,
     torsion_endo_from_geometry,
@@ -125,7 +124,6 @@ __all__ = [
     "heisenberg_model",
     "koszul",
     "nabla_form",
-    "nearly_parallel_torsion_check",
     "r_map",
     "scalar_curvature",
     "torsion_endo_from_geometry",

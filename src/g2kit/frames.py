@@ -31,7 +31,7 @@ sign flip when a frame is forced onto the wrong orientation.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from itertools import chain, compress, permutations, product, repeat
 from operator import add, mul
 from random import Random
@@ -155,12 +155,38 @@ class CrossTable(_Record):
 
         Component k of c_i x e_j is sum_a eps_ajk c_i[a], so the sum is a
         quadratic form in the 49 coordinates c_i[a], read in one pass over
-        its nonzero coefficients (:func:`_swap_form`, built once per table).
+        its nonzero coefficients (:attr:`_swap_form`, built once per table).
         """
         x = list(chain.from_iterable(cols))
-        first, second, coeffs = _swap_form(self)
+        first, second, coeffs = self._swap_form
         at = x.__getitem__
         return sum(map(mul, coeffs, map(mul, map(at, first), map(at, second))))
+
+    @cached_property
+    def _swap_form(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """The form of :meth:`swap_trace` as (first index, second index,
+        coefficient) columns over the coordinates x[7 i + a] = c_i[a].
+
+        The product c_i[a] c_j[b] has the coefficient sum_k eps_ajk eps_bik;
+        both orders of a pair of coordinates are summed into one coefficient.
+        """
+        by_k = [[] for _ in range(DIM)]
+        for a, j, k, s in self.nonzero_ordered():
+            by_k[k].append((a, j, s))
+        form: dict[tuple[int, int], int] = {}
+        for pairs in by_k:
+            for a, j, s in pairs:
+                for b, i, t in pairs:
+                    key = tuple(sorted((DIM * i + a, DIM * j + b)))
+                    form[key] = form.get(key, 0) + s * t
+        terms = sorted((key, c) for key, c in form.items() if c)
+        return tuple(p for (p, _), _ in terms), tuple(q for (_, q), _ in terms), tuple(c for _, c in terms)
+
+    @cached_property
+    def _basis_products(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The 49 basis products: P[i][j] holds the coordinates of e_i x e_j,
+        each from :meth:`cross`; the exhaustive checks read these."""
+        return tuple(tuple(tuple(self.cross(UNIT[i], UNIT[j])) for j in _INDICES) for i in _INDICES)
 
     def contract(self, m) -> list:
         """The contraction p(m)_i = sum_jk eps_ijk m_jk of a 7x7 grid m."""
@@ -172,34 +198,6 @@ class CrossTable(_Record):
                     if x:
                         out[i] += s * x
         return out
-
-
-@lru_cache(maxsize=None)
-def _swap_form(table: CrossTable) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """The form of :meth:`CrossTable.swap_trace` as (first index, second
-    index, coefficient) columns over the coordinates x[7 i + a] = c_i[a].
-
-    The product c_i[a] c_j[b] has the coefficient sum_k eps_ajk eps_bik;
-    both orders of a pair of coordinates are summed into one coefficient.
-    """
-    by_k = [[] for _ in range(DIM)]
-    for a, j, k, s in table.nonzero_ordered():
-        by_k[k].append((a, j, s))
-    form: dict[tuple[int, int], int] = {}
-    for pairs in by_k:
-        for a, j, s in pairs:
-            for b, i, t in pairs:
-                key = tuple(sorted((DIM * i + a, DIM * j + b)))
-                form[key] = form.get(key, 0) + s * t
-    terms = sorted((key, c) for key, c in form.items() if c)
-    return tuple(p for (p, _), _ in terms), tuple(q for (_, q), _ in terms), tuple(c for _, c in terms)
-
-
-@lru_cache(maxsize=None)
-def _basis_products(table: CrossTable) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """The 49 basis products: P[i][j] holds the coordinates of e_i x e_j,
-    each from :meth:`CrossTable.cross`; the exhaustive checks read these."""
-    return tuple(tuple(tuple(table.cross(UNIT[i], UNIT[j])) for j in _INDICES) for i in _INDICES)
 
 
 def _sort3(i: int, j: int, k: int) -> tuple[tuple[int, int, int], int]:
@@ -246,6 +244,22 @@ class G2Frame(_Record):
             orientation = _detect_orientation(table, plus_dual)
         star_phi = plus_dual if orientation == 1 else -plus_dual
         return G2Frame(table=table, phi=phi, star_phi=star_phi, orientation=orientation, name=name)
+
+
+def per_frame(build):
+    """Memoize build(frame) on the frame: the value is kept in the frame's
+    own ``__dict__`` under the builder's name, as :func:`cached_property`
+    keeps it, so a fresh frame starts cold and ``==``/``repr`` ignore it."""
+    name = build.__name__
+
+    @wraps(build)
+    def memoized(frame):
+        store = frame.__dict__
+        if name not in store:
+            store[name] = build(frame)
+        return store[name]
+
+    return memoized
 
 
 def _detect_orientation(table: CrossTable, plus_dual: KForm) -> int:
@@ -342,7 +356,7 @@ def check_epsilon_identities(frame: G2Frame) -> CheckReport:
     <e_j x e_k, e_p x e_q>; the 7^4 tuples are compared as 49 blocks, one
     per (j, k), and only a block that differs is read entry by entry.
     """
-    pairings = _product_pairings(_basis_products(frame.table))
+    pairings = _product_pairings(frame.table._basis_products)
     failures = []
     checked = 0
     for k in range(DIM):
@@ -410,7 +424,7 @@ def _basis_triple_rules(table: CrossTable):
     only and is evaluated once per pair.  Rule 3 compares
     e_i x P[j][k] + e_j x P[i][k] with d_ik e_j + d_jk e_i - 2 d_ij e_k.
     """
-    products = _basis_products(table)
+    products = table._basis_products
     # nested[a][b][c] = e_a x (e_b x e_c)
     nested = [[[tuple(table.cross(UNIT[a], x)) for x in pb] for pb in products] for a in _INDICES]
     rule2 = [
@@ -470,7 +484,7 @@ def star_phi_pairing_check(frame: G2Frame) -> CheckReport:
     ordered distinct quadruples, reading the pairings of the basis products;
     reports whether a single global sign would reconcile a systematic
     mismatch (orientation sensitivity)."""
-    pairings = _product_pairings(_basis_products(frame.table))
+    pairings = _product_pairings(frame.table._basis_products)
     star = frame._star_phi_values
     match = 0
     flipped = 0

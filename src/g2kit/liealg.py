@@ -39,7 +39,6 @@ from .forms import (
     TENSOR,
     KForm,
     all_increasing_tuples,
-    form_inner,
     form_norm_sq,
     hodge,
     integer_terms,
@@ -47,7 +46,7 @@ from .forms import (
     two_form_from_matrix,
     wedge,
 )
-from .frames import G2Frame, build_cayley_frame
+from .frames import G2Frame, build_cayley_frame, per_frame
 from .linalg import (
     DIM,
     LinearSystem,
@@ -589,10 +588,9 @@ def _common_coords(forms, degree: int) -> tuple[list[list[int]], int]:
     return [[x * (d // df) for x in _form_coords(f, degree)] for f, df in zip(forms, dens)], d
 
 
-@lru_cache(maxsize=None)
-def _cross_action_system(table, orientation) -> LinearSystem:
+@per_frame
+def _cross_action_system(frame: G2Frame) -> LinearSystem:
     """The 35x7 system of v -> (cross operator of v) * phi, reduced once per frame."""
-    frame = G2Frame.from_table(table, orientation)
     return _system([derivation_action(cross_operator(Vec7.basis(k), frame), frame.phi) for k in _R], 3)
 
 
@@ -606,7 +604,7 @@ def torsion_endo_from_geometry(nphi: tuple[KForm, ...], frame: G2Frame) -> Mat7:
     the built-in nilmanifold model.  The slices share one denominator, so
     their integer solutions are the columns of T over one denominator too.
     """
-    system = _cross_action_system(frame.table, frame.orientation)
+    system = _cross_action_system(frame)
     coords, d = _common_coords(nphi, 3)
     cols = []
     for i, b in enumerate(coords):
@@ -623,10 +621,10 @@ def torsion_endo_from_geometry(nphi: tuple[KForm, ...], frame: G2Frame) -> Mat7:
 _PAIRING_WEIGHT_3 = {FORM: 1, TENSOR: 6}
 
 
-@lru_cache(maxsize=None)
-def _dual_coords(table, orientation) -> tuple[tuple[tuple[int, ...], ...], int]:
+@per_frame
+def _dual_coords(frame: G2Frame) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Coordinates of e_y -| (-star_phi) for y = 0..6 over one denominator."""
-    star = -G2Frame.from_table(table, orientation).star_phi
+    star = -frame.star_phi
     coords, d = _common_coords([interior(Vec7.basis(y), star) for y in _R], 3)
     return tuple(map(tuple, coords)), d
 
@@ -645,7 +643,7 @@ def r_map(nphi: tuple[KForm, ...], frame: G2Frame, convention: str = FORM) -> Ma
     if convention not in _PAIRING_WEIGHT_3:
         raise ValueError(f"unknown convention {convention!r}")
     weight = _PAIRING_WEIGHT_3[convention]
-    duals, dd = _dual_coords(frame.table, frame.orientation)
+    duals, dd = _dual_coords(frame)
     coords, d = _common_coords(nphi, 3)
     return Mat7.from_ints([[weight * sum(map(mul, a, b)) for b in duals] for a in coords], 4 * d * dd)
 
@@ -677,15 +675,13 @@ def geometry_torsion_report(nphi: tuple[KForm, ...], frame: G2Frame) -> Geometry
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _lambda2_14_forms(table) -> tuple[KForm, ...]:
-    frame = G2Frame.from_table(table)
+@per_frame
+def _lambda2_14_forms(frame: G2Frame) -> tuple[KForm, ...]:
     return tuple(two_form_from_matrix(m) for m in g2_basis(frame))
 
 
-@lru_cache(maxsize=None)
-def _lambda3_27_forms(table, orientation) -> tuple[KForm, ...]:
-    frame = G2Frame.from_table(table, orientation)
+@per_frame
+def _lambda3_27_forms(frame: G2Frame) -> tuple[KForm, ...]:
     keys3 = all_increasing_tuples(3)
     rows = []
     # gamma ^ phi = 0 (7 equations in Lambda^6), gamma ^ star_phi = 0 (1
@@ -701,24 +697,22 @@ def _lambda3_27_forms(table, orientation) -> tuple[KForm, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _lambda4_system(table, orientation) -> LinearSystem:
+@per_frame
+def _lambda4_system(frame: G2Frame) -> LinearSystem:
     """Lambda^4 against {star_phi} + {e^i ^ phi} + {star(27-part basis)}:
     35 equations in 35 unknowns, reduced once per frame."""
-    frame = G2Frame.from_table(table, orientation)
     cols = [frame.star_phi]
     cols += [wedge(KForm.monomial((i,)), frame.phi) for i in _R]
-    cols += [hodge(gamma, orientation) for gamma in _lambda3_27_forms(table, orientation)]
+    cols += [hodge(gamma, frame.orientation) for gamma in _lambda3_27_forms(frame)]
     return _system(cols, 4)
 
 
-@lru_cache(maxsize=None)
-def _lambda5_system(table, orientation) -> LinearSystem:
+@per_frame
+def _lambda5_system(frame: G2Frame) -> LinearSystem:
     """Lambda^5 against {e^i ^ star_phi} + {(14-part basis) ^ phi}:
     21 equations in 21 unknowns, reduced once per frame."""
-    frame = G2Frame.from_table(table, orientation)
     cols = [wedge(KForm.monomial((i,)), frame.star_phi) for i in _R]
-    cols += [wedge(beta, frame.phi) for beta in _lambda2_14_forms(table)]
+    cols += [wedge(beta, frame.phi) for beta in _lambda2_14_forms(frame)]
     return _system(cols, 5)
 
 
@@ -794,22 +788,22 @@ def torsion_forms(mla: MetricLieAlgebra, frame: G2Frame, convention: str = FORM)
     dstar = ce_differential(mla, frame.star_phi)
 
     # system 1: Lambda^4, 35 unknowns
-    sol4 = _lambda4_system(frame.table, frame.orientation).solve_ints(_form_coords(dphi, 4), integer_terms(dphi)[1])
+    sol4 = _lambda4_system(frame).solve_ints(_form_coords(dphi, 4), integer_terms(dphi)[1])
     if sol4 is None:
         raise TorsionSolveError("d phi is not compatible with the 1+7+27 split")
     x, d4 = sol4
     tau0 = Fraction(x[0], d4)
     tau1 = KForm.from_ints(1, {(i,): x[1 + i] for i in _R}, 3 * d4)
-    tau3 = _combination(_lambda3_27_forms(frame.table, frame.orientation), x[8:], d4, 3)
+    tau3 = _combination(_lambda3_27_forms(frame), x[8:], d4, 3)
 
     # system 2: Lambda^5, 21 unknowns
-    sol5 = _lambda5_system(frame.table, frame.orientation).solve_ints(_form_coords(dstar, 5), integer_terms(dstar)[1])
+    sol5 = _lambda5_system(frame).solve_ints(_form_coords(dstar, 5), integer_terms(dstar)[1])
     if sol5 is None:
         raise TorsionSolveError("d star_phi is not compatible with the 7+14 split")
     y, d5 = sol5
     if KForm.from_ints(1, {(i,): y[i] for i in _R}, 4 * d5) != tau1:
         raise TorsionSolveError("the one-form parts of d phi and d star_phi disagree")
-    tau2 = _combination(_lambda2_14_forms(frame.table), y[7:], d5, 2)
+    tau2 = _combination(_lambda2_14_forms(frame), y[7:], d5, 2)
 
     return TorsionForms(tau0=tau0, tau1=tau1, tau2=tau2, tau3=tau3, convention=convention)
 
@@ -865,71 +859,6 @@ def bryant_scalar_check(
         reconciling=tuple(matches),
         forms=tf,
         delta_tau1=dt1,
-    )
-
-
-class NearlyParallelReport(_Record):
-    """Nearly parallel check at a purely algebraic level: substitute
-    d phi := -8 lambda0 star_phi and Z = 0 into the skew-torsion formulas."""
-
-    lambda0: Fraction
-    torsion_is_expected_multiple: bool
-    expected_scalar: Fraction
-    tor_sq_by_convention: tuple[tuple[str, Fraction], ...]
-    check_27_by_convention: tuple[tuple[str, Fraction], ...]
-    check_27_reconciling: tuple[str, ...]
-    scalar_formula_by_convention: tuple[tuple[str, Fraction], ...]
-    scalar_formula_reconciling: tuple[str, ...]
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.torsion_is_expected_multiple
-            and bool(self.check_27_reconciling)
-            and bool(self.scalar_formula_reconciling)
-        )
-
-
-def nearly_parallel_torsion_check(lambda0, frame: G2Frame) -> NearlyParallelReport:
-    """With d phi := -8 lambda0 star_phi and vanishing vector class, the
-    characteristic skew torsion is Tor = (1/6)(d phi, star phi) phi
-    - star d phi = -(4/3) lambda0 phi.  Checks s = (27/2)|Tor|^2 and
-    s = (1/18)(d phi, star phi)^2 - (1/12)|Tor|^2 against s = 168 lambda0^2,
-    reporting which norm convention reconciles each; the (d phi, star phi)
-    pairing itself is always taken in the "form" convention."""
-    lam = as_fraction(lambda0)
-    dphi = frame.star_phi.scale(-8 * lam)
-    pairing = form_inner(dphi, frame.star_phi, FORM)
-    tor = frame.phi.scale(pairing / 6) - hodge(dphi, frame.orientation)
-    expected_tor = frame.phi.scale(Fraction(-4, 3) * lam)
-    expected_scalar = 168 * lam * lam
-
-    tor_sq = []
-    check27 = []
-    check27_ok = []
-    scalar_formula = []
-    scalar_ok = []
-    for convention in (FORM, "tensor"):
-        tsq = form_norm_sq(tor, convention)
-        tor_sq.append((convention, tsq))
-        v27 = Fraction(27, 2) * tsq
-        check27.append((convention, v27))
-        if v27 == expected_scalar:
-            check27_ok.append(convention)
-        vsf = Fraction(1, 18) * pairing * pairing - Fraction(1, 12) * tsq
-        scalar_formula.append((convention, vsf))
-        if vsf == expected_scalar:
-            scalar_ok.append(convention)
-
-    return NearlyParallelReport(
-        lambda0=lam,
-        torsion_is_expected_multiple=(tor == expected_tor),
-        expected_scalar=expected_scalar,
-        tor_sq_by_convention=tuple(tor_sq),
-        check_27_by_convention=tuple(check27),
-        check_27_reconciling=tuple(check27_ok),
-        scalar_formula_by_convention=tuple(scalar_formula),
-        scalar_formula_reconciling=tuple(scalar_ok),
     )
 
 

@@ -10,9 +10,7 @@ are handled inside commutators.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-
-from .frames import CrossTable, G2Frame, cross
+from .frames import CrossTable, G2Frame, cross, per_frame
 from .linalg import DIM, Mat7, Vec7, _Record, integer_coords, integer_rows, integer_vector, nullspace
 
 
@@ -130,10 +128,12 @@ def p_matrix(table: CrossTable) -> list[list[int]]:
     return [[col[r] for col in cols] for r in range(DIM)]
 
 
-@lru_cache(maxsize=None)
-def _g2_basis_cached(table: CrossTable) -> tuple[Mat7, ...]:
+@per_frame
+def g2_basis(frame: G2Frame) -> tuple[Mat7, ...]:
+    """A basis (14 matrices) of the kernel of the eps contraction on so(7),
+    built once per frame."""
     pairs = skew_basis_indices()
-    kernel = nullspace(p_matrix(table))
+    kernel = nullspace(p_matrix(frame.table))
     mats = []
     for coeffs in kernel:
         xs, d = integer_vector(coeffs)
@@ -145,21 +145,12 @@ def _g2_basis_cached(table: CrossTable) -> tuple[Mat7, ...]:
     return tuple(mats)
 
 
-def g2_basis(frame: G2Frame) -> tuple[Mat7, ...]:
-    """A basis (14 matrices) of the kernel of the eps contraction on so(7)."""
-    return _g2_basis_cached(frame.table)
-
-
-@lru_cache(maxsize=None)
-def _g2_basis_entries_cached(table: CrossTable) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+@per_frame
+def g2_basis_entries(frame: G2Frame) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """The :func:`g2_basis` matrices R / d as (d, nonzero entries of R),
+    each entry (7 i + j, R_ij); built once per frame."""
     out = []
-    for b in _g2_basis_cached(table):
+    for b in g2_basis(frame):
         rows, d = integer_rows(b)
         out.append((d, tuple((DIM * i + j, x) for i, row in enumerate(rows) for j, x in enumerate(row) if x)))
     return tuple(out)
-
-
-def g2_basis_entries(frame: G2Frame) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-    """The :func:`g2_basis` matrices R / d as (d, nonzero entries of R),
-    each entry (7 i + j, R_ij); built on first use per table."""
-    return _g2_basis_entries_cached(frame.table)

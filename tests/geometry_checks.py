@@ -1,12 +1,18 @@
-"""Structural checks of a connection and a curvature tensor, for the tests.
+"""Structural checks of a connection and a curvature tensor, and the
+algebraic nearly parallel check, for the tests.
 
 The package computes the Levi-Civita connection and its curvature but
 never checks them against their defining properties; the tests do, with
 these helpers, through the public ``gamma``, ``operator`` and
-``components`` views.
+``components`` views.  No command reads the nearly parallel check either;
+it substitutes a nearly parallel d phi into the skew-torsion formulas.
 """
 
-from g2kit.linalg import DIM
+from fractions import Fraction
+
+from g2kit.forms import FORM, form_inner, form_norm_sq, hodge
+from g2kit.frames import G2Frame
+from g2kit.linalg import DIM, _Record, as_fraction
 
 
 def is_metric(conn) -> bool:
@@ -46,3 +52,68 @@ def symmetry_defects(r) -> list[str]:
                     if out:
                         return out
     return out
+
+
+class NearlyParallelReport(_Record):
+    """Nearly parallel check at a purely algebraic level: substitute
+    d phi := -8 lambda0 star_phi and Z = 0 into the skew-torsion formulas."""
+
+    lambda0: Fraction
+    torsion_is_expected_multiple: bool
+    expected_scalar: Fraction
+    tor_sq_by_convention: tuple[tuple[str, Fraction], ...]
+    check_27_by_convention: tuple[tuple[str, Fraction], ...]
+    check_27_reconciling: tuple[str, ...]
+    scalar_formula_by_convention: tuple[tuple[str, Fraction], ...]
+    scalar_formula_reconciling: tuple[str, ...]
+
+    @property
+    def passed(self) -> bool:
+        return (
+            self.torsion_is_expected_multiple
+            and bool(self.check_27_reconciling)
+            and bool(self.scalar_formula_reconciling)
+        )
+
+
+def nearly_parallel_torsion_check(lambda0, frame: G2Frame) -> NearlyParallelReport:
+    """With d phi := -8 lambda0 star_phi and vanishing vector class, the
+    characteristic skew torsion is Tor = (1/6)(d phi, star phi) phi
+    - star d phi = -(4/3) lambda0 phi.  Checks s = (27/2)|Tor|^2 and
+    s = (1/18)(d phi, star phi)^2 - (1/12)|Tor|^2 against s = 168 lambda0^2,
+    reporting which norm convention reconciles each; the (d phi, star phi)
+    pairing itself is always taken in the "form" convention."""
+    lam = as_fraction(lambda0)
+    dphi = frame.star_phi.scale(-8 * lam)
+    pairing = form_inner(dphi, frame.star_phi, FORM)
+    tor = frame.phi.scale(pairing / 6) - hodge(dphi, frame.orientation)
+    expected_tor = frame.phi.scale(Fraction(-4, 3) * lam)
+    expected_scalar = 168 * lam * lam
+
+    tor_sq = []
+    check27 = []
+    check27_ok = []
+    scalar_formula = []
+    scalar_ok = []
+    for convention in (FORM, "tensor"):
+        tsq = form_norm_sq(tor, convention)
+        tor_sq.append((convention, tsq))
+        v27 = Fraction(27, 2) * tsq
+        check27.append((convention, v27))
+        if v27 == expected_scalar:
+            check27_ok.append(convention)
+        vsf = Fraction(1, 18) * pairing * pairing - Fraction(1, 12) * tsq
+        scalar_formula.append((convention, vsf))
+        if vsf == expected_scalar:
+            scalar_ok.append(convention)
+
+    return NearlyParallelReport(
+        lambda0=lam,
+        torsion_is_expected_multiple=(tor == expected_tor),
+        expected_scalar=expected_scalar,
+        tor_sq_by_convention=tuple(tor_sq),
+        check_27_by_convention=tuple(check27),
+        check_27_reconciling=tuple(check27_ok),
+        scalar_formula_by_convention=tuple(scalar_formula),
+        scalar_formula_reconciling=tuple(scalar_ok),
+    )

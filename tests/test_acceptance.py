@@ -9,6 +9,8 @@ import json
 from fractions import Fraction
 from random import Random
 
+from geometry_checks import nearly_parallel_torsion_check
+
 from g2kit.cli import RunConfig, main, run
 from g2kit.forms import FORM, TENSOR, form_norm_sq, wedge
 from g2kit.frames import (
@@ -38,7 +40,6 @@ from g2kit.liealg import (
     heisenberg_model,
     koszul,
     nabla_form,
-    nearly_parallel_torsion_check,
     scalar_curvature,
     torsion_forms,
 )

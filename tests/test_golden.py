@@ -6,21 +6,20 @@ passed as repository-relative paths and the test runs from the repository
 root.  A golden file changes only with a deliberate change of report content;
 to regenerate one, write ``run(cfg)[1]`` for its configuration to the file.
 The nilmanifold and classify cases and one identities case run a second time
-after the per-frame caches are cleared, so the bytes pin the cold fill of the
-frame's linear systems, bases and basis products as well as the cached route.
+from freshly built frames.  Everything derived from a frame is kept in its
+store (see ``frames.per_frame``) and the two frame builders are the only
+process-wide state, so clearing them makes a cold start: the bytes pin the
+fill of the frame's linear systems, bases and basis products as well as the
+warm route, and each cold case names exactly what its command filled.
 """
 
-import importlib
 import os
-import pkgutil
-from inspect import signature
 from pathlib import Path
 
 import pytest
 
-import g2kit
-from g2kit import frames, liealg, so7
 from g2kit.cli import RunConfig, run
+from g2kit.frames import build_cayley_frame, build_standard_frame
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -79,62 +78,51 @@ def test_report_bytes_match_golden(name, monkeypatch):
     assert text.encode() == (GOLDEN / name).read_bytes()
 
 
-def _table_caches() -> tuple:
-    """Every ``lru_cache`` defined in a g2kit module whose first parameter is
-    ``table``: the values each process builds once per cross-product table."""
-    caches = []
-    for info in pkgutil.iter_modules(g2kit.__path__):
-        module = importlib.import_module(f"g2kit.{info.name}")
-        for value in vars(module).values():
-            if (
-                hasattr(value, "cache_clear")
-                and value.__module__ == module.__name__
-                and list(signature(value).parameters)[:1] == ["table"]
-            ):
-                caches.append(value)
-    return tuple(caches)
-
-
-TABLE_CACHES = _table_caches()
-# nilmanifold reads every table cache but the three that only the identities
-# checks read (reports take i2 off the part norms, so only the i2 kernel reads
-# the swap form); identities reads every table cache outside the geometry of
-# liealg.  A new table cache is then required to fill on one of the two.
-IDENTITIES_ONLY = (frames._basis_products, so7._g2_basis_entries_cached, frames._swap_form)
-NILMANIFOLD_CACHES = tuple(cache for cache in TABLE_CACHES if cache not in IDENTITIES_ONLY)
-IDENTITIES_CACHES = tuple(cache for cache in TABLE_CACHES if cache.__module__ != "g2kit.liealg")
+BUILDERS = {"standard": build_standard_frame, "cayley": build_cayley_frame}
+# what the nilmanifold geometry builds on its frame; its table stays bare
+GEOMETRY = {
+    "g2_basis",
+    "_cross_action_system",
+    "_dual_coords",
+    "_lambda2_14_forms",
+    "_lambda3_27_forms",
+    "_lambda4_system",
+    "_lambda5_system",
+}
+# what the identities checks build on each frame and on its table
+IDENTITIES = ({"g2_basis", "g2_basis_entries", "_star_phi_values"}, {"_basis_products", "_swap_form"})
+BARE = (set(), set())
 
 
 def run_cold(cfg: RunConfig) -> tuple[int, str]:
-    for cache in TABLE_CACHES:
-        cache.cache_clear()
+    for build in BUILDERS.values():
+        build.cache_clear()
     return run(cfg)
 
 
-def test_table_caches_are_found():
-    geometry = (
-        liealg._cross_action_system,
-        liealg._lambda4_system,
-        liealg._lambda5_system,
-        liealg._lambda3_27_forms,
-        liealg._lambda2_14_forms,
-        liealg._dual_coords,
-        so7._g2_basis_cached,
-    )
-    assert set(geometry) <= set(NILMANIFOLD_CACHES)
-    assert set(IDENTITIES_ONLY + (so7._g2_basis_cached,)) <= set(IDENTITIES_CACHES)
+def filled(rec) -> set[str]:
+    """The names in a frame's or a table's store: what its ``__dict__``
+    holds beyond that of an equal record built from its fields."""
+    bare = type(rec)(*(getattr(rec, name) for name in rec._fields))
+    return set(vars(rec)) - set(vars(bare))
+
+
+def stores() -> dict[str, tuple[set[str], set[str]]]:
+    """The filled names of each built-in frame and of its table."""
+    return {name: (filled(build()), filled(build().table)) for name, build in BUILDERS.items()}
 
 
 @pytest.mark.parametrize("name", sorted(n for n in CASES if n.startswith("nilmanifold")))
 def test_nilmanifold_bytes_match_golden_from_cold_caches(name, monkeypatch):
     monkeypatch.chdir(ROOT)
-    code, text = run_cold(CASES[name])
+    cfg = CASES[name]
+    code, text = run_cold(cfg)
     assert code == 0
     assert text.encode() == (GOLDEN / name).read_bytes()
-    # every per-frame linear system and basis the geometry reads was built
-    # anew, once for the one frame, and no cache of the identities checks
-    assert all(cache.cache_info().misses == 1 for cache in NILMANIFOLD_CACHES)
-    assert all(cache.cache_info().misses == 0 for cache in IDENTITIES_ONLY)
+    # the built-in model is set in the Cayley frame; the geometry fills its
+    # frame's store and builds nothing that only the identities checks read
+    used = cfg.frame if cfg.input_path else "cayley"
+    assert stores() == {frame: (GEOMETRY, set()) if frame == used else BARE for frame in BUILDERS}
 
 
 @pytest.mark.parametrize("name", sorted(n for n in CASES if n.startswith("classify")))
@@ -143,9 +131,9 @@ def test_classify_bytes_match_golden_from_cold_caches(name, monkeypatch):
     code, text = run_cold(CASES[name])
     assert code == 0
     assert text.encode() == (GOLDEN / name).read_bytes()
-    # the report reads its invariants off the part norms, so the i2 kernel's
-    # swap form and the other identities caches stay empty
-    assert all(cache.cache_info().misses == 0 for cache in IDENTITIES_ONLY)
+    # the report reads its invariants off the part norms, so nothing is
+    # built on the frame or its table
+    assert stores() == {frame: BARE for frame in BUILDERS}
 
 
 def test_identities_bytes_match_golden_from_cold_caches(monkeypatch):
@@ -155,6 +143,4 @@ def test_identities_bytes_match_golden_from_cold_caches(monkeypatch):
     code, text = run_cold(CASES[name])
     assert code == 0
     assert text.encode() == (GOLDEN / name).read_bytes()
-    # identities builds each of its table caches, the basis products among
-    # them, once per frame
-    assert all(cache.cache_info().misses == 2 for cache in IDENTITIES_CACHES)
+    assert stores() == {frame: IDENTITIES for frame in BUILDERS}

@@ -913,21 +913,21 @@ def ref_torsion_forms(mla: MetricLieAlgebra, frame) -> TorsionForms:
     as KForms."""
     dphi = ref_ce_differential(mla, frame.phi)
     dstar = ref_ce_differential(mla, frame.star_phi)
-    sol4 = _lambda4_system(frame.table, frame.orientation).solve(
+    sol4 = _lambda4_system(frame).solve(
         [dphi.coeff(key) for key in combinations(range(DIM), 4)]
     )
     tau0 = sol4[0]
     tau1 = KForm(1, {(i,): sol4[1 + i] / 3 for i in range(DIM)})
     tau3 = KForm.zero(3)
-    for a, gamma in enumerate(_lambda3_27_forms(frame.table, frame.orientation)):
+    for a, gamma in enumerate(_lambda3_27_forms(frame)):
         if sol4[8 + a] != 0:
             tau3 = tau3 + gamma.scale(sol4[8 + a])
-    sol5 = _lambda5_system(frame.table, frame.orientation).solve(
+    sol5 = _lambda5_system(frame).solve(
         [dstar.coeff(key) for key in combinations(range(DIM), 5)]
     )
     assert KForm(1, {(i,): sol5[i] / 4 for i in range(DIM)}) == tau1
     tau2 = KForm.zero(2)
-    for b, beta in enumerate(_lambda2_14_forms(frame.table)):
+    for b, beta in enumerate(_lambda2_14_forms(frame)):
         if sol5[7 + b] != 0:
             tau2 = tau2 + beta.scale(sol5[7 + b])
     return TorsionForms(tau0=tau0, tau1=tau1, tau2=tau2, tau3=tau3)
@@ -1290,32 +1290,31 @@ def ref_g2_basis(frame) -> tuple[Mat7, ...]:
 
 
 def test_frame_bases_match_fraction_route(frame):
-    gammas = _lambda3_27_forms(frame.table, frame.orientation)
+    gammas = _lambda3_27_forms(frame)
     assert len(gammas) == 27 and gammas == ref_lambda3_27_forms(frame)
     basis = g2_basis(frame)
     assert len(basis) == 14 and basis == ref_g2_basis(frame)
 
 
 def test_frame_systems_match_fraction_route(frame):
-    table, orientation = frame.table, frame.orientation
     one_forms = [KForm.monomial((i,)) for i in range(DIM)]
     cases = [
         (
-            _cross_action_system(table, orientation),
+            _cross_action_system(frame),
             [ref_derivation_action(cross_operator(Vec7.basis(k), frame), frame.phi) for k in range(DIM)],
             3,
         ),
         (
-            _lambda4_system(table, orientation),
+            _lambda4_system(frame),
             [frame.star_phi]
             + [wedge(e, frame.phi) for e in one_forms]
-            + [hodge(gamma, orientation) for gamma in ref_lambda3_27_forms(frame)],
+            + [hodge(gamma, frame.orientation) for gamma in ref_lambda3_27_forms(frame)],
             4,
         ),
         (
-            _lambda5_system(table, orientation),
+            _lambda5_system(frame),
             [wedge(e, frame.star_phi) for e in one_forms]
-            + [wedge(beta, frame.phi) for beta in _lambda2_14_forms(table)],
+            + [wedge(beta, frame.phi) for beta in _lambda2_14_forms(frame)],
             5,
         ),
     ]

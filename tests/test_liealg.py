@@ -3,7 +3,7 @@ from itertools import combinations
 from random import Random
 
 import pytest
-from geometry_checks import is_metric, symmetry_defects, torsion_defect
+from geometry_checks import is_metric, nearly_parallel_torsion_check, symmetry_defects, torsion_defect
 
 from g2kit.forms import FORM, TENSOR, KForm, form_inner, form_norm_sq, hodge, wedge
 from g2kit.invariants import i0
@@ -29,7 +29,6 @@ from g2kit.liealg import (
     heisenberg_model,
     koszul,
     nabla_form,
-    nearly_parallel_torsion_check,
     r_map,
     scalar_curvature,
     torsion_endo_from_geometry,
@@ -382,8 +381,8 @@ def test_geometry_report_matches_form_convention(frame):
 
 
 def test_lambda_bases_dimensions(frame):
-    assert len(_lambda2_14_forms(frame.table)) == 14
-    basis27 = _lambda3_27_forms(frame.table, frame.orientation)
+    assert len(_lambda2_14_forms(frame)) == 14
+    basis27 = _lambda3_27_forms(frame)
     assert len(basis27) == 27
     for gamma in basis27:
         assert wedge(gamma, frame.phi).is_zero()

@@ -3,8 +3,9 @@
 Every record class is built from a real library result and checked for
 positional, keyword and default construction, value ``==`` and ``hash``
 within one class only, ``repr``, pickling, and ``AttributeError`` on
-setting or deleting a field.  ``CrossTable`` also stays a cache key by
-value (its validation messages are pinned in ``test_frames``).
+setting or deleting a field.  A frame keeps what is derived from it in
+its own store, which these record properties do not see (``CrossTable``
+validation messages are pinned in ``test_frames``).
 """
 
 import pickle
@@ -12,8 +13,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from geometry_checks import NearlyParallelReport, nearly_parallel_torsion_check
 
-from g2kit import so7
 from g2kit.cli import RunConfig
 from g2kit.forms import FORM
 from g2kit.frames import CheckReport, CrossTable, G2Frame, build_standard_frame, check_epsilon_identities
@@ -22,8 +23,13 @@ from g2kit.liealg import (
     BryantScalarReport,
     DivergenceReport,
     GeometryTorsionReport,
-    NearlyParallelReport,
     TorsionForms,
+    _cross_action_system,
+    _dual_coords,
+    _lambda2_14_forms,
+    _lambda3_27_forms,
+    _lambda4_system,
+    _lambda5_system,
     bryant_scalar_check,
     curvature,
     divergence_balance,
@@ -32,12 +38,11 @@ from g2kit.liealg import (
     heisenberg_model,
     koszul,
     nabla_form,
-    nearly_parallel_torsion_check,
     scalar_curvature,
     torsion_forms,
 )
 from g2kit.linalg import Mat7
-from g2kit.so7 import EndoSplit, decompose_endo
+from g2kit.so7 import EndoSplit, decompose_endo, g2_basis, g2_basis_entries
 from g2kit.torsion import HypersurfaceReport, TorsionClass, classify, hypersurface_identity_check
 
 # the fields of each record, in constructor order
@@ -189,13 +194,42 @@ def test_fields_cannot_be_set_or_deleted(cls):
     assert values(cls) == vals
 
 
-def test_equal_cross_tables_share_one_g2_basis_entry():
-    base = build_standard_frame().table.base_triples
-    # a label offset no frame uses, so the first call fills a fresh entry
-    first, second = CrossTable(base, label_offset=5), CrossTable(tuple(map(tuple, map(list, base))), label_offset=5)
-    before = so7._g2_basis_cached.cache_info()
-    basis = so7._g2_basis_cached(first)
-    assert so7._g2_basis_cached(second) is basis
-    after = so7._g2_basis_cached.cache_info()
-    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
-    assert basis == so7._g2_basis_cached(build_standard_frame().table)
+BUILDERS = (
+    g2_basis,
+    g2_basis_entries,
+    _cross_action_system,
+    _dual_coords,
+    _lambda2_14_forms,
+    _lambda3_27_forms,
+    _lambda4_system,
+    _lambda5_system,
+)
+
+
+def fresh_standard_frame() -> G2Frame:
+    table = build_standard_frame().table
+    return G2Frame.from_table(CrossTable(table.base_triples, table.label_offset), name="standard")
+
+
+def test_a_frame_builds_each_derived_value_once_in_its_own_store():
+    frame, bare = fresh_standard_frame(), fresh_standard_frame()
+    table = frame.table
+    # a fresh frame's store, and its table's, start empty
+    assert set(vars(frame)) == set(G2Frame._fields)
+    assert set(vars(table)) == {*CrossTable._fields, "_grid", "_component"}
+    for build in BUILDERS:
+        value = build(frame)
+        assert build(frame) is value and vars(frame)[build.__name__] is value
+    assert table._basis_products is table._basis_products and table._swap_form is table._swap_form
+    assert set(vars(frame)) == {*G2Frame._fields, *(build.__name__ for build in BUILDERS)}
+    assert set(vars(table)) == {*CrossTable._fields, "_grid", "_component", "_basis_products", "_swap_form"}
+    # the store is invisible to ==, repr (which perfbench hashes) and the table's hash
+    assert frame == bare and repr(frame) == repr(bare)
+    assert table == bare.table and hash(table) == hash(bare.table)
+    with pytest.raises(AttributeError, match="cannot set 'g2_basis'"):
+        frame.g2_basis = None
+    with pytest.raises(AttributeError, match="cannot set 'extra'"):
+        table.extra = 1
+    # an equal frame fills its own store
+    other = g2_basis(bare)
+    assert other == g2_basis(frame) and other is not g2_basis(frame)
