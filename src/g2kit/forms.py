@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial, gcd, lcm
 
-from .linalg import DIM, Mat7, Vec7, as_fraction, integer_coords, integer_rows
+from .linalg import DIM, Mat7, Vec7, _Immutable, as_fraction, integer_coords, integer_rows
 
 FORM = "form"
 TENSOR = "tensor"
@@ -50,7 +50,7 @@ def sort_with_sign(indices) -> tuple[tuple[int, ...], int]:
     return tuple(idx), sign
 
 
-class KForm:
+class KForm(_Immutable):
     """An exact k-form on R^7, 0 <= k <= 7: integer coefficients on
     increasing index tuples over one common denominator.
 
@@ -93,12 +93,6 @@ class KForm:
         if not terms.keys() <= _INCREASING[degree]:
             raise ValueError(f"KForm.from_ints needs increasing index tuples of length {degree} in 0..{DIM - 1}")
         return _form(degree, terms, d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"KForm is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"KForm is immutable; cannot delete {name!r}")
 
     def __reduce__(self):
         return (KForm.from_ints, (self.degree, self._num, self._den))

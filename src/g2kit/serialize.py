@@ -5,6 +5,7 @@ row-major lists of such strings.  Forms serialize as
 {"degree": k, "terms": [{"indices": [...], "coeff": "p/q"}]} with 0-based
 increasing indices.  A metric Lie algebra is ingested from
 {"dim": 7, "brackets": [{"i": 0, "j": 5, "coeffs": {"6": "1"}}, ...]}.
+A document with a key outside its schema is rejected.
 
 Parsing accepts JSON numbers as well: integers directly, floats through
 ``Fraction(float)``, which is exact for the binary value in the file.
@@ -123,7 +124,7 @@ def _grid_entry_str(x: int, d: int) -> str:
 
 def mat_from_json(data) -> Mat7:
     if isinstance(data, dict):
-        data = data.get("matrix")
+        data = _schema_keys(data, ("matrix",), "a matrix document").get("matrix")
     if not (
         isinstance(data, list)
         and len(data) == DIM
@@ -181,12 +182,12 @@ def algebra_from_json(data):
     the algebra's integer grid."""
     from .liealg import MetricLieAlgebra
 
-    data = _typed(data, dict, "an algebra")
+    data = _schema_keys(_typed(data, dict, "an algebra"), ("dim", "brackets"), "an algebra")
     if _integer(data.get("dim", DIM)) != DIM:
         raise ValueError("only dimension 7 is supported")
     entries: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
     for b in _typed(data.get("brackets", []), list, "brackets"):
-        b = _typed(b, dict, "a bracket")
+        b = _schema_keys(_typed(b, dict, "a bracket"), ("i", "j", "coeffs"), "a bracket")
         i, j = _index(b["i"]), _index(b["j"])
         terms = entries.setdefault((i, j), [])
         for k, v in _typed(b.get("coeffs", {}), dict, "coeffs").items():
@@ -198,6 +199,15 @@ def _typed(value, kind: type, what: str):
     if not isinstance(value, kind):
         raise ValueError(f"{what} must be a JSON {'object' if kind is dict else 'list'}, got {value!r}")
     return value
+
+
+def _schema_keys(obj: dict, keys: tuple[str, ...], what: str) -> dict:
+    """obj, which must have no key outside the schema's `keys`: a
+    misspelled key is an error, not a silently absent one."""
+    unknown = [key for key in obj if key not in keys]
+    if unknown:
+        raise ValueError(f"{what} has a key outside its schema ({', '.join(keys)}): {', '.join(map(repr, unknown))}")
+    return obj
 
 
 def _integer(value) -> int:

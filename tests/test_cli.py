@@ -2,9 +2,9 @@ import json
 import marshal
 import os
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
+from golden_manifest import GOLDEN, GOLDENS
 
 from g2kit import cli
 from g2kit.cli import RunConfig, build_parser, main, run
@@ -162,6 +162,8 @@ def one_bracket(**bracket):
         one_bracket(j=1.9),
         {"dim": 7.5, "brackets": []},
         one_bracket(i=True, j=2),
+        {"dim": 7, "bracket": one_bracket()["brackets"]},
+        {"dim": 7, "brackets": [{"i": 0, "j": 1, "coef": {"2": "1"}}]},
     ],
     ids=[
         "bracket-index-9",
@@ -174,6 +176,8 @@ def one_bracket(**bracket):
         "fractional-index",
         "fractional-dim",
         "bool-index",
+        "misspelled-brackets",
+        "misspelled-coeffs",
     ],
 )
 def test_nilmanifold_malformed_algebra_rejected(tmp_path, capsys, doc):
@@ -190,6 +194,7 @@ def test_nilmanifold_malformed_algebra_rejected(tmp_path, capsys, doc):
         ("classify", b"[" + b"1" * 5000 + b"]"),
         ("nilmanifold", b"[" + b"1" * 5000 + b"]"),
         ("classify", json.dumps({"matrix": ["1234567"] * 7}).encode()),
+        ("classify", json.dumps({"matrix": [["0"] * 7] * 7, "frame": "cayley"}).encode()),
     ],
     ids=[
         "classify-invalid-utf8",
@@ -197,6 +202,7 @@ def test_nilmanifold_malformed_algebra_rejected(tmp_path, capsys, doc):
         "classify-int-past-digit-limit",
         "nilmanifold-int-past-digit-limit",
         "classify-rows-as-strings",
+        "classify-key-outside-schema",
     ],
 )
 def test_unusable_input_file_rejected(tmp_path, capsys, command, content):
@@ -408,11 +414,6 @@ def test_text_rendering_has_stable_shape():
 # ---------------------------------------------------------------------------
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork is POSIX only")
-GOLDEN = Path(__file__).resolve().parent / "golden"
-IDENTITIES_GOLDENS = {
-    "identities-seed3-trials15.json": RunConfig(command="identities", seed=3, trials=15, fmt="json"),
-    "identities-seed0-trials200.json": RunConfig(command="identities", seed=0, trials=200, fmt="json"),
-}
 
 
 def count_forks(monkeypatch) -> list:
@@ -448,16 +449,16 @@ def record_frames(monkeypatch) -> list:
     return frames_here
 
 
-def run_both_routes(monkeypatch, cfg):
-    """run(cfg) with the Cayley frame in a forked child, then in this process."""
+def run_both_routes(monkeypatch, capsys, argv):
+    """main(argv) as (exit code, stdout), the Cayley frame in a forked child, then in this process."""
     frames_here = record_frames(monkeypatch)
     forks = count_forks(monkeypatch)
-    forked = run(cfg)
+    forked = main(argv), capsys.readouterr().out
     assert len(forks) == 1  # the thread guard must not turn the fork off here
     assert frames_here == ["standard"]  # the child's suites were used
     assert_no_child_left()
     monkeypatch.delattr(os, "fork")
-    in_process = run(cfg)
+    in_process = main(argv), capsys.readouterr().out
     assert frames_here == ["standard", "standard", "cayley"]
     return forked, in_process
 
@@ -465,17 +466,19 @@ def run_both_routes(monkeypatch, cfg):
 @needs_fork
 @pytest.mark.parametrize("fmt", ["json", "text"])
 @pytest.mark.parametrize("seed", [0, 3, 7])
-def test_identities_forked_and_in_process_reports_match(monkeypatch, seed, fmt):
-    forked, in_process = run_both_routes(monkeypatch, RunConfig(command="identities", seed=seed, trials=15, fmt=fmt))
+def test_identities_forked_and_in_process_reports_match(monkeypatch, capsys, seed, fmt):
+    argv = f"identities --seed {seed} --trials 15 --format {fmt}".split()
+    forked, in_process = run_both_routes(monkeypatch, capsys, argv)
     assert forked[0] == in_process[0] == 0
     assert forked[1].encode() == in_process[1].encode()
 
 
 @needs_fork
-@pytest.mark.parametrize("name", sorted(IDENTITIES_GOLDENS))
-def test_identities_goldens_on_both_routes(monkeypatch, name):
+@pytest.mark.parametrize("name", sorted(name for name, argv in GOLDENS.items() if argv[0] == "identities"))
+def test_identities_goldens_on_both_routes(monkeypatch, capsys, name):
     expected = (GOLDEN / name).read_bytes()
-    forked, in_process = run_both_routes(monkeypatch, IDENTITIES_GOLDENS[name])
+    forked, in_process = run_both_routes(monkeypatch, capsys, GOLDENS[name])
+    assert forked[0] == in_process[0] == 0
     assert forked[1].encode() == in_process[1].encode() == expected
 
 
@@ -502,9 +505,9 @@ def test_exit_code_mapping_on_failed_suite(monkeypatch, capsys):
 
 
 @needs_fork
-def test_identities_sign_flipped_cayley_table_fails_alike_on_both_routes(monkeypatch):
+def test_identities_sign_flipped_cayley_table_fails_alike_on_both_routes(monkeypatch, capsys):
     flip_cayley_table(monkeypatch)
-    forked, in_process = run_both_routes(monkeypatch, RunConfig(command="identities", seed=0, trials=15, fmt="json"))
+    forked, in_process = run_both_routes(monkeypatch, capsys, "identities --seed 0 --trials 15 --format json".split())
     assert forked[0] == in_process[0] == 1
     assert forked[1].encode() == in_process[1].encode() == FLIPPED_GOLDEN.read_bytes()
     suites = json.loads(forked[1])["suites"]

@@ -1,4 +1,5 @@
-"""Start-up cost of the CLI module, checked by module names, not by times.
+"""Start-up cost of the CLI module, checked by module names, not by times,
+and the source rules every package module keeps.
 
 Every CLI process and every benchmark worker imports ``g2kit.cli``.  The
 report records need no ``dataclasses`` (which loads ``inspect``, ``ast``,
@@ -30,17 +31,37 @@ def test_importing_the_cli_loads_no_heavy_module():
     assert proc.stdout.split() == []
 
 
-def test_no_package_module_imports_dataclasses_or_runs_generated_code():
-    found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-                names = [node.func.id] if node.func.id in ("exec", "eval") else []
-            else:
-                continue
-            found += [f"{path.name}:{node.lineno} {name}" for name in names if name in ("dataclasses", "exec", "eval")]
-    assert found == []
+def rule_breaks(path: Path) -> list[str]:
+    """The breaks of the package's source rules in one module, from one walk
+    of its syntax tree: no ``dataclasses`` import and no ``exec``/``eval``;
+    no ``assert``, which ``python -O`` strips; no ``lru_cache``/``cache`` on
+    a function of a table or a frame, whose values live on the frame; no
+    unused import outside ``__init__``, which re-exports."""
+    found, imported, used = [], {}, set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assert):
+            found.append(f"{where} assert statement")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("exec", "eval"):
+            found.append(f"{where} {node.func.id}")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [node.module or ""] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+            found += [f"{where} imports dataclasses" for module in modules if module == "dataclasses"]
+            if getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    imported.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = [a.arg for a in node.args.posonlyargs + node.args.args][:1]
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+            cached = {getattr(d, "id", None) for d in decorators} | {getattr(d, "attr", None) for d in decorators}
+            if first in (["table"], ["frame"]) and cached & {"lru_cache", "cache"}:
+                found.append(f"{where} process-wide cache on {node.name}, keyed by a {first[0]}")
+    if path.name != "__init__.py":
+        found += [f"{path.name}:{line} unused import {name}" for name, line in imported.items() if name not in used]
+    return found
+
+
+def test_package_modules_keep_the_source_rules():
+    assert [found for path in sorted(PACKAGE.glob("*.py")) for found in rule_breaks(path)] == []
