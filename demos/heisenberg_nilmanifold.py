@@ -2,7 +2,7 @@
 
 Every number below is produced by exact rational arithmetic: the
 Levi-Civita connection from the brackets, the curvature and its scalar,
-the torsion endomorphism recovered from nabla(phi), its invariants, and
+the torsion endomorphism read off the connection, its invariants, and
 the torsion forms with the scalar-curvature formula they satisfy.
 
 Run with:  python demos/heisenberg_nilmanifold.py
@@ -19,7 +19,6 @@ from g2kit import (
     heisenberg_model,
     i0,
     koszul,
-    nabla_form,
     scalar_curvature,
     sigma2,
     torsion_forms,
@@ -42,10 +41,10 @@ print("nonzero R_ijji values:", {v: values.count(v) for v in sorted(set(values))
 print("scalar curvature s =", s)
 print("g2-perp scalar curvature equals s/3:", g2perp_scalar_curvature(r, frame) == s / 3)
 
-geo = geometry_torsion_report(nabla_form(conn, frame.phi), frame)
+geo = geometry_torsion_report(conn, frame)
 t = geo.torsion
-print("\ntorsion endomorphism from nabla(phi) matches the tabulated T:", t == t_table)
-print("r-map convention that reproduces it:", geo.matched_convention)
+print("\ntorsion endomorphism T(e_i) = -(1/6) p(nabla_e_i) matches the tabulated T:", t == t_table)
+print("r-map convention whose nabla(phi) pairing reproduces it:", geo.matched_convention)
 print("sigma2(T) =", sigma2(t), "  i0(T) =", i0(t, frame))
 print("classification:", sorted(classify(t, frame).flags), " chi =",
       tuple(str(c) for c in characteristic_vector(t, frame)))

@@ -53,7 +53,7 @@ from .liealg import (
     nabla_form,
     r_map,
     scalar_curvature,
-    torsion_endo_from_geometry,
+    torsion_endo,
     torsion_forms,
 )
 from .linalg import Mat7, Vec7
@@ -126,7 +126,7 @@ __all__ = [
     "nabla_form",
     "r_map",
     "scalar_curvature",
-    "torsion_endo_from_geometry",
+    "torsion_endo",
     "torsion_forms",
     "Mat7",
     "Vec7",

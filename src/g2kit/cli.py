@@ -50,7 +50,6 @@ from .liealg import (
     geometry_torsion_report,
     heisenberg_model,
     koszul,
-    nabla_form,
     scalar_curvature,
     torsion_forms,
 )
@@ -319,6 +318,8 @@ def _read_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise UsageError(f"parse failure in {path}: nested too deeply to read") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"parse failure in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except ValueError as exc:
@@ -390,7 +391,7 @@ def cmd_nilmanifold(cfg: RunConfig) -> tuple[int, dict]:
         key = rational_str(v)
         multiset[key] = multiset.get(key, 0) + 1
     s_perp = g2perp_scalar_curvature(r, frame)
-    geo = geometry_torsion_report(nabla_form(conn, frame.phi), frame)
+    geo = geometry_torsion_report(conn, frame)
     t = geo.torsion
     cls = classify(t, frame)
     inv = invariant_report_from_norms(t, cls.part_norms_sq)

@@ -13,12 +13,12 @@ Convention notes, fixed once here:
 * The codifferential on invariant k-forms is delta = (-1)^k star d star
   (dimension 7); on unimodular algebras it is the formal adjoint of d for
   the "form" inner product.
-* The torsion endomorphism is recovered slice by slice from the exact
-  linear system  (cross-operator of T(e_i)) acting on phi = nabla_{e_i} phi,
-  which is solvable with zero residual for every metric connection.  The
-  2-tensor pairing r(X,Y) = <nabla_X phi, e_Y -| star phi> is reported as a
-  cross-check; with the quarter-normalised inner product (increasing wedge
-  monomials orthonormal on 4-tensors, i.e. 1/4 of the 3-form "form"
+* The torsion endomorphism is read off the connection as the g2-perp
+  part of each nabla_{e_i}: T(e_i) = -(1/6) p(nabla_{e_i}), p the eps
+  contraction, so that nabla_{e_i} phi = (cross operator of T(e_i)) * phi.
+  The 2-tensor pairing r(X,Y) = <nabla_X phi, e_Y -| star phi> is reported
+  as a cross-check; with the quarter-normalised inner product (increasing
+  wedge monomials orthonormal on 4-tensors, i.e. 1/4 of the 3-form "form"
   pairing) and the reversed-orientation dual -star_phi it reproduces
   T(X) = (1/3) sum_i r(X, e_i) e_i exactly, including the quarter factor
   and the tabulated values that appear in published computations for this
@@ -56,11 +56,10 @@ from .linalg import (
     _Record,
     as_fraction,
     integer_columns,
-    integer_rows,
     integer_vector,
     nullspace,
 )
-from .so7 import cross_operator, g2_basis
+from .so7 import g2_basis
 from .torsion import characteristic_vector, torsion_energies
 
 _R = range(DIM)
@@ -529,16 +528,6 @@ def _derive(rows, num: dict) -> dict:
     return acc
 
 
-def derivation_action(a: Mat7, form: KForm) -> KForm:
-    """(a * form)(Y_1..Y_k) = sum_m form(Y_1, ..., a Y_m, ..., Y_k).
-
-    The stored index idx sits in a covariant slot, so the term at idx feeds
-    every target l with weight (a e_l)_idx = a[idx][l]."""
-    rows, d = integer_rows(a)
-    num, den = integer_terms(form)
-    return KForm.from_ints(form.degree, _derive(rows, num), d * den)
-
-
 def nabla_form(conn: ConnectionTable, a: KForm) -> tuple[KForm, ...]:
     """Covariant derivatives (nabla_{e_0} a, ..., nabla_{e_6} a) of an
     invariant form: (nabla_{e_i} a)(Y...) = -sum_m a(..., nabla_{e_i} Y_m, ...),
@@ -556,8 +545,18 @@ def nabla_form(conn: ConnectionTable, a: KForm) -> tuple[KForm, ...]:
 # ---------------------------------------------------------------------------
 
 
-class TorsionSolveError(ValueError):
-    pass
+def torsion_endo(conn: ConnectionTable, frame: G2Frame) -> Mat7:
+    """The torsion endomorphism T(e_i) = -(1/6) p(nabla_{e_i}).
+
+    The g2-perp part of the skew operator nabla_{e_i} is the cross operator
+    of p(nabla_{e_i}) / 6, and its g2 part fixes phi, so nabla_{e_i} phi =
+    -(nabla_{e_i}) * phi = (cross operator of T(e_i)) * phi.  Row j of the
+    integer block conn._grid[i] holds D nabla_{e_i} e_j: the block is the
+    transpose of D nabla_{e_i}, and p of a transpose is -p, so column i of
+    T is the contraction of that block over 6 D.
+    """
+    contract = frame.table.contract
+    return Mat7.from_ints(tuple(zip(*map(contract, conn._grid))), 6 * conn._den)
 
 
 @lru_cache(maxsize=None)
@@ -588,35 +587,6 @@ def _common_coords(forms, degree: int) -> tuple[list[list[int]], int]:
     return [[x * (d // df) for x in _form_coords(f, degree)] for f, df in zip(forms, dens)], d
 
 
-@per_frame
-def _cross_action_system(frame: G2Frame) -> LinearSystem:
-    """The 35x7 system of v -> (cross operator of v) * phi, reduced once per frame."""
-    return _system([derivation_action(cross_operator(Vec7.basis(k), frame), frame.phi) for k in _R], 3)
-
-
-def torsion_endo_from_geometry(nphi: tuple[KForm, ...], frame: G2Frame) -> Mat7:
-    """Recover T with nabla_{e_i} phi = (cross operator of T(e_i)) * phi
-    from the covariant derivatives nphi = nabla_form(conn, frame.phi).
-
-    Each slice is an exact overdetermined linear solve against one system
-    per frame; for a metric connection the system is consistent with zero
-    residual, and the resulting T reproduces the tabulated endomorphism of
-    the built-in nilmanifold model.  The slices share one denominator, so
-    their integer solutions are the columns of T over one denominator too.
-    """
-    system = _cross_action_system(frame)
-    coords, d = _common_coords(nphi, 3)
-    cols = []
-    for i, b in enumerate(coords):
-        sol = system.solve_ints(b, d)
-        if sol is None:
-            raise TorsionSolveError(
-                f"slice {i}: nabla_phi does not lie in the cross-operator orbit of phi"
-            )
-        cols.append(sol[0])
-    return Mat7.from_ints(tuple(zip(*cols)), sol[1])
-
-
 # the 3-form pairing in each convention, as a multiple of the "form" one
 _PAIRING_WEIGHT_3 = {FORM: 1, TENSOR: 6}
 
@@ -636,9 +606,9 @@ def r_map(nphi: tuple[KForm, ...], frame: G2Frame, convention: str = FORM) -> Ma
     4-tensors: 1/4 of the 3-form "form" pairing, 6/4 of it for "tensor")
     and pairs against the reversed-orientation dual -star_phi.  This is the
     one normalisation that satisfies T(X) = (1/3) sum_i r(X, e_i) e_i
-    against the exactly solved torsion endomorphism on every metric Lie
-    algebra, for both built-in frames, and it reproduces the tabulated
-    r = (1/2)(e^01 - e^46) of the built-in nilmanifold model.
+    against :func:`torsion_endo` on every metric Lie algebra, for both
+    built-in frames, and it reproduces the tabulated r = (1/2)(e^01 - e^46)
+    of the built-in nilmanifold model.
     """
     if convention not in _PAIRING_WEIGHT_3:
         raise ValueError(f"unknown convention {convention!r}")
@@ -654,25 +624,27 @@ class GeometryTorsionReport(_Record):
     matched_convention: str | None
 
 
-def geometry_torsion_report(nphi: tuple[KForm, ...], frame: G2Frame) -> GeometryTorsionReport:
-    """Solve for T from nphi = nabla_form(conn, frame.phi) and record which
-    pairing convention lets the r route reproduce it via
-    T(X) = (1/3) sum_i r(X, e_i) e_i."""
-    t = torsion_endo_from_geometry(nphi, frame)
-    matched = None
-    r_form = r_map(nphi, frame, FORM)
-    for convention in (FORM, TENSOR):
-        grid = r_form if convention == FORM else r_map(nphi, frame, convention)
-        candidate = grid.transpose().scale(Fraction(1, 3))
-        if candidate == t:
-            matched = convention
-            break
+def geometry_torsion_report(conn: ConnectionTable, frame: G2Frame) -> GeometryTorsionReport:
+    """T from the connection by :func:`torsion_endo`, and the pairing
+    convention, if any, that lets the r route reproduce it via
+    T(X) = (1/3) sum_i r(X, e_i) e_i.  The two routes are independent: r
+    pairs nabla phi against the duals of star phi, T contracts Gamma with
+    the eps table."""
+    t = torsion_endo(conn, frame)
+    r_form = r_map(nabla_form(conn, frame.phi), frame, FORM)
+    # r_map in a convention is r_form times that convention's pairing weight
+    third = r_form.transpose().scale(Fraction(1, 3))
+    matched = next((c for c, weight in _PAIRING_WEIGHT_3.items() if third.scale(weight) == t), None)
     return GeometryTorsionReport(torsion=t, r_grid=r_form, matched_convention=matched)
 
 
 # ---------------------------------------------------------------------------
 # Torsion forms
 # ---------------------------------------------------------------------------
+
+
+class TorsionSolveError(ValueError):
+    pass
 
 
 @per_frame

@@ -25,6 +25,7 @@ integer grid of :class:`~g2kit.liealg.MetricLieAlgebra`.
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_string
@@ -59,20 +60,40 @@ def rational_str(x: Fraction | int) -> str:
         raise _digit_limit_error() from None
 
 
+# a decimal spelling M e E as Fraction reads it: mantissa digits, exponent
+_EXPONENT_FORM = re.compile(r"[-+]?(\d*)\.?(\d*)e([-+]?\d+)", re.IGNORECASE)
+
+
 def parse_rational(value) -> Fraction:
     """Parse a rational; zero denominators and non-finite floats raise ValueError.
 
     Strings are read by ``Fraction``, except that digit underscores
     ("1_000"), which ``Fraction`` accepts from Python 3.11 on, are rejected
-    on every version with the message older versions give."""
+    on every version with the message older versions give.  A numerator or
+    denominator past Python's int/str digit limit, where printing it would
+    fail, raises DigitLimitError; an exponent settles that first."""
     if isinstance(value, str):
         text = value.strip()
         if "_" in text:
             raise ValueError(f"Invalid literal for Fraction: {text!r}")
+        limit = sys.get_int_max_str_digits()
+        match = limit and _EXPONENT_FORM.fullmatch(text)
+        digits = match and match[1] + match[2]
+        # M 10^(E - f) with f <= n fraction digits and 0 < M < 10^n: |E| >=
+        # limit + n puts 10^limit under the numerator, or over the lowest-terms
+        # denominator 10^(f - E) / gcd(M, 10^(f - E)), before 10^|E| is formed
+        if digits and len(match[3].lstrip("+-")) <= limit and abs(int(match[3])) >= limit + len(digits):
+            if not any(map(int, digits)):
+                return Fraction(0)
+            raise _digit_limit_error()
         try:
-            return Fraction(text)
+            x = Fraction(text)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
+        # n < 2^(3 limit) < 10^limit needs no power of ten
+        if limit and any(n.bit_length() > 3 * limit and abs(n) >= 10**limit for n in (x.numerator, x.denominator)):
+            raise _digit_limit_error()
+        return x
     if isinstance(value, bool):
         raise TypeError("booleans are not rationals")
     if isinstance(value, int):

@@ -1,18 +1,24 @@
-"""Structural checks of a connection and a curvature tensor, and the
-algebraic nearly parallel check, for the tests.
+"""Structural checks of a connection and a curvature tensor, the exact
+solve for the torsion endomorphism, and the algebraic nearly parallel
+check, for the tests.
 
 The package computes the Levi-Civita connection and its curvature but
 never checks them against their defining properties; the tests do, with
 these helpers, through the public ``gamma``, ``operator`` and
-``components`` views.  No command reads the nearly parallel check either;
-it substitutes a nearly parallel d phi into the skew-torsion formulas.
+``components`` views.  The package reads T off the connection in closed
+form (``liealg.torsion_endo``); the solve here recovers it from nabla phi
+instead, as the solution of nabla_{e_i} phi = (cross operator of T(e_i))
+* phi.  No command reads the nearly parallel check either; it substitutes
+a nearly parallel d phi into the skew-torsion formulas.
 """
 
 from fractions import Fraction
 
-from g2kit.forms import FORM, form_inner, form_norm_sq, hodge
+from g2kit.forms import FORM, KForm, form_inner, form_norm_sq, hodge, integer_terms
 from g2kit.frames import G2Frame
-from g2kit.linalg import DIM, _Record, as_fraction
+from g2kit.liealg import TorsionSolveError, _common_coords, _derive, _system
+from g2kit.linalg import DIM, LinearSystem, Mat7, Vec7, _Record, as_fraction, integer_rows
+from g2kit.so7 import cross_operator
 
 
 def is_metric(conn) -> bool:
@@ -52,6 +58,40 @@ def symmetry_defects(r) -> list[str]:
                     if out:
                         return out
     return out
+
+
+def derivation_action(a: Mat7, form: KForm) -> KForm:
+    """(a * form)(Y_1..Y_k) = sum_m form(Y_1, ..., a Y_m, ..., Y_k).
+
+    The stored index idx sits in a covariant slot, so the term at idx feeds
+    every target l with weight (a e_l)_idx = a[idx][l]."""
+    rows, d = integer_rows(a)
+    num, den = integer_terms(form)
+    return KForm.from_ints(form.degree, _derive(rows, num), d * den)
+
+
+def cross_action_system(frame: G2Frame) -> LinearSystem:
+    """The 35x7 system of v -> (cross operator of v) * phi."""
+    return _system([derivation_action(cross_operator(Vec7.basis(k), frame), frame.phi) for k in range(DIM)], 3)
+
+
+def solved_torsion_endo(nphi: tuple[KForm, ...], system: LinearSystem) -> Mat7:
+    """T with nabla_{e_i} phi = (cross operator of T(e_i)) * phi, from the
+    covariant derivatives nphi = nabla_form(conn, frame.phi) and the
+    frame's cross_action_system.
+
+    Each slice is an exact overdetermined solve; for a metric connection it
+    is consistent with zero residual.  The slices share one denominator, so
+    their integer solutions are the columns of T over one denominator too.
+    """
+    coords, d = _common_coords(nphi, 3)
+    cols = []
+    for i, b in enumerate(coords):
+        sol = system.solve_ints(b, d)
+        if sol is None:
+            raise TorsionSolveError(f"slice {i}: nabla_phi does not lie in the cross-operator orbit of phi")
+        cols.append(sol[0])
+    return Mat7.from_ints(tuple(zip(*cols)), sol[1])
 
 
 class NearlyParallelReport(_Record):

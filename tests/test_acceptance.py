@@ -39,7 +39,6 @@ from g2kit.liealg import (
     geometry_torsion_report,
     heisenberg_model,
     koszul,
-    nabla_form,
     scalar_curvature,
     torsion_forms,
 )
@@ -160,7 +159,7 @@ def test_criterion_06_heisenberg_numbers():
     assert list(coeffs) == expected
     assert curvature_integrand(t_ref, frame) == Fraction(-1, 6) == s / 6
     assert g2perp_scalar_curvature(r, frame) == Fraction(-1, 3) == s / 3
-    assert geometry_torsion_report(nabla_form(conn, frame.phi), frame).torsion == t_ref
+    assert geometry_torsion_report(conn, frame).torsion == t_ref
     assert sorted(classify(t_ref, frame).flags) == ["X2"]
     assert predicted_scalar_curvature(t_ref, frame) == -1
     report(6, "nilmanifold model reproduces s=-1, sigma2=1/18, i0=1/3, charpoly, -1/6 balance, pure X2")

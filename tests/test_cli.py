@@ -1,6 +1,7 @@
 import json
 import marshal
 import os
+import time
 from fractions import Fraction
 
 import pytest
@@ -340,6 +341,33 @@ def test_classify_past_digit_limit_is_usage_error(tmp_path, capsys):
         assert_one_line_usage_error(code, capsys)
 
 
+INPUT_DOCUMENTS = {
+    "classify": lambda entry: {"matrix": [[entry if i == j == 0 else "0" for j in range(7)] for i in range(7)]},
+    "nilmanifold": lambda entry: {"dim": 7, "brackets": [{"i": 0, "j": 5, "coeffs": {"6": entry}}]},
+}
+
+
+@pytest.mark.parametrize("command", sorted(INPUT_DOCUMENTS))
+def test_input_nested_too_deeply_is_usage_error(command, tmp_path, capsys):
+    # 100,000 levels: past the recursion limit of json.load
+    depth = 100_000
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(INPUT_DOCUMENTS[command]("1")).replace('"1"', "[" * depth + "]" * depth))
+    assert_one_line_usage_error(main([command, "--input", str(path)]), capsys)
+
+
+@pytest.mark.parametrize("entry", ["1e1000000", "1e-1000000", "1e10000000"])
+@pytest.mark.parametrize("command", sorted(INPUT_DOCUMENTS))
+def test_input_exponent_past_digit_limit_is_usage_error(command, entry, tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(INPUT_DOCUMENTS[command](entry)))
+    start = time.perf_counter()
+    code = main([command, "--input", str(path)])
+    # rejected while parsing, before 10^|E| is formed (10^10000000 takes seconds)
+    assert time.perf_counter() - start < 1
+    assert_one_line_usage_error(code, capsys)
+
+
 def test_nilmanifold_rejects_non_jacobi_input(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(
@@ -475,11 +503,14 @@ def test_identities_forked_and_in_process_reports_match(monkeypatch, capsys, see
 
 @needs_fork
 @pytest.mark.parametrize("name", sorted(name for name, argv in GOLDENS.items() if argv[0] == "identities"))
-def test_identities_goldens_on_both_routes(monkeypatch, capsys, name):
-    expected = (GOLDEN / name).read_bytes()
-    forked, in_process = run_both_routes(monkeypatch, capsys, GOLDENS[name])
-    assert forked[0] == in_process[0] == 0
-    assert forked[1].encode() == in_process[1].encode() == expected
+def test_identities_goldens_on_the_forked_route(monkeypatch, capsys, name):
+    # test_golden runs each identities golden in this process, fork or not
+    frames_here = record_frames(monkeypatch)
+    forks = count_forks(monkeypatch)
+    assert main(GOLDENS[name]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+    assert len(forks) == 1 and frames_here == ["standard"]
+    assert_no_child_left()
 
 
 FLIPPED_GOLDEN = GOLDEN / "identities-cayley-flipped-seed0-trials15.json"

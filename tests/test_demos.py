@@ -1,4 +1,6 @@
-"""Smoke test: every script in demos/ runs and reports no failed check."""
+"""Smoke test: every script in demos/ runs as ``python -W error -O
+<demo>``, with the interpreter flags the golden manifest runs the reports
+with, and reports no failed check."""
 
 import os
 import subprocess
@@ -15,7 +17,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs_clean(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-W", "error", "-O", str(demo)], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     assert "False" not in proc.stdout

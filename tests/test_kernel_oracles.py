@@ -40,7 +40,14 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from geometry_checks import is_metric, symmetry_defects, torsion_defect
+from geometry_checks import (
+    cross_action_system,
+    derivation_action,
+    is_metric,
+    solved_torsion_endo,
+    symmetry_defects,
+    torsion_defect,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -61,7 +68,7 @@ from g2kit.liealg import (
     CurvatureTensor,
     MetricLieAlgebra,
     TorsionForms,
-    _cross_action_system,
+    TorsionSolveError,
     _lambda2_14_forms,
     _lambda3_27_forms,
     _lambda4_system,
@@ -70,14 +77,13 @@ from g2kit.liealg import (
     ce_differential,
     curvature,
     curvature_diagonal,
-    derivation_action,
     g2perp_scalar_curvature,
-    geometry_torsion_report,
     heisenberg_model,
     koszul,
     nabla_form,
     r_map,
     scalar_curvature,
+    torsion_endo,
     torsion_forms,
 )
 from g2kit.linalg import (
@@ -788,10 +794,6 @@ def rand_almost_abelian(rng: Random) -> MetricLieAlgebra:
     return MetricLieAlgebra.from_nonzero(entries)
 
 
-def torsion_endo(mla: MetricLieAlgebra, frame) -> Mat7:
-    return geometry_torsion_report(nabla_form(koszul(mla), frame.phi), frame).torsion
-
-
 def rand_form(rng: Random, degree: int) -> KForm:
     return KForm(degree, {key: rand_fraction(rng) for key in combinations(range(DIM), degree) if rng.random() < 0.4})
 
@@ -988,7 +990,7 @@ def test_curvature_scalars_match_fraction_route(frame, seed):
         mla = rand_almost_abelian(rng)
         r = curvature(koszul(mla), mla)
         s = scalar_curvature(r)
-        assert s != 0 and not characteristic_vector(torsion_endo(mla, frame), frame).is_zero()
+        assert s != 0 and not characteristic_vector(torsion_endo(koszul(mla), frame), frame).is_zero()
         assert g2perp_scalar_curvature(r, frame) == ref_g2perp_scalar_curvature(r, frame) == s / 3
 
 
@@ -1007,7 +1009,7 @@ def test_alt_scalar_curvature_matches_dense_route_on_torsion(frame, seed):
     algebras = [rand_two_step_nilpotent(rng) for _ in range(3)] + [rand_almost_abelian(rng) for _ in range(3)]
     values = []
     for mla in algebras:
-        t = torsion_endo(mla, frame)
+        t = torsion_endo(koszul(mla), frame)
         values.append(alt_scalar_curvature(t, frame))
         assert values[-1] == ref_alt_scalar_curvature(t, frame) == i0(t, frame)
     assert all(values)
@@ -1042,6 +1044,59 @@ def test_r_map_matches_fraction_route(frame, seed):
             assert r_map(nphi, frame, convention) == ref_r_map(nphi, frame, convention)
     with pytest.raises(ValueError, match="unknown convention"):
         r_map(nphi, frame, "quarter")
+
+
+def torsion_oracle_algebras(seed: int, count: int) -> list[MetricLieAlgebra]:
+    """`count` seeded 2-step nilpotent algebras, then `count` almost-abelian
+    ones with tr ad e_0 != 0 (not unimodular)."""
+    rng = Random(seed)
+    algebras = [rand_two_step_nilpotent(rng) for _ in range(count)]
+    while len(algebras) < 2 * count:
+        mla = rand_almost_abelian(rng)
+        if not mla.is_unimodular():
+            algebras.append(mla)
+    return algebras
+
+
+def torsion_checks(conn: ConnectionTable, t: Mat7, frame, system: LinearSystem) -> tuple[bool, bool]:
+    """Whether t equals the exact solve of the cross-action system, and
+    whether nabla_{e_i} phi = (cross operator of t e_i) * phi for every i."""
+    nphi = nabla_form(conn, frame.phi)
+    try:
+        solved = solved_torsion_endo(nphi, system) == t
+    except TorsionSolveError:
+        solved = False
+    acting = all(derivation_action(cross_operator(t.column(i), frame), frame.phi) == nphi[i] for i in range(DIM))
+    return solved, acting
+
+
+def test_torsion_endo_matches_the_cross_action_solve(frame):
+    system = cross_action_system(frame)
+    forms = [ref_derivation_action(cross_operator(Vec7.basis(k), frame), frame.phi) for k in range(DIM)]
+    # 35 equations of rank 7: 28 left-null rows
+    assert system_fields(system) == ref_linear_system(ref_form_rows(forms, 3))
+    assert system.ncols == DIM and len(system._left_null) == 28
+    nonzero = 0
+    for mla in torsion_oracle_algebras(110, 20):
+        conn = koszul(mla)
+        t = torsion_endo(conn, frame)
+        assert torsion_checks(conn, t, frame, system) == (True, True)
+        if t != Mat7.zero():
+            nonzero += 1
+            # negative control: -1/3 p(nabla) in place of -1/6 p(nabla)
+            assert torsion_checks(conn, t.scale(2), frame, system) == (False, False)
+    assert nonzero == 40
+
+
+@pytest.mark.parametrize("index", range(DIM))
+def test_torsion_endo_fails_the_solve_on_a_flipped_triple(frame, index):
+    # negative control: with one base triple sign-flipped the table is no
+    # cross product, and neither check holds on any algebra
+    flipped = flipped_frame(frame, index)
+    system = cross_action_system(flipped)
+    for mla in torsion_oracle_algebras(120 + index, 2):
+        conn = koszul(mla)
+        assert torsion_checks(conn, torsion_endo(conn, flipped), flipped, system) == (False, False)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -1300,11 +1355,6 @@ def test_frame_systems_match_fraction_route(frame):
     one_forms = [KForm.monomial((i,)) for i in range(DIM)]
     cases = [
         (
-            _cross_action_system(frame),
-            [ref_derivation_action(cross_operator(Vec7.basis(k), frame), frame.phi) for k in range(DIM)],
-            3,
-        ),
-        (
             _lambda4_system(frame),
             [frame.star_phi]
             + [wedge(e, frame.phi) for e in one_forms]
@@ -1323,4 +1373,4 @@ def test_frame_systems_match_fraction_route(frame):
         assert system_fields(system) == ref_linear_system(rows)
         assert system.ncols == len(forms)
     # the two square systems are nonsingular: no left-null rows
-    assert [len(system._left_null) for system, _, _ in cases] == [28, 0, 0]
+    assert [len(system._left_null) for system, _, _ in cases] == [0, 0]

@@ -3,7 +3,13 @@ from itertools import combinations
 from random import Random
 
 import pytest
-from geometry_checks import is_metric, nearly_parallel_torsion_check, symmetry_defects, torsion_defect
+from geometry_checks import (
+    derivation_action,
+    is_metric,
+    nearly_parallel_torsion_check,
+    symmetry_defects,
+    torsion_defect,
+)
 
 from g2kit.forms import FORM, TENSOR, KForm, form_inner, form_norm_sq, hodge, wedge
 from g2kit.invariants import i0
@@ -22,7 +28,6 @@ from g2kit.liealg import (
     connection_reference_diff,
     curvature,
     curvature_diagonal,
-    derivation_action,
     divergence_balance,
     g2perp_scalar_curvature,
     geometry_torsion_report,
@@ -31,7 +36,7 @@ from g2kit.liealg import (
     nabla_form,
     r_map,
     scalar_curvature,
-    torsion_endo_from_geometry,
+    torsion_endo,
     torsion_forms,
 )
 from g2kit.linalg import DIM, Mat7, Vec7
@@ -343,7 +348,7 @@ def test_nabla_form_abelian_and_heisenberg():
 
 def test_torsion_endo_from_geometry_heisenberg():
     mla, frame, t_ref = heisenberg_model()
-    t = torsion_endo_from_geometry(nabla_form(koszul(mla), frame.phi), frame)
+    t = torsion_endo(koszul(mla), frame)
     assert t == t_ref
     assert t.column(0) == Vec7.basis(1).scale(Fraction(1, 6))
     assert t.column(4) == Vec7.basis(6).scale(Fraction(-1, 6))
@@ -351,8 +356,7 @@ def test_torsion_endo_from_geometry_heisenberg():
 
 
 def test_torsion_endo_abelian_is_zero(frame):
-    nphi = nabla_form(koszul(MetricLieAlgebra.abelian()), frame.phi)
-    assert torsion_endo_from_geometry(nphi, frame) == Mat7.zero()
+    assert torsion_endo(koszul(MetricLieAlgebra.abelian()), frame) == Mat7.zero()
 
 
 def test_r_map_reproduces_reference_two_form():
@@ -371,9 +375,11 @@ def test_geometry_report_matches_form_convention(frame):
     rng = Random(8)
     for _ in range(4):
         mla = rand_two_step_nilpotent(rng)
-        nphi = nabla_form(koszul(mla), frame.phi)
-        rep = geometry_torsion_report(nphi, frame)
+        conn = koszul(mla)
+        nphi = nabla_form(conn, frame.phi)
+        rep = geometry_torsion_report(conn, frame)
         assert rep.matched_convention == FORM
+        assert rep.r_grid == r_map(nphi, frame)
         # round-trip: nabla_phi equals the torsion slices acting on phi
         for i in range(DIM):
             acted = derivation_action(cross_operator(rep.torsion.column(i), frame), frame.phi)
@@ -429,7 +435,7 @@ def test_torsion_forms_residual_equations_random(cayley):
         lhs2 = wedge(tf.tau1, cayley.star_phi).scale(4) + wedge(tf.tau2, cayley.phi)
         assert lhs2 == dstar
         # flags agree with the endomorphism classification
-        t = torsion_endo_from_geometry(nabla_form(koszul(mla), cayley.phi), cayley)
+        t = torsion_endo(koszul(mla), cayley)
         assert tf.class_flags() == classify(t, cayley).flags
 
 

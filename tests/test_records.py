@@ -24,7 +24,6 @@ from g2kit.liealg import (
     DivergenceReport,
     GeometryTorsionReport,
     TorsionForms,
-    _cross_action_system,
     _dual_coords,
     _lambda2_14_forms,
     _lambda3_27_forms,
@@ -37,7 +36,6 @@ from g2kit.liealg import (
     geometry_torsion_report,
     heisenberg_model,
     koszul,
-    nabla_form,
     scalar_curvature,
     torsion_forms,
 )
@@ -93,7 +91,7 @@ def examples() -> dict:
     conn = koszul(mla)
     r = curvature(conn, mla)
     s = scalar_curvature(r)
-    geo = geometry_torsion_report(nabla_form(conn, frame.phi), frame)
+    geo = geometry_torsion_report(conn, frame)
     t = geo.torsion + Mat7.identity().scale(Fraction(1, 3))
     tf = torsion_forms(mla, frame)
     shape = Mat7([[Fraction(i + j, 1 + i * j) for j in range(7)] for i in range(7)])
@@ -197,7 +195,6 @@ def test_fields_cannot_be_set_or_deleted(cls):
 BUILDERS = (
     g2_basis,
     g2_basis_entries,
-    _cross_action_system,
     _dual_coords,
     _lambda2_14_forms,
     _lambda3_27_forms,

@@ -72,6 +72,41 @@ def test_printing_past_the_digit_limit():
         mat_to_json(Mat7.diag([x] + [0] * 6))
 
 
+def test_parsing_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    message = f"more than {limit} digits"
+
+    def matrix(entry) -> list:
+        return [[entry if i == j == 0 else "0" for j in range(7)] for i in range(7)]
+
+    def algebra(entry) -> dict:
+        return {"dim": 7, "brackets": [{"i": 0, "j": 5, "coeffs": {"6": entry}}]}
+
+    # an exponent past the limit is rejected before its power of ten is formed
+    for entry in ("1e1000000", "1e-1000000", "-3.5E10000000"):
+        with pytest.raises(DigitLimitError, match=message):
+            parse_rational(entry)
+        with pytest.raises(DigitLimitError, match=message):
+            mat_from_json(matrix(entry))
+        with pytest.raises(DigitLimitError, match=message):
+            algebra_from_json(algebra(entry))
+    # the boundary is that of printing: a value that prints parses, one that
+    # cannot print is rejected (2e-L is 1/(5 10^(L-1)), 3e-L is 3/10^L)
+    for fits, past in (
+        (f"1e{limit - 1}", f"1e{limit}"),
+        (f"1e-{limit - 1}", f"1e-{limit}"),
+        (f"0.1e{limit}", f"10e{limit - 1}"),
+        (f"2e-{limit}", f"3e-{limit}"),
+    ):
+        assert mat_to_json(mat_from_json(matrix(fits)))[0][0] == rational_str(Fraction(fits))
+        with pytest.raises(DigitLimitError):
+            rational_str(Fraction(past))
+        with pytest.raises(DigitLimitError, match=message):
+            parse_rational(past)
+    # a zero mantissa is zero whatever its exponent
+    assert parse_rational("0e100000000") == parse_rational("-0.00E-100000000") == 0
+
+
 def test_form_roundtrip(standard):
     a = standard.phi
     data = form_to_json(a)
