@@ -64,6 +64,7 @@ from .sampling import (
 )
 from .serialize import (
     DigitLimitError,
+    _digit_limit_error,
     canonical_json,
     endo_split_to_json,
     form_to_json,
@@ -322,9 +323,12 @@ def _read_json(path: str):
         raise UsageError(f"parse failure in {path}: nested too deeply to read") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"parse failure in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    except ValueError as exc:
-        # undecodable UTF-8, or an integer literal past the int/str digit limit
+    except UnicodeDecodeError as exc:
         raise UsageError(f"parse failure in {path}: {exc}") from exc
+    except ValueError as exc:
+        # the one other failure of json.load: an integer literal past the
+        # int/str digit limit, worded as for a string entry
+        raise UsageError(f"parse failure in {path}: {_digit_limit_error()}") from exc
 
 
 def cmd_classify(cfg: RunConfig) -> tuple[int, dict]:

@@ -15,7 +15,7 @@ independent route the identity checks compare against.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .frames import CheckReport, G2Frame
@@ -33,21 +33,33 @@ def char_poly(t: Mat7) -> tuple[Fraction, ...]:
     triangular Toeplitz matrix with first column 1, -a_rr, -R S, -R A S,
     ..., -R A^(r-1) S times those of A.  No step divides; the common
     denominator is restored per degree at the end.
+
+    The recursion runs on N = diag(s) M, s_i the content of row i of N (1
+    for a zero row): a product with row i of N is s_i times the product
+    with the much shorter entries of row i of M, and the Toeplitz column
+    past its leading 1 is s_r times (m_rr, M_r S, M_r A S, ...).  The
+    integers e_k are those of the recursion on N itself.
     """
     n_rows, d = integer_rows(t)
+    s = [gcd(*row) or 1 for row in n_rows]
+    m_rows = [[x // c for x in row] for row, c in zip(n_rows, s)]
     # e = (1, e_1, ..., e_r) with det(tI - N_r) = sum_k e_k t^(r-k) for the
     # leading r-by-r block N_r of N
     e = [1]
     for r in range(DIM):
-        block = [n_rows[i][:r] for i in range(r)]
-        row = n_rows[r][:r]
+        block = [(s[i], m_rows[i][:r]) for i in range(r)]
+        row = m_rows[r][:r]
         col = [n_rows[i][r] for i in range(r)]
-        toeplitz = [1, -n_rows[r][r]]
+        # (m_rr, M_r S, M_r A S, ..., M_r A^(r-1) S), one factor s_r short
+        # of minus the Toeplitz column below its leading 1
+        walk = [m_rows[r][r]]
         for k in range(r):
             if k:
-                col = [sum(map(mul, b, col)) for b in block]
-            toeplitz.append(-sum(map(mul, row, col)))
-        e = [sum(toeplitz[i - j] * e[j] for j in range(min(i, r) + 1)) for i in range(r + 2)]
+                col = [c * sum(map(mul, b, col)) for c, b in block]
+            walk.append(sum(map(mul, row, col)))
+        s_r = s[r]
+        e.append(0)
+        e = [1] + [e[i] - s_r * sum(map(mul, walk[i - 1 :: -1], e)) for i in range(1, r + 2)]
     # det(tI - N) = sum_k e_k t^{7-k}, so det(T - tI) = -t^7 - sum_k (e_k / d^k) t^{7-k}
     coeffs = [Fraction(0)] * (DIM + 1)
     coeffs[DIM] = Fraction(-1)

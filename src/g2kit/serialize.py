@@ -18,7 +18,9 @@ denominator d by gcd(x, d).  Parsing reads each entry as one integer pair
 every other spelling and every non-string goes through :func:`parse_rational`
 (``Fraction(str)`` for strings), so the accepted set and the error messages
 are those of ``Fraction``, except that digit underscores are rejected on
-every Python version.  The grid is then one ``lcm`` of the q and one
+every Python version, every spelling past the int/str digit limit gets the
+one :class:`DigitLimitError` message, and an error echoes at most 80
+characters of the value.  The grid is then one ``lcm`` of the q and one
 :meth:`Mat7.from_ints`; algebra coefficients take the same route into the
 integer grid of :class:`~g2kit.liealg.MetricLieAlgebra`.
 """
@@ -46,6 +48,12 @@ def _digit_limit_error() -> DigitLimitError:
     )
 
 
+def _clipped(text: str, width: int = 80) -> str:
+    """text, cut to `width` characters ending in "...": an error message
+    echoes what it rejects in one short line, however large the value."""
+    return text if len(text) <= width else text[: width - 3] + "..."
+
+
 def rational_str(x: Fraction | int) -> str:
     """"p/q", or "p" when q = 1, for a Fraction or an int (bools print as
     ints).  Floats, and anything else without an exact numerator and
@@ -62,6 +70,13 @@ def rational_str(x: Fraction | int) -> str:
 
 # a decimal spelling M e E as Fraction reads it: mantissa digits, exponent
 _EXPONENT_FORM = re.compile(r"[-+]?(\d*)\.?(\d*)e([-+]?\d+)", re.IGNORECASE)
+_DIGIT_RUN = re.compile(r"\d+")
+
+
+def _past_digit_limit(text: str) -> bool:
+    """Whether text has a run of digits longer than ``int()`` converts."""
+    limit = sys.get_int_max_str_digits()
+    return bool(limit) and max(map(len, _DIGIT_RUN.findall(text)), default=0) > limit
 
 
 def parse_rational(value) -> Fraction:
@@ -71,11 +86,13 @@ def parse_rational(value) -> Fraction:
     ("1_000"), which ``Fraction`` accepts from Python 3.11 on, are rejected
     on every version with the message older versions give.  A numerator or
     denominator past Python's int/str digit limit, where printing it would
-    fail, raises DigitLimitError; an exponent settles that first."""
+    fail, raises DigitLimitError; an exponent settles that first, and so
+    does a run of digits past the limit, which ``int()`` inside ``Fraction``
+    refuses.  An error echoes at most 80 characters of the value."""
     if isinstance(value, str):
         text = value.strip()
         if "_" in text:
-            raise ValueError(f"Invalid literal for Fraction: {text!r}")
+            raise ValueError(f"Invalid literal for Fraction: {_clipped(repr(text))}")
         limit = sys.get_int_max_str_digits()
         match = limit and _EXPONENT_FORM.fullmatch(text)
         digits = match and match[1] + match[2]
@@ -89,7 +106,11 @@ def parse_rational(value) -> Fraction:
         try:
             x = Fraction(text)
         except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {value!r}") from None
+            raise ValueError(f"zero denominator in {_clipped(repr(value))}") from None
+        except ValueError:
+            if _past_digit_limit(text):
+                raise _digit_limit_error() from None
+            raise ValueError(f"Invalid literal for Fraction: {_clipped(repr(text))}") from None
         # n < 2^(3 limit) < 10^limit needs no power of ten
         if limit and any(n.bit_length() > 3 * limit and abs(n) >= 10**limit for n in (x.numerator, x.denominator)):
             raise _digit_limit_error()
@@ -102,7 +123,7 @@ def parse_rational(value) -> Fraction:
         if not isfinite(value):
             raise ValueError(f"{value} is not a finite rational")
         return Fraction(value)
-    raise TypeError(f"cannot parse rational from {type(value).__name__}: {value!r}")
+    raise TypeError(f"cannot parse rational from {type(value).__name__}: {_clipped(repr(value))}")
 
 
 def rational_pair(value) -> tuple[int, int]:
@@ -116,9 +137,12 @@ def rational_pair(value) -> tuple[int, int]:
         digits = num[1:] if num[:1] in ("+", "-") else num
         # ASCII str.isdigit is [0-9]+: no sign, space or underscore
         if digits.isdigit() and (not slash or den.isdigit()):
-            # numerator first, as Fraction does, for the same digit-limit error
-            p = int(digits)
-            q = int(den) if slash else 1
+            try:
+                p = int(digits)
+                q = int(den) if slash else 1
+            except ValueError:
+                # the digits are checked: only the int/str digit limit fails
+                raise _digit_limit_error() from None
             if q:
                 return (-p if num[0] == "-" else p), q
     x = parse_rational(value)
@@ -218,7 +242,7 @@ def algebra_from_json(data):
 
 def _typed(value, kind: type, what: str):
     if not isinstance(value, kind):
-        raise ValueError(f"{what} must be a JSON {'object' if kind is dict else 'list'}, got {value!r}")
+        raise ValueError(f"{what} must be a JSON {'object' if kind is dict else 'list'}, got {_clipped(repr(value))}")
     return value
 
 
@@ -227,7 +251,7 @@ def _schema_keys(obj: dict, keys: tuple[str, ...], what: str) -> dict:
     misspelled key is an error, not a silently absent one."""
     unknown = [key for key in obj if key not in keys]
     if unknown:
-        raise ValueError(f"{what} has a key outside its schema ({', '.join(keys)}): {', '.join(map(repr, unknown))}")
+        raise ValueError(f"{what} has a key outside its schema ({', '.join(keys)}): {_clipped(', '.join(map(repr, unknown)))}")
     return obj
 
 
@@ -235,16 +259,22 @@ def _integer(value) -> int:
     """A JSON integer, an integral float or an integer string; bools and
     fractional numbers are rejected rather than truncated."""
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise ValueError(f"expected an integer, got {value!r}")
+        raise ValueError(f"expected an integer, got {_clipped(repr(value))}")
     if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
+        raise ValueError(f"expected an integer, got {_clipped(repr(value))}")
+    try:
+        return int(value)
+    except ValueError:
+        # only a string gets here
+        if _past_digit_limit(value):
+            raise _digit_limit_error() from None
+        raise ValueError(f"expected an integer, got {_clipped(repr(value))}") from None
 
 
 def _index(value) -> int:
     i = _integer(value)
     if not 0 <= i < DIM:
-        raise ValueError(f"index {value!r} is outside 0..{DIM - 1}")
+        raise ValueError(f"index {_clipped(repr(value))} is outside 0..{DIM - 1}")
     return i
 
 

@@ -1,6 +1,7 @@
 import json
 import marshal
 import os
+import sys
 import time
 from fractions import Fraction
 
@@ -347,15 +348,6 @@ INPUT_DOCUMENTS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(INPUT_DOCUMENTS))
-def test_input_nested_too_deeply_is_usage_error(command, tmp_path, capsys):
-    # 100,000 levels: past the recursion limit of json.load
-    depth = 100_000
-    path = tmp_path / "deep.json"
-    path.write_text(json.dumps(INPUT_DOCUMENTS[command]("1")).replace('"1"', "[" * depth + "]" * depth))
-    assert_one_line_usage_error(main([command, "--input", str(path)]), capsys)
-
-
 @pytest.mark.parametrize("entry", ["1e1000000", "1e-1000000", "1e10000000"])
 @pytest.mark.parametrize("command", sorted(INPUT_DOCUMENTS))
 def test_input_exponent_past_digit_limit_is_usage_error(command, entry, tmp_path, capsys):
@@ -366,6 +358,62 @@ def test_input_exponent_past_digit_limit_is_usage_error(command, entry, tmp_path
     # rejected while parsing, before 10^|E| is formed (10^10000000 takes seconds)
     assert time.perf_counter() - start < 1
     assert_one_line_usage_error(code, capsys)
+
+
+@pytest.mark.parametrize("command", sorted(INPUT_DOCUMENTS))
+def test_digit_limit_spellings_print_one_message(command, tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    path = tmp_path / "big.json"
+
+    def error_line(document: str) -> str:
+        path.write_text(document)
+        code = main([command, "--input", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ") and len(err.splitlines()) == 1
+        return err
+
+    spellings = ("1" * (limit + 1), f"1e{limit}", "1" * (limit + 1) + ".5")
+    [line] = {error_line(json.dumps(INPUT_DOCUMENTS[command](entry))) for entry in spellings}
+    assert f"more than {limit} digits" in line and "set_int_max_str_digits" not in line
+    # a JSON number literal fails inside json.load, with the same message
+    literal = error_line(json.dumps(INPUT_DOCUMENTS[command]("N")).replace('"N"', "1" * (limit + 1)))
+    assert literal.endswith(line.partition(f"{path}: ")[2])
+
+
+ADVERSARIAL = GOLDEN / "inputs" / "adversarial"
+
+
+def adversarial_document(command: str, kind: str) -> str:
+    """A corpus document too large to commit: 100,000 levels of nesting
+    (past the recursion limit of json.load), or a 10^6-element list as a
+    rational or as a bracket, values that the error message echoes."""
+    if kind == "deep":
+        return json.dumps(INPUT_DOCUMENTS[command]("N")).replace('"N"', "[" * 100_000 + "]" * 100_000)
+    long_list = [0] * 10**6
+    if kind == "long-entry":
+        return json.dumps(INPUT_DOCUMENTS[command](long_list))
+    return json.dumps({"dim": 7, "brackets": [long_list]})
+
+
+# each case is "<command>-<kind>", a committed file or a generated kind
+ADVERSARIAL_CASES = [path.stem for path in sorted(ADVERSARIAL.glob("*.json"))]
+ADVERSARIAL_CASES += [f"{command}-{kind}" for command in sorted(INPUT_DOCUMENTS) for kind in ("deep", "long-entry")]
+ADVERSARIAL_CASES.append("nilmanifold-long-bracket")
+
+
+@pytest.mark.parametrize("case", ADVERSARIAL_CASES)
+def test_adversarial_input_is_one_short_usage_error(case, tmp_path, capsys):
+    command, _, kind = case.partition("-")
+    path = ADVERSARIAL / f"{case}.json"
+    if not path.exists():
+        path = tmp_path / "doc.json"
+        path.write_text(adversarial_document(command, kind))
+    start = time.perf_counter()
+    code = main([command, "--input", str(path)])
+    assert time.perf_counter() - start < 2
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: ") and len(err.splitlines()) == 1
+    assert len(err.rstrip("\n").encode()) <= 300
 
 
 def test_nilmanifold_rejects_non_jacobi_input(tmp_path, capsys):

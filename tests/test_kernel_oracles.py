@@ -62,7 +62,7 @@ from g2kit.frames import (
     star_phi_pairing_check,
     validate_cross_axioms,
 )
-from g2kit.invariants import char_poly, i0, i1, i2
+from g2kit.invariants import char_poly, i0, i1, i2, sigma_from_char_poly
 from g2kit.liealg import (
     ConnectionTable,
     CurvatureTensor,
@@ -97,6 +97,7 @@ from g2kit.linalg import (
     integer_rows,
     integer_vector,
     nullspace,
+    principal_minor_sum,
     rank,
     rref,
 )
@@ -626,6 +627,48 @@ def test_char_poly_matches_trace_recursion_on_structured_inputs():
         assert char_poly(t) == ref_char_poly(t)
     assert char_poly(nilpotent) == (0,) * DIM + (-1,)
     assert char_poly(Mat7.zero()) == (0,) * DIM + (-1,)
+
+
+def row_content_cases(rng: Random) -> dict[str, list[list[Fraction]]]:
+    """Wide grids whose rows of N = d T have telling contents s_i."""
+    def dense():
+        return [[wide_fraction(rng) for _ in range(DIM)] for _ in range(DIM)]
+
+    cases = {}
+    rows = dense()
+    for i in range(DIM):
+        rows[2][i] = rows[i][4] = Fraction(0)
+    rows[5] = [Fraction(0)] * DIM
+    cases["zero-rows-and-column"] = rows
+    rows = dense()
+    big = rng.getrandbits(200) | 1 << 199
+    rows[3] = [big * x for x in rows[3]]
+    cases["row-times-200-bit"] = rows
+    # denominators 3^9 and 2^9 in d, and numerators 3^7 2^5 in row 1
+    rows = dense()
+    rows[0] = [Fraction(rng.randint(1, 99), 3**9) for _ in range(DIM)]
+    rows[6] = [Fraction(rng.randint(1, 99), 2**9) for _ in range(DIM)]
+    rows[1] = [Fraction(3**7 * 2**5 * rng.randint(-99, 99), rng.choice((1, 3, 8))) for _ in range(DIM)]
+    cases["content-shares-d"] = rows
+    cases["integral"] = [[Fraction(rng.randint(-(2**17), 2**17)) for _ in range(DIM)] for _ in range(DIM)]
+    perm = rng.sample(range(DIM), DIM)
+    cases["one-entry-per-row"] = [[wide_fraction(rng) if j == perm[i] else Fraction(0) for j in range(DIM)] for i in range(DIM)]
+    rows = dense()
+    cases["rows-negated"] = [[-x for x in row] if i % 2 else row for i, row in enumerate(rows)]
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(row_content_cases(Random(0))))
+def test_char_poly_on_row_contents(case):
+    # the recursion runs on N = diag(s) M; these grids put zero rows, one
+    # huge content, contents sharing factors with d, d = 1 and contents that
+    # are the whole row in front of both oracles
+    for seed in range(3):
+        t = Mat7(row_content_cases(Random(seed))[case])
+        coeffs = char_poly(t)
+        assert coeffs == ref_char_poly(t)
+        for k in range(1, DIM + 1):
+            assert sigma_from_char_poly(coeffs, k) == principal_minor_sum(t, k)
 
 
 def ref_rational_str(x) -> str:

@@ -107,6 +107,40 @@ def test_parsing_past_the_digit_limit():
     assert parse_rational("0e100000000") == parse_rational("-0.00E-100000000") == 0
 
 
+def test_errors_clip_the_values_they_echo():
+    # a short value is echoed whole, as before; a long one is cut to 80 characters
+    short = {
+        "brackets must be a JSON list, got {'i': 0}": {"dim": 7, "brackets": {"i": 0}},
+        "expected an integer, got 7.5": {"dim": 7.5},
+        "expected an integer, got 'seven'": {"dim": "seven"},
+        "index 7 is outside 0..6": {"brackets": [{"i": 7, "j": 0}]},
+        "an algebra has a key outside its schema (dim, brackets): 'Dim', 'bracket'": {"Dim": 7, "bracket": []},
+    }
+    for message, doc in short.items():
+        with pytest.raises(ValueError) as exc:
+            algebra_from_json(doc)
+        assert str(exc.value) == message
+    with pytest.raises(ValueError, match=r"^zero denominator in '1/0'$"):
+        parse_rational("1/0")
+    long_list = [0] * 10**6
+    clipped = repr(long_list)[:77] + "..."
+    for doc, message in (
+        ({"dim": 7, "brackets": [long_list]}, f"a bracket must be a JSON object, got {clipped}"),
+        ({"dim": long_list}, f"expected an integer, got {clipped}"),
+        ({"dim": "x" * 10**6}, f"expected an integer, got {repr('x' * 77)[:77]}..."),
+    ):
+        with pytest.raises(ValueError) as exc:
+            algebra_from_json(doc)
+        assert str(exc.value) == message
+    with pytest.raises(TypeError) as exc:
+        parse_rational(long_list)
+    assert str(exc.value) == f"cannot parse rational from list: {clipped}"
+    for text in ("x" * 10**6, "1/" + "0" * 10**6):
+        with pytest.raises(ValueError) as exc:
+            mat_from_json([[text] * 7] * 7)
+        assert len(str(exc.value)) < 120
+
+
 def test_form_roundtrip(standard):
     a = standard.phi
     data = form_to_json(a)
