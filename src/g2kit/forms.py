@@ -1,9 +1,11 @@
 """Exterior algebra on R^7 with exact rational coefficients.
 
-A k-form is stored as integer coefficients on strictly increasing index
-tuples over one positive common denominator, in lowest terms, the way
-:class:`~g2kit.linalg.Mat7` stores a matrix; the kernels in this module and
-in :mod:`g2kit.liealg` run on those integers and normalise once per result.
+A k-form is an integer grid like :class:`~g2kit.linalg.Vec7` and
+:class:`~g2kit.linalg.Mat7`: its C(7, k) coordinates on the increasing
+monomials e^{i1<...<ik}, in ``itertools.combinations`` order, over one
+positive common denominator, in lowest terms.  The kernels in this module
+and in :mod:`g2kit.liealg` run on those integers (read with
+:func:`~g2kit.linalg.integer_coords`) and normalise once per result.
 Evaluation on an arbitrary ordered tuple applies the sign of the sorting
 permutation and returns 0 on repeated indices; :meth:`KForm.coeff` and
 :meth:`KForm.terms` read a ``Fraction`` view built on first use.
@@ -18,17 +20,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, gcd, lcm
+from math import factorial, lcm
+from operator import mul
 
-from .linalg import DIM, Mat7, Vec7, _Immutable, as_fraction, integer_coords, integer_rows
+from .linalg import DIM, Mat7, Vec7, _IntegerGrid, as_fraction, integer_coords, integer_rows
 
 FORM = "form"
 TENSOR = "tensor"
 
 _ZERO = Fraction(0)
 
-# the valid keys of each degree: strictly increasing index tuples
-_INCREASING = tuple(frozenset(combinations(range(DIM), k)) for k in range(DIM + 1))
+# the increasing index tuples of each degree, in ``combinations`` order (the
+# monomials a form's coordinates sit on), and each tuple's position there
+_MONOMIALS = tuple(tuple(combinations(range(DIM), k)) for k in range(DIM + 1))
+_POSITION = tuple({key: n for n, key in enumerate(keys)} for keys in _MONOMIALS)
 
 
 def sort_with_sign(indices) -> tuple[tuple[int, ...], int]:
@@ -50,22 +55,30 @@ def sort_with_sign(indices) -> tuple[tuple[int, ...], int]:
     return tuple(idx), sign
 
 
-class KForm(_Immutable):
-    """An exact k-form on R^7, 0 <= k <= 7: integer coefficients on
-    increasing index tuples over one common denominator.
+# the sign of e^I ^ e^J = sign e^{0...6} for each increasing k-tuple I and
+# its complement J: the r-th index i_r of I precedes i_r - r indices of J.
+# J is the (7 - k)-tuple in the mirrored position, so the Hodge dual
+# reverses the coordinates
+_HODGE_SIGNS = tuple(
+    tuple((-1) ** (sum(key) - k * (k - 1) // 2) for key in keys) for k, keys in enumerate(_MONOMIALS)
+)
 
-    The form is canonical (den > 0, no zero coefficient, and gcd(den, all
-    coefficients) == 1), so ``==`` compares the integers directly.  Forms
-    are immutable.  :meth:`from_ints` builds one from integers; the
-    constructor takes int or ``Fraction`` values on index tuples in any
-    order, sorted with their sign and summed.
+
+class KForm(_IntegerGrid):
+    """An exact k-form on R^7, 0 <= k <= 7: integer coordinates on the
+    increasing monomials over one common denominator, in lowest terms.
+
+    ``==`` compares the degree and the integers.  Forms are immutable and,
+    unlike the other grids, unhashable.  :meth:`from_ints` builds one from
+    coordinates; the constructor takes int or ``Fraction`` values on index
+    tuples in any order, sorted with their sign and summed.
     """
 
-    __slots__ = ("degree", "_num", "_den", "_view")
+    __slots__ = ("degree",)
 
     def __new__(cls, degree: int, terms=None):
         _check_degree(degree)
-        pairs = []
+        values: dict[int, Fraction] = {}  # by coordinate position
         for key, value in (terms or {}).items():
             key = tuple(key)
             if len(key) != degree:
@@ -74,28 +87,30 @@ class KForm(_Immutable):
                 raise ValueError(f"index out of range in {key}")
             skey, sign = sort_with_sign(key)
             if sign:
-                value = as_fraction(value)
-                pairs.append((skey, sign * value.numerator, value.denominator))
-        d = lcm(*(q for _, _, q in pairs))
-        acc: dict[tuple[int, ...], int] = {}
-        for key, p, q in pairs:
-            acc[key] = acc.get(key, 0) + p * (d // q)
-        return _form(degree, acc, d)
+                n = _POSITION[degree][skey]
+                values[n] = values.get(n, _ZERO) + sign * as_fraction(value)
+        # over the lcm of the reduced denominators the integers are in lowest terms
+        d = lcm(*(x.denominator for x in values.values()))
+        coords = [0] * len(_MONOMIALS[degree])
+        for n, x in values.items():
+            coords[n] = x.numerator * (d // x.denominator)
+        return _graded(degree, KForm._make(tuple(coords), d))
 
     @staticmethod
-    def from_ints(degree: int, terms: dict, d: int) -> KForm:
-        """The form with coefficient terms[key] / d on each increasing index
-        tuple key, for integers and a positive integer d; zero coefficients
-        and the gcd are divided out."""
+    def from_ints(degree: int, coords, d: int) -> KForm:
+        """The form with coordinate coords[n] / d on the n-th increasing
+        monomial of the degree, for integers and a positive integer d; the
+        gcd is divided out."""
         _check_degree(degree)
+        coords = tuple(coords)
+        if len(coords) != len(_MONOMIALS[degree]):
+            raise ValueError(f"a {degree}-form needs {len(_MONOMIALS[degree])} coordinates, got {len(coords)}")
         if d <= 0:
             raise ValueError(f"KForm.from_ints needs a positive denominator, got {d}")
-        if not terms.keys() <= _INCREASING[degree]:
-            raise ValueError(f"KForm.from_ints needs increasing index tuples of length {degree} in 0..{DIM - 1}")
-        return _form(degree, terms, d)
+        return _graded(degree, KForm._lowest(coords, d))
 
     def __reduce__(self):
-        return (KForm.from_ints, (self.degree, self._num, self._den))
+        return (KForm.from_ints, (self.degree, self._grid, self._den))
 
     # -- constructors ------------------------------------------------------
 
@@ -115,13 +130,9 @@ class KForm(_Immutable):
     # -- access ------------------------------------------------------------
 
     def _fractions(self) -> dict[tuple[int, ...], Fraction]:
-        """The coefficients as Fractions in key order, built on first use."""
-        view = self._view
-        if view is None:
-            d = self._den
-            view = {k: Fraction(v, d) for k, v in sorted(self._num.items())}
-            object.__setattr__(self, "_view", view)
-        return view
+        """The nonzero coefficients as Fractions in key order, built on first use."""
+        keys = _MONOMIALS[self.degree]
+        return self._viewed(lambda grid, d: {k: Fraction(x, d) for k, x in zip(keys, grid) if x})
 
     def terms(self) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
         return tuple(self._fractions().items())
@@ -138,15 +149,12 @@ class KForm(_Immutable):
         return self.coeff(indices)
 
     def is_zero(self) -> bool:
-        return not self._num
+        return not any(self._grid)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, KForm)
-            and self.degree == other.degree
-            and self._den == other._den
-            and self._num == other._num
-        )
+        # a 3-form and a 4-form have the same number of coordinates
+        eq = _IntegerGrid.__eq__(self, other)
+        return eq if eq is NotImplemented else eq and self.degree == other.degree
 
     __hash__ = None
 
@@ -164,21 +172,18 @@ class KForm(_Immutable):
         da, db = self._den, other._den
         d = lcm(da, db)
         fa, fb = d // da, d // db
-        acc = {k: fa * v for k, v in self._num.items()}
-        for k, v in other._num.items():
-            acc[k] = acc.get(k, 0) + fb * v
-        return _form(self.degree, acc, d)
+        return KForm.from_ints(self.degree, [fa * a + fb * b for a, b in zip(self._grid, other._grid)], d)
 
     def __sub__(self, other: KForm) -> KForm:
         return self + -other
 
     def __neg__(self) -> KForm:
-        return _make(self.degree, {k: -v for k, v in self._num.items()}, self._den)
+        return _graded(self.degree, KForm._make(tuple(-a for a in self._grid), self._den))
 
     def scale(self, s) -> KForm:
         s = as_fraction(s)
         p = s.numerator
-        return _form(self.degree, {k: p * v for k, v in self._num.items()}, s.denominator * self._den)
+        return KForm.from_ints(self.degree, [p * a for a in self._grid], s.denominator * self._den)
 
     __mul__ = scale
     __rmul__ = scale
@@ -189,33 +194,14 @@ def _check_degree(degree: int) -> None:
         raise ValueError(f"form degree must lie in 0..{DIM}, got {degree}")
 
 
-def _make(degree: int, num: dict, d: int) -> KForm:
-    """A KForm from integer coefficients already in canonical form over d."""
-    f = object.__new__(KForm)
-    object.__setattr__(f, "degree", degree)
-    object.__setattr__(f, "_num", num)
-    object.__setattr__(f, "_den", d)
-    object.__setattr__(f, "_view", None)
-    return f
+# the degree's slot setter, which bypasses the base's blocking attribute hook
+_set_degree = KForm.degree.__set__
 
 
-def _form(degree: int, acc: dict, d: int) -> KForm:
-    """The form acc / d for integer coefficients on increasing index tuples
-    and d > 0: zero coefficients are dropped and the gcd divided out."""
-    num = {k: v for k, v in acc.items() if v}
-    g = gcd(d, *num.values())
-    if g != 1:
-        num = {k: v // g for k, v in num.items()}
-        d //= g
-    return _make(degree, num, d)
-
-
-def integer_terms(a: KForm) -> tuple[dict[tuple[int, ...], int], int]:
-    """({increasing key: d * coefficient}, d) for the least common
-    denominator d, as :func:`~g2kit.linalg.integer_rows` is for matrices.
-    This reads the stored integers, so it costs nothing; the dict must not
-    be modified."""
-    return a._num, a._den
+def _graded(degree: int, form: KForm) -> KForm:
+    """form, just made from its grid, with its degree set."""
+    _set_degree(form, degree)
+    return form
 
 
 def wedge(a: KForm, b: KForm) -> KForm:
@@ -223,15 +209,18 @@ def wedge(a: KForm, b: KForm) -> KForm:
     degree = a.degree + b.degree
     if degree > DIM:
         raise ValueError(f"wedge degree {degree} exceeds {DIM}")
-    acc: dict[tuple[int, ...], int] = {}
-    for ka, va in a._num.items():
+    position = _POSITION[degree]
+    acc = [0] * len(position)
+    bterms = [(kb, vb) for kb, vb in zip(_MONOMIALS[b.degree], b._grid) if vb]
+    for ka, va in zip(_MONOMIALS[a.degree], a._grid):
+        if not va:
+            continue
         sa = set(ka)
-        for kb, vb in b._num.items():
-            if sa & set(kb):
-                continue
-            key, sign = sort_with_sign(ka + kb)
-            acc[key] = acc.get(key, 0) + sign * va * vb
-    return _form(degree, acc, a._den * b._den)
+        for kb, vb in bterms:
+            if sa.isdisjoint(kb):
+                key, sign = sort_with_sign(ka + kb)
+                acc[position[key]] += sign * va * vb
+    return KForm.from_ints(degree, acc, a._den * b._den)
 
 
 def interior(x: Vec7, a: KForm) -> KForm:
@@ -239,16 +228,18 @@ def interior(x: Vec7, a: KForm) -> KForm:
     if a.degree == 0:
         raise ValueError("interior product of a 0-form is undefined")
     xs, dx = integer_coords(x)
-    acc: dict[tuple[int, ...], int] = {}
-    for key, value in a._num.items():
+    position = _POSITION[a.degree - 1]
+    acc = [0] * len(position)
+    for key, value in zip(_MONOMIALS[a.degree], a._grid):
+        if not value:
+            continue
         for pos, idx in enumerate(key):
             xi = xs[idx]
             if xi == 0:
                 continue
-            rest = key[:pos] + key[pos + 1:]
             v = xi * value
-            acc[rest] = acc.get(rest, 0) + (-v if pos % 2 else v)
-    return _form(a.degree - 1, acc, dx * a._den)
+            acc[position[key[:pos] + key[pos + 1:]]] += -v if pos % 2 else v
+    return KForm.from_ints(a.degree - 1, acc, dx * a._den)
 
 
 def hodge(a: KForm, orientation: int = 1) -> KForm:
@@ -260,14 +251,9 @@ def hodge(a: KForm, orientation: int = 1) -> KForm:
     """
     if orientation not in (1, -1):
         raise ValueError("orientation must be +1 or -1")
-    full = set(range(DIM))
-    num = {}
-    for key, value in a._num.items():
-        comp = tuple(sorted(full - set(key)))
-        _, sign = sort_with_sign(key + comp)
-        num[comp] = sign * orientation * value
-    # complements are distinct and the integers only change sign: still canonical
-    return _make(DIM - a.degree, num, a._den)
+    signed = [orientation * s * x for s, x in zip(_HODGE_SIGNS[a.degree], a._grid)]
+    # the integers only change sign and order: still in lowest terms
+    return _graded(DIM - a.degree, KForm._make(tuple(reversed(signed)), a._den))
 
 
 def form_inner(a: KForm, b: KForm, convention: str = FORM) -> Fraction:
@@ -278,8 +264,7 @@ def form_inner(a: KForm, b: KForm, convention: str = FORM) -> Fraction:
     """
     if a.degree != b.degree:
         raise ValueError("inner product needs equal degrees")
-    bn = b._num
-    total = sum(v * bn.get(k, 0) for k, v in a._num.items())
+    total = sum(map(mul, a._grid, b._grid))
     if convention == FORM:
         return Fraction(total, a._den * b._den)
     if convention == TENSOR:
@@ -294,8 +279,8 @@ def form_norm_sq(a: KForm, convention: str = FORM) -> Fraction:
 def two_form_from_matrix(m: Mat7) -> KForm:
     """2-form alpha(e_i, e_j) = M_ij of a skew matrix."""
     rows, d = integer_rows(m)
-    return _form(2, {(i, j): rows[i][j] for i in range(DIM) for j in range(i + 1, DIM)}, d)
+    return KForm.from_ints(2, [rows[i][j] for i, j in _MONOMIALS[2]], d)
 
 
 def all_increasing_tuples(k: int) -> list[tuple[int, ...]]:
-    return list(combinations(range(DIM), k))
+    return list(_MONOMIALS[k])

@@ -29,19 +29,18 @@ from __future__ import annotations
 
 from bisect import bisect
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain, combinations
-from math import comb, lcm
+from math import lcm
 from operator import mul
 
 from .forms import (
     FORM,
     TENSOR,
+    _MONOMIALS,
+    _POSITION,
     KForm,
-    all_increasing_tuples,
     form_norm_sq,
     hodge,
-    integer_terms,
     interior,
     two_form_from_matrix,
     wedge,
@@ -56,6 +55,7 @@ from .linalg import (
     _Record,
     as_fraction,
     integer_columns,
+    integer_coords,
     integer_vector,
     nullspace,
 )
@@ -479,9 +479,12 @@ def ce_differential(mla: MetricLieAlgebra, a: KForm) -> KForm:
     grid = mla._grid
     # d e^m as the nonzero (i, j, -d c^m_ij) over the algebra's denominator d
     differentials = [[(i, j, -grid[i][j][m]) for i, j in combinations(_R, 2) if grid[i][j][m]] for m in _R]
-    num, den = integer_terms(a)
-    acc: dict[tuple[int, ...], int] = {}
-    for key, v in num.items():
+    coords, den = integer_coords(a)
+    position = _POSITION[a.degree + 1]
+    acc = [0] * len(position)
+    for key, v in zip(_MONOMIALS[a.degree], coords):
+        if not v:
+            continue
         for p, m in enumerate(key):
             terms = differentials[m]
             if not terms:
@@ -493,7 +496,7 @@ def ce_differential(mla: MetricLieAlgebra, a: KForm) -> KForm:
                 ri, rj = bisect(rest, i), bisect(rest, j)
                 new = rest[:ri] + (i,) + rest[ri:rj] + (j,) + rest[rj:]
                 x = c * v
-                acc[new] = acc.get(new, 0) + (-x if (p + ri + rj) % 2 else x)
+                acc[position[new]] += -x if (p + ri + rj) % 2 else x
     return KForm.from_ints(a.degree + 1, acc, den * mla._den)
 
 
@@ -508,14 +511,17 @@ def codifferential(mla: MetricLieAlgebra, a: KForm) -> KForm:
     return hodge(ce_differential(mla, hodge(a))).scale(sign)
 
 
-def _derive(rows, num: dict) -> dict:
-    """Integer coefficients of A * form for the integer rows of A and the
-    integer coefficients of the form: the term at `key` feeds, from each
-    slot holding idx, every target l with weight A[idx][l], with the sign
-    (-1)^(pos + r) of moving l from slot pos to its sorted slot r."""
+def _derive(rows, d: int, a: KForm) -> KForm:
+    """A * a for the integer rows of A = rows / d: the term at `key` feeds,
+    from each slot holding idx, every target l with weight A[idx][l], with
+    the sign (-1)^(pos + r) of moving l from slot pos to its sorted slot r."""
     targets = [tuple((l, c) for l, c in enumerate(row) if c) for row in rows]
-    acc: dict[tuple[int, ...], int] = {}
-    for key, v in num.items():
+    coords, den = integer_coords(a)
+    position = _POSITION[a.degree]
+    acc = [0] * len(position)
+    for key, v in zip(_MONOMIALS[a.degree], coords):
+        if not v:
+            continue
         for pos, idx in enumerate(key):
             rest = key[:pos] + key[pos + 1:]
             for l, c in targets[idx]:
@@ -524,8 +530,8 @@ def _derive(rows, num: dict) -> dict:
                 r = bisect(rest, l)
                 new = rest[:r] + (l,) + rest[r:]
                 x = c * v
-                acc[new] = acc.get(new, 0) + (-x if (pos + r) % 2 else x)
-    return acc
+                acc[position[new]] += -x if (pos + r) % 2 else x
+    return KForm.from_ints(a.degree, acc, d * den)
 
 
 def nabla_form(conn: ConnectionTable, a: KForm) -> tuple[KForm, ...]:
@@ -533,11 +539,7 @@ def nabla_form(conn: ConnectionTable, a: KForm) -> tuple[KForm, ...]:
     invariant form: (nabla_{e_i} a)(Y...) = -sum_m a(..., nabla_{e_i} Y_m, ...),
     the derivation action of -nabla_{e_i}, whose row idx holds
     -Gamma^idx_il in column l."""
-    num, den = integer_terms(a)
-    d = conn._den * den
-    return tuple(
-        KForm.from_ints(a.degree, _derive([[-x for x in col] for col in zip(*g)], num), d) for g in conn._grid
-    )
+    return tuple(_derive([[-x for x in col] for col in zip(*g)], conn._den, a) for g in conn._grid)
 
 
 # ---------------------------------------------------------------------------
@@ -559,32 +561,17 @@ def torsion_endo(conn: ConnectionTable, frame: G2Frame) -> Mat7:
     return Mat7.from_ints(tuple(zip(*map(contract, conn._grid))), 6 * conn._den)
 
 
-@lru_cache(maxsize=None)
-def _key_index(degree: int) -> dict[tuple[int, ...], int]:
-    return {key: n for n, key in enumerate(all_increasing_tuples(degree))}
-
-
-def _form_coords(a: KForm, degree: int) -> list[int]:
-    """Coefficients of a on the increasing monomials of `degree`, in order,
-    as integers over a's denominator."""
-    coords = [0] * comb(DIM, degree)
-    index = _key_index(degree)
-    for key, v in integer_terms(a)[0].items():
-        coords[index[key]] = v
-    return coords
-
-
-def _system(columns, degree: int) -> LinearSystem:
+def _system(columns) -> LinearSystem:
     """The linear system whose columns are the coordinates of the given forms."""
-    coords, d = _common_coords(columns, degree)
+    coords, d = _common_coords(columns)
     return LinearSystem(list(zip(*coords)), d)
 
 
-def _common_coords(forms, degree: int) -> tuple[list[list[int]], int]:
+def _common_coords(forms) -> tuple[list[list[int]], int]:
     """The coordinates of each form over one common denominator."""
-    dens = [integer_terms(f)[1] for f in forms]
-    d = lcm(*dens)
-    return [[x * (d // df) for x in _form_coords(f, degree)] for f, df in zip(forms, dens)], d
+    grids = [integer_coords(f) for f in forms]
+    d = lcm(*(df for _, df in grids))
+    return [[x * (d // df) for x in xs] for xs, df in grids], d
 
 
 # the 3-form pairing in each convention, as a multiple of the "form" one
@@ -595,7 +582,7 @@ _PAIRING_WEIGHT_3 = {FORM: 1, TENSOR: 6}
 def _dual_coords(frame: G2Frame) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Coordinates of e_y -| (-star_phi) for y = 0..6 over one denominator."""
     star = -frame.star_phi
-    coords, d = _common_coords([interior(Vec7.basis(y), star) for y in _R], 3)
+    coords, d = _common_coords([interior(Vec7.basis(y), star) for y in _R])
     return tuple(map(tuple, coords)), d
 
 
@@ -614,7 +601,7 @@ def r_map(nphi: tuple[KForm, ...], frame: G2Frame, convention: str = FORM) -> Ma
         raise ValueError(f"unknown convention {convention!r}")
     weight = _PAIRING_WEIGHT_3[convention]
     duals, dd = _dual_coords(frame)
-    coords, d = _common_coords(nphi, 3)
+    coords, d = _common_coords(nphi)
     return Mat7.from_ints([[weight * sum(map(mul, a, b)) for b in duals] for a in coords], 4 * d * dd)
 
 
@@ -654,19 +641,13 @@ def _lambda2_14_forms(frame: G2Frame) -> tuple[KForm, ...]:
 
 @per_frame
 def _lambda3_27_forms(frame: G2Frame) -> tuple[KForm, ...]:
-    keys3 = all_increasing_tuples(3)
     rows = []
     # gamma ^ phi = 0 (7 equations in Lambda^6), gamma ^ star_phi = 0 (1
     # equation in Lambda^7); each group of rows is scaled to integers
-    for form, targets in ((frame.phi, all_increasing_tuples(6)), (frame.star_phi, [tuple(_R)])):
-        wedges = [integer_terms(wedge(KForm.monomial(key), form)) for key in keys3]
-        d = lcm(*(dw for _, dw in wedges))
-        rows += [[num.get(target, 0) * (d // dw) for num, dw in wedges] for target in targets]
-    out = []
-    for coeffs in nullspace(rows):
-        xs, d = integer_vector(coeffs)
-        out.append(KForm.from_ints(3, dict(zip(keys3, xs)), d))
-    return tuple(out)
+    for form in (frame.phi, frame.star_phi):
+        coords, _ = _common_coords([wedge(KForm.monomial(key), form) for key in _MONOMIALS[3]])
+        rows += zip(*coords)
+    return tuple(KForm.from_ints(3, *integer_vector(coeffs)) for coeffs in nullspace(rows))
 
 
 @per_frame
@@ -676,7 +657,7 @@ def _lambda4_system(frame: G2Frame) -> LinearSystem:
     cols = [frame.star_phi]
     cols += [wedge(KForm.monomial((i,)), frame.phi) for i in _R]
     cols += [hodge(gamma, frame.orientation) for gamma in _lambda3_27_forms(frame)]
-    return _system(cols, 4)
+    return _system(cols)
 
 
 @per_frame
@@ -685,20 +666,21 @@ def _lambda5_system(frame: G2Frame) -> LinearSystem:
     21 equations in 21 unknowns, reduced once per frame."""
     cols = [wedge(KForm.monomial((i,)), frame.star_phi) for i in _R]
     cols += [wedge(beta, frame.phi) for beta in _lambda2_14_forms(frame)]
-    return _system(cols, 5)
+    return _system(cols)
 
 
-def _combination(basis: tuple[KForm, ...], coeffs: list[int], d: int, degree: int) -> KForm:
-    """sum_a (coeffs[a] / d) basis[a] for integer coefficients and d > 0."""
-    terms = [integer_terms(f) for f in basis]
-    common = lcm(*(df for _, df in terms))
-    acc: dict[tuple[int, ...], int] = {}
-    for c, (num, df) in zip(coeffs, terms):
-        if c:
-            c *= common // df
-            for key, v in num.items():
-                acc[key] = acc.get(key, 0) + c * v
-    return KForm.from_ints(degree, acc, common * d)
+def _combination(basis: tuple[KForm, ...], coeffs: list[int], d: int) -> KForm:
+    """sum_a (coeffs[a] / d) basis[a] for integer coefficients and d > 0;
+    only the forms with a nonzero coefficient are rescaled."""
+    used = [(c, f) for c, f in zip(coeffs, basis) if c]
+    common = lcm(*(f._den for _, f in used))
+    acc = [0] * len(basis[0]._grid)
+    for c, f in used:
+        c *= common // f._den
+        for n, v in enumerate(f._grid):
+            if v:
+                acc[n] += c * v
+    return KForm.from_ints(basis[0].degree, acc, common * d)
 
 
 class TorsionForms(_Record):
@@ -760,22 +742,22 @@ def torsion_forms(mla: MetricLieAlgebra, frame: G2Frame, convention: str = FORM)
     dstar = ce_differential(mla, frame.star_phi)
 
     # system 1: Lambda^4, 35 unknowns
-    sol4 = _lambda4_system(frame).solve_ints(_form_coords(dphi, 4), integer_terms(dphi)[1])
+    sol4 = _lambda4_system(frame).solve_ints(*integer_coords(dphi))
     if sol4 is None:
         raise TorsionSolveError("d phi is not compatible with the 1+7+27 split")
     x, d4 = sol4
     tau0 = Fraction(x[0], d4)
-    tau1 = KForm.from_ints(1, {(i,): x[1 + i] for i in _R}, 3 * d4)
-    tau3 = _combination(_lambda3_27_forms(frame), x[8:], d4, 3)
+    tau1 = KForm.from_ints(1, x[1:8], 3 * d4)
+    tau3 = _combination(_lambda3_27_forms(frame), x[8:], d4)
 
     # system 2: Lambda^5, 21 unknowns
-    sol5 = _lambda5_system(frame).solve_ints(_form_coords(dstar, 5), integer_terms(dstar)[1])
+    sol5 = _lambda5_system(frame).solve_ints(*integer_coords(dstar))
     if sol5 is None:
         raise TorsionSolveError("d star_phi is not compatible with the 7+14 split")
     y, d5 = sol5
-    if KForm.from_ints(1, {(i,): y[i] for i in _R}, 4 * d5) != tau1:
+    if KForm.from_ints(1, y[:7], 4 * d5) != tau1:
         raise TorsionSolveError("the one-form parts of d phi and d star_phi disagree")
-    tau2 = _combination(_lambda2_14_forms(frame), y[7:], d5, 2)
+    tau2 = _combination(_lambda2_14_forms(frame), y[7:], d5)
 
     return TorsionForms(tau0=tau0, tau1=tau1, tau2=tau2, tau3=tau3, convention=convention)
 

@@ -4,7 +4,8 @@ No floating point is allowed anywhere.  A :class:`Vec7` and a :class:`Mat7`
 each hold an integer grid over one positive common denominator, in lowest
 terms, so vector and matrix arithmetic runs on plain integers; both share
 that storage with the metric Lie algebras, connections and curvature
-tensors of :mod:`g2kit.liealg` through one immutable base.  Serialisation
+tensors of :mod:`g2kit.liealg` and the k-forms of :mod:`g2kit.forms`
+through one immutable base.  Serialisation
 reads and writes the grid directly (:func:`integer_rows`,
 :meth:`Mat7.from_ints`); the ``Fraction`` coordinates and entries are a
 view built on demand for the API.  Values are immutable and safe to share
@@ -399,9 +400,10 @@ def integer_rows(m: Mat7) -> tuple[tuple[tuple[int, ...], ...], int]:
     return m._grid, m._den
 
 
-def integer_coords(v: Vec7) -> tuple[tuple[int, ...], int]:
+def integer_coords(v: _IntegerGrid) -> tuple[tuple, int]:
     """(d * v as integer coordinates, d) for the least common denominator
-    d; it reads the stored grid, as :func:`integer_rows` does."""
+    d, for a vector, a form or any other grid; it reads the stored grid,
+    as :func:`integer_rows` does."""
     return v._grid, v._den
 
 

@@ -256,19 +256,26 @@ def _schema_keys(obj: dict, keys: tuple[str, ...], what: str) -> dict:
 
 
 def _integer(value) -> int:
-    """A JSON integer, an integral float or an integer string; bools and
-    fractional numbers are rejected rather than truncated."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise ValueError(f"expected an integer, got {_clipped(repr(value))}")
-    if isinstance(value, float) and not value.is_integer():
+    """A JSON integer, an integral float or a plain ASCII ``[+-]digits``
+    string, the integer spelling :func:`rational_pair` reads; bools,
+    fractional numbers and every other string (digit underscores,
+    surrounding spaces, non-ASCII digits, which ``int()`` would take) are
+    rejected."""
+    if isinstance(value, str):
+        digits = value[1:] if value[:1] in ("+", "-") else value
+        # ASCII str.isdigit is [0-9]+: no sign, space or underscore
+        integral = value.isascii() and digits.isdigit()
+    elif isinstance(value, float):
+        integral = value.is_integer()
+    else:
+        integral = isinstance(value, int) and not isinstance(value, bool)
+    if not integral:
         raise ValueError(f"expected an integer, got {_clipped(repr(value))}")
     try:
         return int(value)
     except ValueError:
-        # only a string gets here
-        if _past_digit_limit(value):
-            raise _digit_limit_error() from None
-        raise ValueError(f"expected an integer, got {_clipped(repr(value))}") from None
+        # the digits are checked: only the int/str digit limit fails
+        raise _digit_limit_error() from None
 
 
 def _index(value) -> int:

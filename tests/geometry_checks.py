@@ -14,7 +14,7 @@ a nearly parallel d phi into the skew-torsion formulas.
 
 from fractions import Fraction
 
-from g2kit.forms import FORM, KForm, form_inner, form_norm_sq, hodge, integer_terms
+from g2kit.forms import FORM, KForm, form_inner, form_norm_sq, hodge
 from g2kit.frames import G2Frame
 from g2kit.liealg import TorsionSolveError, _common_coords, _derive, _system
 from g2kit.linalg import DIM, LinearSystem, Mat7, Vec7, _Record, as_fraction, integer_rows
@@ -65,14 +65,12 @@ def derivation_action(a: Mat7, form: KForm) -> KForm:
 
     The stored index idx sits in a covariant slot, so the term at idx feeds
     every target l with weight (a e_l)_idx = a[idx][l]."""
-    rows, d = integer_rows(a)
-    num, den = integer_terms(form)
-    return KForm.from_ints(form.degree, _derive(rows, num), d * den)
+    return _derive(*integer_rows(a), form)
 
 
 def cross_action_system(frame: G2Frame) -> LinearSystem:
     """The 35x7 system of v -> (cross operator of v) * phi."""
-    return _system([derivation_action(cross_operator(Vec7.basis(k), frame), frame.phi) for k in range(DIM)], 3)
+    return _system([derivation_action(cross_operator(Vec7.basis(k), frame), frame.phi) for k in range(DIM)])
 
 
 def solved_torsion_endo(nphi: tuple[KForm, ...], system: LinearSystem) -> Mat7:
@@ -84,7 +82,7 @@ def solved_torsion_endo(nphi: tuple[KForm, ...], system: LinearSystem) -> Mat7:
     is consistent with zero residual.  The slices share one denominator, so
     their integer solutions are the columns of T over one denominator too.
     """
-    coords, d = _common_coords(nphi, 3)
+    coords, d = _common_coords(nphi)
     cols = []
     for i, b in enumerate(coords):
         sol = system.solve_ints(b, d)

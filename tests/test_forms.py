@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 from itertools import combinations
 from random import Random
@@ -17,7 +18,7 @@ from g2kit.forms import (
     two_form_from_matrix,
     wedge,
 )
-from g2kit.linalg import DIM, Vec7
+from g2kit.linalg import DIM, Vec7, integer_coords
 from g2kit.sampling import rand_fraction, rand_skew, rand_vec
 
 
@@ -51,16 +52,48 @@ def test_degree_bounds():
         KForm(2, {(0, 9): 1})
 
 
+def coords_of(degree: int, terms: dict) -> list[int]:
+    """The coordinates of integer terms on increasing index tuples."""
+    return [terms.get(key, 0) for key in combinations(range(DIM), degree)]
+
+
 def test_from_ints_is_canonical_and_checks_its_keys():
-    a = KForm.from_ints(2, {(0, 1): 6, (2, 5): -4, (3, 4): 0}, 8)
+    # coordinates sit on the increasing monomials in combinations order
+    a = KForm.from_ints(2, coords_of(2, {(0, 1): 6, (2, 5): -4, (3, 4): 0}), 8)
     assert a == KForm(2, {(0, 1): Fraction(3, 4), (2, 5): Fraction(-1, 2)})
     assert a.terms() == (((0, 1), Fraction(3, 4)), ((2, 5), Fraction(-1, 2)))
-    assert KForm.from_ints(1, {(3,): 0}, 5) == KForm.zero(1)
-    for terms, d in (({(1, 0): 1}, 1), ({(1, 1): 1}, 1), ({(0, 7): 1}, 1), ({(0,): 1}, 1), ({(0, 1): 1}, 0)):
+    assert integer_coords(a) == (tuple(coords_of(2, {(0, 1): 3, (2, 5): -2})), 4)
+    assert KForm.from_ints(1, [0, 0, 0, 5, 0, 0, 0], 5) == KForm.monomial((3,))
+    assert integer_coords(KForm.from_ints(1, [0] * DIM, 5)) == ((0,) * DIM, 1)
+    assert KForm.from_ints(1, [0] * DIM, 5) == KForm.zero(1)
+    for coords, d in (([1] * 20, 1), ([1] * 22, 1), ([1] * 35, 1), ([1] * 21, 0), ([1] * 21, -3)):
         with pytest.raises(ValueError):
-            KForm.from_ints(2, terms, d)
+            KForm.from_ints(2, coords, d)
+    with pytest.raises(ValueError):
+        KForm.from_ints(8, [1], 1)
     with pytest.raises(AttributeError):
         a.degree = 3
+
+
+def test_equality_compares_the_degree():
+    # a 3-form and a 4-form both have 35 coordinates
+    assert KForm.zero(3) != KForm.zero(4)
+    three = KForm.from_ints(3, range(35), 2)
+    four = KForm.from_ints(4, range(35), 2)
+    assert integer_coords(three) == integer_coords(four)
+    assert three != four and not three == four
+    assert three == KForm.from_ints(3, range(35), 2)
+    assert three != integer_coords(three)
+
+
+def test_forms_pickle_and_do_not_hash():
+    rng = Random(8)
+    for k in range(DIM + 1):
+        a = rand_form(rng, k)
+        b = pickle.loads(pickle.dumps(a))
+        assert b == a and b.degree == k and b.terms() == a.terms()
+        with pytest.raises(TypeError):
+            hash(a)
 
 
 def test_wedge_alternation_and_anticommutativity():
@@ -96,6 +129,27 @@ def test_hodge_unit_and_involution():
         assert hodge(hodge(a)) == a
         assert hodge(hodge(a, -1), -1) == a
         assert hodge(a, -1) == -hodge(a)
+
+
+def test_hodge_is_the_signed_coordinate_reversal():
+    # the complement of the n-th increasing k-subset is the n-th from the
+    # end among the (7 - k)-subsets
+    full = set(range(DIM))
+    for k in range(DIM + 1):
+        keys, duals = list(combinations(range(DIM), k)), list(combinations(range(DIM), DIM - k))
+        assert [tuple(sorted(full - set(key))) for key in keys] == duals[::-1]
+    rng = Random(9)
+    for k in range(DIM + 1):
+        a = rand_form(rng, k)
+        xs, d = integer_coords(a)
+        for orientation in (1, -1):
+            star = hodge(a, orientation)
+            ys, dy = integer_coords(star)
+            assert star.degree == DIM - k and dy == d
+            signs = [orientation * sort_with_sign(key + tuple(sorted(full - set(key))))[1]
+                     for key in combinations(range(DIM), k)]
+            assert list(ys) == [s * x for s, x in zip(signs, xs)][::-1]
+            assert hodge(star, orientation) == a
 
 
 def test_hodge_isometry_every_degree():

@@ -514,10 +514,9 @@ def test_heisenberg_model_data():
 def test_torsion_solve_error_on_incompatible_input(frame):
     # feeding a 4-form outside the 1+7+27 decomposition image is impossible
     # for genuine d phi, so drive the solver directly with a bogus system
-    from g2kit.liealg import _form_coords
-    from g2kit.linalg import LinearSystem
+    from g2kit.linalg import LinearSystem, integer_coords
 
     rows = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(0)]]
     assert LinearSystem(rows).solve([Fraction(0), Fraction(1)]) is None
     assert isinstance(TorsionSolveError("x"), ValueError)
-    assert len(_form_coords(frame.phi, 3)) == 35
+    assert len(integer_coords(frame.phi)[0]) == 35

@@ -169,6 +169,27 @@ def test_algebra_roundtrip():
         algebra_from_json({"dim": 6, "brackets": []})
 
 
+@pytest.mark.parametrize("spelling", ["0_7", " 7 ", "\uff17", "0_0", " 5 ", "\uff15", "+-5", ""])
+def test_integer_strings_are_plain_ascii_digits(spelling):
+    # int() reads digit underscores, surrounding spaces and full-width
+    # digits; an index, dim or coefficient key must be [+-]digits
+    message = f"expected an integer, got {spelling!r}"
+    bracket = {"i": 0, "j": 5, "coeffs": {"6": "1"}}
+    for doc in (
+        {"dim": spelling, "brackets": [bracket]},
+        {"dim": 7, "brackets": [dict(bracket, i=spelling)]},
+        {"dim": 7, "brackets": [dict(bracket, j=spelling)]},
+        {"dim": 7, "brackets": [dict(bracket, coeffs={spelling: "1"})]},
+    ):
+        with pytest.raises(ValueError) as exc:
+            algebra_from_json(doc)
+        assert str(exc.value) == message
+    # the plain spellings, signed ones included, still read as integers
+    assert algebra_from_json({"dim": "+7", "brackets": [{"i": "-0", "j": "+5", "coeffs": {"06": "1"}}]}) == (
+        algebra_from_json({"dim": 7, "brackets": [{"i": 0, "j": 5, "coeffs": {"6": "1"}}]})
+    )
+
+
 def test_canonical_json_is_deterministic():
     obj = {"b": [1, 2], "a": {"y": "1/2", "x": None}}
     assert canonical_json(obj) == canonical_json({"a": {"x": None, "y": "1/2"}, "b": [1, 2]})

@@ -36,7 +36,9 @@ def rule_breaks(path: Path) -> list[str]:
     of its syntax tree: no ``dataclasses`` import and no ``exec``/``eval``;
     no ``assert``, which ``python -O`` strips; no ``lru_cache``/``cache`` on
     a function of a table or a frame, whose values live on the frame; no
-    unused import outside ``__init__``, which re-exports."""
+    ``_num`` or ``_den`` slot outside ``linalg._IntegerGrid``, the one
+    storage of exact values; no unused import outside ``__init__``, which
+    re-exports."""
     found, imported, used = [], {}, set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
         where = f"{path.name}:{getattr(node, 'lineno', 0)}"
@@ -58,6 +60,13 @@ def rule_breaks(path: Path) -> list[str]:
             cached = {getattr(d, "id", None) for d in decorators} | {getattr(d, "attr", None) for d in decorators}
             if first in (["table"], ["frame"]) and cached & {"lru_cache", "cache"}:
                 found.append(f"{where} process-wide cache on {node.name}, keyed by a {first[0]}")
+        elif isinstance(node, ast.ClassDef) and (path.name, node.name) != ("linalg.py", "_IntegerGrid"):
+            for stmt in node.body:
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else []
+                if any(getattr(t, "id", None) == "__slots__" for t in targets):
+                    slots = {c.value for c in ast.walk(stmt.value) if isinstance(c, ast.Constant)}
+                    for name in sorted(slots & {"_num", "_den"}):
+                        found.append(f"{where} {node.name} stores exact values in slot {name}")
     if path.name != "__init__.py":
         found += [f"{path.name}:{line} unused import {name}" for name, line in imported.items() if name not in used]
     return found
