@@ -3,9 +3,11 @@
 A k-form is an integer grid like :class:`~g2kit.linalg.Vec7` and
 :class:`~g2kit.linalg.Mat7`: its C(7, k) coordinates on the increasing
 monomials e^{i1<...<ik}, in ``itertools.combinations`` order, over one
-positive common denominator, in lowest terms.  The kernels in this module
-and in :mod:`g2kit.liealg` run on those integers (read with
-:func:`~g2kit.linalg.integer_coords`) and normalise once per result.
+positive common denominator, in lowest terms.  The kernels run on those
+integers and normalise once per result; only this module reads the
+monomial layout, and :mod:`g2kit.liealg` reaches it through the one
+(anti)derivation kernel behind ``interior``, ``ce_differential`` and
+``nabla_form``.
 Evaluation on an arbitrary ordered tuple applies the sign of the sorting
 permutation and returns 0 on repeated indices; :meth:`KForm.coeff` and
 :meth:`KForm.terms` read a ``Fraction`` view built on first use.
@@ -19,9 +21,10 @@ Functions taking a ``convention`` argument accept either name.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import factorial, lcm
-from operator import mul
+from operator import mul, xor
 
 from .linalg import DIM, Mat7, Vec7, _IntegerGrid, as_fraction, integer_coords, integer_rows
 
@@ -31,9 +34,15 @@ TENSOR = "tensor"
 _ZERO = Fraction(0)
 
 # the increasing index tuples of each degree, in ``combinations`` order (the
-# monomials a form's coordinates sit on), and each tuple's position there
+# monomials a form's coordinates sit on)
 _MONOMIALS = tuple(tuple(combinations(range(DIM), k)) for k in range(DIM + 1))
-_POSITION = tuple({key: n for n, key in enumerate(keys)} for keys in _MONOMIALS)
+
+# each monomial J as (its bit mask, the xor `below` of the masks of the
+# indices below each J_t: for any mask S, |S & below| and the sum over t of
+# the number of indices of S below J_t agree mod 2), and the position of
+# each mask among the monomials of its degree
+_BITS = {J: (sum(1 << j for j in J), reduce(xor, [(1 << j) - 1 for j in J], 0)) for keys in _MONOMIALS for J in keys}
+_POSITION = {_BITS[key][0]: n for keys in _MONOMIALS for n, key in enumerate(keys)}
 
 
 def sort_with_sign(indices) -> tuple[tuple[int, ...], int]:
@@ -87,7 +96,7 @@ class KForm(_IntegerGrid):
                 raise ValueError(f"index out of range in {key}")
             skey, sign = sort_with_sign(key)
             if sign:
-                n = _POSITION[degree][skey]
+                n = _POSITION[_BITS[skey][0]]
                 values[n] = values.get(n, _ZERO) + sign * as_fraction(value)
         # over the lcm of the reduced denominators the integers are in lowest terms
         d = lcm(*(x.denominator for x in values.values()))
@@ -209,18 +218,53 @@ def wedge(a: KForm, b: KForm) -> KForm:
     degree = a.degree + b.degree
     if degree > DIM:
         raise ValueError(f"wedge degree {degree} exceeds {DIM}")
-    position = _POSITION[degree]
-    acc = [0] * len(position)
-    bterms = [(kb, vb) for kb, vb in zip(_MONOMIALS[b.degree], b._grid) if vb]
+    acc = [0] * len(_MONOMIALS[degree])
+    bterms = [(_BITS[kb], vb) for kb, vb in zip(_MONOMIALS[b.degree], b._grid) if vb]
+    # sorting e^A ^ e^B moves each b in B past the |A| - |A below b| indices
+    # of A above it: |A| |B| + |A & below| transpositions, mod 2
+    flips = a.degree * b.degree
     for ka, va in zip(_MONOMIALS[a.degree], a._grid):
         if not va:
             continue
-        sa = set(ka)
-        for kb, vb in bterms:
-            if sa.isdisjoint(kb):
-                key, sign = sort_with_sign(ka + kb)
-                acc[position[key]] += sign * va * vb
+        amask = _BITS[ka][0]
+        for (bmask, below), vb in bterms:
+            if not amask & bmask:
+                x = va * vb
+                acc[_POSITION[amask | bmask]] += -x if (flips + (amask & below).bit_count()) % 2 else x
     return KForm.from_ints(degree, acc, a._den * b._den)
+
+
+def _derivation(a: KForm, q: int, tables, d: int) -> tuple[KForm, ...]:
+    """The (anti)derivations extending each table to the form a, one
+    result of degree a.degree + q - 1 per table.
+
+    table[m] lists the (J, c), J an increasing q-tuple and c an integer,
+    of the image sum c e^J / d of e^m.  Replacing e^m in slot p of a term
+    by e^J and sorting costs (-1)^(p + sum_t r_t), r_t the number of
+    remaining indices below J_t; a repeated index gives 0.  q = 0 is an
+    interior product, q = 1 a derivation action, q = 2 the
+    Chevalley-Eilenberg differential.
+    """
+    degree = a.degree + q - 1
+    # every slot of every nonzero term, read once for all the tables
+    slots = [
+        (p, m, _BITS[key][0] ^ (1 << m), v)
+        for key, v in zip(_MONOMIALS[a.degree], a._grid)
+        if v
+        for p, m in enumerate(key)
+    ]
+    out = []
+    for table in tables:
+        acc = [0] * len(_MONOMIALS[degree])
+        for p, m, rest, v in slots:
+            for J, c in table[m]:
+                jmask, below = _BITS[J]
+                if not rest & jmask:
+                    x = c * v
+                    # sum_t r_t = |rest & below| mod 2
+                    acc[_POSITION[rest | jmask]] += -x if (p + (rest & below).bit_count()) % 2 else x
+        out.append(KForm.from_ints(degree, acc, a._den * d))
+    return tuple(out)
 
 
 def interior(x: Vec7, a: KForm) -> KForm:
@@ -228,18 +272,7 @@ def interior(x: Vec7, a: KForm) -> KForm:
     if a.degree == 0:
         raise ValueError("interior product of a 0-form is undefined")
     xs, dx = integer_coords(x)
-    position = _POSITION[a.degree - 1]
-    acc = [0] * len(position)
-    for key, value in zip(_MONOMIALS[a.degree], a._grid):
-        if not value:
-            continue
-        for pos, idx in enumerate(key):
-            xi = xs[idx]
-            if xi == 0:
-                continue
-            v = xi * value
-            acc[position[key[:pos] + key[pos + 1:]]] += -v if pos % 2 else v
-    return KForm.from_ints(a.degree - 1, acc, dx * a._den)
+    return _derivation(a, 0, [[[((), xi)] if xi else [] for xi in xs]], dx)[0]
 
 
 def hodge(a: KForm, orientation: int = 1) -> KForm:

@@ -27,7 +27,6 @@ Convention notes, fixed once here:
 
 from __future__ import annotations
 
-from bisect import bisect
 from fractions import Fraction
 from itertools import chain, combinations
 from math import lcm
@@ -36,9 +35,9 @@ from operator import mul
 from .forms import (
     FORM,
     TENSOR,
-    _MONOMIALS,
-    _POSITION,
     KForm,
+    _derivation,
+    all_increasing_tuples,
     form_norm_sq,
     hodge,
     interior,
@@ -53,6 +52,7 @@ from .linalg import (
     Vec7,
     _IntegerGrid,
     _Record,
+    _check_index,
     as_fraction,
     integer_columns,
     integer_coords,
@@ -134,11 +134,11 @@ class MetricLieAlgebra(_IntegerGrid):
         d = lcm(*(q for terms in entries.values() for _, _, q in terms))
         grid = [[[0] * DIM for _ in _R] for _ in _R]
         for (i, j), terms in entries.items():
-            if i == j:
+            if _check_index(i) == _check_index(j):
                 raise ValueError("diagonal brackets must vanish")
             for k, p, q in terms:
                 x = p * (d // q)
-                grid[i][j][k] += x
+                grid[i][j][_check_index(k)] += x
                 grid[j][i][k] -= x
         return MetricLieAlgebra.from_ints(grid, d)
 
@@ -146,11 +146,9 @@ class MetricLieAlgebra(_IntegerGrid):
     def from_nonzero(entries: dict) -> MetricLieAlgebra:
         """Build from {(i, j): {k: coeff}} for i < j; antisymmetry is filled in."""
         pairs = {}
-        for (i, j), coeffs in entries.items():
-            if i == j:
-                raise ValueError("diagonal brackets must vanish")
-            values = ((k, as_fraction(coeffs.get(k, 0))) for k in _R)
-            pairs[i, j] = [(k, x.numerator, x.denominator) for k, x in values if x]
+        for ij, coeffs in entries.items():
+            values = [(k, as_fraction(x)) for k, x in coeffs.items()]
+            pairs[ij] = [(k, x.numerator, x.denominator) for k, x in values]
         return MetricLieAlgebra.from_pairs(pairs)
 
     @staticmethod
@@ -467,37 +465,13 @@ def divergence_balance(t: Mat7, s_perp: Fraction, frame: G2Frame) -> DivergenceR
 
 def ce_differential(mla: MetricLieAlgebra, a: KForm) -> KForm:
     """Chevalley-Eilenberg differential on invariant forms, applied as the
-    graded derivation with d e^m = -sum_{i<j} c^m_ij e^{ij}:
-    d(e^{k_0} ^ ... ^ e^{k_r}) = sum_p (-1)^p e^{k_0} ^ ... ^ d e^{k_p} ^ ... ^ e^{k_r}.
-
-    Only the nonzero structure constants enter.  Putting e^{ij} in slot p
-    of the remaining indices `rest` and sorting costs the sign
-    (-1)^(r_i + r_j), r_i being the number of indices in `rest` below i.
-    """
+    graded derivation with d e^m = -sum_{i<j} c^m_ij e^{ij} over the
+    nonzero structure constants."""
     if a.degree == DIM:
         raise ValueError("no degree-8 forms on a 7-dimensional algebra")
     grid = mla._grid
-    # d e^m as the nonzero (i, j, -d c^m_ij) over the algebra's denominator d
-    differentials = [[(i, j, -grid[i][j][m]) for i, j in combinations(_R, 2) if grid[i][j][m]] for m in _R]
-    coords, den = integer_coords(a)
-    position = _POSITION[a.degree + 1]
-    acc = [0] * len(position)
-    for key, v in zip(_MONOMIALS[a.degree], coords):
-        if not v:
-            continue
-        for p, m in enumerate(key):
-            terms = differentials[m]
-            if not terms:
-                continue
-            rest = key[:p] + key[p + 1:]
-            for i, j, c in terms:
-                if i in rest or j in rest:
-                    continue
-                ri, rj = bisect(rest, i), bisect(rest, j)
-                new = rest[:ri] + (i,) + rest[ri:rj] + (j,) + rest[rj:]
-                x = c * v
-                acc[position[new]] += -x if (p + ri + rj) % 2 else x
-    return KForm.from_ints(a.degree + 1, acc, den * mla._den)
+    table = [[((i, j), -grid[i][j][m]) for i, j in combinations(_R, 2) if grid[i][j][m]] for m in _R]
+    return _derivation(a, 2, [table], mla._den)[0]
 
 
 def codifferential(mla: MetricLieAlgebra, a: KForm) -> KForm:
@@ -511,35 +485,13 @@ def codifferential(mla: MetricLieAlgebra, a: KForm) -> KForm:
     return hodge(ce_differential(mla, hodge(a))).scale(sign)
 
 
-def _derive(rows, d: int, a: KForm) -> KForm:
-    """A * a for the integer rows of A = rows / d: the term at `key` feeds,
-    from each slot holding idx, every target l with weight A[idx][l], with
-    the sign (-1)^(pos + r) of moving l from slot pos to its sorted slot r."""
-    targets = [tuple((l, c) for l, c in enumerate(row) if c) for row in rows]
-    coords, den = integer_coords(a)
-    position = _POSITION[a.degree]
-    acc = [0] * len(position)
-    for key, v in zip(_MONOMIALS[a.degree], coords):
-        if not v:
-            continue
-        for pos, idx in enumerate(key):
-            rest = key[:pos] + key[pos + 1:]
-            for l, c in targets[idx]:
-                if l in rest:
-                    continue
-                r = bisect(rest, l)
-                new = rest[:r] + (l,) + rest[r:]
-                x = c * v
-                acc[position[new]] += -x if (pos + r) % 2 else x
-    return KForm.from_ints(a.degree, acc, d * den)
-
-
 def nabla_form(conn: ConnectionTable, a: KForm) -> tuple[KForm, ...]:
     """Covariant derivatives (nabla_{e_0} a, ..., nabla_{e_6} a) of an
     invariant form: (nabla_{e_i} a)(Y...) = -sum_m a(..., nabla_{e_i} Y_m, ...),
-    the derivation action of -nabla_{e_i}, whose row idx holds
-    -Gamma^idx_il in column l."""
-    return tuple(_derive([[-x for x in col] for col in zip(*g)], conn._den, a) for g in conn._grid)
+    the derivation action of -nabla_{e_i}, which maps e^m to
+    -sum_l Gamma^m_il e^l."""
+    tables = [[[((l,), -g[l][m]) for l in _R if g[l][m]] for m in _R] for g in conn._grid]
+    return _derivation(a, 1, tables, conn._den)
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +597,7 @@ def _lambda3_27_forms(frame: G2Frame) -> tuple[KForm, ...]:
     # gamma ^ phi = 0 (7 equations in Lambda^6), gamma ^ star_phi = 0 (1
     # equation in Lambda^7); each group of rows is scaled to integers
     for form in (frame.phi, frame.star_phi):
-        coords, _ = _common_coords([wedge(KForm.monomial(key), form) for key in _MONOMIALS[3]])
+        coords, _ = _common_coords([wedge(KForm.monomial(key), form) for key in all_increasing_tuples(3)])
         rows += zip(*coords)
     return tuple(KForm.from_ints(3, *integer_vector(coeffs)) for coeffs in nullspace(rows))
 

@@ -41,6 +41,13 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}: {x!r}")
 
 
+def _check_index(i: int) -> int:
+    """i, when it indexes a basis vector; ValueError naming it otherwise."""
+    if not 0 <= i < DIM:
+        raise ValueError(f"index {i!r} is outside 0..{DIM - 1}")
+    return i
+
+
 def _leaves(grid, depth: int):
     """The entries of a nested grid `depth` levels deep, in order."""
     for _ in range(depth - 1):
@@ -237,7 +244,7 @@ class Vec7(_IntegerGrid):
 
     @staticmethod
     def basis(i: int) -> Vec7:
-        return Vec7._make(UNIT[i], 1)
+        return Vec7._make(UNIT[_check_index(i)], 1)
 
     @staticmethod
     def of(*coords) -> Vec7:

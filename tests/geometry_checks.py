@@ -14,9 +14,9 @@ a nearly parallel d phi into the skew-torsion formulas.
 
 from fractions import Fraction
 
-from g2kit.forms import FORM, KForm, form_inner, form_norm_sq, hodge
+from g2kit.forms import FORM, KForm, _derivation, form_inner, form_norm_sq, hodge
 from g2kit.frames import G2Frame
-from g2kit.liealg import TorsionSolveError, _common_coords, _derive, _system
+from g2kit.liealg import TorsionSolveError, _common_coords, _system
 from g2kit.linalg import DIM, LinearSystem, Mat7, Vec7, _Record, as_fraction, integer_rows
 from g2kit.so7 import cross_operator
 
@@ -63,9 +63,10 @@ def symmetry_defects(r) -> list[str]:
 def derivation_action(a: Mat7, form: KForm) -> KForm:
     """(a * form)(Y_1..Y_k) = sum_m form(Y_1, ..., a Y_m, ..., Y_k).
 
-    The stored index idx sits in a covariant slot, so the term at idx feeds
-    every target l with weight (a e_l)_idx = a[idx][l]."""
-    return _derive(*integer_rows(a), form)
+    The stored index m sits in a covariant slot, so the derivation maps e^m
+    to sum_l (a e_l)_m e^l = sum_l a[m][l] e^l."""
+    rows, d = integer_rows(a)
+    return _derivation(form, 1, [[[((l,), c) for l, c in enumerate(row) if c] for row in rows]], d)[0]
 
 
 def cross_action_system(frame: G2Frame) -> LinearSystem:

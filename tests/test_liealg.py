@@ -11,7 +11,7 @@ from geometry_checks import (
     torsion_defect,
 )
 
-from g2kit.forms import FORM, TENSOR, KForm, form_inner, form_norm_sq, hodge, wedge
+from g2kit.forms import FORM, TENSOR, KForm, form_inner, form_norm_sq, hodge, interior, wedge
 from g2kit.invariants import i0
 from g2kit.liealg import (
     HEISENBERG_REFERENCE_CONNECTION,
@@ -40,7 +40,7 @@ from g2kit.liealg import (
     torsion_forms,
 )
 from g2kit.linalg import DIM, Mat7, Vec7
-from g2kit.sampling import rand_fraction, rand_two_step_nilpotent, rand_vec
+from g2kit.sampling import rand_fraction, rand_mat, rand_two_step_nilpotent, rand_vec
 from g2kit.so7 import cross_operator, skew_to_vector
 from g2kit.torsion import classify
 
@@ -56,6 +56,26 @@ def test_algebra_construction_and_validation():
     assert bad.jacobi_defect() == (0, 1, 2)
     with pytest.raises(ValueError):
         koszul(bad)
+
+
+@pytest.mark.parametrize(
+    "entries, index",
+    [
+        ({(0, -1): [(2, 1, 1)]}, -1),
+        ({(0, 1): [(-1, 1, 1)]}, -1),
+        ({(0, 1): [(7, 1, 1)]}, 7),
+        ({(9, 1): []}, 9),
+    ],
+)
+def test_from_pairs_names_an_index_outside_the_frame(entries, index):
+    with pytest.raises(ValueError, match=rf"^index {index} is outside 0\.\.6$"):
+        MetricLieAlgebra.from_pairs(entries)
+
+
+@pytest.mark.parametrize("entries, index", [({(0, 1): {9: 1}}, 9), ({(0, 7): {1: 1}}, 7), ({(-1, 2): {3: 1}}, -1)])
+def test_from_nonzero_names_an_index_outside_the_frame(entries, index):
+    with pytest.raises(ValueError, match=rf"^index {index} is outside 0\.\.6$"):
+        MetricLieAlgebra.from_nonzero(entries)
 
 
 def blocks(rows: int, cols: int) -> list:
@@ -328,6 +348,38 @@ def test_derivation_action_matches_direct_evaluation(frame):
             + sum(cols[w][l] * frame.phi.coeff((y, z, l)) for l in range(DIM))
         )
         assert acted.coeff(key) == direct
+
+
+def seeded_form(rng: Random, k: int) -> KForm:
+    return KForm(k, {key: rand_fraction(rng) for key in combinations(range(DIM), k) if rng.random() < 0.5})
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_leibniz_rules(frame, seed):
+    """d, x -| and the derivation actions (a matrix, a cross operator and
+    each nabla_{e_i}) against the wedge of every pair of seeded forms, phi
+    and star phi: d and x -| are antiderivations, the actions derivations."""
+    rng = Random(seed + 80)
+    forms = [seeded_form(rng, k) for k in range(DIM + 1)] + [frame.phi, frame.star_phi]
+    mla = rand_two_step_nilpotent(rng)
+    conn = koszul(mla)
+    x = rand_vec(rng)
+    actions = [rand_mat(rng), cross_operator(rand_vec(rng), frame)]
+    for a in forms:
+        for b in forms:
+            if a.degree + b.degree > DIM:
+                continue
+            ab = wedge(a, b)
+            sign = -1 if a.degree % 2 else 1
+            if ab.degree < DIM:
+                leibniz = wedge(ce_differential(mla, a), b) + wedge(a, ce_differential(mla, b)).scale(sign)
+                assert ce_differential(mla, ab) == leibniz
+            if a.degree and b.degree:
+                assert interior(x, ab) == wedge(interior(x, a), b) + wedge(a, interior(x, b)).scale(sign)
+            for m in actions:
+                assert derivation_action(m, ab) == wedge(derivation_action(m, a), b) + wedge(a, derivation_action(m, b))
+            for nab, na, nb in zip(nabla_form(conn, ab), nabla_form(conn, a), nabla_form(conn, b)):
+                assert nab == wedge(na, b) + wedge(a, nb)
 
 
 def test_nabla_form_abelian_and_heisenberg():

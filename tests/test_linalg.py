@@ -29,6 +29,12 @@ def test_vec_arithmetic():
     assert Vec7.zero().norm_sq() == 0
 
 
+@pytest.mark.parametrize("index", [-1, 7, 10])
+def test_basis_names_an_index_outside_the_frame(index):
+    with pytest.raises(ValueError, match=rf"^index {index} is outside 0\.\.6$"):
+        Vec7.basis(index)
+
+
 def test_vec_rejects_floats():
     with pytest.raises(TypeError):
         Vec7.of(0.5, 0, 0, 0, 0, 0, 0)

@@ -19,6 +19,9 @@ PACKAGE = Path(g2kit.__file__).parent
 
 UNWANTED = ("dataclasses", "inspect", "ast", "dis", "tokenize", "argparse")
 
+# the monomial layout of a form's coordinates, which only forms.py reads
+LAYOUT = {"_MONOMIALS", "_POSITION", "_BITS"}
+
 
 def test_importing_the_cli_loads_no_heavy_module():
     # -S skips site, whose third-party .pth hooks may import any of them
@@ -37,11 +40,16 @@ def rule_breaks(path: Path) -> list[str]:
     no ``assert``, which ``python -O`` strips; no ``lru_cache``/``cache`` on
     a function of a table or a frame, whose values live on the frame; no
     ``_num`` or ``_den`` slot outside ``linalg._IntegerGrid``, the one
-    storage of exact values; no unused import outside ``__init__``, which
-    re-exports."""
+    storage of exact values; no read of the monomial layout outside
+    ``forms.py``, whose kernels are the only ones to walk it; no unused
+    import outside ``__init__``, which re-exports."""
     found, imported, used = [], {}, set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
         where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+        if path.name != "forms.py":
+            # a name, an attribute or an imported name
+            for name in sorted({getattr(node, f, None) for f in ("id", "attr", "name")} & LAYOUT):
+                found.append(f"{where} reads the monomial layout {name}")
         if isinstance(node, ast.Name):
             used.add(node.id)
         elif isinstance(node, ast.Assert):
