@@ -1,7 +1,7 @@
 """The Heisenberg-times-torus model, end to end.
 
 Every number below is produced by exact rational arithmetic: the
-Levi-Civita connection from the brackets, the curvature and its scalar,
+Levi-Civita connection from the brackets, the curvature scalars read off it,
 the torsion endomorphism read off the connection, its invariants, and
 the torsion forms with the scalar-curvature formula they satisfy.
 
@@ -12,7 +12,6 @@ from g2kit import (
     bryant_scalar_check,
     characteristic_vector,
     classify,
-    curvature,
     curvature_integrand,
     g2perp_scalar_curvature,
     geometry_torsion_report,
@@ -34,12 +33,11 @@ diff = connection_reference_diff(conn)
 print("entries differing from the tabulated reference:",
       [(i, j) for i, j, _, _ in diff], "(the reference's (4,5) entry is not torsion-free)")
 
-r = curvature(conn, mla)
-s = scalar_curvature(r)
-values = sorted(str(v) for _, _, v in curvature_diagonal(r))
+s = scalar_curvature(conn, mla)
+values = sorted(str(v) for _, _, v in curvature_diagonal(conn, mla))
 print("nonzero R_ijji values:", {v: values.count(v) for v in sorted(set(values))})
 print("scalar curvature s =", s)
-print("g2-perp scalar curvature equals s/3:", g2perp_scalar_curvature(r, frame) == s / 3)
+print("g2-perp scalar curvature equals s/3:", g2perp_scalar_curvature(conn, mla, frame) == s / 3)
 
 geo = geometry_torsion_report(conn, frame)
 t = geo.torsion

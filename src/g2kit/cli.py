@@ -43,7 +43,6 @@ from .liealg import (
     alt_scalar_curvature,
     bryant_scalar_check,
     connection_reference_diff,
-    curvature,
     curvature_diagonal,
     divergence_balance,
     g2perp_scalar_curvature,
@@ -387,14 +386,13 @@ def cmd_nilmanifold(cfg: RunConfig) -> tuple[int, dict]:
     else:
         mla, frame, t_ref = heisenberg_model()
         conn = koszul(mla)
-    r = curvature(conn, mla)
-    s = scalar_curvature(r)
-    diag = curvature_diagonal(r)
+    s = scalar_curvature(conn, mla)
+    diag = curvature_diagonal(conn, mla)
     multiset: dict[str, int] = {}
     for _, _, v in diag:
         key = rational_str(v)
         multiset[key] = multiset.get(key, 0) + 1
-    s_perp = g2perp_scalar_curvature(r, frame)
+    s_perp = g2perp_scalar_curvature(conn, mla, frame)
     geo = geometry_torsion_report(conn, frame)
     t = geo.torsion
     cls = classify(t, frame)

@@ -28,7 +28,7 @@ Convention notes, fixed once here:
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 from math import lcm
 from operator import mul
 
@@ -131,6 +131,9 @@ class MetricLieAlgebra(_IntegerGrid):
     def from_pairs(entries: dict) -> MetricLieAlgebra:
         """Build from {(i, j): [(k, p, q), ...]}, each term adding p / q
         (q > 0) to c^k_ij; antisymmetry is filled in."""
+        bad = next((t for terms in entries.values() for t in terms if t[2] <= 0), None)
+        if bad is not None:
+            raise ValueError(f"term {bad} needs a positive denominator")
         d = lcm(*(q for terms in entries.values() for _, _, q in terms))
         grid = [[[0] * DIM for _ in _R] for _ in _R]
         for (i, j), terms in entries.items():
@@ -302,112 +305,117 @@ class CurvatureTensor(_IntegerGrid):
         return Mat7.from_ints(self._grid[i][j], self._den)
 
 
-def curvature(conn: ConnectionTable, mla: MetricLieAlgebra) -> CurvatureTensor:
-    """R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z.
+# the pairs i < j, in row-major order
+_PAIRS = tuple(combinations(_R, 2))
 
-    The connection (over D) and the structure constants (over d) are read
-    over their common denominator L.  With N_i = L nabla_{e_i}, the
-    operator L^2 R(e_i, e_j) = [N_i, N_j] - sum_m (L c^m_ij) N_m runs over
-    the nonzero integer entries only; it is computed for i < j, since both
-    terms are antisymmetric in (i, j).
-    """
+
+def _commutator_entries(rows, cols, terms, reads) -> list[list[int]]:
+    """For the n-th pair (i, j) of _PAIRS, the entries reads[n] (row,
+    column) of [A_i, A_j] - sum_m x_m A_m, the (m, x_m) in terms[n], for
+    integer operators A_i with rows rows[i] and columns cols[i].  Entry
+    (a, b) of A_i A_j is row a of A_i against column b of A_j, so no
+    product is formed in full."""
+    out = []
+    for (i, j), lin, want in zip(_PAIRS, terms, reads):
+        ri, rj, ci, cj = rows[i], rows[j], cols[i], cols[j]
+        values = []
+        for a, b in want:
+            x = sum(map(mul, ri[a], cj[b])) - sum(map(mul, rj[a], ci[b]))
+            for m, c in lin:
+                x -= c * cols[m][b][a]
+            values.append(x)
+        out.append(values)
+    return out
+
+
+def _curvature_entries(conn: ConnectionTable, mla: MetricLieAlgebra, reads) -> tuple[list[list[int]], int]:
+    """The entries reads[n] (row l, column k: R_ijkl) of R(e_i, e_j) for
+    the n-th pair i < j of _PAIRS, as integers over one denominator, from
+    R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z.  Over
+    the common denominator L of Gamma and c, with N_i = L nabla_{e_i}, they
+    are the entries of L^2 R(e_i, e_j) = [N_i, N_j] - sum_m (L c^m_ij) N_m
+    over L^2; R(e_j, e_i) = -R(e_i, e_j)."""
     D, d = conn._den, mla._den
     L = lcm(D, d)
     f, g = L // D, L // d
-    # rows[i][l] = the nonzero (k, L Gamma^l_ik): row l of N_i
-    rows = [
-        [tuple((k, f * x) for k, x in enumerate(col) if x) for col in zip(*conn._grid[i])] for i in _R
-    ]
-    zero = ((0,) * DIM,) * DIM
-    ops = [[zero] * DIM for _ in _R]
-    for i in _R:
-        for j in range(i + 1, DIM):
-            op = [[0] * DIM for _ in _R]
-            for a, b, sign in ((rows[i], rows[j], 1), (rows[j], rows[i], -1)):
-                for out, arow in zip(op, a):
-                    for s, x in arow:
-                        for k, y in b[s]:
-                            out[k] += sign * x * y
-            for m, c in enumerate(mla._grid[i][j]):
-                if c:
-                    c *= g
-                    for out, mrow in zip(op, rows[m]):
-                        for k, y in mrow:
-                            out[k] -= c * y
-            ops[i][j] = tuple(map(tuple, op))
-            ops[j][i] = tuple(tuple(-x for x in r) for r in op)
-    return CurvatureTensor.from_ints(ops, L * L)
+    # column k of N_i is L nabla_{e_i} e_k, the row k of the connection block
+    cols = conn._grid
+    if f != 1:
+        cols = [[tuple(f * x for x in v) for v in block] for block in cols]
+    brackets = (mla._grid[i][j] for i, j in _PAIRS)
+    terms = [[(m, g * x) for m, x in enumerate(v) if x] if any(v) else () for v in brackets]
+    return _commutator_entries([tuple(zip(*block)) for block in cols], cols, terms, reads), L * L
 
 
-def scalar_curvature(r: CurvatureTensor) -> Fraction:
-    """s = sum_ij R_ijji."""
-    return Fraction(sum(row[j][i][j] for i, row in enumerate(r._grid) for j in _R), r._den)
+def curvature(conn: ConnectionTable, mla: MetricLieAlgebra) -> CurvatureTensor:
+    """The full tensor, all 49 entries of each R(e_i, e_j); the readers
+    below read only the entries they sum, so a report builds no tensor."""
+    entries, dd = _curvature_entries(conn, mla, [tuple(product(_R, _R))] * len(_PAIRS))
+    ops = [[((0,) * DIM,) * DIM] * DIM for _ in _R]
+    for (i, j), e in zip(_PAIRS, entries):
+        ops[i][j] = tuple(tuple(e[n : n + DIM]) for n in range(0, DIM * DIM, DIM))
+        ops[j][i] = tuple(tuple(-x for x in row) for row in ops[i][j])
+    return CurvatureTensor.from_ints(ops, dd)
 
 
-def curvature_diagonal(r: CurvatureTensor) -> list[tuple[int, int, Fraction]]:
-    """Nonzero sectional components R_ijji with their ordered index pairs."""
-    d = r._den
-    return [(i, j, Fraction(v, d)) for i, row in enumerate(r._grid) for j in _R if (v := row[j][i][j])]
+# entry (i, j) of R(e_i, e_j), which is R_ijji, for each pair i < j
+_SECTIONAL = tuple(((i, j),) for i, j in _PAIRS)
 
 
-def _contraction_reads(table) -> list[list[tuple[int, int, int]]]:
-    """For each k, the six (a, b, s) with (b, s) in the slot of (k, a):
-    component k of the contraction p(m) is sum of s m_ab over them."""
-    return [[(a, b, s) for a in _R for b, s in table.pair_slots(k, a)] for k in _R]
+def scalar_curvature(conn: ConnectionTable, mla: MetricLieAlgebra) -> Fraction:
+    """s = sum_ij R_ijji = 2 sum_{i<j} R_ijji, one entry per pair."""
+    entries, dd = _curvature_entries(conn, mla, _SECTIONAL)
+    return Fraction(2 * sum(v for v, in entries), dd)
 
 
-def g2perp_scalar_curvature(r: CurvatureTensor, frame: G2Frame) -> Fraction:
-    """sum_ij <(R(e_i,e_j))_{g2-perp}(e_j), e_i>; equals s/3 whenever the
-    first Bianchi identity holds.
+def curvature_diagonal(conn: ConnectionTable, mla: MetricLieAlgebra) -> list[tuple[int, int, Fraction]]:
+    """Nonzero sectional components R_ijji with their ordered index pairs,
+    one entry per pair i < j, since R_jiij = R_ijji (a metric connection)."""
+    entries, dd = _curvature_entries(conn, mla, _SECTIONAL)
+    values = {}
+    for (i, j), (v,) in zip(_PAIRS, entries):
+        if v:
+            values[i, j] = values[j, i] = Fraction(v, dd)
+    return [(i, j, v) for (i, j), v in sorted(values.items())]
 
-    The projection of R(e_i,e_j) is the cross operator of
-    p(R(e_i,e_j)) / 6, so the summand is (1/6) <e_i x e_j, p(R(e_i,e_j))>,
-    evaluated on the integer operator entries M[b][c] = R_ijcb.  The pairing
-    reads p_a only for the slot (a, s) of (i, j), and p_a is a signed sum of
-    six entries of M.
-    """
+
+@per_frame
+def _pairing_reads(frame: G2Frame) -> tuple[tuple, tuple]:
+    """Entries and weights of sum_ij <p(B_ij), e_i x e_j> for skew B_ij = -B_ji.
+
+    Each pair reads p_k only for the slot (k, s) of (i, j), and p_k(B) =
+    sum_ab eps_kab B_ab is twice its sum over a < b (B and eps_k.. are
+    skew); (i, j) and (j, i) contribute equally.  So the pairing is 4 times
+    the flat weights s eps_kab against the listed B_ab, a < b, of each pair."""
     table = frame.table
-    reads = _contraction_reads(table)
-    total = 0
-    for i, row in enumerate(r._grid):
-        for j, op in enumerate(row):
-            if i != j and any(map(any, op)):
-                # <e_i x e_j, p> = sum of eps_ija p_a over the slot of (i, j)
-                for a, s in table.pair_slots(i, j):
-                    total += s * sum(e * op[b][c] for b, c, e in reads[a])
-    return Fraction(total, 6 * r._den)
+    slots = [
+        [(a, b, s * e) for k, s in table.pair_slots(i, j) for a in _R for b, e in table.pair_slots(k, a) if a < b]
+        for i, j in _PAIRS
+    ]
+    return tuple(tuple((a, b) for a, b, _ in slot) for slot in slots), tuple(w for slot in slots for *_, w in slot)
+
+
+def g2perp_scalar_curvature(conn: ConnectionTable, mla: MetricLieAlgebra, frame: G2Frame) -> Fraction:
+    """sum_ij <(R(e_i,e_j))_{g2-perp}(e_j), e_i>; equals s/3 whenever the
+    first Bianchi identity holds.  The projection of R(e_i,e_j) is the cross
+    operator of p(R(e_i,e_j)) / 6, so this is 1/6 of the pairing of
+    :func:`_pairing_reads`: three entries of R(e_i, e_j) per pair i < j."""
+    reads, weights = _pairing_reads(frame)
+    entries, dd = _curvature_entries(conn, mla, reads)
+    return Fraction(4 * sum(map(mul, weights, chain.from_iterable(entries))), 6 * dd)
 
 
 def alt_scalar_curvature(t: Mat7, frame: G2Frame) -> Fraction:
     """sum_ij <[xi_{e_i}, xi_{e_j}]_{g2-perp} e_j, e_i> from the torsion
-    slices; equals i0(T).
-
-    This is the commutator-and-projection route, kept independent of the
-    i0 double sum; the denominator of T is scaled out so the commutators
-    run over the integers.  Each pair (i, j) pairs the contraction p(C) of
-    C = [S_i, S_j] with e_i x e_j, so it reads p_k only for the slot
-    (k, s) of (i, j); p_k is a signed sum of six entries C_ab, and each
-    entry is one row-by-column difference of the slices S_i, S_j.
-    """
-    table = frame.table
+    slices; equals i0(T).  The commutator-and-projection route, independent
+    of the i0 double sum: with the denominator of T scaled out, each pair
+    reads three entries of the skew commutator [S_i, S_j] of the integer
+    slices (S_i the cross operator of column i) for :func:`_pairing_reads`."""
     cols, d = integer_columns(t)
-    slices = [table.cross_rows(cols[i]) for i in range(DIM)]
-    slice_cols = [list(zip(*s)) for s in slices]
-    reads = _contraction_reads(table)
-    total = 0
-    for i in range(DIM):
-        rows_i, cols_i = slices[i], slice_cols[i]
-        for j in range(i + 1, DIM):
-            rows_j, cols_j = slices[j], slice_cols[j]
-            # ordered pairs (i, j) and (j, i) contribute equally;
-            # <p, e_i x e_j> = sum of s p_k over the slot of (i, j)
-            for k, s in table.pair_slots(i, j):
-                pk = 0
-                for a, b, e in reads[k]:
-                    # C_ab = (S_i S_j - S_j S_i)_ab
-                    pk += e * (sum(map(mul, rows_i[a], cols_j[b])) - sum(map(mul, rows_j[a], cols_i[b])))
-                total += 2 * s * pk
-    return Fraction(total, 6 * d * d)
+    reads, weights = _pairing_reads(frame)
+    slices = [frame.table.cross_rows(c) for c in cols]
+    entries = _commutator_entries(slices, [tuple(zip(*s)) for s in slices], ((),) * len(_PAIRS), reads)
+    return Fraction(4 * sum(map(mul, weights, chain.from_iterable(entries))), 6 * d * d)
 
 
 class DivergenceReport(_Record):
@@ -440,7 +448,7 @@ class DivergenceReport(_Record):
 
 def divergence_balance(t: Mat7, s_perp: Fraction, frame: G2Frame) -> DivergenceReport:
     """The divergence summands of T against s_perp =
-    g2perp_scalar_curvature(R, frame), which the caller has computed."""
+    g2perp_scalar_curvature(conn, mla, frame), which the caller has computed."""
     s_alt = alt_scalar_curvature(t, frame)
     chi = characteristic_vector(t, frame)
     chi_sq, alt_sq, sym_sq = torsion_energies(t, frame)

@@ -33,7 +33,6 @@ from g2kit.liealg import (
     bryant_scalar_check,
     ce_differential,
     connection_reference_diff,
-    curvature,
     curvature_diagonal,
     g2perp_scalar_curvature,
     geometry_torsion_report,
@@ -148,8 +147,7 @@ def test_criterion_05_special_shapes():
 def test_criterion_06_heisenberg_numbers():
     mla, frame, t_ref = heisenberg_model()
     conn = koszul(mla)
-    r = curvature(conn, mla)
-    s = scalar_curvature(r)
+    s = scalar_curvature(conn, mla)
     assert s == -1
     assert sigma2(t_ref) == Fraction(1, 18)
     assert i0(t_ref, frame) == Fraction(1, 3)
@@ -158,7 +156,7 @@ def test_criterion_06_heisenberg_numbers():
     expected[7], expected[5], expected[3] = Fraction(-1), Fraction(-1, 18), Fraction(-1, 6**4)
     assert list(coeffs) == expected
     assert curvature_integrand(t_ref, frame) == Fraction(-1, 6) == s / 6
-    assert g2perp_scalar_curvature(r, frame) == Fraction(-1, 3) == s / 3
+    assert g2perp_scalar_curvature(conn, mla, frame) == Fraction(-1, 3) == s / 3
     assert geometry_torsion_report(conn, frame).torsion == t_ref
     assert sorted(classify(t_ref, frame).flags) == ["X2"]
     assert predicted_scalar_curvature(t_ref, frame) == -1
@@ -170,7 +168,7 @@ def test_criterion_07_discrepancy_reports(tmp_path, capsys):
     diff = connection_reference_diff(koszul(mla))
     assert [(i, j) for i, j, _, _ in diff] == [(4, 5)]
 
-    diag = curvature_diagonal(curvature(koszul(mla), mla))
+    diag = curvature_diagonal(koszul(mla), mla)
     multiset: dict[Fraction, int] = {}
     for _, _, v in diag:
         multiset[v] = multiset.get(v, 0) + 1
@@ -232,7 +230,7 @@ def test_criterion_11_bryant_heisenberg():
     # zero residuals in both defining equations
     assert ce_differential(mla, frame.phi).is_zero()
     assert wedge(tf.tau1, frame.star_phi).scale(4) + wedge(tf.tau2, frame.phi) == ce_differential(mla, frame.star_phi)
-    rep = bryant_scalar_check(mla, frame, scalar_curvature(curvature(koszul(mla), mla)), tf)
+    rep = bryant_scalar_check(mla, frame, scalar_curvature(koszul(mla), mla), tf)
     assert rep.scalar == -1
     assert rep.reconciling == (FORM,)  # exactly one convention, and it is named
     assert form_norm_sq(tf.tau2, FORM) == 2
@@ -262,8 +260,8 @@ def test_criterion_13_nilpotent_scalar_third_100():
     rng = Random(97)
     for _ in range(100):
         mla = rand_two_step_nilpotent(rng)
-        r = curvature(koszul(mla), mla)
-        assert g2perp_scalar_curvature(r, frame) == scalar_curvature(r) / 3
+        conn = koszul(mla)
+        assert g2perp_scalar_curvature(conn, mla, frame) == scalar_curvature(conn, mla) / 3
     report(13, "s_g2perp = s/3 on 100 seeded 2-step nilpotent metric Lie algebras")
 
 

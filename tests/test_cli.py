@@ -243,7 +243,7 @@ def count_calls(monkeypatch, *names):
 
 
 def test_nilmanifold_does_each_computation_once(tmp_path, monkeypatch):
-    from g2kit.liealg import MetricLieAlgebra
+    from g2kit.liealg import CurvatureTensor, MetricLieAlgebra
 
     counts = count_calls(
         monkeypatch,
@@ -269,6 +269,15 @@ def test_nilmanifold_does_each_computation_once(tmp_path, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(MetricLieAlgebra, "jacobi_defect", jacobi_defect)
+    # every CurvatureTensor, from any constructor, is made by _make
+    make = CurvatureTensor._make.__func__
+    counts["CurvatureTensor"] = 0
+
+    def counted_make(cls, *args):
+        counts["CurvatureTensor"] += 1
+        return make(cls, *args)
+
+    monkeypatch.setattr(CurvatureTensor, "_make", classmethod(counted_make))
 
     path = tmp_path / "algebra.json"
     path.write_text(json.dumps(one_bracket()))
@@ -282,7 +291,9 @@ def test_nilmanifold_does_each_computation_once(tmp_path, monkeypatch):
         assert code == 0
         assert counts == {
             "koszul": 1,
-            "curvature": 1,
+            # the curvature scalars read single entries of R, not the tensor
+            "curvature": 0,
+            "CurvatureTensor": 0,
             "torsion_forms": 1,
             "g2perp_scalar_curvature": 1,
             "alt_scalar_curvature": 1,
@@ -298,6 +309,12 @@ def test_nilmanifold_does_each_computation_once(tmp_path, monkeypatch):
             "int_matmul": 0,
             "jacobi_defect": 1,
         }
+    # the counter sees the tensor that curvature() builds
+    from g2kit.liealg import curvature, koszul
+
+    flat = MetricLieAlgebra.abelian()
+    curvature(koszul(flat), flat)
+    assert counts["CurvatureTensor"] == 1
 
 
 @pytest.mark.parametrize("shape", ["heisenberg", "vector"])

@@ -55,9 +55,13 @@ GEOMETRY = {
     "_lambda3_27_forms",
     "_lambda4_system",
     "_lambda5_system",
+    "_pairing_reads",
 }
 # what the identities checks build on each frame and on its table
-IDENTITIES = ({"g2_basis", "g2_basis_entries", "_star_phi_values"}, {"_basis_products", "_swap_form"})
+IDENTITIES = (
+    {"g2_basis", "g2_basis_entries", "_star_phi_values", "_pairing_reads"},
+    {"_basis_products", "_swap_form"},
+)
 BARE = (set(), set())
 
 

@@ -8,9 +8,11 @@ star_phi pairing checks (their earlier loops over the eps cube and
 ``KForm.coeff``), the invariants i0, i1 and i2, the torsion energies, the
 characteristic polynomial, the ratio draws (two ``randint`` calls each),
 the matrix samplers, the matrix serialisation, and the left-invariant
-geometry of metric Lie algebras: the Koszul connection, the curvature and
-the scalars read from it, the alternating scalar curvature (its earlier
-integer route: dense commutators and a full contraction), the
+geometry of metric Lie algebras: the Koszul connection, the curvature, the
+scalars read off single entries of it (against the full tensor, with the
+bracket term dropped and on sign-flipped tables), the alternating scalar
+curvature (its earlier integer route: dense commutators and a full
+contraction), the
 Chevalley-Eilenberg differential, the derivation action behind nabla phi,
 the r map and the assembly of the torsion forms.  The references for i0,
 i1, i2 and the torsion energies run their double sums of dense and basis
@@ -805,7 +807,8 @@ def test_rational_pair_agrees_with_parse_rational(text):
 # Left-invariant geometry
 # ---------------------------------------------------------------------------
 
-ALMOST_ABELIAN = Path(__file__).resolve().parent / "golden" / "inputs" / "almost-abelian.json"
+INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+ALMOST_ABELIAN = INPUTS / "almost-abelian.json"
 
 
 def so3_plus_r4() -> MetricLieAlgebra:
@@ -819,6 +822,13 @@ def almost_abelian() -> MetricLieAlgebra:
     denominators 2, 3, 5 and 7."""
     with open(ALMOST_ABELIAN, encoding="utf-8") as fh:
         return algebra_from_json(json.load(fh))
+
+
+def golden_algebras() -> list[MetricLieAlgebra]:
+    """The two golden nilmanifold inputs: a 2-step nilpotent algebra with
+    denominators 2 and 3, and the almost-abelian one."""
+    with open(INPUTS / "algebra.json", encoding="utf-8") as fh:
+        return [algebra_from_json(json.load(fh)), almost_abelian()]
 
 
 def oracle_algebras(seed: int) -> list[MetricLieAlgebra]:
@@ -1017,24 +1027,63 @@ def test_integer_curvature_matches_fraction_route():
         assert curvature(conn, mla) == ref_curvature(conn, mla)
 
 
+def curvature_algebras(seed: int) -> list[MetricLieAlgebra]:
+    """Three seeded 2-step nilpotent and three seeded almost-abelian (not
+    unimodular) algebras, the two golden inputs and so(3) + R^4."""
+    rng = Random(seed + 110)
+    nilpotent = [rand_two_step_nilpotent(rng) for _ in range(3)]
+    return nilpotent + [rand_almost_abelian(rng) for _ in range(3)] + golden_algebras() + [so3_plus_r4()]
+
+
+def sectional(r: CurvatureTensor) -> list[tuple[int, int, Fraction]]:
+    """The nonzero R_ijji of the full tensor, in row-major order."""
+    c = r.components
+    return [(i, j, c[i][j][j][i]) for i in range(DIM) for j in range(DIM) if c[i][j][j][i]]
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_curvature_scalars_match_fraction_route(frame, seed):
-    for mla in oracle_algebras(seed):
-        r = curvature(koszul(mla), mla)
-        s = scalar_curvature(r)
-        assert s == ref_scalar_curvature(r)
-        assert curvature_diagonal(r) == [
-            (i, j, r.components[i][j][j][i]) for i in range(DIM) for j in range(DIM) if r.components[i][j][j][i]
-        ]
-        assert g2perp_scalar_curvature(r, frame) == ref_g2perp_scalar_curvature(r, frame) == s / 3
-    # almost-abelian algebras have s != 0 and a nonzero characteristic vector
-    rng = Random(seed + 70)
-    for _ in range(3):
-        mla = rand_almost_abelian(rng)
-        r = curvature(koszul(mla), mla)
-        s = scalar_curvature(r)
-        assert s != 0 and not characteristic_vector(torsion_endo(koszul(mla), frame), frame).is_zero()
-        assert g2perp_scalar_curvature(r, frame) == ref_g2perp_scalar_curvature(r, frame) == s / 3
+    # the readers take single entries of R; the references contract the
+    # full Fraction tensor
+    for mla in curvature_algebras(seed):
+        conn = koszul(mla)
+        ref = ref_curvature(conn, mla)
+        s = scalar_curvature(conn, mla)
+        assert s == ref_scalar_curvature(ref) != 0
+        assert curvature_diagonal(conn, mla) == sectional(ref)
+        assert g2perp_scalar_curvature(conn, mla, frame) == ref_g2perp_scalar_curvature(ref, frame) == s / 3
+    # almost-abelian algebras have a nonzero characteristic vector
+    for mla in curvature_algebras(seed)[3:6]:
+        assert not characteristic_vector(torsion_endo(koszul(mla), frame), frame).is_zero()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_curvature_scalars_need_the_bracket_term(frame, seed):
+    # the connection of each algebra paired with zero brackets drops the
+    # term sum_m c^m_ij nabla_m: the readers follow it, and s moves
+    flat = MetricLieAlgebra.abelian()
+    for mla in curvature_algebras(seed):
+        conn = koszul(mla)
+        ref, dropped = ref_curvature(conn, mla), ref_curvature(conn, flat)
+        assert scalar_curvature(conn, flat) == ref_scalar_curvature(dropped) != ref_scalar_curvature(ref)
+        assert curvature_diagonal(conn, flat) == sectional(dropped) != sectional(ref)
+        assert g2perp_scalar_curvature(conn, flat, frame) == ref_g2perp_scalar_curvature(dropped, frame)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_g2perp_scalar_curvature_on_flipped_triples(frame, seed):
+    # a sign-flipped base triple leaves no G2 structure: the pairing still
+    # matches its reference on the flipped table, but s_g2perp = s/3 fails
+    cases = [(mla, koszul(mla)) for mla in curvature_algebras(seed)]
+    refs = [ref_curvature(conn, mla) for mla, conn in cases]
+    for index in range(DIM):
+        flipped = flipped_frame(frame, index)
+        misses = 0
+        for (mla, conn), ref in zip(cases, refs):
+            s_perp = g2perp_scalar_curvature(conn, mla, flipped)
+            assert s_perp == ref_g2perp_scalar_curvature(ref, flipped)
+            misses += s_perp != scalar_curvature(conn, mla) / 3
+        assert misses >= 2, (index, misses)
 
 
 @pytest.mark.parametrize("seed", [0, 1])

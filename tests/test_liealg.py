@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import combinations
 from random import Random
@@ -70,6 +71,12 @@ def test_algebra_construction_and_validation():
 def test_from_pairs_names_an_index_outside_the_frame(entries, index):
     with pytest.raises(ValueError, match=rf"^index {index} is outside 0\.\.6$"):
         MetricLieAlgebra.from_pairs(entries)
+
+
+@pytest.mark.parametrize("term", [(2, 1, 0), (2, 1, -3)])
+def test_from_pairs_names_a_term_without_a_positive_denominator(term):
+    with pytest.raises(ValueError, match=rf"^term {re.escape(str(term))} needs a positive denominator$"):
+        MetricLieAlgebra.from_pairs({(0, 1): [(3, 1, 2), term]})
 
 
 @pytest.mark.parametrize("entries, index", [({(0, 1): {9: 1}}, 9), ({(0, 7): {1: 1}}, 7), ({(-1, 2): {3: 1}}, -1)])
@@ -192,7 +199,7 @@ def test_connection_reference_diff_is_single_entry():
 
 
 def test_curvature_abelian_and_symmetries():
-    assert scalar_curvature(curvature(koszul(MetricLieAlgebra.abelian()), MetricLieAlgebra.abelian())) == 0
+    assert scalar_curvature(koszul(MetricLieAlgebra.abelian()), MetricLieAlgebra.abelian()) == 0
     rng = Random(1)
     for _ in range(5):
         mla = rand_two_step_nilpotent(rng)
@@ -222,8 +229,8 @@ def test_curvature_heisenberg_values():
     # R(e0,e5)e5 = -nabla_5(e6/2) - nabla_6 e5 = -e0/4 - e0/2
     assert r.value(0, 5, 5, 0) == Fraction(-3, 4)
     assert r.value(0, 6, 6, 0) == Fraction(1, 4)
-    assert scalar_curvature(r) == -1
-    diag = curvature_diagonal(r)
+    assert scalar_curvature(koszul(mla), mla) == -1
+    diag = curvature_diagonal(koszul(mla), mla)
     values = sorted(v for _, _, v in diag)
     assert values.count(Fraction(-3, 4)) == 4
     assert values.count(Fraction(1, 4)) == 8
@@ -237,13 +244,12 @@ def test_curvature_heisenberg_values():
 
 def test_g2perp_scalar_curvature(cayley):
     mla, frame, _ = heisenberg_model()
-    r = curvature(koszul(mla), mla)
-    assert g2perp_scalar_curvature(r, frame) == Fraction(-1, 3)
+    assert g2perp_scalar_curvature(koszul(mla), mla, frame) == Fraction(-1, 3)
     rng = Random(2)
     for _ in range(15):
         mla = rand_two_step_nilpotent(rng)
-        r = curvature(koszul(mla), mla)
-        assert g2perp_scalar_curvature(r, cayley) == scalar_curvature(r) / 3
+        conn = koszul(mla)
+        assert g2perp_scalar_curvature(conn, mla, cayley) == scalar_curvature(conn, mla) / 3
 
 
 def test_alt_scalar_curvature(frame):
@@ -260,7 +266,7 @@ def test_alt_scalar_curvature(frame):
 
 def test_divergence_balance():
     mla, frame, t = heisenberg_model()
-    s_perp = g2perp_scalar_curvature(curvature(koszul(mla), mla), frame)
+    s_perp = g2perp_scalar_curvature(koszul(mla), mla, frame)
     rep = divergence_balance(t, s_perp, frame)
     assert rep.balanced is True
     assert rep.rhs_total == 0
@@ -275,8 +281,8 @@ def test_divergence_balance():
     assert rep.chi_sq == 36 * z.norm_sq()
     assert rep.balanced is None
     # zero torsion against a flat curvature: every summand vanishes
-    flat = curvature(koszul(MetricLieAlgebra.abelian()), MetricLieAlgebra.abelian())
-    flat_perp = g2perp_scalar_curvature(flat, frame)
+    flat = MetricLieAlgebra.abelian()
+    flat_perp = g2perp_scalar_curvature(koszul(flat), flat, frame)
     rep = divergence_balance(Mat7.zero(), flat_perp, frame)
     assert rep == divergence_balance(Mat7.zero(), flat_perp, frame)
     assert (rep.s_alt, rep.s_g2perp, rep.chi_sq, rep.alt_sq, rep.sym_sq, rep.rhs_total) == (0, 0, 0, 0, 0, 0)
@@ -513,7 +519,7 @@ def test_bryant_scalar_heisenberg():
 
 def test_bryant_scalar_abelian(frame):
     mla = MetricLieAlgebra.abelian()
-    rep = bryant_scalar_check(mla, frame, scalar_curvature(curvature(koszul(mla), mla)), torsion_forms(mla, frame))
+    rep = bryant_scalar_check(mla, frame, scalar_curvature(koszul(mla), mla), torsion_forms(mla, frame))
     assert rep.scalar == 0
     assert FORM in rep.reconciling and TENSOR in rep.reconciling
 
@@ -522,7 +528,7 @@ def test_bryant_scalar_random_regression(cayley):
     rng = Random(10)
     for _ in range(6):
         mla = rand_two_step_nilpotent(rng)
-        s = scalar_curvature(curvature(koszul(mla), mla))
+        s = scalar_curvature(koszul(mla), mla)
         rep = bryant_scalar_check(mla, cayley, s, torsion_forms(mla, cayley))
         assert FORM in rep.reconciling
 
@@ -560,7 +566,7 @@ def test_heisenberg_model_data():
     ]
     assert t.column(6) == Vec7.basis(4).scale(Fraction(1, 6))
     assert koszul(mla).nabla(6, 5) == Vec7.basis(0).scale(Fraction(1, 2))
-    assert scalar_curvature(curvature(koszul(mla), mla)) == -1
+    assert scalar_curvature(koszul(mla), mla) == -1
 
 
 def test_torsion_solve_error_on_incompatible_input(frame):

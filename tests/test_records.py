@@ -30,7 +30,6 @@ from g2kit.liealg import (
     _lambda4_system,
     _lambda5_system,
     bryant_scalar_check,
-    curvature,
     divergence_balance,
     g2perp_scalar_curvature,
     geometry_torsion_report,
@@ -89,8 +88,7 @@ def examples() -> dict:
     """One record of each class, from the built-in nilmanifold model."""
     mla, frame, _ = heisenberg_model()
     conn = koszul(mla)
-    r = curvature(conn, mla)
-    s = scalar_curvature(r)
+    s = scalar_curvature(conn, mla)
     geo = geometry_torsion_report(conn, frame)
     t = geo.torsion + Mat7.identity().scale(Fraction(1, 3))
     tf = torsion_forms(mla, frame)
@@ -105,7 +103,7 @@ def examples() -> dict:
         EndoSplit: decompose_endo(t, frame),
         TorsionClass: classify(t, frame),
         HypersurfaceReport: hypersurface_identity_check(shape),
-        DivergenceReport: divergence_balance(t, g2perp_scalar_curvature(r, frame), frame),
+        DivergenceReport: divergence_balance(t, g2perp_scalar_curvature(conn, mla, frame), frame),
         GeometryTorsionReport: geo,
         TorsionForms: tf,
         BryantScalarReport: bryant_scalar_check(mla, frame, s, tf),
