@@ -4,9 +4,9 @@ The package implements the cross product and its two standard frames, the
 splitting so(7) = g2 + R^7, the quadratic invariants of endomorphisms, the
 intrinsic torsion induced by an endomorphism with its class flags, and
 left-invariant geometry on 7-dimensional metric Lie algebras (Levi-Civita
-connection, curvature, Chevalley-Eilenberg calculus, Bryant torsion forms),
-including a fully worked Heisenberg-times-torus nilmanifold model.  All
-arithmetic is exact over the rationals.
+connection, curvature scalars, Chevalley-Eilenberg calculus, Bryant torsion
+forms), including a fully worked Heisenberg-times-torus nilmanifold model.
+All arithmetic is exact over the rationals.
 """
 
 from fractions import Fraction
@@ -37,14 +37,12 @@ from .invariants import (
 )
 from .liealg import (
     ConnectionTable,
-    CurvatureTensor,
     MetricLieAlgebra,
     TorsionForms,
     alt_scalar_curvature,
     bryant_scalar_check,
     ce_differential,
     codifferential,
-    curvature,
     divergence_balance,
     g2perp_scalar_curvature,
     geometry_torsion_report,
@@ -110,14 +108,12 @@ __all__ = [
     "special_case_check",
     "verify_quadratic_relations",
     "ConnectionTable",
-    "CurvatureTensor",
     "MetricLieAlgebra",
     "TorsionForms",
     "alt_scalar_curvature",
     "bryant_scalar_check",
     "ce_differential",
     "codifferential",
-    "curvature",
     "divergence_balance",
     "g2perp_scalar_curvature",
     "geometry_torsion_report",

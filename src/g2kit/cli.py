@@ -49,7 +49,6 @@ from .liealg import (
     geometry_torsion_report,
     heisenberg_model,
     koszul,
-    scalar_curvature,
     torsion_forms,
 )
 from .linalg import Mat7, _Record
@@ -386,8 +385,9 @@ def cmd_nilmanifold(cfg: RunConfig) -> tuple[int, dict]:
     else:
         mla, frame, t_ref = heisenberg_model()
         conn = koszul(mla)
-    s = scalar_curvature(conn, mla)
+    # s = sum_ij R_ijji, read off the diagonal the report prints
     diag = curvature_diagonal(conn, mla)
+    s = sum((v for _, _, v in diag), Fraction(0))
     multiset: dict[str, int] = {}
     for _, _, v in diag:
         key = rational_str(v)

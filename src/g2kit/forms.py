@@ -124,17 +124,9 @@ class KForm(_IntegerGrid):
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero(degree: int) -> KForm:
-        return KForm(degree)
-
-    @staticmethod
     def monomial(indices, coeff=1) -> KForm:
         indices = tuple(indices)
         return KForm(len(indices), {indices: coeff})
-
-    @staticmethod
-    def constant(value) -> KForm:
-        return KForm(0, {(): value})
 
     # -- access ------------------------------------------------------------
 

@@ -2,8 +2,10 @@
 
 The frame e_0..e_6 is assumed orthonormal.  Structure constants determine
 the Levi-Civita connection through the Koszul formula, the curvature
-tensor, the Chevalley-Eilenberg differential on invariant forms, and from
-there the torsion endomorphism, Bryant-style torsion forms and the various
+scalars (s, the sectional components R_ijji and the g2-perp part of s,
+each read entry by entry off one kernel, :func:`_curvature_entries`), the
+Chevalley-Eilenberg differential on invariant forms, and from there the
+torsion endomorphism, Bryant-style torsion forms and the various
 scalar-curvature identities.
 
 Convention notes, fixed once here:
@@ -28,7 +30,7 @@ Convention notes, fixed once here:
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, combinations, product
+from itertools import chain, combinations
 from math import lcm
 from operator import mul
 
@@ -65,26 +67,12 @@ from .torsion import characteristic_vector, torsion_energies
 _R = range(DIM)
 
 
-def _shaped(grid: tuple, depth: int, what: str) -> tuple:
-    """grid, a nested tuple `depth` levels deep, once every level holds 7
-    entries; ValueError otherwise."""
-    level = (grid,)
-    for k in range(depth):
-        if k:
-            level = tuple(chain.from_iterable(level))
-        if set(map(len, level)) != {DIM}:
-            raise ValueError(f"needs a 7x7 grid of {what}")
-    return grid
-
-
 def _grid3(values, what: str) -> tuple:
     """A 7x7 grid of length-7 sequences as nested tuples; ValueError otherwise."""
-    return _shaped(tuple(tuple(tuple(v) for v in row) for row in values), 3, what)
-
-
-def _grid4(values, what: str) -> tuple:
-    """A 7x7 grid of 7x7 blocks as nested tuples; ValueError otherwise."""
-    return _shaped(tuple(tuple(tuple(tuple(r) for r in op) for op in row) for row in values), 4, what)
+    grid = tuple(tuple(tuple(v) for v in row) for row in values)
+    if len(grid) != DIM or any(len(row) != DIM or any(len(v) != DIM for v in row) for row in grid):
+        raise ValueError(f"needs a 7x7 grid of {what}")
+    return grid
 
 
 def _vec7_grid(grid: tuple, d: int) -> tuple[tuple[Vec7, ...], ...]:
@@ -154,17 +142,10 @@ class MetricLieAlgebra(_IntegerGrid):
             pairs[ij] = [(k, x.numerator, x.denominator) for k, x in values]
         return MetricLieAlgebra.from_pairs(pairs)
 
-    @staticmethod
-    def abelian() -> MetricLieAlgebra:
-        return MetricLieAlgebra.from_nonzero({})
-
     @property
     def brackets(self) -> tuple[tuple[Vec7, ...], ...]:
         """The bracket vectors [e_i, e_j] as a grid of ``Vec7``s."""
         return self._viewed(_vec7_grid)
-
-    def c(self, i: int, j: int, k: int) -> Fraction:
-        return Fraction(self._grid[i][j][k], self._den)
 
     def jacobi_defect(self) -> tuple[int, int, int] | None:
         """First triple (i < j < k) violating the Jacobi identity, or None.
@@ -234,13 +215,6 @@ class ConnectionTable(_IntegerGrid):
     def gamma(self) -> tuple[tuple[Vec7, ...], ...]:
         return self._viewed(_vec7_grid)
 
-    def nabla(self, i: int, j: int) -> Vec7:
-        return self.gamma[i][j]
-
-    def operator(self, i: int) -> Mat7:
-        """The skew operator nabla_{e_i} (column j is nabla_{e_i} e_j)."""
-        return Mat7.from_ints(tuple(zip(*self._grid[i])), self._den)
-
     def nonzero_entries(self) -> list[tuple[int, int, int, Fraction]]:
         d = self._den
         return [
@@ -264,45 +238,6 @@ def koszul(mla: MetricLieAlgebra) -> ConnectionTable:
         tuple(tuple(c[i][j][k] - c[j][k][i] + c[k][i][j] for k in _R) for j in _R) for i in _R
     )
     return ConnectionTable.from_ints(grid, 2 * mla._den)
-
-
-class CurvatureTensor(_IntegerGrid):
-    """Components R_ijkl = <R(e_i, e_j) e_k, e_l>.
-
-    Stored as the integer operators D R(e_i, e_j) (row l, column k holds
-    D R_ijkl) over one positive denominator D, in lowest terms;
-    :attr:`components` is a ``Fraction`` view built on first use.
-    """
-
-    __slots__ = ()
-    _depth = 4
-
-    def __new__(cls, components):
-        # operator (i, j) has row l, column k = R_ijkl
-        ops = [[tuple(zip(*block)) for block in row] for row in _grid4(components, "7x7 component blocks")]
-        return CurvatureTensor.from_ints(*CurvatureTensor._scaled(ops))
-
-    @staticmethod
-    def from_ints(ops, d: int) -> CurvatureTensor:
-        """The tensor with R_ijkl = ops[i][j][l][k] / d, d > 0."""
-        if d <= 0:
-            raise ValueError(f"needs a positive denominator, got {d}")
-        return CurvatureTensor._lowest(_grid4(ops, "7x7 component blocks"), d)
-
-    @property
-    def components(self) -> tuple[tuple[tuple[tuple[Fraction, ...], ...], ...], ...]:
-        return self._viewed(
-            lambda grid, d: tuple(
-                tuple(tuple(tuple(Fraction(x, d) for x in col) for col in zip(*op)) for op in row) for row in grid
-            )
-        )
-
-    def value(self, i: int, j: int, k: int, l: int) -> Fraction:
-        return Fraction(self._grid[i][j][l][k], self._den)
-
-    def operator(self, i: int, j: int) -> Mat7:
-        """R(e_i, e_j) as a skew matrix."""
-        return Mat7.from_ints(self._grid[i][j], self._den)
 
 
 # the pairs i < j, in row-major order
@@ -347,25 +282,8 @@ def _curvature_entries(conn: ConnectionTable, mla: MetricLieAlgebra, reads) -> t
     return _commutator_entries([tuple(zip(*block)) for block in cols], cols, terms, reads), L * L
 
 
-def curvature(conn: ConnectionTable, mla: MetricLieAlgebra) -> CurvatureTensor:
-    """The full tensor, all 49 entries of each R(e_i, e_j); the readers
-    below read only the entries they sum, so a report builds no tensor."""
-    entries, dd = _curvature_entries(conn, mla, [tuple(product(_R, _R))] * len(_PAIRS))
-    ops = [[((0,) * DIM,) * DIM] * DIM for _ in _R]
-    for (i, j), e in zip(_PAIRS, entries):
-        ops[i][j] = tuple(tuple(e[n : n + DIM]) for n in range(0, DIM * DIM, DIM))
-        ops[j][i] = tuple(tuple(-x for x in row) for row in ops[i][j])
-    return CurvatureTensor.from_ints(ops, dd)
-
-
 # entry (i, j) of R(e_i, e_j), which is R_ijji, for each pair i < j
 _SECTIONAL = tuple(((i, j),) for i, j in _PAIRS)
-
-
-def scalar_curvature(conn: ConnectionTable, mla: MetricLieAlgebra) -> Fraction:
-    """s = sum_ij R_ijji = 2 sum_{i<j} R_ijji, one entry per pair."""
-    entries, dd = _curvature_entries(conn, mla, _SECTIONAL)
-    return Fraction(2 * sum(v for v, in entries), dd)
 
 
 def curvature_diagonal(conn: ConnectionTable, mla: MetricLieAlgebra) -> list[tuple[int, int, Fraction]]:
@@ -377,6 +295,11 @@ def curvature_diagonal(conn: ConnectionTable, mla: MetricLieAlgebra) -> list[tup
         if v:
             values[i, j] = values[j, i] = Fraction(v, dd)
     return [(i, j, v) for (i, j), v in sorted(values.items())]
+
+
+def scalar_curvature(conn: ConnectionTable, mla: MetricLieAlgebra) -> Fraction:
+    """s = sum_ij R_ijji, the sum of the :func:`curvature_diagonal` values."""
+    return sum((v for _, _, v in curvature_diagonal(conn, mla)), Fraction(0))
 
 
 @per_frame
@@ -488,7 +411,7 @@ def codifferential(mla: MetricLieAlgebra, a: KForm) -> KForm:
     The two Hodge duals cancel any orientation sign, so the result does not
     depend on the orientation."""
     if a.degree == 0:
-        return KForm.zero(0)
+        return KForm(0)
     sign = -1 if a.degree % 2 else 1
     return hodge(ce_differential(mla, hodge(a))).scale(sign)
 

@@ -3,9 +3,9 @@
 No floating point is allowed anywhere.  A :class:`Vec7` and a :class:`Mat7`
 each hold an integer grid over one positive common denominator, in lowest
 terms, so vector and matrix arithmetic runs on plain integers; both share
-that storage with the metric Lie algebras, connections and curvature
-tensors of :mod:`g2kit.liealg` and the k-forms of :mod:`g2kit.forms`
-through one immutable base.  Serialisation
+that storage with the metric Lie algebras and connections of
+:mod:`g2kit.liealg` and the k-forms of :mod:`g2kit.forms` through one
+immutable base.  Serialisation
 reads and writes the grid directly (:func:`integer_rows`,
 :meth:`Mat7.from_ints`); the ``Fraction`` coordinates and entries are a
 view built on demand for the API.  Values are immutable and safe to share
@@ -342,9 +342,6 @@ class Mat7(_IntegerGrid):
     def column(self, j: int) -> Vec7:
         return Vec7.from_ints([row[j] for row in self._grid], self._den)
 
-    def columns(self) -> list[Vec7]:
-        return [self.column(j) for j in range(DIM)]
-
     def __add__(self, other: Mat7) -> Mat7:
         da, db = self._den, other._den
         d = lcm(da, db)
@@ -567,18 +564,6 @@ class LinearSystem:
         for pc, row in zip(self.pivots, self._transform):
             x[pc] = sum(map(mul, row, b))
         return x, self._den * db
-
-    def solve(self, rhs) -> list[Fraction] | None:
-        """One exact solution of A x = b, or None when inconsistent.
-
-        Free variables are set to zero; for the square nonsingular systems
-        used in this package the solution is unique.
-        """
-        sol = self.solve_ints(*integer_vector(rhs))
-        if sol is None:
-            return None
-        x, d = sol
-        return [Fraction(v, d) for v in x]
 
 
 def det(rows: list[list[Fraction]]) -> Fraction:

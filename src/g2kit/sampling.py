@@ -5,8 +5,7 @@ reproduce identical runs.  Row k of ``cli.SEEDED_SUITES``, the seeded
 ``identities`` suites, draws from the stream ``Random(seed + k)``, and each
 frame builds its own streams, so the frames share no state:
 ``cli.cmd_identities`` runs the Cayley frame in a forked child beside the
-standard frame and appends its suites after the standard ones.  :func:`spawn_seeds` derives independent per-suite
-seeds; no suite uses it yet.
+standard frame and appends its suites after the standard ones.
 
 A rational entry p / q is the pair ``(rng.randint(-num, num),
 rng.randint(1, den))``.  :func:`_rand_ratios` draws a whole matrix or
@@ -27,11 +26,6 @@ from .frames import G2Frame
 from .liealg import MetricLieAlgebra
 from .linalg import DIM, LinearSystem, Mat7, Vec7, integer_columns, integer_rows
 from .so7 import g2_basis_entries
-
-
-def spawn_seeds(seed: int, n: int) -> list[int]:
-    rng = Random(seed)
-    return [rng.randrange(2**32) for _ in range(n)]
 
 
 def _rand_ratios(rng: Random, count: int, num: int = 9, den: int = 9) -> list[tuple[int, int]]:

@@ -1,29 +1,31 @@
-"""Structural checks of a connection and a curvature tensor, the exact
-solve for the torsion endomorphism, and the algebraic nearly parallel
-check, for the tests.
+"""Structural checks of a connection and its curvature, the exact solve
+for the torsion endomorphism, and the algebraic nearly parallel check, for
+the tests.
 
-The package computes the Levi-Civita connection and its curvature but
-never checks them against their defining properties; the tests do, with
-these helpers, through the public ``gamma``, ``operator`` and
-``components`` views.  The package reads T off the connection in closed
-form (``liealg.torsion_endo``); the solve here recovers it from nabla phi
+The package computes the Levi-Civita connection and reads curvature
+entries off it but never checks them against their defining properties;
+the tests do, with these helpers, through the public ``gamma`` view and
+all 49 entries of each R(e_i, e_j) read through the curvature kernel.
+The package reads T off the connection in closed form
+(``liealg.torsion_endo``); the solve here recovers it from nabla phi
 instead, as the solution of nabla_{e_i} phi = (cross operator of T(e_i))
 * phi.  No command reads the nearly parallel check either; it substitutes
 a nearly parallel d phi into the skew-torsion formulas.
 """
 
 from fractions import Fraction
+from itertools import combinations, product
 
 from g2kit.forms import FORM, KForm, _derivation, form_inner, form_norm_sq, hodge
 from g2kit.frames import G2Frame
-from g2kit.liealg import TorsionSolveError, _common_coords, _system
+from g2kit.liealg import TorsionSolveError, _common_coords, _curvature_entries, _system
 from g2kit.linalg import DIM, LinearSystem, Mat7, Vec7, _Record, as_fraction, integer_rows
 from g2kit.so7 import cross_operator
 
 
 def is_metric(conn) -> bool:
     """Every nabla_{e_i} is skew, so the connection preserves the metric."""
-    return all(conn.operator(i).is_skew() for i in range(DIM))
+    return all(Mat7.from_columns(conn.gamma[i]).is_skew() for i in range(DIM))
 
 
 def torsion_defect(conn, mla) -> tuple[int, int] | None:
@@ -36,11 +38,25 @@ def torsion_defect(conn, mla) -> tuple[int, int] | None:
     return None
 
 
-def symmetry_defects(r) -> list[str]:
-    """The failed curvature symmetries at the first index tuple with one:
-    antisymmetry in (i, j) and in (k, l), pair symmetry and the first
-    Bianchi identity; empty when all hold."""
-    c = r.components
+def curvature_components(conn, mla) -> tuple:
+    """All R_ijkl = <R(e_i, e_j) e_k, e_l> as nested ``Fraction`` tuples
+    c[i][j][k][l], read through ``liealg._curvature_entries`` with all 49
+    entries (row l, column k) of each R(e_i, e_j), i < j, and
+    R(e_j, e_i) = -R(e_i, e_j)."""
+    pairs = list(combinations(range(DIM), 2))
+    entries, dd = _curvature_entries(conn, mla, [tuple(product(range(DIM), repeat=2))] * len(pairs))
+    zero = ((Fraction(0),) * DIM,) * DIM
+    ops = {}
+    for (i, j), e in zip(pairs, entries):
+        ops[i, j] = tuple(tuple(Fraction(e[DIM * l + k], dd) for l in range(DIM)) for k in range(DIM))
+        ops[j, i] = tuple(tuple(-x for x in row) for row in ops[i, j])
+    return tuple(tuple(ops.get((i, j), zero) for j in range(DIM)) for i in range(DIM))
+
+
+def symmetry_defects(c) -> list[str]:
+    """The failed symmetries of the curvature components c[i][j][k][l] at
+    the first index tuple with one: antisymmetry in (i, j) and in (k, l),
+    pair symmetry and the first Bianchi identity; empty when all hold."""
     out = []
     for i in range(DIM):
         for j in range(DIM):

@@ -147,6 +147,20 @@ def test_nilmanifold_custom_algebra_input(tmp_path, capsys):
     assert Fraction(out["scalar_curvature"]) == Fraction(-1, 2)
 
 
+@pytest.mark.parametrize("frame", ["standard", "cayley"])
+def test_nilmanifold_abelian_algebra_input(tmp_path, capsys, frame):
+    # no bracket at all: s is the empty sum of the diagonal, and every check holds
+    path = tmp_path / "abelian.json"
+    path.write_text(json.dumps({"dim": 7, "brackets": []}))
+    code = main(["nilmanifold", "--input", str(path), "--frame", frame, "--format", "json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["scalar_curvature"] == out["s_g2perp"] == out["integrand"] == "0"
+    assert out["curvature_diagonal"]["rows"] == [] and out["curvature_multiset"] == {}
+    assert out["checks"]["integral_formula_balanced"] is True
+    assert all(out["checks"].values()) and out["passed"] is True
+
+
 def one_bracket(**bracket):
     return {"dim": 7, "brackets": [{"i": 0, "j": 1, "coeffs": {"2": "1"}, **bracket}]}
 
@@ -243,12 +257,12 @@ def count_calls(monkeypatch, *names):
 
 
 def test_nilmanifold_does_each_computation_once(tmp_path, monkeypatch):
-    from g2kit.liealg import CurvatureTensor, MetricLieAlgebra
+    from g2kit.liealg import MetricLieAlgebra
 
     counts = count_calls(
         monkeypatch,
         "liealg.koszul",
-        "liealg.curvature",
+        "liealg._curvature_entries",
         "liealg.torsion_forms",
         "liealg.g2perp_scalar_curvature",
         "liealg.alt_scalar_curvature",
@@ -269,15 +283,6 @@ def test_nilmanifold_does_each_computation_once(tmp_path, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(MetricLieAlgebra, "jacobi_defect", jacobi_defect)
-    # every CurvatureTensor, from any constructor, is made by _make
-    make = CurvatureTensor._make.__func__
-    counts["CurvatureTensor"] = 0
-
-    def counted_make(cls, *args):
-        counts["CurvatureTensor"] += 1
-        return make(cls, *args)
-
-    monkeypatch.setattr(CurvatureTensor, "_make", classmethod(counted_make))
 
     path = tmp_path / "algebra.json"
     path.write_text(json.dumps(one_bracket()))
@@ -291,9 +296,9 @@ def test_nilmanifold_does_each_computation_once(tmp_path, monkeypatch):
         assert code == 0
         assert counts == {
             "koszul": 1,
-            # the curvature scalars read single entries of R, not the tensor
-            "curvature": 0,
-            "CurvatureTensor": 0,
+            # one read of the R_ijji, which s is summed from, and one of the
+            # entries s_g2perp pairs
+            "_curvature_entries": 2,
             "torsion_forms": 1,
             "g2perp_scalar_curvature": 1,
             "alt_scalar_curvature": 1,
@@ -309,12 +314,6 @@ def test_nilmanifold_does_each_computation_once(tmp_path, monkeypatch):
             "int_matmul": 0,
             "jacobi_defect": 1,
         }
-    # the counter sees the tensor that curvature() builds
-    from g2kit.liealg import curvature, koszul
-
-    flat = MetricLieAlgebra.abelian()
-    curvature(koszul(flat), flat)
-    assert counts["CurvatureTensor"] == 1
 
 
 @pytest.mark.parametrize("shape", ["heisenberg", "vector"])

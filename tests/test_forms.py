@@ -65,7 +65,7 @@ def test_from_ints_is_canonical_and_checks_its_keys():
     assert integer_coords(a) == (tuple(coords_of(2, {(0, 1): 3, (2, 5): -2})), 4)
     assert KForm.from_ints(1, [0, 0, 0, 5, 0, 0, 0], 5) == KForm.monomial((3,))
     assert integer_coords(KForm.from_ints(1, [0] * DIM, 5)) == ((0,) * DIM, 1)
-    assert KForm.from_ints(1, [0] * DIM, 5) == KForm.zero(1)
+    assert KForm.from_ints(1, [0] * DIM, 5) == KForm(1)
     for coords, d in (([1] * 20, 1), ([1] * 22, 1), ([1] * 35, 1), ([1] * 21, 0), ([1] * 21, -3)):
         with pytest.raises(ValueError):
             KForm.from_ints(2, coords, d)
@@ -77,7 +77,7 @@ def test_from_ints_is_canonical_and_checks_its_keys():
 
 def test_equality_compares_the_degree():
     # a 3-form and a 4-form both have 35 coordinates
-    assert KForm.zero(3) != KForm.zero(4)
+    assert KForm(3) != KForm(4)
     three = KForm.from_ints(3, range(35), 2)
     four = KForm.from_ints(4, range(35), 2)
     assert integer_coords(three) == integer_coords(four)
@@ -121,7 +121,7 @@ def test_wedge_degree_overflow_rejected():
 
 
 def test_hodge_unit_and_involution():
-    one = KForm.constant(1)
+    one = KForm.monomial(())
     assert hodge(one) == KForm.monomial(range(DIM))
     rng = Random(2)
     for k in range(DIM + 1):
@@ -180,7 +180,7 @@ def test_interior_adjoint_to_wedge_with_one_form():
 
 def test_interior_on_zero_form_rejected():
     with pytest.raises(ValueError):
-        interior(Vec7.basis(0), KForm.constant(1))
+        interior(Vec7.basis(0), KForm.monomial(()))
 
 
 def test_tensor_convention_is_factorial_multiple():

@@ -87,7 +87,7 @@ def test_i_invariants_naive_oracle(frame):
     rng = Random(2)
     for _ in range(15):
         t = rand_mat(rng)
-        cols = t.columns()
+        cols = [t.column(j) for j in range(DIM)]
         oracle_i0 = sum(
             (
                 cross(cols[i], cols[j], frame).dot(cross(Vec7.basis(i), Vec7.basis(j), frame))

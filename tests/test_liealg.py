@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 from geometry_checks import (
+    curvature_components,
     derivation_action,
     is_metric,
     nearly_parallel_torsion_check,
@@ -17,7 +18,6 @@ from g2kit.invariants import i0
 from g2kit.liealg import (
     HEISENBERG_REFERENCE_CONNECTION,
     ConnectionTable,
-    CurvatureTensor,
     MetricLieAlgebra,
     TorsionSolveError,
     _lambda2_14_forms,
@@ -27,7 +27,6 @@ from g2kit.liealg import (
     ce_differential,
     codifferential,
     connection_reference_diff,
-    curvature,
     curvature_diagonal,
     divergence_balance,
     g2perp_scalar_curvature,
@@ -48,8 +47,8 @@ from g2kit.torsion import classify
 
 def test_algebra_construction_and_validation():
     mla = MetricLieAlgebra.from_nonzero({(0, 5): {6: 1}, (4, 5): {1: 1}})
-    assert mla.c(0, 5, 6) == 1
-    assert mla.c(5, 0, 6) == -1
+    assert mla.brackets[0][5][6] == 1
+    assert mla.brackets[5][0][6] == -1
     assert mla.jacobi_defect() is None
     assert mla.is_unimodular()
     # [[e0,e1],e2] = [e1,e2] = e3 is the lone surviving cyclic term
@@ -85,26 +84,31 @@ def test_from_nonzero_names_an_index_outside_the_frame(entries, index):
         MetricLieAlgebra.from_nonzero(entries)
 
 
-def blocks(rows: int, cols: int) -> list:
-    """A 7x7 grid of rows-by-cols blocks of ones."""
-    return [[[[1] * cols for _ in range(rows)] for _ in range(DIM)] for _ in range(DIM)]
+# each grid of vectors and what its shape error names
+GRIDS = ((MetricLieAlgebra, "bracket vectors"), (ConnectionTable, "connection vectors"))
+
+
+def assert_misshapen(bad) -> None:
+    """Both constructors of both grids of vectors reject `bad` by its shape."""
+    for cls, what in GRIDS:
+        for build in (cls, lambda grid: cls.from_ints(grid, 1)):
+            with pytest.raises(ValueError, match=f"needs a 7x7 grid of {what}"):
+                build(bad)
 
 
 @pytest.mark.parametrize("shape", [(2, 3), (7, 6), (6, 7), (7, 8)], ids=lambda s: f"{s[0]}x{s[1]}")
-def test_curvature_tensor_rejects_misshapen_blocks(shape):
-    for build in (CurvatureTensor, lambda grid: CurvatureTensor.from_ints(grid, 1)):
-        with pytest.raises(ValueError, match="needs a 7x7 grid of 7x7 component blocks"):
-            build(blocks(*shape))
+def test_algebra_and_connection_reject_misshapen_rows(shape):
+    # seven rows, each of count vectors of the given length
+    count, length = shape
+    assert_misshapen([[[0] * length for _ in range(count)] for _ in range(DIM)])
 
 
-def test_curvature_tensor_rejects_misshapen_outer_grid():
-    grid = blocks(DIM, DIM)
+def test_algebra_and_connection_reject_misshapen_outer_grid():
+    grid = [[[0] * DIM for _ in range(DIM)] for _ in range(DIM)]
     for bad in (grid[:-1], [row[:-1] for row in grid]):
-        with pytest.raises(ValueError, match="needs a 7x7 grid of 7x7 component blocks"):
-            CurvatureTensor(bad)
-        with pytest.raises(ValueError, match="needs a 7x7 grid of 7x7 component blocks"):
-            CurvatureTensor.from_ints(bad, 1)
-    assert CurvatureTensor.from_ints(grid, 1) == CurvatureTensor(grid)
+        assert_misshapen(bad)
+    for cls, _ in GRIDS:
+        assert cls.from_ints(grid, 1) == cls(grid)
 
 
 def bracket(mla: MetricLieAlgebra, u: Vec7, v: Vec7) -> Vec7:
@@ -166,17 +170,17 @@ def test_jacobi_defect_matches_brute_force():
 
 
 def test_koszul_abelian_is_flat():
-    conn = koszul(MetricLieAlgebra.abelian())
-    assert all(conn.nabla(i, j).is_zero() for i in range(DIM) for j in range(DIM))
+    conn = koszul(MetricLieAlgebra.from_nonzero({}))
+    assert all(conn.gamma[i][j].is_zero() for i in range(DIM) for j in range(DIM))
 
 
 def test_koszul_heisenberg_entries():
     mla, _, _ = heisenberg_model()
     conn = koszul(mla)
-    assert conn.nabla(0, 5) == Vec7.basis(6).scale(Fraction(1, 2))
-    assert conn.nabla(5, 0) == Vec7.basis(6).scale(Fraction(-1, 2))
-    assert conn.nabla(6, 5) == Vec7.basis(0).scale(Fraction(1, 2))
-    assert conn.nabla(4, 5) == Vec7.basis(1).scale(Fraction(1, 2))  # differs from reference
+    assert conn.gamma[0][5] == Vec7.basis(6).scale(Fraction(1, 2))
+    assert conn.gamma[5][0] == Vec7.basis(6).scale(Fraction(-1, 2))
+    assert conn.gamma[6][5] == Vec7.basis(0).scale(Fraction(1, 2))
+    assert conn.gamma[4][5] == Vec7.basis(1).scale(Fraction(1, 2))  # differs from reference
 
 
 def test_koszul_invariants_random():
@@ -199,12 +203,12 @@ def test_connection_reference_diff_is_single_entry():
 
 
 def test_curvature_abelian_and_symmetries():
-    assert scalar_curvature(koszul(MetricLieAlgebra.abelian()), MetricLieAlgebra.abelian()) == 0
+    flat = MetricLieAlgebra.from_nonzero({})
+    assert scalar_curvature(koszul(flat), flat) == 0
     rng = Random(1)
     for _ in range(5):
         mla = rand_two_step_nilpotent(rng)
-        r = curvature(koszul(mla), mla)
-        assert symmetry_defects(r) == []
+        assert symmetry_defects(curvature_components(koszul(mla), mla)) == []
 
 
 def test_geometry_checks_catch_broken_connections_and_curvatures():
@@ -217,18 +221,18 @@ def test_geometry_checks_catch_broken_connections_and_curvatures():
     broken = ConnectionTable.from_ints(grid, conn._den)
     assert not is_metric(broken)
     assert torsion_defect(broken, mla) == (0, 5)
-    assert torsion_defect(conn, MetricLieAlgebra.abelian()) is not None
+    assert torsion_defect(conn, MetricLieAlgebra.from_nonzero({})) is not None
     # the curvature of a connection that is not metric is no curvature tensor
-    assert symmetry_defects(curvature(broken, mla)) != []
+    assert symmetry_defects(curvature_components(broken, mla)) != []
 
 
 def test_curvature_heisenberg_values():
     mla, _, _ = heisenberg_model()
-    r = curvature(koszul(mla), mla)
+    c = curvature_components(koszul(mla), mla)
     # hand expansion of the three-term formula on the 0-5-6 block:
     # R(e0,e5)e5 = -nabla_5(e6/2) - nabla_6 e5 = -e0/4 - e0/2
-    assert r.value(0, 5, 5, 0) == Fraction(-3, 4)
-    assert r.value(0, 6, 6, 0) == Fraction(1, 4)
+    assert c[0][5][5][0] == Fraction(-3, 4)
+    assert c[0][6][6][0] == Fraction(1, 4)
     assert scalar_curvature(koszul(mla), mla) == -1
     diag = curvature_diagonal(koszul(mla), mla)
     values = sorted(v for _, _, v in diag)
@@ -281,7 +285,7 @@ def test_divergence_balance():
     assert rep.chi_sq == 36 * z.norm_sq()
     assert rep.balanced is None
     # zero torsion against a flat curvature: every summand vanishes
-    flat = MetricLieAlgebra.abelian()
+    flat = MetricLieAlgebra.from_nonzero({})
     flat_perp = g2perp_scalar_curvature(koszul(flat), flat, frame)
     rep = divergence_balance(Mat7.zero(), flat_perp, frame)
     assert rep == divergence_balance(Mat7.zero(), flat_perp, frame)
@@ -299,7 +303,7 @@ def test_ce_differential_heisenberg():
 
 
 def test_ce_differential_abelian_and_d_squared():
-    abelian = MetricLieAlgebra.abelian()
+    abelian = MetricLieAlgebra.from_nonzero({})
     rng = Random(5)
     for k in range(0, 6):
         terms = {
@@ -345,7 +349,7 @@ def test_derivation_action_matches_direct_evaluation(frame):
     rng = Random(7)
     a = rand_mat(rng)
     acted = derivation_action(a, frame.phi)
-    cols = a.columns()
+    cols = [a.column(j) for j in range(DIM)]
     for key in combinations(range(DIM), 3):
         y, z, w = key
         direct = (
@@ -389,7 +393,7 @@ def test_leibniz_rules(frame, seed):
 
 
 def test_nabla_form_abelian_and_heisenberg():
-    abelian = MetricLieAlgebra.abelian()
+    abelian = MetricLieAlgebra.from_nonzero({})
     conn = koszul(abelian)
     frame = heisenberg_model()[1]
     assert all(f.is_zero() for f in nabla_form(conn, frame.phi))
@@ -414,7 +418,7 @@ def test_torsion_endo_from_geometry_heisenberg():
 
 
 def test_torsion_endo_abelian_is_zero(frame):
-    assert torsion_endo(koszul(MetricLieAlgebra.abelian()), frame) == Mat7.zero()
+    assert torsion_endo(koszul(MetricLieAlgebra.from_nonzero({})), frame) == Mat7.zero()
 
 
 def test_r_map_reproduces_reference_two_form():
@@ -473,7 +477,7 @@ def test_torsion_forms_heisenberg():
 
 
 def test_torsion_forms_abelian(frame):
-    tf = torsion_forms(MetricLieAlgebra.abelian(), frame)
+    tf = torsion_forms(MetricLieAlgebra.from_nonzero({}), frame)
     assert tf.tau0 == 0 and tf.tau1.is_zero() and tf.tau2.is_zero() and tf.tau3.is_zero()
 
 
@@ -518,7 +522,7 @@ def test_bryant_scalar_heisenberg():
 
 
 def test_bryant_scalar_abelian(frame):
-    mla = MetricLieAlgebra.abelian()
+    mla = MetricLieAlgebra.from_nonzero({})
     rep = bryant_scalar_check(mla, frame, scalar_curvature(koszul(mla), mla), torsion_forms(mla, frame))
     assert rep.scalar == 0
     assert FORM in rep.reconciling and TENSOR in rep.reconciling
@@ -565,7 +569,7 @@ def test_heisenberg_model_data():
         (4, 5, 1, Fraction(1)),
     ]
     assert t.column(6) == Vec7.basis(4).scale(Fraction(1, 6))
-    assert koszul(mla).nabla(6, 5) == Vec7.basis(0).scale(Fraction(1, 2))
+    assert koszul(mla).gamma[6][5] == Vec7.basis(0).scale(Fraction(1, 2))
     assert scalar_curvature(koszul(mla), mla) == -1
 
 
@@ -575,6 +579,6 @@ def test_torsion_solve_error_on_incompatible_input(frame):
     from g2kit.linalg import LinearSystem, integer_coords
 
     rows = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(0)]]
-    assert LinearSystem(rows).solve([Fraction(0), Fraction(1)]) is None
+    assert LinearSystem(rows).solve_ints([0, 1], 1) is None
     assert isinstance(TorsionSolveError("x"), ValueError)
     assert len(integer_coords(frame.phi)[0]) == 35

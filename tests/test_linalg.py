@@ -11,6 +11,7 @@ from g2kit.linalg import (
     det,
     int_matmul,
     integer_rows,
+    integer_vector,
     nullspace,
     principal_minor_sum,
     rank,
@@ -93,10 +94,10 @@ def test_rref_rank_nullspace():
 
 def test_solve_consistent_and_inconsistent():
     rows = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]]
-    sol = LinearSystem(rows).solve([Fraction(3), Fraction(1)])
-    assert sol == [Fraction(2), Fraction(1)]
+    x, d = LinearSystem(rows).solve_ints([3, 1], 1)
+    assert [Fraction(v, d) for v in x] == [2, 1]
     rows_bad = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]
-    assert LinearSystem(rows_bad).solve([Fraction(1), Fraction(3)]) is None
+    assert LinearSystem(rows_bad).solve_ints([1, 3], 1) is None
 
 
 def reference_solve(rows, rhs):
@@ -138,9 +139,10 @@ def test_linear_system_matches_reference_solve(shape):
         arbitrary = [rand_fraction(rng) for _ in rows]
         for rhs in (image, arbitrary, [Fraction(0)] * len(rows)):
             expected = reference_solve(rows, rhs)
-            assert system.solve(rhs) == expected
+            sol = system.solve_ints(*integer_vector(rhs))
+            assert (None if sol is None else [Fraction(v, sol[1]) for v in sol[0]]) == expected
             inconsistent += expected is None
-        assert system.solve(image) is not None
+        assert system.solve_ints(*integer_vector(image)) is not None
     # random right-hand sides are inconsistent unless A has full row rank
     assert (inconsistent > 0) == (shape != "square")
 

@@ -25,7 +25,7 @@ from g2kit.torsion import (
 def torsion_grid(t, frame):
     """The torsion by its definition: grid[i][j] = xi_{e_i} e_j = e_j x T(e_i),
     49 cross products."""
-    cols = t.columns()
+    cols = [t.column(j) for j in range(DIM)]
     return [[cross(Vec7.basis(j), cols[i], frame) for j in range(DIM)] for i in range(DIM)]
 
 
