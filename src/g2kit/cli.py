@@ -15,6 +15,7 @@ import marshal
 import os
 import sys
 import threading
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from random import Random
@@ -63,12 +64,20 @@ from .sampling import (
 from .serialize import (
     DigitLimitError,
     _digit_limit_error,
+    algebra_from_json,
+    algebra_to_json,
+    bryant_to_json,
     canonical_json,
+    connection_to_json,
+    divergence_to_json,
     endo_split_to_json,
     form_to_json,
+    invariants_to_json,
     mat_from_json,
     mat_to_json,
+    norms_to_json,
     rational_str,
+    torsion_class_to_json,
     vec_to_json,
 )
 from .so7 import cross_operator, split_so7
@@ -354,7 +363,7 @@ def cmd_classify(cfg: RunConfig) -> tuple[int, dict]:
         "config": cfg.to_dict(),
         "flags": sorted(cls.flags),
         "split": endo_split_to_json(cls.split, cls.part_norms_sq),
-        "invariants": inv.to_dict(),
+        "invariants": invariants_to_json(inv),
         "chi": vec_to_json(characteristic_vector(t, frame)),
         "integrand": rational_str(integrand),
         "predicted_scalar": predicted,
@@ -369,8 +378,6 @@ def cmd_classify(cfg: RunConfig) -> tuple[int, dict]:
 
 
 def cmd_nilmanifold(cfg: RunConfig) -> tuple[int, dict]:
-    from .serialize import algebra_from_json, algebra_to_json
-
     if cfg.input_path is not None:
         # custom left-invariant model from the documented JSON schema; the
         # requested frame applies, and the built-in reference tables do not
@@ -388,10 +395,7 @@ def cmd_nilmanifold(cfg: RunConfig) -> tuple[int, dict]:
     # s = sum_ij R_ijji, read off the diagonal the report prints
     diag = curvature_diagonal(conn, mla)
     s = sum((v for _, _, v in diag), Fraction(0))
-    multiset: dict[str, int] = {}
-    for _, _, v in diag:
-        key = rational_str(v)
-        multiset[key] = multiset.get(key, 0) + 1
+    multiset = Counter(rational_str(v) for _, _, v in diag)
     s_perp = g2perp_scalar_curvature(conn, mla, frame)
     geo = geometry_torsion_report(conn, frame)
     t = geo.torsion
@@ -400,13 +404,11 @@ def cmd_nilmanifold(cfg: RunConfig) -> tuple[int, dict]:
     integrand = integrand_from(inv.i0, inv.sigma2)
     div = divergence_balance(t, s_perp, frame)
     tf = torsion_forms(mla, frame)
-    bryant = bryant_scalar_check(mla, frame, s, tf)
-
+    # the Bryant check reads both conventions, and the report prints them
+    norms = {conv: tf.norms_sq(conv) for conv in (FORM, TENSOR)}
+    vanishing = tf.vanishing()
+    bryant = bryant_scalar_check(mla, frame, s, tf, norms)
     conventions = (FORM, TENSOR) if cfg.convention == "auto" else (cfg.convention,)
-    tau_norms = {
-        conv: {k: rational_str(v) for k, v in sorted(tf.norms_sq(conv).items())}
-        for conv in conventions
-    }
 
     chi_is_zero = "X4" not in cls.flags
     checks = {
@@ -425,10 +427,7 @@ def cmd_nilmanifold(cfg: RunConfig) -> tuple[int, dict]:
         "config": cfg.to_dict(),
         "frame": frame.name,
         "algebra": algebra_to_json(mla),
-        "connection": {
-            "columns": ["i", "j", "k", "value"],
-            "rows": [[i, j, k, rational_str(v)] for i, j, k, v in conn.nonzero_entries()],
-        },
+        "connection": connection_to_json(conn),
         "curvature_diagonal": {
             "columns": ["i", "j", "value"],
             "rows": [[i, j, rational_str(v)] for i, j, v in diag],
@@ -441,18 +440,18 @@ def cmd_nilmanifold(cfg: RunConfig) -> tuple[int, dict]:
         "integrand": rational_str(integrand),
         "torsion_endo_derived": mat_to_json(t),
         "r_map_convention": geo.matched_convention,
-        "invariants": inv.to_dict(),
-        "classification": cls.to_dict(),
-        "divergence": div.to_dict(),
+        "invariants": invariants_to_json(inv),
+        "classification": torsion_class_to_json(cls),
+        "divergence": divergence_to_json(div),
         "torsion_forms": {
             "tau0": rational_str(tf.tau0),
             "tau1": form_to_json(tf.tau1),
             "tau2": form_to_json(tf.tau2),
             "tau3": form_to_json(tf.tau3),
-            "vanishing": sorted(tf.vanishing()),
-            "norms_sq": tau_norms,
+            "vanishing": sorted(vanishing),
+            "norms_sq": {conv: norms_to_json(norms[conv]) for conv in conventions},
         },
-        "bryant": bryant.to_dict(),
+        "bryant": bryant_to_json(bryant, norms, vanishing),
     }
     if "X4" in cls.flags:
         report["notes"] = [VECTOR_CLASS_SCALING_NOTE]
@@ -463,7 +462,7 @@ def cmd_nilmanifold(cfg: RunConfig) -> tuple[int, dict]:
         checks["torsion_matches_reference_table"] = t == t_ref
         checks["classification_is_pure_X2"] = sorted(cls.flags) == ["X2"]
         checks["connection_diff_is_single_entry"] = len(ref_diff) == 1
-        checks["tau0_tau1_tau3_vanish"] = tf.vanishing() >= {"tau0", "tau1", "tau3"}
+        checks["tau0_tau1_tau3_vanish"] = vanishing >= {"tau0", "tau1", "tau3"}
         report["torsion_endo_reference"] = mat_to_json(t_ref)
         report["connection_reference_diff"] = [
             {

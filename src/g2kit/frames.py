@@ -188,6 +188,22 @@ class CrossTable(_Record):
         each from :meth:`cross`; the exhaustive checks read these."""
         return tuple(tuple(tuple(self.cross(UNIT[i], UNIT[j])) for j in _INDICES) for i in _INDICES)
 
+    @cached_property
+    def _product_pairings(self) -> tuple[tuple[int, ...], ...]:
+        """<e_j x e_k, e_p x e_q> as 49 blocks, one per (j, k), of 49 entries
+        indexed 7 p + q, for both exhaustive pairing checks; block (j, k) is
+        the sum over the nonzero v[i] of v = e_j x e_k of v[i] times
+        component i of every e_p x e_q."""
+        flat = tuple(chain.from_iterable(self._basis_products))
+        by_coordinate = tuple(zip(*flat))  # component i of every e_p x e_q
+        blocks = []
+        for v in flat:
+            block = (0,) * len(flat)
+            for i in compress(_INDICES, v):
+                block = tuple(map(add, block, map(mul, repeat(v[i]), by_coordinate[i])))
+            blocks.append(block)
+        return tuple(blocks)
+
     def contract(self, m) -> list:
         """The contraction p(m)_i = sum_jk eps_ijk m_jk of a 7x7 grid m."""
         out = [0] * DIM
@@ -330,22 +346,6 @@ class CheckReport(_Record):
     notes: tuple[str, ...] = ()
 
 
-def _product_pairings(products) -> tuple[tuple[int, ...], ...]:
-    """<e_j x e_k, e_p x e_q> as 49 blocks, one per (j, k), of 49 entries
-    indexed 7 p + q; block (j, k) is formed by linearity, as the sum over
-    the nonzero coordinates v[i] of v = e_j x e_k of v[i] times component i
-    of every e_p x e_q."""
-    flat = tuple(chain.from_iterable(products))
-    by_coordinate = tuple(zip(*flat))  # component i of every e_p x e_q
-    blocks = []
-    for v in flat:
-        block = (0,) * len(flat)
-        for i in compress(_INDICES, v):
-            block = tuple(map(add, block, map(mul, repeat(v[i]), by_coordinate[i])))
-        blocks.append(block)
-    return tuple(blocks)
-
-
 def check_epsilon_identities(frame: G2Frame) -> CheckReport:
     """Exhaustive contraction identities of the 3- and 4-index tables.
 
@@ -356,7 +356,7 @@ def check_epsilon_identities(frame: G2Frame) -> CheckReport:
     <e_j x e_k, e_p x e_q>; the 7^4 tuples are compared as 49 blocks, one
     per (j, k), and only a block that differs is read entry by entry.
     """
-    pairings = _product_pairings(frame.table._basis_products)
+    pairings = frame.table._product_pairings
     failures = []
     checked = 0
     for k in range(DIM):
@@ -484,7 +484,7 @@ def star_phi_pairing_check(frame: G2Frame) -> CheckReport:
     ordered distinct quadruples, reading the pairings of the basis products;
     reports whether a single global sign would reconcile a systematic
     mismatch (orientation sensitivity)."""
-    pairings = _product_pairings(frame.table._basis_products)
+    pairings = frame.table._product_pairings
     star = frame._star_phi_values
     match = 0
     flipped = 0

@@ -15,11 +15,11 @@ independent route the identity checks compare against.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from .frames import CheckReport, G2Frame
-from .linalg import DIM, UNIT, Mat7, _Record, integer_columns, integer_rows
+from .linalg import DIM, UNIT, Mat7, _Record, integer_columns, integer_rows, integer_vector
 from .so7 import decompose_endo
 
 
@@ -117,21 +117,6 @@ class InvariantReport(_Record):
     i2: Fraction
     charpoly: tuple[Fraction, ...] | None
 
-    def to_dict(self) -> dict:
-        from .serialize import rational_str
-
-        out = {
-            "sigma1": rational_str(self.sigma1),
-            "sigma2": rational_str(self.sigma2),
-            "norm_sq": rational_str(self.norm_sq),
-            "i0": rational_str(self.i0),
-            "i1": rational_str(self.i1),
-            "i2": rational_str(self.i2),
-        }
-        if self.charpoly is not None:
-            out["charpoly"] = [rational_str(c) for c in self.charpoly]
-        return out
-
 
 # Each quadratic invariant as (name, integer coefficients of the part norms
 # (p1, p27, p14, p7) = EndoSplit.part_norms_sq(), divisor); sigma2, for
@@ -149,8 +134,7 @@ def part_norm_invariants(norms: tuple[Fraction, Fraction, Fraction, Fraction]) -
     """The invariants of :data:`PART_NORM_TABLE` by name, from the part norms
     (p1, p27, p14, p7): the norms go over one common denominator, and each
     invariant is one integer combination divided once."""
-    d = lcm(*(p.denominator for p in norms))
-    nums = [p.numerator * (d // p.denominator) for p in norms]
+    nums, d = integer_vector(norms)
     return {name: Fraction(sum(map(mul, coeffs, nums)), div * d) for name, coeffs, div in PART_NORM_TABLE}
 
 

@@ -184,7 +184,6 @@ class MetricLieAlgebra(_IntegerGrid):
         ]
 
 
-
 # ---------------------------------------------------------------------------
 # Connection and curvature
 # ---------------------------------------------------------------------------
@@ -353,20 +352,6 @@ class DivergenceReport(_Record):
     chi: Vec7
     rhs_total: Fraction
     balanced: bool | None
-
-    def to_dict(self) -> dict:
-        from .serialize import rational_str, vec_to_json
-
-        return {
-            "s_alt": rational_str(self.s_alt),
-            "s_g2perp": rational_str(self.s_g2perp),
-            "chi_sq": rational_str(self.chi_sq),
-            "alt_sq": rational_str(self.alt_sq),
-            "sym_sq": rational_str(self.sym_sq),
-            "chi": vec_to_json(self.chi),
-            "rhs_total": rational_str(self.rhs_total),
-            "balanced": self.balanced,
-        }
 
 
 def divergence_balance(t: Mat7, s_perp: Fraction, frame: G2Frame) -> DivergenceReport:
@@ -652,34 +637,23 @@ class BryantScalarReport(_Record):
     forms: TorsionForms
     delta_tau1: Fraction
 
-    def to_dict(self) -> dict:
-        from .serialize import rational_str
-
-        return {
-            "scalar_curvature": rational_str(self.scalar),
-            "rhs_by_convention": {k: rational_str(v) for k, v in self.rhs_by_convention},
-            "reconciling_conventions": list(self.reconciling),
-            "delta_tau1": rational_str(self.delta_tau1),
-            "tau_norms_form": {
-                k: rational_str(v) for k, v in sorted(self.forms.norms_sq(FORM).items())
-            },
-            "tau_vanishing": sorted(self.forms.vanishing()),
-        }
-
 
 def bryant_scalar_check(
-    mla: MetricLieAlgebra, frame: G2Frame, s: Fraction, tf: TorsionForms
+    mla: MetricLieAlgebra, frame: G2Frame, s: Fraction, tf: TorsionForms, norms: dict | None = None
 ) -> BryantScalarReport:
     """Compare s = 12 delta tau1 + (21/8) tau0^2 + 30 |tau1|^2
     - (1/2)|tau2|^2 - (1/2)|tau3|^2 under each norm convention with the
     scalar curvature s of the Koszul/curvature route, where tf is
     torsion_forms(mla, frame), and report which convention gives exact
-    equality.  The two sides come from independent routes."""
+    equality.  The two sides come from independent routes.  `norms` maps
+    each convention to ``tf.norms_sq(convention)`` when the caller has them."""
     dt1 = codifferential(mla, tf.tau1).coeff(())
+    if norms is None:
+        norms = {convention: tf.norms_sq(convention) for convention in (FORM, TENSOR)}
     rhs = []
     matches = []
-    for convention in (FORM, "tensor"):
-        n = tf.norms_sq(convention)
+    for convention in (FORM, TENSOR):
+        n = norms[convention]
         value = (
             12 * dt1
             + Fraction(21, 8) * n["tau0_sq"]

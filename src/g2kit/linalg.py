@@ -420,6 +420,13 @@ def integer_vector(xs) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in xs], d
 
 
+def integer_pairs(pairs) -> tuple[list[int], int]:
+    """(d * p / q as integers, d) for integer pairs (p, q), q > 0, and d the
+    lcm of the q; ``from_ints`` divides out any common factor."""
+    d = lcm(*(q for _, q in pairs))
+    return [p * (d // q) for p, q in pairs], d
+
+
 def integer_columns(m: Mat7) -> tuple[list[tuple[int, ...]], int]:
     """(columns of d * M as integer tuples, d), as in :func:`integer_rows`."""
     return list(zip(*m._grid)), m._den

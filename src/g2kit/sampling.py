@@ -13,18 +13,19 @@ vector of such pairs with ``rng.getrandbits``, by the rejection that
 ``randint`` itself runs, so the values and the stream position are those
 of the ``randint`` calls on every supported Python, at a fraction of their
 call overhead.  The samplers scale the pairs to one common denominator
-and build the integer grid directly, with no ``Fraction`` in between.
+(:func:`~g2kit.linalg.integer_pairs`), with no ``Fraction`` in between.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 from math import lcm
 from random import Random
 
 from .frames import G2Frame
 from .liealg import MetricLieAlgebra
-from .linalg import DIM, LinearSystem, Mat7, Vec7, integer_columns, integer_rows
+from .linalg import DIM, LinearSystem, Mat7, Vec7, integer_columns, integer_pairs, integer_rows
 from .so7 import g2_basis_entries
 
 
@@ -64,17 +65,13 @@ def rand_fraction(rng: Random, num: int = 9, den: int = 9) -> Fraction:
     return Fraction(*_rand_ratio(rng, num, den))
 
 
-def _mat_from_ratios(grid) -> Mat7:
-    """The Mat7 of a 7x7 grid of (numerator, denominator) pairs, scaled to
-    the lcm of the denominators without forming a Fraction."""
-    d = lcm(*(q for row in grid for _, q in row))
-    return Mat7.from_ints([[p * (d // q) for p, q in row] for row in grid], d)
+def _rows(flat: list) -> list[list]:
+    """The 7x7 grid of a row-major list of 49 entries."""
+    return [flat[r : r + DIM] for r in range(0, DIM * DIM, DIM)]
 
 
 def rand_vec(rng: Random) -> Vec7:
-    ratios = _rand_ratios(rng, DIM)
-    d = lcm(*(q for _, q in ratios))
-    return Vec7.from_ints([p * (d // q) for p, q in ratios], d)
+    return Vec7.from_ints(*integer_pairs(_rand_ratios(rng, DIM)))
 
 
 def rand_nonzero_vec(rng: Random) -> Vec7:
@@ -85,29 +82,26 @@ def rand_nonzero_vec(rng: Random) -> Vec7:
 
 
 def rand_mat(rng: Random) -> Mat7:
-    ratios = _rand_ratios(rng, DIM * DIM)
-    return _mat_from_ratios([ratios[r:r + DIM] for r in range(0, DIM * DIM, DIM)])
+    xs, d = integer_pairs(_rand_ratios(rng, DIM * DIM))
+    return Mat7.from_ints(_rows(xs), d)
 
 
 def rand_symmetric(rng: Random) -> Mat7:
     """The upper triangle with its diagonal drawn row by row, mirrored."""
-    ratios = iter(_rand_ratios(rng, DIM * (DIM + 1) // 2))
-    grid = [[(0, 1)] * DIM for _ in range(DIM)]
-    for i in range(DIM):
-        for j in range(i, DIM):
-            grid[i][j] = grid[j][i] = next(ratios)
-    return _mat_from_ratios(grid)
+    pairs = [(0, 1)] * (DIM * DIM)
+    for (i, j), ratio in zip(combinations_with_replacement(range(DIM), 2), _rand_ratios(rng, DIM * (DIM + 1) // 2)):
+        pairs[DIM * i + j] = pairs[DIM * j + i] = ratio
+    xs, d = integer_pairs(pairs)
+    return Mat7.from_ints(_rows(xs), d)
 
 
 def rand_skew(rng: Random) -> Mat7:
     """The strict upper triangle drawn row by row, mirrored with its sign."""
-    ratios = iter(_rand_ratios(rng, DIM * (DIM - 1) // 2))
-    grid = [[(0, 1)] * DIM for _ in range(DIM)]
-    for i in range(DIM):
-        for j in range(i + 1, DIM):
-            p, q = grid[i][j] = next(ratios)
-            grid[j][i] = (-p, q)
-    return _mat_from_ratios(grid)
+    pairs = [(0, 1)] * (DIM * DIM)
+    for (i, j), (p, q) in zip(combinations(range(DIM), 2), _rand_ratios(rng, DIM * (DIM - 1) // 2)):
+        pairs[DIM * i + j], pairs[DIM * j + i] = (p, q), (-p, q)
+    xs, d = integer_pairs(pairs)
+    return Mat7.from_ints(_rows(xs), d)
 
 
 def rand_g2(rng: Random, frame: G2Frame) -> Mat7:
@@ -123,7 +117,7 @@ def rand_g2(rng: Random, frame: G2Frame) -> Mat7:
         f = p * (den // qd)
         for at, x in entries:
             acc[at] += f * x
-    return Mat7.from_ints([acc[r:r + DIM] for r in range(0, DIM * DIM, DIM)], den)
+    return Mat7.from_ints(_rows(acc), den)
 
 
 def rand_vector_free(rng: Random, frame: G2Frame) -> Mat7:
@@ -157,7 +151,7 @@ def table_symmetries(frame: G2Frame, rng: Random, count: int, max_tries: int = 4
     vector makes it preserve the table exactly (checked on all 35 sorted
     triples); the identity is always included.
     """
-    from itertools import combinations, product
+    from itertools import product
 
     table = frame.table
     triples = list(combinations(range(DIM), 3))

@@ -10,9 +10,12 @@ A document with a key outside its schema is rejected.
 Parsing accepts JSON numbers as well: integers directly, floats through
 ``Fraction(float)``, which is exact for the binary value in the file.
 
-Matrices cross the boundary as the integer grid of :class:`Mat7`, with no
-``Fraction`` per entry.  Printing divides each grid entry x and the common
-denominator d by gcd(x, d).  Parsing reads each entry as one integer pair
+Values stored on an integer grid (matrices, vectors, forms, algebras,
+connections) print from the grid, with no ``Fraction`` per entry: each
+nonzero entry x over the denominator d goes through :func:`_grid_entry_str`.
+The kernels' report records print here too; only this module and the
+command bodies of :mod:`g2kit.cli` know the report keys and the "p/q"
+format.  Parsing reads each entry as one integer pair
 (p, q) with :func:`rational_pair`: the plain ASCII spelling
 ``[+-]digits[/digits]``, the one every report writes, goes through ``int()``;
 every other spelling and every non-string goes through :func:`parse_rational`
@@ -20,9 +23,9 @@ every other spelling and every non-string goes through :func:`parse_rational`
 are those of ``Fraction``, except that digit underscores are rejected on
 every Python version, every spelling past the int/str digit limit gets the
 one :class:`DigitLimitError` message, and an error echoes at most 80
-characters of the value.  The grid is then one ``lcm`` of the q and one
-:meth:`Mat7.from_ints`; algebra coefficients take the same route into the
-integer grid of :class:`~g2kit.liealg.MetricLieAlgebra`.
+characters of the value.  The grid is then one :func:`~g2kit.linalg.integer_pairs`
+and one :meth:`Mat7.from_ints`; algebra coefficients take the same route
+into the integer grid of :class:`~g2kit.liealg.MetricLieAlgebra`.
 """
 
 from __future__ import annotations
@@ -30,11 +33,13 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from itertools import combinations
 from json.encoder import encode_basestring_ascii as _json_string
-from math import gcd, isfinite, lcm
+from math import gcd, isfinite
 
-from .forms import KForm
-from .linalg import DIM, Mat7, Vec7, integer_rows
+from .forms import FORM, KForm, all_increasing_tuples
+from .liealg import MetricLieAlgebra
+from .linalg import DIM, Mat7, Vec7, integer_coords, integer_pairs
 
 
 class DigitLimitError(ValueError):
@@ -149,22 +154,24 @@ def rational_pair(value) -> tuple[int, int]:
     return x.numerator, x.denominator
 
 
-def vec_to_json(v: Vec7) -> list[str]:
-    return [rational_str(c) for c in v]
-
-
-def mat_to_json(m: Mat7) -> list[list[str]]:
-    rows, d = integer_rows(m)
+def _grid_entry_str(x: int, d: int) -> str:
+    """x / d in lowest terms, as rational_str prints it (d > 0); callers
+    print a zero entry as "0" without calling it."""
+    g = gcd(x, d)
     try:
-        return [[_grid_entry_str(x, d) for x in row] for row in rows]
+        return str(x // g) if g == d else f"{x // g}/{d // g}"
     except ValueError:
         raise _digit_limit_error() from None
 
 
-def _grid_entry_str(x: int, d: int) -> str:
-    """x / d in lowest terms, as rational_str prints it (d > 0)."""
-    g = gcd(x, d)
-    return str(x // g) if g == d else f"{x // g}/{d // g}"
+def vec_to_json(v: Vec7) -> list[str]:
+    xs, d = integer_coords(v)
+    return [_grid_entry_str(x, d) if x else "0" for x in xs]
+
+
+def mat_to_json(m: Mat7) -> list[list[str]]:
+    rows, d = integer_coords(m)
+    return [[_grid_entry_str(x, d) if x else "0" for x in row] for row in rows]
 
 
 def mat_from_json(data) -> Mat7:
@@ -176,17 +183,18 @@ def mat_from_json(data) -> Mat7:
         and all(isinstance(row, list) and len(row) == DIM for row in data)
     ):
         raise ValueError(f"matrix needs a {DIM}x{DIM} grid of lists")
-    pairs = [[rational_pair(x) for x in row] for row in data]
-    d = lcm(*(q for row in pairs for _, q in row))
-    return Mat7.from_ints([[p * (d // q) for p, q in row] for row in pairs], d)
+    xs, d = integer_pairs([rational_pair(x) for row in data for x in row])
+    return Mat7.from_ints([xs[r : r + DIM] for r in range(0, DIM * DIM, DIM)], d)
 
 
 def form_to_json(a: KForm) -> dict:
+    xs, d = integer_coords(a)
     return {
         "degree": a.degree,
         "terms": [
-            {"indices": list(key), "coeff": rational_str(value)}
-            for key, value in a.terms()
+            {"indices": list(key), "coeff": _grid_entry_str(x, d)}
+            for key, x in zip(all_increasing_tuples(a.degree), xs)
+            if x
         ],
     }
 
@@ -199,24 +207,69 @@ def endo_split_to_json(split, norms) -> dict:
         "sym0": mat_to_json(split.sym0),
         "g2part": mat_to_json(split.g2part),
         "vector": vec_to_json(split.vector),
-        "part_norms_sq": {
-            "scalar": rational_str(norms[0]),
-            "sym0": rational_str(norms[1]),
-            "g2": rational_str(norms[2]),
-            "vector": rational_str(norms[3]),
-        },
+        "part_norms_sq": dict(zip(("scalar", "sym0", "g2", "vector"), map(rational_str, norms))),
+    }
+
+
+def invariants_to_json(inv) -> dict:
+    """An :class:`~g2kit.invariants.InvariantReport`; the characteristic
+    polynomial only when the report has one."""
+    out = {name: rational_str(getattr(inv, name)) for name in ("sigma1", "sigma2", "norm_sq", "i0", "i1", "i2")}
+    if inv.charpoly is not None:
+        out["charpoly"] = [rational_str(c) for c in inv.charpoly]
+    return out
+
+
+def torsion_class_to_json(cls) -> dict:
+    """A :class:`~g2kit.torsion.TorsionClass`: its flags, and the part norms
+    by class, X1..X4 being the scalar, g2, sym0 and vector parts."""
+    scalar, sym0, g2, vector = map(rational_str, cls.part_norms_sq)
+    return {"flags": sorted(cls.flags), "part_norms_sq": {"X1": scalar, "X2": g2, "X3": sym0, "X4": vector}}
+
+
+def divergence_to_json(div) -> dict:
+    """A :class:`~g2kit.liealg.DivergenceReport`, in its field order."""
+    out = {name: rational_str(getattr(div, name)) for name in ("s_alt", "s_g2perp", "chi_sq", "alt_sq", "sym_sq")}
+    return {**out, "chi": vec_to_json(div.chi), "rhs_total": rational_str(div.rhs_total), "balanced": div.balanced}
+
+
+def norms_to_json(norms: dict) -> dict:
+    """A ``TorsionForms.norms_sq`` value, by sorted name."""
+    return {name: rational_str(v) for name, v in sorted(norms.items())}
+
+
+def bryant_to_json(bryant, norms: dict, vanishing) -> dict:
+    """A :class:`~g2kit.liealg.BryantScalarReport`, with the torsion forms'
+    ``norms_sq`` by convention and ``vanishing()``, which the caller holds."""
+    return {
+        "scalar_curvature": rational_str(bryant.scalar),
+        "rhs_by_convention": {k: rational_str(v) for k, v in bryant.rhs_by_convention},
+        "reconciling_conventions": list(bryant.reconciling),
+        "delta_tau1": rational_str(bryant.delta_tau1),
+        "tau_norms_form": norms_to_json(norms[FORM]),
+        "tau_vanishing": sorted(vanishing),
     }
 
 
 def algebra_to_json(mla) -> dict:
+    """The brackets [e_i, e_j], i < j, with a nonzero structure constant."""
+    grid, d = integer_coords(mla)
     brackets = []
-    for i, j, k, v in mla.nonzero_entries():
-        entry = next((b for b in brackets if b["i"] == i and b["j"] == j), None)
-        if entry is None:
-            entry = {"i": i, "j": j, "coeffs": {}}
-            brackets.append(entry)
-        entry["coeffs"][str(k)] = rational_str(v)
+    for i, j in combinations(range(DIM), 2):
+        coeffs = {str(k): _grid_entry_str(x, d) for k, x in enumerate(grid[i][j]) if x}
+        if coeffs:
+            brackets.append({"i": i, "j": j, "coeffs": coeffs})
     return {"dim": DIM, "brackets": brackets}
+
+
+def connection_to_json(conn) -> dict:
+    """The nonzero Gamma^k_ij as rows (i, j, k, value)."""
+    grid, d = integer_coords(conn)
+    rows = []
+    for i, block in enumerate(grid):
+        for j, v in enumerate(block):
+            rows += ([i, j, k, _grid_entry_str(x, d)] for k, x in enumerate(v) if x)
+    return {"columns": ["i", "j", "k", "value"], "rows": rows}
 
 
 def algebra_from_json(data):
@@ -225,8 +278,6 @@ def algebra_from_json(data):
     integer strings (coefficient keys are always strings).  Coefficients
     are read as integer pairs with :func:`rational_pair` and go straight to
     the algebra's integer grid."""
-    from .liealg import MetricLieAlgebra
-
     data = _schema_keys(_typed(data, dict, "an algebra"), ("dim", "brackets"), "an algebra")
     if _integer(data.get("dim", DIM)) != DIM:
         raise ValueError("only dimension 7 is supported")

@@ -74,19 +74,7 @@ def torsion_energies(t: Mat7, frame: G2Frame) -> tuple[Fraction, Fraction, Fract
 class TorsionClass(_Record):
     split: EndoSplit
     flags: frozenset[str]
-    part_norms_sq: tuple[Fraction, Fraction, Fraction, Fraction]
-
-    def to_dict(self) -> dict:
-        from .serialize import rational_str
-
-        names = ("X1", "X2", "X3", "X4")
-        order = (0, 2, 1, 3)  # part_norms_sq is (scalar, sym0, g2, vector)
-        return {
-            "flags": sorted(self.flags),
-            "part_norms_sq": {
-                names[a]: rational_str(self.part_norms_sq[order[a]]) for a in range(4)
-            },
-        }
+    part_norms_sq: tuple[Fraction, Fraction, Fraction, Fraction]  # (scalar, sym0, g2, vector)
 
 
 def classify(t: Mat7, frame: G2Frame) -> TorsionClass:

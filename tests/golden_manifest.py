@@ -40,7 +40,10 @@ GOLDENS = {
             f"classify --input {INPUTS}/spellings.json --frame standard --format json",
         "nilmanifold.json": "nilmanifold --format json",
         "nilmanifold.txt": "nilmanifold --format text",
+        "nilmanifold-tensor.json": "nilmanifold --convention tensor --format json",
         "nilmanifold-algebra-cayley.txt": f"nilmanifold --input {INPUTS}/algebra.json --frame cayley --format text",
+        "nilmanifold-algebra-standard-form.txt":
+            f"nilmanifold --input {INPUTS}/algebra.json --frame standard --convention form --format text",
         "nilmanifold-almost-abelian-standard.json":
             f"nilmanifold --input {INPUTS}/almost-abelian.json --frame standard --format json",
         "nilmanifold-almost-abelian-cayley.json":

@@ -257,7 +257,8 @@ def count_calls(monkeypatch, *names):
 
 
 def test_nilmanifold_does_each_computation_once(tmp_path, monkeypatch):
-    from g2kit.liealg import MetricLieAlgebra
+    from g2kit.forms import KForm
+    from g2kit.liealg import ConnectionTable, MetricLieAlgebra, TorsionForms
 
     counts = count_calls(
         monkeypatch,
@@ -275,20 +276,33 @@ def test_nilmanifold_does_each_computation_once(tmp_path, monkeypatch):
         "torsion.characteristic_vector",
         "linalg.int_matmul",
     )
-    original = MetricLieAlgebra.jacobi_defect
-    counts["jacobi_defect"] = 0
+    methods = {
+        "jacobi_defect": (MetricLieAlgebra, "jacobi_defect"),
+        "norms_sq": (TorsionForms, "norms_sq"),
+        "vanishing": (TorsionForms, "vanishing"),
+        # the Fraction views, which the report prints from the integer grids instead
+        "algebra_entries": (MetricLieAlgebra, "nonzero_entries"),
+        "connection_entries": (ConnectionTable, "nonzero_entries"),
+        "form_terms": (KForm, "terms"),
+    }
 
-    def jacobi_defect(*args, **kwargs):
-        counts["jacobi_defect"] += 1
-        return original(*args, **kwargs)
+    def method_counter(name, original):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
 
-    monkeypatch.setattr(MetricLieAlgebra, "jacobi_defect", jacobi_defect)
+        return counted
+
+    for name, (cls, attr) in methods.items():
+        counts[name] = 0
+        monkeypatch.setattr(cls, attr, method_counter(name, getattr(cls, attr)))
 
     path = tmp_path / "algebra.json"
     path.write_text(json.dumps(one_bracket()))
     for cfg in (
         RunConfig(command="nilmanifold", fmt="json"),
         RunConfig(command="nilmanifold", input_path=str(path), frame="cayley", fmt="json"),
+        RunConfig(command="nilmanifold", input_path=str(path), convention="tensor", fmt="text"),
     ):
         for name in counts:
             counts[name] = 0
@@ -313,6 +327,13 @@ def test_nilmanifold_does_each_computation_once(tmp_path, monkeypatch):
             # the projection kernels read single entries, not dense products
             "int_matmul": 0,
             "jacobi_defect": 1,
+            # one norms_sq per convention, which the Bryant check and the
+            # report both read, whichever conventions the report prints
+            "norms_sq": 2,
+            "vanishing": 1,
+            "algebra_entries": 0,
+            "connection_entries": 0,
+            "form_terms": 0,
         }
 
 
@@ -348,14 +369,22 @@ def test_classify_does_each_computation_once(tmp_path, monkeypatch, shape):
     assert counts == {name: 0 if name in kernels else 1 for name in counts}
 
 
-def test_classify_past_digit_limit_is_usage_error(tmp_path, capsys):
+PAST_DIGIT_LIMIT_WHEN_RENDERED = {
     # a valid input whose characteristic polynomial needs about 4,900 digits
-    big = [["1e700" if i == j else "0" for j in range(7)] for i in range(7)]
+    "classify": {"matrix": [["1e700" if i == j else "0" for j in range(7)] for i in range(7)]},
+    # a valid 2,500-digit coefficient, whose curvature needs about 5,000 digits
+    "nilmanifold": {"dim": 7, "brackets": [{"i": 0, "j": 5, "coeffs": {"6": "7" * 2500}}]},
+}
+
+
+@pytest.mark.parametrize("command", sorted(PAST_DIGIT_LIMIT_WHEN_RENDERED))
+def test_report_past_digit_limit_is_usage_error(command, tmp_path, capsys):
     path = tmp_path / "big.json"
-    path.write_text(json.dumps({"matrix": big}))
+    path.write_text(json.dumps(PAST_DIGIT_LIMIT_WHEN_RENDERED[command]))
     for fmt in ("json", "text"):
-        code = main(["classify", "--input", str(path), "--format", fmt])
-        assert_one_line_usage_error(code, capsys)
+        code = main([command, "--input", str(path), "--format", fmt])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: cannot render the report: ") and len(err.splitlines()) == 1
 
 
 INPUT_DOCUMENTS = {

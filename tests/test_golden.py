@@ -60,7 +60,7 @@ GEOMETRY = {
 # what the identities checks build on each frame and on its table
 IDENTITIES = (
     {"g2_basis", "g2_basis_entries", "_star_phi_values", "_pairing_reads"},
-    {"_basis_products", "_swap_form"},
+    {"_basis_products", "_product_pairings", "_swap_form"},
 )
 BARE = (set(), set())
 

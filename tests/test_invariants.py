@@ -28,6 +28,7 @@ from g2kit.sampling import (
     rand_vec,
     table_symmetries,
 )
+from g2kit.serialize import invariants_to_json
 from g2kit.so7 import cross_operator, decompose_endo
 
 
@@ -161,7 +162,7 @@ def test_invariant_report_consistency(frame):
     assert rep.sigma1 == t.trace()
     assert rep.sigma2 == sigma_from_char_poly(rep.charpoly, 2)
     assert rep.sigma1 == sigma_from_char_poly(rep.charpoly, 1)
-    d = rep.to_dict()
+    d = invariants_to_json(rep)
     assert set(d) == {"sigma1", "sigma2", "norm_sq", "i0", "i1", "i2", "charpoly"}
 
 
