@@ -72,6 +72,7 @@ from .serialize import (
     divergence_to_json,
     endo_split_to_json,
     form_to_json,
+    integer_terms_to_json,
     invariants_to_json,
     mat_from_json,
     mat_to_json,
@@ -500,10 +501,7 @@ def cmd_tables(cfg: RunConfig) -> tuple[int, dict]:
         "orientation": frame.orientation,
         "triples": [list(t) for t in frame.table.display_triples()],
         "ordered_entry_count": len(frame.table.nonzero_ordered()),
-        "star_quadruples": [
-            [i + off, j + off, k + off, l + off, int(v)]
-            for (i, j, k, l), v in frame.star_phi.terms()
-        ],
+        "star_quadruples": integer_terms_to_json(frame.star_phi, off),
     }
     return 0, report
 

@@ -26,7 +26,7 @@ from itertools import combinations
 from math import factorial, lcm
 from operator import mul, xor
 
-from .linalg import DIM, Mat7, Vec7, _IntegerGrid, as_fraction, integer_coords, integer_rows
+from .linalg import DIM, Vec7, _IntegerGrid, as_fraction, integer_coords
 
 FORM = "form"
 TENSOR = "tensor"
@@ -120,13 +120,6 @@ class KForm(_IntegerGrid):
 
     def __reduce__(self):
         return (KForm.from_ints, (self.degree, self._grid, self._den))
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def monomial(indices, coeff=1) -> KForm:
-        indices = tuple(indices)
-        return KForm(len(indices), {indices: coeff})
 
     # -- access ------------------------------------------------------------
 
@@ -299,12 +292,6 @@ def form_inner(a: KForm, b: KForm, convention: str = FORM) -> Fraction:
 
 def form_norm_sq(a: KForm, convention: str = FORM) -> Fraction:
     return form_inner(a, a, convention)
-
-
-def two_form_from_matrix(m: Mat7) -> KForm:
-    """2-form alpha(e_i, e_j) = M_ij of a skew matrix."""
-    rows, d = integer_rows(m)
-    return KForm.from_ints(2, [rows[i][j] for i, j in _MONOMIALS[2]], d)
 
 
 def all_increasing_tuples(k: int) -> list[tuple[int, ...]]:

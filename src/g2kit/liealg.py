@@ -39,17 +39,15 @@ from .forms import (
     TENSOR,
     KForm,
     _derivation,
-    all_increasing_tuples,
+    form_inner,
     form_norm_sq,
     hodge,
     interior,
-    two_form_from_matrix,
     wedge,
 )
 from .frames import G2Frame, build_cayley_frame, per_frame
 from .linalg import (
     DIM,
-    LinearSystem,
     Mat7,
     Vec7,
     _IntegerGrid,
@@ -58,10 +56,8 @@ from .linalg import (
     as_fraction,
     integer_columns,
     integer_coords,
-    integer_vector,
-    nullspace,
+    integer_pairs,
 )
-from .so7 import g2_basis
 from .torsion import characteristic_vector, torsion_energies
 
 _R = range(DIM)
@@ -122,13 +118,13 @@ class MetricLieAlgebra(_IntegerGrid):
         bad = next((t for terms in entries.values() for t in terms if t[2] <= 0), None)
         if bad is not None:
             raise ValueError(f"term {bad} needs a positive denominator")
-        d = lcm(*(q for terms in entries.values() for _, _, q in terms))
+        xs, d = integer_pairs([(p, q) for terms in entries.values() for _, p, q in terms])
+        scaled = iter(xs)
         grid = [[[0] * DIM for _ in _R] for _ in _R]
         for (i, j), terms in entries.items():
             if _check_index(i) == _check_index(j):
                 raise ValueError("diagonal brackets must vanish")
-            for k, p, q in terms:
-                x = p * (d // q)
+            for (k, _, _), x in zip(terms, scaled):
                 grid[i][j][_check_index(k)] += x
                 grid[j][i][k] -= x
         return MetricLieAlgebra.from_ints(grid, d)
@@ -386,7 +382,12 @@ def ce_differential(mla: MetricLieAlgebra, a: KForm) -> KForm:
     if a.degree == DIM:
         raise ValueError("no degree-8 forms on a 7-dimensional algebra")
     grid = mla._grid
-    table = [[((i, j), -grid[i][j][m]) for i, j in combinations(_R, 2) if grid[i][j][m]] for m in _R]
+    table = [[] for _ in _R]
+    for i, j in _PAIRS:
+        if any(grid[i][j]):
+            for m, x in enumerate(grid[i][j]):
+                if x:
+                    table[m].append(((i, j), -x))
     return _derivation(a, 2, [table], mla._den)[0]
 
 
@@ -427,12 +428,6 @@ def torsion_endo(conn: ConnectionTable, frame: G2Frame) -> Mat7:
     """
     contract = frame.table.contract
     return Mat7.from_ints(tuple(zip(*map(contract, conn._grid))), 6 * conn._den)
-
-
-def _system(columns) -> LinearSystem:
-    """The linear system whose columns are the coordinates of the given forms."""
-    coords, d = _common_coords(columns)
-    return LinearSystem(list(zip(*coords)), d)
 
 
 def _common_coords(forms) -> tuple[list[list[int]], int]:
@@ -502,55 +497,6 @@ class TorsionSolveError(ValueError):
     pass
 
 
-@per_frame
-def _lambda2_14_forms(frame: G2Frame) -> tuple[KForm, ...]:
-    return tuple(two_form_from_matrix(m) for m in g2_basis(frame))
-
-
-@per_frame
-def _lambda3_27_forms(frame: G2Frame) -> tuple[KForm, ...]:
-    rows = []
-    # gamma ^ phi = 0 (7 equations in Lambda^6), gamma ^ star_phi = 0 (1
-    # equation in Lambda^7); each group of rows is scaled to integers
-    for form in (frame.phi, frame.star_phi):
-        coords, _ = _common_coords([wedge(KForm.monomial(key), form) for key in all_increasing_tuples(3)])
-        rows += zip(*coords)
-    return tuple(KForm.from_ints(3, *integer_vector(coeffs)) for coeffs in nullspace(rows))
-
-
-@per_frame
-def _lambda4_system(frame: G2Frame) -> LinearSystem:
-    """Lambda^4 against {star_phi} + {e^i ^ phi} + {star(27-part basis)}:
-    35 equations in 35 unknowns, reduced once per frame."""
-    cols = [frame.star_phi]
-    cols += [wedge(KForm.monomial((i,)), frame.phi) for i in _R]
-    cols += [hodge(gamma, frame.orientation) for gamma in _lambda3_27_forms(frame)]
-    return _system(cols)
-
-
-@per_frame
-def _lambda5_system(frame: G2Frame) -> LinearSystem:
-    """Lambda^5 against {e^i ^ star_phi} + {(14-part basis) ^ phi}:
-    21 equations in 21 unknowns, reduced once per frame."""
-    cols = [wedge(KForm.monomial((i,)), frame.star_phi) for i in _R]
-    cols += [wedge(beta, frame.phi) for beta in _lambda2_14_forms(frame)]
-    return _system(cols)
-
-
-def _combination(basis: tuple[KForm, ...], coeffs: list[int], d: int) -> KForm:
-    """sum_a (coeffs[a] / d) basis[a] for integer coefficients and d > 0;
-    only the forms with a nonzero coefficient are rescaled."""
-    used = [(c, f) for c, f in zip(coeffs, basis) if c]
-    common = lcm(*(f._den for _, f in used))
-    acc = [0] * len(basis[0]._grid)
-    for c, f in used:
-        c *= common // f._den
-        for n, v in enumerate(f._grid):
-            if v:
-                acc[n] += c * v
-    return KForm.from_ints(basis[0].degree, acc, common * d)
-
-
 class TorsionForms(_Record):
     """Solution of d phi = tau0 star_phi + 3 tau1 ^ phi + star tau3 and
     d star_phi = 4 tau1 ^ star_phi + tau2 ^ phi, with tau2 in the
@@ -598,35 +544,35 @@ class TorsionForms(_Record):
 
 
 def torsion_forms(mla: MetricLieAlgebra, frame: G2Frame, convention: str = FORM) -> TorsionForms:
-    """Solve the two defining equations by exact linear algebra.
+    """Bryant's torsion forms in closed form (Bryant, *Some remarks on
+    G2-structures*, 2005, section 4).
 
-    d phi is decomposed against the basis {star_phi} + {e^i ^ phi} +
-    {star(27-part basis)} of Lambda^4, d star_phi against {e^i ^ star_phi}
-    + {(14-part basis) ^ phi} of Lambda^5; the one-form from the two
-    systems must agree, and both solves must be consistent, otherwise the
-    residual is reported through TorsionSolveError.
+    With psi = star_phi and * the Hodge dual of the frame's orientation,
+    d phi = tau0 psi + 3 tau1 ^ phi + *tau3 and d psi = 4 tau1 ^ psi +
+    tau2 ^ phi give tau0 = (1/7) *(phi ^ d phi) = (1/7) <d phi, psi>,
+    tau1 = (1/12) *(phi ^ *d phi), tau3 = *(d phi - tau0 psi -
+    3 tau1 ^ phi) and tau2 = -*(d psi - 4 tau1 ^ psi).  The first equation
+    then holds as written; TorsionSolveError is raised unless tau3 lies in
+    Lambda^3_27 (phi ^ tau3 = 0 and psi ^ tau3 = <tau3, phi> vol = 0) and
+    the second holds with tau2 in Lambda^2_14 (tau2 ^ phi = -*tau2).  On a
+    G2 frame both always do, and the second holds exactly when
+    (1/12) *(psi ^ *d psi) is the same tau1; on a table that is no cross
+    product they reject every input that decomposing d phi and d psi
+    against bases of Lambda^4 and Lambda^5 rejects.
     """
-    dphi = ce_differential(mla, frame.phi)
-    dstar = ce_differential(mla, frame.star_phi)
-
-    # system 1: Lambda^4, 35 unknowns
-    sol4 = _lambda4_system(frame).solve_ints(*integer_coords(dphi))
-    if sol4 is None:
+    phi, psi, o = frame.phi, frame.star_phi, frame.orientation
+    dphi = ce_differential(mla, phi)
+    dpsi = ce_differential(mla, psi)
+    tau0 = form_inner(dphi, psi) / 7
+    tau1 = hodge(wedge(phi, hodge(dphi, o)), o).scale(Fraction(1, 12))
+    tau3 = hodge(dphi + psi.scale(-tau0) + wedge(tau1.scale(-3), phi), o)
+    if form_inner(tau3, phi) or not wedge(phi, tau3).is_zero():
         raise TorsionSolveError("d phi is not compatible with the 1+7+27 split")
-    x, d4 = sol4
-    tau0 = Fraction(x[0], d4)
-    tau1 = KForm.from_ints(1, x[1:8], 3 * d4)
-    tau3 = _combination(_lambda3_27_forms(frame), x[8:], d4)
-
-    # system 2: Lambda^5, 21 unknowns
-    sol5 = _lambda5_system(frame).solve_ints(*integer_coords(dstar))
-    if sol5 is None:
-        raise TorsionSolveError("d star_phi is not compatible with the 7+14 split")
-    y, d5 = sol5
-    if KForm.from_ints(1, y[:7], 4 * d5) != tau1:
-        raise TorsionSolveError("the one-form parts of d phi and d star_phi disagree")
-    tau2 = _combination(_lambda2_14_forms(frame), y[7:], d5)
-
+    rest = dpsi + wedge(tau1.scale(-4), psi)
+    # the dual for the opposite orientation is -*
+    tau2 = hodge(rest, -o)
+    if wedge(tau2, phi) != rest:
+        raise TorsionSolveError("d star_phi is not 4 tau1 ^ star_phi + tau2 ^ phi with tau2 in Lambda^2_14")
     return TorsionForms(tau0=tau0, tau1=tau1, tau2=tau2, tau3=tau3, convention=convention)
 
 

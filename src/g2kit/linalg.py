@@ -439,9 +439,9 @@ def int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
 
 # ---------------------------------------------------------------------------
 # Generic exact routines on rectangular grids of int or Fraction entries
-# (plain lists of lists).  They back the rank/kernel computations used for
-# the g2 basis and the degree-wise form decompositions, and the per-frame
-# linear systems; all of them run one fraction-free integer Gauss-Jordan.
+# (plain lists of lists).  They back the kernel behind the g2 basis and
+# the Cayley transform of ``sampling.rand_orthogonal``; all of them run one
+# fraction-free integer Gauss-Jordan.
 # ---------------------------------------------------------------------------
 
 
@@ -486,14 +486,6 @@ def _reduce(m: list[list[int]]) -> list[int]:
 def _integer_grid(rows) -> list[list[int]]:
     """Each row of int or Fraction entries times the lcm of its denominators."""
     return [integer_vector(r)[0] for r in rows]
-
-
-def _over(xs: list[int], p: int) -> tuple[list[int], int]:
-    """(integers, d) with xs / p = integers / d in lowest terms and d > 0."""
-    g = gcd(p, *xs)
-    if p < 0:
-        g = -g
-    return [x // g for x in xs], p // g
 
 
 def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
@@ -556,10 +548,19 @@ class LinearSystem:
         pivots = _reduce(m)
         r = sum(1 for c in pivots if c < ncols)
         self.pivots = tuple(pivots[:r])
-        transform = [_over(row[ncols:], row[c]) for row, c in zip(m, self.pivots)]
+        # each pivot row's I block over its pivot p, in lowest terms with a
+        # positive denominator
+        blocks = []
+        for row, c in zip(m, pivots):
+            p = row[c]
+            g = gcd(p, *row[ncols:])
+            if p < 0:
+                g = -g
+            blocks.append(([x // g for x in row[ncols:]], p // g))
+        transform = blocks[:r]
         self._den = den = lcm(*(dr for _, dr in transform))
         self._transform = tuple(tuple(x * (den // dr) for x in row) for row, dr in transform)
-        self._left_null = tuple(_over(row[ncols:], row[c])[0] for row, c in zip(m[r:], pivots[r:]))
+        self._left_null = tuple(xs for xs, _ in blocks[r:])
 
     def solve_ints(self, b, db: int) -> tuple[list[int], int] | None:
         """One exact solution of A x = b / db for integers b and db > 0, as

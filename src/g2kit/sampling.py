@@ -216,3 +216,14 @@ def rand_two_step_nilpotent(rng: Random) -> MetricLieAlgebra:
                     entries[(i, j)] = coeffs
         if nonzero:
             return MetricLieAlgebra.from_nonzero(entries)
+
+
+def rand_almost_abelian(rng: Random) -> MetricLieAlgebra:
+    """e_0 acting on span(e_1..e_6) by a sparse seeded rational matrix; the
+    other brackets vanish, so Jacobi holds by construction."""
+    entries = {}
+    for j in range(1, DIM):
+        coeffs = {k: rand_fraction(rng) for k in range(1, DIM) if rng.random() < 0.4}
+        if any(coeffs.values()):
+            entries[0, j] = coeffs
+    return MetricLieAlgebra.from_nonzero(entries)

@@ -199,6 +199,15 @@ def form_to_json(a: KForm) -> dict:
     }
 
 
+def integer_terms_to_json(a: KForm, offset: int) -> list[list[int]]:
+    """The nonzero terms of a form with integer coefficients as
+    [i_1 + offset, ..., i_k + offset, coefficient], read off the grid."""
+    xs, d = integer_coords(a)
+    if d != 1:
+        raise ValueError(f"a {a.degree}-form with denominator {d} has no integer terms")
+    return [[*(i + offset for i in key), x] for key, x in zip(all_increasing_tuples(a.degree), xs) if x]
+
+
 def endo_split_to_json(split, norms) -> dict:
     """The split parts and their squared norms, `norms` being
     ``split.part_norms_sq()`` as (scalar, sym0, g2, vector)."""

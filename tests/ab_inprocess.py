@@ -17,13 +17,21 @@ each tree, the two in random order, and each round gives the mean, p80 and
 p99 latency per tree.  It prints, per metric, the median over the rounds
 for each tree, B's change against A, the rounds in which B was faster, and
 the spread of A's rounds (interquartile range over median).  An A/A run
-(the same tree twice) shows the noise floor.  Tier-1 does not collect this
-file; it imports no test framework.
+(the same tree twice) shows the noise floor.
+
+Last it counts, per tree, the opcode events a report executes in the
+tree's own g2kit code (``sys.settrace`` with ``f_trace_opcodes``, on no
+other code), with ``os.fork`` deleted so that every frame runs in this
+process: warm, the mean over the timed reports, and cold, each frame's
+first report from freshly built frames.  These counts repeat exactly from
+run to run, so an A/A run whose counts differ exits 1.  Tier-1 does not
+collect this file; it imports no test framework.
 """
 
 import argparse
 import importlib
 import importlib.util
+import os
 import statistics
 import sys
 import tempfile
@@ -51,6 +59,63 @@ def runner(cli, fmt: str):
         return cli.run(cfg)
 
     return run
+
+
+def opcode_events(run, op: dict, package: str, before=None) -> int:
+    """The opcode events run(op) executes in code whose file lies under
+    `package`; calls into any other code are not traced.  The report runs
+    twice, each time after before() when it is given, and the second run
+    is counted: Python 3.12 and 3.13 report fewer events for the first
+    traced run of a code path."""
+    count = 0
+
+    def opcode(frame, event, arg):
+        nonlocal count
+        count += event == "opcode"
+        return opcode
+
+    def call(frame, event, arg):
+        if not frame.f_code.co_filename.startswith(package):
+            return None
+        frame.f_trace_lines = False
+        frame.f_trace_opcodes = True
+        return opcode
+
+    for _ in range(2):
+        if before is not None:
+            before()
+        count = 0
+        sys.settrace(call)
+        try:
+            run(op)
+        finally:
+            sys.settrace(None)
+    return count
+
+
+def opcode_counts(cli, package: str, ops: list[dict]) -> dict[str, float]:
+    """Warm: the mean opcode events per report over `ops`.  Cold: for
+    each frame, those of its first report in `ops` after every frame
+    builder is cleared; this leaves the tree's frames cold."""
+    run = runner(cli, "json")
+
+    def clear():
+        for build in cli.FRAMES.values():
+            build.cache_clear()
+
+    fork = getattr(os, "fork", None)
+    if fork is not None:
+        del os.fork
+    try:
+        counts = {"warm mean": statistics.fmean(opcode_events(run, op, package) for op in ops)}
+        for frame in cli.FRAMES:
+            first = next((op for op in ops if op["frame"] == frame), None)
+            if first is not None:
+                counts[f"cold {frame}"] = opcode_events(run, first, package, clear)
+    finally:
+        if fork is not None:
+            os.fork = fork
+    return counts
 
 
 def percentile(values: list[float], q: float) -> float:
@@ -107,6 +172,8 @@ def main(argv=None) -> int:
                     latency[side].append(time.perf_counter() - start)
             for side in runs:
                 rounds[side].append(summary(latency[side]))
+        packages = {side: str(Path(tree).resolve() / "src" / "g2kit") + os.sep for side, tree in zip("AB", (args.a, args.b))}
+        counts = {side: opcode_counts(cli, packages[side], ops) for side, cli in clis.items()}
 
     print(f"{args.workload}, seed {args.seed}: {len(ops)} reports x {args.rounds} rounds, "
           "byte-identical in json and text")
@@ -115,9 +182,19 @@ def main(argv=None) -> int:
         a = [r[metric] for r in rounds["A"]]
         b = [r[metric] for r in rounds["B"]]
         ma, mb = statistics.median(a), statistics.median(b)
-        q1, _, q3 = statistics.quantiles(a, n=4)
         wins = sum(y < x for x, y in zip(a, b))
+        # one round has no spread
+        q1, _, q3 = statistics.quantiles(a, n=4) if len(a) > 1 else (ma, ma, ma)
         print(f"{metric:8} {ma:9.3f} {mb:9.3f} {mb / ma - 1:+8.1%} {wins:>3}/{len(a):<3} {(q3 - q1) / ma:9.1%}")
+
+    print("opcode events per report in g2kit code")
+    print(f"{'count':14} {'A':>12} {'B':>12} {'B/A - 1':>8}")
+    for name, a in counts["A"].items():
+        b = counts["B"][name]
+        print(f"{name:14} {a:12.1f} {b:12.1f} {b / a - 1:+8.2%}")
+    if packages["A"] == packages["B"] and counts["A"] != counts["B"]:
+        print("the same tree counted differently on the two sides", file=sys.stderr)
+        return 1
     return 0
 
 

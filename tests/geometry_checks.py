@@ -1,6 +1,6 @@
-"""Structural checks of a connection and its curvature, the exact solve
-for the torsion endomorphism, and the algebraic nearly parallel check, for
-the tests.
+"""Structural checks of a connection and its curvature, the exact solves
+for the torsion endomorphism and the torsion forms, and the algebraic
+nearly parallel check, for the tests.
 
 The package computes the Levi-Civita connection and reads curvature
 entries off it but never checks them against their defining properties;
@@ -9,18 +9,40 @@ all 49 entries of each R(e_i, e_j) read through the curvature kernel.
 The package reads T off the connection in closed form
 (``liealg.torsion_endo``); the solve here recovers it from nabla phi
 instead, as the solution of nabla_{e_i} phi = (cross operator of T(e_i))
-* phi.  No command reads the nearly parallel check either; it substitutes
-a nearly parallel d phi into the skew-torsion formulas.
+* phi.  The package reads Bryant's torsion forms off d phi and d star_phi
+in closed form too (``liealg.torsion_forms``); the solve here decomposes
+d phi against a basis of Lambda^4 = 1 + 7 + 27 and d star_phi against one
+of Lambda^5 = 7 + 14, built per frame from a Lambda^3_27 nullspace and the
+g2 basis.  No command reads the nearly parallel check either; it
+substitutes a nearly parallel d phi into the skew-torsion formulas.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 
-from g2kit.forms import FORM, KForm, _derivation, form_inner, form_norm_sq, hodge
-from g2kit.frames import G2Frame
-from g2kit.liealg import TorsionSolveError, _common_coords, _curvature_entries, _system
-from g2kit.linalg import DIM, LinearSystem, Mat7, Vec7, _Record, as_fraction, integer_rows
-from g2kit.so7 import cross_operator
+from g2kit.forms import FORM, KForm, _derivation, all_increasing_tuples, form_inner, form_norm_sq, hodge, wedge
+from g2kit.frames import G2Frame, per_frame
+from g2kit.liealg import (
+    TorsionForms,
+    TorsionSolveError,
+    _common_coords,
+    _curvature_entries,
+    ce_differential,
+)
+from g2kit.linalg import (
+    DIM,
+    LinearSystem,
+    Mat7,
+    Vec7,
+    _Record,
+    as_fraction,
+    integer_coords,
+    integer_rows,
+    integer_vector,
+    nullspace,
+)
+from g2kit.so7 import cross_operator, g2_basis
 
 
 def is_metric(conn) -> bool:
@@ -85,6 +107,12 @@ def derivation_action(a: Mat7, form: KForm) -> KForm:
     return _derivation(form, 1, [[[((l,), c) for l, c in enumerate(row) if c] for row in rows]], d)[0]
 
 
+def _system(columns) -> LinearSystem:
+    """The linear system whose columns are the coordinates of the given forms."""
+    coords, d = _common_coords(columns)
+    return LinearSystem(list(zip(*coords)), d)
+
+
 def cross_action_system(frame: G2Frame) -> LinearSystem:
     """The 35x7 system of v -> (cross operator of v) * phi."""
     return _system([derivation_action(cross_operator(Vec7.basis(k), frame), frame.phi) for k in range(DIM)])
@@ -107,6 +135,91 @@ def solved_torsion_endo(nphi: tuple[KForm, ...], system: LinearSystem) -> Mat7:
             raise TorsionSolveError(f"slice {i}: nabla_phi does not lie in the cross-operator orbit of phi")
         cols.append(sol[0])
     return Mat7.from_ints(tuple(zip(*cols)), sol[1])
+
+
+def two_form_from_matrix(m: Mat7) -> KForm:
+    """2-form alpha(e_i, e_j) = M_ij of a skew matrix."""
+    rows, d = integer_rows(m)
+    return KForm.from_ints(2, [rows[i][j] for i, j in all_increasing_tuples(2)], d)
+
+
+@per_frame
+def _lambda2_14_forms(frame: G2Frame) -> tuple[KForm, ...]:
+    return tuple(two_form_from_matrix(m) for m in g2_basis(frame))
+
+
+@per_frame
+def _lambda3_27_forms(frame: G2Frame) -> tuple[KForm, ...]:
+    rows = []
+    # gamma ^ phi = 0 (7 equations in Lambda^6), gamma ^ star_phi = 0 (1
+    # equation in Lambda^7); each group of rows is scaled to integers
+    for form in (frame.phi, frame.star_phi):
+        coords, _ = _common_coords([wedge(KForm(3, {key: 1}), form) for key in all_increasing_tuples(3)])
+        rows += zip(*coords)
+    return tuple(KForm.from_ints(3, *integer_vector(coeffs)) for coeffs in nullspace(rows))
+
+
+@per_frame
+def _lambda4_system(frame: G2Frame) -> LinearSystem:
+    """Lambda^4 against {star_phi} + {e^i ^ phi} + {star(27-part basis)}:
+    35 equations in 35 unknowns, reduced once per frame."""
+    cols = [frame.star_phi]
+    cols += [wedge(KForm(1, {(i,): 1}), frame.phi) for i in range(DIM)]
+    cols += [hodge(gamma, frame.orientation) for gamma in _lambda3_27_forms(frame)]
+    return _system(cols)
+
+
+@per_frame
+def _lambda5_system(frame: G2Frame) -> LinearSystem:
+    """Lambda^5 against {e^i ^ star_phi} + {(14-part basis) ^ phi}:
+    21 equations in 21 unknowns, reduced once per frame."""
+    cols = [wedge(KForm(1, {(i,): 1}), frame.star_phi) for i in range(DIM)]
+    cols += [wedge(beta, frame.phi) for beta in _lambda2_14_forms(frame)]
+    return _system(cols)
+
+
+def _combination(basis: tuple[KForm, ...], coeffs: list[int], d: int) -> KForm:
+    """sum_a (coeffs[a] / d) basis[a] for integer coefficients and d > 0;
+    only the forms with a nonzero coefficient are rescaled."""
+    used = [(c, f) for c, f in zip(coeffs, basis) if c]
+    common = lcm(*(f._den for _, f in used))
+    acc = [0] * len(basis[0]._grid)
+    for c, f in used:
+        c *= common // f._den
+        for n, v in enumerate(f._grid):
+            if v:
+                acc[n] += c * v
+    return KForm.from_ints(basis[0].degree, acc, common * d)
+
+
+def solved_torsion_forms(mla, frame: G2Frame) -> TorsionForms:
+    """tau0..tau3 by exact linear algebra: d phi decomposed against the
+    basis {star_phi} + {e^i ^ phi} + {star(27-part basis)} of Lambda^4,
+    d star_phi against {e^i ^ star_phi} + {(14-part basis) ^ phi} of
+    Lambda^5.  Either solve can fail, and the one-forms of the two must
+    agree; TorsionSolveError otherwise."""
+    dphi = ce_differential(mla, frame.phi)
+    dstar = ce_differential(mla, frame.star_phi)
+
+    # system 1: Lambda^4, 35 unknowns
+    sol4 = _lambda4_system(frame).solve_ints(*integer_coords(dphi))
+    if sol4 is None:
+        raise TorsionSolveError("d phi is not compatible with the 1+7+27 split")
+    x, d4 = sol4
+    tau0 = Fraction(x[0], d4)
+    tau1 = KForm.from_ints(1, x[1:8], 3 * d4)
+    tau3 = _combination(_lambda3_27_forms(frame), x[8:], d4)
+
+    # system 2: Lambda^5, 21 unknowns
+    sol5 = _lambda5_system(frame).solve_ints(*integer_coords(dstar))
+    if sol5 is None:
+        raise TorsionSolveError("d star_phi is not compatible with the 7+14 split")
+    y, d5 = sol5
+    if KForm.from_ints(1, y[:7], 4 * d5) != tau1:
+        raise TorsionSolveError("the one-form parts of d phi and d star_phi disagree")
+    tau2 = _combination(_lambda2_14_forms(frame), y[7:], d5)
+
+    return TorsionForms(tau0=tau0, tau1=tau1, tau2=tau2, tau3=tau3)
 
 
 class NearlyParallelReport(_Record):

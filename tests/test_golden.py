@@ -11,7 +11,7 @@ nilmanifold, classify and tables entries and one identities entry run a
 second time from freshly built frames.  Everything derived from a frame is
 kept in its store (see ``frames.per_frame``) and the two frame builders are
 the only process-wide state, so clearing them makes a cold start: the bytes
-pin the fill of the frame's linear systems, bases and basis products as
+pin the fill of the frame's bases, dual coordinates and basis products as
 well as the warm route, and each cold case names exactly what its command
 filled.
 """
@@ -48,15 +48,7 @@ def test_report_bytes_match_golden(name, capsys, monkeypatch):
 
 
 # what the nilmanifold geometry builds on its frame; its table stays bare
-GEOMETRY = {
-    "g2_basis",
-    "_dual_coords",
-    "_lambda2_14_forms",
-    "_lambda3_27_forms",
-    "_lambda4_system",
-    "_lambda5_system",
-    "_pairing_reads",
-}
+GEOMETRY = {"_dual_coords", "_pairing_reads"}
 # what the identities checks build on each frame and on its table
 IDENTITIES = (
     {"g2_basis", "g2_basis_entries", "_star_phi_values", "_pairing_reads"},

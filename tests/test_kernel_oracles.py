@@ -15,9 +15,12 @@ bracket term dropped and on sign-flipped tables), the alternating scalar
 curvature (its earlier integer route: dense commutators and a full
 contraction), the
 Chevalley-Eilenberg differential, the derivation action behind nabla phi,
-the r map and the assembly of the torsion forms.  The references for i0,
-i1, i2 and the torsion energies run their double sums of dense and basis
-cross products over the ``Fraction`` columns of T; the
+the r map and the torsion forms (the closed form against the solve of
+``geometry_checks`` and against that solve on ``Fraction`` right-hand
+sides, with changed constants and broken tables as negative controls).
+The references for i0, i1, i2 and the torsion energies run their double
+sums of dense and basis cross products over the ``Fraction`` columns of
+T; the
 characteristic-polynomial reference is the Faddeev-LeVerrier trace
 recursion on the integer grid; the sampler references draw ``Fraction``
 entries with the same ``Random`` calls; the serialisation references print
@@ -44,11 +47,16 @@ from random import Random
 
 import pytest
 from geometry_checks import (
+    _lambda2_14_forms,
+    _lambda3_27_forms,
+    _lambda4_system,
+    _lambda5_system,
     cross_action_system,
     curvature_components,
     derivation_action,
     is_metric,
     solved_torsion_endo,
+    solved_torsion_forms,
     symmetry_defects,
     torsion_defect,
 )
@@ -72,10 +80,6 @@ from g2kit.liealg import (
     MetricLieAlgebra,
     TorsionForms,
     TorsionSolveError,
-    _lambda2_14_forms,
-    _lambda3_27_forms,
-    _lambda4_system,
-    _lambda5_system,
     alt_scalar_curvature,
     ce_differential,
     curvature_diagonal,
@@ -105,6 +109,7 @@ from g2kit.linalg import (
 )
 from g2kit.sampling import (
     _rand_ratio,
+    rand_almost_abelian,
     rand_fraction,
     rand_g2,
     rand_mat,
@@ -836,17 +841,6 @@ def oracle_algebras(seed: int) -> list[MetricLieAlgebra]:
     return [rand_two_step_nilpotent(rng) for _ in range(3)] + [so3_plus_r4(), almost_abelian()]
 
 
-def rand_almost_abelian(rng: Random) -> MetricLieAlgebra:
-    """e_0 acting on span(e_1..e_6) by a sparse seeded rational matrix; the
-    other brackets vanish, so Jacobi holds by construction."""
-    entries = {}
-    for j in range(1, DIM):
-        coeffs = {k: rand_fraction(rng) for k in range(1, DIM) if rng.random() < 0.4}
-        if any(coeffs.values()):
-            entries[0, j] = coeffs
-    return MetricLieAlgebra.from_nonzero(entries)
-
-
 def rand_form(rng: Random, degree: int) -> KForm:
     return KForm(degree, {key: rand_fraction(rng) for key in combinations(range(DIM), degree) if rng.random() < 0.4})
 
@@ -1195,6 +1189,84 @@ def test_torsion_forms_match_fraction_route(frame, seed):
         assert torsion_forms(mla, frame) == ref_torsion_forms(mla, frame)
 
 
+def closed_torsion_forms(mla: MetricLieAlgebra, frame, c0=7, c1=12, c3=3, c4=4) -> TorsionForms:
+    """The closed form of ``torsion_forms`` with its constants 1/c0, 1/c1,
+    c3 and c4 as arguments (the defaults are the package's), for the
+    controls that change one of them."""
+    phi, psi, o = frame.phi, frame.star_phi, frame.orientation
+    dphi, dpsi = ce_differential(mla, phi), ce_differential(mla, psi)
+    tau0 = hodge(wedge(phi, dphi), o).coeff(()) / c0
+    tau1 = hodge(wedge(phi, hodge(dphi, o)), o).scale(Fraction(1, c1))
+    tau3 = hodge(dphi - psi.scale(tau0) - wedge(tau1, phi).scale(c3), o)
+    if not (wedge(phi, tau3).is_zero() and wedge(psi, tau3).is_zero()):
+        raise TorsionSolveError("tau3")
+    rest = dpsi - wedge(tau1, psi).scale(c4)
+    tau2 = -hodge(rest, o)
+    if wedge(tau2, phi) != rest:
+        raise TorsionSolveError("tau2")
+    return TorsionForms(tau0=tau0, tau1=tau1, tau2=tau2, tau3=tau3)
+
+
+def torsion_outcome(route, *args, **kwargs):
+    """What a torsion-forms route returns, or "rejected" when it raises
+    TorsionSolveError."""
+    try:
+        return route(*args, **kwargs)
+    except TorsionSolveError:
+        return "rejected"
+
+
+def sampled_algebras(seed: int, count: int) -> list[MetricLieAlgebra]:
+    """`count` 2-step nilpotent and `count` almost-abelian algebras from
+    the package's samplers."""
+    rng = Random(seed)
+    return [rand_two_step_nilpotent(rng) for _ in range(count)] + [rand_almost_abelian(rng) for _ in range(count)]
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_closed_torsion_forms_match_the_solve(frame, seed):
+    algebras = sampled_algebras(seed, 10)
+    solved = [solved_torsion_forms(mla, frame) for mla in algebras]
+    assert [torsion_forms(mla, frame) for mla in algebras] == solved
+    assert [closed_torsion_forms(mla, frame) for mla in algebras] == solved
+    # every class shows up, so each constant is exercised
+    assert all(any(getattr(tf, name) for tf in solved) for name in ("tau0", "tau1", "tau2", "tau3"))
+    # tau1 read off d star_phi is the same one-form (Bryant)
+    for mla, tf in zip(algebras, solved):
+        dpsi = ce_differential(mla, frame.star_phi)
+        assert hodge(wedge(frame.star_phi, hodge(dpsi, frame.orientation)), frame.orientation).scale(Fraction(1, 12)) == tf.tau1
+    # negative controls: doubling any one constant loses the agreement
+    for doubled in ({"c0": Fraction(7, 2)}, {"c1": 6}, {"c3": 6}, {"c4": 8}):
+        assert any(torsion_outcome(closed_torsion_forms, mla, frame, **doubled) != tf for mla, tf in zip(algebras, solved))
+
+
+def dropped_triple_frame(frame: G2Frame, index: int) -> G2Frame:
+    """The frame's table without one base triple: no cross product."""
+    triples = frame.table.base_triples
+    return G2Frame.from_table(CrossTable(triples[:index] + triples[index + 1 :], frame.table.label_offset))
+
+
+@pytest.mark.parametrize("broken", ["dropped", "flipped"])
+def test_closed_torsion_forms_keep_every_rejection_of_the_solve(frame, broken):
+    # negative control: on a table with one base triple dropped or flipped
+    # there is no G2 structure.  The closed form rejects every input the
+    # solve rejects, and where it accepts, the two agree.  It may reject
+    # more: its constants assume phi ^ psi = 7 vol, which a dropped triple
+    # makes 6 vol, while the solve decomposes against the table's own forms
+    algebras = sampled_algebras(4, 8)
+    counts = {"rejected": 0, "agreed": 0}
+    for index in range(DIM):
+        table = dropped_triple_frame(frame, index) if broken == "dropped" else flipped_frame(frame, index)
+        for mla in algebras:
+            got = torsion_outcome(torsion_forms, mla, table)
+            if got == "rejected":
+                counts["rejected"] += 1
+            else:
+                assert got == torsion_outcome(solved_torsion_forms, mla, table), (index, mla)
+                counts["agreed"] += 1
+    assert counts["rejected"] and counts["agreed"], counts
+
+
 # ---------------------------------------------------------------------------
 # Exact linear algebra
 # ---------------------------------------------------------------------------
@@ -1411,8 +1483,8 @@ def ref_lambda3_27_forms(frame) -> tuple[KForm, ...]:
     """The kernel of gamma -> (gamma ^ phi, gamma ^ star_phi) over Fraction
     coefficients."""
     keys3 = list(combinations(range(DIM), 3))
-    rows = [[wedge(KForm.monomial(key), frame.phi).coeff(t) for key in keys3] for t in combinations(range(DIM), 6)]
-    rows.append([wedge(KForm.monomial(key), frame.star_phi).coeff(tuple(range(DIM))) for key in keys3])
+    rows = [[wedge(KForm(3, {key: 1}), frame.phi).coeff(t) for key in keys3] for t in combinations(range(DIM), 6)]
+    rows.append([wedge(KForm(3, {key: 1}), frame.star_phi).coeff(tuple(range(DIM))) for key in keys3])
     return tuple(KForm(3, {key: c for key, c in zip(keys3, v) if c != 0}) for v in ref_nullspace(rows))
 
 
@@ -1441,7 +1513,7 @@ def test_frame_bases_match_fraction_route(frame):
 
 
 def test_frame_systems_match_fraction_route(frame):
-    one_forms = [KForm.monomial((i,)) for i in range(DIM)]
+    one_forms = [KForm(1, {(i,): 1}) for i in range(DIM)]
     cases = [
         (
             _lambda4_system(frame),

@@ -5,6 +5,8 @@ from random import Random
 
 import pytest
 from geometry_checks import (
+    _lambda2_14_forms,
+    _lambda3_27_forms,
     curvature_components,
     derivation_action,
     is_metric,
@@ -14,14 +16,13 @@ from geometry_checks import (
 )
 
 from g2kit.forms import FORM, TENSOR, KForm, form_inner, form_norm_sq, hodge, interior, wedge
+from g2kit.frames import CrossTable, G2Frame
 from g2kit.invariants import i0
 from g2kit.liealg import (
     HEISENBERG_REFERENCE_CONNECTION,
     ConnectionTable,
     MetricLieAlgebra,
     TorsionSolveError,
-    _lambda2_14_forms,
-    _lambda3_27_forms,
     alt_scalar_curvature,
     bryant_scalar_check,
     ce_differential,
@@ -295,10 +296,10 @@ def test_divergence_balance():
 
 def test_ce_differential_heisenberg():
     mla, _, _ = heisenberg_model()
-    de6 = ce_differential(mla, KForm.monomial((6,)))
+    de6 = ce_differential(mla, KForm(1, {(6,): 1}))
     assert de6 == KForm(2, {(0, 5): -1})
     assert ce_differential(mla, de6).is_zero()
-    de1 = ce_differential(mla, KForm.monomial((1,)))
+    de1 = ce_differential(mla, KForm(1, {(1,): 1}))
     assert de1 == KForm(2, {(4, 5): -1})
 
 
@@ -574,11 +575,19 @@ def test_heisenberg_model_data():
 
 
 def test_torsion_solve_error_on_incompatible_input(frame):
-    # feeding a 4-form outside the 1+7+27 decomposition image is impossible
-    # for genuine d phi, so drive the solver directly with a bogus system
-    from g2kit.linalg import LinearSystem, integer_coords
-
-    rows = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(0)]]
-    assert LinearSystem(rows).solve_ints([0, 1], 1) is None
+    # no genuine d phi and d star_phi fail the checks, so drop the frame's
+    # last base triple: each check then rejects some single bracket
+    triples = frame.table.base_triples
+    dropped = G2Frame.from_table(CrossTable(triples[:-1], frame.table.label_offset))
+    messages = set()
+    for i, j in combinations(range(DIM), 2):
+        for k in range(DIM):
+            try:
+                torsion_forms(MetricLieAlgebra.from_nonzero({(i, j): {k: 1}}), dropped)
+            except TorsionSolveError as exc:
+                messages.add(str(exc))
+    assert messages == {
+        "d phi is not compatible with the 1+7+27 split",
+        "d star_phi is not 4 tau1 ^ star_phi + tau2 ^ phi with tau2 in Lambda^2_14",
+    }
     assert isinstance(TorsionSolveError("x"), ValueError)
-    assert len(integer_coords(frame.phi)[0]) == 35

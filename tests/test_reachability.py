@@ -46,7 +46,6 @@ REASONS = ("api", "demo", "oracle", "sampler", "error", "protocol", "fork")
 # why each def that no command reaches stays in the package
 LEDGER = {
     "cli._frame_in_child.collect": "fork",
-    "forms.KForm.__add__": "protocol",
     "forms.KForm.__call__": "protocol",
     "forms.KForm.__reduce__": "protocol",
     "forms.KForm.__repr__": "protocol",
@@ -57,6 +56,8 @@ LEDGER = {
     "liealg.MetricLieAlgebra.__new__": "protocol",
     "liealg.MetricLieAlgebra.brackets": "api",
     "liealg.MetricLieAlgebra.is_unimodular": "api",
+    "linalg.LinearSystem.__init__": "protocol",
+    "linalg.LinearSystem.solve_ints": "api",
     "linalg.Mat7.__getitem__": "protocol",
     "linalg.Mat7.__neg__": "protocol",
     "linalg.Mat7.diag": "api",
@@ -77,6 +78,7 @@ LEDGER = {
     "linalg.principal_minor_sum": "oracle tests/test_invariants.py::test_char_poly_vs_minor_sum_oracle",
     "linalg.rank": "api",
     "linalg.rref": "api",
+    "sampling.rand_almost_abelian": "sampler",
     "sampling.rand_orthogonal": "oracle tests/test_invariants.py::test_orthogonal_invariance_of_sigma_quantities",
     "sampling.rand_two_step_nilpotent": "sampler",
     "sampling.table_symmetries": "sampler",

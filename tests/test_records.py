@@ -13,7 +13,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from geometry_checks import NearlyParallelReport, nearly_parallel_torsion_check
+from geometry_checks import (
+    NearlyParallelReport,
+    _lambda2_14_forms,
+    _lambda3_27_forms,
+    _lambda4_system,
+    _lambda5_system,
+    nearly_parallel_torsion_check,
+)
 
 from g2kit.cli import RunConfig
 from g2kit.forms import FORM
@@ -25,10 +32,6 @@ from g2kit.liealg import (
     GeometryTorsionReport,
     TorsionForms,
     _dual_coords,
-    _lambda2_14_forms,
-    _lambda3_27_forms,
-    _lambda4_system,
-    _lambda5_system,
     bryant_scalar_check,
     divergence_balance,
     g2perp_scalar_curvature,

@@ -17,6 +17,7 @@ from g2kit.serialize import (
     canonical_json,
     endo_split_to_json,
     form_to_json,
+    integer_terms_to_json,
     mat_from_json,
     mat_to_json,
     parse_rational,
@@ -146,6 +147,18 @@ def test_form_roundtrip(standard):
     data = form_to_json(a)
     assert data["degree"] == 3
     assert all(t["indices"] == sorted(t["indices"]) for t in data["terms"])
+
+
+def test_integer_terms_read_the_grid(frame):
+    # the tables report's star_phi quadruples: labelled indices and the
+    # integer coefficient of each nonzero term, in key order
+    off = frame.label_offset
+    expected = [[*(i + off for i in key), int(v)] for key, v in frame.star_phi.terms()]
+    assert integer_terms_to_json(frame.star_phi, off) == expected
+    assert len(expected) == 7 and all(abs(t[-1]) == 1 for t in expected)
+    # a non-integral coefficient is refused, not truncated
+    with pytest.raises(ValueError, match="denominator 2"):
+        integer_terms_to_json(frame.phi.scale(Fraction(1, 2)), off)
 
 
 def test_endo_split_schema(standard):
