@@ -1216,16 +1216,9 @@ def torsion_outcome(route, *args, **kwargs):
         return "rejected"
 
 
-def sampled_algebras(seed: int, count: int) -> list[MetricLieAlgebra]:
-    """`count` 2-step nilpotent and `count` almost-abelian algebras from
-    the package's samplers."""
-    rng = Random(seed)
-    return [rand_two_step_nilpotent(rng) for _ in range(count)] + [rand_almost_abelian(rng) for _ in range(count)]
-
-
 @pytest.mark.parametrize("seed", [7, 8])
 def test_closed_torsion_forms_match_the_solve(frame, seed):
-    algebras = sampled_algebras(seed, 10)
+    algebras = torsion_oracle_algebras(seed, 10)
     solved = [solved_torsion_forms(mla, frame) for mla in algebras]
     assert [torsion_forms(mla, frame) for mla in algebras] == solved
     assert [closed_torsion_forms(mla, frame) for mla in algebras] == solved
@@ -1253,7 +1246,7 @@ def test_closed_torsion_forms_keep_every_rejection_of_the_solve(frame, broken):
     # solve rejects, and where it accepts, the two agree.  It may reject
     # more: its constants assume phi ^ psi = 7 vol, which a dropped triple
     # makes 6 vol, while the solve decomposes against the table's own forms
-    algebras = sampled_algebras(4, 8)
+    algebras = torsion_oracle_algebras(4, 8)
     counts = {"rejected": 0, "agreed": 0}
     for index in range(DIM):
         table = dropped_triple_frame(frame, index) if broken == "dropped" else flipped_frame(frame, index)
