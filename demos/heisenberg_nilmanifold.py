@@ -3,13 +3,15 @@
 Every number below is produced by exact rational arithmetic: the
 Levi-Civita connection from the brackets, the curvature scalars read off it,
 the torsion endomorphism read off the connection, its invariants, and
-the torsion forms with the scalar-curvature formula they satisfy.
+the torsion forms with the structure equations they solve and the
+scalar-curvature formula they satisfy.
 
 Run with:  python demos/heisenberg_nilmanifold.py
 """
 
 from g2kit import (
     bryant_scalar_check,
+    ce_differential,
     characteristic_vector,
     classify,
     curvature_integrand,
@@ -21,6 +23,7 @@ from g2kit import (
     scalar_curvature,
     sigma2,
     torsion_forms,
+    wedge,
 )
 from g2kit.liealg import connection_reference_diff, curvature_diagonal
 
@@ -53,6 +56,8 @@ print("balance: -(3/2) i0 + 6 sigma2 =", lhs, " and s/6 =", s / 6, "->", lhs == 
 tf = torsion_forms(mla, frame)
 print("\ntorsion forms: vanishing =", sorted(tf.vanishing()),
       " tau2 =", tf.tau2.terms())
+dphi, dpsi = (ce_differential(mla, form) for form in (frame.phi, frame.star_phi))
+print("d phi = 0 (phi is closed):", dphi.is_zero(), "  d star_phi = tau2 ^ phi:", dpsi == wedge(tf.tau2, frame.phi))
 rep = bryant_scalar_check(mla, frame, s, tf)
 print("scalar-curvature formula from the torsion forms reconciles under:",
       rep.reconciling, " with |tau2|^2 =", rep.forms.norms_sq("form")["tau2_sq"])

@@ -14,7 +14,7 @@ Convention notes, fixed once here:
   nabla_[X,Y] Z, with scalar curvature s = sum_ij <R(e_i,e_j)e_j, e_i>.
 * The codifferential on invariant k-forms is delta = (-1)^k star d star
   (dimension 7); on unimodular algebras it is the formal adjoint of d for
-  the "form" inner product.
+  the "form" inner product, and on 1-forms the pairing with H.
 * The torsion endomorphism is read off the connection as the g2-perp
   part of each nabla_{e_i}: T(e_i) = -(1/6) p(nabla_{e_i}), p the eps
   contraction, so that nabla_{e_i} phi = (cross operator of T(e_i)) * phi.
@@ -166,8 +166,13 @@ class MetricLieAlgebra(_IntegerGrid):
                 return (i, j, k)
         return None
 
+    def trace_vector(self) -> Vec7:
+        """H = sum_k tr(ad e_k) e_k, tr(ad e_k) = sum_j c^j_kj (Milnor 1976);
+        on an invariant 1-form the codifferential is delta alpha = <alpha, H>."""
+        return Vec7.from_ints([sum(row[j][j] for j in _R) for row in self._grid], self._den)
+
     def is_unimodular(self) -> bool:
-        return all(sum(row[j][j] for j in _R) == 0 for row in self._grid)
+        return self.trace_vector().is_zero()
 
     def nonzero_entries(self) -> list[tuple[int, int, int, Fraction]]:
         d = self._den
@@ -375,12 +380,9 @@ def divergence_balance(t: Mat7, s_perp: Fraction, frame: G2Frame) -> DivergenceR
 # ---------------------------------------------------------------------------
 
 
-def ce_differential(mla: MetricLieAlgebra, a: KForm) -> KForm:
-    """Chevalley-Eilenberg differential on invariant forms, applied as the
-    graded derivation with d e^m = -sum_{i<j} c^m_ij e^{ij} over the
-    nonzero structure constants."""
-    if a.degree == DIM:
-        raise ValueError("no degree-8 forms on a 7-dimensional algebra")
+def _ce_table(mla: MetricLieAlgebra) -> list[list[tuple[tuple[int, int], int]]]:
+    """The ``_derivation`` table of d e^m = -sum_{i<j} c^m_ij e^{ij} over
+    mla._den, from the nonzero structure constants."""
     grid = mla._grid
     table = [[] for _ in _R]
     for i, j in _PAIRS:
@@ -388,7 +390,16 @@ def ce_differential(mla: MetricLieAlgebra, a: KForm) -> KForm:
             for m, x in enumerate(grid[i][j]):
                 if x:
                     table[m].append(((i, j), -x))
-    return _derivation(a, 2, [table], mla._den)[0]
+    return table
+
+
+def ce_differential(mla: MetricLieAlgebra, a: KForm) -> KForm:
+    """Chevalley-Eilenberg differential on invariant forms, applied as the
+    graded derivation with d e^m = -sum_{i<j} c^m_ij e^{ij} over the
+    nonzero structure constants."""
+    if a.degree == DIM:
+        raise ValueError("no degree-8 forms on a 7-dimensional algebra")
+    return _derivation(a, 2, [_ce_table(mla)], mla._den)[0]
 
 
 def codifferential(mla: MetricLieAlgebra, a: KForm) -> KForm:
@@ -561,8 +572,9 @@ def torsion_forms(mla: MetricLieAlgebra, frame: G2Frame, convention: str = FORM)
     against bases of Lambda^4 and Lambda^5 rejects.
     """
     phi, psi, o = frame.phi, frame.star_phi, frame.orientation
-    dphi = ce_differential(mla, phi)
-    dpsi = ce_differential(mla, psi)
+    table = [_ce_table(mla)]  # one Chevalley-Eilenberg table for d phi and d psi
+    dphi = _derivation(phi, 2, table, mla._den)[0]
+    dpsi = _derivation(psi, 2, table, mla._den)[0]
     tau0 = form_inner(dphi, psi) / 7
     tau1 = hodge(wedge(phi, hodge(dphi, o)), o).scale(Fraction(1, 12))
     tau3 = hodge(dphi + psi.scale(-tau0) + wedge(tau1.scale(-3), phi), o)
@@ -593,7 +605,7 @@ def bryant_scalar_check(
     torsion_forms(mla, frame), and report which convention gives exact
     equality.  The two sides come from independent routes.  `norms` maps
     each convention to ``tf.norms_sq(convention)`` when the caller has them."""
-    dt1 = codifferential(mla, tf.tau1).coeff(())
+    dt1 = Vec7.from_ints(*integer_coords(tf.tau1)).dot(mla.trace_vector())
     if norms is None:
         norms = {convention: tf.norms_sq(convention) for convention in (FORM, TENSOR)}
     rhs = []

@@ -489,7 +489,8 @@ def _integer_grid(rows) -> list[list[int]]:
 
 
 def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices)."""
+    """Reduced row echelon form; returns (matrix, pivot column indices).
+    The one exact solver: A X = B is read off the pivot rows of [A | B]."""
     m = _integer_grid(rows)
     pivots = _reduce(m)
     ncols = len(m[0]) if m else 0
@@ -517,61 +518,6 @@ def nullspace(rows) -> list[list[Fraction]]:
             v[pc] = Fraction(-row[fc], row[pc])
         basis.append(v)
     return basis
-
-
-class LinearSystem:
-    """A x = b for one fixed A = rows / d and many right-hand sides b.
-
-    The integer rows of D [A | I] are reduced once with the integer
-    Gauss-Jordan, where the diagonal D scales each row of A to integers (the
-    identity block is scaled too, so the reduction sees a matrix row
-    equivalent to [A | I]).  The rows with a pivot in A carry the transform
-    E (E A = rref(A)), the others span the left null space of A; both are
-    kept as integer rows, the transform in lowest terms over one common
-    denominator.  :meth:`solve_ints` then costs one integer matrix-vector
-    product plus a consistency check, and returns exactly what reducing
-    [A | b] would give.  (Reducing past the A columns changes the E rows
-    only by left-null rows, which vanish on every consistent b.)
-    """
-
-    def __init__(self, rows, d: int = 1):
-        """The system with matrix rows / d, for rows of int or Fraction
-        entries and an integer d > 0."""
-        nrows = len(rows)
-        self.ncols = ncols = len(rows[0])
-        m = []
-        for i, row in enumerate(rows):
-            xs, di = integer_vector(row)
-            scaled = [0] * nrows
-            scaled[i] = di * d
-            m.append(xs + scaled)
-        pivots = _reduce(m)
-        r = sum(1 for c in pivots if c < ncols)
-        self.pivots = tuple(pivots[:r])
-        # each pivot row's I block over its pivot p, in lowest terms with a
-        # positive denominator
-        blocks = []
-        for row, c in zip(m, pivots):
-            p = row[c]
-            g = gcd(p, *row[ncols:])
-            if p < 0:
-                g = -g
-            blocks.append(([x // g for x in row[ncols:]], p // g))
-        transform = blocks[:r]
-        self._den = den = lcm(*(dr for _, dr in transform))
-        self._transform = tuple(tuple(x * (den // dr) for x in row) for row, dr in transform)
-        self._left_null = tuple(xs for xs, _ in blocks[r:])
-
-    def solve_ints(self, b, db: int) -> tuple[list[int], int] | None:
-        """One exact solution of A x = b / db for integers b and db > 0, as
-        (integers x, their common denominator), or None when inconsistent.
-        The denominator is not reduced."""
-        if any(sum(map(mul, row, b)) for row in self._left_null):
-            return None
-        x = [0] * self.ncols
-        for pc, row in zip(self.pivots, self._transform):
-            x[pc] = sum(map(mul, row, b))
-        return x, self._den * db
 
 
 def det(rows: list[list[Fraction]]) -> Fraction:

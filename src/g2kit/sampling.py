@@ -25,7 +25,7 @@ from random import Random
 
 from .frames import G2Frame
 from .liealg import MetricLieAlgebra
-from .linalg import DIM, LinearSystem, Mat7, Vec7, integer_columns, integer_pairs, integer_rows
+from .linalg import DIM, Mat7, Vec7, integer_pairs, rref
 from .so7 import g2_basis_entries
 
 
@@ -131,17 +131,13 @@ def rand_orthogonal(rng: Random) -> Mat7:
     """Rational special orthogonal matrix via the Cayley transform
     (I - S)(I + S)^{-1} of a random skew S; I + S is always invertible.
 
-    The 7 columns solve one system (I + S) x = (I - S) e_j, reduced once."""
+    Q solves (I + S) Q = I - S (the two factors commute), read off the right
+    block of one ``rref`` of [I + S | I - S]."""
     s = rand_skew(rng)
-    system = LinearSystem(*integer_rows(Mat7.identity() + s))
-    b, db = integer_columns(Mat7.identity() - s)
-    cols = []
-    for col in b:
-        sol = system.solve_ints(col, db)
-        if sol is None:
-            raise ValueError("Cayley transform failed: I + S is singular")
-        cols.append(sol[0])
-    return Mat7.from_ints(tuple(zip(*cols)), sol[1])
+    reduced, pivots = rref([[*a, *b] for a, b in zip((Mat7.identity() + s).entries, (Mat7.identity() - s).entries)])
+    if pivots != list(range(DIM)):
+        raise ValueError("Cayley transform failed: I + S is singular")
+    return Mat7([row[DIM:] for row in reduced])
 
 
 def table_symmetries(frame: G2Frame, rng: Random, count: int, max_tries: int = 4000) -> list[Mat7]:

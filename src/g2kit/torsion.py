@@ -132,9 +132,9 @@ def hypersurface_identity_check(s: Mat7) -> HypersurfaceReport:
     6 * curvature_integrand(T) = 128 * sigma2(S) exactly.
 
     This verifies the internal algebraic chain s = 18 sigma2(T) =
-    128 sigma2(S) only; the 8/3 coupling itself is not consistent with the
-    nearly-parallel normalisation of round spheres (which needs T = S/3),
-    so the coupling constant is surfaced rather than endorsed.
+    128 sigma2(S) only.  The coupling that meets the Gauss equation
+    s = 2 sigma2(S) of a hypersurface of R^8 is T = +-S/3, so the 8/3 one is
+    surfaced, not endorsed; README lists it among the known discrepancies.
     """
     if not s.is_symmetric():
         raise ValueError("hypersurface shape operator must be symmetric")

@@ -13,7 +13,10 @@ instead, as the solution of nabla_{e_i} phi = (cross operator of T(e_i))
 in closed form too (``liealg.torsion_forms``); the solve here decomposes
 d phi against a basis of Lambda^4 = 1 + 7 + 27 and d star_phi against one
 of Lambda^5 = 7 + 14, built per frame from a Lambda^3_27 nullspace and the
-g2 basis.  No command reads the nearly parallel check either; it
+g2 basis.  Each system is kept per frame as its integer rows over one
+denominator, and :func:`solve_columns` solves it for all the right-hand
+sides of one call with a single ``linalg.rref`` of [A | B], the package's
+one exact solver.  No command reads the nearly parallel check either; it
 substitutes a nearly parallel d phi into the skew-torsion formulas.
 """
 
@@ -32,7 +35,6 @@ from g2kit.liealg import (
 )
 from g2kit.linalg import (
     DIM,
-    LinearSystem,
     Mat7,
     Vec7,
     _Record,
@@ -41,6 +43,7 @@ from g2kit.linalg import (
     integer_rows,
     integer_vector,
     nullspace,
+    rref,
 )
 from g2kit.so7 import cross_operator, g2_basis
 
@@ -107,34 +110,50 @@ def derivation_action(a: Mat7, form: KForm) -> KForm:
     return _derivation(form, 1, [[[((l,), c) for l, c in enumerate(row) if c] for row in rows]], d)[0]
 
 
-def _system(columns) -> LinearSystem:
-    """The linear system whose columns are the coordinates of the given forms."""
+def _system(columns) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(rows, d): the matrix rows / d whose columns are the coordinates of
+    the given forms."""
     coords, d = _common_coords(columns)
-    return LinearSystem(list(zip(*coords)), d)
+    return tuple(zip(*coords)), d
 
 
-def cross_action_system(frame: G2Frame) -> LinearSystem:
+def solve_columns(system, rhs) -> list[list[Fraction]] | None:
+    """The solution x of A x = b for A = rows / d, system = (rows, d), and
+    each right-hand side b in rhs (int or Fraction entries), read off the
+    pivot rows of one ``rref`` of [rows | d b_0 | d b_1 | ...]; None when a
+    pivot lands in the right block, so that some b is not in the column
+    space of A.  A free unknown of a rank-deficient A is 0."""
+    rows, d = system
+    ncols = len(rows[0])
+    reduced, pivots = rref([[*row, *(d * x for x in bs)] for row, bs in zip(rows, zip(*rhs))])
+    if pivots and pivots[-1] >= ncols:
+        return None
+    solutions = [[Fraction(0)] * ncols for _ in rhs]
+    for row, c in zip(reduced, pivots):
+        for x, value in zip(solutions, row[ncols:]):
+            x[c] = value
+    return solutions
+
+
+def cross_action_system(frame: G2Frame) -> tuple[tuple[tuple[int, ...], ...], int]:
     """The 35x7 system of v -> (cross operator of v) * phi."""
     return _system([derivation_action(cross_operator(Vec7.basis(k), frame), frame.phi) for k in range(DIM)])
 
 
-def solved_torsion_endo(nphi: tuple[KForm, ...], system: LinearSystem) -> Mat7:
+def solved_torsion_endo(nphi: tuple[KForm, ...], system) -> Mat7:
     """T with nabla_{e_i} phi = (cross operator of T(e_i)) * phi, from the
     covariant derivatives nphi = nabla_form(conn, frame.phi) and the
     frame's cross_action_system.
 
-    Each slice is an exact overdetermined solve; for a metric connection it
-    is consistent with zero residual.  The slices share one denominator, so
-    their integer solutions are the columns of T over one denominator too.
+    The seven slices are exact overdetermined solves, reduced together; for
+    a metric connection each is consistent with zero residual, and the
+    solutions are the columns of T.
     """
     coords, d = _common_coords(nphi)
-    cols = []
-    for i, b in enumerate(coords):
-        sol = system.solve_ints(b, d)
-        if sol is None:
-            raise TorsionSolveError(f"slice {i}: nabla_phi does not lie in the cross-operator orbit of phi")
-        cols.append(sol[0])
-    return Mat7.from_ints(tuple(zip(*cols)), sol[1])
+    cols = solve_columns(system, coords)
+    if cols is None:
+        raise TorsionSolveError("nabla_phi does not lie in the cross-operator orbit of phi")
+    return Mat7(tuple(zip(*cols))).scale(Fraction(1, d))
 
 
 def two_form_from_matrix(m: Mat7) -> KForm:
@@ -160,9 +179,9 @@ def _lambda3_27_forms(frame: G2Frame) -> tuple[KForm, ...]:
 
 
 @per_frame
-def _lambda4_system(frame: G2Frame) -> LinearSystem:
+def _lambda4_system(frame: G2Frame) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Lambda^4 against {star_phi} + {e^i ^ phi} + {star(27-part basis)}:
-    35 equations in 35 unknowns, reduced once per frame."""
+    35 equations in 35 unknowns."""
     cols = [frame.star_phi]
     cols += [wedge(KForm(1, {(i,): 1}), frame.phi) for i in range(DIM)]
     cols += [hodge(gamma, frame.orientation) for gamma in _lambda3_27_forms(frame)]
@@ -170,9 +189,9 @@ def _lambda4_system(frame: G2Frame) -> LinearSystem:
 
 
 @per_frame
-def _lambda5_system(frame: G2Frame) -> LinearSystem:
+def _lambda5_system(frame: G2Frame) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Lambda^5 against {e^i ^ star_phi} + {(14-part basis) ^ phi}:
-    21 equations in 21 unknowns, reduced once per frame."""
+    21 equations in 21 unknowns."""
     cols = [wedge(KForm(1, {(i,): 1}), frame.star_phi) for i in range(DIM)]
     cols += [wedge(beta, frame.phi) for beta in _lambda2_14_forms(frame)]
     return _system(cols)
@@ -202,19 +221,23 @@ def solved_torsion_forms(mla, frame: G2Frame) -> TorsionForms:
     dstar = ce_differential(mla, frame.star_phi)
 
     # system 1: Lambda^4, 35 unknowns
-    sol4 = _lambda4_system(frame).solve_ints(*integer_coords(dphi))
+    coords, dd = integer_coords(dphi)
+    sol4 = solve_columns(_lambda4_system(frame), [coords])
     if sol4 is None:
         raise TorsionSolveError("d phi is not compatible with the 1+7+27 split")
-    x, d4 = sol4
+    x, d4 = integer_vector(sol4[0])
+    d4 *= dd
     tau0 = Fraction(x[0], d4)
     tau1 = KForm.from_ints(1, x[1:8], 3 * d4)
     tau3 = _combination(_lambda3_27_forms(frame), x[8:], d4)
 
     # system 2: Lambda^5, 21 unknowns
-    sol5 = _lambda5_system(frame).solve_ints(*integer_coords(dstar))
+    coords, dd = integer_coords(dstar)
+    sol5 = solve_columns(_lambda5_system(frame), [coords])
     if sol5 is None:
         raise TorsionSolveError("d star_phi is not compatible with the 7+14 split")
-    y, d5 = sol5
+    y, d5 = integer_vector(sol5[0])
+    d5 *= dd
     if KForm.from_ints(1, y[:7], 4 * d5) != tau1:
         raise TorsionSolveError("the one-form parts of d phi and d star_phi disagree")
     tau2 = _combination(_lambda2_14_forms(frame), y[7:], d5)

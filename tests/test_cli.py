@@ -257,6 +257,7 @@ def count_calls(monkeypatch, *names):
 
 
 def test_nilmanifold_does_each_computation_once(tmp_path, monkeypatch):
+    from g2kit import liealg
     from g2kit.forms import KForm
     from g2kit.liealg import ConnectionTable, MetricLieAlgebra, TorsionForms
 
@@ -265,6 +266,8 @@ def test_nilmanifold_does_each_computation_once(tmp_path, monkeypatch):
         "liealg.koszul",
         "liealg._curvature_entries",
         "liealg.torsion_forms",
+        "liealg._ce_table",
+        "liealg.codifferential",
         "liealg.g2perp_scalar_curvature",
         "liealg.alt_scalar_curvature",
         "so7.decompose_endo",
@@ -296,6 +299,9 @@ def test_nilmanifold_does_each_computation_once(tmp_path, monkeypatch):
     for name, (cls, attr) in methods.items():
         counts[name] = 0
         monkeypatch.setattr(cls, attr, method_counter(name, getattr(cls, attr)))
+    # the (anti)derivation kernel as liealg calls it, not as forms does
+    counts["liealg_derivation"] = 0
+    monkeypatch.setattr(liealg, "_derivation", method_counter("liealg_derivation", liealg._derivation))
 
     path = tmp_path / "algebra.json"
     path.write_text(json.dumps(one_bracket()))
@@ -314,6 +320,12 @@ def test_nilmanifold_does_each_computation_once(tmp_path, monkeypatch):
             # entries s_g2perp pairs
             "_curvature_entries": 2,
             "torsion_forms": 1,
+            # one Chevalley-Eilenberg table for d phi and d star_phi, and
+            # delta tau1 read as <tau1, H>: the derivation kernel runs for
+            # d phi, d star_phi and nabla phi
+            "_ce_table": 1,
+            "codifferential": 0,
+            "liealg_derivation": 3,
             "g2perp_scalar_curvature": 1,
             "alt_scalar_curvature": 1,
             # the invariants are read off the part norms of the one split

@@ -7,7 +7,8 @@ the cross-product axiom checks, the exhaustive epsilon-identity and
 star_phi pairing checks (their earlier loops over the eps cube and
 ``KForm.coeff``), the invariants i0, i1 and i2, the torsion energies, the
 characteristic polynomial, the ratio draws (two ``randint`` calls each),
-the matrix samplers, the matrix serialisation, and the left-invariant
+the matrix samplers and the Cayley transform of ``rand_orthogonal``, the
+matrix serialisation, and the left-invariant
 geometry of metric Lie algebras: the Koszul connection, the curvature (all
 49 entries of each R(e_i, e_j) read through the integer kernel), the
 scalars read off single entries of it (against the full tensor, with the
@@ -30,10 +31,11 @@ views (``brackets``, ``gamma``, ``KForm.coeff``/``terms``)
 and on ``Fraction`` ``Mat7`` products, over seeded 2-step nilpotent
 algebras, seeded almost-abelian algebras, so(3) + R^4 scaled by 2/3 and
 the non-unimodular almost-abelian golden input, in both frames.  The
-exact linear algebra (``rref``, ``rank``, ``nullspace`` and
-``LinearSystem``, now one fraction-free integer Gauss-Jordan) is held to
-the earlier Gauss-Jordan over ``Fraction``s, on seeded and generated
-grids and on the linear systems and bases cached per frame.
+exact linear algebra (``rref``, ``rank`` and ``nullspace``, one
+fraction-free integer Gauss-Jordan, and the solves that
+``geometry_checks.solve_columns`` reads off ``rref``) is held to the
+earlier Gauss-Jordan over ``Fraction``s, on seeded and generated grids and
+on the linear systems and bases kept per frame.
 """
 
 import json
@@ -55,6 +57,7 @@ from geometry_checks import (
     curvature_components,
     derivation_action,
     is_metric,
+    solve_columns,
     solved_torsion_endo,
     solved_torsion_forms,
     symmetry_defects,
@@ -95,7 +98,6 @@ from g2kit.liealg import (
 from g2kit.linalg import (
     DIM,
     UNIT,
-    LinearSystem,
     Mat7,
     Vec7,
     int_matmul,
@@ -113,6 +115,7 @@ from g2kit.sampling import (
     rand_fraction,
     rand_g2,
     rand_mat,
+    rand_orthogonal,
     rand_skew,
     rand_symmetric,
     rand_two_step_nilpotent,
@@ -584,6 +587,25 @@ def test_rand_g2_matches_fraction_route(frame):
         assert rng.random() == ref_rng.random()
 
 
+def ref_cayley(s: Mat7) -> Mat7:
+    """(I - S)(I + S)^{-1}, the inverse read off the Fraction Gauss-Jordan
+    of [I + S | I]."""
+    unit = [[Fraction(int(i == j)) for j in range(DIM)] for i in range(DIM)]
+    reduced, pivots = ref_rref([list(row) + e for row, e in zip((Mat7.identity() + s).entries, unit)])
+    assert pivots == list(range(DIM))
+    return (Mat7.identity() - s) @ Mat7([row[DIM:] for row in reduced])
+
+
+def test_rand_orthogonal_matches_the_fraction_cayley_transform():
+    for seed in range(50):
+        rng, ref_rng = Random(seed), Random(seed)
+        q = rand_orthogonal(rng)
+        assert q == ref_cayley(ref_rand_skew(ref_rng))
+        assert q.transpose() @ q == Mat7.identity()
+        # the sampler draws exactly one skew matrix
+        assert rng.getstate() == ref_rng.getstate()
+
+
 def wide_matrix(rng: Random, shape: str) -> Mat7:
     m = [[Fraction(0)] * DIM for _ in range(DIM)]
     for i in range(DIM):
@@ -957,21 +979,25 @@ def ref_r_map(nphi, frame, convention: str) -> Mat7:
     )
 
 
+def system_rows(system) -> list[list[Fraction]]:
+    """The Fraction rows of A for a per-frame system (rows, d), A = rows / d."""
+    rows, d = system
+    return [[Fraction(x, d) for x in row] for row in rows]
+
+
 def ref_torsion_forms(mla: MetricLieAlgebra, frame) -> TorsionForms:
-    """Both solves on Fraction right-hand sides and the tau forms summed
-    as KForms."""
+    """Both solves by Gauss-Jordan over Fractions (``ref_solve``) on
+    Fraction right-hand sides, and the tau forms summed as KForms."""
     dphi = ref_ce_differential(mla, frame.phi)
     dstar = ref_ce_differential(mla, frame.star_phi)
-    x, d = _lambda4_system(frame).solve_ints(*integer_vector([dphi.coeff(key) for key in combinations(range(DIM), 4)]))
-    sol4 = [Fraction(v, d) for v in x]
+    sol4 = ref_solve(system_rows(_lambda4_system(frame)), [dphi.coeff(key) for key in combinations(range(DIM), 4)])
     tau0 = sol4[0]
     tau1 = KForm(1, {(i,): sol4[1 + i] / 3 for i in range(DIM)})
     tau3 = KForm(3)
     for a, gamma in enumerate(_lambda3_27_forms(frame)):
         if sol4[8 + a] != 0:
             tau3 = tau3 + gamma.scale(sol4[8 + a])
-    x, d = _lambda5_system(frame).solve_ints(*integer_vector([dstar.coeff(key) for key in combinations(range(DIM), 5)]))
-    sol5 = [Fraction(v, d) for v in x]
+    sol5 = ref_solve(system_rows(_lambda5_system(frame)), [dstar.coeff(key) for key in combinations(range(DIM), 5)])
     assert KForm(1, {(i,): sol5[i] / 4 for i in range(DIM)}) == tau1
     tau2 = KForm(2)
     for b, beta in enumerate(_lambda2_14_forms(frame)):
@@ -1142,7 +1168,7 @@ def torsion_oracle_algebras(seed: int, count: int) -> list[MetricLieAlgebra]:
     return algebras
 
 
-def torsion_checks(conn: ConnectionTable, t: Mat7, frame, system: LinearSystem) -> tuple[bool, bool]:
+def torsion_checks(conn: ConnectionTable, t: Mat7, frame, system) -> tuple[bool, bool]:
     """Whether t equals the exact solve of the cross-action system, and
     whether nabla_{e_i} phi = (cross operator of t e_i) * phi for every i."""
     nphi = nabla_form(conn, frame.phi)
@@ -1157,9 +1183,10 @@ def torsion_checks(conn: ConnectionTable, t: Mat7, frame, system: LinearSystem) 
 def test_torsion_endo_matches_the_cross_action_solve(frame):
     system = cross_action_system(frame)
     forms = [ref_derivation_action(cross_operator(Vec7.basis(k), frame), frame.phi) for k in range(DIM)]
-    # 35 equations of rank 7: 28 left-null rows
-    assert system_fields(system) == ref_linear_system(ref_form_rows(forms, 3))
-    assert system.ncols == DIM and len(system._left_null) == 28
+    rows = ref_form_rows(forms, 3)
+    assert system_rows(system) == rows
+    # 35 equations of rank 7
+    assert len(rows) == 35 and len(ref_rref(rows)[1]) == DIM
     nonzero = 0
     for mla in torsion_oracle_algebras(110, 20):
         conn = koszul(mla)
@@ -1306,22 +1333,6 @@ def ref_nullspace(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     return basis
 
 
-def ref_linear_system(rows: list[list[Fraction]]) -> tuple:
-    """(pivots, denominator, transform, left-null rows) from reducing
-    [A | I] over Fractions."""
-    nrows, ncols = len(rows), len(rows[0])
-    reduced, pivots = ref_rref([list(r) + [Fraction(int(i == k)) for k in range(nrows)] for i, r in enumerate(rows)])
-    r = sum(1 for c in pivots if c < ncols)
-    transform = [integer_vector(row[ncols:]) for row in reduced[:r]]
-    d = lcm(*(dr for _, dr in transform))
-    return (
-        tuple(pivots[:r]),
-        d,
-        tuple(tuple(x * (d // dr) for x in row) for row, dr in transform),
-        tuple(integer_vector(row[ncols:])[0] for row in reduced[r:]),
-    )
-
-
 def ref_solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
     """Reduce [A | b] for this one b and read x off the pivots."""
     ncols = len(rows[0])
@@ -1334,34 +1345,21 @@ def ref_solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]
     return x
 
 
-def system_fields(system: LinearSystem) -> tuple:
-    return system.pivots, system._den, system._transform, system._left_null
-
-
 def check_linear_algebra(rows: list[list[Fraction]], rhs_list: list[list[Fraction]]) -> int:
-    """Every routine against the Fraction reference on one grid; returns
-    the number of inconsistent right-hand sides."""
+    """Every routine against the Fraction reference on one grid, the solve
+    on each right-hand side alone, on the consistent ones together and on
+    all of them; returns the number of inconsistent right-hand sides."""
     assert rref(rows) == ref_rref(rows)
     assert rank(rows) == len(ref_rref(rows)[1])
     assert nullspace(rows) == ref_nullspace(rows)
-    system = LinearSystem(rows)
-    fields = ref_linear_system(rows)
-    assert system_fields(system) == fields
-    pivots, d, transform, _ = fields
-    inconsistent = 0
-    for rhs in rhs_list:
-        expected = ref_solve(rows, rhs)
-        b, db = integer_vector(rhs)
-        sol = system.solve_ints(b, db)
-        if expected is None:
-            assert sol is None
-            inconsistent += 1
-            continue
-        x = [0] * len(rows[0])
-        for pc, row in zip(pivots, transform):
-            x[pc] = sum(map(mul, row, b))
-        assert sol == (x, d * db)
-        assert [Fraction(v, sol[1]) for v in sol[0]] == expected
+    expected = [ref_solve(rows, rhs) for rhs in rhs_list]
+    for rhs, x in zip(rhs_list, expected):
+        assert solve_columns((rows, 1), [rhs]) == (None if x is None else [x])
+    solved = [x for x in expected if x is not None]
+    if solved:
+        assert solve_columns((rows, 1), [rhs for rhs, x in zip(rhs_list, expected) if x is not None]) == solved
+    inconsistent = len(rhs_list) - len(solved)
+    assert (solve_columns((rows, 1), rhs_list) is None) == (inconsistent > 0)
     return inconsistent
 
 
@@ -1426,12 +1424,17 @@ def test_linear_algebra_on_small_fixed_grids():
 
 
 def test_linear_system_over_a_denominator_matches_fraction_rows():
-    rng = Random(11)
+    rng, draws = Random(11), Random(12)
     for nrows, ncols, rank_ in GRID_SHAPES.values():
         rows = seeded_grid(rng, nrows, ncols, rank_)
         d = lcm(*(integer_vector(row)[1] for row in rows))
         scaled = [[x.numerator * (d // x.denominator) for x in row] for row in rows]
-        assert system_fields(LinearSystem(scaled, d)) == ref_linear_system(rows)
+        x0 = [rand_fraction(draws) for _ in range(ncols)]
+        image = [sum((a * x for a, x in zip(row, x0)), Fraction(0)) for row in rows]
+        arbitrary = [rand_fraction(draws) for _ in range(nrows)]
+        assert solve_columns((scaled, d), [image]) == [ref_solve(rows, image)]
+        expected = ref_solve(rows, arbitrary)
+        assert solve_columns((scaled, d), [arbitrary]) == (None if expected is None else [expected])
 
 
 GRID_ENTRIES = st.one_of(
@@ -1462,7 +1465,7 @@ def test_linear_algebra_matches_fraction_gauss_jordan_on_generated_grids(case):
     x0 = rhs_list[0][: len(rows[0])] + [Fraction(1)] * max(0, len(rows[0]) - len(rows))
     image = [sum((a * x for a, x in zip(row, x0)), Fraction(0)) for row in fraction_rows]
     check_linear_algebra(fraction_rows, rhs_list + [image])
-    assert LinearSystem(rows).solve_ints(*integer_vector(image)) is not None
+    assert solve_columns((rows, 1), [image]) is not None
     assert rref(rows) == rref(fraction_rows)
 
 
@@ -1523,8 +1526,6 @@ def test_frame_systems_match_fraction_route(frame):
         ),
     ]
     for system, forms, degree in cases:
-        rows = ref_form_rows(forms, degree)
-        assert system_fields(system) == ref_linear_system(rows)
-        assert system.ncols == len(forms)
-    # the two square systems are nonsingular: no left-null rows
-    assert [len(system._left_null) for system, _, _ in cases] == [0, 0]
+        assert system_rows(system) == ref_form_rows(forms, degree)
+    # the two square systems are nonsingular
+    assert [len(ref_rref(system_rows(system))[1]) for system, _, _ in cases] == [35, 21]

@@ -41,7 +41,7 @@ from g2kit.liealg import (
     torsion_forms,
 )
 from g2kit.linalg import DIM, Mat7, Vec7
-from g2kit.sampling import rand_fraction, rand_mat, rand_two_step_nilpotent, rand_vec
+from g2kit.sampling import rand_almost_abelian, rand_fraction, rand_mat, rand_two_step_nilpotent, rand_vec
 from g2kit.so7 import cross_operator, skew_to_vector
 from g2kit.torsion import classify
 
@@ -341,6 +341,34 @@ def test_codifferential_adjoint_on_unimodular():
                 {key: rand_fraction(rng) for key in combinations(range(DIM), k + 1) if rng.random() < 0.5},
             )
             assert form_inner(ce_differential(mla, a), b) == form_inner(a, codifferential(mla, b))
+
+
+def test_codifferential_of_a_one_form_is_the_pairing_with_the_trace_vector(frame):
+    # delta alpha = -*d*alpha against <alpha, H>, H = sum_k tr(ad e_k) e_k
+    # (Milnor 1976), on seeded 1-forms and on tau1, over nilpotent and
+    # almost-abelian algebras, most of the latter not unimodular
+    rng = Random(13)
+    nonzero = non_unimodular = 0
+    for k in range(40):
+        mla = rand_almost_abelian(rng) if k % 2 else rand_two_step_nilpotent(rng)
+        h = mla.trace_vector()
+        # tr(ad e_i) = sum_j c^j_ij, read off the Fraction brackets
+        assert h == Vec7([sum(mla.brackets[i][j][j] for j in range(DIM)) for i in range(DIM)])
+        assert mla.is_unimodular() == h.is_zero()
+        non_unimodular += not h.is_zero()
+        tf = torsion_forms(mla, frame)
+        forms = [KForm(1, {(i,): rand_fraction(rng) for i in range(DIM)}) for _ in range(2)] + [tf.tau1]
+        for a in forms:
+            delta = codifferential(mla, a).coeff(())
+            alpha = Vec7([a.coeff((i,)) for i in range(DIM)])
+            assert alpha.dot(h) == delta
+            if delta:
+                nonzero += 1
+                # negative control: the sign of H flipped
+                assert alpha.dot(-h) != delta
+        s = scalar_curvature(koszul(mla), mla)
+        assert bryant_scalar_check(mla, frame, s, tf).delta_tau1 == codifferential(mla, tf.tau1).coeff(())
+    assert (nonzero, non_unimodular) == (55, 19)
 
 
 def test_derivation_action_matches_direct_evaluation(frame):

@@ -2,16 +2,15 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from geometry_checks import solve_columns
 
 from g2kit.linalg import (
     DIM,
-    LinearSystem,
     Mat7,
     Vec7,
     det,
     int_matmul,
     integer_rows,
-    integer_vector,
     nullspace,
     principal_minor_sum,
     rank,
@@ -94,10 +93,13 @@ def test_rref_rank_nullspace():
 
 def test_solve_consistent_and_inconsistent():
     rows = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]]
-    x, d = LinearSystem(rows).solve_ints([3, 1], 1)
-    assert [Fraction(v, d) for v in x] == [2, 1]
+    assert solve_columns((rows, 1), [[3, 1]]) == [[2, 1]]
+    # rows / d: the same system over the denominator 2
+    assert solve_columns(([[2, 2], [2, -2]], 2), [[3, 1], [0, 2]]) == [[2, 1], [1, -1]]
     rows_bad = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]
-    assert LinearSystem(rows_bad).solve_ints([1, 3], 1) is None
+    assert solve_columns((rows_bad, 1), [[1, 3]]) is None
+    # one inconsistent right-hand side makes the whole solve None
+    assert solve_columns((rows_bad, 1), [[1, 2], [1, 3]]) is None
 
 
 def reference_solve(rows, rhs):
@@ -130,19 +132,20 @@ def seeded_system(shape: str) -> list[list[Fraction]]:
 @pytest.mark.parametrize("shape", ["square", "overdetermined-35", "rank-deficient"])
 def test_linear_system_matches_reference_solve(shape):
     rows = seeded_system(shape)
-    system = LinearSystem(rows)
     rng = Random(5)
     inconsistent = 0
+    images = []
     for _ in range(5):
         x0 = [rand_fraction(rng) for _ in rows[0]]
         image = [sum((a * x for a, x in zip(row, x0)), Fraction(0)) for row in rows]
         arbitrary = [rand_fraction(rng) for _ in rows]
         for rhs in (image, arbitrary, [Fraction(0)] * len(rows)):
             expected = reference_solve(rows, rhs)
-            sol = system.solve_ints(*integer_vector(rhs))
-            assert (None if sol is None else [Fraction(v, sol[1]) for v in sol[0]]) == expected
+            assert solve_columns((rows, 1), [rhs]) == (None if expected is None else [expected])
             inconsistent += expected is None
-        assert system.solve_ints(*integer_vector(image)) is not None
+        images.append(image)
+    # one reduction for all the consistent right-hand sides reads the same solutions
+    assert solve_columns((rows, 1), images) == [reference_solve(rows, b) for b in images]
     # random right-hand sides are inconsistent unless A has full row rank
     assert (inconsistent > 0) == (shape != "square")
 

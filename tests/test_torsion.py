@@ -164,6 +164,33 @@ def test_hypersurface_identity(standard):
         hypersurface_identity_check(cross_operator(Vec7.basis(0), standard))
 
 
+def test_hypersurface_coupling_one_third_meets_the_gauss_equation(frame):
+    # A hypersurface of flat R^8 with shape operator S has s = 2 sigma2(S)
+    # (Gauss).  For symmetric T the vector class vanishes, so the paper's
+    # s = 6 * integrand(T); T = +-S/3 meets the Gauss equation, in both
+    # frames, while the library's 8/3 coupling gives 128 sigma2(S)
+    third = Fraction(1, 3)
+    # the round sphere of radius 2/3: S = (3/2) I, T = I/2, s = 189/2
+    assert 6 * curvature_integrand(Mat7.identity().scale(Fraction(1, 2)), frame) == Fraction(189, 2)
+    rng = Random(27)
+    cases = []
+    for _ in range(30):
+        v = rand_vec(rng)
+        # a generic S, and a rank-one S = v v^T with sigma2(S) = 0
+        cases += [rand_symmetric(rng), Mat7(tuple(tuple(a * b for b in v) for a in v))]
+    nonzero = 0
+    for s in cases:
+        gauss = 2 * sigma2(s)
+        for sign in (1, -1):
+            assert 6 * curvature_integrand(s.scale(sign * third), frame) == gauss
+        # control: the 8/3 coupling's chain holds and misses Gauss unless sigma2(S) = 0
+        rep = hypersurface_identity_check(s)
+        assert rep.passed and rep.lhs == 6 * curvature_integrand(s.scale(Fraction(8, 3)), frame) == 128 * sigma2(s)
+        assert (rep.lhs == gauss) == (gauss == 0)
+        nonzero += gauss != 0
+    assert nonzero == 30
+
+
 def test_pure_vector_energy(frame):
     assert pure_vector_energy(Vec7.basis(1), frame) == 45
     assert pure_vector_energy(Vec7.zero(), frame) == 0
