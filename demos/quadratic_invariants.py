@@ -12,6 +12,7 @@ from g2kit import (
     build_standard_frame,
     char_poly,
     cross_operator,
+    curvature_integrand,
     decompose_endo,
     i0,
     i1,
@@ -54,9 +55,9 @@ for sample in (scaled, a_z, rand_mat(rng)):
     print("  detected:", rep.notes[0], "->", "pass" if rep.passed else "FAIL")
 
 print("\nevery quadratic invariant from the part norms (p1, p27, p14, p7):")
-print(" " * 10 + "".join(f"{col:>7}" for col in ("p1", "p27", "p14", "p7")))
+print(" " * 12 + "".join(f"{col:>7}" for col in ("p1", "p27", "p14", "p7")))
 for name, coeffs, div in PART_NORM_TABLE:
-    print(f"  {name:8s}" + "".join(f"{str(Fraction(c, div)):>7}" for c in coeffs))
+    print(f"  {name:10s}" + "".join(f"{str(Fraction(c, div)):>7}" for c in coeffs))
 for label, sample in (("random T", t), ("lambda*Id", scaled), ("cross operator", a_z)):
     table = part_norm_invariants(decompose_endo(sample, frame).part_norms_sq())
     kernels = {
@@ -65,5 +66,6 @@ for label, sample in (("random T", t), ("lambda*Id", scaled), ("cross operator",
         "i0": i0(sample, frame),
         "i1": i1(sample, frame),
         "i2": i2(sample, frame),
+        "integrand": curvature_integrand(sample, frame),
     }
     print(f"  {label}: kernels equal the table:", kernels == table)

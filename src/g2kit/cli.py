@@ -36,6 +36,7 @@ from .invariants import (
     i1,
     i2,
     invariant_report_from_norms,
+    part_norm_invariants,
     special_case_check,
     verify_quadratic_relations,
 )
@@ -86,7 +87,6 @@ from .torsion import (
     VECTOR_CLASS_SCALING_NOTE,
     characteristic_vector,
     classify,
-    integrand_from,
     torsion_energies,
 )
 
@@ -350,8 +350,9 @@ def cmd_classify(cfg: RunConfig) -> tuple[int, dict]:
 
     frame = FRAMES[cfg.frame]()
     cls = classify(t, frame)
-    inv = invariant_report_from_norms(t, cls.part_norms_sq)
-    integrand = integrand_from(inv.i0, inv.sigma2)
+    values = part_norm_invariants(cls.part_norms_sq)
+    inv = invariant_report_from_norms(t, values)
+    integrand = values["integrand"]
     notes = []
     predicted = None
     if "X4" in cls.flags:
@@ -384,15 +385,14 @@ def cmd_nilmanifold(cfg: RunConfig) -> tuple[int, dict]:
         # requested frame applies, and the built-in reference tables do not
         data = _read_json(cfg.input_path)
         try:
-            mla = algebra_from_json(data)
-            conn = koszul(mla)  # checks the Jacobi identity
+            mla = algebra_from_json(data)  # checks the Jacobi identity
         except (ValueError, TypeError, KeyError) as exc:
             raise UsageError(f"bad algebra in {cfg.input_path}: {exc}") from exc
         frame = FRAMES[cfg.frame]()
         t_ref = None
     else:
         mla, frame, t_ref = heisenberg_model()
-        conn = koszul(mla)
+    conn = koszul(mla)
     # s = sum_ij R_ijji, read off the diagonal the report prints
     diag = curvature_diagonal(conn, mla)
     s = sum((v for _, _, v in diag), Fraction(0))
@@ -401,8 +401,9 @@ def cmd_nilmanifold(cfg: RunConfig) -> tuple[int, dict]:
     geo = geometry_torsion_report(conn, frame)
     t = geo.torsion
     cls = classify(t, frame)
-    inv = invariant_report_from_norms(t, cls.part_norms_sq)
-    integrand = integrand_from(inv.i0, inv.sigma2)
+    values = part_norm_invariants(cls.part_norms_sq)
+    inv = invariant_report_from_norms(t, values)
+    integrand = values["integrand"]
     div = divergence_balance(t, s_perp, frame)
     tf = torsion_forms(mla, frame)
     # the Bryant check reads both conventions, and the report prints them

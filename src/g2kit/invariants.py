@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from operator import mul
+from operator import itemgetter, mul
 
 from .frames import CheckReport, G2Frame
-from .linalg import DIM, UNIT, Mat7, _Record, integer_columns, integer_rows, integer_vector
+from .linalg import DIM, Mat7, _Record, integer_columns, integer_rows, integer_vector
 from .so7 import decompose_endo
 
 
@@ -89,12 +89,11 @@ def i0(t: Mat7, frame: G2Frame) -> Fraction:
 
 
 def i1(t: Mat7, frame: G2Frame) -> Fraction:
-    """sum_ij <T(e_i) x e_i, T(e_j) x e_j> = |sum_i T(e_i) x e_i|^2."""
-    table = frame.table
+    """sum_ij <T(e_i) x e_i, T(e_j) x e_j> = |chi|^2 for the contraction
+    chi = sum_i e_i x T(e_i) of the columns of T; the sign drops out."""
     cols, d = integer_columns(t)
-    # e_i x T(e_i) = -T(e_i) x e_i; the sign drops out of the square
-    acc = list(map(sum, zip(*(table.cross(UNIT[i], cols[i]) for i in range(DIM)))))
-    return Fraction(sum(map(mul, acc, acc)), d * d)
+    chi = frame.table.contract(cols)
+    return Fraction(sum(map(mul, chi, chi)), d * d)
 
 
 def i2(t: Mat7, frame: G2Frame) -> Fraction:
@@ -120,13 +119,15 @@ class InvariantReport(_Record):
 
 # Each quadratic invariant as (name, integer coefficients of the part norms
 # (p1, p27, p14, p7) = EndoSplit.part_norms_sq(), divisor); sigma2, for
-# one, is (6 p1 - p27 + p14 + p7) / 2.
+# one, is (6 p1 - p27 + p14 + p7) / 2.  The last row is the paper's
+# integrand -(3/2) i0 + 6 sigma2 = 9 p1 - (3/2) p27 - (3/2) p14 + (15/2) p7.
 PART_NORM_TABLE = (
     ("sigma2", (6, -1, 1, 1), 2),
     ("norm_sq", (1, 1, 1, 1), 1),
     ("i0", (6, -1, 3, -3), 1),
     ("i1", (0, 0, 0, 6), 1),
     ("i2", (-6, 1, 3, -3), 1),
+    ("integrand", (18, -3, -3, 15), 2),
 )
 
 
@@ -138,14 +139,19 @@ def part_norm_invariants(norms: tuple[Fraction, Fraction, Fraction, Fraction]) -
     return {name: Fraction(sum(map(mul, coeffs, nums)), div * d) for name, coeffs, div in PART_NORM_TABLE}
 
 
-def invariant_report_from_norms(t: Mat7, norms: tuple[Fraction, Fraction, Fraction, Fraction]) -> InvariantReport:
-    """The report of T whose part norms are ``norms``; only sigma1 and the
-    characteristic polynomial are computed from T itself."""
-    return InvariantReport(sigma1=t.trace(), charpoly=char_poly(t), **part_norm_invariants(norms))
+# the table's values that an InvariantReport holds, in its field order
+_REPORT_ROWS = itemgetter("sigma2", "norm_sq", "i0", "i1", "i2")
+
+
+def invariant_report_from_norms(t: Mat7, values: dict[str, Fraction]) -> InvariantReport:
+    """The report of T from ``values = part_norm_invariants(norms)`` of its
+    part norms, but the integrand; only sigma1 and the characteristic
+    polynomial are computed from T itself."""
+    return InvariantReport(t.trace(), *_REPORT_ROWS(values), char_poly(t))
 
 
 def invariant_report(t: Mat7, frame: G2Frame) -> InvariantReport:
-    return invariant_report_from_norms(t, decompose_endo(t, frame).part_norms_sq())
+    return invariant_report_from_norms(t, part_norm_invariants(decompose_endo(t, frame).part_norms_sq()))
 
 
 class QuadraticRelationsReport(_Record):

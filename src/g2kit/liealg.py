@@ -76,6 +76,16 @@ def _vec7_grid(grid: tuple, d: int) -> tuple[tuple[Vec7, ...], ...]:
     return tuple(tuple(Vec7.from_ints(v, d) for v in row) for row in grid)
 
 
+def _with_nonzero(value):
+    """An algebra or connection with its ``_nonzero`` set: the nonzero entries
+    (i, j, k, x) of its grid in row-major order, the one list that every
+    kernel and writer reading only those reads."""
+    rows = enumerate(value._grid)
+    nonzero = ((i, j, k, x) for i, row in rows for j, v in enumerate(row) if any(v) for k, x in enumerate(v) if x)
+    object.__setattr__(value, "_nonzero", tuple(nonzero))
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Metric Lie algebras
 # ---------------------------------------------------------------------------
@@ -91,7 +101,7 @@ class MetricLieAlgebra(_IntegerGrid):
     vectors, is a ``Vec7`` view built on first use.
     """
 
-    __slots__ = ()
+    __slots__ = ("_nonzero",)
     _depth = 3
 
     def __new__(cls, brackets):
@@ -109,7 +119,7 @@ class MetricLieAlgebra(_IntegerGrid):
             for j in range(i, DIM):
                 if any(a != -b for a, b in zip(grid[i][j], grid[j][i])):
                     raise ValueError(f"brackets not antisymmetric at ({i},{j})")
-        return MetricLieAlgebra._lowest(grid, d)
+        return _with_nonzero(MetricLieAlgebra._lowest(grid, d))
 
     @staticmethod
     def from_pairs(entries: dict) -> MetricLieAlgebra:
@@ -151,11 +161,8 @@ class MetricLieAlgebra(_IntegerGrid):
         constants enter it.
         """
         nonzero = {}
-        for i, row in enumerate(self._grid):
-            for j, v in enumerate(row):
-                terms = [(a, x) for a, x in enumerate(v) if x]
-                if terms:
-                    nonzero[i, j] = terms
+        for i, j, a, x in self._nonzero:
+            nonzero.setdefault((i, j), []).append((a, x))
         for i, j, k in combinations(_R, 3):
             total = [0] * DIM
             for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
@@ -176,13 +183,7 @@ class MetricLieAlgebra(_IntegerGrid):
 
     def nonzero_entries(self) -> list[tuple[int, int, int, Fraction]]:
         d = self._den
-        return [
-            (i, j, k, Fraction(x, d))
-            for i, row in enumerate(self._grid)
-            for j in range(i + 1, DIM)
-            for k, x in enumerate(row[j])
-            if x
-        ]
+        return [(i, j, k, Fraction(x, d)) for i, j, k, x in self._nonzero if i < j]
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +199,7 @@ class ConnectionTable(_IntegerGrid):
     on first use.
     """
 
-    __slots__ = ()
+    __slots__ = ("_nonzero",)
     _depth = 3
 
     def __new__(cls, gamma):
@@ -209,7 +210,7 @@ class ConnectionTable(_IntegerGrid):
         """The connection with Gamma^k_ij = grid[i][j][k] / d, d > 0."""
         if d <= 0:
             raise ValueError(f"needs a positive denominator, got {d}")
-        return ConnectionTable._lowest(_grid3(grid, "connection vectors"), d)
+        return _with_nonzero(ConnectionTable._lowest(_grid3(grid, "connection vectors"), d))
 
     @property
     def gamma(self) -> tuple[tuple[Vec7, ...], ...]:
@@ -217,26 +218,20 @@ class ConnectionTable(_IntegerGrid):
 
     def nonzero_entries(self) -> list[tuple[int, int, int, Fraction]]:
         d = self._den
-        return [
-            (i, j, k, Fraction(x, d))
-            for i, row in enumerate(self._grid)
-            for j, v in enumerate(row)
-            for k, x in enumerate(v)
-            if x
-        ]
+        return [(i, j, k, Fraction(x, d)) for i, j, k, x in self._nonzero]
 
 
 def koszul(mla: MetricLieAlgebra) -> ConnectionTable:
     """Levi-Civita connection of the left-invariant metric:
     2 Gamma^k_ij = c^k_ij - c^i_jk + c^j_ki (orthonormal frame), so the
-    integer grid of the algebra over d gives Gamma over 2d, in lowest terms."""
-    defect = mla.jacobi_defect()
-    if defect is not None:
-        raise ValueError(f"Jacobi identity fails on triple {defect}")
-    c = mla._grid
-    grid = tuple(
-        tuple(tuple(c[i][j][k] - c[j][k][i] + c[k][i][j] for k in _R) for j in _R) for i in _R
-    )
+    integer grid of the algebra over d gives Gamma over 2d, in lowest terms.
+    Each nonzero c^c_ab enters 2 Gamma^c_ab, -2 Gamma^b_ca and 2 Gamma^a_bc;
+    no Jacobi identity is needed, so every bracket has a connection."""
+    grid = [[[0] * DIM for _ in _R] for _ in _R]
+    for a, b, c, x in mla._nonzero:
+        grid[a][b][c] += x
+        grid[c][a][b] -= x
+        grid[b][c][a] += x
     return ConnectionTable.from_ints(grid, 2 * mla._den)
 
 
@@ -246,13 +241,14 @@ _PAIRS = tuple(combinations(_R, 2))
 
 def _commutator_entries(rows, cols, terms, reads) -> list[list[int]]:
     """For the n-th pair (i, j) of _PAIRS, the entries reads[n] (row,
-    column) of [A_i, A_j] - sum_m x_m A_m, the (m, x_m) in terms[n], for
-    integer operators A_i with rows rows[i] and columns cols[i].  Entry
+    column) of [A_i, A_j] - sum_m x_m A_m, the (m, x_m) in terms.get((i, j)),
+    for integer operators A_i with rows rows[i] and columns cols[i].  Entry
     (a, b) of A_i A_j is row a of A_i against column b of A_j, so no
     product is formed in full."""
     out = []
-    for (i, j), lin, want in zip(_PAIRS, terms, reads):
+    for (i, j), want in zip(_PAIRS, reads):
         ri, rj, ci, cj = rows[i], rows[j], cols[i], cols[j]
+        lin = terms.get((i, j), ())
         values = []
         for a, b in want:
             x = sum(map(mul, ri[a], cj[b])) - sum(map(mul, rj[a], ci[b]))
@@ -277,8 +273,10 @@ def _curvature_entries(conn: ConnectionTable, mla: MetricLieAlgebra, reads) -> t
     cols = conn._grid
     if f != 1:
         cols = [[tuple(f * x for x in v) for v in block] for block in cols]
-    brackets = (mla._grid[i][j] for i, j in _PAIRS)
-    terms = [[(m, g * x) for m, x in enumerate(v) if x] if any(v) else () for v in brackets]
+    terms = {}
+    for i, j, m, x in mla._nonzero:
+        if i < j:
+            terms.setdefault((i, j), []).append((m, g * x))
     return _commutator_entries([tuple(zip(*block)) for block in cols], cols, terms, reads), L * L
 
 
@@ -337,7 +335,7 @@ def alt_scalar_curvature(t: Mat7, frame: G2Frame) -> Fraction:
     cols, d = integer_columns(t)
     reads, weights = _pairing_reads(frame)
     slices = [frame.table.cross_rows(c) for c in cols]
-    entries = _commutator_entries(slices, [tuple(zip(*s)) for s in slices], ((),) * len(_PAIRS), reads)
+    entries = _commutator_entries(slices, [tuple(zip(*s)) for s in slices], {}, reads)
     return Fraction(4 * sum(map(mul, weights, chain.from_iterable(entries))), 6 * d * d)
 
 
@@ -383,13 +381,10 @@ def divergence_balance(t: Mat7, s_perp: Fraction, frame: G2Frame) -> DivergenceR
 def _ce_table(mla: MetricLieAlgebra) -> list[list[tuple[tuple[int, int], int]]]:
     """The ``_derivation`` table of d e^m = -sum_{i<j} c^m_ij e^{ij} over
     mla._den, from the nonzero structure constants."""
-    grid = mla._grid
     table = [[] for _ in _R]
-    for i, j in _PAIRS:
-        if any(grid[i][j]):
-            for m, x in enumerate(grid[i][j]):
-                if x:
-                    table[m].append(((i, j), -x))
+    for i, j, m, x in mla._nonzero:
+        if i < j:
+            table[m].append(((i, j), -x))
     return table
 
 
@@ -418,7 +413,9 @@ def nabla_form(conn: ConnectionTable, a: KForm) -> tuple[KForm, ...]:
     invariant form: (nabla_{e_i} a)(Y...) = -sum_m a(..., nabla_{e_i} Y_m, ...),
     the derivation action of -nabla_{e_i}, which maps e^m to
     -sum_l Gamma^m_il e^l."""
-    tables = [[[((l,), -g[l][m]) for l in _R if g[l][m]] for m in _R] for g in conn._grid]
+    tables = [[[] for _ in _R] for _ in _R]
+    for i, l, m, x in conn._nonzero:
+        tables[i][m].append(((l,), -x))
     return _derivation(a, 1, tables, conn._den)
 
 
@@ -508,6 +505,10 @@ class TorsionSolveError(ValueError):
     pass
 
 
+# the Fernandez-Gray class of each torsion form
+_FERNANDEZ_GRAY = {"tau0": "X1", "tau1": "X4", "tau2": "X2", "tau3": "X3"}
+
+
 class TorsionForms(_Record):
     """Solution of d phi = tau0 star_phi + 3 tau1 ^ phi + star tau3 and
     d star_phi = 4 tau1 ^ star_phi + tau2 ^ phi, with tau2 in the
@@ -528,30 +529,16 @@ class TorsionForms(_Record):
             "tau3_sq": form_norm_sq(self.tau3, conv),
         }
 
+    def _zero(self) -> dict[str, bool]:
+        tau1, tau2, tau3 = self.tau1.is_zero(), self.tau2.is_zero(), self.tau3.is_zero()
+        return {"tau0": self.tau0 == 0, "tau1": tau1, "tau2": tau2, "tau3": tau3}
+
     def vanishing(self) -> frozenset[str]:
-        out = set()
-        if self.tau0 == 0:
-            out.add("tau0")
-        if self.tau1.is_zero():
-            out.add("tau1")
-        if self.tau2.is_zero():
-            out.add("tau2")
-        if self.tau3.is_zero():
-            out.add("tau3")
-        return frozenset(out)
+        return frozenset(name for name, zero in self._zero().items() if zero)
 
     def class_flags(self) -> frozenset[str]:
         """Fernandez-Gray flags under tau0<->X1, tau2<->X2, tau3<->X3, tau1<->X4."""
-        flags = set()
-        if self.tau0 != 0:
-            flags.add("X1")
-        if not self.tau2.is_zero():
-            flags.add("X2")
-        if not self.tau3.is_zero():
-            flags.add("X3")
-        if not self.tau1.is_zero():
-            flags.add("X4")
-        return frozenset(flags)
+        return frozenset(_FERNANDEZ_GRAY[name] for name, zero in self._zero().items() if not zero)
 
 
 def torsion_forms(mla: MetricLieAlgebra, frame: G2Frame, convention: str = FORM) -> TorsionForms:
@@ -689,13 +676,6 @@ def heisenberg_model() -> tuple[MetricLieAlgebra, G2Frame, Mat7]:
 def connection_reference_diff(conn: ConnectionTable) -> list[tuple[int, int, Vec7, Vec7]]:
     """Entries (i, j, derived, reference) where the Koszul connection of the
     Heisenberg model differs from the tabulated reference connection."""
-    out = []
-    for i in range(DIM):
-        for j in range(DIM):
-            ref = Vec7.zero()
-            if (i, j) in HEISENBERG_REFERENCE_CONNECTION:
-                k, val = HEISENBERG_REFERENCE_CONNECTION[(i, j)]
-                ref = Vec7.basis(k).scale(val)
-            if conn.gamma[i][j] != ref:
-                out.append((i, j, conn.gamma[i][j], ref))
-    return out
+    ref = {ij: Vec7.basis(k).scale(val) for ij, (k, val) in HEISENBERG_REFERENCE_CONNECTION.items()}
+    entries = ((i, j, conn.gamma[i][j], ref.get((i, j), Vec7.zero())) for i in _R for j in _R)
+    return [entry for entry in entries if entry[2] != entry[3]]

@@ -12,7 +12,8 @@ Parsing accepts JSON numbers as well: integers directly, floats through
 
 Values stored on an integer grid (matrices, vectors, forms, algebras,
 connections) print from the grid, with no ``Fraction`` per entry: each
-nonzero entry x over the denominator d goes through :func:`_grid_entry_str`.
+nonzero entry x over the denominator d goes through :func:`_grid_entry_str`;
+algebras and connections print from their one list of nonzero entries.
 The kernels' report records print here too; only this module and the
 command bodies of :mod:`g2kit.cli` know the report keys and the "p/q"
 format.  Parsing reads each entry as one integer pair
@@ -33,7 +34,6 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from itertools import combinations
 from json.encoder import encode_basestring_ascii as _json_string
 from math import gcd, isfinite
 
@@ -262,22 +262,16 @@ def bryant_to_json(bryant, norms: dict, vanishing) -> dict:
 
 def algebra_to_json(mla) -> dict:
     """The brackets [e_i, e_j], i < j, with a nonzero structure constant."""
-    grid, d = integer_coords(mla)
-    brackets = []
-    for i, j in combinations(range(DIM), 2):
-        coeffs = {str(k): _grid_entry_str(x, d) for k, x in enumerate(grid[i][j]) if x}
-        if coeffs:
-            brackets.append({"i": i, "j": j, "coeffs": coeffs})
-    return {"dim": DIM, "brackets": brackets}
+    coeffs = {}
+    for i, j, k, x in mla._nonzero:
+        if i < j:
+            coeffs.setdefault((i, j), {})[str(k)] = _grid_entry_str(x, mla._den)
+    return {"dim": DIM, "brackets": [{"i": i, "j": j, "coeffs": c} for (i, j), c in coeffs.items()]}
 
 
 def connection_to_json(conn) -> dict:
     """The nonzero Gamma^k_ij as rows (i, j, k, value)."""
-    grid, d = integer_coords(conn)
-    rows = []
-    for i, block in enumerate(grid):
-        for j, v in enumerate(block):
-            rows += ([i, j, k, _grid_entry_str(x, d)] for k, x in enumerate(v) if x)
+    rows = [[i, j, k, _grid_entry_str(x, conn._den)] for i, j, k, x in conn._nonzero]
     return {"columns": ["i", "j", "k", "value"], "rows": rows}
 
 
@@ -286,7 +280,8 @@ def algebra_from_json(data):
     JSON types; indices and dim are integers, given as JSON integers or as
     integer strings (coefficient keys are always strings).  Coefficients
     are read as integer pairs with :func:`rational_pair` and go straight to
-    the algebra's integer grid."""
+    the algebra's integer grid.  An algebra that fails the Jacobi identity
+    is rejected here, naming the first failing triple."""
     data = _schema_keys(_typed(data, dict, "an algebra"), ("dim", "brackets"), "an algebra")
     if _integer(data.get("dim", DIM)) != DIM:
         raise ValueError("only dimension 7 is supported")
@@ -297,7 +292,10 @@ def algebra_from_json(data):
         terms = entries.setdefault((i, j), [])
         for k, v in _typed(b.get("coeffs", {}), dict, "coeffs").items():
             terms.append((_index(k), *rational_pair(v)))
-    return MetricLieAlgebra.from_pairs(entries)
+    mla = MetricLieAlgebra.from_pairs(entries)
+    if (defect := mla.jacobi_defect()) is not None:
+        raise ValueError(f"Jacobi identity fails on triple {defect}")
+    return mla
 
 
 def _typed(value, kind: type, what: str):

@@ -89,14 +89,9 @@ def classify(t: Mat7, frame: G2Frame) -> TorsionClass:
 
 def curvature_integrand(t: Mat7, frame: G2Frame) -> Fraction:
     """-(3/2) i0(T) + 6 sigma2(T), the algebraic side of the scalar-curvature
-    balance (equal to s/6 pointwise when the vector class vanishes)."""
-    return integrand_from(i0(t, frame), sigma2(t))
-
-
-def integrand_from(i0_value: Fraction, sigma2_value: Fraction) -> Fraction:
-    """The curvature integrand from already computed i0(T) and sigma2(T),
-    for callers that hold an :class:`~g2kit.invariants.InvariantReport`."""
-    return Fraction(-3, 2) * i0_value + 6 * sigma2_value
+    balance (equal to s/6 pointwise when the vector class vanishes); the
+    reports read the ``integrand`` row of ``PART_NORM_TABLE`` instead."""
+    return Fraction(-3, 2) * i0(t, frame) + 6 * sigma2(t)
 
 
 class VectorClassPresent(ValueError):

@@ -3,9 +3,9 @@ from functools import cache
 from itertools import combinations
 from random import Random
 
-from test_kernel_oracles import flipped_frame
+from test_kernel_oracles import SHARED_PAIR_TABLE, flipped_frame
 
-from g2kit.frames import cross
+from g2kit.frames import G2Frame, cross
 from g2kit.invariants import (
     PART_NORM_TABLE,
     char_poly,
@@ -30,6 +30,7 @@ from g2kit.sampling import (
 )
 from g2kit.serialize import invariants_to_json
 from g2kit.so7 import cross_operator, decompose_endo
+from g2kit.torsion import characteristic_vector, curvature_integrand
 
 
 def test_char_poly_identity():
@@ -192,7 +193,14 @@ def table_disagreements(frame) -> dict[str, int]:
     bad = {name: 0 for name, _, _ in PART_NORM_TABLE}
     for t, (s2, norm) in zip(polarization_points(), orthogonal_kernel_values()):
         table = part_norm_invariants(decompose_endo(t, frame).part_norms_sq())
-        kernels = {"sigma2": s2, "norm_sq": norm, "i0": i0(t, frame), "i1": i1(t, frame), "i2": i2(t, frame)}
+        kernels = {
+            "sigma2": s2,
+            "norm_sq": norm,
+            "i0": i0(t, frame),
+            "i1": i1(t, frame),
+            "i2": i2(t, frame),
+            "integrand": curvature_integrand(t, frame),
+        }
         for name, value in kernels.items():
             bad[name] += value != table[name]
     return bad
@@ -201,13 +209,37 @@ def table_disagreements(frame) -> dict[str, int]:
 def test_part_norm_table_matches_the_kernels_on_every_endomorphism(frame):
     # each kernel and each table row is a quadratic form in T, so agreement
     # on the polarization points is agreement everywhere
-    assert table_disagreements(frame) == dict.fromkeys(("sigma2", "norm_sq", "i0", "i1", "i2"), 0)
+    assert table_disagreements(frame) == dict.fromkeys(("sigma2", "norm_sq", "i0", "i1", "i2", "integrand"), 0)
+
+
+def test_integrand_row_is_the_kernel_combination():
+    rows = {name: [Fraction(c, div) for c in coeffs] for name, coeffs, div in PART_NORM_TABLE}
+    assert rows["integrand"] == [Fraction(-3, 2) * a + 6 * b for a, b in zip(rows["i0"], rows["sigma2"])]
+    assert rows["integrand"] == [9, Fraction(-3, 2), Fraction(-3, 2), Fraction(15, 2)]
+
+
+def test_curvature_integrand_equals_the_table_row(frame):
+    rng = Random(45)
+    for _ in range(100):
+        t = rand_mat(rng)
+        table = part_norm_invariants(decompose_endo(t, frame).part_norms_sq())
+        assert curvature_integrand(t, frame) == table["integrand"]
+
+
+def test_i1_is_the_square_of_the_characteristic_vector(frame):
+    # chi is the contraction of the columns of T on any table: a flipped
+    # triple or two triples on one pair leave i1 = |chi|^2 intact
+    rng = Random(46)
+    for target in (frame, flipped_frame(frame, 2), G2Frame.from_table(SHARED_PAIR_TABLE)):
+        for t in [rand_mat(rng) for _ in range(10)] + [cross_operator(rand_vec(rng), frame)]:
+            assert i1(t, target) == characteristic_vector(t, target).norm_sq()
 
 
 def test_part_norm_table_certificate_fails_on_flipped_triples(frame):
-    # a sign-flipped base triple leaves no G2 structure: i0 and i2 leave the
-    # table, while sigma2 and |T|^2, which read no table, and i1 = |chi|^2,
-    # the square of the contraction that also gives the vector part, agree
+    # a sign-flipped base triple leaves no G2 structure: i0, i2 and the
+    # integrand, which reads i0, leave the table, while sigma2 and |T|^2,
+    # which read no table, and i1 = |chi|^2, the square of the contraction
+    # that also gives the vector part, agree
     for index in range(DIM):
         assert table_disagreements(flipped_frame(frame, index)) == {
             "sigma2": 0,
@@ -215,6 +247,7 @@ def test_part_norm_table_certificate_fails_on_flipped_triples(frame):
             "i0": 48,
             "i1": 0,
             "i2": 48,
+            "integrand": 48,
         }
 
 

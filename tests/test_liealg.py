@@ -1,3 +1,4 @@
+import pickle
 import re
 from fractions import Fraction
 from itertools import combinations
@@ -42,6 +43,7 @@ from g2kit.liealg import (
 )
 from g2kit.linalg import DIM, Mat7, Vec7
 from g2kit.sampling import rand_almost_abelian, rand_fraction, rand_mat, rand_two_step_nilpotent, rand_vec
+from g2kit.serialize import algebra_from_json, algebra_to_json
 from g2kit.so7 import cross_operator, skew_to_vector
 from g2kit.torsion import classify
 
@@ -55,8 +57,9 @@ def test_algebra_construction_and_validation():
     # [[e0,e1],e2] = [e1,e2] = e3 is the lone surviving cyclic term
     bad = MetricLieAlgebra.from_nonzero({(0, 1): {1: 1}, (1, 2): {3: 1}})
     assert bad.jacobi_defect() == (0, 1, 2)
-    with pytest.raises(ValueError):
-        koszul(bad)
+    # the input path rejects it; koszul, which needs no Jacobi identity, does not
+    with pytest.raises(ValueError, match=re.escape("Jacobi identity fails on triple (0, 1, 2)")):
+        algebra_from_json(algebra_to_json(bad))
 
 
 @pytest.mark.parametrize(
@@ -588,6 +591,49 @@ def test_nearly_parallel_check(frame):
         rep = nearly_parallel_torsion_check(lam, frame)
         assert rep.torsion_is_expected_multiple
         assert dict(rep.check_27_by_convention)[FORM] == 168 * lam * lam
+
+
+def test_heisenberg_model_satisfies_jacobi():
+    # the built-in model skips the input path's check, so it is pinned here
+    mla, _, _ = heisenberg_model()
+    assert mla.jacobi_defect() is None
+
+
+def dense_nonzero(value) -> tuple:
+    """The nonzero entries (i, j, k, x) of an algebra's or connection's
+    integer grid, by a scan of all 343."""
+    grid = value._grid
+    return tuple((i, j, k, grid[i][j][k]) for i in range(DIM) for j in range(DIM) for k in range(DIM) if grid[i][j][k])
+
+
+def test_nonzero_entries_are_set_on_every_construction_path():
+    # Jacobi fails on (0, 1, 2); the structure constants share no denominator
+    bad = {(0, 1): {1: Fraction(1, 2), 2: Fraction(-2, 3)}, (1, 2): {3: 1}, (3, 6): {0: Fraction(5, 4)}}
+    for entries in ({}, {(0, 5): {6: 1}, (4, 5): {1: 1}}, bad):
+        mla = MetricLieAlgebra.from_nonzero(entries)
+        fractions = {ij: [(k, Fraction(x)) for k, x in c.items()] for ij, c in entries.items()}
+        pairs = {ij: [(k, x.numerator, x.denominator) for k, x in terms] for ij, terms in fractions.items()}
+        grid, d = mla._grid, mla._den
+        algebras = [
+            mla,
+            MetricLieAlgebra(mla.brackets),
+            MetricLieAlgebra.from_ints(grid, d),
+            # a common factor, divided out before the list is built
+            MetricLieAlgebra.from_ints([[[3 * x for x in v] for v in row] for row in grid], 3 * d),
+            MetricLieAlgebra.from_pairs(pairs),
+            pickle.loads(pickle.dumps(mla)),
+        ]
+        for a in algebras:
+            assert a == mla and a._nonzero == dense_nonzero(a) == mla._nonzero
+        conn = koszul(mla)
+        connections = [
+            conn,
+            ConnectionTable(conn.gamma),
+            ConnectionTable.from_ints(conn._grid, conn._den),
+            pickle.loads(pickle.dumps(conn)),
+        ]
+        for c in connections:
+            assert c == conn and c._nonzero == dense_nonzero(c) == conn._nonzero
 
 
 def test_heisenberg_model_data():
