@@ -20,6 +20,7 @@ from g2kit import (
     sigma2,
     sigma_from_char_poly,
     special_case_check,
+    torsion_energies,
     verify_quadratic_relations,
 )
 from g2kit.invariants import PART_NORM_TABLE, part_norm_invariants
@@ -68,4 +69,6 @@ for label, sample in (("random T", t), ("lambda*Id", scaled), ("cross operator",
         "i2": i2(sample, frame),
         "integrand": curvature_integrand(sample, frame),
     }
+    # the divergence terms |xi_alt|^2 and |xi_sym|^2 of the torsion
+    _, kernels["alt_sq"], kernels["sym_sq"] = torsion_energies(sample, frame)
     print(f"  {label}: kernels equal the table:", kernels == table)

@@ -45,9 +45,8 @@ from .liealg import (
     alt_scalar_curvature,
     bryant_scalar_check,
     connection_reference_diff,
-    curvature_diagonal,
+    curvature_scalars,
     divergence_balance,
-    g2perp_scalar_curvature,
     geometry_torsion_report,
     heisenberg_model,
     koszul,
@@ -366,7 +365,7 @@ def cmd_classify(cfg: RunConfig) -> tuple[int, dict]:
         "flags": sorted(cls.flags),
         "split": endo_split_to_json(cls.split, cls.part_norms_sq),
         "invariants": invariants_to_json(inv),
-        "chi": vec_to_json(characteristic_vector(t, frame)),
+        "chi": vec_to_json(cls.chi),
         "integrand": rational_str(integrand),
         "predicted_scalar": predicted,
         "notes": notes,
@@ -393,18 +392,18 @@ def cmd_nilmanifold(cfg: RunConfig) -> tuple[int, dict]:
     else:
         mla, frame, t_ref = heisenberg_model()
     conn = koszul(mla)
-    # s = sum_ij R_ijji, read off the diagonal the report prints
-    diag = curvature_diagonal(conn, mla)
+    # s = sum_ij R_ijji, read off the diagonal the report prints, which one
+    # curvature pass reads with the entries s_g2perp pairs
+    diag, s_perp = curvature_scalars(conn, mla, frame)
     s = sum((v for _, _, v in diag), Fraction(0))
     multiset = Counter(rational_str(v) for _, _, v in diag)
-    s_perp = g2perp_scalar_curvature(conn, mla, frame)
     geo = geometry_torsion_report(conn, frame)
     t = geo.torsion
     cls = classify(t, frame)
     values = part_norm_invariants(cls.part_norms_sq)
     inv = invariant_report_from_norms(t, values)
     integrand = values["integrand"]
-    div = divergence_balance(t, s_perp, frame)
+    div = divergence_balance(values, cls.chi, s_perp)
     tf = torsion_forms(mla, frame)
     # the Bryant check reads both conventions, and the report prints them
     norms = {conv: tf.norms_sq(conv) for conv in (FORM, TENSOR)}

@@ -119,8 +119,9 @@ class InvariantReport(_Record):
 
 # Each quadratic invariant as (name, integer coefficients of the part norms
 # (p1, p27, p14, p7) = EndoSplit.part_norms_sq(), divisor); sigma2, for
-# one, is (6 p1 - p27 + p14 + p7) / 2.  The last row is the paper's
-# integrand -(3/2) i0 + 6 sigma2 = 9 p1 - (3/2) p27 - (3/2) p14 + (15/2) p7.
+# one, is (6 p1 - p27 + p14 + p7) / 2.  The integrand row is the paper's
+# -(3/2) i0 + 6 sigma2 = 9 p1 - (3/2) p27 - (3/2) p14 + (15/2) p7; the
+# last two are the divergence terms |xi_alt|^2 and |xi_sym|^2.
 PART_NORM_TABLE = (
     ("sigma2", (6, -1, 1, 1), 2),
     ("norm_sq", (1, 1, 1, 1), 1),
@@ -128,6 +129,8 @@ PART_NORM_TABLE = (
     ("i1", (0, 0, 0, 6), 1),
     ("i2", (-6, 1, 3, -3), 1),
     ("integrand", (18, -3, -3, 15), 2),
+    ("alt_sq", (12, 5, 3, 9), 2),
+    ("sym_sq", (0, 7, 9, 3), 2),
 )
 
 

@@ -30,7 +30,7 @@ Convention notes, fixed once here:
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, compress
 from math import lcm
 from operator import mul
 
@@ -57,8 +57,8 @@ from .linalg import (
     integer_columns,
     integer_coords,
     integer_pairs,
+    integer_rows,
 )
-from .torsion import characteristic_vector, torsion_energies
 
 _R = range(DIM)
 
@@ -280,16 +280,16 @@ def _curvature_entries(conn: ConnectionTable, mla: MetricLieAlgebra, reads) -> t
     return _commutator_entries([tuple(zip(*block)) for block in cols], cols, terms, reads), L * L
 
 
-# entry (i, j) of R(e_i, e_j), which is R_ijji, for each pair i < j
-_SECTIONAL = tuple(((i, j),) for i, j in _PAIRS)
-
-
 def curvature_diagonal(conn: ConnectionTable, mla: MetricLieAlgebra) -> list[tuple[int, int, Fraction]]:
     """Nonzero sectional components R_ijji with their ordered index pairs,
     one entry per pair i < j, since R_jiij = R_ijji (a metric connection)."""
-    entries, dd = _curvature_entries(conn, mla, _SECTIONAL)
+    return _sectional(*_curvature_entries(conn, mla, [((i, j),) for i, j in _PAIRS]))
+
+
+def _sectional(entries, dd: int) -> list[tuple[int, int, Fraction]]:
+    """:func:`curvature_diagonal` from the entries, R_ijji first, of each pair."""
     values = {}
-    for (i, j), (v,) in zip(_PAIRS, entries):
+    for (i, j), (v, *_) in zip(_PAIRS, entries):
         if v:
             values[i, j] = values[j, i] = Fraction(v, dd)
     return [(i, j, v) for (i, j), v in sorted(values.items())]
@@ -326,6 +326,15 @@ def g2perp_scalar_curvature(conn: ConnectionTable, mla: MetricLieAlgebra, frame:
     return Fraction(4 * sum(map(mul, weights, chain.from_iterable(entries))), 6 * dd)
 
 
+def curvature_scalars(conn: ConnectionTable, mla: MetricLieAlgebra, frame: G2Frame) -> tuple[list, Fraction]:
+    """(curvature_diagonal(conn, mla), g2perp_scalar_curvature(conn, mla,
+    frame)) from one kernel pass: each pair reads R_ijji, then its pairing entries."""
+    reads, weights = _pairing_reads(frame)
+    entries, dd = _curvature_entries(conn, mla, [((i, j), *r) for (i, j), r in zip(_PAIRS, reads)])
+    pairing = sum(map(mul, weights, chain.from_iterable(e[1:] for e in entries)))
+    return _sectional(entries, dd), Fraction(4 * pairing, 6 * dd)
+
+
 def alt_scalar_curvature(t: Mat7, frame: G2Frame) -> Fraction:
     """sum_ij <[xi_{e_i}, xi_{e_j}]_{g2-perp} e_j, e_i> from the torsion
     slices; equals i0(T).  The commutator-and-projection route, independent
@@ -353,24 +362,15 @@ class DivergenceReport(_Record):
     balanced: bool | None
 
 
-def divergence_balance(t: Mat7, s_perp: Fraction, frame: G2Frame) -> DivergenceReport:
+def divergence_balance(values: dict[str, Fraction], chi: Vec7, s_perp: Fraction) -> DivergenceReport:
     """The divergence summands of T against s_perp =
-    g2perp_scalar_curvature(conn, mla, frame), which the caller has computed."""
-    s_alt = alt_scalar_curvature(t, frame)
-    chi = characteristic_vector(t, frame)
-    chi_sq, alt_sq, sym_sq = torsion_energies(t, frame)
+    g2perp_scalar_curvature(conn, mla, frame) and chi = classify(t, frame).chi,
+    read off the part-norm values of T (``invariants.part_norm_invariants``):
+    s_alt = i0, |chi|^2 = i1, and the rows alt_sq and sym_sq."""
+    s_alt, chi_sq, alt_sq, sym_sq = values["i0"], values["i1"], values["alt_sq"], values["sym_sq"]
     rhs = Fraction(1, 2) * s_alt - Fraction(1, 2) * s_perp + chi_sq + alt_sq - sym_sq
     balanced = (rhs == 0) if chi.is_zero() else None
-    return DivergenceReport(
-        s_alt=s_alt,
-        s_g2perp=s_perp,
-        chi_sq=chi_sq,
-        alt_sq=alt_sq,
-        sym_sq=sym_sq,
-        chi=chi,
-        rhs_total=rhs,
-        balanced=balanced,
-    )
+    return DivergenceReport(s_alt, s_perp, chi_sq, alt_sq, sym_sq, chi, rhs, balanced)
 
 
 # ---------------------------------------------------------------------------
@@ -431,11 +431,14 @@ def torsion_endo(conn: ConnectionTable, frame: G2Frame) -> Mat7:
     of p(nabla_{e_i}) / 6, and its g2 part fixes phi, so nabla_{e_i} phi =
     -(nabla_{e_i}) * phi = (cross operator of T(e_i)) * phi.  Row j of the
     integer block conn._grid[i] holds D nabla_{e_i} e_j: the block is the
-    transpose of D nabla_{e_i}, and p of a transpose is -p, so column i of
-    T is the contraction of that block over 6 D.
-    """
-    contract = frame.table.contract
-    return Mat7.from_ints(tuple(zip(*map(contract, conn._grid))), 6 * conn._den)
+    transpose of D nabla_{e_i}, and p of a transpose is -p, so each
+    D Gamma^k_ij = x adds eps_ajk x to entry (a, i) of 6 D T."""
+    slots = frame.table.pair_slots
+    rows = [[0] * DIM for _ in _R]
+    for i, j, k, x in conn._nonzero:
+        for a, s in slots(j, k):
+            rows[a][i] += s * x
+    return Mat7.from_ints(rows, 6 * conn._den)
 
 
 def _common_coords(forms) -> tuple[list[list[int]], int]:
@@ -455,6 +458,24 @@ def _dual_coords(frame: G2Frame) -> tuple[tuple[tuple[int, ...], ...], int]:
     star = -frame.star_phi
     coords, d = _common_coords([interior(Vec7.basis(y), star) for y in _R])
     return tuple(map(tuple, coords)), d
+
+
+@per_frame
+def _r_table(frame: G2Frame) -> tuple[tuple[tuple[tuple[int, int], ...], ...], int]:
+    """(W, dd): W[7 l + m] lists the nonzero (y, w) with w / dd = <D phi,
+    e_y -| (-star_phi)> ("form" pairing), D the derivation e^m -> e^l; the
+    49 images of phi (over 1) come from one ``_derivation`` call."""
+    duals, dd = _dual_coords(frame)
+    readers = [[(y, c) for y, c in enumerate(col) if c] for col in zip(*duals)]  # by coordinate
+    tables = [[()] * m + [(((l,), 1),)] + [()] * (DIM - 1 - m) for l in _R for m in _R]
+    table = []
+    for image in _derivation(frame.phi, 1, tables, 1):
+        sums = [0] * DIM
+        for v, reader in compress(zip(image._grid, readers), image._grid):
+            for y, c in reader:
+                sums[y] += v * c
+        table.append(tuple((y, w) for y, w in enumerate(sums) if w))
+    return tuple(table), dd
 
 
 def r_map(nphi: tuple[KForm, ...], frame: G2Frame, convention: str = FORM) -> Mat7:
@@ -487,13 +508,20 @@ def geometry_torsion_report(conn: ConnectionTable, frame: G2Frame) -> GeometryTo
     convention, if any, that lets the r route reproduce it via
     T(X) = (1/3) sum_i r(X, e_i) e_i.  The two routes are independent: r
     pairs nabla phi against the duals of star phi, T contracts Gamma with
-    the eps table."""
+    the eps table.  r = r_map(nabla_form(conn, phi), frame) is linear in
+    Gamma: each D Gamma^m_il = x adds -x W[7 l + m] (:func:`_r_table`) to row i."""
     t = torsion_endo(conn, frame)
-    r_form = r_map(nabla_form(conn, frame.phi), frame, FORM)
-    # r_map in a convention is r_form times that convention's pairing weight
-    third = r_form.transpose().scale(Fraction(1, 3))
-    matched = next((c for c, weight in _PAIRING_WEIGHT_3.items() if third.scale(weight) == t), None)
-    return GeometryTorsionReport(torsion=t, r_grid=r_form, matched_convention=matched)
+    table, dd = _r_table(frame)
+    rows = [[0] * DIM for _ in _R]
+    for i, l, m, x in conn._nonzero:
+        for y, w in table[DIM * l + m]:
+            rows[i][y] -= w * x
+    d = 4 * conn._den * dd
+    # r_map in a convention is r times its weight; weight r^T / 3 = T, cross-multiplied
+    t_rows, t_den = integer_rows(t)
+    pairs = [(x, y) for col, t_row in zip(zip(*rows), t_rows) for x, y in zip(col, t_row)]
+    matched = next((c for c, w in _PAIRING_WEIGHT_3.items() if all(w * t_den * x == 3 * d * y for x, y in pairs)), None)
+    return GeometryTorsionReport(torsion=t, r_grid=Mat7.from_ints(rows, d), matched_convention=matched)
 
 
 # ---------------------------------------------------------------------------
@@ -659,18 +687,9 @@ def heisenberg_model() -> tuple[MetricLieAlgebra, G2Frame, Mat7]:
     frame, and the tabulated torsion endomorphism with T(e_0) = e_1/6,
     T(e_1) = -e_0/6, T(e_4) = -e_6/6, T(e_6) = e_4/6."""
     mla = MetricLieAlgebra.from_nonzero({(0, 5): {6: 1}, (4, 5): {1: 1}})
-    frame = build_cayley_frame()
-    s = Fraction(1, 6)
-    cols = [
-        Vec7.basis(1).scale(s),
-        Vec7.basis(0).scale(-s),
-        Vec7.zero(),
-        Vec7.zero(),
-        Vec7.basis(6).scale(-s),
-        Vec7.zero(),
-        Vec7.basis(4).scale(s),
-    ]
-    return mla, frame, Mat7.from_columns(cols)
+    rows = [[0] * DIM for _ in _R]  # 6 T
+    rows[1][0], rows[0][1], rows[6][4], rows[4][6] = 1, -1, -1, 1
+    return mla, build_cayley_frame(), Mat7.from_ints(rows, 6)
 
 
 def connection_reference_diff(conn: ConnectionTable) -> list[tuple[int, int, Vec7, Vec7]]:

@@ -369,19 +369,20 @@ def _json_text(obj, newline: str) -> str:
     if isinstance(obj, int):
         return int.__repr__(obj)
     inner = newline + "  "
+    # a container writes its strings and exact ints (not bools) inline, with no call
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         if not all(isinstance(key, str) for key in obj):
             raise TypeError(f"report keys must be strings, got {obj!r}")
         items = [
-            _json_string(key) + ": " + (_json_string(value) if type(value) is str else _json_text(value, inner))
-            for key, value in sorted(obj.items())
+            _json_string(key) + ": " + (_json_string(v) if type(v) is str else repr(v) if type(v) is int else _json_text(v, inner))
+            for key, v in sorted(obj.items())
         ]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [_json_string(item) if type(item) is str else _json_text(item, inner) for item in obj]
+        items = [_json_string(x) if type(x) is str else repr(x) if type(x) is int else _json_text(x, inner) for x in obj]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     raise TypeError(f"{type(obj).__name__} is not a report value: {obj!r}")

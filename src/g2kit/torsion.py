@@ -76,6 +76,11 @@ class TorsionClass(_Record):
     flags: frozenset[str]
     part_norms_sq: tuple[Fraction, Fraction, Fraction, Fraction]  # (scalar, sym0, g2, vector)
 
+    @property
+    def chi(self) -> Vec7:
+        """chi = -p(T) = -6 times the vector part p(T) / 6, on any skew table."""
+        return self.split.vector.scale(-6)
+
 
 def classify(t: Mat7, frame: G2Frame) -> TorsionClass:
     """Pointwise class flags from exact nonzero tests of the four parts."""

@@ -8,7 +8,13 @@ trees share the interpreter, its memory layout and the machine's CPU mode
 at each moment, which separate processes do not.  WORKLOAD is one of
 perfbench's workloads; its inputs come from ``perfbench/workloads.make_ops``
 (imported without writing bytecode), with the report count perfbench runs
-for ``--seconds`` (20 by default).
+for ``--seconds`` (20 by default).  WORKLOAD may also be
+``nilmanifold-dense``: as many ``nilmanifold`` reports as
+``nilmanifold-batch`` runs, on the 15 algebras of
+``tests/geometry_checks.rotated_models`` for the seeds S, S + 1 and S + 2
+(five model algebras in a rotated basis each, 105-147 nonzero structure
+constants), written in the ``{"dim", "brackets"}`` schema by the
+``g2kit`` of this script's own checkout, with frames alternating.
 
 Every report, the warm-up ones included, must come out byte-identical from
 the two trees, in json and in text; the script exits 1 otherwise.  It then
@@ -31,6 +37,7 @@ collect this file; it imports no test framework.
 import argparse
 import importlib
 import importlib.util
+import json
 import os
 import statistics
 import sys
@@ -40,6 +47,7 @@ from pathlib import Path
 from random import Random
 
 ROOT = Path(__file__).resolve().parent.parent
+DENSE = "nilmanifold-dense"
 
 
 def load_cli(tree: str, name: str):
@@ -50,6 +58,24 @@ def load_cli(tree: str, name: str):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return importlib.import_module(f"{name}.cli")
+
+
+def dense_ops(seed: int, n: int, workdir: str) -> list[dict]:
+    """n nilmanifold reports cycling through the rotated model algebras of
+    the seeds seed..seed + 2, frames alternating."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+    from geometry_checks import rotated_models
+
+    from g2kit.serialize import algebra_to_json
+
+    paths = []
+    for k, mla in enumerate(m for s in range(seed, seed + 3) for m in rotated_models(s)):
+        paths.append(os.path.join(workdir, f"dense-{k}.json"))
+        with open(paths[-1], "w", encoding="utf-8") as fh:
+            json.dump(algebra_to_json(mla), fh)
+    frames = ("standard", "cayley")
+    return [{"command": "nilmanifold", "seed": 0, "trials": 1, "frame": frames[k % 2],
+             "input_path": paths[k % len(paths)]} for k in range(n)]
 
 
 def runner(cli, fmt: str):
@@ -146,13 +172,18 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
-    if args.workload not in workloads.WORKLOADS:
-        parser.error(f"WORKLOAD must be one of {', '.join(workloads.WORKLOADS)}")
+    if args.workload not in (*workloads.WORKLOADS, DENSE):
+        parser.error(f"WORKLOAD must be one of {', '.join(workloads.WORKLOADS)}, {DENSE}")
     clis = {"A": load_cli(args.a, "g2a"), "B": load_cli(args.b, "g2b")}
     with tempfile.TemporaryDirectory() as workdir:
-        n = workloads.op_count(args.workload, args.seconds)
-        ops, _ = workloads.make_ops(args.workload, args.seed, n, workdir)
-        for op in workloads.warmup_ops(args.workload, workdir) + ops:
+        if args.workload == DENSE:
+            n = workloads.op_count("nilmanifold-batch", args.seconds)
+            ops, warmup = dense_ops(args.seed, n, workdir), workloads.warmup_ops("nilmanifold-batch", workdir)
+        else:
+            n = workloads.op_count(args.workload, args.seconds)
+            ops, _ = workloads.make_ops(args.workload, args.seed, n, workdir)
+            warmup = workloads.warmup_ops(args.workload, workdir)
+        for op in warmup + ops:
             for fmt in ("json", "text"):
                 a, b = (runner(cli, fmt)(op) for cli in clis.values())
                 if a != b:

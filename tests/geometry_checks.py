@@ -18,15 +18,20 @@ denominator, and :func:`solve_columns` solves it for all the right-hand
 sides of one call with a single ``linalg.rref`` of [A | B], the package's
 one exact solver.  No command reads the nearly parallel check either; it
 substitutes a nearly parallel d phi into the skew-torsion formulas.
+Dense inputs come from :func:`rotated_models`: model algebras of Lie types
+the samplers never give, each in a rotated orthonormal basis, so every
+structure constant is nonzero as a rule.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
+from random import Random
 
 from g2kit.forms import FORM, KForm, _derivation, all_increasing_tuples, form_inner, form_norm_sq, hodge, wedge
 from g2kit.frames import G2Frame, per_frame
 from g2kit.liealg import (
+    MetricLieAlgebra,
     TorsionForms,
     TorsionSolveError,
     _common_coords,
@@ -45,6 +50,7 @@ from g2kit.linalg import (
     nullspace,
     rref,
 )
+from g2kit.sampling import rand_orthogonal
 from g2kit.so7 import cross_operator, g2_basis
 
 
@@ -61,6 +67,47 @@ def torsion_defect(conn, mla) -> tuple[int, int] | None:
             if conn.gamma[i][j] - conn.gamma[j][i] != mla.brackets[i][j]:
                 return (i, j)
     return None
+
+
+def _milnor(l1, l2, l3, shift: int = 0) -> dict:
+    """Milnor's unimodular three-dimensional algebra on e_shift..e_shift+2:
+    [e_1, e_2] = l1 e_0, [e_2, e_0] = l2 e_1, [e_0, e_1] = l3 e_2 (Milnor
+    1976, section 4), as ``from_nonzero`` entries."""
+    a, b, c = shift, shift + 1, shift + 2
+    return {(b, c): {a: l1}, (a, c): {b: -l2}, (a, b): {c: l3}}
+
+
+# model algebras as ``MetricLieAlgebra.from_nonzero`` entries: the filiform
+# L_7 ([e_0, e_i] = e_{i+1}, nilpotent of step 5), su(2), sl(2, R) and
+# e(1, 1) times R^4, and su(2) + su(2) + R
+MODEL_ALGEBRAS = {
+    "filiform": {(0, i): {i + 1: 1} for i in range(1, 6)},
+    "su2+R4": _milnor(1, 1, 1),
+    "sl2R+R4": _milnor(1, 1, -1),
+    "e11+R4": _milnor(1, -1, 0),
+    "su2+su2+R": {**_milnor(1, 1, 1), **_milnor(1, 1, 1, 3)},
+}
+
+
+def rotate_algebra(mla: MetricLieAlgebra, q: Mat7) -> MetricLieAlgebra:
+    """The algebra in the orthonormal basis e'_i = sum_a Q_ai e_a for an
+    orthogonal Q: c'^k_ij = sum_abc Q_ai Q_bj c^c_ab Q_ck.  The Jacobi
+    identity is basis-free, so it holds whenever it held before."""
+    qs = q.entries
+    grid = [[[Fraction(0)] * DIM for _ in range(DIM)] for _ in range(DIM)]
+    for a, b, c, x in mla.nonzero_entries():  # a < b; (b, a) adds the other sign
+        for i, j in product(range(DIM), repeat=2):
+            w = x * (qs[a][i] * qs[b][j] - qs[b][i] * qs[a][j])
+            if w:
+                for k in range(DIM):
+                    grid[i][j][k] += w * qs[c][k]
+    return MetricLieAlgebra(grid)
+
+
+def rotated_models(seed: int) -> list[MetricLieAlgebra]:
+    """Each of MODEL_ALGEBRAS rotated by ``rand_orthogonal(Random(seed))``."""
+    q = rand_orthogonal(Random(seed))
+    return [rotate_algebra(MetricLieAlgebra.from_nonzero(entries), q) for entries in MODEL_ALGEBRAS.values()]
 
 
 def curvature_components(conn, mla) -> tuple:

@@ -268,8 +268,11 @@ def test_nilmanifold_does_each_computation_once(tmp_path, monkeypatch):
         "liealg.torsion_forms",
         "liealg._ce_table",
         "liealg.codifferential",
+        "liealg.curvature_diagonal",
         "liealg.g2perp_scalar_curvature",
         "liealg.alt_scalar_curvature",
+        "liealg.nabla_form",
+        "liealg.r_map",
         "so7.decompose_endo",
         "invariants.i0",
         "invariants.i1",
@@ -305,10 +308,15 @@ def test_nilmanifold_does_each_computation_once(tmp_path, monkeypatch):
 
     path = tmp_path / "algebra.json"
     path.write_text(json.dumps(one_bracket()))
-    for cfg in (
-        RunConfig(command="nilmanifold", fmt="json"),
-        RunConfig(command="nilmanifold", input_path=str(path), frame="cayley", fmt="json"),
-        RunConfig(command="nilmanifold", input_path=str(path), convention="tensor", fmt="text"),
+    # freshly built frames with empty stores, so that each report's frame is
+    # cold or warm as listed
+    for build in cli.FRAMES.values():
+        build.cache_clear()
+        build()
+    for cfg, cold in (
+        (RunConfig(command="nilmanifold", fmt="json"), True),
+        (RunConfig(command="nilmanifold", input_path=str(path), frame="cayley", fmt="json"), False),
+        (RunConfig(command="nilmanifold", input_path=str(path), convention="tensor", fmt="text"), True),
     ):
         for name in counts:
             counts[name] = 0
@@ -316,26 +324,31 @@ def test_nilmanifold_does_each_computation_once(tmp_path, monkeypatch):
         assert code == 0
         assert counts == {
             "koszul": 1,
-            # one read of the R_ijji, which s is summed from, and one of the
-            # entries s_g2perp pairs
-            "_curvature_entries": 2,
+            # one read of the R_ijji, which s is summed from, and of the
+            # entries s_g2perp pairs, in one pass
+            "_curvature_entries": 1,
+            "curvature_diagonal": 0,
+            "g2perp_scalar_curvature": 0,
             "torsion_forms": 1,
             # one Chevalley-Eilenberg table for d phi and d star_phi, and
             # delta tau1 read as <tau1, H>: the derivation kernel runs for
-            # d phi, d star_phi and nabla phi
+            # d phi and d star_phi, and once per frame for the r table
             "_ce_table": 1,
             "codifferential": 0,
-            "liealg_derivation": 3,
-            "g2perp_scalar_curvature": 1,
-            "alt_scalar_curvature": 1,
-            # the invariants are read off the part norms of the one split
+            "liealg_derivation": 3 if cold else 2,
+            # r is read off the frame's table, with no nabla phi
+            "nabla_form": 0,
+            "r_map": 0,
+            # the invariants and the divergence terms are read off the part
+            # norms of the one split, and chi off its vector part
             "decompose_endo": 1,
             "i0": 0,
             "i1": 0,
             "i2": 0,
             "sigma2": 0,
-            "torsion_energies": 1,
-            "characteristic_vector": 1,
+            "alt_scalar_curvature": 0,
+            "torsion_energies": 0,
+            "characteristic_vector": 0,
             # the projection kernels read single entries, not dense products
             "int_matmul": 0,
             # the input path checks the Jacobi identity; koszul does not
@@ -348,6 +361,8 @@ def test_nilmanifold_does_each_computation_once(tmp_path, monkeypatch):
             "connection_entries": 0,
             "form_terms": 0,
         }
+        # the r table stays on the report's frame
+        assert "_r_table" in vars(cli.FRAMES[cfg.frame if cfg.input_path else "cayley"]())
 
 
 @pytest.mark.parametrize("shape", ["heisenberg", "vector"])
@@ -377,8 +392,9 @@ def test_classify_does_each_computation_once(tmp_path, monkeypatch, shape):
     code, out = run(RunConfig(command="classify", input_path=path, frame="cayley", fmt="json"))
     assert code == 0
     assert ("X4" in json.loads(out)["flags"]) == (shape == "vector")
-    # the invariants are read off the part norms of the one split; no kernel runs
-    kernels = ("i0", "i1", "i2", "sigma2")
+    # the invariants are read off the part norms of the one split, and chi
+    # off its vector part; no kernel runs
+    kernels = ("i0", "i1", "i2", "sigma2", "characteristic_vector")
     assert counts == {name: 0 if name in kernels else 1 for name in counts}
 
 

@@ -48,7 +48,7 @@ def test_report_bytes_match_golden(name, capsys, monkeypatch):
 
 
 # what the nilmanifold geometry builds on its frame; its table stays bare
-GEOMETRY = {"_dual_coords", "_pairing_reads"}
+GEOMETRY = {"_dual_coords", "_pairing_reads", "_r_table"}
 # what the identities checks build on each frame and on its table
 IDENTITIES = (
     {"g2_basis", "g2_basis_entries", "_star_phi_values", "_pairing_reads"},

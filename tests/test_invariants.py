@@ -19,7 +19,7 @@ from g2kit.invariants import (
     special_case_check,
     verify_quadratic_relations,
 )
-from g2kit.liealg import heisenberg_model
+from g2kit.liealg import alt_scalar_curvature, heisenberg_model
 from g2kit.linalg import DIM, Mat7, Vec7, principal_minor_sum
 from g2kit.sampling import (
     rand_mat,
@@ -30,7 +30,7 @@ from g2kit.sampling import (
 )
 from g2kit.serialize import invariants_to_json
 from g2kit.so7 import cross_operator, decompose_endo
-from g2kit.torsion import characteristic_vector, curvature_integrand
+from g2kit.torsion import characteristic_vector, curvature_integrand, torsion_energies
 
 
 def test_char_poly_identity():
@@ -187,12 +187,19 @@ def orthogonal_kernel_values() -> tuple[tuple[Fraction, Fraction], ...]:
     return tuple((sigma2(t), t.norm_sq()) for t in polarization_points())
 
 
+# the table row each kernel must equal: every row by its own name, and i0
+# once more as s_alt, the commutator route of alt_scalar_curvature
+KERNEL_ROWS = {**{name: name for name, _, _ in PART_NORM_TABLE}, "s_alt": "i0"}
+
+
 def table_disagreements(frame) -> dict[str, int]:
     """For each kernel, the number of polarization points at which it differs
-    from PART_NORM_TABLE applied to the part norms of decompose_endo."""
-    bad = {name: 0 for name, _, _ in PART_NORM_TABLE}
+    from its row of PART_NORM_TABLE applied to the part norms of
+    decompose_endo; alt_sq and sym_sq are read off torsion_energies."""
+    bad = dict.fromkeys(KERNEL_ROWS, 0)
     for t, (s2, norm) in zip(polarization_points(), orthogonal_kernel_values()):
         table = part_norm_invariants(decompose_endo(t, frame).part_norms_sq())
+        _, alt_sq, sym_sq = torsion_energies(t, frame)
         kernels = {
             "sigma2": s2,
             "norm_sq": norm,
@@ -200,16 +207,19 @@ def table_disagreements(frame) -> dict[str, int]:
             "i1": i1(t, frame),
             "i2": i2(t, frame),
             "integrand": curvature_integrand(t, frame),
+            "alt_sq": alt_sq,
+            "sym_sq": sym_sq,
+            "s_alt": alt_scalar_curvature(t, frame),
         }
         for name, value in kernels.items():
-            bad[name] += value != table[name]
+            bad[name] += value != table[KERNEL_ROWS[name]]
     return bad
 
 
 def test_part_norm_table_matches_the_kernels_on_every_endomorphism(frame):
     # each kernel and each table row is a quadratic form in T, so agreement
     # on the polarization points is agreement everywhere
-    assert table_disagreements(frame) == dict.fromkeys(("sigma2", "norm_sq", "i0", "i1", "i2", "integrand"), 0)
+    assert table_disagreements(frame) == dict.fromkeys(KERNEL_ROWS, 0)
 
 
 def test_integrand_row_is_the_kernel_combination():
@@ -236,8 +246,9 @@ def test_i1_is_the_square_of_the_characteristic_vector(frame):
 
 
 def test_part_norm_table_certificate_fails_on_flipped_triples(frame):
-    # a sign-flipped base triple leaves no G2 structure: i0, i2 and the
-    # integrand, which reads i0, leave the table, while sigma2 and |T|^2,
+    # a sign-flipped base triple leaves no G2 structure: i0, i2, the
+    # integrand, which reads i0, the divergence terms of torsion_energies and
+    # the commutator route s_alt leave the table, while sigma2 and |T|^2,
     # which read no table, and i1 = |chi|^2, the square of the contraction
     # that also gives the vector part, agree
     for index in range(DIM):
@@ -248,6 +259,9 @@ def test_part_norm_table_certificate_fails_on_flipped_triples(frame):
             "i1": 0,
             "i2": 48,
             "integrand": 48,
+            "alt_sq": 48,
+            "sym_sq": 48,
+            "s_alt": 126,
         }
 
 

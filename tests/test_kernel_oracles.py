@@ -57,6 +57,7 @@ from geometry_checks import (
     curvature_components,
     derivation_action,
     is_metric,
+    rotated_models,
     solve_columns,
     solved_torsion_endo,
     solved_torsion_forms,
@@ -66,6 +67,8 @@ from geometry_checks import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from g2kit import liealg
+from g2kit.cli import FRAMES, RunConfig, run
 from g2kit.forms import FORM, TENSOR, KForm, hodge, wedge
 from g2kit.frames import (
     CheckReport,
@@ -85,8 +88,11 @@ from g2kit.liealg import (
     TorsionSolveError,
     alt_scalar_curvature,
     ce_differential,
+    _r_table,
     curvature_diagonal,
+    curvature_scalars,
     g2perp_scalar_curvature,
+    geometry_torsion_report,
     heisenberg_model,
     koszul,
     nabla_form,
@@ -124,6 +130,7 @@ from g2kit.sampling import (
 from g2kit.serialize import (
     DigitLimitError,
     algebra_from_json,
+    algebra_to_json,
     mat_from_json,
     mat_to_json,
     parse_rational,
@@ -1083,6 +1090,8 @@ def test_curvature_scalars_match_fraction_route(frame, seed):
         assert s == ref_scalar_curvature(ref) != 0
         assert curvature_diagonal(conn, mla) == sectional(ref)
         assert g2perp_scalar_curvature(conn, mla, frame) == ref_g2perp_scalar_curvature(ref, frame) == s / 3
+        # the reports read both in one pass
+        assert curvature_scalars(conn, mla, frame) == (sectional(ref), s / 3)
     # almost-abelian algebras have a nonzero characteristic vector
     for mla in curvature_algebras(seed)[3:6]:
         assert not characteristic_vector(torsion_endo(koszul(mla), frame), frame).is_zero()
@@ -1113,6 +1122,7 @@ def test_g2perp_scalar_curvature_on_flipped_triples(frame, seed):
         for (mla, conn), ref in zip(cases, refs):
             s_perp = g2perp_scalar_curvature(conn, mla, flipped)
             assert s_perp == ref_g2perp_scalar_curvature(ref, flipped)
+            assert curvature_scalars(conn, mla, flipped) == (sectional(ref), s_perp)
             misses += s_perp != scalar_curvature(conn, mla) / 3
         assert misses >= 2, (index, misses)
 
@@ -1168,6 +1178,60 @@ def test_r_map_matches_fraction_route(frame, seed):
             assert r_map(nphi, frame, convention) == ref_r_map(nphi, frame, convention)
     with pytest.raises(ValueError, match="unknown convention"):
         r_map(nphi, frame, "quarter")
+
+
+def r_table_algebras(seed: int) -> list[MetricLieAlgebra]:
+    """Three seeded 2-step nilpotent and three almost-abelian algebras, the
+    built-in model, the two golden inputs and the five rotated model
+    algebras of ``geometry_checks`` (105-147 nonzero constants each)."""
+    rng = Random(seed + 130)
+    seeded = [rand_two_step_nilpotent(rng) for _ in range(3)] + [rand_almost_abelian(rng) for _ in range(3)]
+    return seeded + [heisenberg_model()[0], *golden_algebras(), *rotated_models(seed)]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_r_table_route_equals_r_map_of_nabla_form(frame, seed):
+    # the report contracts Gamma with the frame's r table; the oracle
+    # derives nabla phi and pairs it with the duals of star phi
+    for mla in r_table_algebras(seed):
+        conn = koszul(mla)
+        rep = geometry_torsion_report(conn, frame)
+        assert rep.r_grid == r_map(nabla_form(conn, frame.phi), frame)
+        assert rep.matched_convention == FORM
+
+
+def test_the_convention_match_reads_every_entry_of_t(frame, monkeypatch):
+    # negative control: T moved at any one entry matches no convention
+    conn = koszul(heisenberg_model()[0])
+    t = torsion_endo(conn, frame)
+    for a, b in product(range(DIM), repeat=2):
+        rows = [list(row) for row in t.entries]
+        rows[a][b] += 1
+        monkeypatch.setattr(liealg, "torsion_endo", lambda *_, moved=Mat7(rows): moved)
+        assert geometry_torsion_report(conn, frame).matched_convention is None
+
+
+def test_a_flipped_r_table_entry_fails_the_oracle_and_the_report(frame, monkeypatch, tmp_path):
+    # negative control: the sign of one nonzero entry of the r table flipped,
+    # on the frame instance the command builds
+    frame = FRAMES[frame.name]()
+    table, dd = _r_table(frame)
+    n = next(n for n, entries in enumerate(table) if entries)
+    (y, w), *rest = table[n]
+    flipped = (*table[:n], ((y, -w), *rest), *table[n + 1 :])
+    monkeypatch.setitem(vars(frame), "_r_table", (flipped, dd))
+    differs = unmatched = 0
+    for mla in r_table_algebras(0):
+        conn = koszul(mla)
+        rep = geometry_torsion_report(conn, frame)
+        differs += rep.r_grid != r_map(nabla_form(conn, frame.phi), frame)
+        unmatched += rep.matched_convention != FORM
+    assert differs and unmatched
+    # and a dense report's r_map_form_convention check fails
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(algebra_to_json(rotated_models(0)[0])))
+    code, out = run(RunConfig(command="nilmanifold", input_path=str(path), frame=frame.name, fmt="json"))
+    assert code == 1 and json.loads(out)["checks"]["r_map_form_convention"] is False
 
 
 def torsion_oracle_algebras(seed: int, count: int) -> list[MetricLieAlgebra]:

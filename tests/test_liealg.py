@@ -18,7 +18,7 @@ from geometry_checks import (
 
 from g2kit.forms import FORM, TENSOR, KForm, form_inner, form_norm_sq, hodge, interior, wedge
 from g2kit.frames import CrossTable, G2Frame
-from g2kit.invariants import i0
+from g2kit.invariants import i0, part_norm_invariants
 from g2kit.liealg import (
     HEISENBERG_REFERENCE_CONNECTION,
     ConnectionTable,
@@ -45,7 +45,7 @@ from g2kit.linalg import DIM, Mat7, Vec7
 from g2kit.sampling import rand_almost_abelian, rand_fraction, rand_mat, rand_two_step_nilpotent, rand_vec
 from g2kit.serialize import algebra_from_json, algebra_to_json
 from g2kit.so7 import cross_operator, skew_to_vector
-from g2kit.torsion import classify
+from g2kit.torsion import characteristic_vector, classify, torsion_energies
 
 
 def test_algebra_construction_and_validation():
@@ -272,10 +272,20 @@ def test_alt_scalar_curvature(frame):
         assert alt_scalar_curvature(m, frame) == i0(m, frame)
 
 
+def divergence_of(t: Mat7, s_perp: Fraction, frame):
+    """divergence_balance as a report calls it, from the split of T; its
+    torsion terms must equal the kernels'."""
+    cls = classify(t, frame)
+    rep = divergence_balance(part_norm_invariants(cls.part_norms_sq), cls.chi, s_perp)
+    assert (rep.s_alt, rep.chi) == (alt_scalar_curvature(t, frame), characteristic_vector(t, frame))
+    assert (rep.chi_sq, rep.alt_sq, rep.sym_sq) == torsion_energies(t, frame)
+    return rep
+
+
 def test_divergence_balance():
     mla, frame, t = heisenberg_model()
     s_perp = g2perp_scalar_curvature(koszul(mla), mla, frame)
-    rep = divergence_balance(t, s_perp, frame)
+    rep = divergence_of(t, s_perp, frame)
     assert rep.balanced is True
     assert rep.rhs_total == 0
     assert rep.s_alt == Fraction(1, 3)
@@ -285,14 +295,14 @@ def test_divergence_balance():
     assert rep.sym_sq == Fraction(1, 2)
     # type-X4 input: the |chi|^2 term is 36|Z|^2 and balance is not asserted
     z = rand_vec(Random(4))
-    rep = divergence_balance(cross_operator(z, frame), s_perp, frame)
+    rep = divergence_of(cross_operator(z, frame), s_perp, frame)
     assert rep.chi_sq == 36 * z.norm_sq()
     assert rep.balanced is None
     # zero torsion against a flat curvature: every summand vanishes
     flat = MetricLieAlgebra.from_nonzero({})
     flat_perp = g2perp_scalar_curvature(koszul(flat), flat, frame)
-    rep = divergence_balance(Mat7.zero(), flat_perp, frame)
-    assert rep == divergence_balance(Mat7.zero(), flat_perp, frame)
+    rep = divergence_of(Mat7.zero(), flat_perp, frame)
+    assert rep == divergence_of(Mat7.zero(), flat_perp, frame)
     assert (rep.s_alt, rep.s_g2perp, rep.chi_sq, rep.alt_sq, rep.sym_sq, rep.rhs_total) == (0, 0, 0, 0, 0, 0)
     assert rep.balanced is True
 

@@ -25,7 +25,13 @@ from geometry_checks import (
 from g2kit.cli import RunConfig
 from g2kit.forms import FORM
 from g2kit.frames import CheckReport, CrossTable, G2Frame, build_standard_frame, check_epsilon_identities
-from g2kit.invariants import InvariantReport, QuadraticRelationsReport, invariant_report, verify_quadratic_relations
+from g2kit.invariants import (
+    InvariantReport,
+    QuadraticRelationsReport,
+    invariant_report,
+    part_norm_invariants,
+    verify_quadratic_relations,
+)
 from g2kit.liealg import (
     BryantScalarReport,
     DivergenceReport,
@@ -106,7 +112,11 @@ def examples() -> dict:
         EndoSplit: decompose_endo(t, frame),
         TorsionClass: classify(t, frame),
         HypersurfaceReport: hypersurface_identity_check(shape),
-        DivergenceReport: divergence_balance(t, g2perp_scalar_curvature(conn, mla, frame), frame),
+        DivergenceReport: divergence_balance(
+            part_norm_invariants(classify(t, frame).part_norms_sq),
+            classify(t, frame).chi,
+            g2perp_scalar_curvature(conn, mla, frame),
+        ),
         GeometryTorsionReport: geo,
         TorsionForms: tf,
         BryantScalarReport: bryant_scalar_check(mla, frame, s, tf),

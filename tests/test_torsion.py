@@ -2,6 +2,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from test_kernel_oracles import flipped_frame
 
 from g2kit.frames import cross
 from g2kit.invariants import i1, i2, sigma2
@@ -85,6 +86,20 @@ def test_chi_vanishes_iff_vector_part_vanishes(frame):
         vec = decompose_endo(t, frame).vector
         assert chi == vec.scale(-6)
         assert chi.is_zero() == vec.is_zero()
+
+
+def test_classify_chi_is_minus_six_times_the_vector_part(frame):
+    # chi = -p(T) and the vector part is p(T) / 6 on any skew eps table, so
+    # the reports' chi holds on a sign-flipped triple too; -3 times the
+    # vector part, the control, differs wherever chi is nonzero
+    rng = Random(48)
+    for target in (frame, flipped_frame(frame, 3)):
+        samples = [rand_mat(rng) for _ in range(20)] + [cross_operator(rand_vec(rng), frame), Mat7.zero()]
+        for t in samples:
+            cls = classify(t, target)
+            chi = characteristic_vector(t, target)
+            assert cls.chi == chi
+            assert (cls.split.vector.scale(-3) == chi) == chi.is_zero()
 
 
 def test_energies(frame):
