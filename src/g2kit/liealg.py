@@ -318,17 +318,16 @@ def _pairing_reads(frame: G2Frame) -> tuple[tuple, tuple]:
 
 def g2perp_scalar_curvature(conn: ConnectionTable, mla: MetricLieAlgebra, frame: G2Frame) -> Fraction:
     """sum_ij <(R(e_i,e_j))_{g2-perp}(e_j), e_i>; equals s/3 whenever the
-    first Bianchi identity holds.  The projection of R(e_i,e_j) is the cross
-    operator of p(R(e_i,e_j)) / 6, so this is 1/6 of the pairing of
-    :func:`_pairing_reads`: three entries of R(e_i, e_j) per pair i < j."""
-    reads, weights = _pairing_reads(frame)
-    entries, dd = _curvature_entries(conn, mla, reads)
-    return Fraction(4 * sum(map(mul, weights, chain.from_iterable(entries))), 6 * dd)
+    first Bianchi identity holds.  The second value of :func:`curvature_scalars`."""
+    return curvature_scalars(conn, mla, frame)[1]
 
 
 def curvature_scalars(conn: ConnectionTable, mla: MetricLieAlgebra, frame: G2Frame) -> tuple[list, Fraction]:
-    """(curvature_diagonal(conn, mla), g2perp_scalar_curvature(conn, mla,
-    frame)) from one kernel pass: each pair reads R_ijji, then its pairing entries."""
+    """(curvature_diagonal(conn, mla), s_g2perp) from one kernel pass: each
+    pair reads R_ijji, then the entries s_g2perp pairs.  The projection of
+    R(e_i,e_j) is the cross operator of p(R(e_i,e_j)) / 6, so s_g2perp is
+    1/6 of the pairing of :func:`_pairing_reads`: three entries of
+    R(e_i, e_j) per pair i < j."""
     reads, weights = _pairing_reads(frame)
     entries, dd = _curvature_entries(conn, mla, [((i, j), *r) for (i, j), r in zip(_PAIRS, reads)])
     pairing = sum(map(mul, weights, chain.from_iterable(e[1:] for e in entries)))
@@ -370,7 +369,10 @@ def divergence_balance(values: dict[str, Fraction], chi: Vec7, s_perp: Fraction)
     s_alt, chi_sq, alt_sq, sym_sq = values["i0"], values["i1"], values["alt_sq"], values["sym_sq"]
     rhs = Fraction(1, 2) * s_alt - Fraction(1, 2) * s_perp + chi_sq + alt_sq - sym_sq
     balanced = (rhs == 0) if chi.is_zero() else None
-    return DivergenceReport(s_alt, s_perp, chi_sq, alt_sq, sym_sq, chi, rhs, balanced)
+    return DivergenceReport(
+        s_alt=s_alt, s_g2perp=s_perp, chi_sq=chi_sq, alt_sq=alt_sq, sym_sq=sym_sq,
+        chi=chi, rhs_total=rhs, balanced=balanced,
+    )
 
 
 # ---------------------------------------------------------------------------
