@@ -3,9 +3,10 @@
 Subcommands: ``identities`` (exhaustive and seeded identity suites),
 ``classify`` (class flags and invariants of a matrix from a JSON file),
 ``nilmanifold`` (the full built-in nilmanifold verification report) and
-``tables`` (signed eps-table dump).  Identical configurations produce
-byte-identical reports.  Exit codes: 0 success, 1 identity or check
-failure, 2 usage or parse error.
+``tables`` (signed eps-table dump).  Each command builds its report,
+which ``g2kit.serialize.render`` writes as text or JSON; identical
+configurations produce byte-identical reports.  Exit codes: 0 success,
+1 identity or check failure, 2 usage or parse error.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ from .serialize import (
     algebra_from_json,
     algebra_to_json,
     bryant_to_json,
-    canonical_json,
     connection_to_json,
     divergence_to_json,
     endo_split_to_json,
@@ -78,6 +78,7 @@ from .serialize import (
     mat_to_json,
     norms_to_json,
     rational_str,
+    render,
     torsion_class_to_json,
     vec_to_json,
 )
@@ -507,74 +508,12 @@ def cmd_tables(cfg: RunConfig) -> tuple[int, dict]:
 
 
 # ---------------------------------------------------------------------------
-# rendering and entry point
+# entry point
 # ---------------------------------------------------------------------------
 
 
 class UsageError(Exception):
     pass
-
-
-def _is_table(value) -> bool:
-    return (
-        isinstance(value, list)
-        and len(value) > 1
-        and all(
-            isinstance(row, list)
-            and len(row) == len(value[0])
-            and all(not isinstance(x, (dict, list)) for x in row)
-            for row in value
-        )
-    )
-
-
-def _text_lines(value, indent: int = 0) -> list[str]:
-    pad = "  " * indent
-    lines: list[str] = []
-    if isinstance(value, dict):
-        for key in value:
-            sub = value[key]
-            if isinstance(sub, (dict, list)) and sub:
-                lines.append(f"{pad}{key}:")
-                lines.extend(_text_lines(sub, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {_scalar_text(sub)}")
-    elif _is_table(value):
-        widths = [
-            max(len(_scalar_text(row[c])) for row in value)
-            for c in range(len(value[0]))
-        ]
-        for row in value:
-            cells = "  ".join(_scalar_text(x).rjust(w) for x, w in zip(row, widths))
-            lines.append(f"{pad}{cells}")
-    elif isinstance(value, list):
-        for sub in value:
-            if isinstance(sub, (dict, list)) and sub:
-                lines.append(f"{pad}-")
-                lines.extend(_text_lines(sub, indent + 1))
-            else:
-                lines.append(f"{pad}- {_scalar_text(sub)}")
-    else:
-        lines.append(f"{pad}{_scalar_text(value)}")
-    return lines
-
-
-def _scalar_text(value) -> str:
-    if value is None:
-        return "~"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, list):
-        return "[]"
-    if isinstance(value, dict):
-        return "{}"
-    return str(value)
-
-
-def render(report: dict, fmt: str) -> str:
-    if fmt == "json":
-        return canonical_json(report)
-    return "\n".join(_text_lines(report)) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -618,17 +557,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "identities" and args.trials < 1:
         parser.error("--trials must be at least 1")
-    cfg = RunConfig(
-        command=args.command,
-        seed=args.seed,
-        trials=args.trials,
-        frame=args.frame,
-        convention=args.convention,
-        input_path=args.input_path,
-        fmt=args.fmt,
-    )
     try:
-        code, text = run(cfg)
+        # the parser's destinations are the RunConfig fields
+        code, text = run(RunConfig(**vars(args)))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

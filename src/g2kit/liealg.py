@@ -548,15 +548,13 @@ class TorsionForms(_Record):
     tau1: KForm
     tau2: KForm
     tau3: KForm
-    convention: str = FORM
 
-    def norms_sq(self, convention: str | None = None) -> dict[str, Fraction]:
-        conv = convention or self.convention
+    def norms_sq(self, convention: str) -> dict[str, Fraction]:
         return {
             "tau0_sq": self.tau0 * self.tau0,
-            "tau1_sq": form_norm_sq(self.tau1, conv),
-            "tau2_sq": form_norm_sq(self.tau2, conv),
-            "tau3_sq": form_norm_sq(self.tau3, conv),
+            "tau1_sq": form_norm_sq(self.tau1, convention),
+            "tau2_sq": form_norm_sq(self.tau2, convention),
+            "tau3_sq": form_norm_sq(self.tau3, convention),
         }
 
     def _zero(self) -> dict[str, bool]:
@@ -571,7 +569,7 @@ class TorsionForms(_Record):
         return frozenset(_FERNANDEZ_GRAY[name] for name, zero in self._zero().items() if not zero)
 
 
-def torsion_forms(mla: MetricLieAlgebra, frame: G2Frame, convention: str = FORM) -> TorsionForms:
+def torsion_forms(mla: MetricLieAlgebra, frame: G2Frame) -> TorsionForms:
     """Bryant's torsion forms in closed form (Bryant, *Some remarks on
     G2-structures*, 2005, section 4).
 
@@ -602,7 +600,7 @@ def torsion_forms(mla: MetricLieAlgebra, frame: G2Frame, convention: str = FORM)
     tau2 = hodge(rest, -o)
     if wedge(tau2, phi) != rest:
         raise TorsionSolveError("d star_phi is not 4 tau1 ^ star_phi + tau2 ^ phi with tau2 in Lambda^2_14")
-    return TorsionForms(tau0=tau0, tau1=tau1, tau2=tau2, tau3=tau3, convention=convention)
+    return TorsionForms(tau0=tau0, tau1=tau1, tau2=tau2, tau3=tau3)
 
 
 class BryantScalarReport(_Record):

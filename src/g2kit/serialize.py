@@ -14,11 +14,12 @@ Values stored on an integer grid (matrices, vectors, forms, algebras,
 connections) print from the grid, with no ``Fraction`` per entry: each
 nonzero entry x over the denominator d goes through :func:`_grid_entry_str`;
 algebras and connections print from their one list of nonzero entries.
-The kernels' report records print here too; only this module and the
-command bodies of :mod:`g2kit.cli` know the report keys and the "p/q"
-format.  Parsing reads each entry as one integer pair
-(p, q) with :func:`rational_pair`: the plain ASCII spelling
-``[+-]digits[/digits]``, the one every report writes, goes through ``int()``;
+The kernels' report records print here too, and :func:`render` writes
+every report, as JSON or text; only this module and the command bodies of
+:mod:`g2kit.cli` know the report keys and the "p/q" format.  Parsing reads
+each entry as one integer pair (p, q) with :func:`rational_pair`: the plain
+ASCII spelling ``[+-]digits[/digits]``, the one every report writes, goes
+through ``int()``;
 every other spelling and every non-string goes through :func:`parse_rational`
 (``Fraction(str)`` for strings), so the accepted set and the error messages
 are those of ``Fraction``, except that digit underscores are rejected on
@@ -341,6 +342,69 @@ def _index(value) -> int:
     if not 0 <= i < DIM:
         raise ValueError(f"index {_clipped(repr(value))} is outside 0..{DIM - 1}")
     return i
+
+
+def render(report: dict, fmt: str) -> str:
+    """The report as canonical_json for fmt "json", else as text: a dict is
+    a ``key: value`` line per key, a nested value indented under ``key:``;
+    a list of two or more rows of one length and scalar cells is a table
+    with right-aligned columns, any other list a ``- item`` line per item.
+    Text takes the value types of canonical_json, and TypeError for others."""
+    if fmt == "json":
+        return canonical_json(report)
+    out: list[str] = []
+    _text_lines(report, "", out)
+    return "\n".join(out) + "\n"
+
+
+def _text_lines(obj, pad: str, out: list[str]) -> None:
+    """Append the lines of obj, indented by pad.  A list's cells are
+    formatted as its rows are read, up to the first that is no table row."""
+    if isinstance(obj, dict):
+        if not all(isinstance(key, str) for key in obj):
+            raise TypeError(f"report keys must be strings, got {obj!r}")
+        entries = [(f"{pad}{key}:", value) for key, value in obj.items()]
+    elif isinstance(obj, (list, tuple)):
+        rows: list[list[str]] = []
+        for row in obj:
+            if not (isinstance(row, (list, tuple)) and len(row) == len(obj[0])):
+                break
+            texts = [_cell_text(x) for x in row]
+            if None in texts:
+                break
+            rows.append(texts)
+        if len(rows) == len(obj) > 1:
+            widths = [max(map(len, column)) for column in zip(*rows)]
+            out.extend(pad + "  ".join(t.rjust(w) for t, w in zip(texts, widths)) for texts in rows)
+            return
+        for texts in rows:  # rows of scalars, each a "- item" list
+            out.append(pad + "-" if texts else pad + "- []")
+            out.extend(f"{pad}  - {text}" for text in texts)
+        entries = [(pad + "-", item) for item in obj[len(rows):]]
+    else:
+        out.append(pad + _cell_text(obj))
+        return
+    for head, value in entries:
+        text = _cell_text(value)
+        if text is None and value:
+            out.append(head)
+            _text_lines(value, pad + "  ", out)
+        else:
+            empty = "{}" if isinstance(value, dict) else "[]"
+            out.append(f"{head} {empty if text is None else text}")
+
+
+def _cell_text(value) -> str | None:
+    """The text of a scalar report value; None for a dict, list or tuple."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int):
+        return ("true" if value else "false") if isinstance(value, bool) else int.__repr__(value)
+    if value is None:
+        return "~"
+    if isinstance(value, (dict, list, tuple)):
+        return None
+    raise TypeError(f"{type(value).__name__} is not a report value: {value!r}")
 
 
 def canonical_json(obj) -> str:

@@ -1,6 +1,6 @@
 """Same-interpreter A/B timing of two g2kit trees on perfbench's inputs.
 
-    python tests/ab_inprocess.py A B WORKLOAD [--seed S] [--seconds T] [--rounds R]
+    python tests/ab_inprocess.py A B WORKLOAD [--seed S] [--seconds T] [--rounds R] [--format F]
 
 A and B are two checkouts of this repository.  Their ``src/g2kit`` load
 into this one interpreter as the packages ``g2a`` and ``g2b``, so both
@@ -18,20 +18,21 @@ constants), written in the ``{"dim", "brackets"}`` schema by the
 
 Every report, the warm-up ones included, must come out byte-identical from
 the two trees, in json and in text; the script exits 1 otherwise.  It then
-times the json reports for ``--rounds`` rounds: each report runs once on
-each tree, the two in random order, and each round gives the mean, p80 and
-p99 latency per tree.  It prints, per metric, the median over the rounds
-for each tree, B's change against A, the rounds in which B was faster, and
-the spread of A's rounds (interquartile range over median).  An A/A run
-(the same tree twice) shows the noise floor.
+times the reports in ``--format`` (json by default, or text) for
+``--rounds`` rounds: each report runs once on each tree, the two in random
+order, and each round gives the mean, p80 and p99 latency per tree.  It
+prints, per metric, the median over the rounds for each tree, B's change
+against A, the rounds in which B was faster, and the spread of A's rounds
+(interquartile range over median).  An A/A run (the same tree twice)
+shows the noise floor.
 
-Last it counts, per tree, the opcode events a report executes in the
-tree's own g2kit code (``sys.settrace`` with ``f_trace_opcodes``, on no
-other code), with ``os.fork`` deleted so that every frame runs in this
-process: warm, the mean over the timed reports, and cold, each frame's
-first report from freshly built frames.  These counts repeat exactly from
-run to run, so an A/A run whose counts differ exits 1.  Tier-1 does not
-collect this file; it imports no test framework.
+Last it counts, per tree, the opcode events a report in ``--format``
+executes in the tree's own g2kit code (``sys.settrace`` with
+``f_trace_opcodes``, on no other code), with ``os.fork`` deleted so that
+every frame runs in this process: warm, the mean over the timed reports,
+and cold, each frame's first report from freshly built frames.  These
+counts repeat exactly from run to run, so an A/A run whose counts differ
+exits 1.  Tier-1 does not collect this file; it imports no test framework.
 """
 
 import argparse
@@ -119,11 +120,11 @@ def opcode_events(run, op: dict, package: str, before=None) -> int:
     return count
 
 
-def opcode_counts(cli, package: str, ops: list[dict]) -> dict[str, float]:
-    """Warm: the mean opcode events per report over `ops`.  Cold: for
-    each frame, those of its first report in `ops` after every frame
+def opcode_counts(cli, package: str, ops: list[dict], fmt: str) -> dict[str, float]:
+    """Warm: the mean opcode events per report in `fmt` over `ops`.  Cold:
+    for each frame, those of its first report in `ops` after every frame
     builder is cleared; this leaves the tree's frames cold."""
-    run = runner(cli, "json")
+    run = runner(cli, fmt)
 
     def clear():
         for build in cli.FRAMES.values():
@@ -166,6 +167,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--rounds", type=int, default=15)
+    parser.add_argument("--format", dest="fmt", choices=("json", "text"), default="json")
     args = parser.parse_args(argv)
 
     sys.dont_write_bytecode = True
@@ -189,7 +191,7 @@ def main(argv=None) -> int:
                 if a != b:
                     print(f"reports differ ({fmt}): {op}", file=sys.stderr)
                     return 1
-        runs = {side: runner(cli, "json") for side, cli in clis.items()}
+        runs = {side: runner(cli, args.fmt) for side, cli in clis.items()}
         coin = Random(args.seed)
         rounds = {side: [] for side in runs}
         for _ in range(args.rounds):
@@ -204,10 +206,10 @@ def main(argv=None) -> int:
             for side in runs:
                 rounds[side].append(summary(latency[side]))
         packages = {side: str(Path(tree).resolve() / "src" / "g2kit") + os.sep for side, tree in zip("AB", (args.a, args.b))}
-        counts = {side: opcode_counts(cli, packages[side], ops) for side, cli in clis.items()}
+        counts = {side: opcode_counts(cli, packages[side], ops, args.fmt) for side, cli in clis.items()}
 
     print(f"{args.workload}, seed {args.seed}: {len(ops)} reports x {args.rounds} rounds, "
-          "byte-identical in json and text")
+          f"byte-identical in json and text, timed in {args.fmt}")
     print(f"{'metric':8} {'A median':>9} {'B median':>9} {'B/A - 1':>8} {'B wins':>7} {'A spread':>9}")
     for metric in rounds["A"][0]:
         a = [r[metric] for r in rounds["A"]]

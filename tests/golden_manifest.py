@@ -27,10 +27,12 @@ GOLDENS = {
     for name, command in {
         "tables-standard.json": "tables --frame standard --format json",
         "tables-cayley.json": "tables --frame cayley --format json",
+        "tables-cayley.txt": "tables --frame cayley --format text",
         "classify-heisenberg-standard.json":
             f"classify --input {INPUTS}/heisenberg.json --frame standard --format json",
         "classify-heisenberg-cayley.json": f"classify --input {INPUTS}/heisenberg.json --frame cayley --format json",
         "classify-dense17-standard.json": f"classify --input {INPUTS}/dense17.json --frame standard --format json",
+        "classify-dense17-standard.txt": f"classify --input {INPUTS}/dense17.json --frame standard --format text",
         "classify-dense17-cayley.json": f"classify --input {INPUTS}/dense17.json --frame cayley --format json",
         "classify-sym17-standard.json": f"classify --input {INPUTS}/sym17.json --frame standard --format json",
         "classify-sym17-cayley.json": f"classify --input {INPUTS}/sym17.json --frame cayley --format json",
@@ -49,6 +51,7 @@ GOLDENS = {
         "nilmanifold-almost-abelian-cayley.json":
             f"nilmanifold --input {INPUTS}/almost-abelian.json --frame cayley --format json",
         "identities-seed3-trials15.json": "identities --seed 3 --trials 15 --format json",
+        "identities-seed3-trials15.txt": "identities --seed 3 --trials 15 --format text",
         "identities-seed0-trials200.json": "identities --seed 0 --trials 200 --format json",
         "identities-seed7-trials1000.json": "identities --seed 7 --trials 1000 --format json",
     }.items()

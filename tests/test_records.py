@@ -23,7 +23,6 @@ from geometry_checks import (
 )
 
 from g2kit.cli import RunConfig
-from g2kit.forms import FORM
 from g2kit.frames import CheckReport, CrossTable, G2Frame, build_standard_frame, check_epsilon_identities
 from g2kit.invariants import (
     InvariantReport,
@@ -64,7 +63,7 @@ FIELDS = {
     HypersurfaceReport: ("passed", "lhs", "rhs", "sigma2_shape"),
     DivergenceReport: ("s_alt", "s_g2perp", "chi_sq", "alt_sq", "sym_sq", "chi", "rhs_total", "balanced"),
     GeometryTorsionReport: ("torsion", "r_grid", "matched_convention"),
-    TorsionForms: ("tau0", "tau1", "tau2", "tau3", "convention"),
+    TorsionForms: ("tau0", "tau1", "tau2", "tau3"),
     BryantScalarReport: ("scalar", "rhs_by_convention", "reconciling", "forms", "delta_tau1"),
     NearlyParallelReport: (
         "lambda0",
@@ -83,7 +82,6 @@ DEFAULTS = {
     CrossTable: {"label_offset": 0},
     G2Frame: {"name": "custom"},
     CheckReport: {"counts": (), "failures": (), "notes": ()},
-    TorsionForms: {"convention": FORM},
 }
 
 # records holding a KForm, which has no hash

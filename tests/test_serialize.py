@@ -1,15 +1,19 @@
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
 import pytest
 from hypothesis import example, given, settings
+from geometry_checks import rotated_models
+from golden_manifest import GOLDENS, ROOT
 from hypothesis import strategies as st
 
+from g2kit import cli, serialize
 from g2kit.liealg import heisenberg_model
 from g2kit.linalg import Mat7
-from g2kit.sampling import rand_mat
+from g2kit.sampling import rand_almost_abelian, rand_mat, rand_skew, rand_symmetric, rand_two_step_nilpotent
 from g2kit.serialize import (
     DigitLimitError,
     algebra_from_json,
@@ -22,6 +26,7 @@ from g2kit.serialize import (
     mat_to_json,
     parse_rational,
     rational_str,
+    render,
 )
 from g2kit.so7 import decompose_endo
 
@@ -234,3 +239,205 @@ def test_canonical_json_writes_tuples_and_rejects_other_values():
     for other in ({"x": 0.5}, {1: "int key"}, [Fraction(1, 2)]):
         with pytest.raises(TypeError):
             canonical_json(other)
+
+
+# ---------------------------------------------------------------------------
+# the text writer against the renderer it replaced
+# ---------------------------------------------------------------------------
+
+
+# The text renderer as it stood in g2kit.cli before the writer moved here,
+# verbatim apart from its names: the oracle for render(..., "text").
+def ref_is_table(value) -> bool:
+    return (
+        isinstance(value, list)
+        and len(value) > 1
+        and all(
+            isinstance(row, list)
+            and len(row) == len(value[0])
+            and all(not isinstance(x, (dict, list)) for x in row)
+            for row in value
+        )
+    )
+
+
+def ref_text_lines(value, indent: int = 0) -> list[str]:
+    pad = "  " * indent
+    lines: list[str] = []
+    if isinstance(value, dict):
+        for key in value:
+            sub = value[key]
+            if isinstance(sub, (dict, list)) and sub:
+                lines.append(f"{pad}{key}:")
+                lines.extend(ref_text_lines(sub, indent + 1))
+            else:
+                lines.append(f"{pad}{key}: {ref_scalar_text(sub)}")
+    elif ref_is_table(value):
+        widths = [
+            max(len(ref_scalar_text(row[c])) for row in value)
+            for c in range(len(value[0]))
+        ]
+        for row in value:
+            cells = "  ".join(ref_scalar_text(x).rjust(w) for x, w in zip(row, widths))
+            lines.append(f"{pad}{cells}")
+    elif isinstance(value, list):
+        for sub in value:
+            if isinstance(sub, (dict, list)) and sub:
+                lines.append(f"{pad}-")
+                lines.extend(ref_text_lines(sub, indent + 1))
+            else:
+                lines.append(f"{pad}- {ref_scalar_text(sub)}")
+    else:
+        lines.append(f"{pad}{ref_scalar_text(value)}")
+    return lines
+
+
+def ref_scalar_text(value) -> str:
+    if value is None:
+        return "~"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return "[]"
+    if isinstance(value, dict):
+        return "{}"
+    return str(value)
+
+
+def ref_text(report) -> str:
+    return "\n".join(ref_text_lines(report)) + "\n"
+
+
+def command_report(argv: list[str]) -> dict:
+    """The report dict of a g2kit command line, built in this process."""
+    args = cli.build_parser().parse_args(argv)
+    return cli.COMMANDS[args.command](cli.RunConfig(**vars(args)))[1]
+
+
+def file_report(tmp_path, command: str, data, frame: str) -> dict:
+    path = tmp_path / f"{command}.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return command_report([command, "--input", str(path), "--frame", frame])
+
+
+def test_cli_writes_through_render():
+    assert cli.render is render
+    assert not any(hasattr(cli, name) for name in ("_is_table", "_text_lines", "_scalar_text"))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDENS))
+def test_text_matches_reference_on_manifest_configurations(name, monkeypatch):
+    monkeypatch.chdir(ROOT)  # reports echo the repository-relative --input
+    report = command_report(GOLDENS[name])
+    assert render(report, "text") == ref_text(report)
+    assert render(report, "json") == canonical_json(report)
+
+
+@pytest.mark.parametrize("frame", ["standard", "cayley"])
+def test_text_matches_reference_on_seeded_reports(frame, tmp_path):
+    for seed in range(4):
+        rng = Random(seed)
+        reports = [
+            file_report(tmp_path, "nilmanifold", algebra_to_json(rand_two_step_nilpotent(rng)), frame),
+            file_report(tmp_path, "nilmanifold", algebra_to_json(rand_almost_abelian(rng)), frame),
+            *(file_report(tmp_path, "classify", mat_to_json(draw(rng)), frame)
+              for draw in (rand_mat, rand_symmetric, rand_skew)),
+        ]
+        for report in reports:
+            assert render(report, "text") == ref_text(report)
+
+
+def test_text_matches_reference_on_rotated_models(tmp_path):
+    for k, mla in enumerate(rotated_models(0)):
+        report = file_report(tmp_path, "nilmanifold", algebra_to_json(mla), ("standard", "cayley")[k % 2])
+        assert render(report, "text") == ref_text(report)
+
+
+# hand-built shapes: tables and lists that just miss being one, empty and
+# scalar values at every depth
+TEXT_SHAPES = [
+    {},
+    [],
+    "top-level scalar",
+    {"one row": [["a", 1, None]]},
+    {"table": [["1/2", -3], ["10", True], [None, "x"]]},
+    {"empty rows": [[], []]},
+    {"ragged": [[1, 2], [3, 4], [5]]},
+    {"ragged first": [[1], [2, 3]]},
+    {"row with a dict": [[1, 2], [3, {"k": "v"}]]},
+    {"row with a list": [[1, 2], [[3, 4], 5], [6, 7]]},
+    {"row with an empty list": [[1, []], [2, 3]]},
+    {"table of tables": [[[1, 2], [3, 4]], [[5, 6], [7, 8]]]},
+    {"rows then a scalar": [[1, 2], [3, 4], "tail"]},
+    {"empty row then rows": [[], [1], [2]]},
+    {"empties": {"list": [], "dict": {}, "none": None, "str": ""}, "bools": [True, False]},
+    {"nested lists": [[1], [[2]], [[[3]]], ["a", ["b", ["c"]]]]},
+    {"dicts in a list": [{"i": 0, "v": []}, {}, {"w": {"x": {}}}]},
+    {"wide": [["-123456789/987654321", "0"], ["0", "5"]], "after": {"z": 1, "a": 2}},
+    {"ints": [10**40, -(10**40), 0], "unicode": "é€ line"},
+]
+
+
+@pytest.mark.parametrize("shape", TEXT_SHAPES, ids=range(len(TEXT_SHAPES)))
+def test_text_matches_reference_on_hand_built_shapes(shape):
+    assert render(shape, "text") == ref_text(shape)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(REPORT_VALUES)
+def test_text_matches_reference_on_report_values(obj):
+    assert render(obj, "text") == ref_text(obj)
+
+
+def test_text_writes_tuples_and_rejects_other_values():
+    # the value types and errors of canonical_json: a tuple is a list
+    assert render({"t": (1, ("a", None)), "rows": ((1, 2), [3, 4])}, "text") == (
+        render({"t": [1, ["a", None]], "rows": [[1, 2], [3, 4]]}, "text")
+    )
+    for other in ({"x": 0.5}, {1: "int key"}, [Fraction(1, 2)], {"a": {"b": [[1, Fraction(1)], [2, 3]]}},
+                  [[1, 2.0], [3, 4]], {"a": [{2: "nested int key"}]}):
+        with pytest.raises(TypeError):
+            render(other, "text")
+        with pytest.raises(TypeError):
+            canonical_json(other)
+
+
+def count_cell_texts(monkeypatch) -> Counter:
+    """Wrap serialize._cell_text; the counter counts its calls per value id."""
+    calls = Counter()
+    real = serialize._cell_text
+
+    def cell_text(value):
+        calls[id(value)] += 1
+        return real(value)
+
+    monkeypatch.setattr(serialize, "_cell_text", cell_text)
+    return calls
+
+
+def test_each_table_cell_is_formatted_once(monkeypatch):
+    calls = count_cell_texts(monkeypatch)
+    cells = [[f"{i}/{j + 2}" for j in range(4)] for i in range(5)]
+    out = render({"table": cells}, "text")
+    assert out == ref_text({"table": cells})
+    # the dict's value once, as a container, and each cell once
+    assert sorted(calls.values()) == [1] * 21 and all(calls[id(x)] == 1 for row in cells for x in row)
+
+
+def test_each_report_value_is_formatted_once(monkeypatch):
+    # on a whole report, tables included, each scalar is formatted once
+    report = command_report(["nilmanifold"])
+    calls = count_cell_texts(monkeypatch)
+    render(report, "text")
+
+    def leaves(value):
+        if isinstance(value, dict):
+            return sum((leaves(v) for v in value.values()), [])
+        if isinstance(value, list):
+            return sum((leaves(v) for v in value), [])
+        return [value]
+
+    # a string or small int that several entries share is one object,
+    # formatted once per entry
+    expected = Counter(map(id, leaves(report)))
+    assert {i: calls[i] for i in expected} == expected
