@@ -58,6 +58,6 @@ print("\ntorsion forms: vanishing =", sorted(tf.vanishing()),
       " tau2 =", tf.tau2.terms())
 dphi, dpsi = (ce_differential(mla, form) for form in (frame.phi, frame.star_phi))
 print("d phi = 0 (phi is closed):", dphi.is_zero(), "  d star_phi = tau2 ^ phi:", dpsi == wedge(tf.tau2, frame.phi))
-rep = bryant_scalar_check(mla, frame, s, tf)
+rep = bryant_scalar_check(mla, s, tf)
 print("scalar-curvature formula from the torsion forms reconciles under:",
       rep.reconciling, " with |tau2|^2 =", rep.forms.norms_sq("form")["tau2_sq"])

@@ -409,7 +409,7 @@ def cmd_nilmanifold(cfg: RunConfig) -> tuple[int, dict]:
     # the Bryant check reads both conventions, and the report prints them
     norms = {conv: tf.norms_sq(conv) for conv in (FORM, TENSOR)}
     vanishing = tf.vanishing()
-    bryant = bryant_scalar_check(mla, frame, s, tf, norms)
+    bryant = bryant_scalar_check(mla, s, tf, norms)
     conventions = (FORM, TENSOR) if cfg.convention == "auto" else (cfg.convention,)
 
     chi_is_zero = "X4" not in cls.flags

@@ -3,10 +3,11 @@
 A k-form is an integer grid like :class:`~g2kit.linalg.Vec7` and
 :class:`~g2kit.linalg.Mat7`: its C(7, k) coordinates on the increasing
 monomials e^{i1<...<ik}, in ``itertools.combinations`` order, over one
-positive common denominator, in lowest terms.  The kernels run on those
-integers and normalise once per result; only this module reads the
-monomial layout, and :mod:`g2kit.liealg` reaches it through the one
-(anti)derivation kernel behind ``interior``, ``ce_differential`` and
+positive common denominator, in lowest terms, with the linear structure
+of their shared base (forms of different degree do not add).  The kernels
+run on those integers and normalise once per result; only this module
+reads the monomial layout, and :mod:`g2kit.liealg` reaches it through the
+one (anti)derivation kernel behind ``interior``, ``ce_differential`` and
 ``nabla_form``.
 Evaluation on an arbitrary ordered tuple applies the sign of the sorting
 permutation and returns 0 on repeated indices; :meth:`KForm.coeff` and
@@ -142,9 +143,6 @@ class KForm(_IntegerGrid):
     def __call__(self, *indices) -> Fraction:
         return self.coeff(indices)
 
-    def is_zero(self) -> bool:
-        return not any(self._grid)
-
     def __eq__(self, other) -> bool:
         # a 3-form and a 4-form have the same number of coordinates
         eq = _IntegerGrid.__eq__(self, other)
@@ -160,27 +158,14 @@ class KForm(_IntegerGrid):
 
     # -- linear structure ----------------------------------------------------
 
-    def __add__(self, other: KForm) -> KForm:
-        if self.degree != other.degree:
+    def _like(self, coords, d: int) -> KForm:
+        return KForm.from_ints(self.degree, coords, d)
+
+    def _plus(self, other, sign: int):
+        # a k-form and a (7 - k)-form have the same number of coordinates
+        if type(other) is KForm and self.degree != other.degree:
             raise ValueError("cannot add forms of different degree")
-        da, db = self._den, other._den
-        d = lcm(da, db)
-        fa, fb = d // da, d // db
-        return KForm.from_ints(self.degree, [fa * a + fb * b for a, b in zip(self._grid, other._grid)], d)
-
-    def __sub__(self, other: KForm) -> KForm:
-        return self + -other
-
-    def __neg__(self) -> KForm:
-        return _graded(self.degree, KForm._make(tuple(-a for a in self._grid), self._den))
-
-    def scale(self, s) -> KForm:
-        s = as_fraction(s)
-        p = s.numerator
-        return KForm.from_ints(self.degree, [p * a for a in self._grid], s.denominator * self._den)
-
-    __mul__ = scale
-    __rmul__ = scale
+        return _IntegerGrid._plus(self, other, sign)
 
 
 def _check_degree(degree: int) -> None:

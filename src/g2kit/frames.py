@@ -36,7 +36,7 @@ from itertools import chain, compress, permutations, product, repeat
 from operator import add, mul
 from random import Random
 
-from .forms import KForm, hodge
+from .forms import KForm, hodge, sort_with_sign
 from .linalg import DIM, UNIT, Vec7, _Record, integer_coords
 
 
@@ -216,20 +216,6 @@ class CrossTable(_Record):
         return out
 
 
-def _sort3(i: int, j: int, k: int) -> tuple[tuple[int, int, int], int]:
-    if i == j or j == k or i == k:
-        return (i, j, k), 0
-    sign = 1
-    a, b, c = i, j, k
-    if a > b:
-        a, b, sign = b, a, -sign
-    if b > c:
-        b, c, sign = c, b, -sign
-    if a > b:
-        a, b, sign = b, a, -sign
-    return (a, b, c), sign
-
-
 class G2Frame(_Record):
     table: CrossTable
     phi: KForm
@@ -319,7 +305,7 @@ def build_cayley_frame() -> G2Frame:
     once per process, like :func:`build_standard_frame`."""
     base: dict[tuple[int, int, int], int] = {}
     for i in range(DIM):
-        key, sign = _sort3(i, (i + 1) % DIM, (i + 3) % DIM)
+        key, sign = sort_with_sign((i, (i + 1) % DIM, (i + 3) % DIM))
         base[key] = sign
     triples = tuple((i, j, k, s) for (i, j, k), s in sorted(base.items()))
     return G2Frame.from_table(CrossTable(triples, label_offset=0), name="cayley")

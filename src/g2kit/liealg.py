@@ -104,9 +104,6 @@ class MetricLieAlgebra(_IntegerGrid):
     __slots__ = ("_nonzero",)
     _depth = 3
 
-    def __new__(cls, brackets):
-        return MetricLieAlgebra.from_ints(*MetricLieAlgebra._scaled(_grid3(brackets, "bracket vectors")))
-
     @staticmethod
     def from_ints(grid, d: int) -> MetricLieAlgebra:
         """The algebra with c^k_ij = grid[i][j][k] / d for a 7x7x7 integer
@@ -201,9 +198,6 @@ class ConnectionTable(_IntegerGrid):
 
     __slots__ = ("_nonzero",)
     _depth = 3
-
-    def __new__(cls, gamma):
-        return ConnectionTable.from_ints(*ConnectionTable._scaled(_grid3(gamma, "connection vectors")))
 
     @staticmethod
     def from_ints(grid, d: int) -> ConnectionTable:
@@ -611,15 +605,14 @@ class BryantScalarReport(_Record):
     delta_tau1: Fraction
 
 
-def bryant_scalar_check(
-    mla: MetricLieAlgebra, frame: G2Frame, s: Fraction, tf: TorsionForms, norms: dict | None = None
-) -> BryantScalarReport:
+def bryant_scalar_check(mla: MetricLieAlgebra, s: Fraction, tf: TorsionForms, norms: dict | None = None) -> BryantScalarReport:
     """Compare s = 12 delta tau1 + (21/8) tau0^2 + 30 |tau1|^2
     - (1/2)|tau2|^2 - (1/2)|tau3|^2 under each norm convention with the
     scalar curvature s of the Koszul/curvature route, where tf is
-    torsion_forms(mla, frame), and report which convention gives exact
-    equality.  The two sides come from independent routes.  `norms` maps
-    each convention to ``tf.norms_sq(convention)`` when the caller has them."""
+    torsion_forms(mla, frame) in any frame (the sum reads no frame), and
+    report which convention gives exact equality.  The two sides come from
+    independent routes.  `norms` maps each convention to
+    ``tf.norms_sq(convention)`` when the caller has them."""
     dt1 = Vec7.from_ints(*integer_coords(tf.tau1)).dot(mla.trace_vector())
     if norms is None:
         norms = {convention: tf.norms_sq(convention) for convention in (FORM, TENSOR)}

@@ -5,8 +5,10 @@ each hold an integer grid over one positive common denominator, in lowest
 terms, so vector and matrix arithmetic runs on plain integers; both share
 that storage with the metric Lie algebras and connections of
 :mod:`g2kit.liealg` and the k-forms of :mod:`g2kit.forms` through one
-immutable base.  Serialisation
-reads and writes the grid directly (:func:`integer_rows`,
+immutable base, which also holds the one rational constructor and the one
+linear structure (``+``, ``-``, ``scale``, ``is_zero``, ``norm_sq``) of all
+five, so algebras and connections add and scale as vectors do.
+Serialisation reads and writes the grid directly (:func:`integer_rows`,
 :meth:`Mat7.from_ints`); the ``Fraction`` coordinates and entries are a
 view built on demand for the API.  Values are immutable and safe to share
 between threads.  The package's frozen report records (:class:`_Record`)
@@ -59,7 +61,15 @@ def _mapped(f, grid, depth: int) -> tuple:
     """The nested grid `depth` levels deep with f applied to every entry."""
     if depth == 1:
         return tuple(map(f, grid))
-    return tuple(_mapped(f, v, depth - 1) for v in grid)
+    return tuple([_mapped(f, v, depth - 1) for v in grid])
+
+
+def _combined(fa: int, a, fb: int, b, depth: int) -> list:
+    """fa * a + fb * b for two integer grids of one shape `depth` levels
+    deep, as nested lists."""
+    if depth == 1:
+        return [fa * x + fb * y for x, y in zip(a, b)]
+    return [_combined(fa, u, fb, v, depth - 1) for u, v in zip(a, b)]
 
 
 class _Immutable:
@@ -80,10 +90,19 @@ class _IntegerGrid(_Immutable):
     levels deep over one positive denominator, always in lowest terms, so
     ``==``/``hash`` compare the grid directly.  Each subclass checks its
     shape in ``from_ints`` and keeps one view in the lazy ``_view`` slot.
+
+    The base holds the one rational constructor and the linear structure
+    (``+``, ``-``, ``scale``, ``is_zero``, ``norm_sq``) of every grid; each
+    result is rebuilt through :meth:`_like`, so the subclass's own checks
+    in ``from_ints`` still run.
     """
 
     __slots__ = ("_grid", "_den", "_view")
     _depth = 1  # nesting levels of the grid
+
+    def __new__(cls, values):
+        """The value of a nested grid of int or ``Fraction`` entries."""
+        return cls.from_ints(*cls._scaled(values))
 
     @classmethod
     def _make(cls, grid, d: int):
@@ -115,6 +134,44 @@ class _IntegerGrid(_Immutable):
             grid = _mapped(lambda x: x // g, grid, cls._depth)
             d //= g
         return cls._make(grid, d)
+
+    def _like(self, grid, d: int):
+        """The value grid / d of this one's type, for an integer grid of
+        this one's shape and an integer d > 0."""
+        return type(self).from_ints(grid, d)
+
+    def _plus(self, other, sign: int):
+        """self + sign * other over the lcm of the two denominators."""
+        if type(other) is not type(self):
+            return NotImplemented
+        da, db = self._den, other._den
+        d = lcm(da, db)
+        return self._like(_combined(d // da, self._grid, sign * (d // db), other._grid, self._depth), d)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def scale(self, s):
+        s = s if type(s) is int else as_fraction(s)  # an int is its own numerator
+        return self._like(_mapped(s.numerator.__mul__, self._grid, self._depth), s.denominator * self._den)
+
+    __mul__ = scale
+    __rmul__ = scale
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def is_zero(self) -> bool:
+        # in lowest terms a zero grid is over 1
+        return self._den == 1 and not any(_leaves(self._grid, self._depth))
+
+    def norm_sq(self) -> Fraction:
+        """The sum of the squared entries: tr(M^T M) for a matrix, and the
+        "form" convention for a k-form."""
+        return Fraction(sum(x * x for x in _leaves(self._grid, self._depth)), self._den * self._den)
 
     def _viewed(self, build):
         """The view, built as build(grid, den) on first use."""
@@ -220,11 +277,6 @@ class Vec7(_IntegerGrid):
 
     __slots__ = ()
 
-    def __new__(cls, coords):
-        if len(coords) != DIM:
-            raise ValueError(f"Vec7 needs {DIM} coordinates, got {len(coords)}")
-        return Vec7._make(*Vec7._scaled(coords))
-
     @staticmethod
     def from_ints(xs, d: int) -> Vec7:
         """The vector xs / d for 7 integers xs and a nonzero integer d."""
@@ -256,35 +308,8 @@ class Vec7(_IntegerGrid):
     def __iter__(self):
         return iter(self.coords)
 
-    def __add__(self, other: Vec7) -> Vec7:
-        da, db = self._den, other._den
-        d = lcm(da, db)
-        fa, fb = d // da, d // db
-        return Vec7.from_ints([fa * a + fb * b for a, b in zip(self._grid, other._grid)], d)
-
-    def __sub__(self, other: Vec7) -> Vec7:
-        return self + -other
-
-    def __neg__(self) -> Vec7:
-        return Vec7._make(tuple(-a for a in self._grid), self._den)
-
-    def scale(self, s) -> Vec7:
-        s = as_fraction(s)
-        p = s.numerator
-        return Vec7.from_ints([p * a for a in self._grid], s.denominator * self._den)
-
-    __mul__ = scale
-    __rmul__ = scale
-
     def dot(self, other: Vec7) -> Fraction:
         return Fraction(sum(map(mul, self._grid, other._grid)), self._den * other._den)
-
-    def norm_sq(self) -> Fraction:
-        a = self._grid
-        return Fraction(sum(map(mul, a, a)), self._den * self._den)
-
-    def is_zero(self) -> bool:
-        return not any(self._grid)
 
 
 class Mat7(_IntegerGrid):
@@ -298,11 +323,6 @@ class Mat7(_IntegerGrid):
 
     __slots__ = ()
     _depth = 2
-
-    def __new__(cls, entries):
-        if len(entries) != DIM or any(len(r) != DIM for r in entries):
-            raise ValueError("Mat7 needs a 7x7 grid")
-        return Mat7._make(*Mat7._scaled(entries))
 
     @staticmethod
     def from_ints(rows, d: int) -> Mat7:
@@ -342,28 +362,6 @@ class Mat7(_IntegerGrid):
     def column(self, j: int) -> Vec7:
         return Vec7.from_ints([row[j] for row in self._grid], self._den)
 
-    def __add__(self, other: Mat7) -> Mat7:
-        da, db = self._den, other._den
-        d = lcm(da, db)
-        fa, fb = d // da, d // db
-        return Mat7.from_ints([[fa * a + fb * b for a, b in zip(ra, rb)] for ra, rb in zip(self._grid, other._grid)], d)
-
-    def __sub__(self, other: Mat7) -> Mat7:
-        da, db = self._den, other._den
-        d = lcm(da, db)
-        fa, fb = d // da, d // db
-        return Mat7.from_ints([[fa * a - fb * b for a, b in zip(ra, rb)] for ra, rb in zip(self._grid, other._grid)], d)
-
-    def __neg__(self) -> Mat7:
-        return Mat7._make(tuple(tuple(-a for a in row) for row in self._grid), self._den)
-
-    def scale(self, s) -> Mat7:
-        s = as_fraction(s)
-        p = s.numerator
-        return Mat7.from_ints([[p * a for a in row] for row in self._grid], s.denominator * self._den)
-
-    __rmul__ = scale
-
     def __matmul__(self, other):
         if isinstance(other, Vec7):
             v = other._grid
@@ -385,14 +383,6 @@ class Mat7(_IntegerGrid):
     def is_skew(self) -> bool:
         rows = self._grid
         return all(rows[i][j] == -rows[j][i] for i in range(DIM) for j in range(i, DIM))
-
-    def is_zero(self) -> bool:
-        return not any(map(any, self._grid))
-
-    def norm_sq(self) -> Fraction:
-        """Trace-form squared norm tr(M^T M) = sum of squared entries."""
-        d = self._den
-        return Fraction(sum(x * x for row in self._grid for x in row), d * d)
 
 
 def integer_rows(m: Mat7) -> tuple[tuple[tuple[int, ...], ...], int]:

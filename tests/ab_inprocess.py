@@ -2,7 +2,9 @@
 
     python tests/ab_inprocess.py A B WORKLOAD [--seed S] [--seconds T] [--rounds R] [--format F]
 
-A and B are two checkouts of this repository.  Their ``src/g2kit`` load
+A and B are two checkouts of this repository.  The first line printed
+gives the line count of each tree's ``src/g2kit/*.py`` (the figure of
+``cat src/g2kit/*.py | wc -l``) and B's change.  Their ``src/g2kit`` load
 into this one interpreter as the packages ``g2a`` and ``g2b``, so both
 trees share the interpreter, its memory layout and the machine's CPU mode
 at each moment, which separate processes do not.  WORKLOAD is one of
@@ -59,6 +61,11 @@ def load_cli(tree: str, name: str):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return importlib.import_module(f"{name}.cli")
+
+
+def line_count(tree: str) -> int:
+    """The newlines in the tree's ``src/g2kit/*.py``, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (Path(tree) / "src" / "g2kit").glob("*.py"))
 
 
 def dense_ops(seed: int, n: int, workdir: str) -> list[dict]:
@@ -169,6 +176,8 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=15)
     parser.add_argument("--format", dest="fmt", choices=("json", "text"), default="json")
     args = parser.parse_args(argv)
+    lines = [line_count(tree) for tree in (args.a, args.b)]
+    print(f"src/g2kit lines: A {lines[0]}, B {lines[1]} ({lines[1] - lines[0]:+d})", flush=True)
 
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(ROOT / "perfbench"))

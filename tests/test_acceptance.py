@@ -230,7 +230,7 @@ def test_criterion_11_bryant_heisenberg():
     # zero residuals in both defining equations
     assert ce_differential(mla, frame.phi).is_zero()
     assert wedge(tf.tau1, frame.star_phi).scale(4) + wedge(tf.tau2, frame.phi) == ce_differential(mla, frame.star_phi)
-    rep = bryant_scalar_check(mla, frame, scalar_curvature(koszul(mla), mla), tf)
+    rep = bryant_scalar_check(mla, scalar_curvature(koszul(mla), mla), tf)
     assert rep.scalar == -1
     assert rep.reconciling == (FORM,)  # exactly one convention, and it is named
     assert form_norm_sq(tf.tau2, FORM) == 2

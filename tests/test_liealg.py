@@ -380,7 +380,7 @@ def test_codifferential_of_a_one_form_is_the_pairing_with_the_trace_vector(frame
                 # negative control: the sign of H flipped
                 assert alpha.dot(-h) != delta
         s = scalar_curvature(koszul(mla), mla)
-        assert bryant_scalar_check(mla, frame, s, tf).delta_tau1 == codifferential(mla, tf.tau1).coeff(())
+        assert bryant_scalar_check(mla, s, tf).delta_tau1 == codifferential(mla, tf.tau1).coeff(())
     assert (nonzero, non_unimodular) == (55, 19)
 
 
@@ -555,7 +555,7 @@ def test_torsion_forms_synthetic_nearly_parallel(frame):
 
 def test_bryant_scalar_heisenberg():
     mla, frame, _ = heisenberg_model()
-    rep = bryant_scalar_check(mla, frame, Fraction(-1), torsion_forms(mla, frame))
+    rep = bryant_scalar_check(mla, Fraction(-1), torsion_forms(mla, frame))
     assert rep.scalar == -1
     assert rep.reconciling == (FORM,)
     assert dict(rep.rhs_by_convention)[FORM] == -1
@@ -565,7 +565,7 @@ def test_bryant_scalar_heisenberg():
 
 def test_bryant_scalar_abelian(frame):
     mla = MetricLieAlgebra.from_nonzero({})
-    rep = bryant_scalar_check(mla, frame, scalar_curvature(koszul(mla), mla), torsion_forms(mla, frame))
+    rep = bryant_scalar_check(mla, scalar_curvature(koszul(mla), mla), torsion_forms(mla, frame))
     assert rep.scalar == 0
     assert FORM in rep.reconciling and TENSOR in rep.reconciling
 
@@ -575,7 +575,7 @@ def test_bryant_scalar_random_regression(cayley):
     for _ in range(6):
         mla = rand_two_step_nilpotent(rng)
         s = scalar_curvature(koszul(mla), mla)
-        rep = bryant_scalar_check(mla, cayley, s, torsion_forms(mla, cayley))
+        rep = bryant_scalar_check(mla, s, torsion_forms(mla, cayley))
         assert FORM in rep.reconciling
 
 

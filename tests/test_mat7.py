@@ -5,7 +5,10 @@ of ``Fraction`` entries, on seeded matrices with small (<= 9) and 17-bit
 denominators, and every result is checked to be in canonical form.  The
 immutability, pickling, copying, ``repr`` and lowest-terms checks also run
 on the other values of the same integer-grid base: ``Vec7``, metric Lie
-algebras and their Koszul connections.
+algebras and their Koszul connections.  The linear structure the base
+gives every grid type (``Vec7``, ``Mat7``, ``KForm`` of each degree,
+algebras and connections) is held to the same operations on the
+``Fraction`` views.
 """
 
 import copy
@@ -17,6 +20,7 @@ from random import Random
 
 import pytest
 
+from g2kit.forms import KForm, all_increasing_tuples
 from g2kit.frames import build_cayley_frame, build_standard_frame, cross
 from g2kit.liealg import ConnectionTable, MetricLieAlgebra, heisenberg_model, koszul
 from g2kit.linalg import DIM, Mat7, Vec7, integer_columns, integer_rows
@@ -64,14 +68,14 @@ VIEWS = {
 
 
 def leaves(grid) -> list:
-    """The entries of a nested tuple grid, in order."""
-    return [y for x in grid for y in leaves(x)] if isinstance(grid, tuple) else [grid]
+    """The entries of a nested tuple or list grid, in order."""
+    return [y for x in grid for y in leaves(x)] if isinstance(grid, (tuple, list)) else [grid]
 
 
 def assert_canonical(x) -> None:
     """The stored grid, the one ``from_ints`` rebuilds x from, has integer
     entries over a positive denominator sharing no factor with them."""
-    grid, d = x.__reduce__()[1]
+    *_, grid, d = x.__reduce__()[1]
     entries = leaves(grid)
     assert type(d) is int and d > 0
     assert all(type(v) is int for v in entries)
@@ -159,6 +163,113 @@ def test_operations_match_fraction_reference(seed):
         for v in vectors(seed):
             expected = [sum((a[i][j] * v[j] for j in range(DIM)), Fraction(0)) for i in range(DIM)]
             assert list(ma @ Vec7(tuple(v))) == expected
+
+
+def fraction_grid(rng: Random, shape: tuple) -> list:
+    """A nested list of the shape, about a third of its entries zero and
+    the rest small or 17-bit fractions."""
+    if not shape:
+        return Fraction(0) if rng.random() < 0.3 else (small_fraction if rng.random() < 0.5 else wide_fraction)(rng)
+    return [fraction_grid(rng, shape[1:]) for _ in range(shape[0])]
+
+
+def antisymmetric(c: list) -> list:
+    """The brackets of c above the diagonal, filled in below it."""
+    zero = [Fraction(0)] * DIM
+    return [[c[i][j] if i < j else [-x for x in c[j][i]] if i > j else zero for j in range(DIM)] for i in range(DIM)]
+
+
+def form_type(k: int) -> tuple:
+    """The k-forms as an entry of GRID_TYPES: the view is the list of
+    coefficients on the increasing monomials."""
+    keys = all_increasing_tuples(k)
+    return f"KForm{k}", (len(keys),), lambda xs: KForm(k, dict(zip(keys, xs))), lambda f: list(map(f.coeff, keys))
+
+
+def vector_grid(grid) -> list:
+    """A 7x7 grid of ``Vec7``s as nested lists of their coordinates."""
+    return [[list(v) for v in row] for row in grid]
+
+
+# each grid type as (name, the shape of its Fraction view, the value of a
+# view, the view of a value)
+GRID_TYPES = [
+    ("Vec7", (DIM,), Vec7, lambda v: list(v.coords)),
+    ("Mat7", (DIM, DIM), Mat7, lambda m: [list(r) for r in m.entries]),
+    *map(form_type, range(DIM + 1)),
+    ("MetricLieAlgebra", (DIM, DIM, DIM), lambda c: MetricLieAlgebra(antisymmetric(c)), lambda a: vector_grid(a.brackets)),
+    ("ConnectionTable", (DIM, DIM, DIM), ConnectionTable, lambda g: vector_grid(g.gamma)),
+]
+
+
+def zipped(f, a, b):
+    """The nested lists a and b combined entry by entry with f."""
+    return [zipped(f, x, y) for x, y in zip(a, b)] if isinstance(a, list) else f(a, b)
+
+
+def times(k: int, grid):
+    """The nested tuple grid with every entry times k."""
+    return tuple(times(k, g) for g in grid) if isinstance(grid, tuple) else k * grid
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("kind", GRID_TYPES, ids=[t[0] for t in GRID_TYPES])
+def test_linear_structure_matches_fraction_reference(kind, seed):
+    _, shape, build, view = kind
+    rng = Random(seed)
+    xs = [build(fraction_grid(rng, shape)) for _ in range(3)]
+    xs.append(xs[0] - xs[0])
+    for a, b in zip(xs, xs[1:] + xs[:1]):
+        ra, rb = view(a), view(b)
+        s = wide_fraction(rng) if rng.random() < 0.5 else small_fraction(rng)
+        results = [
+            (a + b, zipped(lambda x, y: x + y, ra, rb)),
+            (a - b, zipped(lambda x, y: x - y, ra, rb)),
+            (-a, zipped(lambda x, _: -x, ra, ra)),
+            (a.scale(s), zipped(lambda x, _: s * x, ra, ra)),
+            (s * a, zipped(lambda x, _: s * x, ra, ra)),
+            (a * 3, zipped(lambda x, _: 3 * x, ra, ra)),
+            (a.scale(0), zipped(lambda x, _: 0 * x, ra, ra)),
+        ]
+        for got, want in results:
+            assert type(got) is type(a)
+            assert view(got) == want
+            assert_canonical(got)
+            # in lowest terms: from_ints over k times the denominator
+            # builds a value equal to it, with the same hash
+            build_ints, args = got.__reduce__()
+            *head, grid, d = args
+            for k in (2, 6, rng.randint(2, 2**20)):
+                again = build_ints(*head, times(k, grid), k * d)
+                assert again == got
+                if type(got).__hash__ is not None:
+                    assert hash(again) == hash(got)
+        assert a.is_zero() == all(x == 0 for x in leaves(ra))
+        assert a.norm_sq() == sum((x * x for x in leaves(ra)), Fraction(0))
+        assert (a == b) == (ra == rb)
+    assert xs[-1].is_zero() and xs[-1].norm_sq() == 0
+
+
+def test_linear_structure_rejects_mixed_types_and_floats():
+    values = [Vec7.basis(0), Mat7.identity(), KForm(1, {(0,): 1}), heisenberg_model()[0], koszul(heisenberg_model()[0])]
+    for a in values:
+        for b in values:
+            if type(a) is not type(b):
+                with pytest.raises(TypeError):
+                    a + b
+                with pytest.raises(TypeError):
+                    a - b
+        for s in (0.5, 1.0, "2"):
+            with pytest.raises(TypeError):
+                a.scale(s)
+            with pytest.raises(TypeError):
+                a * s
+    for j, k in ((3, 4), (2, 5), (0, 7), (1, 2)):
+        a, b = KForm(j, {}), KForm(k, {})
+        # degrees k and 7 - k have the same number of coordinates
+        for op in (lambda: a + b, lambda: a - b, lambda: b + a):
+            with pytest.raises(ValueError, match="cannot add forms of different degree"):
+                op()
 
 
 def test_shapes_and_predicates_on_known_matrices():

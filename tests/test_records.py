@@ -117,7 +117,7 @@ def examples() -> dict:
         ),
         GeometryTorsionReport: geo,
         TorsionForms: tf,
-        BryantScalarReport: bryant_scalar_check(mla, frame, s, tf),
+        BryantScalarReport: bryant_scalar_check(mla, s, tf),
         NearlyParallelReport: nearly_parallel_torsion_check(Fraction(1, 2), build_standard_frame()),
     }
 
