@@ -19,7 +19,7 @@ from math import gcd
 from operator import itemgetter, mul
 
 from .frames import CheckReport, G2Frame
-from .linalg import DIM, Mat7, _Record, integer_columns, integer_rows, integer_vector
+from .linalg import DIM, Mat7, _Record, integer_columns, integer_coords, integer_vector
 from .so7 import decompose_endo
 
 
@@ -40,7 +40,7 @@ def char_poly(t: Mat7) -> tuple[Fraction, ...]:
     past its leading 1 is s_r times (m_rr, M_r S, M_r A S, ...).  The
     integers e_k are those of the recursion on N itself.
     """
-    n_rows, d = integer_rows(t)
+    n_rows, d = integer_coords(t)
     s = [gcd(*row) or 1 for row in n_rows]
     m_rows = [[x // c for x in row] for row, c in zip(n_rows, s)]
     # e = (1, e_1, ..., e_r) with det(tI - N_r) = sum_k e_k t^(r-k) for the
@@ -76,7 +76,7 @@ def sigma_from_char_poly(coeffs: tuple[Fraction, ...], k: int) -> Fraction:
 
 def sigma2(t: Mat7) -> Fraction:
     """Second elementary symmetric function, ((tr T)^2 - tr(T^2)) / 2."""
-    rows, d = integer_rows(t)
+    rows, d = integer_coords(t)
     tr = sum(rows[i][i] for i in range(DIM))
     tr2 = sum(rows[i][j] * rows[j][i] for i in range(DIM) for j in range(DIM))
     return Fraction(tr * tr - tr2, 2 * d * d)

@@ -57,7 +57,6 @@ from .linalg import (
     integer_columns,
     integer_coords,
     integer_pairs,
-    integer_rows,
 )
 
 _R = range(DIM)
@@ -514,7 +513,7 @@ def geometry_torsion_report(conn: ConnectionTable, frame: G2Frame) -> GeometryTo
             rows[i][y] -= w * x
     d = 4 * conn._den * dd
     # r_map in a convention is r times its weight; weight r^T / 3 = T, cross-multiplied
-    t_rows, t_den = integer_rows(t)
+    t_rows, t_den = integer_coords(t)
     pairs = [(x, y) for col, t_row in zip(zip(*rows), t_rows) for x, y in zip(col, t_row)]
     matched = next((c for c, w in _PAIRING_WEIGHT_3.items() if all(w * t_den * x == 3 * d * y for x, y in pairs)), None)
     return GeometryTorsionReport(torsion=t, r_grid=Mat7.from_ints(rows, d), matched_convention=matched)

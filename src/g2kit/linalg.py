@@ -8,11 +8,11 @@ that storage with the metric Lie algebras and connections of
 immutable base, which also holds the one rational constructor and the one
 linear structure (``+``, ``-``, ``scale``, ``is_zero``, ``norm_sq``) of all
 five, so algebras and connections add and scale as vectors do.
-Serialisation reads and writes the grid directly (:func:`integer_rows`,
-:meth:`Mat7.from_ints`); the ``Fraction`` coordinates and entries are a
-view built on demand for the API.  Values are immutable and safe to share
-between threads.  The package's frozen report records (:class:`_Record`)
-share the base's attribute block.
+Serialisation and the integer kernels read every grid through one function,
+:func:`integer_coords`, and write it through ``from_ints``; the ``Fraction``
+coordinates and entries are a view built on demand for the API.  Values are
+immutable and safe to share between threads.  The package's frozen report
+records (:class:`_Record`) share the base's attribute block.
 
 Matrix convention: entries[i][j] is the coefficient of e_i in M(e_j), so a
 matrix acts on column vectors, ``(M @ v)[i] = sum_j M[i][j] v[j]``.
@@ -385,19 +385,10 @@ class Mat7(_IntegerGrid):
         return all(rows[i][j] == -rows[j][i] for i in range(DIM) for j in range(i, DIM))
 
 
-def integer_rows(m: Mat7) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(d * M as integer rows, d) for the least common denominator d.
-
-    Hot loops over matrices work with these plain integers and divide back
-    exactly at the end.  This reads the stored grid, so it costs nothing.
-    """
-    return m._grid, m._den
-
-
 def integer_coords(v: _IntegerGrid) -> tuple[tuple, int]:
-    """(d * v as integer coordinates, d) for the least common denominator
-    d, for a vector, a form or any other grid; it reads the stored grid,
-    as :func:`integer_rows` does."""
+    """(d * v as integer coordinates, d) for the least common denominator d:
+    a matrix's rows, or a vector's, form's or other grid's coordinates.  It
+    reads the stored grid, so hot loops get plain integers at no cost."""
     return v._grid, v._den
 
 
@@ -418,7 +409,7 @@ def integer_pairs(pairs) -> tuple[list[int], int]:
 
 
 def integer_columns(m: Mat7) -> tuple[list[tuple[int, ...]], int]:
-    """(columns of d * M as integer tuples, d), as in :func:`integer_rows`."""
+    """(columns of d * M as integer tuples, d), as :func:`integer_coords` gives its rows."""
     return list(zip(*m._grid)), m._den
 
 

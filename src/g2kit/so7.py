@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from .frames import CrossTable, G2Frame, cross, per_frame
-from .linalg import DIM, Mat7, Vec7, _Record, integer_coords, integer_rows, integer_vector, nullspace
+from .linalg import DIM, Mat7, Vec7, _Record, integer_coords, integer_vector, nullspace
 
 
 def cross_operator(v: Vec7, frame: G2Frame) -> Mat7:
@@ -24,7 +24,7 @@ def cross_operator(v: Vec7, frame: G2Frame) -> Mat7:
 def skew_to_vector(a: Mat7, frame: G2Frame) -> Vec7:
     """Contraction p(a)_i = sum_jk eps_ijk a_jk; it only sees the skew part
     of the argument."""
-    rows, d = integer_rows(a)
+    rows, d = integer_coords(a)
     return Vec7.from_ints(frame.table.contract(rows), d)
 
 
@@ -47,7 +47,7 @@ def split_so7(a: Mat7, frame: G2Frame) -> tuple[Mat7, Vec7]:
     """Split a skew matrix as (g2 part, vector part v with a = g2 + A_v)."""
     if not a.is_skew():
         raise ValueError("split_so7 needs a skew matrix")
-    return _skew_split(*integer_rows(a), frame.table)
+    return _skew_split(*integer_coords(a), frame.table)
 
 
 def bracket_g2perp(u: Vec7, v: Vec7, frame: G2Frame) -> Mat7:
@@ -99,7 +99,7 @@ def decompose_endo(t: Mat7, frame: G2Frame) -> EndoSplit:
     scalar is tr R / 7d, the traceless symmetric part is
     (7 (R + R^T) - 2 tr R I) / 14d, and the skew part goes through
     :func:`_skew_split`."""
-    rows, d = integer_rows(t)
+    rows, d = integer_coords(t)
     tr = sum(rows[i][i] for i in range(DIM))
     sym0 = [[7 * (a + b) for a, b in zip(row, col)] for row, col in zip(rows, zip(*rows))]
     for i in range(DIM):
@@ -151,6 +151,6 @@ def g2_basis_entries(frame: G2Frame) -> tuple[tuple[int, tuple[tuple[int, int], 
     each entry (7 i + j, R_ij); built once per frame."""
     out = []
     for b in g2_basis(frame):
-        rows, d = integer_rows(b)
+        rows, d = integer_coords(b)
         out.append((d, tuple((DIM * i + j, x) for i, row in enumerate(rows) for j, x in enumerate(row) if x)))
     return tuple(out)

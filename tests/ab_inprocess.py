@@ -1,6 +1,7 @@
 """Same-interpreter A/B timing of two g2kit trees on perfbench's inputs.
 
     python tests/ab_inprocess.py A B WORKLOAD [--seed S] [--seconds T] [--rounds R] [--format F]
+        [--record PATH]
 
 A and B are two checkouts of this repository.  The first line printed
 gives the line count of each tree's ``src/g2kit/*.py`` (the figure of
@@ -34,7 +35,14 @@ executes in the tree's own g2kit code (``sys.settrace`` with
 every frame runs in this process: warm, the mean over the timed reports,
 and cold, each frame's first report from freshly built frames.  These
 counts repeat exactly from run to run, so an A/A run whose counts differ
-exits 1.  Tier-1 does not collect this file; it imports no test framework.
+exits 1.
+
+With ``--record PATH`` it also appends what it printed (the line counts,
+each metric's medians, B/A, B's wins and A's spread, the opcode counts),
+with the workload, seed, report and round counts, the Python version and
+``nproc``, as one entry of the ``runs`` list of the JSON file at PATH,
+which it creates if missing; one file so holds several input sets.
+Tier-1 does not collect this file; it imports no test framework.
 """
 
 import argparse
@@ -42,6 +50,7 @@ import importlib
 import importlib.util
 import json
 import os
+import platform
 import statistics
 import sys
 import tempfile
@@ -175,6 +184,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--rounds", type=int, default=15)
     parser.add_argument("--format", dest="fmt", choices=("json", "text"), default="json")
+    parser.add_argument("--record", metavar="PATH")
     args = parser.parse_args(argv)
     lines = [line_count(tree) for tree in (args.a, args.b)]
     print(f"src/g2kit lines: A {lines[0]}, B {lines[1]} ({lines[1] - lines[0]:+d})", flush=True)
@@ -217,27 +227,56 @@ def main(argv=None) -> int:
         packages = {side: str(Path(tree).resolve() / "src" / "g2kit") + os.sep for side, tree in zip("AB", (args.a, args.b))}
         counts = {side: opcode_counts(cli, packages[side], ops, args.fmt) for side, cli in clis.items()}
 
-    print(f"{args.workload}, seed {args.seed}: {len(ops)} reports x {args.rounds} rounds, "
-          f"byte-identical in json and text, timed in {args.fmt}")
-    print(f"{'metric':8} {'A median':>9} {'B median':>9} {'B/A - 1':>8} {'B wins':>7} {'A spread':>9}")
+    latency = {}
     for metric in rounds["A"][0]:
         a = [r[metric] for r in rounds["A"]]
         b = [r[metric] for r in rounds["B"]]
         ma, mb = statistics.median(a), statistics.median(b)
-        wins = sum(y < x for x, y in zip(a, b))
         # one round has no spread
         q1, _, q3 = statistics.quantiles(a, n=4) if len(a) > 1 else (ma, ma, ma)
-        print(f"{metric:8} {ma:9.3f} {mb:9.3f} {mb / ma - 1:+8.1%} {wins:>3}/{len(a):<3} {(q3 - q1) / ma:9.1%}")
+        latency[metric] = {"A median": ma, "B median": mb, "B/A - 1": mb / ma - 1,
+                           "B wins": sum(y < x for x, y in zip(a, b)), "A spread": (q3 - q1) / ma}
+
+    print(f"{args.workload}, seed {args.seed}: {len(ops)} reports x {args.rounds} rounds, "
+          f"byte-identical in json and text, timed in {args.fmt}")
+    print(f"{'metric':8} {'A median':>9} {'B median':>9} {'B/A - 1':>8} {'B wins':>7} {'A spread':>9}")
+    for metric, m in latency.items():
+        print(f"{metric:8} {m['A median']:9.3f} {m['B median']:9.3f} {m['B/A - 1']:+8.1%} "
+              f"{m['B wins']:>3}/{args.rounds:<3} {m['A spread']:9.1%}")
 
     print("opcode events per report in g2kit code")
     print(f"{'count':14} {'A':>12} {'B':>12} {'B/A - 1':>8}")
     for name, a in counts["A"].items():
         b = counts["B"][name]
         print(f"{name:14} {a:12.1f} {b:12.1f} {b / a - 1:+8.2%}")
+    if args.record is not None:
+        record(args.record, {
+            "workload": args.workload, "seed": args.seed, "reports": len(ops), "rounds": args.rounds,
+            "format": args.fmt, "python": platform.python_version(), "nproc": nproc(),
+            "src_lines": dict(zip("AB", lines)), "latency": latency,
+            "opcode_events": {name: {side: counts[side][name] for side in "AB"} for name in counts["A"]},
+        })
     if packages["A"] == packages["B"] and counts["A"] != counts["B"]:
         print("the same tree counted differently on the two sides", file=sys.stderr)
         return 1
     return 0
+
+
+def nproc() -> int:
+    """The CPUs this process may run on, as ``nproc`` prints them."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+def record(path: str, run: dict) -> None:
+    """Append one run's figures to the ``runs`` list of the JSON file at
+    `path`, which is created if it does not exist."""
+    runs = []
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            runs = json.load(fh)["runs"]
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"runs": [*runs, run]}, fh, indent=2)
+        fh.write("\n")
 
 
 if __name__ == "__main__":

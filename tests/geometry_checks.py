@@ -45,7 +45,6 @@ from g2kit.linalg import (
     _Record,
     as_fraction,
     integer_coords,
-    integer_rows,
     integer_vector,
     nullspace,
     rref,
@@ -153,7 +152,7 @@ def derivation_action(a: Mat7, form: KForm) -> KForm:
 
     The stored index m sits in a covariant slot, so the derivation maps e^m
     to sum_l (a e_l)_m e^l = sum_l a[m][l] e^l."""
-    rows, d = integer_rows(a)
+    rows, d = integer_coords(a)
     return _derivation(form, 1, [[[((l,), c) for l, c in enumerate(row) if c] for row in rows]], d)[0]
 
 
@@ -205,7 +204,7 @@ def solved_torsion_endo(nphi: tuple[KForm, ...], system) -> Mat7:
 
 def two_form_from_matrix(m: Mat7) -> KForm:
     """2-form alpha(e_i, e_j) = M_ij of a skew matrix."""
-    rows, d = integer_rows(m)
+    rows, d = integer_coords(m)
     return KForm.from_ints(2, [rows[i][j] for i, j in all_increasing_tuples(2)], d)
 
 

@@ -42,15 +42,59 @@ def test_identities_trials_zero_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["identities", "--trials", "0"])
     assert exc.value.code == 2
-    assert "--trials must be at least 1" in capsys.readouterr().err
+    err = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert err == ["g2kit: error: --trials must be at least 1"]
 
 
-def test_trials_is_not_checked_where_unread(tmp_path, capsys):
-    # only identities reads --trials
-    path = write_matrix(tmp_path, heisenberg_model()[2])
-    assert main(["tables", "--trials", "0"]) == 0
-    assert main(["classify", "--input", path, "--trials", "0"]) == 0
-    assert capsys.readouterr().err == ""
+# the flags each subcommand reads; identities takes --frame only to echo it
+TAKES = {
+    "identities": {"--seed", "--trials", "--frame", "--format"},
+    "classify": {"--input", "--frame", "--format"},
+    "nilmanifold": {"--input", "--frame", "--convention", "--format"},
+    "tables": {"--frame", "--format"},
+}
+# a value other than the default for each flag, and the RunConfig field it sets
+FLAG_VALUES = {
+    "--seed": ("5", "seed", 5),
+    "--trials": ("7", "trials", 7),
+    "--frame": ("cayley", "frame", "cayley"),
+    "--convention": ("tensor", "convention", "tensor"),
+    "--input": ("in.json", "input_path", "in.json"),
+    "--format": ("json", "fmt", "json"),
+}
+
+
+@pytest.mark.parametrize("flag", FLAG_VALUES)
+@pytest.mark.parametrize("command", TAKES)
+def test_each_subcommand_takes_only_the_flags_it_reads(capsys, command, flag):
+    arg, field, value = FLAG_VALUES[flag]
+    argv = [command, flag, arg]
+    if flag in TAKES[command]:
+        cfg = RunConfig(**vars(build_parser().parse_args(argv)))
+        assert cfg == RunConfig(command, **{field: value})
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"g2kit: error: unrecognized arguments: {flag} {arg}"
+    ]
+
+
+@pytest.mark.parametrize("command", TAKES)
+def test_help_lists_exactly_the_flags_a_subcommand_takes(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = {word.strip("[],") for word in capsys.readouterr().out.split() if word.startswith(("--", "[--"))}
+    assert listed == TAKES[command] | {"--help"}
+
+
+def test_config_echoes_the_defaults_of_flags_a_subcommand_does_not_take(capsys):
+    assert main(["tables", "--format", "json"]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert (config["seed"], config["trials"], config["convention"], config["input"]) == (0, 200, "auto", None)
 
 
 def test_classify_heisenberg(tmp_path, capsys):

@@ -108,7 +108,7 @@ from g2kit.linalg import (
     Vec7,
     int_matmul,
     integer_columns,
-    integer_rows,
+    integer_coords,
     integer_vector,
     nullspace,
     principal_minor_sum,
@@ -317,7 +317,7 @@ def ref_torsion_energies(t: Mat7, frame) -> tuple[Fraction, Fraction, Fraction]:
 
 
 def ref_char_poly(t: Mat7) -> tuple[Fraction, ...]:
-    n_rows, d = integer_rows(t)
+    n_rows, d = integer_coords(t)
     m = n_rows
     c = [sum(m[i][i] for i in range(DIM))]
     for k in range(2, DIM + 1):

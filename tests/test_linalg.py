@@ -10,7 +10,7 @@ from g2kit.linalg import (
     Vec7,
     det,
     int_matmul,
-    integer_rows,
+    integer_coords,
     nullspace,
     principal_minor_sum,
     rank,
@@ -160,11 +160,11 @@ def test_det_matches_minor_expansion():
 def test_integer_rows_roundtrip():
     rng = Random(7)
     m = rand_mat(rng)
-    rows, d = integer_rows(m)
+    rows, d = integer_coords(m)
     for i in range(DIM):
         for j in range(DIM):
             assert Fraction(rows[i][j], d) == m.entries[i][j]
-    a, da = integer_rows(m)
+    a, da = integer_coords(m)
     prod = int_matmul(a, a)
     mm = m @ m
     for i in range(DIM):

@@ -23,7 +23,7 @@ import pytest
 from g2kit.forms import KForm, all_increasing_tuples
 from g2kit.frames import build_cayley_frame, build_standard_frame, cross
 from g2kit.liealg import ConnectionTable, MetricLieAlgebra, heisenberg_model, koszul
-from g2kit.linalg import DIM, Mat7, Vec7, integer_columns, integer_rows
+from g2kit.linalg import DIM, Mat7, Vec7, integer_columns, integer_coords
 from g2kit.sampling import rand_two_step_nilpotent
 from g2kit.torsion import characteristic_vector
 
@@ -106,7 +106,7 @@ def test_construction_is_canonical_and_matches_entries(seed):
     for g in grids(seed):
         m = Mat7(g)
         assert same(m, g)
-        rows, d = integer_rows(m)
+        rows, d = integer_coords(m)
         # the denominator is the least common denominator of the entries
         assert all(d % x.denominator == 0 for x in chain.from_iterable(g))
         assert [[Fraction(x, d) for x in row] for row in rows] == g
@@ -121,19 +121,19 @@ def test_from_ints_equals_fraction_construction(seed):
     rng = Random(seed)
     for g in grids(seed):
         m = Mat7(g)
-        rows, d = integer_rows(m)
+        rows, d = integer_coords(m)
         for k in (1, 6, -1, -35, rng.randint(2, 2**20)):
             scaled = [[k * x for x in row] for row in rows]
             n = Mat7.from_ints(scaled, k * d)
             assert n == m and hash(n) == hash(m)
-            assert integer_rows(n) == integer_rows(m)
+            assert integer_coords(n) == integer_coords(m)
             assert_canonical(n)
     # a grid with common factors and a negative denominator
     n = Mat7.from_ints([[6 * (i - j) for j in range(DIM)] for i in range(DIM)], -4)
     assert n == Mat7([[Fraction(3 * (j - i), 2) for j in range(DIM)] for i in range(DIM)])
-    assert integer_rows(n)[1] == 2
+    assert integer_coords(n)[1] == 2
     assert Mat7.from_ints([[0] * DIM] * DIM, -7) == Mat7.zero()
-    assert integer_rows(Mat7.zero()) == (((0,) * DIM,) * DIM, 1)
+    assert integer_coords(Mat7.zero()) == (((0,) * DIM,) * DIM, 1)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -82,3 +82,26 @@ def rule_breaks(path: Path) -> list[str]:
 
 def test_package_modules_keep_the_source_rules():
     assert [found for path in sorted(PACKAGE.glob("*.py")) for found in rule_breaks(path)] == []
+
+
+def body_key(node: ast.FunctionDef) -> str:
+    """A function's body as ``ast.dump`` text, without its docstring and
+    with its parameters renamed by position, so two functions that differ
+    only in those have one key."""
+    args = node.args
+    params = [a.arg for a in args.posonlyargs + args.args + [args.vararg] + args.kwonlyargs + [args.kwarg] if a]
+    renamed = {name: f"_{k}" for k, name in enumerate(params)}
+    module = ast.Module(body=node.body[1:] if ast.get_docstring(node) is not None else node.body, type_ignores=[])
+    for name in ast.walk(module):  # renames in place: the tree is parsed for this check only
+        if isinstance(name, ast.Name):
+            name.id = renamed.get(name.id, name.id)
+    return ast.dump(module)
+
+
+def test_no_two_package_functions_share_a_body():
+    where: dict[str, list[str]] = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                where.setdefault(body_key(node), []).append(f"{path.name}:{node.name}")
+    assert [names for names in where.values() if len(names) > 1] == []
