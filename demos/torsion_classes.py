@@ -9,6 +9,7 @@ from random import Random
 
 from g2kit import (
     Mat7,
+    MetricLieAlgebra,
     Vec7,
     build_standard_frame,
     characteristic_vector,
@@ -19,8 +20,10 @@ from g2kit import (
     hypersurface_identity_check,
     i1,
     i2,
-    predicted_scalar_curvature,
+    koszul,
     pure_vector_energy,
+    scalar_curvature,
+    torsion_endo,
     torsion_energies,
 )
 from g2kit.sampling import rand_mat, rand_symmetric, rand_vector_free
@@ -46,10 +49,19 @@ print("  cross operator:", sorted(classify(a_z, frame).flags), " chi = -6Z:",
 vec_free = rand_vector_free(rng, frame)
 print("  vector-free input has chi = 0:", characteristic_vector(vec_free, frame).is_zero())
 
+# the paper's formula at a point: s/6 = integrand - div chi
 lam = Fraction(1, 2)
 scaled = Mat7.identity().scale(lam)
-print("\npointwise balance for the scalar shape:",
-      predicted_scalar_curvature(scaled, frame) == 378 * lam * lam)
+print("\npointwise balance for the scalar shape (chi = 0, so s = 6 * integrand):",
+      6 * curvature_integrand(scaled, frame) == 378 * lam * lam)
+# H^7 as the algebra [e_0, e_j] = e_j: a pure vector class with div chi = -<chi, H>
+h7 = MetricLieAlgebra.from_nonzero({(0, j): {j: 1} for j in range(1, 7)})
+conn = koszul(h7)
+t_h7 = torsion_endo(conn, frame)
+chi = characteristic_vector(t_h7, frame)
+integrand, div_chi, scal = curvature_integrand(t_h7, frame), -chi.dot(h7.trace_vector()), scalar_curvature(conn, h7)
+print(f"H^7: s/6 = {scal / 6}, integrand = {integrand}, div chi = {div_chi}; s/6 = integrand - div chi:",
+      scal / 6 == integrand - div_chi)
 print("integrand of a pure vector shape is 45|Z|^2:",
       pure_vector_energy(z, frame) == 45 * z.norm_sq())
 

@@ -66,12 +66,10 @@ from .so7 import (
 )
 from .torsion import (
     TorsionClass,
-    VectorClassPresent,
     characteristic_vector,
     classify,
     curvature_integrand,
     hypersurface_identity_check,
-    predicted_scalar_curvature,
     pure_vector_energy,
     torsion_energies,
 )
@@ -134,12 +132,10 @@ __all__ = [
     "skew_to_vector",
     "split_so7",
     "TorsionClass",
-    "VectorClassPresent",
     "characteristic_vector",
     "classify",
     "curvature_integrand",
     "hypersurface_identity_check",
-    "predicted_scalar_curvature",
     "pure_vector_energy",
     "torsion_energies",
 ]

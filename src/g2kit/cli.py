@@ -404,7 +404,7 @@ def cmd_nilmanifold(cfg: RunConfig) -> tuple[int, dict]:
     values = part_norm_invariants(cls.part_norms_sq)
     inv = invariant_report_from_norms(t, values)
     integrand = values["integrand"]
-    div = divergence_balance(values, cls.chi, s_perp)
+    div = divergence_balance(values, cls.chi, s_perp, mla.trace_vector())
     tf = torsion_forms(mla, frame)
     # the Bryant check reads both conventions, and the report prints them
     norms = {conv: tf.norms_sq(conv) for conv in (FORM, TENSOR)}
@@ -412,7 +412,6 @@ def cmd_nilmanifold(cfg: RunConfig) -> tuple[int, dict]:
     bryant = bryant_scalar_check(mla, s, tf, norms)
     conventions = (FORM, TENSOR) if cfg.convention == "auto" else (cfg.convention,)
 
-    chi_is_zero = "X4" not in cls.flags
     checks = {
         "s_g2perp_equals_s_over_3": s_perp == s / 3,
         "curvature_multiset_sums_to_s": sum(Fraction(k) * n for k, n in multiset.items()) == s,
@@ -420,9 +419,9 @@ def cmd_nilmanifold(cfg: RunConfig) -> tuple[int, dict]:
         "tau_flags_match_classification": tf.class_flags() == cls.flags,
         "bryant_reconciles": bool(bryant.reconciling),
         "r_map_form_convention": geo.matched_convention == FORM,
+        # the paper's identity at a point: s/6 = integrand - div chi
+        "integral_formula_balanced": integrand - div.div_chi == s / 6,
     }
-    if chi_is_zero:
-        checks["integral_formula_balanced"] = integrand == s / 6
 
     report = {
         "command": "nilmanifold",

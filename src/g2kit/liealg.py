@@ -172,7 +172,11 @@ class MetricLieAlgebra(_IntegerGrid):
     def trace_vector(self) -> Vec7:
         """H = sum_k tr(ad e_k) e_k, tr(ad e_k) = sum_j c^j_kj (Milnor 1976);
         on an invariant 1-form the codifferential is delta alpha = <alpha, H>."""
-        return Vec7.from_ints([sum(row[j][j] for j in _R) for row in self._grid], self._den)
+        h = [0] * DIM
+        for k, j, i, x in self._nonzero:
+            if i == j:
+                h[k] += x
+        return Vec7.from_ints(h, self._den)
 
     def is_unimodular(self) -> bool:
         return self.trace_vector().is_zero()
@@ -341,8 +345,9 @@ def alt_scalar_curvature(t: Mat7, frame: G2Frame) -> Fraction:
 
 
 class DivergenceReport(_Record):
-    """Summands of div chi = (1/2) s_alt - (1/2) s_g2perp + |chi|^2 +
-    |xi_alt|^2 - |xi_sym|^2 evaluated from algebraic data."""
+    """Summands of rhs_total = (1/2) s_alt - (1/2) s_g2perp + |chi|^2 +
+    |xi_alt|^2 - |xi_sym|^2 evaluated from algebraic data, and div chi of the
+    left-invariant field chi; the pointwise identity is rhs_total = div chi."""
 
     s_alt: Fraction
     s_g2perp: Fraction
@@ -351,20 +356,23 @@ class DivergenceReport(_Record):
     sym_sq: Fraction
     chi: Vec7
     rhs_total: Fraction
-    balanced: bool | None
+    div_chi: Fraction
+    balanced: bool
 
 
-def divergence_balance(values: dict[str, Fraction], chi: Vec7, s_perp: Fraction) -> DivergenceReport:
+def divergence_balance(values: dict[str, Fraction], chi: Vec7, s_perp: Fraction, h: Vec7) -> DivergenceReport:
     """The divergence summands of T against s_perp =
     g2perp_scalar_curvature(conn, mla, frame) and chi = classify(t, frame).chi,
     read off the part-norm values of T (``invariants.part_norm_invariants``):
-    s_alt = i0, |chi|^2 = i1, and the rows alt_sq and sym_sq."""
+    s_alt = i0, |chi|^2 = i1, and the rows alt_sq and sym_sq.  With
+    h = mla.trace_vector(), div chi = -<chi, H> for the left-invariant
+    field chi (Milnor 1976), and ``balanced`` is rhs_total == div chi."""
     s_alt, chi_sq, alt_sq, sym_sq = values["i0"], values["i1"], values["alt_sq"], values["sym_sq"]
     rhs = Fraction(1, 2) * s_alt - Fraction(1, 2) * s_perp + chi_sq + alt_sq - sym_sq
-    balanced = (rhs == 0) if chi.is_zero() else None
+    div_chi = -chi.dot(h)
     return DivergenceReport(
         s_alt=s_alt, s_g2perp=s_perp, chi_sq=chi_sq, alt_sq=alt_sq, sym_sq=sym_sq,
-        chi=chi, rhs_total=rhs, balanced=balanced,
+        chi=chi, rhs_total=rhs, div_chi=div_chi, balanced=rhs == div_chi,
     )
 
 

@@ -240,7 +240,10 @@ def torsion_class_to_json(cls) -> dict:
 def divergence_to_json(div) -> dict:
     """A :class:`~g2kit.liealg.DivergenceReport`, in its field order."""
     out = {name: rational_str(getattr(div, name)) for name in ("s_alt", "s_g2perp", "chi_sq", "alt_sq", "sym_sq")}
-    return {**out, "chi": vec_to_json(div.chi), "rhs_total": rational_str(div.rhs_total), "balanced": div.balanced}
+    return {
+        **out, "chi": vec_to_json(div.chi), "rhs_total": rational_str(div.rhs_total),
+        "div_chi": rational_str(div.div_chi), "balanced": div.balanced,
+    }
 
 
 def norms_to_json(norms: dict) -> dict:

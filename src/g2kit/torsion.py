@@ -94,29 +94,9 @@ def classify(t: Mat7, frame: G2Frame) -> TorsionClass:
 
 def curvature_integrand(t: Mat7, frame: G2Frame) -> Fraction:
     """-(3/2) i0(T) + 6 sigma2(T), the algebraic side of the scalar-curvature
-    balance (equal to s/6 pointwise when the vector class vanishes); the
-    reports read the ``integrand`` row of ``PART_NORM_TABLE`` instead."""
+    balance s/6 = integrand - div chi; the reports read the ``integrand`` row
+    of ``PART_NORM_TABLE`` instead."""
     return Fraction(-3, 2) * i0(t, frame) + 6 * sigma2(t)
-
-
-class VectorClassPresent(ValueError):
-    """Raised when a vector-free operation receives T with nonzero vector part."""
-
-    def __init__(self, vector: Vec7):
-        self.vector = vector
-        super().__init__(
-            f"vector part is nonzero: Z = {tuple(str(c) for c in vector)}; "
-            "the pointwise scalar-curvature formula needs a vanishing characteristic vector"
-        )
-
-
-def predicted_scalar_curvature(t: Mat7, frame: G2Frame) -> Fraction:
-    """6 * curvature_integrand(T): the scalar curvature predicted for
-    structures whose vector class vanishes (chi = 0)."""
-    split = decompose_endo(t, frame)
-    if not split.vector.is_zero():
-        raise VectorClassPresent(split.vector)
-    return 6 * curvature_integrand(t, frame)
 
 
 class HypersurfaceReport(_Record):

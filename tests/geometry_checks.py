@@ -20,7 +20,9 @@ one exact solver.  No command reads the nearly parallel check either; it
 substitutes a nearly parallel d phi into the skew-torsion formulas.
 Dense inputs come from :func:`rotated_models`: model algebras of Lie types
 the samplers never give, each in a rotated orthonormal basis, so every
-structure constant is nonzero as a rule.
+structure constant is nonzero as a rule.  :func:`hyperbolic` is the known
+answer for the vector class, and :func:`connection_divergence` the second
+route to the divergence term of the paper's formula.
 """
 
 from fractions import Fraction
@@ -107,6 +109,21 @@ def rotated_models(seed: int) -> list[MetricLieAlgebra]:
     """Each of MODEL_ALGEBRAS rotated by ``rand_orthogonal(Random(seed))``."""
     q = rand_orthogonal(Random(seed))
     return [rotate_algebra(MetricLieAlgebra.from_nonzero(entries), q) for entries in MODEL_ALGEBRAS.values()]
+
+
+def hyperbolic(r: int, lam) -> MetricLieAlgebra:
+    """Real hyperbolic space H^7 as the almost-abelian algebra with ad e_r =
+    lam I on the other six basis vectors: constant curvature -lam^2, and
+    H = 6 lam e_r, so it is not unimodular."""
+    others = (j for j in range(DIM) if j != r)
+    return MetricLieAlgebra.from_nonzero({(min(r, j), max(r, j)): {j: lam if r < j else -lam} for j in others})
+
+
+def connection_divergence(conn, x: Vec7) -> Fraction:
+    """div X = sum_i <nabla_{e_i} X, e_i> = sum_{i,k} X_k Gamma^i_ik for the
+    left-invariant field X, read off the connection alone; the package
+    reads it off the trace vector instead, as -<X, H>."""
+    return sum((x[k] * conn.gamma[i][k][i] for i in range(DIM) for k in range(DIM)), Fraction(0))
 
 
 def curvature_components(conn, mla) -> tuple:

@@ -12,7 +12,8 @@ g2kit, so it runs on every supported interpreter.
 
 Reports echo ``--input``, so inputs are repository-relative and every run
 starts in the repository root.  A golden changes only with a deliberate
-change of report content; to regenerate one, write its entry's stdout to it.
+change of report content; ``python tests/regen_goldens.py KEY...`` rewrites
+the goldens whose report only gained lines or changed the listed keys.
 """
 
 import os
@@ -50,6 +51,10 @@ GOLDENS = {
             f"nilmanifold --input {INPUTS}/almost-abelian.json --frame standard --format json",
         "nilmanifold-almost-abelian-cayley.json":
             f"nilmanifold --input {INPUTS}/almost-abelian.json --frame cayley --format json",
+        "nilmanifold-hyperbolic-standard.json":
+            f"nilmanifold --input {INPUTS}/hyperbolic.json --frame standard --format json",
+        "nilmanifold-hyperbolic-cayley.json":
+            f"nilmanifold --input {INPUTS}/hyperbolic.json --frame cayley --format json",
         "identities-seed3-trials15.json": "identities --seed 3 --trials 15 --format json",
         "identities-seed3-trials15.txt": "identities --seed 3 --trials 15 --format text",
         "identities-seed0-trials200.json": "identities --seed 0 --trials 200 --format json",
@@ -62,9 +67,15 @@ GOLDEN = ROOT / "tests" / "golden"
 IN_ONE_PROCESS = "import os, sys; del os.fork; from g2kit.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
+def run(args: list[str]) -> subprocess.CompletedProcess:
+    """``python -W error -O <args>`` in a fresh interpreter from the
+    repository root, with ``src`` first on its path; stdout and stderr as bytes."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-W", "error", "-O", *args], cwd=ROOT, env=env, capture_output=True)
+
+
 def check_all() -> int:
     """Run every entry on each of its routes; 1 if any run differs from its golden."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     runs = mismatches = 0
     for name, argv in GOLDENS.items():
         expected = (GOLDEN / name).read_bytes()
@@ -72,7 +83,7 @@ def check_all() -> int:
         if argv[0] == "identities":
             routes["os.fork deleted"] = ["-c", IN_ONE_PROCESS, *argv]
         for route, args in routes.items():
-            proc = subprocess.run([sys.executable, "-W", "error", "-O", *args], cwd=ROOT, env=env, capture_output=True)
+            proc = run(args)
             runs += 1
             if proc.returncode != 0 or proc.stdout != expected:
                 mismatches += 1

@@ -57,7 +57,6 @@ from g2kit.torsion import (
     characteristic_vector,
     classify,
     curvature_integrand,
-    predicted_scalar_curvature,
     torsion_energies,
 )
 
@@ -159,7 +158,9 @@ def test_criterion_06_heisenberg_numbers():
     assert g2perp_scalar_curvature(conn, mla, frame) == Fraction(-1, 3) == s / 3
     assert geometry_torsion_report(conn, frame).torsion == t_ref
     assert sorted(classify(t_ref, frame).flags) == ["X2"]
-    assert predicted_scalar_curvature(t_ref, frame) == -1
+    # chi = 0 and the model is nilpotent, so div chi = 0 and s = 6 * integrand
+    assert characteristic_vector(t_ref, frame).is_zero() and mla.is_unimodular()
+    assert 6 * curvature_integrand(t_ref, frame) == -1
     report(6, "nilmanifold model reproduces s=-1, sigma2=1/18, i0=1/3, charpoly, -1/6 balance, pure X2")
 
 

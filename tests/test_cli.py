@@ -6,13 +6,14 @@ import time
 from fractions import Fraction
 
 import pytest
+from geometry_checks import hyperbolic
 from golden_manifest import GOLDEN, GOLDENS
 
 from g2kit import cli
 from g2kit.cli import RunConfig, build_parser, main, run
 from g2kit.frames import CrossTable, G2Frame, build_cayley_frame
 from g2kit.liealg import heisenberg_model
-from g2kit.serialize import mat_to_json
+from g2kit.serialize import algebra_to_json, mat_to_json
 from g2kit.so7 import EndoSplit, cross_operator
 from g2kit.linalg import Vec7
 
@@ -203,6 +204,30 @@ def test_nilmanifold_abelian_algebra_input(tmp_path, capsys, frame):
     assert out["curvature_diagonal"]["rows"] == [] and out["curvature_multiset"] == {}
     assert out["checks"]["integral_formula_balanced"] is True
     assert all(out["checks"].values()) and out["passed"] is True
+
+
+@pytest.mark.parametrize("frame", ["standard", "cayley"])
+@pytest.mark.parametrize("r", [0, 3, 6])
+@pytest.mark.parametrize("lam", [Fraction(1), Fraction(1, 3)])
+def test_nilmanifold_hyperbolic_known_answer(tmp_path, frame, r, lam):
+    # H^7 with ad e_r = lam I on the other six: constant curvature -lam^2,
+    # pure vector class, chi = -2 lam e_r, integrand 45 |chi / 6|^2 = 5 lam^2,
+    # and div chi = -<chi, H> = 12 lam^2 with H = 6 lam e_r, so
+    # s/6 = -7 lam^2 = integrand - div chi
+    path = tmp_path / "hyperbolic.json"
+    path.write_text(json.dumps(algebra_to_json(hyperbolic(r, lam))))
+    code, out = run(RunConfig(command="nilmanifold", input_path=str(path), frame=frame, fmt="json"))
+    report = json.loads(out)
+    assert code == 0 and report["passed"] is True
+    assert report["classification"]["flags"] == ["X4"]
+    assert Fraction(report["scalar_curvature"]) == -42 * lam**2
+    div = report["divergence"]
+    assert [Fraction(c) for c in div["chi"]] == [-2 * lam if k == r else 0 for k in range(7)]
+    assert Fraction(report["integrand"]) == 5 * lam**2
+    assert Fraction(div["div_chi"]) == 12 * lam**2 == Fraction(div["rhs_total"]) and div["balanced"] is True
+    assert report["checks"]["integral_formula_balanced"] is True
+    # control: the formula without its div term fails
+    assert Fraction(report["integrand"]) != Fraction(report["s_over_6"])
 
 
 def one_bracket(**bracket):

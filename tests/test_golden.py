@@ -20,6 +20,7 @@ import os
 
 import pytest
 from golden_manifest import GOLDEN, GOLDENS, ROOT
+from regen_goldens import additive_change
 
 from g2kit.cli import FRAMES, build_parser, main
 
@@ -98,3 +99,56 @@ def test_tables_bytes_match_golden_from_cold_caches(name, capsys):
 def test_identities_bytes_match_golden_from_cold_caches(monkeypatch, capsys):
     monkeypatch.delattr(os, "fork", raising=False)  # both frames fill in this process
     assert_cold_golden("identities-seed3-trials15.json", capsys, {frame: IDENTITIES for frame in FRAMES})
+
+
+# a report before and after a change that adds div_chi and changes balanced
+OLD_REPORT = """divergence:
+  rhs_total: 0
+  balanced: ~
+checks:
+  r_map_form_convention: true
+passed: true
+"""
+NEW_REPORT = """divergence:
+  rhs_total: 0
+  div_chi: 0
+  balanced: true
+checks:
+  r_map_form_convention: true
+  integral_formula_balanced: true
+passed: true
+"""
+
+
+def test_regeneration_accepts_added_lines_and_listed_keys():
+    added, changed = additive_change(OLD_REPORT, NEW_REPORT, {"balanced"})
+    assert added == ["  div_chi: 0", "  integral_formula_balanced: true"]
+    assert changed == [("  balanced: ~", "  balanced: true")]
+    old_json = '{\n  "balanced": null,\n  "rhs_total": "0"\n}'
+    new_json = '{\n  "balanced": true,\n  "div_chi": "0",\n  "rhs_total": "0"\n}'
+    assert additive_change(old_json, new_json, {"balanced"}) == (
+        ['  "div_chi": "0",'], [('  "balanced": null,', '  "balanced": true,')]
+    )
+    # a new golden is all added lines
+    assert additive_change("", NEW_REPORT, set()) == (NEW_REPORT.splitlines(), [])
+
+
+@pytest.mark.parametrize(
+    "new, keys",
+    [
+        # a removed line
+        (NEW_REPORT.replace("passed: true\n", ""), {"balanced"}),
+        # a changed line whose key is not listed
+        (NEW_REPORT.replace("rhs_total: 0", "rhs_total: 1"), {"balanced"}),
+        # the listed key's change, with no key listed
+        (NEW_REPORT, set()),
+        # a listed key changed at another depth
+        (NEW_REPORT.replace("  balanced: true", "balanced: true"), {"balanced"}),
+        # a moved line
+        ("passed: true\n" + NEW_REPORT.replace("passed: true\n", ""), {"balanced"}),
+    ],
+)
+def test_regeneration_refuses_anything_but_additions(new, keys):
+    with pytest.raises(ValueError):
+        additive_change(OLD_REPORT, new, keys)
+

@@ -1,3 +1,4 @@
+import json
 import pickle
 import re
 from fractions import Fraction
@@ -8,13 +9,16 @@ import pytest
 from geometry_checks import (
     _lambda2_14_forms,
     _lambda3_27_forms,
+    connection_divergence,
     curvature_components,
     derivation_action,
     is_metric,
     nearly_parallel_torsion_check,
+    rotated_models,
     symmetry_defects,
     torsion_defect,
 )
+from golden_manifest import INPUTS, ROOT
 
 from g2kit.forms import FORM, TENSOR, KForm, form_inner, form_norm_sq, hodge, interior, wedge
 from g2kit.frames import CrossTable, G2Frame
@@ -30,6 +34,7 @@ from g2kit.liealg import (
     codifferential,
     connection_reference_diff,
     curvature_diagonal,
+    curvature_scalars,
     divergence_balance,
     g2perp_scalar_curvature,
     geometry_torsion_report,
@@ -272,39 +277,82 @@ def test_alt_scalar_curvature(frame):
         assert alt_scalar_curvature(m, frame) == i0(m, frame)
 
 
-def divergence_of(t: Mat7, s_perp: Fraction, frame):
+def divergence_of(t: Mat7, s_perp: Fraction, frame, h: Vec7):
     """divergence_balance as a report calls it, from the split of T; its
     torsion terms must equal the kernels'."""
     cls = classify(t, frame)
-    rep = divergence_balance(part_norm_invariants(cls.part_norms_sq), cls.chi, s_perp)
+    rep = divergence_balance(part_norm_invariants(cls.part_norms_sq), cls.chi, s_perp, h)
     assert (rep.s_alt, rep.chi) == (alt_scalar_curvature(t, frame), characteristic_vector(t, frame))
     assert (rep.chi_sq, rep.alt_sq, rep.sym_sq) == torsion_energies(t, frame)
+    assert rep.div_chi == -rep.chi.dot(h)
     return rep
 
 
 def test_divergence_balance():
     mla, frame, t = heisenberg_model()
     s_perp = g2perp_scalar_curvature(koszul(mla), mla, frame)
-    rep = divergence_of(t, s_perp, frame)
+    h = mla.trace_vector()
+    rep = divergence_of(t, s_perp, frame, h)
     assert rep.balanced is True
-    assert rep.rhs_total == 0
+    assert rep.rhs_total == 0 == rep.div_chi
     assert rep.s_alt == Fraction(1, 3)
     assert rep.s_g2perp == Fraction(-1, 3)
     assert rep.chi_sq == 0
     assert rep.alt_sq == Fraction(1, 6)
     assert rep.sym_sq == Fraction(1, 2)
-    # type-X4 input: the |chi|^2 term is 36|Z|^2 and balance is not asserted
+    # type-X4 input against the model's curvature: the |chi|^2 term is
+    # 36|Z|^2, and the model is nilpotent, so div chi = 0 and `balanced` is
+    # the bool rhs_total == 0, which this T, not the model's, fails
     z = rand_vec(Random(4))
-    rep = divergence_of(cross_operator(z, frame), s_perp, frame)
+    rep = divergence_of(cross_operator(z, frame), s_perp, frame, h)
     assert rep.chi_sq == 36 * z.norm_sq()
-    assert rep.balanced is None
+    assert rep.div_chi == 0 and rep.rhs_total != 0 and rep.balanced is False
     # zero torsion against a flat curvature: every summand vanishes
     flat = MetricLieAlgebra.from_nonzero({})
     flat_perp = g2perp_scalar_curvature(koszul(flat), flat, frame)
-    rep = divergence_of(Mat7.zero(), flat_perp, frame)
-    assert rep == divergence_of(Mat7.zero(), flat_perp, frame)
-    assert (rep.s_alt, rep.s_g2perp, rep.chi_sq, rep.alt_sq, rep.sym_sq, rep.rhs_total) == (0, 0, 0, 0, 0, 0)
+    rep = divergence_of(Mat7.zero(), flat_perp, frame, flat.trace_vector())
+    assert rep == divergence_of(Mat7.zero(), flat_perp, frame, flat.trace_vector())
+    assert (rep.s_alt, rep.s_g2perp, rep.chi_sq, rep.alt_sq, rep.sym_sq, rep.rhs_total, rep.div_chi) == (0,) * 7
     assert rep.balanced is True
+
+
+def formula_terms(mla: MetricLieAlgebra, frame) -> tuple:
+    """(connection, s, integrand, divergence report) of the algebra in the
+    frame, each read as a nilmanifold report reads it."""
+    conn = koszul(mla)
+    diag, s_perp = curvature_scalars(conn, mla, frame)
+    cls = classify(torsion_endo(conn, frame), frame)
+    values = part_norm_invariants(cls.part_norms_sq)
+    div = divergence_balance(values, cls.chi, s_perp, mla.trace_vector())
+    return conn, sum((v for _, _, v in diag), Fraction(0)), values["integrand"], div
+
+
+def test_div_chi_is_the_connection_divergence(frame):
+    # div chi = -<chi, H> against the connection route div X =
+    # sum_{i,k} X_k Gamma^i_ik, on seeded nilpotent and almost-abelian
+    # algebras, dense model algebras, the golden inputs and the built-in model
+    rng = Random(2026)
+    inputs = {f"nilpotent {n}": rand_two_step_nilpotent(rng) for n in range(8)}
+    inputs |= {f"almost-abelian {n}": rand_almost_abelian(rng) for n in range(8)}
+    inputs |= {f"model {n}": mla for n, mla in enumerate(rotated_models(0))}
+    inputs |= {
+        name: algebra_from_json(json.loads((ROOT / INPUTS / name).read_text()))
+        for name in ("algebra.json", "almost-abelian.json", "hyperbolic.json")
+    }
+    inputs["built-in"] = heisenberg_model()[0]
+    divs, without_div = {}, set()
+    for name, mla in inputs.items():
+        conn, s, integrand, div = formula_terms(mla, frame)
+        assert div.div_chi == connection_divergence(conn, div.chi), name
+        assert div.balanced and integrand - div.div_chi == s / 6, name
+        divs[name] = div.div_chi
+        if integrand != s / 6:
+            without_div.add(name)
+    # negative control: without its div term the formula fails on exactly
+    # the non-unimodular inputs
+    assert without_div == {name for name, mla in inputs.items() if not mla.is_unimodular()}
+    assert {"almost-abelian.json", "hyperbolic.json"} < without_div
+    assert (divs["algebra.json"], divs["almost-abelian.json"], divs["built-in"]) == (0, Fraction(961, 588), 0)
 
 
 def test_ce_differential_heisenberg():

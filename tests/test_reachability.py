@@ -80,7 +80,6 @@ LEDGER = {
     "sampling.rand_two_step_nilpotent": "sampler",
     "sampling.table_symmetries": "sampler",
     "serialize._past_digit_limit": "error tests/test_cli.py::test_digit_limit_spellings_print_one_message",
-    "torsion.VectorClassPresent.__init__": "error tests/test_torsion.py::test_pointwise_prediction",
 }
 
 

@@ -61,7 +61,7 @@ FIELDS = {
     EndoSplit: ("scalar", "sym0", "g2part", "vector"),
     TorsionClass: ("split", "flags", "part_norms_sq"),
     HypersurfaceReport: ("passed", "lhs", "rhs", "sigma2_shape"),
-    DivergenceReport: ("s_alt", "s_g2perp", "chi_sq", "alt_sq", "sym_sq", "chi", "rhs_total", "balanced"),
+    DivergenceReport: ("s_alt", "s_g2perp", "chi_sq", "alt_sq", "sym_sq", "chi", "rhs_total", "div_chi", "balanced"),
     GeometryTorsionReport: ("torsion", "r_grid", "matched_convention"),
     TorsionForms: ("tau0", "tau1", "tau2", "tau3"),
     BryantScalarReport: ("scalar", "rhs_by_convention", "reconciling", "forms", "delta_tau1"),
@@ -114,6 +114,7 @@ def examples() -> dict:
             part_norm_invariants(classify(t, frame).part_norms_sq),
             classify(t, frame).chi,
             g2perp_scalar_curvature(conn, mla, frame),
+            mla.trace_vector(),
         ),
         GeometryTorsionReport: geo,
         TorsionForms: tf,

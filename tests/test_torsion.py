@@ -2,22 +2,21 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from geometry_checks import hyperbolic
 from test_kernel_oracles import flipped_frame
 
 from g2kit.frames import cross
 from g2kit.invariants import i1, i2, sigma2
-from g2kit.liealg import heisenberg_model
+from g2kit.liealg import heisenberg_model, koszul, scalar_curvature, torsion_endo
 from g2kit.linalg import DIM, Mat7, Vec7
 from g2kit.sampling import rand_mat, rand_symmetric, rand_vec, table_symmetries
 from g2kit.so7 import cross_operator, decompose_endo, skew_to_vector
 from g2kit.torsion import (
     VECTOR_CLASS_SCALING_NOTE,
-    VectorClassPresent,
     characteristic_vector,
     classify,
     curvature_integrand,
     hypersurface_identity_check,
-    predicted_scalar_curvature,
     pure_vector_energy,
     torsion_energies,
 )
@@ -150,14 +149,23 @@ def test_integrand_invariant_under_table_symmetries(frame):
 
 
 def test_pointwise_prediction(frame):
+    # s/6 = integrand - div chi; chi = 0 for the scalar shape and the
+    # built-in model, so there s = 6 * integrand
     lam = Fraction(-2, 3)
-    assert predicted_scalar_curvature(Mat7.identity().scale(lam), frame) == 378 * lam * lam
+    assert 6 * curvature_integrand(Mat7.identity().scale(lam), frame) == 378 * lam * lam
     _, heis_frame, t = heisenberg_model()
-    assert predicted_scalar_curvature(t, heis_frame) == -1
-    z = rand_vec(Random(8))
-    with pytest.raises(VectorClassPresent) as err:
-        predicted_scalar_curvature(cross_operator(z, frame), frame)
-    assert err.value.vector == z
+    assert 6 * curvature_integrand(t, heis_frame) == -1
+    # the vector class: on H^7 (ad e_0 = I on the other six) chi = -2 e_0
+    # and H = 6 e_0, so div chi = -<chi, H> = 12 and s = 6 (5 - 12) = -42,
+    # which 6 * integrand alone misses
+    mla = hyperbolic(0, 1)
+    conn = koszul(mla)
+    t = torsion_endo(conn, frame)
+    chi = characteristic_vector(t, frame)
+    assert chi == Vec7.basis(0).scale(-2)
+    integrand, div_chi = curvature_integrand(t, frame), -chi.dot(mla.trace_vector())
+    assert (integrand, div_chi, scalar_curvature(conn, mla)) == (5, 12, -42)
+    assert 6 * (integrand - div_chi) == -42 != 6 * integrand
 
 
 def test_hypersurface_identity(standard):
